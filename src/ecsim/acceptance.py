@@ -294,7 +294,7 @@ def _random_hermitian_operator(rng, modes=2):
 
 def property_gram_positivity(cases=1000, seed=301):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = math.inf
     for _ in range(cases):
         s = _random_superposition(rng)
         n2 = cs.inner(s, s)
@@ -376,6 +376,11 @@ def property_semigroup(cases=1000, seed=306):
         t2 = rng.uniform(0.2, 1.0)
         two_step = dec.decohere(dec.decohere(op, dec.DecayClock(t1)), dec.DecayClock(t2))
         one_step = dec.decohere(op, dec.DecayClock(t1 * t2))
+        if len(two_step.terms) != len(one_step.terms):
+            return False, (
+                f"term count {len(two_step.terms)} (two steps) vs "
+                f"{len(one_step.terms)} (one step)"
+            )
         for ta, tb in zip(two_step.terms, one_step.terms):
             worst = max(worst, abs(ta.coeff - tb.coeff))
             worst = max(

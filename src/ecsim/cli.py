@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric guard tripped,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -55,7 +56,9 @@ class RunConfig:
         return np.linspace(self.r_min, self.r_max, self.r_steps)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="ecsim",
         description="Entangled-coherent-channel sweeps and protocol experiments.",
@@ -63,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sweep=True):
-        p.add_argument("--alphas", type=float, nargs="+", default=list(DEFAULT_ALPHAS))
+        p.add_argument("--alphas", type=float, nargs="+", default=DEFAULT_ALPHAS)
         if sweep:
             p.add_argument("--r-min", type=float, default=0.0)
             p.add_argument("--r-max", type=float, default=0.995)
@@ -79,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("bellmeas"), sweep=False)
     p_conc = sub.add_parser("concentrate")
     common(p_conc, sweep=False)
-    p_conc.add_argument("--etas", type=float, nargs="+", default=list(DEFAULT_ETAS))
+    p_conc.add_argument("--etas", type=float, nargs="+", default=DEFAULT_ETAS)
     p_cv = sub.add_parser("cv")
     common(p_cv, sweep=False)
     p_cv.add_argument("--ar-min", type=float, default=0.0)
@@ -116,11 +119,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("r_steps must be >= 2")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
-    if any(a <= 0 for a in cfg.alphas):
-        raise ConfigError("alphas must be positive")
+    if not all(math.isfinite(a) and a > 0 for a in cfg.alphas):
+        raise ConfigError("alphas must be finite and positive")
+    if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
+        raise ConfigError("etas must lie in (0, pi/2)")
+    finite_ar = math.isfinite(cfg.ar_min) and math.isfinite(cfg.ar_max)
+    if not (finite_ar and cfg.ar_min <= cfg.ar_max):
+        raise ConfigError("need finite ar-min <= ar-max")
     if cfg.command == "cv" and cfg.ar_steps < 2:
         raise ConfigError("ar-steps must be >= 2")
     return cfg
+
+
+def _parse(argv) -> RunConfig:
+    """Parse and validate a command line; raises ConfigError on bad values."""
+    return _config_from_args(_parser().parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +304,27 @@ def _render_report(cfg: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", n_fail == 0
 
 
+def _render_config(cfg: RunConfig) -> tuple[str, bool]:
+    """Output text of a validated configuration, and whether every check passed."""
+    if cfg.command == "report":
+        return _render_report(cfg)
+    rows = _ROW_BUILDERS[cfg.command](cfg)
+    return (_to_csv(rows) if cfg.fmt == "csv" else _to_json(rows)), True
+
+
 def render(argv) -> str:
     """Parse arguments and produce the full output text (no I/O)."""
-    args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    if cfg.command == "report":
-        return _render_report(cfg)[0]
-    rows = _ROW_BUILDERS[cfg.command](cfg)
-    return _to_csv(rows) if cfg.fmt == "csv" else _to_json(rows)
+    return _render_config(_parse(argv))[0]
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
+        cfg = _parse(argv)
     except ConfigError as exc:
         print(f"ecsim: configuration error: {exc}", file=sys.stderr)
         return 2
-    all_passed = True
     try:
-        if cfg.command == "report":
-            text, all_passed = _render_report(cfg)
-        else:
-            rows = _ROW_BUILDERS[cfg.command](cfg)
-            text = _to_csv(rows) if cfg.fmt == "csv" else _to_json(rows)
+        text, all_passed = _render_config(cfg)
     except (DegenerateBasisError, CutoffError) as exc:
         print(f"ecsim: numeric guard: {exc}", file=sys.stderr)
         return 3

@@ -311,22 +311,6 @@ def operator_trace(rho: CoherentOperator) -> complex:
     return total
 
 
-def matrix_element(
-    x: CoherentSuperposition, rho: CoherentOperator, y: CoherentSuperposition
-) -> complex:
-    """<x| rho |y>."""
-    if x.modes != rho.modes or y.modes != rho.modes:
-        raise ModeMismatchError("mode counts of x, rho, y must agree")
-    total = 0.0 + 0.0j
-    for tx in x.terms:
-        for term in rho.terms:
-            for ty in y.terms:
-                ex = sum(log_overlap(a, b) for a, b in zip(tx.amps, term.ket_amps))
-                ex += sum(log_overlap(b, a) for b, a in zip(term.bra_amps, ty.amps))
-                total += tx.coeff.conjugate() * term.coeff * ty.coeff * cmath.exp(ex)
-    return total
-
-
 def hermiticity_defect(rho: CoherentOperator) -> float:
     """Max coefficient mismatch between each dyad and its conjugate partner."""
     worst = 0.0

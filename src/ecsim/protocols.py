@@ -36,9 +36,6 @@ from .qubit_encoding import (
     make_basis,
 )
 
-_SQ2 = math.sqrt(2.0)
-
-
 class BellLabel(enum.Enum):
     B1 = "B1"
     B2 = "B2"
@@ -131,12 +128,13 @@ def misid_probability(alpha: float, cutoff: int | None = None) -> float:
 # teleportation over a logical channel
 
 # Outcome -> correction: B1 -> i sigma_y, B2 -> sigma_x, B3 -> -sigma_z, B4 -> identity.
-CORRECTIONS = (
-    1j * PAULIS[1],
-    PAULIS[0],
-    -PAULIS[2],
-    np.eye(2, dtype=complex),
-)
+CORRECTIONS = np.stack((1j * PAULIS[1], PAULIS[0], -PAULIS[2], np.eye(2, dtype=complex)))
+# Pauli basis s = (I, X, Y, Z), and E[b_m b_n] = _BLOCH_MOMENTS[m] delta_mn
+# for the Bloch coordinates b = (1, n) of inputs uniform on the sphere.
+_PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULIS)
+_BLOCH_MOMENTS = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+# Shots per block in teleport_average_mc; bounds its working memory.
+MC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -149,20 +147,29 @@ class TeleportRecord:
     fidelity: float
 
 
-def _branch_states(psi: np.ndarray, channel: TwoQubitDensity) -> np.ndarray:
-    """Unnormalized corrected Bob states per Bell outcome, shape (4, 2, 2).
+def bell_outcome_map(channel: TwoQubitDensity) -> np.ndarray:
+    """Bell-outcome superoperator Lambda[k, a, A, i, l], shape (4, 2, 2, 2, 2).
 
-    Entry k is U_k <B_k|(|psi><psi| x rho)|B_k> U_k^dag on Alice's modes
-    (input, channel half); its trace is the outcome probability.
+    sum_{a,A} x[a, A] Lambda[k, a, A] is Bob's corrected, unnormalized state
+    U_k <B_k|(x (x) rho)|B_k> U_k^dag for an input operator x and outcome k
+    (B1..B4, U_k = ``CORRECTIONS[k]``).  For an input projector its trace is
+    the outcome probability.
     """
+    bell = BELL_VECTORS.reshape(4, 2, 2)
     rho4 = channel.matrix.reshape(2, 2, 2, 2)
-    proj = np.outer(psi, psi.conj())
-    out = np.empty((4, 2, 2), dtype=complex)
-    for k in range(4):
-        bk = BELL_VECTORS[k].reshape(2, 2)
-        chi = np.einsum("ab,aA,bcBC,AB->cC", bk.conj(), proj, rho4, bk)
-        out[k] = CORRECTIONS[k] @ chi @ CORRECTIONS[k].conj().T
-    return out
+    return np.einsum(
+        "kab,bcBC,kAB,kic,klC->kaAil",
+        bell.conj(), rho4, bell, CORRECTIONS, CORRECTIONS.conj(),
+    )
+
+
+def _bloch_transfer(lam: np.ndarray) -> np.ndarray:
+    """Lambda in Bloch coordinates, Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 (real).
+
+    An input projector is (1/2) sum_n b_n s_n with b = (1, Bloch vector), so
+    outcome k has probability 2 Q[k, 0] . b and fidelity numerator b . Q[k] . b.
+    """
+    return np.einsum("mli,kaAil,naA->kmn", _PAULI_BASIS, lam, _PAULI_BASIS).real / 4.0
 
 
 def teleport(
@@ -175,7 +182,8 @@ def teleport(
     """
     rng = np.random.default_rng(rng_seed)
     psi = input.as_array()
-    branches = _branch_states(psi, channel)
+    proj = np.outer(psi, psi.conj())
+    branches = np.einsum("aA,kaAil->kil", proj, bell_outcome_map(channel))
     probs = np.einsum("kii->k", branches).real
     k = int(rng.choice(4, p=probs / probs.sum()))
     rho_out = branches[k] / probs[k]
@@ -200,33 +208,34 @@ def teleport_average_mc(
 ) -> TeleportStats:
     """Monte Carlo average fidelity of the standard scheme.
 
-    Inputs are drawn uniformly from the logical Bloch sphere and outcomes
-    sampled per shot; fully vectorized over shots.
+    Inputs are drawn uniformly from the logical Bloch sphere and one outcome
+    is sampled per shot from its Born probability, through the channel's
+    Bell-outcome map in Bloch coordinates (``_bloch_transfer``).  The random
+    numbers are drawn up front and the shots evaluated in blocks of
+    ``MC_CHUNK``, which bounds the working memory and does not change the
+    result.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
-    half = 0.5 * np.arccos(z)
-    psi = np.stack([np.cos(half), np.exp(1j * ph) * np.sin(half)], axis=1)
-
-    rho4 = channel.matrix.reshape(2, 2, 2, 2)
-    proj = np.einsum("ni,nj->nij", psi, psi.conj())
-    branches = np.empty((samples, 4, 2, 2), dtype=complex)
-    for k in range(4):
-        bk = BELL_VECTORS[k].reshape(2, 2)
-        chi = np.einsum("ab,naA,bcBC,AB->ncC", bk.conj(), proj, rho4, bk)
-        branches[:, k] = np.einsum(
-            "ij,njk,lk->nil", CORRECTIONS[k], chi, CORRECTIONS[k].conj()
-        )
-    probs = np.einsum("nkii->nk", branches).real
-    cum = np.cumsum(probs, axis=1)
-    draws = rng.uniform(0.0, cum[:, -1])
-    ks = (draws[:, None] > cum).sum(axis=1)
-    sel = branches[np.arange(samples), ks]
-    pk = probs[np.arange(samples), ks]
-    fids = np.einsum("ni,nij,nj->n", psi.conj(), sel, psi).real / pk
+    u = rng.random(samples)  # u * total is uniform(0, total) bit for bit
+    q = _bloch_transfer(bell_outcome_map(channel))
+    fids = np.empty(samples)
+    for start in range(0, samples, MC_CHUNK):
+        block = slice(start, start + MC_CHUNK)
+        zb, phb = z[block], ph[block]
+        s = np.sqrt((1.0 - zb) * (1.0 + zb))
+        b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
+        # Element-wise sums, not matrix products: a shot's bits must not
+        # depend on how many shots share its block.
+        probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
+        cum = np.cumsum(probs, axis=1)
+        ks = (u[block, None] * cum[:, -1:] > cum).sum(axis=1)
+        qk = q[ks]
+        num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
+        fids[block] = num / probs[np.arange(len(zb)), ks]
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return TeleportStats(mean_fidelity=mean, stderr=stderr, samples=samples)
@@ -237,31 +246,21 @@ def average_fidelity(
 ) -> float:
     """Exact input-averaged fidelity of the standard scheme.
 
-    The uniform average over input projectors is carried out analytically
-    (second Bloch moments are isotropic), so this matches the Monte Carlo
-    estimator without sampling error.  With ``optimize_corrections`` a
-    global Pauli is appended to the correction table, maximized over the
+    A fixed contraction of the Bell-outcome map: the fidelity summed over
+    outcomes is quadratic in the input's Bloch coordinates
+    (``_bloch_transfer``), and the uniform input average replaces their
+    products by the isotropic second moments.  With ``optimize_corrections``
+    a global Pauli is appended to the correction table, maximized over the
     four choices; for channels with diagonal correlation matrix this attains
     the optimal fidelity at every decay time.
     """
-    rho4 = channel.matrix.reshape(2, 2, 2, 2)
-    eye = np.eye(2, dtype=complex)
-    remaps = (eye,) + PAULIS if optimize_corrections else (eye,)
+    lam = bell_outcome_map(channel)
+    remaps = _PAULI_BASIS if optimize_corrections else _PAULI_BASIS[:1]
     best = -np.inf
     for remap in remaps:
-        total = 0.0
-        for k in range(4):
-            bk = BELL_VECTORS[k].reshape(2, 2)
-            u = remap @ CORRECTIONS[k]
-
-            def lam(x: np.ndarray) -> np.ndarray:
-                chi = np.einsum("ab,aA,bcBC,AB->cC", bk.conj(), x, rho4, bk)
-                return u @ chi @ u.conj().T
-
-            total += np.trace(lam(eye)).real / 4.0
-            total += sum(np.trace(p @ lam(p)).real for p in PAULIS) / 12.0
-        best = max(best, total)
-    return float(best)
+        q = _bloch_transfer(np.einsum("ij,kaAjm,lm->kaAil", remap, lam, remap.conj()))
+        best = max(best, float(np.einsum("kmm,m->", q, _BLOCH_MOMENTS)))
+    return best
 
 
 def correction_map_coherent(

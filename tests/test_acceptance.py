@@ -10,9 +10,11 @@ symmetric special case (eta = pi/4 gives exactly 1/4 at every amplitude)
 all fix the squared power.  The corrected form is asserted at 1e-12 in
 test_protocols.py.
 """
+import numpy as np
 import pytest
 
 from ecsim import acceptance
+from ecsim import coherent_states as cs
 
 
 def _check(result):
@@ -77,3 +79,30 @@ def property_results():
 )
 def test_criterion_10_property_suites(property_results, check_id):
     _check(property_results[check_id])
+
+
+def test_gram_positivity_reports_the_true_minimum():
+    passed, detail = acceptance.property_gram_positivity(cases=20, seed=301)
+    assert passed
+    rng = np.random.default_rng(301)
+    states = [acceptance._random_superposition(rng) for _ in range(20)]
+    want = min(cs.inner(s, s).real for s in states)
+    reported = float(detail.split("=")[1].split()[0])
+    assert reported == pytest.approx(want, rel=1e-3)
+
+
+def test_semigroup_fails_on_term_count_mismatch(monkeypatch):
+    # a decohere that appends a zero dyad per call: the two-step result then
+    # has one more term than the one-step result, with equal leading terms
+    real = acceptance.dec.decohere
+
+    def padded(op, clock):
+        out = real(op, clock)
+        last = out.terms[-1]
+        pad = cs.DyadTerm(0j, last.ket_amps, last.bra_amps)
+        return cs.CoherentOperator(out.modes, out.terms + (pad,))
+
+    monkeypatch.setattr(acceptance.dec, "decohere", padded)
+    passed, detail = acceptance.property_semigroup(cases=5)
+    assert not passed
+    assert "term count" in detail

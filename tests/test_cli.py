@@ -159,12 +159,43 @@ class TestDeterminism:
             assert cli.render(argv) == cli.render(argv)
 
 
+class TestParser:
+    def test_built_once(self):
+        cli.render(["fig2a", "--alphas", "1", "--r-steps", "2"])
+        cli.render(["cv", "--ar-steps", "3"])
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser() is cli._parser()
+
+    def test_defaults_survive_repeated_parsing(self):
+        first = cli._parse(["concentrate"])
+        cli._parse(["concentrate", "--alphas", "0.5", "--etas", "0.3"])
+        assert cli._parse(["concentrate"]) == first
+        assert first.alphas == cli.DEFAULT_ALPHAS
+        assert first.etas == cli.DEFAULT_ETAS
+
+
 class TestExitCodes:
     def test_config_error(self, capsys):
         assert cli.main(["fig2a", "--r-max", "1.2"]) == 2
         assert cli.main(["fig2a", "--r-steps", "1"]) == 2
         assert cli.main(["teleport-mc", "--samples", "0"]) == 2
         assert cli.main(["fig2a", "--alphas", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2a", "--alphas", "nan"],
+            ["fig2a", "--alphas", "1", "inf"],
+            ["concentrate", "--etas", "2"],
+            ["concentrate", "--etas", "0.5", "nan"],
+            ["cv", "--ar-min", "nan"],
+            ["cv", "--ar-max", "inf"],
+            ["cv", "--ar-min", "1.5", "--ar-max", "0.5"],
+        ],
+    )
+    def test_bad_domain_input(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_numeric_guard(self, capsys):
         # amplitude so small the logical basis degenerates

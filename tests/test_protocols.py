@@ -1,16 +1,20 @@
 """Bell discrimination, teleportation, concentration, CV fidelity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ecsim import protocols
 from ecsim.coherent_states import CoherentSuperposition, inner, norm
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import SpanError
 from ecsim.protocols import (
+    CORRECTIONS,
     BellLabel,
     average_fidelity,
     bell_measure_distribution,
+    bell_outcome_map,
     classify_counts,
     concentrate_exact,
     concentrate_ideal,
@@ -26,6 +30,7 @@ from ecsim.protocols import (
 )
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
+    PAULIS,
     QubitVector,
     TwoQubitDensity,
     bell_state,
@@ -37,6 +42,44 @@ from ecsim.qubit_encoding import (
 
 SQ2 = math.sqrt(2.0)
 SQRT_HALF = 1.0 / SQ2
+
+
+def _random_channel(seed):
+    """Random full-rank two-qubit density; not Bell-diagonal."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return TwoQubitDensity(m / np.trace(m).real)
+
+
+def _branches_reference(x, channel, corrections=CORRECTIONS):
+    """U_k <B_k|(x (x) rho)|B_k> U_k^dag per outcome, one contraction per k."""
+    rho4 = channel.matrix.reshape(2, 2, 2, 2)
+    out = np.empty((4, 2, 2), dtype=complex)
+    for k in range(4):
+        bk = BELL_VECTORS[k].reshape(2, 2)
+        chi = np.einsum("ab,aA,bcBC,AB->cC", bk.conj(), x, rho4, bk)
+        out[k] = corrections[k] @ chi @ corrections[k].conj().T
+    return out
+
+
+def _average_fidelity_reference(channel, remap):
+    """Scheme average from the isotropic moments: tr L(I)/4 + sum_p tr(p L(p))/12."""
+    corrections = [remap @ u for u in CORRECTIONS]
+    eye = np.eye(2, dtype=complex)
+    total = np.trace(_branches_reference(eye, channel, corrections).sum(0)).real / 4
+    for p in PAULIS:
+        lp = _branches_reference(p, channel, corrections).sum(0)
+        total += np.trace(p @ lp).real / 12
+    return total
+
+
+CHANNELS = [
+    pytest.param(lambda: channel_rho4(1.0, 0.4), id="rho4"),
+    pytest.param(lambda: _random_channel(1), id="random1"),
+    pytest.param(lambda: _random_channel(2), id="random2"),
+    pytest.param(lambda: _random_channel(3), id="random3"),
+]
 
 
 class TestClassification:
@@ -175,6 +218,76 @@ class TestTeleport:
         a = teleport_average_mc(rho, 5000, seed=21)
         b = teleport_average_mc(rho, 5000, seed=21)
         assert a == b
+
+
+class TestBellOutcomeMap:
+    @pytest.mark.parametrize("make_channel", CHANNELS)
+    def test_matches_contraction_per_outcome(self, make_channel):
+        channel = make_channel()
+        lam = bell_outcome_map(channel)
+        assert lam.shape == (4, 2, 2, 2, 2)
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            # arbitrary operators, not only projectors: the map is linear
+            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            got = np.einsum("aA,kaAil->kil", x, lam)
+            want = _branches_reference(x, channel)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("make_channel", CHANNELS)
+    def test_average_fidelity_matches_moment_reference(self, make_channel):
+        channel = make_channel()
+        eye = np.eye(2, dtype=complex)
+        assert average_fidelity(channel) == pytest.approx(
+            _average_fidelity_reference(channel, eye), abs=1e-14
+        )
+        best = max(_average_fidelity_reference(channel, r) for r in (eye,) + PAULIS)
+        assert average_fidelity(channel, optimize_corrections=True) == pytest.approx(
+            best, abs=1e-14
+        )
+
+
+class TestMonteCarloBlocks:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_size_does_not_change_result(self, monkeypatch, offset):
+        channel = _random_channel(4)
+        samples = protocols.MC_CHUNK + offset
+        want = teleport_average_mc(channel, samples, seed=17)
+        for chunk in (1, 7):
+            monkeypatch.setattr(protocols, "MC_CHUNK", chunk)
+            assert teleport_average_mc(channel, samples, seed=17) == want
+
+    # (mean_fidelity, stderr) computed by the earlier implementation, which
+    # held a (samples, 4, 2, 2) branch array and drew outcomes with
+    # uniform(0, total): same seed, same random stream, same estimate.
+    @pytest.mark.parametrize(
+        "make_channel,samples,seed,mean,stderr",
+        [
+            (lambda: channel_rho4(1.0, 0.3), 5000, 99,
+             0.8944951101044011, 0.000726434590389779),
+            (lambda: _random_channel(2024), 4097, 7,
+             0.539715992573849, 0.0019525872578060358),
+            (lambda: channel_rho4(2.0, 0.9), 3, 12345,
+             0.692726787931774, 0.02124430316210702),
+        ],
+    )
+    def test_estimate_pinned(self, make_channel, samples, seed, mean, stderr):
+        stats = teleport_average_mc(make_channel(), samples, seed)
+        assert stats.mean_fidelity == pytest.approx(mean, abs=1e-14)
+        assert stats.stderr == pytest.approx(stderr, abs=1e-14)
+
+    def test_working_memory_is_a_few_floats_per_shot(self):
+        samples = 200_000
+        tracemalloc.start()
+        try:
+            teleport_average_mc(channel_rho4(1.0, 0.5), samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # z, phase, outcome draw and fidelity per shot, two temporaries of
+        # the final standard deviation, and one block's temporaries; a
+        # per-shot branch array alone would be 256 B a shot
+        assert peak < 6 * 8 * samples + 400 * protocols.MC_CHUNK
 
 
 class TestAverageFidelity:
