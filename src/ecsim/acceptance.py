@@ -151,9 +151,7 @@ def check_bell_discrimination() -> CheckResult:
     for alpha in (0.5, 1.0, 2.0):
         basis = qe.make_basis(alpha, 1.0)
         meas1 = pr.bell_measure_distribution(qe.bell_state(1, basis))
-        wrong = meas1.mass(pr.BellLabel.B3)
-        right = meas1.mass(pr.BellLabel.B1)
-        p_num = 0.5 * wrong / (wrong + right)
+        p_num = meas1.misidentification()
         worst = max(worst, abs(p_num - pr.misid_probability_closed(alpha)))
         tol = max(tol, max(1e-6, meas1.tail_bound))
         for k, own in ((2, pr.BellLabel.B2), (4, pr.BellLabel.B4)):

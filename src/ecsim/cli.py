@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 
 DEFAULT_ALPHAS = (0.1, 1.0, 2.0)
 DEFAULT_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3)
+# Largest Fock truncation tail bellmeas accepts; a larger one exits 3.
+BELLMEAS_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("r_steps must be >= 2")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if cfg.property_cases < 1:
+        raise ConfigError("property-cases must be >= 1")
     if not all(math.isfinite(a) and a > 0 for a in cfg.alphas):
         raise ConfigError("alphas must be finite and positive")
     if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
@@ -140,49 +144,15 @@ def _parse(argv) -> RunConfig:
 # row builders
 
 
-def _rows_fig2a(cfg: RunConfig):
+def _rows_fig(cfg: RunConfig, key: str, closed, numeric, **extra):
+    """One fig sweep: per alpha, one closed-form and one numeric call on the
+    whole r grid (one batched channel density), zipped into rows."""
+    r = cfg.r_grid()
     rows = []
     for alpha in cfg.alphas:
-        for r in cfg.r_grid():
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "r": float(r),
-                    "e_closed": em.closed_form_e(alpha, float(r)),
-                    "e_numeric": em.negativity_e(dec.channel_rho4(alpha, float(r))),
-                }
-            )
-    return rows
-
-
-def _rows_fig2b(cfg: RunConfig):
-    rows = []
-    for alpha in cfg.alphas:
-        for r in cfg.r_grid():
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "r": float(r),
-                    "f_closed": em.closed_form_f(alpha, float(r)),
-                    "f_numeric": em.optimal_fidelity(dec.channel_rho4(alpha, float(r))),
-                    "classical_limit": 2.0 / 3.0,
-                }
-            )
-    return rows
-
-
-def _rows_fig3(cfg: RunConfig):
-    rows = []
-    for alpha in cfg.alphas:
-        for r in cfg.r_grid():
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "r": float(r),
-                    "s_closed": em.closed_form_s(alpha, float(r)),
-                    "s_numeric": em.linear_entropy(dec.channel_rho4(alpha, float(r))),
-                }
-            )
+        values = zip(r, closed(alpha, r), numeric(dec.channel_rho4(alpha, r)))
+        rows += [{"alpha": alpha, "r": float(x), f"{key}_closed": c,
+                  f"{key}_numeric": n, **extra} for x, c, n in values]
     return rows
 
 
@@ -190,15 +160,13 @@ def _rows_bellmeas(cfg: RunConfig):
     rows = []
     for alpha in cfg.alphas:
         meas = pr.bell_measure_distribution(
-            qe.bell_state(1, qe.make_basis(alpha, 1.0)), cfg.cutoff
+            qe.bell_state(1, qe.make_basis(alpha, 1.0)), cfg.cutoff, BELLMEAS_TAIL_TOL
         )
-        wrong = meas.mass(pr.BellLabel.B3)
-        right = meas.mass(pr.BellLabel.B1)
         rows.append(
             {
                 "alpha": alpha,
                 "p_i_closed": pr.misid_probability_closed(alpha),
-                "p_i_numeric": 0.5 * wrong / (wrong + right),
+                "p_i_numeric": meas.misidentification(),
                 "tail_bound": meas.tail_bound,
             }
         )
@@ -257,9 +225,12 @@ def _rows_cv(cfg: RunConfig):
 
 
 _ROW_BUILDERS = {
-    "fig2a": _rows_fig2a,
-    "fig2b": _rows_fig2b,
-    "fig3": _rows_fig3,
+    "fig2a": lambda cfg: _rows_fig(cfg, "e", em.closed_form_e, em.negativity_e),
+    "fig2b": lambda cfg: _rows_fig(
+        cfg, "f", em.closed_form_f, em.optimal_fidelity,
+        classical_limit=em.CLASSICAL_FIDELITY_LIMIT,
+    ),
+    "fig3": lambda cfg: _rows_fig(cfg, "s", em.closed_form_s, em.linear_entropy),
     "bellmeas": _rows_bellmeas,
     "teleport-mc": _rows_teleport_mc,
     "concentrate": _rows_concentrate,

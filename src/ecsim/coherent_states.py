@@ -422,10 +422,11 @@ class PhotonDistribution:
 
 
 def photon_distribution(
-    s: CoherentSuperposition, cutoff: int | None = None
+    s: CoherentSuperposition, cutoff: int | None = None, tail_tol: float | None = None
 ) -> PhotonDistribution:
-    """Photon counting statistics of a (normalized) state."""
-    fv = to_fock(s, cutoff)
+    """Photon counting statistics of a (normalized) state; ``tail_tol`` as in
+    ``to_fock``."""
+    fv = to_fock(s, cutoff, tail_tol)
     return PhotonDistribution(
         cutoff=fv.cutoff,
         modes=fv.modes,

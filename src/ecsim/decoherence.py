@@ -10,7 +10,6 @@ r = sqrt(1 - t^2) in [0, 1).
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .coherent_states import (
     CoherentOperator,
     DyadTerm,
     dyad_from_pure,
-    log_overlap,
 )
 from .qubit_encoding import (
     LogicalBasis,
@@ -34,23 +32,26 @@ from .qubit_encoding import (
 
 @dataclass(frozen=True)
 class DecayClock:
-    """Amplitude decay factor t = exp(-gamma tau / 2); r = sqrt(1 - t^2)."""
+    """Amplitude decay factor t = exp(-gamma tau / 2); r = sqrt(1 - t^2).
 
-    t: float
+    ``t`` may be an array of decay factors, one clock per entry.
+    """
+
+    t: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.t <= 1.0):
+        if not np.all((0.0 < self.t) & (self.t <= 1.0)):
             raise ValueError("decay factor t must lie in (0, 1]")
 
     @property
-    def r(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.t * self.t))
+    def r(self) -> float | np.ndarray:
+        return np.sqrt(np.maximum(0.0, 1.0 - self.t * self.t))
 
     @classmethod
-    def from_r(cls, r: float) -> "DecayClock":
-        if not (0.0 <= r < 1.0):
+    def from_r(cls, r) -> "DecayClock":
+        if not np.all((0.0 <= r) & (r < 1.0)):
             raise ValueError("normalized time r must lie in [0, 1)")
-        return cls(t=math.sqrt(1.0 - r * r))
+        return cls(t=np.sqrt(1.0 - r * r))
 
     @classmethod
     def from_interaction(cls, gamma: float, tau: float) -> "DecayClock":
@@ -61,47 +62,51 @@ class DecayClock:
 
 
 def decohere_dyad(beta: complex, gamma: complex, clock: DecayClock) -> DyadTerm:
-    """Damp a single-mode dyad |beta><gamma|.
-
-    The coefficient <gamma|beta>^(1-t^2) is evaluated as exp((1-t^2) * w)
-    with w the exact overlap exponent, so no branch choice is involved even
-    for complex amplitudes.
-    """
-    beta = complex(beta)
-    gamma = complex(gamma)
-    w = log_overlap(gamma, beta)
-    coeff = cmath.exp((1.0 - clock.t**2) * w)
-    return DyadTerm(coeff, (clock.t * beta,), (clock.t * gamma,))
+    """Damp a single-mode dyad |beta><gamma| (see ``decohere``)."""
+    dyad = CoherentOperator(1, (DyadTerm(1.0, (beta,), (gamma,)),))
+    return decohere(dyad, clock).terms[0]
 
 
 def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     """Damp every mode of a coherent operator independently.
 
-    Trace and Hermiticity are preserved exactly: the per-mode coefficient
-    times <t gamma|t beta> recombines to the original <gamma|beta>.
+    Each dyad coefficient gains <gamma|beta>^(1-t^2), evaluated as
+    exp((1-t^2) w) with w the exact overlap exponent, so no branch choice is
+    involved even for complex amplitudes.  Trace and Hermiticity are
+    preserved exactly: the per-mode coefficient times <t gamma|t beta>
+    recombines to the original <gamma|beta>.  With an array clock every
+    coefficient and amplitude becomes an array of the clock's shape.
     """
-    scale = 1.0 - clock.t**2
-    new_terms = []
-    for term in rho.terms:
-        ex = sum(log_overlap(g, b) for g, b in zip(term.bra_amps, term.ket_amps))
-        coeff = term.coeff * cmath.exp(scale * ex)
-        kets = tuple(clock.t * b for b in term.ket_amps)
-        bras = tuple(clock.t * g for g in term.bra_amps)
-        new_terms.append(DyadTerm(coeff, kets, bras))
-    return CoherentOperator(rho.modes, tuple(new_terms))
+    t = clock.t
+    coeffs = np.array([term.coeff for term in rho.terms], dtype=complex)
+    amps = np.array([(term.ket_amps, term.bra_amps) for term in rho.terms], dtype=complex)
+    kets, bras = amps.reshape(-1, 2, rho.modes).transpose(1, 0, 2)
+    w = (bras.conj() * kets - 0.5 * (np.abs(bras) ** 2 + np.abs(kets) ** 2)).sum(axis=1)
+    # term axis first: (terms, *clock) coefficients, (terms, modes, *clock) amplitudes
+    factor = np.exp(np.multiply.outer(w, 1.0 - t * t))
+    coeffs = coeffs.reshape((-1,) + (1,) * np.ndim(t)) * factor
+    kets, bras = np.multiply.outer(kets, t), np.multiply.outer(bras, t)
+    if np.ndim(t) == 0:  # one clock: plain Python numbers, cheaper to use term by term
+        coeffs, kets, bras = coeffs.tolist(), kets.tolist(), bras.tolist()
+    return CoherentOperator(
+        rho.modes,
+        tuple(DyadTerm(c, tuple(k), tuple(b)) for c, k, b in zip(coeffs, kets, bras)),
+    )
 
 
 @dataclass(frozen=True)
 class ChannelCoefficients:
     """Closed-form coefficients of the damped entangled channel.
 
-    With W = exp(-4 t^2 a^2) and the decoherence functional
+    With W = ``w_coef`` = exp(-4 t^2 a^2) and the decoherence functional
     gamma_coef = exp(-4 r^2 a^2):
 
         a_coef = (1 - gamma_coef) W
         b_coef = (1 - gamma_coef) sqrt(W)
         c_coef = 2 - (1 + gamma_coef) W
         d_coef = -2 gamma_coef + (1 + gamma_coef) W
+
+    Each field has the shape of ``r`` (a float for a scalar ``r``).
     """
 
     a_coef: float
@@ -109,34 +114,47 @@ class ChannelCoefficients:
     c_coef: float
     d_coef: float
     gamma_coef: float
+    w_coef: float
 
     @classmethod
-    def evaluate(cls, alpha: float, r: float) -> "ChannelCoefficients":
-        clock = DecayClock.from_r(r)
-        t2 = clock.t**2
-        g = math.exp(-4.0 * (1.0 - t2) * alpha**2)
-        w = math.exp(-4.0 * t2 * alpha**2)
+    def evaluate(cls, alpha: float, r) -> "ChannelCoefficients":
+        t2 = DecayClock.from_r(r).t ** 2
+        g = np.exp(-4.0 * (1.0 - t2) * alpha**2)
+        w = np.exp(-4.0 * t2 * alpha**2)
         return cls(
             a_coef=(1.0 - g) * w,
-            b_coef=(1.0 - g) * math.sqrt(w),
+            b_coef=(1.0 - g) * np.sqrt(w),
             c_coef=2.0 - (1.0 + g) * w,
             d_coef=-2.0 * g + (1.0 + g) * w,
             gamma_coef=g,
+            w_coef=w,
         )
 
 
-def decayed_basis(alpha: float, r: float) -> LogicalBasis:
+def decayed_basis(alpha: float, r) -> LogicalBasis:
     """Logical basis tracking the damped amplitude t * alpha."""
     return make_basis(alpha, DecayClock.from_r(r).t)
 
 
-def channel_rho4(alpha: float, r: float) -> TwoQubitDensity:
+def closed_form_normalization(alpha: float, r) -> float:
+    """N_theta = 1 - exp(-4 alpha^2), the time-independent normalization of
+    the undecayed basis shared by the closed forms.
+
+    Also their degeneracy guard: raises DegenerateBasisError when the decayed
+    basis at any ``r`` is degenerate, as the numeric route would.
+    """
+    decayed_basis(alpha, r)
+    return -math.expm1(-4.0 * alpha**2)
+
+
+def channel_rho4(alpha: float, r) -> TwoQubitDensity:
     """Density matrix of the damped antisymmetric entangled channel.
 
     Builds the undecayed channel state, damps both modes to normalized time
     ``r``, and projects onto the decayed logical product basis.  All dyad
     amplitudes are +-(t alpha), so the projection is exact and trace
-    preserving.
+    preserving.  An array ``r`` gives the batch of densities, shape
+    ``r.shape + (4, 4)``, in one pass.
     """
     basis0 = make_basis(alpha, 1.0)
     clock = DecayClock.from_r(r)
@@ -144,25 +162,19 @@ def channel_rho4(alpha: float, r: float) -> TwoQubitDensity:
     return project_to_density(rho, make_basis(alpha, clock.t))
 
 
-def closed_form_vst(alpha: float, r: float) -> PauliDecomposition:
+def closed_form_vst(alpha: float, r) -> PauliDecomposition:
     """Closed-form Bloch vectors and correlation matrix of the channel.
 
     v = s = (b_coef/N_theta, 0, 0) and T is diagonal with entries
     (a+d, -a+d, a-c)/(2 N_theta); N_theta = 1 - exp(-4 alpha^2) is the
-    time-independent normalization of the undecayed basis.
+    time-independent normalization of the undecayed basis.  Broadcasts over
+    an array ``r`` like ``channel_rho4``.
     """
-    make_basis(alpha, DecayClock.from_r(r).t)  # degeneracy guard
+    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
-    n_theta = -math.expm1(-4.0 * alpha**2)
-    v = np.array([co.b_coef / n_theta, 0.0, 0.0])
-    t_mat = np.diag(
-        np.array(
-            [
-                co.a_coef + co.d_coef,
-                -co.a_coef + co.d_coef,
-                co.a_coef - co.c_coef,
-            ]
-        )
-        / (2.0 * n_theta)
-    )
-    return PauliDecomposition(v=v, s=v.copy(), t_matrix=t_mat)
+    v = np.zeros(np.shape(co.b_coef) + (3,))
+    v[..., 0] = co.b_coef / n_theta
+    diag = np.stack(
+        [co.a_coef + co.d_coef, -co.a_coef + co.d_coef, co.a_coef - co.c_coef], axis=-1
+    ) / (2.0 * n_theta)
+    return PauliDecomposition(v=v, s=v.copy(), t_matrix=diag[..., None] * np.eye(3))

@@ -2,18 +2,17 @@
 
 Every functional has two routes: a numeric one acting on the 4x4 matrix and
 a closed form in (alpha, r) for the damped entangled channel; the pair is
-cross-checked in the test suite.
+cross-checked in the test suite.  Both broadcast: a batched density or an
+array ``r`` gives an array of values, a single one a float.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .decoherence import ChannelCoefficients, channel_rho4, decayed_basis
+from .decoherence import ChannelCoefficients, channel_rho4, closed_form_normalization
 from .qubit_encoding import BELL_VECTORS, TwoQubitDensity, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
@@ -21,13 +20,19 @@ EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
 CLASSICAL_FIDELITY_LIMIT = 2.0 / 3.0
 
 
+def _value(x) -> float | np.ndarray:
+    """A float for a single density or ``r``, the array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def partial_transpose(rho: TwoQubitDensity | np.ndarray) -> np.ndarray:
     """Transpose on the second qubit in the fixed logical ordering."""
     m = rho.matrix if isinstance(rho, TwoQubitDensity) else np.asarray(rho)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    pt = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1)
+    return pt.reshape(m.shape)
 
 
-def negativity_e(rho: TwoQubitDensity) -> float:
+def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
     """E = -2 sum of negative eigenvalues of the partial transpose.
 
     Positive iff the state is inseparable (two-qubit partial transposition
@@ -35,52 +40,32 @@ def negativity_e(rho: TwoQubitDensity) -> float:
     """
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
     eigs = np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs)
-    return float(-2.0 * eigs[eigs < 0].sum())
+    return _value(-2.0 * np.where(eigs < 0, eigs, 0.0).sum(axis=-1))
 
 
-def closed_form_e(alpha: float, r: float) -> float:
+def closed_form_e(alpha: float, r) -> float | np.ndarray:
     """Closed-form channel negativity.
 
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
     """
-    decayed_basis(alpha, r)  # degeneracy guard
+    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
-    n_theta = -math.expm1(-4.0 * alpha**2)
-    root = math.sqrt(16.0 * co.b_coef**2 + (co.c_coef - co.d_coef) ** 2)
-    return (root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * n_theta)
+    root = np.sqrt(16.0 * co.b_coef**2 + (co.c_coef - co.d_coef) ** 2)
+    return _value((root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * n_theta))
 
 
-def max_rotation_trace(m: np.ndarray) -> float:
+def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
     """max over rotations O of Tr(M O), via singular values.
 
     Equals s1 + s2 + s3 when det M >= 0 and s1 + s2 - s3 otherwise.
     """
-    sv = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    if np.linalg.det(m) >= 0:
-        return float(sv.sum())
-    return float(sv[0] + sv[1] - sv[2])
-
-
-def max_rotation_trace_enumerated(m: np.ndarray) -> float:
-    """Same maximum restricted to signed permutations with determinant +1.
-
-    Exhaustive (24 matrices); attains the rotation optimum whenever M is
-    diagonal, which is the case for the damped channel.
-    """
     m = np.asarray(m, dtype=float)
-    best = -np.inf
-    for perm in itertools.permutations(range(3)):
-        p = np.zeros((3, 3))
-        for i, j in enumerate(perm):
-            p[i, j] = 1.0
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            o = p * np.array(signs)[:, None]
-            if np.linalg.det(o) > 0:
-                best = max(best, float(np.trace(m @ o)))
-    return best
+    sv = np.linalg.svd(m, compute_uv=False)
+    flip = np.where(np.linalg.det(m) >= 0, sv[..., 2], -sv[..., 2])
+    return _value(sv[..., 0] + sv[..., 1] + flip)
 
 
-def singlet_fraction(rho: TwoQubitDensity) -> float:
+def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     """Maximal overlap with any maximally entangled state.
 
     F = (1 + max_O Tr(-T O)) / 4 over rotations O; maximally entangled
@@ -90,7 +75,7 @@ def singlet_fraction(rho: TwoQubitDensity) -> float:
     """
     t = pauli_decompose(rho).t_matrix
     f = 0.25 * (1.0 + max_rotation_trace(-t))
-    return float(min(max(f, 0.0), 1.0))
+    return _value(np.clip(f, 0.0, 1.0))
 
 
 def max_bell_projection(rho: TwoQubitDensity) -> float:
@@ -105,55 +90,55 @@ def optimal_fidelity_from_fraction(fraction: float, dim: int = 2) -> float:
     return (fraction * dim + 1.0) / (dim + 1.0)
 
 
-def optimal_fidelity(rho: TwoQubitDensity) -> float:
+def optimal_fidelity(rho: TwoQubitDensity) -> float | np.ndarray:
     """Best fidelity achievable with local operations and classical
     communication over the given channel: (2 F + 1)/3."""
     return optimal_fidelity_from_fraction(singlet_fraction(rho), dim=2)
 
 
-def closed_form_f(alpha: float, r: float) -> float:
+def closed_form_f(alpha: float, r) -> float | np.ndarray:
     """Closed-form optimal fidelity of the damped channel.
 
     f = (1/3) max{ 1 + (e^{4a^2} - e^{4t^2a^2}) / (e^{4a^2} - 1),
                    (e^{4t^2a^2} - e^{4r^2a^2} + 2 e^{4a^2} - 2) / (e^{4a^2} - 1) }.
+    Evaluated divided through by e^{4a^2}, as
+    max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
+    W from ``ChannelCoefficients``, which cannot overflow at large amplitude.
     """
-    basis = decayed_basis(alpha, r)  # degeneracy guard
-    t2 = basis.t**2
-    a2 = alpha**2
-    e4a = math.exp(4.0 * a2)
-    e4t = math.exp(4.0 * t2 * a2)
-    e4r = math.exp(4.0 * (1.0 - t2) * a2)
-    den = e4a - 1.0
-    branch1 = 1.0 + (e4a - e4t) / den
-    branch2 = (e4t - e4r + 2.0 * e4a - 2.0) / den
-    return max(branch1, branch2) / 3.0
+    n_theta = closed_form_normalization(alpha, r)
+    co = ChannelCoefficients.evaluate(alpha, r)
+    g, w = co.gamma_coef, co.w_coef
+    return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
 
 
-def linear_entropy(rho: TwoQubitDensity) -> float:
+def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     """S = 1 - tr(rho^2), in [0, 3/4] for two qubits."""
     m = rho.matrix
-    return float(1.0 - np.trace(m @ m).real)
+    return _value(1.0 - np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
-def closed_form_s(alpha: float, r: float) -> float:
+def closed_form_s(alpha: float, r) -> float | np.ndarray:
     """Closed-form channel linear entropy.
 
     S = (e^{8 r^2 a^2} - 1)(e^{8 t^2 a^2} - 1) / (2 (e^{4 a^2} - 1)^2);
-    symmetric under r^2 <-> t^2, hence peaked at r = 1/sqrt(2).
+    symmetric under r^2 <-> t^2, hence peaked at r = 1/sqrt(2).  Evaluated
+    as (1 - e^{-8 r^2 a^2})(1 - e^{-8 t^2 a^2}) / (2 N_theta^2), equal since
+    r^2 + t^2 = 1: at large amplitude the peak is then flat to rounding,
+    where the growing exponentials would scatter it by several ulps.
     """
-    decayed_basis(alpha, r)  # degeneracy guard
+    n_theta = closed_form_normalization(alpha, r)
     a2 = alpha**2
-    t2 = 1.0 - r * r
-    num = math.expm1(8.0 * r * r * a2) * math.expm1(8.0 * t2 * a2)
-    return num / (2.0 * math.expm1(4.0 * a2) ** 2)
+    r2 = r * r
+    num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
+    return _value(num / (2.0 * n_theta**2))
 
 
-def vn_entropy(rho: TwoQubitDensity) -> float:
+def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     """von Neumann entropy -sum l log2 l with 0 log 0 := 0."""
     eigs = np.linalg.eigvalsh(rho.matrix)
     eigs = np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs)
-    pos = eigs[eigs > 0]
-    return float(-(pos * np.log2(pos)).sum())
+    pos = np.where(eigs > 0, eigs, 1.0)  # log2(1) = 0 drops the rest
+    return _value(-(pos * np.log2(pos)).sum(axis=-1))
 
 
 def characteristic_time(alpha: float) -> float:

@@ -29,6 +29,7 @@ from .coherent_states import (
 from .errors import SpanError
 from .qubit_encoding import (
     BELL_VECTORS,
+    PAULI_BASIS,
     PAULIS,
     QubitVector,
     TwoQubitDensity,
@@ -79,18 +80,33 @@ class BellMeasurement:
     def mass(self, label: BellLabel) -> float:
         return sum(p for o, p in self.outcomes if o.label is label)
 
+    def misidentification(self) -> float:
+        """Wrong-estimation probability when the measured state is B1.
+
+        Conditioned on an even-count declaration, B1 is declared B3 with
+        probability wrong/(wrong+right); averaged over the four equiprobable
+        Bell inputs (B3 symmetrically, B2/B4 never) that confusion is halved.
+        """
+        wrong = self.mass(BellLabel.B3)
+        right = self.mass(BellLabel.B1)
+        return 0.5 * wrong / (wrong + right)
+
 
 def bell_measure_distribution(
-    state: CoherentSuperposition, cutoff: int | None = None
+    state: CoherentSuperposition,
+    cutoff: int | None = None,
+    tail_tol: float | None = None,
 ) -> BellMeasurement:
     """Distribution of Bell-discrimination outcomes for a two-mode state.
 
     Applies the 50:50 beam splitter to the two modes and counts photons in
     both outputs; each count pair is classified by ``classify_counts``.
+    Raises CutoffError when ``tail_tol`` is given and the Fock truncation
+    tail bound exceeds it.
     """
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
-    dist = photon_distribution(beam_split(state, 0, 1), cutoff)
+    dist = photon_distribution(beam_split(state, 0, 1), cutoff, tail_tol)
     entries = []
     probs = dist.probs
     for n_f in range(dist.cutoff + 1):
@@ -113,15 +129,10 @@ def misid_probability(alpha: float, cutoff: int | None = None) -> float:
 
     With the four Bell states equally likely, odd counts identify B2/B4
     unambiguously, while an even count declares B1 or B3 by which detector
-    fired.  Conditioned on a declaration being made, a B1 input is declared
-    B3 (and vice versa, symmetrically) with probability wrong/(wrong+right);
-    averaging over the equiprobable inputs gives half that confusion.
+    fired (``BellMeasurement.misidentification``).
     """
     basis = make_basis(alpha, 1.0)
-    meas = bell_measure_distribution(bell_state(1, basis), cutoff)
-    wrong = meas.mass(BellLabel.B3)
-    right = meas.mass(BellLabel.B1)
-    return 0.5 * wrong / (wrong + right)
+    return bell_measure_distribution(bell_state(1, basis), cutoff).misidentification()
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +140,8 @@ def misid_probability(alpha: float, cutoff: int | None = None) -> float:
 
 # Outcome -> correction: B1 -> i sigma_y, B2 -> sigma_x, B3 -> -sigma_z, B4 -> identity.
 CORRECTIONS = np.stack((1j * PAULIS[1], PAULIS[0], -PAULIS[2], np.eye(2, dtype=complex)))
-# Pauli basis s = (I, X, Y, Z), and E[b_m b_n] = _BLOCH_MOMENTS[m] delta_mn
-# for the Bloch coordinates b = (1, n) of inputs uniform on the sphere.
-_PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULIS)
+# E[b_m b_n] = _BLOCH_MOMENTS[m] delta_mn for the Bloch coordinates
+# b = (1, n) of inputs uniform on the sphere, in PAULI_BASIS (I, X, Y, Z).
 _BLOCH_MOMENTS = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 # Shots per block in teleport_average_mc; bounds its working memory.
 MC_CHUNK = 4096
@@ -169,7 +179,7 @@ def _bloch_transfer(lam: np.ndarray) -> np.ndarray:
     An input projector is (1/2) sum_n b_n s_n with b = (1, Bloch vector), so
     outcome k has probability 2 Q[k, 0] . b and fidelity numerator b . Q[k] . b.
     """
-    return np.einsum("mli,kaAil,naA->kmn", _PAULI_BASIS, lam, _PAULI_BASIS).real / 4.0
+    return np.einsum("mli,kaAil,naA->kmn", PAULI_BASIS, lam, PAULI_BASIS).real / 4.0
 
 
 def teleport(
@@ -255,7 +265,7 @@ def average_fidelity(
     the optimal fidelity at every decay time.
     """
     lam = bell_outcome_map(channel)
-    remaps = _PAULI_BASIS if optimize_corrections else _PAULI_BASIS[:1]
+    remaps = PAULI_BASIS if optimize_corrections else PAULI_BASIS[:1]
     best = -np.inf
     for remap in remaps:
         q = _bloch_transfer(np.einsum("ij,kaAjm,lm->kaAil", remap, lam, remap.conj()))

@@ -27,6 +27,10 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# s = (I, X, Y, Z), and every two-qubit product PAULI_PRODUCTS[m, n] = s_m (x) s_n.
+PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULIS)
+PAULI_PRODUCTS = np.einsum("mij,nkl->mnikjl", PAULI_BASIS, PAULI_BASIS)
+PAULI_PRODUCTS = PAULI_PRODUCTS.reshape(4, 4, 4, 4)
 
 _SQ2 = math.sqrt(2.0)
 # Ideal Bell vectors in logical coordinates (rows: B1..B4).
@@ -47,44 +51,47 @@ class LogicalBasis:
     ``theta`` is the mixing angle with sin(2 theta) = <ta|-ta> = exp(-2 t^2
     alpha^2); ``n_theta`` = cos^2(2 theta) is the normalization of the pair.
     ``t = 1`` is the undecayed basis; smaller ``t`` tracks amplitude decay.
+    An array ``t`` gives one basis per entry: ``theta``, ``n_theta`` and the
+    properties are then arrays of its shape.
     """
 
     alpha: float
-    t: float
-    theta: float
-    n_theta: float
+    t: float | np.ndarray
+    theta: float | np.ndarray
+    n_theta: float | np.ndarray
 
     @property
-    def amplitude(self) -> float:
+    def amplitude(self) -> float | np.ndarray:
         return self.t * self.alpha
 
     @property
-    def sin2theta(self) -> float:
-        return math.exp(-2.0 * (self.t * self.alpha) ** 2)
+    def sin2theta(self) -> float | np.ndarray:
+        return np.exp(-2.0 * (self.t * self.alpha) ** 2)
 
     @property
-    def cos2theta(self) -> float:
-        return math.sqrt(self.n_theta)
+    def cos2theta(self) -> float | np.ndarray:
+        return np.sqrt(self.n_theta)
 
 
-def make_basis(alpha: float, t: float = 1.0) -> LogicalBasis:
-    """Build the logical basis at amplitude ``t * alpha``.
+def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
+    """Build the logical basis at amplitude ``t * alpha`` (``t`` may be an array).
 
-    Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12: there the pair
-    {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
+    Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 at any ``t``: there the
+    pair {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not (0.0 < t <= 1.0):
+    if not np.all((0.0 < t) & (t <= 1.0)):
         raise ValueError("decay factor t must lie in (0, 1]")
-    s2 = math.exp(-2.0 * (t * alpha) ** 2)  # sin 2theta
-    n_theta = -math.expm1(-4.0 * (t * alpha) ** 2)  # 1 - sin^2 2theta, stable
-    if n_theta < DEGENERACY_FLOOR:
+    s2 = np.exp(-2.0 * (t * alpha) ** 2)  # sin 2theta
+    n_theta = -np.expm1(-4.0 * (t * alpha) ** 2)  # 1 - sin^2 2theta, stable
+    if np.any(n_theta < DEGENERACY_FLOOR):
         raise DegenerateBasisError(
-            f"basis degenerate at alpha={alpha}, t={t}: 1-exp(-4 t^2 a^2)={n_theta:.3e}"
+            f"basis degenerate at alpha={alpha}, t={np.min(t)}: "
+            f"1-exp(-4 t^2 a^2)={np.min(n_theta):.3e}"
         )
-    theta = 0.5 * math.asin(s2)
-    return LogicalBasis(alpha=float(alpha), t=float(t), theta=theta, n_theta=n_theta)
+    theta = 0.5 * np.arcsin(s2)
+    return LogicalBasis(alpha=float(alpha), t=t, theta=theta, n_theta=n_theta)
 
 
 def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
@@ -107,18 +114,22 @@ def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
     )
 
 
-def logical_coords(amp: complex, basis: LogicalBasis) -> np.ndarray:
+def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
     """Coordinates of a coherent ket |amp> in the (Psi+, Psi-) basis.
 
     Exact inversion of the basis definition: |ta> = cos th Psi+ + sin th Psi-
-    and |-ta> = sin th Psi+ + cos th Psi-.  ``amp`` must equal +-ta.
+    and |-ta> = sin th Psi+ + cos th Psi-.  ``amp`` must equal +-ta.  Array
+    amplitudes broadcast against the basis; the result has a trailing axis
+    of length 2.
     """
     a = basis.amplitude
-    if abs(amp - a) < SPAN_TOL:
-        return np.array([math.cos(basis.theta), math.sin(basis.theta)])
-    if abs(amp + a) < SPAN_TOL:
-        return np.array([math.sin(basis.theta), math.cos(basis.theta)])
-    raise SpanError(f"amplitude {amp!r} is not +-{a} within {SPAN_TOL}")
+    plus = np.abs(amp - a) < SPAN_TOL
+    ok = plus | (np.abs(amp + a) < SPAN_TOL)
+    if not ok.all():
+        bad = np.broadcast_to(amp, ok.shape)[~ok][0]
+        raise SpanError(f"amplitude {bad!r} is not +-{a} within {SPAN_TOL}")
+    c, s = np.cos(basis.theta), np.sin(basis.theta)
+    return np.stack([np.where(plus, c, s), np.where(plus, s, c)], axis=-1)
 
 
 def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
@@ -218,21 +229,27 @@ def to_logical_vector(state: CoherentSuperposition, basis: LogicalBasis) -> np.n
 
 @dataclass(frozen=True)
 class TwoQubitDensity:
-    """4x4 density matrix in the logical product ordering."""
+    """4x4 density matrix in the logical product ordering.
+
+    ``matrix`` may carry leading axes, shape (..., 4, 4): a batch of
+    densities, each held to the same checks.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
+        if m.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        m_dag = m.conj().swapaxes(-1, -2)
+        if np.max(np.abs(m - m_dag)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        if np.any(np.abs(tr.real - 1.0) > 1e-10) or np.any(np.abs(tr.imag) > 1e-10):
             raise ValueError("density matrix trace differs from 1 by more than 1e-10")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-10:
+        m = (m + m_dag) / 2
+        if np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
-        m = (m + m.conj().T) / 2
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -249,6 +266,8 @@ def project_to_density(
     Every dyad amplitude must lie in the logical span per mode (exact for
     the channel states here, where decay maps +-a to +-ta); otherwise the
     projection would lose trace and a SpanError is raised instead.
+    Coefficients and amplitudes that are arrays (a decay-time grid, with a
+    basis of the same shape) give a batched density of that shape.
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
@@ -256,16 +275,14 @@ def project_to_density(
         b0 = b1 = basis
     else:
         b0, b1 = basis
-    out = np.zeros((4, 4), dtype=complex)
-    for term in rho.terms:
-        ket = np.kron(
-            logical_coords(term.ket_amps[0], b0), logical_coords(term.ket_amps[1], b1)
-        )
-        bra = np.kron(
-            logical_coords(term.bra_amps[0], b0), logical_coords(term.bra_amps[1], b1)
-        )
-        out += term.coeff * np.outer(ket, bra.conj())
-    return TwoQubitDensity(out)
+    coeffs = np.array([term.coeff for term in rho.terms], dtype=complex)
+    amps = np.array([(term.ket_amps, term.bra_amps) for term in rho.terms], dtype=complex)
+    # (terms, *grid, 2) per side and mode; the coordinates are real, so no conj
+    ket0, bra0 = logical_coords(amps[:, :, 0], b0).swapaxes(0, 1)
+    ket1, bra1 = logical_coords(amps[:, :, 1], b1).swapaxes(0, 1)
+    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
+                    coeffs, ket0, ket1, bra0, bra1)
+    return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
 
 
 @dataclass(frozen=True)
@@ -281,26 +298,19 @@ class PauliDecomposition:
 
 
 def pauli_decompose(rho: TwoQubitDensity) -> PauliDecomposition:
-    m = rho.matrix
-    eye = np.eye(2, dtype=complex)
-    v = np.array([np.trace(m @ np.kron(p, eye)).real for p in PAULIS])
-    s = np.array([np.trace(m @ np.kron(eye, p)).real for p in PAULIS])
-    t = np.array(
-        [[np.trace(m @ np.kron(pn, pm)).real for pm in PAULIS] for pn in PAULIS]
-    )
-    return PauliDecomposition(v=v, s=s, t_matrix=t)
+    """tr(rho s_m (x) s_n) for every Pauli pair, over any leading axes."""
+    c = np.einsum("...ij,mnji->...mn", rho.matrix, PAULI_PRODUCTS).real
+    return PauliDecomposition(v=c[..., 1:, 0], s=c[..., 0, 1:], t_matrix=c[..., 1:, 1:])
 
 
 def pauli_reconstruct(dec: PauliDecomposition) -> np.ndarray:
     """Rebuild the 4x4 matrix from a Pauli decomposition (round-trip check)."""
-    eye = np.eye(2, dtype=complex)
-    m = np.kron(eye, eye).astype(complex)
-    for i, p in enumerate(PAULIS):
-        m += dec.v[i] * np.kron(p, eye)
-        m += dec.s[i] * np.kron(eye, p)
-        for j, q in enumerate(PAULIS):
-            m += dec.t_matrix[i, j] * np.kron(p, q)
-    return m / 4.0
+    c = np.zeros(np.shape(dec.v)[:-1] + (4, 4))
+    c[..., 0, 0] = 1.0
+    c[..., 1:, 0] = dec.v
+    c[..., 0, 1:] = dec.s
+    c[..., 1:, 1:] = dec.t_matrix
+    return np.einsum("...mn,mnij->...ij", c, PAULI_PRODUCTS) / 4.0
 
 
 def reduced(rho: TwoQubitDensity, which_mode: int) -> np.ndarray:

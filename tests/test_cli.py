@@ -138,6 +138,49 @@ class TestSchemas:
             assert float(row["e_closed"]) == closed_form_e(1.0, float(row["r"]))
 
 
+# Rows printed by the per-point implementation these sweeps replaced.
+PINNED_ROWS = {
+    ("fig2a", "--alphas", "0.7", "2.2", "--r-steps", "3", "--r-max", "0.95"): [
+        (0.7, 0.0, 1.0, 1.0000000000000004),
+        (0.7, 0.475, 0.51781564024616733, 0.51781564024616755),
+        (0.7, 0.95, 0.0039561152671635496, 0.0039561152671633397),
+        (2.2, 0.0, 1.0, 0.99999999999999989),
+        (2.2, 0.475, 0.012675289293486495, 0.012675289293486391),
+        (2.2, 0.95, 1.6142253374911812e-08, 1.614225337186203e-08),
+    ],
+    ("fig2b", "--alphas", "0.3", "1.6", "--r-steps", "3", "--r-max", "0.9"): [
+        (0.3, 0.0, 0.99999999999999989, 1.0, 2.0 / 3.0),
+        (0.3, 0.45, 0.86431037196076277, 0.86431037196076288, 2.0 / 3.0),
+        (0.3, 0.9, 0.61220960477635966, 0.61220960477635966, 2.0 / 3.0),
+        (1.6, 0.0, 1.0, 1.0, 2.0 / 3.0),
+        (1.6, 0.45, 0.70848425705097273, 0.70848425705097284, 2.0 / 3.0),
+        (1.6, 0.9, 0.66659526425810789, 0.66659526425810789, 2.0 / 3.0),
+    ],
+    ("fig3", "--alphas", "0.4", "2.4", "--r-steps", "3", "--r-max", "0.99"): [
+        (0.4, 0.0, 0.0, 0.0),
+        (0.4, 0.495, 0.37320472208621758, 0.3732047220862178),
+        (0.4, 0.99, 0.040225985670081781, 0.040225985670081954),
+        (2.4, 0.0, 0.0, -1.3322676295501878e-15),
+        (2.4, 0.495, 0.49999375615869063, 0.49999375615869301),
+        (2.4, 0.99, 0.30014020451814932, 0.30014020451814827),
+    ],
+}
+
+
+class TestFigRows:
+    @pytest.mark.parametrize("argv", list(PINNED_ROWS))
+    def test_matches_pinned_rows(self, argv, capsys):
+        code, out = run_main(list(argv), capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        want = PINNED_ROWS[argv]
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            got = [float(v) for v in row.values()]
+            assert got[:2] == pytest.approx(ref[:2], abs=1e-15)
+            assert got[2:] == pytest.approx(ref[2:], abs=1e-13)
+
+
 class TestDeterminism:
     def test_teleport_mc_byte_identical(self):
         argv = [
@@ -200,6 +243,16 @@ class TestExitCodes:
     def test_numeric_guard(self, capsys):
         # amplitude so small the logical basis degenerates
         assert cli.main(["fig2a", "--alphas", "1e-8", "--r-steps", "2"]) == 3
+
+    def test_property_cases_must_be_positive(self, capsys):
+        # zero randomized cases would report every property suite as passed
+        assert cli.main(["report", "--property-cases", "0"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_bellmeas_truncated_cutoff(self, capsys):
+        # cutoff 5 keeps almost none of the alpha = 4 photon distribution
+        assert cli.main(["bellmeas", "--alphas", "4", "--cutoff", "5"]) == 3
+        assert "numeric guard" in capsys.readouterr().err
 
     def test_io_error(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"

@@ -47,6 +47,17 @@ class TestDecayClock:
         with pytest.raises(ValueError):
             DecayClock.from_r(1.0)
 
+    def test_array_clock(self):
+        r = np.linspace(0.0, 0.99, 7)
+        c = DecayClock.from_r(r)
+        assert c.t.shape == r.shape
+        assert list(c.t) == [DecayClock.from_r(float(x)).t for x in r]
+        assert np.max(np.abs(c.r - r)) < 1e-14
+        with pytest.raises(ValueError):
+            DecayClock.from_r(np.array([0.2, 1.0, 0.5]))
+        with pytest.raises(ValueError):
+            DecayClock(np.array([0.5, 0.0]))
+
 
 class TestDecohereDyad:
     def test_diagonal_dyad(self):
@@ -88,6 +99,18 @@ class TestDecohere:
             )
             assert hermiticity_defect(out) < 1e-12
 
+    def test_array_clock_matches_scalar_clocks(self):
+        b = make_basis(1.1, 1.0)
+        op = dyad_from_pure(bell_state(1, b)) + 0.3 * dyad_from_pure(bell_state(2, b))
+        t = np.array([[1.0, 0.8], [0.5, 0.2]])
+        batch = decohere(op, DecayClock(t))
+        for idx in np.ndindex(t.shape):
+            one = decohere(op, DecayClock(float(t[idx])))
+            for tb, to in zip(batch.terms, one.terms):
+                assert tb.coeff[idx] == pytest.approx(to.coeff, abs=1e-15)
+                assert [a[idx] for a in tb.ket_amps] == list(to.ket_amps)
+                assert [a[idx] for a in tb.bra_amps] == list(to.bra_amps)
+
     def test_semigroup(self):
         b = make_basis(0.9, 1.0)
         op = dyad_from_pure(bell_state(4, b))
@@ -115,6 +138,26 @@ class TestChannel:
     def test_degeneracy_guard(self):
         with pytest.raises(DegenerateBasisError):
             channel_rho4(1e-7, 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.5])
+    def test_grid_matches_scalar_calls(self, alpha):
+        r = np.linspace(0.0, 0.995, 41)
+        batch = channel_rho4(alpha, r).matrix
+        assert batch.shape == (41, 4, 4)
+        stacked = np.stack([channel_rho4(alpha, float(x)).matrix for x in r])
+        assert np.max(np.abs(batch - stacked)) <= 1e-15
+        square = channel_rho4(alpha, r[1:].reshape(5, 8)).matrix
+        assert np.array_equal(square.reshape(40, 4, 4), batch[1:])
+
+    def test_grid_touching_degenerate_region(self):
+        # at alpha = 1e-3 the decayed basis degenerates only as r -> 1
+        channel_rho4(1e-3, np.array([0.0, 0.5]))
+        closed_form_vst(1e-3, np.array([0.0, 0.5]))
+        grid = np.array([0.0, 0.5, 0.9999999])
+        with pytest.raises(DegenerateBasisError):
+            channel_rho4(1e-3, grid)
+        with pytest.raises(DegenerateBasisError):
+            closed_form_vst(1e-3, grid)
 
     def test_local_vectors_nonzero_midway(self):
         # the damped channel is never Bell diagonal at intermediate times
@@ -145,6 +188,15 @@ class TestClosedForms:
         assert np.max(np.abs(got.v - want.v)) < 1e-10
         assert np.max(np.abs(got.s - want.s)) < 1e-10
         assert np.max(np.abs(got.t_matrix - want.t_matrix)) < 1e-10
+
+    def test_grid_is_bitwise_scalar(self):
+        r = np.linspace(0.0, 0.99, 23)
+        grid = closed_form_vst(1.3, r)
+        for i, x in enumerate(r):
+            one = closed_form_vst(1.3, float(x))
+            assert np.array_equal(grid.v[i], one.v)
+            assert np.array_equal(grid.s[i], one.s)
+            assert np.array_equal(grid.t_matrix[i], one.t_matrix)
 
     def test_t_diagonal_structure(self):
         vst = closed_form_vst(0.7, 0.4)

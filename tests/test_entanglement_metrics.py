@@ -1,10 +1,12 @@
 """Negativity, singlet fraction, fidelity, and entropy functionals."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ecsim.decoherence import channel_rho4
+from ecsim.errors import DegenerateBasisError
 from ecsim.entanglement_metrics import (
     characteristic_time,
     closed_form_e,
@@ -13,7 +15,6 @@ from ecsim.entanglement_metrics import (
     linear_entropy,
     max_bell_projection,
     max_rotation_trace,
-    max_rotation_trace_enumerated,
     metric_report,
     negativity_e,
     optimal_fidelity,
@@ -32,6 +33,25 @@ def random_density(rng):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
     return TwoQubitDensity(m / np.trace(m).real)
+
+
+def max_rotation_trace_enumerated(m: np.ndarray) -> float:
+    """max Tr(M O) over signed permutations O with determinant +1.
+
+    Exhaustive (24 matrices); attains the rotation optimum whenever M is
+    diagonal, which is the case for the damped channel.
+    """
+    m = np.asarray(m, dtype=float)
+    best = -np.inf
+    for perm in itertools.permutations(range(3)):
+        p = np.zeros((3, 3))
+        for i, j in enumerate(perm):
+            p[i, j] = 1.0
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            o = p * np.array(signs)[:, None]
+            if np.linalg.det(o) > 0:
+                best = max(best, float(np.trace(m @ o)))
+    return best
 
 
 class TestNegativity:
@@ -194,6 +214,48 @@ class TestCharacteristicTime:
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0])
     def test_independent_of_alpha(self, alpha):
         assert characteristic_time(alpha) == pytest.approx(SQRT_HALF, abs=1e-9)
+
+
+METRICS = [negativity_e, singlet_fraction, optimal_fidelity, linear_entropy, vn_entropy]
+CLOSED_FORMS = [(closed_form_e, negativity_e), (closed_form_f, optimal_fidelity),
+                (closed_form_s, linear_entropy)]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_metric_matches_loop_over_slices(self, metric):
+        rng = np.random.default_rng(44)
+        mats = [random_density(rng).matrix for _ in range(5)]
+        mats += list(channel_rho4(1.3, np.linspace(0.0, 0.99, 10)).matrix)
+        batch = TwoQubitDensity(np.stack(mats).reshape(3, 5, 4, 4))
+        got = metric(batch)
+        assert got.shape == (3, 5)
+        want = [metric(TwoQubitDensity(m)) for m in mats]
+        assert all(type(w) is float for w in want)
+        assert np.max(np.abs(got.reshape(-1) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
+    def test_closed_form_grid_is_bitwise_scalar(self, closed, numeric):
+        for alpha in (0.1, 1.0, 2.5):
+            r = np.linspace(0.0, 0.995, 57)
+            got = closed(alpha, r)
+            assert got.shape == r.shape
+            assert list(got) == [closed(alpha, float(x)) for x in r]
+            assert np.array_equal(closed(alpha, r[1:].reshape(7, 8)), got[1:].reshape(7, 8))
+
+    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
+    def test_closed_form_grid_degeneracy_guard(self, closed, numeric):
+        closed(1e-3, np.array([0.0, 0.5]))
+        with pytest.raises(DegenerateBasisError):
+            closed(1e-3, np.array([0.0, 0.5, 0.9999999]))
+
+    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
+    def test_large_amplitude(self, closed, numeric):
+        # e^{4 alpha^2} overflows a double here; the closed forms never form it
+        r = np.linspace(0.0, 0.99, 12)
+        got = closed(14.0, r)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - numeric(channel_rho4(14.0, r)))) < 1e-9
 
 
 class TestMetricReport:

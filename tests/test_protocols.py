@@ -8,7 +8,7 @@ import pytest
 from ecsim import protocols
 from ecsim.coherent_states import CoherentSuperposition, inner, norm
 from ecsim.decoherence import channel_rho4
-from ecsim.errors import SpanError
+from ecsim.errors import CutoffError, SpanError
 from ecsim.protocols import (
     CORRECTIONS,
     BellLabel,
@@ -140,6 +140,20 @@ class TestBellMeasurement:
         meas = bell_measure_distribution(bell_state(3, make_basis(0.6, 1.0)))
         total = sum(p for _, p in meas.outcomes)
         assert total == pytest.approx(1.0, abs=meas.tail_bound + 1e-10)
+
+    def test_misidentification_ratio(self):
+        # half the B3 share u^2/(1+u^2) of the B1/B3 declarations
+        alpha = 0.8
+        u = math.exp(-2.0 * alpha**2)
+        meas = bell_measure_distribution(bell_state(1, make_basis(alpha, 1.0)))
+        assert meas.misidentification() == pytest.approx(0.5 * u**2 / (1 + u**2), abs=1e-10)
+
+    def test_tail_tolerance(self):
+        state = bell_state(1, make_basis(4.0, 1.0))
+        with pytest.raises(CutoffError):
+            bell_measure_distribution(state, cutoff=5, tail_tol=1e-9)
+        meas = bell_measure_distribution(state, tail_tol=1e-9)
+        assert meas.tail_bound <= 1e-9
 
 
 class TestMisidentification:

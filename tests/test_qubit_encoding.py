@@ -57,6 +57,19 @@ class TestMakeBasis:
         b = make_basis(0.1, 0.05)
         assert b.n_theta > 1e-5
 
+    def test_array_t(self):
+        t = np.array([1.0, 0.7, 0.3])
+        b = make_basis(0.9, t)
+        for i, ti in enumerate(t):
+            one = make_basis(0.9, float(ti))
+            assert (b.theta[i], b.n_theta[i], b.amplitude[i]) == (
+                one.theta, one.n_theta, one.amplitude
+            )
+        with pytest.raises(DegenerateBasisError):
+            make_basis(1e-4, np.array([1.0, 1e-3]))
+        with pytest.raises(ValueError):
+            make_basis(1.0, np.array([0.5, 1.5]))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             make_basis(-1.0, 1.0)
@@ -191,6 +204,29 @@ class TestDensityProjection:
         with pytest.raises(SpanError):
             project_to_density(bad, b)
 
+    def test_batched_projection(self):
+        # one basis per decay factor; the dyad amplitudes follow +-t alpha
+        t = np.array([1.0, 0.6, 0.25])
+        b = make_basis(0.8, t)
+        a = b.amplitude
+        good = CoherentOperator(
+            2, (DyadTerm(np.full(3, 0.5), (a, -a), (a, -a)),
+                DyadTerm(np.full(3, 0.5), (-a, a), (-a, a)))
+        )
+        batch = project_to_density(good, b).matrix
+        for i, ti in enumerate(t):
+            bi = make_basis(0.8, float(ti))
+            ai = bi.amplitude
+            one = CoherentOperator(
+                2, (DyadTerm(0.5, (ai, -ai), (ai, -ai)), DyadTerm(0.5, (-ai, ai), (-ai, ai)))
+            )
+            assert np.max(np.abs(batch[i] - project_to_density(one, bi).matrix)) <= 1e-15
+        off = a.copy()
+        off[1] = 0.5
+        bad = CoherentOperator(2, (DyadTerm(np.ones(3), (a, off), (a, off)),))
+        with pytest.raises(SpanError):
+            project_to_density(bad, b)
+
 
 class TestPauli:
     def test_pure_singlet_like_channel(self):
@@ -216,6 +252,23 @@ class TestPauli:
             rho = TwoQubitDensity(m / np.trace(m).real)
             back = pauli_reconstruct(pauli_decompose(rho))
             assert np.max(np.abs(back - rho.matrix)) < 1e-10
+
+    def test_batch_matches_slices(self):
+        rng = np.random.default_rng(25)
+        mats = []
+        for _ in range(6):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g @ g.conj().T
+            mats.append(m / np.trace(m).real)
+        batch = TwoQubitDensity(np.stack(mats).reshape(2, 3, 4, 4))
+        dec = pauli_decompose(batch)
+        assert dec.t_matrix.shape == (2, 3, 3, 3)
+        for idx in np.ndindex(2, 3):
+            one = pauli_decompose(TwoQubitDensity(batch.matrix[idx]))
+            assert np.array_equal(dec.v[idx], one.v)
+            assert np.array_equal(dec.s[idx], one.s)
+            assert np.array_equal(dec.t_matrix[idx], one.t_matrix)
+        assert np.max(np.abs(pauli_reconstruct(dec) - batch.matrix)) < 1e-14
 
     def test_reduced_matches_bloch(self):
         rng = np.random.default_rng(24)
@@ -248,3 +301,18 @@ class TestDensityValidation:
         m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValueError):
             TwoQubitDensity(m)
+
+    def test_batch(self):
+        good = np.stack([np.eye(4, dtype=complex) / 4.0] * 3)
+        assert TwoQubitDensity(good).matrix.shape == (3, 4, 4)
+        hermitian = good.copy()
+        hermitian[1, 0, 1] = 0.2
+        trace = good.copy()
+        trace[2] *= 2.0
+        positive = good.copy()
+        positive[1] = np.diag([0.6, 0.5, -0.05, -0.05])
+        for bad in (hermitian, trace, positive):
+            with pytest.raises(ValueError):
+                TwoQubitDensity(bad)
+        with pytest.raises(ValueError):
+            TwoQubitDensity(np.ones((3, 4, 3)) / 4.0)
