@@ -23,7 +23,7 @@ from . import decoherence as dec
 from . import entanglement_metrics as em
 from . import protocols as pr
 from . import qubit_encoding as qe
-from .errors import CutoffError, DegenerateBasisError
+from .errors import CutoffError, DegenerateBasisError, DensityError
 
 
 class ConfigError(ValueError):
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
         return 2
     try:
         text, all_passed = _render_config(cfg)
-    except (DegenerateBasisError, CutoffError) as exc:
+    except (DegenerateBasisError, CutoffError, DensityError) as exc:
         print(f"ecsim: numeric guard: {exc}", file=sys.stderr)
         return 3
     try:

@@ -1,20 +1,31 @@
 """Exact algebra of multimode superpositions of coherent states.
 
-States are kept symbolically as weighted sums of products of coherent kets,
-so inner products, linear-optical elements and amplitude damping act in
-closed form.  A truncated-Fock representation is provided as an independent
-numerical oracle (photon counting, cross-checks); it is never used by the
-analytic code paths.
+A pure state  sum_t c_t |b_t0> |b_t1> ...  is stored as two read-only
+arrays: ``coeffs`` of shape (T,) and ``amps`` of shape (T, M), one row of
+coherent amplitudes per term.  An operator  sum_t c_t |k_t><g_t|  is stored
+as ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch); optional
+trailing batch axes carry a parameter grid, one operator per entry.
+
+Every operation acts on whole arrays.  Inner products, partial projections
+and traces exponentiate sums of ``log_overlap`` built by broadcasting, so
+the non-orthogonal coherent kets are handled in closed form; linear optics
+rewrites amplitude columns.  ``terms`` is a read-only per-term view
+(``CoherentTerm``/``DyadTerm``), and the constructors accept those records.
+
+A truncated-Fock representation is provided as an independent numerical
+oracle (photon counting, cross-checks); it is never used by the analytic
+code paths.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import CutoffError, ModeMismatchError
 
@@ -34,6 +45,14 @@ def _as_complex_tuple(amps: Iterable[complex]) -> tuple[complex, ...]:
     return out
 
 
+def _freeze(obj, **arrays: np.ndarray):
+    """Set the array fields of a frozen instance, made read-only; returns it."""
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+    return obj
+
+
 @dataclass(frozen=True)
 class CoherentTerm:
     """One weighted product ket  coeff * |amps[0]> |amps[1]> ... ."""
@@ -42,31 +61,55 @@ class CoherentTerm:
     amps: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CoherentSuperposition:
     """A pure multimode state as a sum of coherent product kets.
 
-    The coherent kets form a non-orthogonal basis; norms and overlaps are
-    evaluated through the Gram matrix of pairwise coherent overlaps.
+    ``coeffs`` (T,) and ``amps`` (T, M) are read-only.  The coherent kets
+    form a non-orthogonal basis; norms and overlaps are evaluated through
+    the Gram matrix of pairwise coherent overlaps.
     """
 
-    modes: int
-    terms: tuple[CoherentTerm, ...]
+    coeffs: np.ndarray
+    amps: np.ndarray
 
-    def __post_init__(self):
-        if self.modes < 1:
+    def __init__(self, modes: int, terms: Sequence[CoherentTerm] = ()):
+        if modes < 1:
             raise ValueError("modes must be a positive integer")
-        for term in self.terms:
-            if len(term.amps) != self.modes:
+        for term in terms:
+            if len(term.amps) != modes:
                 raise ValueError(
-                    f"term has {len(term.amps)} amplitudes, state has {self.modes} modes"
+                    f"term has {len(term.amps)} amplitudes, state has {modes} modes"
                 )
+        coeffs = np.array([term.coeff for term in terms], dtype=complex)
+        amps = np.array([term.amps for term in terms], dtype=complex)
+        _freeze(self, coeffs=coeffs, amps=amps.reshape(len(coeffs), modes))
+
+    @classmethod
+    def from_arrays(cls, coeffs: np.ndarray, amps: np.ndarray) -> "CoherentSuperposition":
+        """The state with coefficients ``coeffs`` (T,) and amplitudes ``amps``
+        (T, M); the arrays are taken over and made read-only."""
+        return _freeze(object.__new__(cls), coeffs=coeffs, amps=amps)
+
+    @property
+    def modes(self) -> int:
+        return self.amps.shape[1]
+
+    @functools.cached_property
+    def terms(self) -> tuple[CoherentTerm, ...]:
+        """Read-only per-term view."""
+        return tuple(
+            CoherentTerm(c, tuple(a))
+            for c, a in zip(self.coeffs.tolist(), self.amps.tolist())
+        )
 
     @classmethod
     def ket(cls, *amps: complex, coeff: complex = 1.0) -> "CoherentSuperposition":
         """Single coherent product ket  coeff * |amps[0], amps[1], ...>."""
         a = _as_complex_tuple(amps)
-        return cls(modes=len(a), terms=(CoherentTerm(complex(coeff), a),))
+        if not a:
+            raise ValueError("modes must be a positive integer")
+        return cls.from_arrays(np.array([complex(coeff)]), np.array([a]))
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "CoherentSuperposition":
@@ -75,16 +118,16 @@ class CoherentSuperposition:
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.modes != other.modes:
             raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
-        return CoherentSuperposition(self.modes, self.terms + other.terms)
+        return CoherentSuperposition.from_arrays(
+            np.concatenate((self.coeffs, other.coeffs)),
+            np.concatenate((self.amps, other.amps)),
+        )
 
     def __sub__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
-        s = complex(scalar)
-        return CoherentSuperposition(
-            self.modes, tuple(CoherentTerm(s * t.coeff, t.amps) for t in self.terms)
-        )
+        return CoherentSuperposition.from_arrays(complex(scalar) * self.coeffs, self.amps)
 
     def __neg__(self) -> "CoherentSuperposition":
         return (-1.0) * self
@@ -99,30 +142,63 @@ class DyadTerm:
     bra_amps: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CoherentOperator:
-    """A (generally mixed) operator as a sum of multimode coherent dyads."""
+    """A (generally mixed) operator as a sum of multimode coherent dyads.
 
-    modes: int
-    terms: tuple[DyadTerm, ...]
+    ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch) are
+    read-only; term records given to the constructor carry arrays of the
+    batch shape in every field, or scalars throughout.
+    """
 
-    def __post_init__(self):
-        if self.modes < 1:
+    coeffs: np.ndarray
+    kets: np.ndarray
+    bras: np.ndarray
+
+    def __init__(self, modes: int, terms: Sequence[DyadTerm] = ()):
+        if modes < 1:
             raise ValueError("modes must be a positive integer")
-        for term in self.terms:
-            if len(term.ket_amps) != self.modes or len(term.bra_amps) != self.modes:
+        for term in terms:
+            if len(term.ket_amps) != modes or len(term.bra_amps) != modes:
                 raise ValueError("dyad amplitude lists must match the mode count")
+        coeffs = np.array([t.coeff for t in terms], dtype=complex)
+        shape = (len(coeffs), modes) + coeffs.shape[1:]
+        kets = np.array([t.ket_amps for t in terms], dtype=complex).reshape(shape)
+        bras = np.array([t.bra_amps for t in terms], dtype=complex).reshape(shape)
+        _freeze(self, coeffs=coeffs, kets=kets, bras=bras)
+
+    @classmethod
+    def from_arrays(
+        cls, coeffs: np.ndarray, kets: np.ndarray, bras: np.ndarray
+    ) -> "CoherentOperator":
+        """The operator with ``coeffs`` (T, *batch) and ``kets``/``bras``
+        (T, M, *batch); the arrays are taken over and made read-only."""
+        return _freeze(object.__new__(cls), coeffs=coeffs, kets=kets, bras=bras)
+
+    @property
+    def modes(self) -> int:
+        return self.kets.shape[1]
+
+    @functools.cached_property
+    def terms(self) -> tuple[DyadTerm, ...]:
+        """Read-only per-term view; batched entries are arrays of the batch shape."""
+        return tuple(
+            DyadTerm(c, tuple(k), tuple(b))
+            for c, k, b in zip(self.coeffs, self.kets, self.bras)
+        )
 
     def __add__(self, other: "CoherentOperator") -> "CoherentOperator":
         if self.modes != other.modes:
             raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
-        return CoherentOperator(self.modes, self.terms + other.terms)
+        return CoherentOperator.from_arrays(
+            np.concatenate((self.coeffs, other.coeffs)),
+            np.concatenate((self.kets, other.kets)),
+            np.concatenate((self.bras, other.bras)),
+        )
 
     def __rmul__(self, scalar: complex) -> "CoherentOperator":
-        s = complex(scalar)
-        return CoherentOperator(
-            self.modes,
-            tuple(DyadTerm(s * t.coeff, t.ket_amps, t.bra_amps) for t in self.terms),
+        return CoherentOperator.from_arrays(
+            complex(scalar) * self.coeffs, self.kets, self.bras
         )
 
 
@@ -144,32 +220,37 @@ class FockVector:
 # overlaps and inner products
 
 
-def log_overlap(beta: complex, gamma: complex) -> complex:
+def log_overlap(beta, gamma):
     """log <beta|gamma> = -|beta|^2/2 - |gamma|^2/2 + conj(beta)*gamma.
 
-    Returned as the natural (un-wrapped) exponent, so fractional powers of
-    the overlap can be formed without branch ambiguity.
+    Element-wise over broadcast arrays: summed over a mode axis it is the
+    log-overlap of two product kets, and with the term axes of a bra and a
+    ket set apart it is the log-Gram matrix.  Returned as the natural
+    (un-wrapped) exponent, so fractional powers of the overlap can be formed
+    without branch ambiguity.
     """
-    beta = complex(beta)
-    gamma = complex(gamma)
-    return -0.5 * abs(beta) ** 2 - 0.5 * abs(gamma) ** 2 + beta.conjugate() * gamma
+    return -0.5 * np.abs(beta) ** 2 - 0.5 * np.abs(gamma) ** 2 + np.conj(beta) * gamma
 
 
 def overlap(beta: complex, gamma: complex) -> complex:
     """Coherent-state overlap <beta|gamma>; |result| <= 1."""
-    return cmath.exp(log_overlap(beta, gamma))
+    return cmath.exp(complex(log_overlap(complex(beta), complex(gamma))))
+
+
+def _mode_major(amps: np.ndarray) -> np.ndarray:
+    """Contiguous (M, T) copy of (T, M) amplitudes, so that broadcast
+    element-wise work runs along the terms rather than the short mode axis."""
+    return np.ascontiguousarray(amps.T)
 
 
 def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
-    """Sesquilinear inner product <a|b> via the coherent Gram matrix."""
+    """Sesquilinear inner product <a|b> = c_a^dag exp(L) c_b, with L the
+    log-Gram matrix of the two term sets."""
     if a.modes != b.modes:
         raise ModeMismatchError(f"{a.modes} modes vs {b.modes} modes")
-    total = 0.0 + 0.0j
-    for ta in a.terms:
-        for tb in b.terms:
-            ex = sum(log_overlap(x, y) for x, y in zip(ta.amps, tb.amps))
-            total += ta.coeff.conjugate() * tb.coeff * cmath.exp(ex)
-    return total
+    bras, kets = _mode_major(a.amps), _mode_major(b.amps)
+    gram = np.exp(log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0))
+    return complex(a.coeffs.conj() @ gram @ b.coeffs)
 
 
 def norm(s: CoherentSuperposition) -> float:
@@ -185,33 +266,86 @@ def normalized(s: CoherentSuperposition) -> CoherentSuperposition:
 
 
 def tensor(a: CoherentSuperposition, b: CoherentSuperposition) -> CoherentSuperposition:
-    """Tensor product; modes of ``b`` are appended after those of ``a``."""
-    terms = tuple(
-        CoherentTerm(ta.coeff * tb.coeff, ta.amps + tb.amps)
-        for ta in a.terms
-        for tb in b.terms
+    """Tensor product; modes of ``b`` are appended after those of ``a``.
+
+    Terms run over the pairs (a-term, b-term), a-term major.
+    """
+    amps = np.empty((len(a.coeffs), len(b.coeffs), a.modes + b.modes), dtype=complex)
+    amps[:, :, : a.modes] = a.amps[:, None, :]
+    amps[:, :, a.modes :] = b.amps[None, :, :]
+    return CoherentSuperposition.from_arrays(
+        np.multiply.outer(a.coeffs, b.coeffs).ravel(), amps.reshape(-1, a.modes + b.modes)
     )
-    return CoherentSuperposition(a.modes + b.modes, terms)
+
+
+def _near_pairs(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of (T, M) amplitude rows closer than
+    MERGE_TOL in every mode.
+
+    Compared in blocks of 64 rows, so the work array is (M, 64, T), never
+    (M, T, T).
+    """
+    block = 64
+    cols = _mode_major(amps)
+    lo, hi = [], []
+    for start in range(0, len(amps), block):
+        diff = np.abs(cols[:, start : start + block, None] - cols[:, None, : start + block])
+        j, i = np.nonzero(diff.max(axis=0) < MERGE_TOL)
+        j += start
+        earlier = i < j
+        lo.append(i[earlier])
+        hi.append(j[earlier])
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def consolidate(s: CoherentSuperposition) -> CoherentSuperposition:
-    """Merge terms with coinciding amplitudes and drop negligible ones."""
-    reps: list[tuple[complex, tuple[complex, ...]]] = []
-    for term in s.terms:
-        for i, (coeff, amps) in enumerate(reps):
-            if all(abs(x - y) < MERGE_TOL for x, y in zip(term.amps, amps)):
-                reps[i] = (coeff + term.coeff, amps)
-                break
-        else:
-            reps.append((term.coeff, term.amps))
-    if not reps:
+    """Merge terms with coinciding amplitudes and drop negligible ones.
+
+    Terms are taken in order: a term whose amplitudes all lie closer than
+    MERGE_TOL to those of an earlier representative adds its coefficient to
+    the first such representative, in term order; any other term becomes a
+    representative.  Representatives keep first-occurrence order, and those
+    with |coeff| <= DROP_TOL times the largest are dropped (if all are, one
+    zero-coefficient term on the first amplitudes is kept).
+    """
+    n = len(s.coeffs)
+    if n == 0:
         return s
-    floor = DROP_TOL * max(abs(c) for c, _ in reps)
-    kept = tuple(CoherentTerm(c, a) for c, a in reps if abs(c) > floor)
-    if not kept:
-        # keep a single zero-coefficient vacuum-shaped term rather than none
-        kept = (CoherentTerm(0.0 + 0.0j, s.terms[0].amps),)
-    return CoherentSuperposition(s.modes, kept)
+    # Bitwise-equal amplitude rows are matched by a keyed lookup on their
+    # bytes; only first occurrences are compared pairwise.
+    raw = s.amps.tobytes()
+    width = len(raw) // n
+    seen: dict[bytes, int] = {}
+    first = np.array(
+        [seen.setdefault(raw[k * width : (k + 1) * width], k) for k in range(n)]
+    )
+    rep = first == np.arange(n)  # candidate representatives
+    target = first  # each term's representative, as a term index
+    lo, hi = _near_pairs(s.amps[rep])
+    if lo.size:
+        # A first occurrence is a representative iff no earlier representative
+        # is near it.  The rule only looks back, so iterating it from "all
+        # candidates" settles in (longest chain of near rows) + 1 rounds.
+        cand = rep
+        lo, hi = np.flatnonzero(cand)[[lo, hi]]
+        while True:
+            blocked = np.zeros(n, dtype=bool)
+            blocked[hi[rep[lo]]] = True
+            if np.array_equal(cand & ~blocked, rep):
+                break
+            rep = cand & ~blocked
+        to = np.arange(n)
+        np.minimum.at(to, hi[rep[lo]], lo[rep[lo]])
+        target = to[first]
+    leaders = np.flatnonzero(rep)
+    coeffs = s.coeffs[leaders]  # a representative's own coefficient first,
+    rest = ~rep  # then the others', in term order
+    np.add.at(coeffs, (np.cumsum(rep) - 1)[target[rest]], s.coeffs[rest])
+    size = np.abs(coeffs)
+    kept = size > DROP_TOL * size.max()
+    if not kept.any():
+        return CoherentSuperposition.from_arrays(np.zeros(1, dtype=complex), s.amps[:1])
+    return CoherentSuperposition.from_arrays(coeffs[kept], s.amps[leaders[kept]])
 
 
 # ---------------------------------------------------------------------------
@@ -234,26 +368,19 @@ def beam_split(s: CoherentSuperposition, i: int, j: int) -> CoherentSuperpositio
     if i == j:
         raise ValueError("beam splitter needs two distinct modes")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    new_terms = []
-    for term in s.terms:
-        amps = list(term.amps)
-        bi, bj = amps[i], amps[j]
-        amps[i] = (bi + bj) * inv_sqrt2
-        amps[j] = (bi - bj) * inv_sqrt2
-        new_terms.append(CoherentTerm(term.coeff, tuple(amps)))
-    return CoherentSuperposition(s.modes, tuple(new_terms))
+    bi, bj = s.amps[:, i], s.amps[:, j]
+    amps = s.amps.copy()
+    amps[:, i] = (bi + bj) * inv_sqrt2
+    amps[:, j] = (bi - bj) * inv_sqrt2
+    return CoherentSuperposition.from_arrays(s.coeffs, amps)
 
 
 def phase_shift(s: CoherentSuperposition, i: int, phi: float) -> CoherentSuperposition:
     """Phase shifter on mode ``i``: coherent amplitude b_i -> b_i * e^{i phi}."""
     _check_mode(s, i)
-    factor = cmath.exp(1j * phi)
-    new_terms = []
-    for term in s.terms:
-        amps = list(term.amps)
-        amps[i] = amps[i] * factor
-        new_terms.append(CoherentTerm(term.coeff, tuple(amps)))
-    return CoherentSuperposition(s.modes, tuple(new_terms))
+    amps = s.amps.copy()
+    amps[:, i] *= cmath.exp(1j * phi)
+    return CoherentSuperposition.from_arrays(s.coeffs, amps)
 
 
 def project_modes(
@@ -277,15 +404,12 @@ def project_modes(
     keep = [m for m in range(s.modes) if m not in set(modes)]
     if not keep:
         raise ValueError("projection must leave at least one mode")
-    new_terms = []
-    for ts in s.terms:
-        for tp in onto.terms:
-            ex = sum(
-                log_overlap(tp.amps[k], ts.amps[m]) for k, m in enumerate(modes)
-            )
-            coeff = tp.coeff.conjugate() * ts.coeff * cmath.exp(ex)
-            new_terms.append(CoherentTerm(coeff, tuple(ts.amps[m] for m in keep)))
-    return consolidate(CoherentSuperposition(len(keep), tuple(new_terms)))
+    # (onto term, s term) log-overlaps on the projected modes
+    bras, kets = _mode_major(onto.amps), _mode_major(s.amps[:, list(modes)])
+    exps = log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0)
+    coeffs = onto.coeffs.conj()[:, None] * s.coeffs[None, :] * np.exp(exps)
+    amps = np.repeat(s.amps[:, keep], len(onto.coeffs), axis=0)
+    return consolidate(CoherentSuperposition.from_arrays(coeffs.T.ravel(), amps))
 
 
 # ---------------------------------------------------------------------------
@@ -293,60 +417,24 @@ def project_modes(
 
 
 def dyad_from_pure(s: CoherentSuperposition) -> CoherentOperator:
-    """|s><s| as a coherent operator."""
-    terms = tuple(
-        DyadTerm(tk.coeff * tb.coeff.conjugate(), tk.amps, tb.amps)
-        for tk in s.terms
-        for tb in s.terms
+    """|s><s| as a coherent operator (ket term major)."""
+    n = len(s.coeffs)
+    return CoherentOperator.from_arrays(
+        np.multiply.outer(s.coeffs, s.coeffs.conj()).ravel(),
+        np.repeat(s.amps, n, axis=0),
+        np.repeat(s.amps[None], n, axis=0).reshape(n * n, s.modes),
     )
-    return CoherentOperator(s.modes, terms)
 
 
-def operator_trace(rho: CoherentOperator) -> complex:
-    """tr rho;  tr |b><g| = <g|b>."""
-    total = 0.0 + 0.0j
-    for term in rho.terms:
-        ex = sum(log_overlap(g, b) for g, b in zip(term.bra_amps, term.ket_amps))
-        total += term.coeff * cmath.exp(ex)
-    return total
-
-
-def hermiticity_defect(rho: CoherentOperator) -> float:
-    """Max coefficient mismatch between each dyad and its conjugate partner."""
-    worst = 0.0
-    for term in rho.terms:
-        partner = 0.0 + 0.0j
-        for other in rho.terms:
-            if all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other.ket_amps, term.bra_amps)
-            ) and all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other.bra_amps, term.ket_amps)
-            ):
-                partner += other.coeff
-        mine = 0.0 + 0.0j
-        for other in rho.terms:
-            if all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other.ket_amps, term.ket_amps)
-            ) and all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other.bra_amps, term.bra_amps)
-            ):
-                mine += other.coeff
-        worst = max(worst, abs(partner.conjugate() - mine))
-    return worst
+def operator_trace(rho: CoherentOperator) -> complex | np.ndarray:
+    """tr rho;  tr |b><g| = <g|b>.  An array of the batch shape for a
+    batched operator."""
+    total = (rho.coeffs * np.exp(log_overlap(rho.bras, rho.kets).sum(axis=1))).sum(axis=0)
+    return complex(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
 # truncated-Fock oracle
-
-
-def _coherent_fock_amps(beta: complex, cutoff: int) -> np.ndarray:
-    """<n|beta> for n = 0..cutoff, built by stable recursion."""
-    out = np.empty(cutoff + 1, dtype=complex)
-    c = math.exp(-0.5 * abs(beta) ** 2)
-    for n in range(cutoff + 1):
-        out[n] = c
-        c = c * beta / math.sqrt(n + 1)
-    return out
 
 
 def auto_cutoff(s: CoherentSuperposition) -> int:
@@ -354,27 +442,20 @@ def auto_cutoff(s: CoherentSuperposition) -> int:
 
     Keeps the truncation tail below ~1e-12 for |b| <= 3.
     """
-    m = 0.0
-    for term in s.terms:
-        for a in term.amps:
-            m = max(m, abs(a) ** 2)
+    m = float(np.max(np.abs(s.amps) ** 2, initial=0.0))
     return math.ceil(2.0 * m + 10.0 * math.sqrt(m) + 20.0)
 
 
 def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     """Upper bound on the squared norm beyond the cutoff.
 
-    Per ket, the per-mode photon distribution is Poisson(|b|^2); the lost
-    norm of the product ket is bounded by the summed per-mode tails.  The
-    triangle inequality then bounds the superposition's loss.
+    Per ket, the per-mode photon distribution is Poisson(|b|^2), whose mass
+    above the cutoff is ``pdtrc``; the lost norm of the product ket is
+    bounded by the summed per-mode tails.  The triangle inequality then
+    bounds the superposition's loss.
     """
-    total = 0.0
-    for term in s.terms:
-        tail = 0.0
-        for a in term.amps:
-            lam = abs(a) ** 2
-            tail += float(stats.poisson.sf(cutoff, lam)) if lam > 0 else 0.0
-        total += abs(term.coeff) * math.sqrt(tail)
+    tails = special.pdtrc(cutoff, np.abs(s.amps) ** 2).sum(axis=1)
+    total = float(np.abs(s.coeffs) @ np.sqrt(tails))
     return total * total
 
 
@@ -395,13 +476,19 @@ def to_fock(
         raise CutoffError(
             f"cutoff {cutoff} leaves tail bound {tail:.3e} > requested {tail_tol:.3e}"
         )
-    shape = (cutoff + 1,) * s.modes
-    amps = np.zeros(shape, dtype=complex)
-    for term in s.terms:
-        vec = _coherent_fock_amps(term.amps[0], cutoff)
-        for a in term.amps[1:]:
-            vec = np.multiply.outer(vec, _coherent_fock_amps(a, cutoff))
-        amps += term.coeff * vec
+    # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), by the
+    # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product
+    table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
+    table[..., 0] = np.exp(-0.5 * np.abs(s.amps) ** 2)
+    table[..., 1:] = s.amps[..., None] / np.sqrt(np.arange(1, cutoff + 1))
+    np.cumprod(table, axis=-1, out=table)
+    # sum_t c_t table[t, 0] (x) ... (x) table[t, M-1]: the coefficient rides on
+    # mode 0, modes 1.. form a row-wise outer product, and one matrix product
+    # sums the terms.
+    rest = np.ones((len(s.coeffs), 1), dtype=complex)
+    for m in range(1, s.modes):
+        rest = (rest[:, :, None] * table[:, m, None, :]).reshape(len(s.coeffs), -1)
+    amps = ((s.coeffs[:, None] * table[:, 0]).T @ rest).reshape((cutoff + 1,) * s.modes)
     return FockVector(cutoff=cutoff, modes=s.modes, amps=amps, tail_bound=tail)
 
 

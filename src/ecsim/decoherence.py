@@ -19,6 +19,7 @@ from .coherent_states import (
     CoherentOperator,
     DyadTerm,
     dyad_from_pure,
+    log_overlap,
 )
 from .qubit_encoding import (
     LogicalBasis,
@@ -75,22 +76,16 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     involved even for complex amplitudes.  Trace and Hermiticity are
     preserved exactly: the per-mode coefficient times <t gamma|t beta>
     recombines to the original <gamma|beta>.  With an array clock every
-    coefficient and amplitude becomes an array of the clock's shape.
+    coefficient and amplitude gains trailing axes of the clock's shape.
     """
     t = clock.t
-    coeffs = np.array([term.coeff for term in rho.terms], dtype=complex)
-    amps = np.array([(term.ket_amps, term.bra_amps) for term in rho.terms], dtype=complex)
-    kets, bras = amps.reshape(-1, 2, rho.modes).transpose(1, 0, 2)
-    w = (bras.conj() * kets - 0.5 * (np.abs(bras) ** 2 + np.abs(kets) ** 2)).sum(axis=1)
-    # term axis first: (terms, *clock) coefficients, (terms, modes, *clock) amplitudes
+    w = log_overlap(rho.bras, rho.kets).sum(axis=1)  # (terms, *batch)
+    # term axis first: (terms, *batch, *clock) coefficients,
+    # (terms, modes, *batch, *clock) amplitudes
     factor = np.exp(np.multiply.outer(w, 1.0 - t * t))
-    coeffs = coeffs.reshape((-1,) + (1,) * np.ndim(t)) * factor
-    kets, bras = np.multiply.outer(kets, t), np.multiply.outer(bras, t)
-    if np.ndim(t) == 0:  # one clock: plain Python numbers, cheaper to use term by term
-        coeffs, kets, bras = coeffs.tolist(), kets.tolist(), bras.tolist()
-    return CoherentOperator(
-        rho.modes,
-        tuple(DyadTerm(c, tuple(k), tuple(b)) for c, k, b in zip(coeffs, kets, bras)),
+    coeffs = rho.coeffs.reshape(rho.coeffs.shape + (1,) * np.ndim(t)) * factor
+    return CoherentOperator.from_arrays(
+        coeffs, np.multiply.outer(rho.kets, t), np.multiply.outer(rho.bras, t)
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .decoherence import ChannelCoefficients, channel_rho4, closed_form_normalization
 from .qubit_encoding import BELL_VECTORS, TwoQubitDensity, pauli_decompose
@@ -147,6 +146,7 @@ def characteristic_time(alpha: float) -> float:
     Root of closed_form_f(alpha, r) = 2/3 located by bisection to 1e-10;
     equals 1/sqrt(2) independently of alpha.
     """
+    from scipy import optimize  # deferred: keeps it off the import path
 
     def g(r: float) -> float:
         return closed_form_f(alpha, r) - CLASSICAL_FIDELITY_LIMIT
@@ -163,6 +163,8 @@ def mixedness_peak(alpha: float, measure: str = "linear") -> float:
     ``measure`` selects the closed-form linear entropy or the numeric von
     Neumann entropy of the channel; both peak at the characteristic time.
     """
+    from scipy import optimize  # deferred: keeps it off the import path
+
     if measure == "linear":
         f = lambda r: -closed_form_s(alpha, r)
     elif measure == "vn":

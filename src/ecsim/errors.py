@@ -15,3 +15,8 @@ class CutoffError(ValueError):
 
 class SpanError(ValueError):
     """A coherent amplitude lies outside the logical span {+a, -a}."""
+
+
+class DensityError(ValueError):
+    """A matrix fails the density checks: Hermitian, unit trace and no
+    eigenvalue below -1e-10."""

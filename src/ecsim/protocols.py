@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .coherent_states import (
     CoherentSuperposition,
@@ -306,18 +305,16 @@ def correction_map_coherent(
     else:  # B3
         img_plus = (1.0 / n) * (plus - u * minus)
         img_minus = (1.0 / n) * (u * plus - minus)
-    parts = []
-    for term in state.terms:
-        amp = term.amps[0]
-        if abs(amp - alpha) < 1e-9:
-            parts.append(term.coeff * img_plus)
-        elif abs(amp + alpha) < 1e-9:
-            parts.append(term.coeff * img_minus)
-        else:
-            raise SpanError(f"amplitude {amp!r} outside span of +-{alpha}")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
+    amp = state.amps[:, 0]
+    on_plus = np.abs(amp - alpha) < 1e-9
+    bad = ~on_plus & ~(np.abs(amp + alpha) < 1e-9)
+    if bad.any():
+        raise SpanError(f"amplitude {complex(amp[bad][0])!r} outside span of +-{alpha}")
+    # both images are on the kets (|a>, |-a>), in that order
+    images = np.where(on_plus[:, None], img_plus.coeffs, img_minus.coeffs)
+    total = CoherentSuperposition.from_arrays(
+        (state.coeffs[:, None] * images).ravel(), np.tile(img_plus.amps, (len(amp), 1))
+    )
     return normalized(consolidate(total))
 
 
@@ -438,6 +435,8 @@ def cv_max() -> tuple[float, float]:
     Golden-section search on [0, 5] to 1e-10; the optimum sits near
     amplitude 0.66 with fidelity (1 + sqrt 2)/4, about 0.60.
     """
+    from scipy import optimize  # deferred: keeps it off the import path
+
     res = optimize.minimize_scalar(
         lambda x: -cv_fidelity(x),
         bracket=(0.0, 0.7, 5.0),

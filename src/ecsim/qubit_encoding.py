@@ -18,7 +18,7 @@ from .coherent_states import (
     consolidate,
     tensor,
 )
-from .errors import DegenerateBasisError, SpanError
+from .errors import DegenerateBasisError, DensityError, SpanError
 
 DEGENERACY_FLOOR = 1e-12  # minimum allowed value of 1 - exp(-4 t^2 a^2)
 SPAN_TOL = 1e-9  # amplitude distance allowed when matching +-a
@@ -94,24 +94,24 @@ def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
     return LogicalBasis(alpha=float(alpha), t=t, theta=theta, n_theta=n_theta)
 
 
+def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
+    """plus |ta> + minus |-ta>."""
+    a = basis.amplitude
+    return CoherentSuperposition.from_arrays(
+        np.array([plus, minus], dtype=complex), np.array([[a], [-a]], dtype=complex)
+    )
+
+
 def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi+> = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)."""
-    a = basis.amplitude
     c = 1.0 / math.sqrt(basis.n_theta)
-    return c * (
-        math.cos(basis.theta) * CoherentSuperposition.ket(a)
-        - math.sin(basis.theta) * CoherentSuperposition.ket(-a)
-    )
+    return _on_pair(basis, c * math.cos(basis.theta), -c * math.sin(basis.theta))
 
 
 def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
-    a = basis.amplitude
     c = 1.0 / math.sqrt(basis.n_theta)
-    return c * (
-        -math.sin(basis.theta) * CoherentSuperposition.ket(a)
-        + math.cos(basis.theta) * CoherentSuperposition.ket(-a)
-    )
+    return _on_pair(basis, -c * math.sin(basis.theta), c * math.cos(basis.theta))
 
 
 def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
@@ -204,23 +204,15 @@ def to_logical_qubit(state: CoherentSuperposition, basis: LogicalBasis) -> np.nd
     """Project a single-mode state in span{|ta>, |-ta>} onto (Psi+, Psi-)."""
     if state.modes != 1:
         raise ValueError("expected a single-mode state")
-    out = np.zeros(2, dtype=complex)
-    for term in state.terms:
-        out += term.coeff * logical_coords(term.amps[0], basis)
-    return out
+    return state.coeffs @ logical_coords(state.amps[:, 0], basis)
 
 
 def to_logical_vector(state: CoherentSuperposition, basis: LogicalBasis) -> np.ndarray:
     """Project a two-mode state onto the logical product basis (4-vector)."""
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
-    out = np.zeros(4, dtype=complex)
-    for term in state.terms:
-        v = np.kron(
-            logical_coords(term.amps[0], basis), logical_coords(term.amps[1], basis)
-        )
-        out += term.coeff * v
-    return out
+    c0, c1 = logical_coords(state.amps, basis).transpose(1, 0, 2)
+    return np.einsum("t,ti,tj->ij", state.coeffs, c0, c1).reshape(4)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +235,13 @@ class TwoQubitDensity:
             raise ValueError("density matrix must be 4x4")
         m_dag = m.conj().swapaxes(-1, -2)
         if np.max(np.abs(m - m_dag)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
+            raise DensityError("density matrix is not Hermitian within 1e-10")
         tr = np.trace(m, axis1=-2, axis2=-1)
         if np.any(np.abs(tr.real - 1.0) > 1e-10) or np.any(np.abs(tr.imag) > 1e-10):
-            raise ValueError("density matrix trace differs from 1 by more than 1e-10")
+            raise DensityError("density matrix trace differs from 1 by more than 1e-10")
         m = (m + m_dag) / 2
         if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+            raise DensityError("density matrix has an eigenvalue below -1e-10")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -275,13 +267,12 @@ def project_to_density(
         b0 = b1 = basis
     else:
         b0, b1 = basis
-    coeffs = np.array([term.coeff for term in rho.terms], dtype=complex)
-    amps = np.array([(term.ket_amps, term.bra_amps) for term in rho.terms], dtype=complex)
     # (terms, *grid, 2) per side and mode; the coordinates are real, so no conj
+    amps = np.stack((rho.kets, rho.bras), axis=1)  # (terms, side, mode, *grid)
     ket0, bra0 = logical_coords(amps[:, :, 0], b0).swapaxes(0, 1)
     ket1, bra1 = logical_coords(amps[:, :, 1], b1).swapaxes(0, 1)
     out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
-                    coeffs, ket0, ket1, bra0, bra1)
+                    rho.coeffs, ket0, ket1, bra0, bra1)
     return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
 
 

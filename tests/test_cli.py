@@ -244,6 +244,13 @@ class TestExitCodes:
         # amplitude so small the logical basis degenerates
         assert cli.main(["fig2a", "--alphas", "1e-8", "--r-steps", "2"]) == 3
 
+    def test_small_alpha_density_guard(self, capsys):
+        # the basis is still accepted here, but the Bell coefficients (~1/N_theta)
+        # cancel and the projected density misses its 1e-10 checks
+        assert cli.main(["fig2a", "--alphas", "1e-4", "--r-steps", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ecsim: numeric guard:")
+
     def test_property_cases_must_be_positive(self, capsys):
         # zero randomized cases would report every property suite as passed
         assert cli.main(["report", "--property-cases", "0"]) == 2
@@ -298,3 +305,15 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("alpha_r,f,is_max")
+
+
+class TestImportPath:
+    def test_cli_import_skips_scipy_stats_and_optimize(self):
+        # both are slow to import and no command's default path needs them
+        code = (
+            "import sys, ecsim.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

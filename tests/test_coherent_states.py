@@ -1,19 +1,28 @@
 """Coherent-state algebra: overlaps, linear optics, Fock oracle."""
+import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import expm
 
 from ecsim.coherent_states import (
+    DROP_TOL,
+    MERGE_TOL,
+    CoherentOperator,
     CoherentSuperposition,
     CoherentTerm,
+    DyadTerm,
     auto_cutoff,
     beam_split,
     consolidate,
     dyad_from_pure,
     fock_inner,
     inner,
+    log_overlap,
     norm,
     normalized,
     operator_trace,
@@ -23,6 +32,7 @@ from ecsim.coherent_states import (
     project_modes,
     tensor,
     to_fock,
+    truncation_tail_bound,
 )
 from ecsim.errors import CutoffError, ModeMismatchError
 
@@ -274,3 +284,262 @@ class TestHousekeeping:
         rng = np.random.default_rng(17)
         s = normalized(random_state(rng, modes=1, max_terms=5))
         assert norm(s) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array route against per-term reference loops
+
+
+def array_state(rng, terms, modes, max_amp=3.0):
+    rad = max_amp * np.sqrt(rng.uniform(size=(terms, modes)))
+    amps = rad * np.exp(2j * math.pi * rng.uniform(size=(terms, modes)))
+    coeffs = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
+    return CoherentSuperposition(
+        modes, [CoherentTerm(complex(c), tuple(complex(x) for x in row))
+                for c, row in zip(coeffs, amps)]
+    )
+
+
+def sizes(seed, cases=12):
+    """(terms, modes) pairs spanning 1-64 terms and 1-4 modes."""
+    rng = np.random.default_rng(seed)
+    terms = np.rint(np.exp(rng.uniform(0.0, math.log(64.0), cases))).astype(int)
+    return [(1, 1), (64, 4)] + [(int(t), int(m)) for t, m in zip(terms, rng.integers(1, 5, cases))]
+
+
+def scale(*states):
+    return math.prod(float(np.sum(np.abs(s.coeffs))) for s in states)
+
+
+def ref_inner(a, b):
+    total = 0.0 + 0.0j
+    for ta in a.terms:
+        for tb in b.terms:
+            ex = sum(log_overlap(x, y) for x, y in zip(ta.amps, tb.amps))
+            total += ta.coeff.conjugate() * tb.coeff * cmath.exp(ex)
+    return total
+
+
+def ref_project_terms(s, modes, onto):
+    keep = [m for m in range(s.modes) if m not in modes]
+    terms = []
+    for ts in s.terms:
+        for tp in onto.terms:
+            ex = sum(log_overlap(tp.amps[k], ts.amps[m]) for k, m in enumerate(modes))
+            coeff = tp.coeff.conjugate() * ts.coeff * cmath.exp(ex)
+            terms.append(CoherentTerm(coeff, tuple(ts.amps[m] for m in keep)))
+    return CoherentSuperposition(len(keep), terms)
+
+
+def ref_operator_trace(rho):
+    total = 0.0 + 0.0j
+    for term in rho.terms:
+        ex = sum(log_overlap(g, b) for g, b in zip(term.bra_amps, term.ket_amps))
+        total += term.coeff * cmath.exp(ex)
+    return total
+
+
+def _coherent_fock_amps(beta, cutoff):
+    out = np.empty(cutoff + 1, dtype=complex)
+    c = math.exp(-0.5 * abs(beta) ** 2)
+    for n in range(cutoff + 1):
+        out[n] = c
+        c = c * beta / math.sqrt(n + 1)
+    return out
+
+
+def ref_to_fock(s, cutoff):
+    amps = np.zeros((cutoff + 1,) * s.modes, dtype=complex)
+    for term in s.terms:
+        vec = _coherent_fock_amps(term.amps[0], cutoff)
+        for a in term.amps[1:]:
+            vec = np.multiply.outer(vec, _coherent_fock_amps(a, cutoff))
+        amps += term.coeff * vec
+    return amps
+
+
+def ref_consolidate(s):
+    reps = []
+    for term in s.terms:
+        for i, (coeff, amps) in enumerate(reps):
+            if all(abs(x - y) < MERGE_TOL for x, y in zip(term.amps, amps)):
+                reps[i] = (coeff + term.coeff, amps)
+                break
+        else:
+            reps.append((term.coeff, term.amps))
+    floor = DROP_TOL * max(abs(c) for c, _ in reps)
+    kept = [CoherentTerm(c, a) for c, a in reps if abs(c) > floor]
+    return kept or [CoherentTerm(0.0 + 0.0j, s.terms[0].amps)]
+
+
+class TestArrayRoute:
+    def test_inner_matches_double_loop(self):
+        rng = np.random.default_rng(40)
+        for t, m in sizes(41):
+            a, b = array_state(rng, t, m), array_state(rng, int(rng.integers(1, 65)), m)
+            for x, y in ((a, b), (a, a)):
+                assert abs(inner(x, y) - ref_inner(x, y)) <= 1e-14 * scale(x, y)
+
+    def test_project_modes_matches_double_loop(self):
+        rng = np.random.default_rng(42)
+        for t, m in sizes(43):
+            m = max(m, 2)
+            modes = tuple(int(x) for x in rng.choice(m, int(rng.integers(1, m)), replace=False))
+            s = array_state(rng, t, m)
+            onto = array_state(rng, int(rng.integers(1, 5)), len(modes))
+            got = project_modes(s, modes, onto)
+            want = consolidate(ref_project_terms(s, modes, onto))
+            assert np.array_equal(got.amps, want.amps)
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale(s, onto)
+
+    def test_operator_trace_matches_loop(self):
+        rng = np.random.default_rng(44)
+        for t, m in sizes(45):
+            a, b = array_state(rng, t, m), array_state(rng, 4, m)
+            rho = dyad_from_pure(a) + (0.3 - 0.2j) * dyad_from_pure(b)
+            want = ref_operator_trace(rho)
+            assert abs(operator_trace(rho) - want) <= 1e-14 * (scale(a, a) + scale(b, b))
+
+    def test_batched_operator_trace_matches_slices(self):
+        rng = np.random.default_rng(46)
+        a = array_state(rng, 5, 2)
+        t = np.array([1.0, 0.7, 0.2])
+        kets = np.multiply.outer(np.repeat(a.amps, 5, axis=0), t)
+        bras = np.multiply.outer(np.tile(a.amps, (5, 1)), t)
+        coeffs = np.multiply.outer(dyad_from_pure(a).coeffs, t)
+        batch = operator_trace(CoherentOperator.from_arrays(coeffs, kets, bras))
+        assert batch.shape == (3,)
+        for i in range(3):
+            one = CoherentOperator.from_arrays(
+                coeffs[..., i].copy(), kets[..., i].copy(), bras[..., i].copy())
+            assert batch[i] == pytest.approx(operator_trace(one), abs=1e-15)
+
+    @pytest.mark.parametrize("modes,cutoff", [(1, None), (2, None), (3, 10), (4, 6)])
+    def test_to_fock_matches_outer_products(self, modes, cutoff):
+        rng = np.random.default_rng(47 + modes)
+        for terms in (1, 7, 64):
+            s = array_state(rng, terms, modes, max_amp=3.0 if cutoff is None else 1.0)
+            fv = to_fock(s, cutoff)
+            want = ref_to_fock(s, fv.cutoff)
+            assert fv.amps.shape == want.shape
+            assert np.max(np.abs(fv.amps - want)) <= 1e-14 * scale(s)
+
+    def test_tail_bound_matches_poisson_sf(self):
+        rng = np.random.default_rng(48)
+        for t, m in sizes(49):
+            s = array_state(rng, t, m) + CoherentSuperposition.vacuum(m)
+            for cutoff in (3, 10, auto_cutoff(s)):
+                tails = [sum(float(stats.poisson.sf(cutoff, abs(a) ** 2)) if a != 0 else 0.0
+                             for a in term.amps) for term in s.terms]
+                want = sum(abs(term.coeff) * math.sqrt(tail)
+                           for term, tail in zip(s.terms, tails)) ** 2
+                assert truncation_tail_bound(s, cutoff) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_auto_cutoff(self):
+        s = CoherentSuperposition.ket(0.5, 2.0 + 1.0j) + CoherentSuperposition.ket(-1.0, 0.0)
+        assert auto_cutoff(s) == math.ceil(2 * 5.0 + 10 * math.sqrt(5.0) + 20)
+        assert auto_cutoff(CoherentSuperposition.vacuum(3)) == 20
+
+
+class TestConsolidate:
+    def test_matches_sequential_merge(self):
+        # amplitudes drawn from a few points jittered on the MERGE_TOL scale,
+        # so exact repeats, near pairs and chains of near rows all occur
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            modes = int(rng.integers(1, 4))
+            centers = rng.uniform(-1, 1, (3, modes)) + 1j * rng.uniform(-1, 1, (3, modes))
+            n = int(rng.integers(1, 40))
+            jitter = MERGE_TOL * rng.integers(-2, 3, (n, modes)) * 0.6
+            amps = centers[rng.integers(0, 3, n)] + jitter * (rng.uniform() < 0.7)
+            coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            s = CoherentSuperposition.from_arrays(coeffs, amps)
+            got = consolidate(s)
+            want = ref_consolidate(s)
+            assert got.terms == tuple(want)
+
+    def test_strict_merge_boundary(self):
+        at = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(MERGE_TOL)
+        assert len(consolidate(at).terms) == 2
+        below = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(
+            np.nextafter(MERGE_TOL, 0.0))
+        assert len(consolidate(below).terms) == 1
+
+    def test_chain_merges_into_representatives_only(self):
+        # 1 merges into 0; 2 is near 1 but not 0, and 1 is no representative
+        x = 0.6 * MERGE_TOL
+        s = sum((CoherentSuperposition.ket(k * x, coeff=k + 1.0) for k in range(1, 3)),
+                CoherentSuperposition.ket(0.0))
+        out = consolidate(s)
+        assert [t.amps for t in out.terms] == [(0j,), (2 * x + 0j,)]
+        assert [t.coeff for t in out.terms] == [3.0, 3.0]
+
+    def test_drop_floor(self):
+        big = CoherentSuperposition.ket(0.5)
+        at = big + DROP_TOL * CoherentSuperposition.ket(-0.5)
+        assert len(consolidate(at).terms) == 1
+        above = big + (2 * DROP_TOL) * CoherentSuperposition.ket(-0.5)
+        assert len(consolidate(above).terms) == 2
+
+    def test_all_dropped_fallback(self):
+        s = (CoherentSuperposition.ket(0.3, 0.1) - CoherentSuperposition.ket(0.3, 0.1)
+             + 0.0 * CoherentSuperposition.ket(-0.7, 0.2))
+        out = consolidate(s)
+        assert out.terms == (CoherentTerm(0j, (0.3 + 0j, 0.1 + 0j)),)
+
+    def test_first_occurrence_order_and_sums(self):
+        a, b, c = (CoherentSuperposition.ket(x) for x in (0.1, 0.2, 0.3))
+        s = 1.0 * a + 2.0 * b + 3.0 * a + 4.0 * c + 5.0 * b + 6.0 * a
+        out = consolidate(s)
+        assert [t.amps[0] for t in out.terms] == [0.1, 0.2, 0.3]
+        assert [t.coeff for t in out.terms] == [1.0 + 3.0 + 6.0, 2.0 + 5.0, 4.0]
+
+    def test_project_modes_peak_allocation(self):
+        # a 1024-term intermediate: pairwise work of shape (T, T, M) would
+        # need 16 MiB; the blocked compare stays near 1 MiB
+        rng = np.random.default_rng(51)
+        s = array_state(rng, 1024, 2)
+        onto = CoherentSuperposition.ket(0.4 - 0.2j)
+        project_modes(s, (1,), onto)  # warm caches before measuring
+        tracemalloc.start()
+        try:
+            out = project_modes(s, (1,), onto)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.coeffs) == 1024
+        assert peak < 4 * 2**20
+
+
+class TestStorage:
+    def test_arrays_are_read_only(self):
+        s = CoherentSuperposition.ket(0.5, 1.0) + CoherentSuperposition.ket(-0.5, 0.2)
+        assert s.coeffs.shape == (2,) and s.amps.shape == (2, 2)
+        with pytest.raises(ValueError):
+            s.amps[0, 0] = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.coeffs = np.zeros(2)
+        rho = dyad_from_pure(s)
+        assert rho.coeffs.shape == (4,) and rho.kets.shape == rho.bras.shape == (4, 2)
+        with pytest.raises(ValueError):
+            rho.coeffs[0] = 0.0
+
+    def test_terms_view_round_trips(self):
+        rng = np.random.default_rng(52)
+        s = array_state(rng, 6, 3)
+        again = CoherentSuperposition(s.modes, s.terms)
+        assert np.array_equal(again.coeffs, s.coeffs) and np.array_equal(again.amps, s.amps)
+        rho = dyad_from_pure(s)
+        back = CoherentOperator(rho.modes, rho.terms)
+        for name in ("coeffs", "kets", "bras"):
+            assert np.array_equal(getattr(back, name), getattr(rho, name))
+
+    def test_batched_operator_records(self):
+        t = np.array([1.0, 0.5])
+        op = CoherentOperator(1, (DyadTerm(t, (0.3 * t,), (0.3 * t,)),
+                                  DyadTerm(2.0 * t, (0.1 * t,), (0.2 * t,))))
+        assert op.coeffs.shape == (2, 2) and op.kets.shape == op.bras.shape == (2, 1, 2)
+        assert np.array_equal(op.kets[0, 0], 0.3 * t) and np.array_equal(op.bras[1, 0], 0.2 * t)
+        assert np.array_equal(op.terms[1].coeff, 2.0 * t)
+        with pytest.raises(ValueError):
+            CoherentOperator(1, (DyadTerm(1.0, (0.3 * t,), (0.3 * t,)),))

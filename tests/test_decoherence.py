@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ecsim.coherent_states import (
+    MERGE_TOL,
+    CoherentOperator,
     dyad_from_pure,
-    hermiticity_defect,
     operator_trace,
 )
 from ecsim.decoherence import (
@@ -27,6 +28,30 @@ from ecsim.qubit_encoding import (
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def hermiticity_defect(rho: CoherentOperator) -> float:
+    """Max coefficient mismatch between each dyad and its conjugate partner."""
+    worst = 0.0
+    for term in rho.terms:
+        partner = 0.0 + 0.0j
+        for other in rho.terms:
+            if all(
+                abs(x - y) < MERGE_TOL for x, y in zip(other.ket_amps, term.bra_amps)
+            ) and all(
+                abs(x - y) < MERGE_TOL for x, y in zip(other.bra_amps, term.ket_amps)
+            ):
+                partner += other.coeff
+        mine = 0.0 + 0.0j
+        for other in rho.terms:
+            if all(
+                abs(x - y) < MERGE_TOL for x, y in zip(other.ket_amps, term.ket_amps)
+            ) and all(
+                abs(x - y) < MERGE_TOL for x, y in zip(other.bra_amps, term.bra_amps)
+            ):
+                mine += other.coeff
+        worst = max(worst, abs(partner.conjugate() - mine))
+    return worst
 
 
 class TestDecayClock:
