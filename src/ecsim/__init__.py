@@ -3,8 +3,6 @@
 from .coherent_states import (
     CoherentOperator,
     CoherentSuperposition,
-    CoherentTerm,
-    DyadTerm,
     FockVector,
     beam_split,
     consolidate,
@@ -26,16 +24,13 @@ from .decoherence import (
     channel_rho4,
     closed_form_vst,
     decohere,
-    decohere_dyad,
 )
 from .entanglement_metrics import (
-    MetricReport,
     characteristic_time,
     closed_form_e,
     closed_form_f,
     closed_form_s,
     linear_entropy,
-    metric_report,
     mixedness_peak,
     negativity_e,
     optimal_fidelity,
@@ -48,6 +43,7 @@ from .errors import (
     DensityError,
     ModeMismatchError,
     SpanError,
+    ZeroNormError,
 )
 from .protocols import (
     BellLabel,

@@ -270,17 +270,17 @@ def _random_superposition(rng, modes=None, max_terms=6, max_amp=3.0):
     if modes is None:
         modes = int(rng.integers(1, 4))
     n_terms = int(rng.integers(1, max_terms + 1))
-    terms = []
-    for _ in range(n_terms):
-        amps = []
-        for _ in range(modes):
+    coeffs = np.empty(n_terms, dtype=complex)
+    amps = np.empty((n_terms, modes), dtype=complex)
+    for t in range(n_terms):
+        for m in range(modes):
             rad = max_amp * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            amps.append(rad * complex(math.cos(ang), math.sin(ang)))
+            amps[t, m] = rad * complex(math.cos(ang), math.sin(ang))
         cr = rng.uniform(-1.0, 1.0)
         ci = rng.uniform(-1.0, 1.0)
-        terms.append(cs.CoherentTerm(complex(cr, ci), tuple(amps)))
-    return cs.CoherentSuperposition(modes, tuple(terms))
+        coeffs[t] = complex(cr, ci)
+    return cs.CoherentSuperposition(coeffs, amps)
 
 
 def _random_hermitian_operator(rng, modes=2):

@@ -23,7 +23,7 @@ from . import decoherence as dec
 from . import entanglement_metrics as em
 from . import protocols as pr
 from . import qubit_encoding as qe
-from .errors import CutoffError, DegenerateBasisError, DensityError
+from .errors import CutoffError, DegenerateBasisError, DensityError, ZeroNormError
 
 
 class ConfigError(ValueError):
@@ -121,15 +121,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("r_steps must be >= 2")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.property_cases < 1:
         raise ConfigError("property-cases must be >= 1")
     if not all(math.isfinite(a) and a > 0 for a in cfg.alphas):
         raise ConfigError("alphas must be finite and positive")
     if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
         raise ConfigError("etas must lie in (0, pi/2)")
-    finite_ar = math.isfinite(cfg.ar_min) and math.isfinite(cfg.ar_max)
-    if not (finite_ar and cfg.ar_min <= cfg.ar_max):
-        raise ConfigError("need finite ar-min <= ar-max")
+    # a finite width implies finite ends, and keeps the grid from overflowing
+    if not (math.isfinite(cfg.ar_max - cfg.ar_min) and cfg.ar_min <= cfg.ar_max):
+        raise ConfigError("need finite ar-min <= ar-max with a finite width")
     if cfg.command == "cv" and cfg.ar_steps < 2:
         raise ConfigError("ar-steps must be >= 2")
     return cfg
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
         return 2
     try:
         text, all_passed = _render_config(cfg)
-    except (DegenerateBasisError, CutoffError, DensityError) as exc:
+    except (DegenerateBasisError, CutoffError, DensityError, ZeroNormError) as exc:
         print(f"ecsim: numeric guard: {exc}", file=sys.stderr)
         return 3
     try:

@@ -1,16 +1,17 @@
 """Exact algebra of multimode superpositions of coherent states.
 
-A pure state  sum_t c_t |b_t0> |b_t1> ...  is stored as two read-only
-arrays: ``coeffs`` of shape (T,) and ``amps`` of shape (T, M), one row of
-coherent amplitudes per term.  An operator  sum_t c_t |k_t><g_t|  is stored
-as ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch); optional
-trailing batch axes carry a parameter grid, one operator per entry.
+A pure state  sum_t c_t |b_t0> |b_t1> ...  is a ``CoherentSuperposition``
+of two read-only arrays: ``coeffs`` of shape (T,) and ``amps`` of shape
+(T, M), one row of coherent amplitudes per term.  An operator
+sum_t c_t |k_t><g_t|  is a ``CoherentOperator`` of ``coeffs`` (T, *batch),
+``kets`` and ``bras`` (T, M, *batch); optional trailing batch axes carry a
+parameter grid, one operator per entry.  Each type is built from its arrays
+alone; ``CoherentSuperposition.ket``, ``+`` and scalar ``*`` compose states.
 
 Every operation acts on whole arrays.  Inner products, partial projections
 and traces exponentiate sums of ``log_overlap`` built by broadcasting, so
 the non-orthogonal coherent kets are handled in closed form; linear optics
-rewrites amplitude columns.  ``terms`` is a read-only per-term view
-(``CoherentTerm``/``DyadTerm``), and the constructors accept those records.
+rewrites amplitude columns.
 
 A truncated-Fock representation is provided as an independent numerical
 oracle (photon counting, cross-checks); it is never used by the analytic
@@ -19,7 +20,6 @@ code paths.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import CutoffError, ModeMismatchError
+from .errors import CutoffError, ModeMismatchError, ZeroNormError
 
 # Term consolidation: amplitudes closer than MERGE_TOL (per mode, max norm)
 # are treated as the same ket; coefficients below DROP_TOL relative to the
@@ -35,6 +35,9 @@ from .errors import CutoffError, ModeMismatchError
 # (|amp| <= ~3), and keep term counts bounded under repeated maps.
 MERGE_TOL = 1e-12
 DROP_TOL = 1e-15
+# Largest Fock grid, (cutoff + 1) ** modes amplitudes, that to_fock builds
+# (256 MiB of complex amplitudes); a larger request raises CutoffError.
+FOCK_CELL_BUDGET = 2**24
 
 
 def _as_complex_tuple(amps: Iterable[complex]) -> tuple[complex, ...]:
@@ -45,71 +48,40 @@ def _as_complex_tuple(amps: Iterable[complex]) -> tuple[complex, ...]:
     return out
 
 
-def _freeze(obj, **arrays: np.ndarray):
-    """Set the array fields of a frozen instance, made read-only; returns it."""
-    for name, a in arrays.items():
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
-    return obj
-
-
-@dataclass(frozen=True)
-class CoherentTerm:
-    """One weighted product ket  coeff * |amps[0]> |amps[1]> ... ."""
-
-    coeff: complex
-    amps: tuple[complex, ...]
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class CoherentSuperposition:
     """A pure multimode state as a sum of coherent product kets.
 
-    ``coeffs`` (T,) and ``amps`` (T, M) are read-only.  The coherent kets
-    form a non-orthogonal basis; norms and overlaps are evaluated through
-    the Gram matrix of pairwise coherent overlaps.
+    ``coeffs`` (T,) and ``amps`` (T, M), M >= 1, are complex arrays, taken
+    over without a copy and made read-only.  The coherent kets form a
+    non-orthogonal basis; norms and overlaps are evaluated through the Gram
+    matrix of pairwise coherent overlaps.
     """
 
     coeffs: np.ndarray
     amps: np.ndarray
 
-    def __init__(self, modes: int, terms: Sequence[CoherentTerm] = ()):
-        if modes < 1:
-            raise ValueError("modes must be a positive integer")
-        for term in terms:
-            if len(term.amps) != modes:
-                raise ValueError(
-                    f"term has {len(term.amps)} amplitudes, state has {modes} modes"
-                )
-        coeffs = np.array([term.coeff for term in terms], dtype=complex)
-        amps = np.array([term.amps for term in terms], dtype=complex)
-        _freeze(self, coeffs=coeffs, amps=amps.reshape(len(coeffs), modes))
-
-    @classmethod
-    def from_arrays(cls, coeffs: np.ndarray, amps: np.ndarray) -> "CoherentSuperposition":
-        """The state with coefficients ``coeffs`` (T,) and amplitudes ``amps``
-        (T, M); the arrays are taken over and made read-only."""
-        return _freeze(object.__new__(cls), coeffs=coeffs, amps=amps)
+    def __post_init__(self):
+        coeffs, amps = self.coeffs, self.amps
+        if amps.ndim != 2 or amps.shape[1] < 1:
+            raise ValueError(
+                f"amplitudes of shape {amps.shape} are not (terms, modes >= 1)"
+            )
+        if coeffs.shape != amps.shape[:1]:
+            raise ValueError(
+                f"{len(amps)} amplitude rows for coefficients of shape {coeffs.shape}"
+            )
+        for a in (coeffs, amps):
+            a.setflags(write=False)
 
     @property
     def modes(self) -> int:
         return self.amps.shape[1]
 
-    @functools.cached_property
-    def terms(self) -> tuple[CoherentTerm, ...]:
-        """Read-only per-term view."""
-        return tuple(
-            CoherentTerm(c, tuple(a))
-            for c, a in zip(self.coeffs.tolist(), self.amps.tolist())
-        )
-
     @classmethod
     def ket(cls, *amps: complex, coeff: complex = 1.0) -> "CoherentSuperposition":
         """Single coherent product ket  coeff * |amps[0], amps[1], ...>."""
-        a = _as_complex_tuple(amps)
-        if not a:
-            raise ValueError("modes must be a positive integer")
-        return cls.from_arrays(np.array([complex(coeff)]), np.array([a]))
+        return cls(np.array([complex(coeff)]), np.array([_as_complex_tuple(amps)]))
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "CoherentSuperposition":
@@ -118,7 +90,7 @@ class CoherentSuperposition:
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.modes != other.modes:
             raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
-        return CoherentSuperposition.from_arrays(
+        return CoherentSuperposition(
             np.concatenate((self.coeffs, other.coeffs)),
             np.concatenate((self.amps, other.amps)),
         )
@@ -127,79 +99,55 @@ class CoherentSuperposition:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
-        return CoherentSuperposition.from_arrays(complex(scalar) * self.coeffs, self.amps)
+        return CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
 
     def __neg__(self) -> "CoherentSuperposition":
         return (-1.0) * self
 
 
-@dataclass(frozen=True)
-class DyadTerm:
-    """One weighted dyad  coeff * |ket_amps><bra_amps|."""
-
-    coeff: complex
-    ket_amps: tuple[complex, ...]
-    bra_amps: tuple[complex, ...]
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class CoherentOperator:
     """A (generally mixed) operator as a sum of multimode coherent dyads.
 
-    ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch) are
-    read-only; term records given to the constructor carry arrays of the
-    batch shape in every field, or scalars throughout.
+    ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch), M >= 1,
+    are complex arrays, taken over without a copy and made read-only; the
+    optional trailing batch axes carry one operator per entry.
     """
 
     coeffs: np.ndarray
     kets: np.ndarray
     bras: np.ndarray
 
-    def __init__(self, modes: int, terms: Sequence[DyadTerm] = ()):
-        if modes < 1:
-            raise ValueError("modes must be a positive integer")
-        for term in terms:
-            if len(term.ket_amps) != modes or len(term.bra_amps) != modes:
-                raise ValueError("dyad amplitude lists must match the mode count")
-        coeffs = np.array([t.coeff for t in terms], dtype=complex)
-        shape = (len(coeffs), modes) + coeffs.shape[1:]
-        kets = np.array([t.ket_amps for t in terms], dtype=complex).reshape(shape)
-        bras = np.array([t.bra_amps for t in terms], dtype=complex).reshape(shape)
-        _freeze(self, coeffs=coeffs, kets=kets, bras=bras)
-
-    @classmethod
-    def from_arrays(
-        cls, coeffs: np.ndarray, kets: np.ndarray, bras: np.ndarray
-    ) -> "CoherentOperator":
-        """The operator with ``coeffs`` (T, *batch) and ``kets``/``bras``
-        (T, M, *batch); the arrays are taken over and made read-only."""
-        return _freeze(object.__new__(cls), coeffs=coeffs, kets=kets, bras=bras)
+    def __post_init__(self):
+        coeffs, kets, bras = self.coeffs, self.kets, self.bras
+        if kets.ndim < 2 or kets.shape[1] < 1:
+            raise ValueError(
+                f"kets of shape {kets.shape} are not (terms, modes >= 1, *batch)"
+            )
+        shape = coeffs.shape[:1] + kets.shape[1:2] + coeffs.shape[1:]
+        if kets.shape != shape or bras.shape != shape:
+            raise ValueError(
+                f"kets {kets.shape} and bras {bras.shape} do not match "
+                f"coefficients {coeffs.shape} as (terms, modes, *batch)"
+            )
+        for a in (coeffs, kets, bras):
+            a.setflags(write=False)
 
     @property
     def modes(self) -> int:
         return self.kets.shape[1]
 
-    @functools.cached_property
-    def terms(self) -> tuple[DyadTerm, ...]:
-        """Read-only per-term view; batched entries are arrays of the batch shape."""
-        return tuple(
-            DyadTerm(c, tuple(k), tuple(b))
-            for c, k, b in zip(self.coeffs, self.kets, self.bras)
-        )
-
     def __add__(self, other: "CoherentOperator") -> "CoherentOperator":
         if self.modes != other.modes:
             raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
-        return CoherentOperator.from_arrays(
+        return CoherentOperator(
             np.concatenate((self.coeffs, other.coeffs)),
             np.concatenate((self.kets, other.kets)),
             np.concatenate((self.bras, other.bras)),
         )
 
     def __rmul__(self, scalar: complex) -> "CoherentOperator":
-        return CoherentOperator.from_arrays(
-            complex(scalar) * self.coeffs, self.kets, self.bras
-        )
+        return CoherentOperator(complex(scalar) * self.coeffs, self.kets, self.bras)
 
 
 @dataclass(frozen=True)
@@ -261,7 +209,7 @@ def norm(s: CoherentSuperposition) -> float:
 def normalized(s: CoherentSuperposition) -> CoherentSuperposition:
     n = norm(s)
     if n == 0.0:
-        raise ValueError("cannot normalize a zero state")
+        raise ZeroNormError("cannot normalize a zero state")
     return (1.0 / n) * s
 
 
@@ -273,7 +221,7 @@ def tensor(a: CoherentSuperposition, b: CoherentSuperposition) -> CoherentSuperp
     amps = np.empty((len(a.coeffs), len(b.coeffs), a.modes + b.modes), dtype=complex)
     amps[:, :, : a.modes] = a.amps[:, None, :]
     amps[:, :, a.modes :] = b.amps[None, :, :]
-    return CoherentSuperposition.from_arrays(
+    return CoherentSuperposition(
         np.multiply.outer(a.coeffs, b.coeffs).ravel(), amps.reshape(-1, a.modes + b.modes)
     )
 
@@ -344,8 +292,8 @@ def consolidate(s: CoherentSuperposition) -> CoherentSuperposition:
     size = np.abs(coeffs)
     kept = size > DROP_TOL * size.max()
     if not kept.any():
-        return CoherentSuperposition.from_arrays(np.zeros(1, dtype=complex), s.amps[:1])
-    return CoherentSuperposition.from_arrays(coeffs[kept], s.amps[leaders[kept]])
+        return CoherentSuperposition(np.zeros(1, dtype=complex), s.amps[:1])
+    return CoherentSuperposition(coeffs[kept], s.amps[leaders[kept]])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +320,7 @@ def beam_split(s: CoherentSuperposition, i: int, j: int) -> CoherentSuperpositio
     amps = s.amps.copy()
     amps[:, i] = (bi + bj) * inv_sqrt2
     amps[:, j] = (bi - bj) * inv_sqrt2
-    return CoherentSuperposition.from_arrays(s.coeffs, amps)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def phase_shift(s: CoherentSuperposition, i: int, phi: float) -> CoherentSuperposition:
@@ -380,7 +328,7 @@ def phase_shift(s: CoherentSuperposition, i: int, phi: float) -> CoherentSuperpo
     _check_mode(s, i)
     amps = s.amps.copy()
     amps[:, i] *= cmath.exp(1j * phi)
-    return CoherentSuperposition.from_arrays(s.coeffs, amps)
+    return CoherentSuperposition(s.coeffs, amps)
 
 
 def project_modes(
@@ -409,7 +357,7 @@ def project_modes(
     exps = log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0)
     coeffs = onto.coeffs.conj()[:, None] * s.coeffs[None, :] * np.exp(exps)
     amps = np.repeat(s.amps[:, keep], len(onto.coeffs), axis=0)
-    return consolidate(CoherentSuperposition.from_arrays(coeffs.T.ravel(), amps))
+    return consolidate(CoherentSuperposition(coeffs.T.ravel(), amps))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +367,7 @@ def project_modes(
 def dyad_from_pure(s: CoherentSuperposition) -> CoherentOperator:
     """|s><s| as a coherent operator (ket term major)."""
     n = len(s.coeffs)
-    return CoherentOperator.from_arrays(
+    return CoherentOperator(
         np.multiply.outer(s.coeffs, s.coeffs.conj()).ravel(),
         np.repeat(s.amps, n, axis=0),
         np.repeat(s.amps[None], n, axis=0).reshape(n * n, s.modes),
@@ -464,13 +412,20 @@ def to_fock(
 ) -> FockVector:
     """Truncated-Fock representation of ``s``.
 
-    Raises CutoffError when ``tail_tol`` is given and the recorded tail bound
-    exceeds it; truncation is never silent beyond the recorded bound.
+    Raises CutoffError, before allocating, when the grid would hold more than
+    FOCK_CELL_BUDGET amplitudes, and when ``tail_tol`` is given and the
+    recorded tail bound exceeds it; truncation is never silent beyond the
+    recorded bound.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
     if cutoff < 1:
         raise CutoffError("cutoff must be >= 1")
+    if (cutoff + 1) ** s.modes > FOCK_CELL_BUDGET:
+        raise CutoffError(
+            f"cutoff {cutoff} on {s.modes} modes needs {(cutoff + 1) ** s.modes} "
+            f"Fock amplitudes, more than the budget of {FOCK_CELL_BUDGET}"
+        )
     tail = truncation_tail_bound(s, cutoff)
     if tail_tol is not None and tail > tail_tol:
         raise CutoffError(

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_states import (
-    CoherentOperator,
-    DyadTerm,
-    dyad_from_pure,
-    log_overlap,
-)
+from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap
 from .qubit_encoding import (
     LogicalBasis,
     PauliDecomposition,
@@ -62,12 +57,6 @@ class DecayClock:
         return cls(t=math.exp(-0.5 * gamma * tau))
 
 
-def decohere_dyad(beta: complex, gamma: complex, clock: DecayClock) -> DyadTerm:
-    """Damp a single-mode dyad |beta><gamma| (see ``decohere``)."""
-    dyad = CoherentOperator(1, (DyadTerm(1.0, (beta,), (gamma,)),))
-    return decohere(dyad, clock).terms[0]
-
-
 def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     """Damp every mode of a coherent operator independently.
 
@@ -84,7 +73,7 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     # (terms, modes, *batch, *clock) amplitudes
     factor = np.exp(np.multiply.outer(w, 1.0 - t * t))
     coeffs = rho.coeffs.reshape(rho.coeffs.shape + (1,) * np.ndim(t)) * factor
-    return CoherentOperator.from_arrays(
+    return CoherentOperator(
         coeffs, np.multiply.outer(rho.kets, t), np.multiply.outer(rho.bras, t)
     )
 

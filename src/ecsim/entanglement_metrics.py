@@ -7,12 +7,10 @@ array ``r`` gives an array of values, a single one a float.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .decoherence import ChannelCoefficients, channel_rho4, closed_form_normalization
-from .qubit_encoding import BELL_VECTORS, TwoQubitDensity, pauli_decompose
+from .qubit_encoding import TwoQubitDensity, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
 
@@ -75,13 +73,6 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     t = pauli_decompose(rho).t_matrix
     f = 0.25 * (1.0 + max_rotation_trace(-t))
     return _value(np.clip(f, 0.0, 1.0))
-
-
-def max_bell_projection(rho: TwoQubitDensity) -> float:
-    """max_k <B_k| rho |B_k> over the four logical Bell vectors."""
-    return float(
-        max((b.conj() @ rho.matrix @ b).real for b in BELL_VECTORS)
-    )
 
 
 def optimal_fidelity_from_fraction(fraction: float, dim: int = 2) -> float:
@@ -176,24 +167,3 @@ def mixedness_peak(alpha: float, measure: str = "linear") -> float:
     )
     return float(res.x)
 
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of the channel figures of merit for one density."""
-
-    e_measure: float
-    singlet_fraction: float
-    optimal_fidelity: float
-    linear_entropy: float
-    vn_entropy: float
-
-
-def metric_report(rho: TwoQubitDensity) -> MetricReport:
-    frac = singlet_fraction(rho)
-    return MetricReport(
-        e_measure=negativity_e(rho),
-        singlet_fraction=frac,
-        optimal_fidelity=optimal_fidelity_from_fraction(frac, dim=2),
-        linear_entropy=linear_entropy(rho),
-        vn_entropy=vn_entropy(rho),
-    )

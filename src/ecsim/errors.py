@@ -20,3 +20,7 @@ class SpanError(ValueError):
 class DensityError(ValueError):
     """A matrix fails the density checks: Hermitian, unit trace and no
     eigenvalue below -1e-10."""
+
+
+class ZeroNormError(ValueError):
+    """A state to be normalized has zero norm (it underflowed or cancelled)."""

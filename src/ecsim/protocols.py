@@ -119,8 +119,13 @@ def bell_measure_distribution(
 
 
 def misid_probability_closed(alpha: float) -> float:
-    """Closed-form wrong-estimation probability 1 / (2 (1 + e^{4 a^2}))."""
-    return 1.0 / (2.0 * (1.0 + math.exp(4.0 * alpha**2)))
+    """Closed-form wrong-estimation probability 1 / (2 (1 + e^{4 a^2})).
+
+    Evaluated as x / (2 (1 + x)) with x = e^{-4 a^2}, which cannot overflow
+    at large amplitude.
+    """
+    x = math.exp(-4.0 * alpha**2)
+    return 0.5 * x / (1.0 + x)
 
 
 def misid_probability(alpha: float, cutoff: int | None = None) -> float:
@@ -312,7 +317,7 @@ def correction_map_coherent(
         raise SpanError(f"amplitude {complex(amp[bad][0])!r} outside span of +-{alpha}")
     # both images are on the kets (|a>, |-a>), in that order
     images = np.where(on_plus[:, None], img_plus.coeffs, img_minus.coeffs)
-    total = CoherentSuperposition.from_arrays(
+    total = CoherentSuperposition(
         (state.coeffs[:, None] * images).ravel(), np.tile(img_plus.amps, (len(amp), 1))
     )
     return normalized(consolidate(total))

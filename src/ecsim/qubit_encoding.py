@@ -68,10 +68,6 @@ class LogicalBasis:
     def sin2theta(self) -> float | np.ndarray:
         return np.exp(-2.0 * (self.t * self.alpha) ** 2)
 
-    @property
-    def cos2theta(self) -> float | np.ndarray:
-        return np.sqrt(self.n_theta)
-
 
 def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
     """Build the logical basis at amplitude ``t * alpha`` (``t`` may be an array).
@@ -97,7 +93,7 @@ def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
 def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
     """plus |ta> + minus |-ta>."""
     a = basis.amplitude
-    return CoherentSuperposition.from_arrays(
+    return CoherentSuperposition(
         np.array([plus, minus], dtype=complex), np.array([[a], [-a]], dtype=complex)
     )
 
@@ -249,10 +245,7 @@ class TwoQubitDensity:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def project_to_density(
-    rho: CoherentOperator,
-    basis: LogicalBasis | tuple[LogicalBasis, LogicalBasis],
-) -> TwoQubitDensity:
+def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDensity:
     """Express a two-mode coherent operator in the logical product basis.
 
     Every dyad amplitude must lie in the logical span per mode (exact for
@@ -263,14 +256,10 @@ def project_to_density(
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
-    if isinstance(basis, LogicalBasis):
-        b0 = b1 = basis
-    else:
-        b0, b1 = basis
     # (terms, *grid, 2) per side and mode; the coordinates are real, so no conj
     amps = np.stack((rho.kets, rho.bras), axis=1)  # (terms, side, mode, *grid)
-    ket0, bra0 = logical_coords(amps[:, :, 0], b0).swapaxes(0, 1)
-    ket1, bra1 = logical_coords(amps[:, :, 1], b1).swapaxes(0, 1)
+    ket0, bra0 = logical_coords(amps[:, :, 0], basis).swapaxes(0, 1)
+    ket1, bra1 = logical_coords(amps[:, :, 1], basis).swapaxes(0, 1)
     out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
                     rho.coeffs, ket0, ket1, bra0, bra1)
     return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))

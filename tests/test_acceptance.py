@@ -10,6 +10,8 @@ symmetric special case (eta = pi/4 gives exactly 1/4 at every amplitude)
 all fix the squared power.  The corrected form is asserted at 1e-12 in
 test_protocols.py.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,28 @@ def test_gram_positivity_reports_the_true_minimum():
     assert reported == pytest.approx(want, rel=1e-3)
 
 
+@pytest.mark.parametrize("modes,max_terms", [(None, 6), (2, 3)])
+def test_random_superposition_follows_its_draws(modes, max_terms):
+    # the property suites see exactly the states these draws, in this order,
+    # define: one radius and angle per amplitude, then the coefficient
+    rng, ref = np.random.default_rng(77), np.random.default_rng(77)
+    for _ in range(50):
+        s = acceptance._random_superposition(rng, modes=modes, max_terms=max_terms)
+        m = int(ref.integers(1, 4)) if modes is None else modes
+        want = []
+        for _ in range(int(ref.integers(1, max_terms + 1))):
+            amps = []
+            for _ in range(m):
+                rad = 3.0 * math.sqrt(ref.uniform())
+                ang = ref.uniform(0.0, 2.0 * math.pi)
+                amps.append(rad * complex(math.cos(ang), math.sin(ang)))
+            cr = ref.uniform(-1.0, 1.0)
+            ci = ref.uniform(-1.0, 1.0)
+            want.append((complex(cr, ci), amps))
+        assert list(zip(s.coeffs.tolist(), s.amps.tolist())) == want
+    assert rng.random() == ref.random()
+
+
 def test_semigroup_fails_on_term_count_mismatch(monkeypatch):
     # a decohere that appends a zero dyad per call: the two-step result then
     # has one more term than the one-step result, with equal leading terms
@@ -98,9 +122,8 @@ def test_semigroup_fails_on_term_count_mismatch(monkeypatch):
 
     def padded(op, clock):
         out = real(op, clock)
-        last = out.terms[-1]
-        pad = cs.DyadTerm(0j, last.ket_amps, last.bra_amps)
-        return cs.CoherentOperator(out.modes, out.terms + (pad,))
+        return out + cs.CoherentOperator(
+            np.zeros_like(out.coeffs[-1:]), out.kets[-1:], out.bras[-1:])
 
     monkeypatch.setattr(acceptance.dec, "decohere", padded)
     passed, detail = acceptance.property_semigroup(cases=5)

@@ -261,6 +261,59 @@ class TestExitCodes:
         assert cli.main(["bellmeas", "--alphas", "4", "--cutoff", "5"]) == 3
         assert "numeric guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,code,kind",
+        [
+            (["teleport-mc", "--seed", "-1"], 2, "configuration error"),
+            # each end is finite, the width overflows to inf
+            (["cv", "--ar-min=-1e308", "--ar-max=1e308"], 2, "configuration error"),
+            # the swap's success probability underflows to zero
+            (["concentrate", "--alphas", "1", "--etas", "1e-170"], 3, "numeric guard"),
+        ],
+    )
+    def test_clean_exit(self, argv, code, kind, capsys):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"ecsim: {kind}:")
+        assert "Traceback" not in captured.err
+
+    def test_concentrate_tiny_eta_still_computes(self, capsys):
+        code, out = run_main(["concentrate", "--alphas", "1", "--etas", "1e-160"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(v)) for v in rows[0].values())
+
+    def test_bellmeas_large_alpha(self, capsys):
+        # e^{4 alpha^2} overflows a double at alpha > ~13.32
+        code, out = run_main(["bellmeas", "--alphas", "14"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1
+        assert all(math.isfinite(float(v)) for v in rows[0].values())
+
+    @pytest.mark.parametrize("argv", [["--alphas", "1", "--cutoff", "100000"], ["--alphas", "1000"]])
+    def test_fock_grid_beyond_budget(self, argv):
+        # These grids would need 149 GiB and ~234 TiB.  Under a 1 GiB
+        # address-space cap the run must refuse them before allocating.
+        code = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from ecsim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "bellmeas", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("ecsim: numeric guard:")
+        assert "budget" in err[0]
+
     def test_io_error(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"
         code = cli.main(

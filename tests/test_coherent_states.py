@@ -9,13 +9,13 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+from ecsim import coherent_states
 from ecsim.coherent_states import (
     DROP_TOL,
+    FOCK_CELL_BUDGET,
     MERGE_TOL,
     CoherentOperator,
     CoherentSuperposition,
-    CoherentTerm,
-    DyadTerm,
     auto_cutoff,
     beam_split,
     consolidate,
@@ -41,15 +41,16 @@ SQ2 = math.sqrt(2.0)
 
 def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
     n = int(rng.integers(1, max_terms + 1))
-    terms = []
-    for _ in range(n):
-        amps = tuple(
-            complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
-            / SQ2
-            for _ in range(modes)
-        )
-        terms.append(CoherentTerm(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), amps))
-    return CoherentSuperposition(modes, tuple(terms))
+    coeffs = np.empty(n, dtype=complex)
+    amps = np.empty((n, modes), dtype=complex)
+    for t in range(n):
+        for m in range(modes):
+            amps[t, m] = (
+                complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
+                / SQ2
+            )
+        coeffs[t] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return CoherentSuperposition(coeffs, amps)
 
 
 class TestOverlap:
@@ -99,23 +100,21 @@ class TestInner:
 class TestBeamSplit:
     def test_merges_equal_amplitudes(self):
         out = consolidate(beam_split(CoherentSuperposition.ket(0.8, 0.8), 0, 1))
-        assert len(out.terms) == 1
-        assert out.terms[0].amps[0] == pytest.approx(SQ2 * 0.8, abs=1e-15)
-        assert out.terms[0].amps[1] == pytest.approx(0.0, abs=1e-15)
+        assert len(out.coeffs) == 1
+        assert out.amps[0, 0] == pytest.approx(SQ2 * 0.8, abs=1e-15)
+        assert out.amps[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_vacuum_fixed_point(self):
         out = beam_split(CoherentSuperposition.vacuum(2), 0, 1)
-        assert all(a == 0 for a in out.terms[0].amps)
+        assert all(a == 0 for a in out.amps[0])
 
     def test_double_application_is_identity(self):
         # The fixed real 50:50 convention is self-inverse term by term.
         rng = np.random.default_rng(8)
         s = random_state(rng, modes=2, max_terms=5)
         twice = beam_split(beam_split(s, 0, 1), 0, 1)
-        for ta, tb in zip(s.terms, twice.terms):
-            assert ta.coeff == pytest.approx(tb.coeff, abs=1e-15)
-            for x, y in zip(ta.amps, tb.amps):
-                assert x == pytest.approx(y, abs=1e-14)
+        assert np.max(np.abs(twice.coeffs - s.coeffs)) <= 1e-15
+        assert np.max(np.abs(twice.amps - s.amps)) <= 1e-14
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(9)
@@ -155,20 +154,18 @@ class TestBeamSplit:
 class TestPhaseShift:
     def test_pi_flips_sign(self):
         out = phase_shift(CoherentSuperposition.ket(0.9), 0, math.pi)
-        assert out.terms[0].amps[0] == pytest.approx(-0.9, abs=1e-15)
+        assert out.amps[0, 0] == pytest.approx(-0.9, abs=1e-15)
 
     def test_zero_is_identity(self):
         s = CoherentSuperposition.ket(1.1 + 0.3j)
         out = phase_shift(s, 0, 0.0)
-        assert out.terms[0].amps[0] == s.terms[0].amps[0]
+        assert out.amps[0, 0] == s.amps[0, 0]
 
     def test_inverse(self):
         rng = np.random.default_rng(11)
         s = random_state(rng, modes=2)
         back = phase_shift(phase_shift(s, 1, 0.77), 1, -0.77)
-        for ta, tb in zip(s.terms, back.terms):
-            for x, y in zip(ta.amps, tb.amps):
-                assert x == pytest.approx(y, abs=1e-12)
+        assert np.max(np.abs(back.amps - s.amps)) <= 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(12)
@@ -217,6 +214,21 @@ class TestFock:
         with pytest.raises(CutoffError):
             to_fock(s, 3, tail_tol=1e-12)
 
+    def test_cell_budget(self, monkeypatch):
+        # refused before anything of the grid's size is allocated
+        assert FOCK_CELL_BUDGET == 2**24
+        with pytest.raises(CutoffError, match="budget"):
+            to_fock(CoherentSuperposition.ket(1.0, 1.0), 4096)
+        with pytest.raises(CutoffError, match="budget"):
+            to_fock(CoherentSuperposition.ket(1.0, 1.0, 1.0), 256)
+        monkeypatch.setattr(coherent_states, "FOCK_CELL_BUDGET", 100)
+        s = CoherentSuperposition.ket(0.3, 0.2)
+        assert to_fock(s, 9).amps.shape == (10, 10)
+        with pytest.raises(CutoffError, match="budget"):
+            to_fock(s, 10)
+        with pytest.raises(CutoffError, match="budget"):
+            photon_distribution(s, 10)
+
     def test_three_mode_layout(self):
         s = CoherentSuperposition.ket(0.3, 0.0, 0.5)
         fv = to_fock(s, 8)
@@ -252,17 +264,17 @@ class TestHousekeeping:
     def test_consolidate_merges(self):
         s = CoherentSuperposition.ket(0.5) + CoherentSuperposition.ket(0.5)
         out = consolidate(s)
-        assert len(out.terms) == 1
-        assert out.terms[0].coeff == pytest.approx(2.0)
+        assert len(out.coeffs) == 1
+        assert out.coeffs[0] == pytest.approx(2.0)
 
     def test_consolidate_drops_negligible(self):
         s = CoherentSuperposition.ket(0.5) + 1e-30 * CoherentSuperposition.ket(-0.5)
-        assert len(consolidate(s).terms) == 1
+        assert len(consolidate(s).coeffs) == 1
 
     def test_tensor(self):
         two = tensor(CoherentSuperposition.ket(0.9), CoherentSuperposition.ket(-0.9))
         assert two.modes == 2
-        assert two.terms[0].amps == (0.9 + 0j, -0.9 + 0j)
+        assert two.amps[0].tolist() == [0.9 + 0j, -0.9 + 0j]
 
     def test_trace_of_pure_dyad(self):
         rng = np.random.default_rng(16)
@@ -275,7 +287,7 @@ class TestHousekeeping:
         s = CoherentSuperposition.ket(a, b) + CoherentSuperposition.ket(a, c)
         out = project_modes(s, (0,), CoherentSuperposition.ket(a))
         assert out.modes == 1
-        got = sorted((t.amps[0].real, t.coeff.real) for t in out.terms)
+        got = sorted(zip(out.amps[:, 0].real.tolist(), out.coeffs.real.tolist()))
         assert got[0][0] == pytest.approx(b)
         assert got[1][0] == pytest.approx(c)
         assert all(abs(w - 1.0) < 1e-12 for _, w in got)
@@ -294,10 +306,7 @@ def array_state(rng, terms, modes, max_amp=3.0):
     rad = max_amp * np.sqrt(rng.uniform(size=(terms, modes)))
     amps = rad * np.exp(2j * math.pi * rng.uniform(size=(terms, modes)))
     coeffs = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
-    return CoherentSuperposition(
-        modes, [CoherentTerm(complex(c), tuple(complex(x) for x in row))
-                for c, row in zip(coeffs, amps)]
-    )
+    return CoherentSuperposition(coeffs, amps)
 
 
 def sizes(seed, cases=12):
@@ -313,29 +322,29 @@ def scale(*states):
 
 def ref_inner(a, b):
     total = 0.0 + 0.0j
-    for ta in a.terms:
-        for tb in b.terms:
-            ex = sum(log_overlap(x, y) for x, y in zip(ta.amps, tb.amps))
-            total += ta.coeff.conjugate() * tb.coeff * cmath.exp(ex)
+    for ca, aa in zip(a.coeffs.tolist(), a.amps.tolist()):
+        for cb, ab in zip(b.coeffs.tolist(), b.amps.tolist()):
+            ex = sum(log_overlap(x, y) for x, y in zip(aa, ab))
+            total += ca.conjugate() * cb * cmath.exp(ex)
     return total
 
 
 def ref_project_terms(s, modes, onto):
     keep = [m for m in range(s.modes) if m not in modes]
-    terms = []
-    for ts in s.terms:
-        for tp in onto.terms:
-            ex = sum(log_overlap(tp.amps[k], ts.amps[m]) for k, m in enumerate(modes))
-            coeff = tp.coeff.conjugate() * ts.coeff * cmath.exp(ex)
-            terms.append(CoherentTerm(coeff, tuple(ts.amps[m] for m in keep)))
-    return CoherentSuperposition(len(keep), terms)
+    coeffs, amps = [], []
+    for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
+        for cp, rowp in zip(onto.coeffs.tolist(), onto.amps.tolist()):
+            ex = sum(log_overlap(rowp[k], row[m]) for k, m in enumerate(modes))
+            coeffs.append(cp.conjugate() * c * cmath.exp(ex))
+            amps.append([row[m] for m in keep])
+    return CoherentSuperposition(np.array(coeffs), np.array(amps))
 
 
 def ref_operator_trace(rho):
     total = 0.0 + 0.0j
-    for term in rho.terms:
-        ex = sum(log_overlap(g, b) for g, b in zip(term.bra_amps, term.ket_amps))
-        total += term.coeff * cmath.exp(ex)
+    for coeff, kets, bras in zip(rho.coeffs.tolist(), rho.kets.tolist(), rho.bras.tolist()):
+        ex = sum(log_overlap(g, b) for g, b in zip(bras, kets))
+        total += coeff * cmath.exp(ex)
     return total
 
 
@@ -350,26 +359,31 @@ def _coherent_fock_amps(beta, cutoff):
 
 def ref_to_fock(s, cutoff):
     amps = np.zeros((cutoff + 1,) * s.modes, dtype=complex)
-    for term in s.terms:
-        vec = _coherent_fock_amps(term.amps[0], cutoff)
-        for a in term.amps[1:]:
+    for coeff, row in zip(s.coeffs.tolist(), s.amps.tolist()):
+        vec = _coherent_fock_amps(row[0], cutoff)
+        for a in row[1:]:
             vec = np.multiply.outer(vec, _coherent_fock_amps(a, cutoff))
-        amps += term.coeff * vec
+        amps += coeff * vec
     return amps
 
 
 def ref_consolidate(s):
+    """(coefficient, amplitude row) per kept term, by the sequential merge."""
     reps = []
-    for term in s.terms:
+    for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
         for i, (coeff, amps) in enumerate(reps):
-            if all(abs(x - y) < MERGE_TOL for x, y in zip(term.amps, amps)):
-                reps[i] = (coeff + term.coeff, amps)
+            if all(abs(x - y) < MERGE_TOL for x, y in zip(row, amps)):
+                reps[i] = (coeff + c, amps)
                 break
         else:
-            reps.append((term.coeff, term.amps))
+            reps.append((c, row))
     floor = DROP_TOL * max(abs(c) for c, _ in reps)
-    kept = [CoherentTerm(c, a) for c, a in reps if abs(c) > floor]
-    return kept or [CoherentTerm(0.0 + 0.0j, s.terms[0].amps)]
+    kept = [(c, a) for c, a in reps if abs(c) > floor]
+    return kept or [(0.0 + 0.0j, s.amps[0].tolist())]
+
+
+def term_list(s):
+    return list(zip(s.coeffs.tolist(), s.amps.tolist()))
 
 
 class TestArrayRoute:
@@ -407,10 +421,10 @@ class TestArrayRoute:
         kets = np.multiply.outer(np.repeat(a.amps, 5, axis=0), t)
         bras = np.multiply.outer(np.tile(a.amps, (5, 1)), t)
         coeffs = np.multiply.outer(dyad_from_pure(a).coeffs, t)
-        batch = operator_trace(CoherentOperator.from_arrays(coeffs, kets, bras))
+        batch = operator_trace(CoherentOperator(coeffs, kets, bras))
         assert batch.shape == (3,)
         for i in range(3):
-            one = CoherentOperator.from_arrays(
+            one = CoherentOperator(
                 coeffs[..., i].copy(), kets[..., i].copy(), bras[..., i].copy())
             assert batch[i] == pytest.approx(operator_trace(one), abs=1e-15)
 
@@ -430,9 +444,9 @@ class TestArrayRoute:
             s = array_state(rng, t, m) + CoherentSuperposition.vacuum(m)
             for cutoff in (3, 10, auto_cutoff(s)):
                 tails = [sum(float(stats.poisson.sf(cutoff, abs(a) ** 2)) if a != 0 else 0.0
-                             for a in term.amps) for term in s.terms]
-                want = sum(abs(term.coeff) * math.sqrt(tail)
-                           for term, tail in zip(s.terms, tails)) ** 2
+                             for a in row) for row in s.amps.tolist()]
+                want = sum(abs(coeff) * math.sqrt(tail)
+                           for coeff, tail in zip(s.coeffs.tolist(), tails)) ** 2
                 assert truncation_tail_bound(s, cutoff) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_auto_cutoff(self):
@@ -453,17 +467,15 @@ class TestConsolidate:
             jitter = MERGE_TOL * rng.integers(-2, 3, (n, modes)) * 0.6
             amps = centers[rng.integers(0, 3, n)] + jitter * (rng.uniform() < 0.7)
             coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            s = CoherentSuperposition.from_arrays(coeffs, amps)
-            got = consolidate(s)
-            want = ref_consolidate(s)
-            assert got.terms == tuple(want)
+            s = CoherentSuperposition(coeffs, amps)
+            assert term_list(consolidate(s)) == ref_consolidate(s)
 
     def test_strict_merge_boundary(self):
         at = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(MERGE_TOL)
-        assert len(consolidate(at).terms) == 2
+        assert len(consolidate(at).coeffs) == 2
         below = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(
             np.nextafter(MERGE_TOL, 0.0))
-        assert len(consolidate(below).terms) == 1
+        assert len(consolidate(below).coeffs) == 1
 
     def test_chain_merges_into_representatives_only(self):
         # 1 merges into 0; 2 is near 1 but not 0, and 1 is no representative
@@ -471,28 +483,28 @@ class TestConsolidate:
         s = sum((CoherentSuperposition.ket(k * x, coeff=k + 1.0) for k in range(1, 3)),
                 CoherentSuperposition.ket(0.0))
         out = consolidate(s)
-        assert [t.amps for t in out.terms] == [(0j,), (2 * x + 0j,)]
-        assert [t.coeff for t in out.terms] == [3.0, 3.0]
+        assert out.amps.tolist() == [[0j], [2 * x + 0j]]
+        assert out.coeffs.tolist() == [3.0, 3.0]
 
     def test_drop_floor(self):
         big = CoherentSuperposition.ket(0.5)
         at = big + DROP_TOL * CoherentSuperposition.ket(-0.5)
-        assert len(consolidate(at).terms) == 1
+        assert len(consolidate(at).coeffs) == 1
         above = big + (2 * DROP_TOL) * CoherentSuperposition.ket(-0.5)
-        assert len(consolidate(above).terms) == 2
+        assert len(consolidate(above).coeffs) == 2
 
     def test_all_dropped_fallback(self):
         s = (CoherentSuperposition.ket(0.3, 0.1) - CoherentSuperposition.ket(0.3, 0.1)
              + 0.0 * CoherentSuperposition.ket(-0.7, 0.2))
         out = consolidate(s)
-        assert out.terms == (CoherentTerm(0j, (0.3 + 0j, 0.1 + 0j)),)
+        assert term_list(out) == [(0j, [0.3 + 0j, 0.1 + 0j])]
 
     def test_first_occurrence_order_and_sums(self):
         a, b, c = (CoherentSuperposition.ket(x) for x in (0.1, 0.2, 0.3))
         s = 1.0 * a + 2.0 * b + 3.0 * a + 4.0 * c + 5.0 * b + 6.0 * a
         out = consolidate(s)
-        assert [t.amps[0] for t in out.terms] == [0.1, 0.2, 0.3]
-        assert [t.coeff for t in out.terms] == [1.0 + 3.0 + 6.0, 2.0 + 5.0, 4.0]
+        assert out.amps[:, 0].tolist() == [0.1, 0.2, 0.3]
+        assert out.coeffs.tolist() == [1.0 + 3.0 + 6.0, 2.0 + 5.0, 4.0]
 
     def test_project_modes_peak_allocation(self):
         # a 1024-term intermediate: pairwise work of shape (T, T, M) would
@@ -524,22 +536,47 @@ class TestStorage:
         with pytest.raises(ValueError):
             rho.coeffs[0] = 0.0
 
-    def test_terms_view_round_trips(self):
-        rng = np.random.default_rng(52)
-        s = array_state(rng, 6, 3)
-        again = CoherentSuperposition(s.modes, s.terms)
-        assert np.array_equal(again.coeffs, s.coeffs) and np.array_equal(again.amps, s.amps)
-        rho = dyad_from_pure(s)
-        back = CoherentOperator(rho.modes, rho.terms)
-        for name in ("coeffs", "kets", "bras"):
-            assert np.array_equal(getattr(back, name), getattr(rho, name))
+    def test_constructor_takes_arrays_over_read_only(self):
+        coeffs = np.array([1.0, 0.5j])
+        amps = np.array([[0.1, 0.2, 0.3j], [0.4, -0.5, 0.6]], dtype=complex)
+        s = CoherentSuperposition(coeffs, amps)
+        assert s.coeffs is coeffs and s.amps is amps and s.modes == 3
+        assert not coeffs.flags.writeable and not amps.flags.writeable
 
-    def test_batched_operator_records(self):
-        t = np.array([1.0, 0.5])
-        op = CoherentOperator(1, (DyadTerm(t, (0.3 * t,), (0.3 * t,)),
-                                  DyadTerm(2.0 * t, (0.1 * t,), (0.2 * t,))))
+    def test_batched_operator(self):
+        t = np.array([1.0, 0.5], dtype=complex)
+        op = CoherentOperator(np.array([t, 2.0 * t]), np.array([[0.3 * t], [0.1 * t]]),
+                              np.array([[0.3 * t], [0.2 * t]]))
+        assert op.modes == 1
         assert op.coeffs.shape == (2, 2) and op.kets.shape == op.bras.shape == (2, 1, 2)
         assert np.array_equal(op.kets[0, 0], 0.3 * t) and np.array_equal(op.bras[1, 0], 0.2 * t)
-        assert np.array_equal(op.terms[1].coeff, 2.0 * t)
-        with pytest.raises(ValueError):
-            CoherentOperator(1, (DyadTerm(1.0, (0.3 * t,), (0.3 * t,)),))
+        assert not any(a.flags.writeable for a in (op.coeffs, op.kets, op.bras))
+
+    @pytest.mark.parametrize("coeffs,amps,message", [
+        (np.ones(2), np.zeros((3, 1)), "amplitude rows"),  # wrong row count
+        (np.ones((2, 1)), np.zeros((2, 1)), "amplitude rows"),
+        (np.ones(1), np.zeros((1, 0)), "modes >= 1"),  # zero modes
+        (np.ones(2), np.zeros(2), "modes >= 1"),
+    ])
+    def test_superposition_rejects_shapes(self, coeffs, amps, message):
+        with pytest.raises(ValueError, match=message):
+            CoherentSuperposition(coeffs, amps)
+
+    def test_ket_needs_a_mode(self):
+        with pytest.raises(ValueError, match="modes >= 1"):
+            CoherentSuperposition.ket()
+        with pytest.raises(ValueError, match="modes >= 1"):
+            CoherentSuperposition.vacuum(0)
+
+    @pytest.mark.parametrize("coeffs,kets,bras,message", [
+        (np.ones(2), np.zeros((3, 1)), np.zeros((3, 1)), "do not match"),  # wrong rows
+        (np.ones(1), np.zeros((1, 0)), np.zeros((1, 0)), "modes >= 1"),  # zero modes
+        (np.ones(1), np.zeros((1, 1)), np.zeros((1, 2)), "do not match"),
+        # batched amplitudes under unbatched coefficients, and the reverse
+        (np.ones(1), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), "do not match"),
+        (np.ones((1, 3)), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), "do not match"),
+        (np.ones((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), "do not match"),
+    ])
+    def test_operator_rejects_shapes(self, coeffs, kets, bras, message):
+        with pytest.raises(ValueError, match=message):
+            CoherentOperator(coeffs, kets, bras)

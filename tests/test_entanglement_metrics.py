@@ -13,9 +13,7 @@ from ecsim.entanglement_metrics import (
     closed_form_f,
     closed_form_s,
     linear_entropy,
-    max_bell_projection,
     max_rotation_trace,
-    metric_report,
     negativity_e,
     optimal_fidelity,
     optimal_fidelity_from_fraction,
@@ -24,7 +22,7 @@ from ecsim.entanglement_metrics import (
     vn_entropy,
 )
 from ecsim.protocols import average_fidelity
-from ecsim.qubit_encoding import TwoQubitDensity, pauli_decompose
+from ecsim.qubit_encoding import BELL_VECTORS, TwoQubitDensity, pauli_decompose
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -33,6 +31,13 @@ def random_density(rng):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
     return TwoQubitDensity(m / np.trace(m).real)
+
+
+def max_bell_projection(rho: TwoQubitDensity) -> float:
+    """max_k <B_k| rho |B_k> over the four logical Bell vectors."""
+    return float(
+        max((b.conj() @ rho.matrix @ b).real for b in BELL_VECTORS)
+    )
 
 
 def max_rotation_trace_enumerated(m: np.ndarray) -> float:
@@ -188,6 +193,11 @@ class TestEntropy:
         assert linear_entropy(rho) == pytest.approx(0.75, abs=1e-14)
         assert vn_entropy(rho) == pytest.approx(2.0, abs=1e-12)
 
+    def test_range_on_mixed_channel(self):
+        rho = channel_rho4(1.0, 0.5)
+        assert 0.0 <= linear_entropy(rho) <= 0.75
+        assert vn_entropy(rho) >= 0.0
+
     @pytest.mark.parametrize("alpha,r", [(0.1, 0.4), (1.0, 0.5), (2.0, 0.8)])
     def test_closed_form_matches(self, alpha, r):
         assert closed_form_s(alpha, r) == pytest.approx(
@@ -257,14 +267,3 @@ class TestBatches:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - numeric(channel_rho4(14.0, r)))) < 1e-9
 
-
-class TestMetricReport:
-    def test_bundle_consistency(self):
-        rho = channel_rho4(1.0, 0.5)
-        rep = metric_report(rho)
-        assert rep.optimal_fidelity == optimal_fidelity_from_fraction(
-            rep.singlet_fraction, dim=2
-        )
-        assert rep.e_measure == pytest.approx(negativity_e(rho))
-        assert 0.0 <= rep.linear_entropy <= 0.75
-        assert rep.vn_entropy >= 0.0

@@ -335,7 +335,7 @@ class TestCorrectionMaps:
 
     def test_phase_flip_outcome(self):
         out = correction_map_coherent(BellLabel.B2, CoherentSuperposition.ket(1.0), 1.0)
-        assert out.terms[0].amps[0] == pytest.approx(-1.0, abs=1e-12)
+        assert out.amps[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_b3_acts_as_z_flip(self, alpha):

@@ -7,7 +7,6 @@ import pytest
 from ecsim.coherent_states import (
     CoherentOperator,
     CoherentSuperposition,
-    DyadTerm,
     dyad_from_pure,
     inner,
     norm,
@@ -104,9 +103,9 @@ class TestBellStates:
         a = b.amplitude
         state = bell_state(1, b)
         coeffs = {}
-        for term in state.terms:
-            key = (round(term.amps[0].real, 6), round(term.amps[1].real, 6))
-            coeffs[key] = term.coeff
+        for coeff, amps in zip(state.coeffs.tolist(), state.amps.tolist()):
+            key = (round(amps[0].real, 6), round(amps[1].real, 6))
+            coeffs[key] = coeff
         lead = 1.0 / (SQ2 * b.n_theta)
         assert coeffs[(a, a)] == pytest.approx(lead, abs=1e-12)
         assert coeffs[(-a, -a)] == pytest.approx(lead, abs=1e-12)
@@ -198,9 +197,8 @@ class TestDensityProjection:
 
     def test_span_error(self):
         b = make_basis(1.0, 1.0)
-        bad = CoherentOperator(
-            2, (DyadTerm(1.0, (0.5, 1.0), (0.5, 1.0)),)
-        )
+        amps = np.array([[0.5, 1.0]], dtype=complex)
+        bad = CoherentOperator(np.ones(1, dtype=complex), amps, amps)
         with pytest.raises(SpanError):
             project_to_density(bad, b)
 
@@ -209,21 +207,19 @@ class TestDensityProjection:
         t = np.array([1.0, 0.6, 0.25])
         b = make_basis(0.8, t)
         a = b.amplitude
-        good = CoherentOperator(
-            2, (DyadTerm(np.full(3, 0.5), (a, -a), (a, -a)),
-                DyadTerm(np.full(3, 0.5), (-a, a), (-a, a)))
-        )
+        kets = np.array([[a, -a], [-a, a]], dtype=complex)  # (terms, modes, grid)
+        good = CoherentOperator(np.full((2, 3), 0.5 + 0j), kets, kets)
         batch = project_to_density(good, b).matrix
         for i, ti in enumerate(t):
             bi = make_basis(0.8, float(ti))
             ai = bi.amplitude
-            one = CoherentOperator(
-                2, (DyadTerm(0.5, (ai, -ai), (ai, -ai)), DyadTerm(0.5, (-ai, ai), (-ai, ai)))
-            )
+            kets_i = np.array([[ai, -ai], [-ai, ai]], dtype=complex)
+            one = CoherentOperator(np.full(2, 0.5 + 0j), kets_i, kets_i)
             assert np.max(np.abs(batch[i] - project_to_density(one, bi).matrix)) <= 1e-15
         off = a.copy()
         off[1] = 0.5
-        bad = CoherentOperator(2, (DyadTerm(np.ones(3), (a, off), (a, off)),))
+        amps = np.array([[a, off]], dtype=complex)
+        bad = CoherentOperator(np.ones((1, 3), dtype=complex), amps, amps)
         with pytest.raises(SpanError):
             project_to_density(bad, b)
 
