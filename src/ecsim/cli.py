@@ -34,6 +34,16 @@ DEFAULT_ALPHAS = (0.1, 1.0, 2.0)
 DEFAULT_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3)
 # Largest Fock truncation tail bellmeas accepts; a larger one exits 3.
 BELLMEAS_TAIL_TOL = 1e-9
+# Largest sizes the flags accept, checked before anything is allocated, so
+# that no command asks for more than ~256 MiB of working memory (as
+# coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
+# shot (three up-front draws and the fidelity), ~1.8 kB per r point summed
+# over the alphas (batched densities and rows), ~1.2 kB per cv point (a row
+# and its JSON text).
+_SIZE_BUDGET = 2**28
+MAX_SAMPLES = _SIZE_BUDGET // 36
+MAX_R_POINTS = _SIZE_BUDGET // 1800
+MAX_AR_STEPS = _SIZE_BUDGET // 1200
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("r_max must be < 1")
         if cfg.r_steps < 2:
             raise ConfigError("r_steps must be >= 2")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
+        if cfg.r_steps * len(cfg.alphas) > MAX_R_POINTS:
+            raise ConfigError(f"r_steps times the number of alphas must be <= {MAX_R_POINTS}")
+    if not 1 <= cfg.samples <= MAX_SAMPLES:
+        raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}]")
+    if cfg.cutoff is not None and cfg.cutoff < 1:
+        raise ConfigError("cutoff must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.property_cases < 1:
@@ -132,8 +146,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # a finite width implies finite ends, and keeps the grid from overflowing
     if not (math.isfinite(cfg.ar_max - cfg.ar_min) and cfg.ar_min <= cfg.ar_max):
         raise ConfigError("need finite ar-min <= ar-max with a finite width")
-    if cfg.command == "cv" and cfg.ar_steps < 2:
-        raise ConfigError("ar-steps must be >= 2")
+    if cfg.command == "cv" and not 2 <= cfg.ar_steps <= MAX_AR_STEPS:
+        raise ConfigError(f"ar-steps must lie in [2, {MAX_AR_STEPS}]")
     return cfg
 
 

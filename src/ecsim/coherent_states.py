@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import CutoffError, ModeMismatchError, ZeroNormError
 
@@ -38,6 +37,7 @@ DROP_TOL = 1e-15
 # Largest Fock grid, (cutoff + 1) ** modes amplitudes, that to_fock builds
 # (256 MiB of complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _as_complex_tuple(amps: Iterable[complex]) -> tuple[complex, ...]:
@@ -394,15 +394,89 @@ def auto_cutoff(s: CoherentSuperposition) -> int:
     return math.ceil(2.0 * m + 10.0 * math.sqrt(m) + 20.0)
 
 
+def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
+    """P(N = k) for N ~ Poisson(m), element-wise over means m >= 0.
+
+    Taken in the saddle-point form
+    exp(k log(m/k) - (m - k)) / (sqrt(2 pi k) e^delta(k)), with
+    delta(k) = log k! - log(Stirling's k!) from its series above k = 15: the
+    exponent's rounding error is then ~eps (k + |log P|), where
+    k log m - m - log k! would carry eps log k!.
+    """
+    if k == 0:
+        return np.exp(-m)
+    if k > 15:
+        r = 1.0 / (k * k)
+        delta = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
+    else:
+        delta = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
+    ratio = m / k
+    log_ratio = np.log(ratio, out=np.full(m.shape, -np.inf), where=ratio > 0.0)
+    # m - k is exact for m within a factor of 2 of k, where the terms cancel most
+    return np.exp(k * log_ratio - (m - k) - (_LOG_SQRT_2PI + 0.5 * math.log(k) + delta))
+
+
+def _series_length(first_ratio: float, limit: int) -> int:
+    """How many terms of 1 + r_1 + r_1 r_2 + ... leave a remainder below
+    ~1e-17 of the first, when every ratio is at most ``first_ratio`` < 1
+    and the products fall at least as fast as prod_i limit/(limit + i):
+    the fewer of the geometric count and the count at which that product
+    drops below e^-40."""
+    if first_ratio <= 0.0:
+        return 1
+    geometric = 39.2 / -math.log(first_ratio)
+    return int(min(geometric, 41.0 + math.sqrt(1600.0 + 80.0 * limit))) + 1
+
+
+def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
+    """P(N > cutoff) for N ~ Poisson(m), element-wise over means m >= 0.
+
+    Where m <= cutoff + 1 it sums the upper series
+    P(N = cutoff) (m/(cutoff+1) + m^2/((cutoff+1)(cutoff+2)) + ...), whose
+    terms all have one sign and shrink; elsewhere it takes 1 - the lower sum
+    P(N = cutoff) (1 + cutoff/m + ...), which is then below 1/2 (the Poisson
+    median exceeds m - ln 2), so at most one bit cancels (Numerical Recipes,
+    section 6.2).  Each series is cut where its terms fall below ~1e-17 of
+    its first, a length fixed from the largest (upper) or smallest (lower)
+    mean.
+    """
+    m = np.asarray(m, dtype=float)
+    top = float(m.max(initial=0.0))
+    if top <= cutoff + 1:
+        return _poisson_upper_tail(cutoff, m, top)
+    upper = m <= cutoff + 1
+    tail = np.empty(m.shape)
+    tail[upper] = _poisson_upper_tail(cutoff, m[upper], float(m[upper].max(initial=0.0)))
+    tail[~upper] = _poisson_lower_tail(cutoff, m[~upper])
+    return tail
+
+
+def _poisson_upper_tail(k: int, m: np.ndarray, top: float) -> np.ndarray:
+    """sum_{n > k} P(N = n), for 0 <= m <= top <= k + 1."""
+    n = _series_length(top / (k + 2), k + 1)
+    terms = np.cumprod(m[..., None] / np.arange(k + 1.0, k + 1.0 + n), axis=-1)
+    return _poisson_pmf(k, m) * terms.sum(axis=-1)
+
+
+def _poisson_lower_tail(k: int, m: np.ndarray) -> np.ndarray:
+    """1 - sum_{n <= k} P(N = n), for m > k + 1."""
+    # that sum is 0 for any m >= 1e300; the clamp keeps inf - inf, from an
+    # amplitude beyond ~1e154, out of the exponent
+    m = np.minimum(m, 1e300)
+    n = min(k, _series_length(k / float(m.min()), k))
+    terms = np.cumprod(np.arange(k, k - n, -1.0) / m[..., None], axis=-1)
+    return 1.0 - _poisson_pmf(k, m) * (1.0 + terms.sum(axis=-1))
+
+
 def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     """Upper bound on the squared norm beyond the cutoff.
 
     Per ket, the per-mode photon distribution is Poisson(|b|^2), whose mass
-    above the cutoff is ``pdtrc``; the lost norm of the product ket is
-    bounded by the summed per-mode tails.  The triangle inequality then
+    above the cutoff is ``poisson_tail``; the lost norm of the product ket
+    is bounded by the summed per-mode tails.  The triangle inequality then
     bounds the superposition's loss.
     """
-    tails = special.pdtrc(cutoff, np.abs(s.amps) ** 2).sum(axis=1)
+    tails = poisson_tail(cutoff, np.abs(s.amps) ** 2).sum(axis=1)
     total = float(np.abs(s.coeffs) @ np.sqrt(tails))
     return total * total
 

@@ -106,16 +106,15 @@ def bell_measure_distribution(
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
     dist = photon_distribution(beam_split(state, 0, 1), cutoff, tail_tol)
-    entries = []
-    probs = dist.probs
-    for n_f in range(dist.cutoff + 1):
-        for n_g in range(dist.cutoff + 1):
-            p = float(probs[n_f, n_g])
-            if p > 0.0:
-                entries.append(
-                    (BellOutcome(classify_counts(n_f, n_g), (n_f, n_g)), p)
-                )
-    return BellMeasurement(outcomes=tuple(entries), tail_bound=dist.tail_bound)
+    # only the non-zero cells, ~2 cutoff of the (cutoff + 1)^2, in row-major order
+    probs = dist.probs.ravel()
+    cells = np.flatnonzero(probs > 0.0)
+    n_f, n_g = np.divmod(cells, dist.cutoff + 1)
+    outcomes = tuple(
+        (BellOutcome(classify_counts(f, g), (f, g)), p)
+        for f, g, p in zip(n_f.tolist(), n_g.tolist(), probs[cells].tolist())
+    )
+    return BellMeasurement(outcomes=outcomes, tail_bound=dist.tail_bound)
 
 
 def misid_probability_closed(alpha: float) -> float:
@@ -437,16 +436,25 @@ def cv_fidelity(alpha_r: float) -> float:
 def cv_max() -> tuple[float, float]:
     """Maximize the continuous-variable fidelity over the amplitude.
 
-    Golden-section search on [0, 5] to 1e-10; the optimum sits near
-    amplitude 0.66 with fidelity (1 + sqrt 2)/4, about 0.60.
+    Golden-section search on [0, 5], where the fidelity is unimodal, to a
+    bracket of 1e-10 (Brent, Algorithms for Minimization without
+    Derivatives, 1973).  The optimum sits at amplitude
+    sqrt(ln(1 + sqrt 2)/2), about 0.664, with fidelity (1 + sqrt 2)/4, about
+    0.60; the fidelity is flat to rounding within ~1e-8 of it, which bounds
+    how well any search can place the amplitude.
     """
-    from scipy import optimize  # deferred: keeps it off the import path
-
-    res = optimize.minimize_scalar(
-        lambda x: -cv_fidelity(x),
-        bracket=(0.0, 0.7, 5.0),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    x = float(res.x)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 5.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = cv_fidelity(c), cv_fidelity(d)
+    while b - a > 1e-10:
+        if fc >= fd:  # the maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = cv_fidelity(c)
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = cv_fidelity(d)
+    x = 0.5 * (a + b)
     return x, cv_fidelity(x)

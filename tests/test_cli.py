@@ -314,6 +314,52 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("ecsim: numeric guard:")
         assert "budget" in err[0]
 
+    @pytest.mark.parametrize("argv", [["bellmeas", "--cutoff", "0"],
+                                      ["bellmeas", "--cutoff", "-3"],
+                                      ["fig2a", "--cutoff", "0"]])
+    def test_cutoff_below_one(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("ecsim: configuration error:")
+
+    def test_sizes_past_their_limits(self, capsys):
+        assert cli.main(["teleport-mc", "--samples", str(cli.MAX_SAMPLES + 1)]) == 2
+        assert cli.main(["cv", "--ar-steps", str(cli.MAX_AR_STEPS + 1)]) == 2
+        steps = cli.MAX_R_POINTS // 2 + 1
+        assert cli.main(["fig2a", "--alphas", "1", "--r-steps", str(2 * steps)]) == 2
+        # the r grid is held once per alpha
+        assert cli.main(["fig2a", "--alphas", "1", "2", "--r-steps", str(steps)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(e.startswith("ecsim: configuration error:") for e in err)
+
+    def test_sizes_at_their_limits_parse(self):
+        cli._parse(["teleport-mc", "--samples", str(cli.MAX_SAMPLES)])
+        cli._parse(["cv", "--ar-steps", str(cli.MAX_AR_STEPS)])
+        cli._parse(["fig3", "--r-steps", str(cli.MAX_R_POINTS // len(cli.DEFAULT_ALPHAS))])
+        # the largest perfbench requests: 30000 shots, 400 steps on three alphas
+        cli._parse(["teleport-mc", "--samples", "30000", "--r-steps", "400"])
+        cli._parse(["fig2b", "--alphas", "0.1", "1", "2.5", "--r-steps", "400"])
+
+    @pytest.mark.parametrize("argv", [["teleport-mc", "--samples", "1000000000000"],
+                                      ["fig2a", "--r-steps", "1000000000"],
+                                      ["cv", "--ar-steps", "1000000000"]])
+    def test_oversized_request_refused_before_allocating(self, argv):
+        # 7.28 TiB of Monte Carlo draws and two 7.45 GiB grids: under a 1 GiB
+        # address-space cap each must exit 2, not end in a MemoryError
+        code = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from ecsim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("ecsim: configuration error:")
+        assert "Traceback" not in proc.stderr
+
     def test_io_error(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"
         code = cli.main(
@@ -362,11 +408,19 @@ class TestConsoleEntryPoint:
 
 class TestImportPath:
     def test_cli_import_skips_scipy_stats_and_optimize(self):
-        # both are slow to import and no command's default path needs them
+        # numpy is the only runtime dependency: neither the import nor a
+        # command that searches for a maximum loads any scipy module
         code = (
             "import sys, ecsim.cli\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(loaded())\n"
+            "ecsim.cli.main(['cv', '--ar-steps', '3'])\n"
+            "print(loaded())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "[]"
+        assert lines[-2].endswith(",1")  # the located maximum was printed

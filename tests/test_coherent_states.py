@@ -1,12 +1,14 @@
 """Coherent-state algebra: overlaps, linear optics, Fock oracle."""
 import cmath
 import dataclasses
+import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.linalg import expm
 
 from ecsim import coherent_states
@@ -29,6 +31,7 @@ from ecsim.coherent_states import (
     overlap,
     phase_shift,
     photon_distribution,
+    poisson_tail,
     project_modes,
     tensor,
     to_fock,
@@ -384,6 +387,91 @@ def ref_consolidate(s):
 
 def term_list(s):
     return list(zip(s.coeffs.tolist(), s.amps.tolist()))
+
+
+def exact_poisson_tails(m: float, top_cutoff: int) -> list[float]:
+    """P(N > k) for k = 0..top_cutoff, N ~ Poisson(m), as upper sums of the
+    probabilities in 40-digit decimal arithmetic on the float's exact value."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dm = decimal.Decimal(m)
+        n_terms = top_cutoff + 2 + int(m + 40.0 * math.sqrt(m) + 60.0)
+        pmf = [(-dm).exp()]
+        for j in range(1, n_terms):
+            pmf.append(pmf[-1] * dm / j)
+        tails, above = [], decimal.Decimal(0)
+        for j in range(n_terms - 1, 0, -1):
+            above += pmf[j]  # P(N >= j) = P(N > j - 1)
+            tails.append(above)
+        return [float(t) for t in tails[::-1][: top_cutoff + 1]]
+
+
+# cutoffs 0..300 against means in [0, 200]: zero, subnormal and tiny means,
+# random ones, and both sides of m = cutoff and of m = cutoff + 1, where the
+# tail switches from the upper series to 1 - the lower sum
+TAIL_CUTOFFS = 300
+TAIL_MEANS = sorted(
+    {0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.5, 200.0}
+    | set(np.random.default_rng(60).uniform(0.0, 200.0, 24).tolist())
+    | {c + d for c in (0, 1, 2, 5, 14, 16, 50, 99, 150, 199) for d in (-1e-9, 0.0, 1e-9, 1.0)}
+    - {-1e-9}
+)
+
+
+@pytest.fixture(scope="module")
+def exact_tails():
+    return np.array([exact_poisson_tails(m, TAIL_CUTOFFS) for m in TAIL_MEANS]).T
+
+
+class TestPoissonTail:
+    def test_matches_exact_sum(self, exact_tails):
+        # relative error 1e-13, plus ~eps per unit of |log P| from rounding the
+        # exponent, plus two subnormal steps
+        m = np.array(TAIL_MEANS)
+        for cutoff in range(TAIL_CUTOFFS + 1):
+            got, want = poisson_tail(cutoff, m), exact_tails[cutoff]
+            log_want = np.log(np.maximum(want, 5e-324))
+            tol = (1e-13 + 2.5e-16 * np.abs(log_want)) * want + 1e-323
+            assert np.all(np.abs(got - want) <= tol), cutoff
+
+    def test_zero_mean_has_no_tail(self):
+        assert np.array_equal(poisson_tail(0, np.zeros((2, 3))), np.zeros((2, 3)))
+
+    def test_overflowing_mean_has_all_its_mass_above(self):
+        # |b|^2 is inf for an amplitude beyond ~1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poisson_tail(10, np.array([np.inf, 1e300, 2.0]))
+        assert got[:2].tolist() == [1.0, 1.0]
+
+    def test_matches_scipy(self, exact_tails):
+        # pdtrc forms its prefactor as exp(a log m - m - lgamma a), a = cutoff
+        # + 1, which is itself off by up to ~6e-13 on this grid when |a - m| >
+        # 0.4 a and a >~ 100, and it flushes tails below ~1e-308 to zero.  The
+        # comparison takes the zero mean and every tail above 1e-30 where scipy
+        # is within 5e-14 of the exact sum; test_matches_exact_sum covers the
+        # rest of the grid.
+        m = np.array(TAIL_MEANS)
+        compared = total = 0
+        for cutoff in range(TAIL_CUTOFFS + 1):
+            want = exact_tails[cutoff]
+            got = poisson_tail(cutoff, m)
+            for ref in (special.pdtrc(cutoff, m), stats.poisson.sf(cutoff, m)):
+                sound = (m == 0) | ((want >= 1e-30) & (np.abs(ref - want) <= 5e-14 * want))
+                assert np.all(np.abs(got[sound] - ref[sound]) <= 1e-13 * ref[sound]), cutoff
+                compared += np.count_nonzero(sound & (want > 0))
+                total += np.count_nonzero(want >= 1e-30)
+        assert compared >= 0.8 * total, (compared, total)
+
+    def test_broadcasts_and_splits_branches(self):
+        # means on both sides of cutoff + 1 in one call match separate calls,
+        # up to the length of the series, which the largest mean sets
+        m = np.array([[0.0, 3.0, 4.0], [4.5, 12.0, 1e-3]])
+        whole = poisson_tail(3, m)
+        assert whole.shape == (2, 3)
+        for idx in np.ndindex(m.shape):
+            single = poisson_tail(3, np.array([m[idx]]))[0]
+            assert whole[idx] == pytest.approx(single, rel=1e-15, abs=0)
 
 
 class TestArrayRoute:

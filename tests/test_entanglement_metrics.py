@@ -14,6 +14,7 @@ from ecsim.entanglement_metrics import (
     closed_form_s,
     linear_entropy,
     max_rotation_trace,
+    mixedness_peak,
     negativity_e,
     optimal_fidelity,
     optimal_fidelity_from_fraction,
@@ -224,6 +225,28 @@ class TestCharacteristicTime:
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.0])
     def test_independent_of_alpha(self, alpha):
         assert characteristic_time(alpha) == pytest.approx(SQRT_HALF, abs=1e-9)
+
+    def test_crossing_over_amplitudes(self):
+        # past alpha ~ 2.9 f(0.9995) rounds to 2/3 and no crossing is bracketed
+        for alpha in np.linspace(0.05, 2.8, 23):
+            r_c = characteristic_time(float(alpha))
+            assert r_c == pytest.approx(SQRT_HALF, abs=1e-9)
+            assert closed_form_f(float(alpha), r_c - 1e-6) > 2.0 / 3.0
+            assert closed_form_f(float(alpha), r_c + 1e-6) < 2.0 / 3.0
+
+
+class TestMixednessPeak:
+    def test_both_entropies_peak_together(self):
+        # acceptance check 4's two errors, over more amplitudes than it takes
+        for alpha in np.linspace(0.1, 2.0, 20):
+            r_lin = mixedness_peak(float(alpha), "linear")
+            r_vn = mixedness_peak(float(alpha), "vn")
+            assert abs(r_lin - SQRT_HALF) < 1e-6, alpha
+            assert abs(r_vn - r_lin) < 1e-6, alpha
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError):
+            mixedness_peak(1.0, "renyi")
 
 
 METRICS = [negativity_e, singlet_fraction, optimal_fidelity, linear_entropy, vn_entropy]

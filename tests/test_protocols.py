@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from ecsim import protocols
-from ecsim.coherent_states import CoherentSuperposition, inner, norm
+from ecsim.coherent_states import (
+    CoherentSuperposition,
+    beam_split,
+    inner,
+    norm,
+    photon_distribution,
+)
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import CutoffError, SpanError
 from ecsim.protocols import (
     CORRECTIONS,
     BellLabel,
+    BellOutcome,
     average_fidelity,
     bell_measure_distribution,
     bell_outcome_map,
@@ -147,6 +154,23 @@ class TestBellMeasurement:
         u = math.exp(-2.0 * alpha**2)
         meas = bell_measure_distribution(bell_state(1, make_basis(alpha, 1.0)))
         assert meas.misidentification() == pytest.approx(0.5 * u**2 / (1 + u**2), abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 3.0])
+    def test_outcomes_match_cell_loop(self, alpha):
+        # every non-zero Fock cell, row-major, as a double loop over the grid
+        for k in (1, 2, 3, 4):
+            state = bell_state(k, make_basis(alpha, 1.0))
+            dist = photon_distribution(beam_split(state, 0, 1))
+            want = tuple(
+                (BellOutcome(classify_counts(n_f, n_g), (n_f, n_g)), float(dist.probs[n_f, n_g]))
+                for n_f in range(dist.cutoff + 1)
+                for n_g in range(dist.cutoff + 1)
+                if dist.probs[n_f, n_g] > 0.0
+            )
+            got = bell_measure_distribution(state).outcomes
+            assert got == want
+            assert all(type(n) is int for o, _ in got for n in o.counts)
+            assert all(type(p) is float for _, p in got)
 
     def test_tail_tolerance(self):
         state = bell_state(1, make_basis(4.0, 1.0))
@@ -483,3 +507,10 @@ class TestCvFidelity:
         assert x_star == pytest.approx(want_x, abs=1e-6)
         assert 0.59 <= f_star <= 0.61
         assert 0.6 <= x_star <= 0.8
+
+    def test_maximum_is_interior_and_local(self):
+        x_star, f_star = cv_max()
+        assert 0.0 < x_star < 5.0
+        for step in (1e-3, 1e-2, 1e-1):
+            assert cv_fidelity(x_star - step) < f_star
+            assert cv_fidelity(x_star + step) < f_star
