@@ -32,14 +32,18 @@ class ConfigError(ValueError):
 
 DEFAULT_ALPHAS = (0.1, 1.0, 2.0)
 DEFAULT_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3)
+# Largest amplitude accepted.  Every output is at its large-amplitude limit
+# far below it (e^{-4 alpha^2} underflows past alpha ~ 13.4); alpha^2
+# itself overflows past ~1.3e154.
+MAX_ALPHA = 1e6
 # Largest Fock truncation tail bellmeas accepts; a larger one exits 3.
 BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
-# shot (three up-front draws and the fidelity), ~1.8 kB per r point summed
-# over the alphas (batched densities and rows), ~1.2 kB per cv point (a row
-# and its JSON text).
+# shot (three up-front draws and the fidelity), ~1.8 kB per r point with one
+# alpha (its batched density; the column table and its text take ~0.6 kB a
+# point), ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36
 MAX_R_POINTS = _SIZE_BUDGET // 1800
@@ -139,8 +143,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("seed must be >= 0")
     if cfg.property_cases < 1:
         raise ConfigError("property-cases must be >= 1")
-    if not all(math.isfinite(a) and a > 0 for a in cfg.alphas):
-        raise ConfigError("alphas must be finite and positive")
+    if not all(0 < a <= MAX_ALPHA for a in cfg.alphas):
+        raise ConfigError(f"alphas must lie in (0, {MAX_ALPHA:g}]")
     if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
         raise ConfigError("etas must lie in (0, pi/2)")
     # a finite width implies finite ends, and keeps the grid from overflowing
@@ -157,19 +161,28 @@ def _parse(argv) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# row builders
+# column tables: column name -> 1-D array, in output order, one entry a row
+
+
+def _table(names, rows) -> dict:
+    """The column table of a few rows given as tuples."""
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
+
+
+def _sweep_table(cfg: RunConfig, r: np.ndarray, **columns) -> dict:
+    """The (alpha, r) grid of a sweep, alpha major, then its value columns."""
+    return {"alpha": np.repeat(cfg.alphas, len(r)), "r": np.tile(r, len(cfg.alphas)),
+            **{name: np.asarray(col) for name, col in columns.items()}}
 
 
 def _rows_fig(cfg: RunConfig, key: str, closed, numeric, **extra):
     """One fig sweep: per alpha, one closed-form and one numeric call on the
-    whole r grid (one batched channel density), zipped into rows."""
+    whole r grid (one batched channel density)."""
     r = cfg.r_grid()
-    rows = []
-    for alpha in cfg.alphas:
-        values = zip(r, closed(alpha, r), numeric(dec.channel_rho4(alpha, r)))
-        rows += [{"alpha": alpha, "r": float(x), f"{key}_closed": c,
-                  f"{key}_numeric": n, **extra} for x, c, n in values]
-    return rows
+    parts = [(closed(alpha, r), numeric(dec.channel_rho4(alpha, r))) for alpha in cfg.alphas]
+    closed_col, numeric_col = (np.concatenate(col) for col in zip(*parts))
+    return _sweep_table(cfg, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
+                        **{name: np.full(len(closed_col), v) for name, v in extra.items()})
 
 
 def _rows_bellmeas(cfg: RunConfig):
@@ -178,36 +191,26 @@ def _rows_bellmeas(cfg: RunConfig):
         meas = pr.bell_measure_distribution(
             qe.bell_state(1, qe.make_basis(alpha, 1.0)), cfg.cutoff, BELLMEAS_TAIL_TOL
         )
-        rows.append(
-            {
-                "alpha": alpha,
-                "p_i_closed": pr.misid_probability_closed(alpha),
-                "p_i_numeric": meas.misidentification(),
-                "tail_bound": meas.tail_bound,
-            }
-        )
-    return rows
+        rows.append((alpha, pr.misid_probability_closed(alpha), meas.misidentification(),
+                     meas.tail_bound))
+    return _table(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), rows)
 
 
 def _rows_teleport_mc(cfg: RunConfig):
-    rows = []
-    idx = 0
-    for alpha in cfg.alphas:
-        for r in cfg.r_grid():
-            rho = dec.channel_rho4(alpha, float(r))
-            stats = pr.teleport_average_mc(rho, cfg.samples, cfg.seed + idx)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "r": float(r),
-                    "f_analytic": pr.average_fidelity(rho),
-                    "f_mc": stats.mean_fidelity,
-                    "stderr": stats.stderr,
-                    "samples": cfg.samples,
-                }
-            )
-            idx += 1
-    return rows
+    """Per alpha one batched channel density; per row its own Bell-outcome
+    map and Monte Carlo stream, seeded ``seed + row index``."""
+    r = cfg.r_grid()
+    f_analytic, f_mc, stderr = [], [], []
+    for a, alpha in enumerate(cfg.alphas):
+        batch = dec.channel_rho4(alpha, r).matrix
+        for i in range(len(r)):
+            rho = qe.TwoQubitDensity(batch[i])
+            stats = pr.teleport_average_mc(rho, cfg.samples, cfg.seed + a * len(r) + i)
+            f_analytic.append(pr.average_fidelity(rho))
+            f_mc.append(stats.mean_fidelity)
+            stderr.append(stats.stderr)
+    return _sweep_table(cfg, r, f_analytic=f_analytic, f_mc=f_mc, stderr=stderr,
+                        samples=np.full(len(f_mc), cfg.samples))
 
 
 def _rows_concentrate(cfg: RunConfig):
@@ -215,29 +218,24 @@ def _rows_concentrate(cfg: RunConfig):
     for alpha in cfg.alphas:
         for eta in cfg.etas:
             ideal = pr.concentrate_ideal(eta)
-            exact = pr.concentrate_exact(alpha, eta)
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "eta": eta,
-                    "p1_swap": ideal.p1,
-                    "p2_swap": ideal.p2,
-                    "p_ideal_closed": (math.cos(eta) * math.sin(eta)) ** 2,
-                    "p2_exact": exact.success_probability,
-                    "p2_exact_closed": pr.concentration_success_closed_form(alpha, eta),
-                }
-            )
-    return rows
+            rows.append((
+                alpha, eta, ideal.p1, ideal.p2, (math.cos(eta) * math.sin(eta)) ** 2,
+                pr.concentrate_exact(alpha, eta).success_probability,
+                pr.concentration_success_closed_form(alpha, eta),
+            ))
+    return _table(("alpha", "eta", "p1_swap", "p2_swap", "p_ideal_closed", "p2_exact",
+                   "p2_exact_closed"), rows)
 
 
 def _rows_cv(cfg: RunConfig):
-    rows = [
-        {"alpha_r": float(x), "f": pr.cv_fidelity(float(x)), "is_max": 0}
-        for x in np.linspace(cfg.ar_min, cfg.ar_max, cfg.ar_steps)
-    ]
+    """The fidelity on the amplitude grid, then the located maximum (is_max 1)."""
+    grid = np.linspace(cfg.ar_min, cfg.ar_max, cfg.ar_steps)
     x_star, f_star = pr.cv_max()
-    rows.append({"alpha_r": x_star, "f": f_star, "is_max": 1})
-    return rows
+    is_max = np.zeros(cfg.ar_steps + 1, dtype=int)
+    is_max[-1] = 1
+    return {"alpha_r": np.append(grid, x_star),
+            "f": np.array([pr.cv_fidelity(x) for x in grid.tolist()] + [f_star]),
+            "is_max": is_max}
 
 
 _ROW_BUILDERS = {
@@ -254,30 +252,30 @@ _ROW_BUILDERS = {
 }
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
-def _to_csv(rows) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in cols))
+def _to_csv(table: dict) -> str:
+    """One line per row: ``%.17g`` floats (round-trip exact), ``%d`` ints."""
+    template = ",".join("%d" if col.dtype.kind == "i" else "%.17g" for col in table.values())
+    lines = [",".join(table)]
+    lines += [template % row for row in zip(*[col.tolist() for col in table.values()])]
     return "\n".join(lines) + "\n"
 
 
-def _to_json(rows) -> str:
-    plain = [
-        {k: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for k, v in r.items()}
-        for r in rows
-    ]
-    return json.dumps(plain, indent=2) + "\n"
+def _to_json(table: dict) -> str:
+    """The text of ``json.dumps(rows, indent=2)`` for the table's rows.
+
+    Each row fills one template: ``%s`` prints a float as ``float.__repr__``
+    and an int as its digits, as json does; non-finite floats take json's
+    own spelling (NaN, Infinity, -Infinity).
+    """
+    template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in table) + "\n  }"
+    columns = []
+    for col in table.values():
+        values = col.tolist()
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            values[i] = json.dumps(values[i])
+        columns.append(values)
+    body = ",\n".join(template % row for row in zip(*columns))
+    return f"[\n{body}\n]\n"
 
 
 def _render_report(cfg: RunConfig) -> tuple[str, bool]:
@@ -295,8 +293,8 @@ def _render_config(cfg: RunConfig) -> tuple[str, bool]:
     """Output text of a validated configuration, and whether every check passed."""
     if cfg.command == "report":
         return _render_report(cfg)
-    rows = _ROW_BUILDERS[cfg.command](cfg)
-    return (_to_csv(rows) if cfg.fmt == "csv" else _to_json(rows)), True
+    table = _ROW_BUILDERS[cfg.command](cfg)
+    return (_to_csv(table) if cfg.fmt == "csv" else _to_json(table)), True
 
 
 def render(argv) -> str:

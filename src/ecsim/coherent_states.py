@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,8 +35,9 @@ from .errors import CutoffError, ModeMismatchError, ZeroNormError
 # (|amp| <= ~3), and keep term counts bounded under repeated maps.
 MERGE_TOL = 1e-12
 DROP_TOL = 1e-15
-# Largest Fock grid, (cutoff + 1) ** modes amplitudes, that to_fock builds
-# (256 MiB of complex amplitudes); a larger request raises CutoffError.
+# Largest Fock grid, (cutoff + 1) ** modes amplitudes, and largest working
+# array, (cutoff + 1) ** (modes - 1) per term, that to_fock builds (256 MiB of
+# complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -486,19 +488,30 @@ def to_fock(
 ) -> FockVector:
     """Truncated-Fock representation of ``s``.
 
-    Raises CutoffError, before allocating, when the grid would hold more than
-    FOCK_CELL_BUDGET amplitudes, and when ``tail_tol`` is given and the
-    recorded tail bound exceeds it; truncation is never silent beyond the
-    recorded bound.
+    Raises CutoffError, before allocating, when the grid or the working array
+    (one row of (cutoff+1)^(modes-1) amplitudes per term) would hold more
+    than FOCK_CELL_BUDGET amplitudes, when a vacuum amplitude e^{-|amp|^2/2}
+    falls below the normal range (|amp| > ~37.6), and when ``tail_tol`` is
+    given and the recorded tail bound exceeds it; truncation is never silent
+    beyond the recorded bound.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
     if cutoff < 1:
         raise CutoffError("cutoff must be >= 1")
-    if (cutoff + 1) ** s.modes > FOCK_CELL_BUDGET:
+    cells = max(cutoff + 1, len(s.coeffs)) * (cutoff + 1) ** (s.modes - 1)
+    if cells > FOCK_CELL_BUDGET:
         raise CutoffError(
-            f"cutoff {cutoff} on {s.modes} modes needs {(cutoff + 1) ** s.modes} "
-            f"Fock amplitudes, more than the budget of {FOCK_CELL_BUDGET}"
+            f"cutoff {cutoff} on {s.modes} modes and {len(s.coeffs)} terms needs "
+            f"{cells} Fock amplitudes, more than the budget of {FOCK_CELL_BUDGET}"
+        )
+    # <0|b> per amplitude; below the normal range the row n = 0..cutoff
+    # built on it loses precision, then vanishes
+    vacuum = np.exp(-0.5 * np.abs(s.amps) ** 2)
+    if vacuum.min(initial=1.0) < sys.float_info.min:
+        raise CutoffError(
+            f"|amp| = {np.abs(s.amps).max():.4g}: the Fock vacuum amplitude "
+            "e^(-|amp|^2/2) underflows past |amp| ~ 37.6"
         )
     tail = truncation_tail_bound(s, cutoff)
     if tail_tol is not None and tail > tail_tol:
@@ -508,7 +521,7 @@ def to_fock(
     # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), by the
     # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
-    table[..., 0] = np.exp(-0.5 * np.abs(s.amps) ** 2)
+    table[..., 0] = vacuum
     table[..., 1:] = s.amps[..., None] / np.sqrt(np.arange(1, cutoff + 1))
     np.cumprod(table, axis=-1, out=table)
     # sum_t c_t table[t, 0] (x) ... (x) table[t, M-1]: the coefficient rides on

@@ -131,21 +131,36 @@ def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     return _value(-(pos * np.log2(pos)).sum(axis=-1))
 
 
+def _fidelity_margin(alpha: float, r) -> np.ndarray:
+    """closed_form_f(alpha, r) - 2/3, without cancelling against 2/3.
+
+    Subtracting 2/3 inside the max of ``closed_form_f`` leaves
+    max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta).  Near r = 1 at large
+    amplitude the margin is below the rounding of f: at alpha = 3 and
+    r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
+    """
+    n_theta = closed_form_normalization(alpha, r)
+    co = ChannelCoefficients.evaluate(alpha, r)
+    g = co.gamma_coef
+    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - co.w_coef) / (3.0 * n_theta)
+
+
 def characteristic_time(alpha: float) -> float:
     """Normalized time where the channel fidelity crosses 2/3.
 
     Root of closed_form_f(alpha, r) = 2/3 on [1e-6, 0.9995], located to
     1e-10 by bisection generalized to 16 sub-intervals a step: each step
-    evaluates the broadcast closed form once on 17 points and keeps the
-    sub-interval where it crosses.  Equals 1/sqrt(2) independently of alpha.
+    evaluates the broadcast margin f - 2/3 once on 17 points and keeps the
+    sub-interval where it changes sign.  Equals 1/sqrt(2) independently of
+    alpha.
     """
     lo, hi = 1e-6, 0.9995
-    ends = closed_form_f(alpha, np.array([lo, hi])) - CLASSICAL_FIDELITY_LIMIT
+    ends = _fidelity_margin(alpha, np.array([lo, hi]))
     if ends[0] <= 0 or ends[1] >= 0:
         raise ValueError(f"no fidelity crossing bracketed for alpha={alpha}")
     while hi - lo > 1e-10:
         r = np.linspace(lo, hi, 17)
-        k = int(np.argmax(closed_form_f(alpha, r) <= CLASSICAL_FIDELITY_LIMIT))
+        k = int(np.argmax(_fidelity_margin(alpha, r) <= 0.0))
         lo, hi = float(r[k - 1]), float(r[k])
     return 0.5 * (lo + hi)
 

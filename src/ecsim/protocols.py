@@ -9,6 +9,7 @@ channel.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -241,14 +242,16 @@ def teleport_average_mc(
         zb, phb = z[block], ph[block]
         s = np.sqrt((1.0 - zb) * (1.0 + zb))
         b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
-        # Element-wise sums, not matrix products: a shot's bits must not
-        # depend on how many shots share its block.
-        probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
-        cum = np.cumsum(probs, axis=1)
-        ks = (u[block, None] * cum[:, -1:] > cum).sum(axis=1)
-        qk = q[ks]
-        num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
-        fids[block] = num / probs[np.arange(len(zb)), ks]
+        # Shot axis innermost.  Element-wise sums, not matrix products: a
+        # shot's bits must not depend on how many shots share its block.
+        probs = sum(2.0 * q[:, 0, j, None] * b[j] for j in range(4))  # (4, shots)
+        # the cumulative sum over outcomes; row by row, as np.cumsum along
+        # this short axis is ~10x slower
+        cum = np.stack(list(itertools.accumulate(probs)))
+        ks = (u[block] * cum[-1] > cum).sum(axis=0)
+        qk = np.take(q.reshape(4, 16), ks, axis=0).T  # (16, shots): Q[k][m, n] at 4 m + n
+        num = sum(b[i] * sum(qk[4 * i + j] * b[j] for j in range(4)) for i in range(4))
+        fids[block] = num / probs[ks, np.arange(len(ks))]
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return TeleportStats(mean_fidelity=mean, stderr=stderr, samples=samples)

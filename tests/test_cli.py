@@ -4,9 +4,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ecsim import cli
+from ecsim import cli, protocols
+from ecsim.decoherence import channel_rho4
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -424,3 +426,224 @@ class TestImportPath:
         assert lines[0] == "[]"
         assert lines[-1] == "[]"
         assert lines[-2].endswith(",1")  # the located maximum was printed
+
+
+# ---------------------------------------------------------------------------
+# column writers against the row-dict writers they replaced
+
+
+def _ref_format_value(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def _ref_to_csv(rows) -> str:
+    if not rows:
+        return "\n"
+    cols = list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(_ref_format_value(row[c]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_to_json(rows) -> str:
+    plain = [
+        {k: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for k, v in r.items()}
+        for r in rows
+    ]
+    return json.dumps(plain, indent=2) + "\n"
+
+
+def _row_dicts(table):
+    """The per-row dicts of a column table, with numpy scalar values."""
+    return [dict(zip(table, values)) for values in zip(*table.values())]
+
+
+def _mc_kernel_reference(channel, samples, seed, chunk):
+    """teleport_average_mc as it was with an (n, 4) layout, shot axis outermost."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, samples)
+    ph = rng.uniform(0.0, 2.0 * math.pi, samples)
+    u = rng.random(samples)
+    q = protocols._bloch_transfer(protocols.bell_outcome_map(channel))
+    fids = np.empty(samples)
+    for start in range(0, samples, chunk):
+        block = slice(start, start + chunk)
+        zb, phb = z[block], ph[block]
+        s = np.sqrt((1.0 - zb) * (1.0 + zb))
+        b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
+        probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
+        cum = np.cumsum(probs, axis=1)
+        ks = (u[block, None] * cum[:, -1:] > cum).sum(axis=1)
+        qk = q[ks]
+        num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
+        fids[block] = num / probs[np.arange(len(zb)), ks]
+    mean = float(fids.mean())
+    stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return mean, stderr
+
+
+DEFAULT_ARGV = {
+    "fig2a": [], "fig2b": [], "fig3": [], "bellmeas": [], "concentrate": [], "cv": [],
+    "teleport-mc": ["--samples", "50"],
+}
+
+
+class TestColumnWriters:
+    @pytest.mark.parametrize("command", list(DEFAULT_ARGV))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_match_row_writers_at_defaults(self, command, fmt):
+        cfg = cli._parse([command, "--format", fmt, *DEFAULT_ARGV[command]])
+        table = cli._ROW_BUILDERS[command](cfg)
+        assert {col.shape for col in table.values()} == {(len(_row_dicts(table)),)}
+        if fmt == "csv":
+            text, want = cli._to_csv(table), _ref_to_csv(_row_dicts(table))
+        else:
+            text, want = cli._to_json(table), _ref_to_json(_row_dicts(table))
+        assert text == want
+        assert cli.render([command, "--format", fmt, *DEFAULT_ARGV[command]]) == text
+
+    def test_int_columns(self):
+        assert cli._rows_cv(cli._parse(["cv", "--ar-steps", "3"]))["is_max"].dtype.kind == "i"
+        table = cli._rows_teleport_mc(cli._parse(["teleport-mc", "--alphas", "1", "--r-steps",
+                                                  "2", "--samples", "3"]))
+        assert table["samples"].dtype.kind == "i"
+
+    @pytest.mark.parametrize("table", [
+        {"x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                        1e300, -1e300, 1.0 / 3.0, 0.1, 1e16, 123456789.0]),
+         "n": np.array([0, 1, -7, 2**62, -(2**62), 10, 3, 4, 5, 6, 7, 8, 9])},
+        {"only": np.array([math.nan])},
+        {"a": np.array([1.5, -2.5]), "b_col": np.array([-0.0, math.inf]),
+         "k": np.array([1, 0]), "c": np.array([math.nan, 1e-320])},
+    ])
+    def test_match_row_writers_on_extreme_values(self, table):
+        rows = _row_dicts(table)
+        assert cli._to_csv(table) == _ref_to_csv(rows)
+        assert cli._to_json(table) == _ref_to_json(rows)
+        back = json.loads(cli._to_json(table))
+        assert [list(r) for r in back] == [list(table)] * len(rows)
+
+    def test_teleport_rows_match_per_point_loop(self):
+        cfg = cli._parse(["teleport-mc", "--alphas", "0.3", "1.7", "--r-min", "0.05",
+                          "--r-max", "0.93", "--r-steps", "5", "--samples", "37",
+                          "--seed", "5"])
+        table = cli._rows_teleport_mc(cfg)
+        want = []
+        for a, alpha in enumerate(cfg.alphas):
+            for i, r in enumerate(cfg.r_grid()):
+                rho = channel_rho4(alpha, float(r))
+                stats = protocols.teleport_average_mc(rho, cfg.samples, cfg.seed + 5 * a + i)
+                want.append((alpha, float(r), protocols.average_fidelity(rho),
+                             stats.mean_fidelity, stats.stderr, cfg.samples))
+        got = list(zip(*[col.tolist() for col in table.values()]))
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+
+    @pytest.mark.parametrize("chunk", [1, 7, protocols.MC_CHUNK])
+    def test_mc_kernel_matches_shot_minor_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(protocols, "MC_CHUNK", chunk)
+        channels = [channel_rho4(1.0, 0.0), channel_rho4(0.4, 0.6), channel_rho4(2.0, 0.93)]
+        for samples in sorted({1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5} - {0}):
+            for k, channel in enumerate(channels):
+                stats = protocols.teleport_average_mc(channel, samples, seed=100 + k)
+                want = _mc_kernel_reference(channel, samples, 100 + k, chunk)
+                assert (repr(stats.mean_fidelity), repr(stats.stderr)) == tuple(map(repr, want))
+
+
+# ---------------------------------------------------------------------------
+# exit codes under extreme flag values
+
+FLOAT_EXTREMES = ("-1", "0", "5e-324", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf", "")
+INT_EXTREMES = ("-1", "0", "1", "2", str(10**30), "", "nan")
+SMALL_BASE = {
+    "bellmeas": ["--alphas", "1"],
+    "concentrate": ["--alphas", "1", "--etas", "0.5"],
+    "cv": ["--ar-steps", "3"],
+    "report": [],
+}
+
+
+def _flag_extremes(tmp_path):
+    """(command, base argv, {flag: [argv tails]}) for every flag of every command."""
+    sub = next(a for a in cli._parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        base = [command, *SMALL_BASE.get(command, ["--alphas", "1", "--r-steps", "2"]),
+                "--samples", "20"]
+        flags = {}
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            flag = action.option_strings[0]
+            if action.choices:
+                values = ("", "xml")
+            elif action.type is float:
+                values = FLOAT_EXTREMES
+            elif action.type is int:
+                values = INT_EXTREMES
+            else:  # the output path
+                values = ("", str(tmp_path))
+            tails = [[f"{flag}={v}"] for v in values]
+            if action.nargs == "+":
+                tails.append([flag])
+            flags[flag] = tails
+        yield command, base, flags
+
+
+def _check_exit(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the text of a value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in captured.err, argv
+    if code != 0:
+        return
+    if argv[0] == "report":  # no checks run under the stub
+        assert captured.out == "0/0 checks passed\n"
+    elif captured.out.startswith("["):
+        values = [v for row in json.loads(captured.out) for v in row.values()]
+        assert all(math.isfinite(v) for v in values), argv
+    else:
+        lines = captured.out.splitlines()[1:]
+        assert all(math.isfinite(float(x)) for ln in lines for x in ln.split(",")), argv
+
+
+class TestExtremeFlags:
+    """Every command under each flag's extreme values ends in a clean exit."""
+
+    @pytest.fixture(autouse=True)
+    def _stub_report(self, monkeypatch):
+        # the acceptance checks take seconds and have their own tests
+        monkeypatch.setattr(cli.acceptance, "run_all", lambda property_cases: [])
+
+    def test_each_flag_alone(self, tmp_path, capsys):
+        for _, base, flags in _flag_extremes(tmp_path):
+            for tails in flags.values():
+                for tail in tails:
+                    _check_exit(base + tail, capsys)
+
+    def test_random_flag_combinations(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        for _, base, flags in _flag_extremes(tmp_path):
+            names = sorted(flags)
+            for _ in range(40):
+                picked = rng.choice(names, size=rng.integers(2, 4), replace=False)
+                tails = [flags[f][rng.integers(len(flags[f]))] for f in picked]
+                _check_exit(base + [arg for tail in tails for arg in tail], capsys)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["fig2a", "--alphas=1e308"], 2),
+        (["teleport-mc", "--alphas", "1", str(cli.MAX_ALPHA * 1.001)], 2),
+        (["bellmeas", "--alphas", "30"], 3),
+    ])
+    def test_huge_amplitudes(self, argv, code, capsys):
+        # alpha^2 overflowed past ~1.3e154, and the Fock amplitudes underflow
+        # past alpha ~ 26.6 on the beam splitter's output modes
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("ecsim: ") and "Traceback" not in err

@@ -232,6 +232,31 @@ class TestFock:
         with pytest.raises(CutoffError, match="budget"):
             photon_distribution(s, 10)
 
+    def test_cell_budget_counts_terms(self, monkeypatch):
+        # the working array holds (cutoff + 1)^(modes - 1) amplitudes per term
+        monkeypatch.setattr(coherent_states, "FOCK_CELL_BUDGET", 100)
+        amps = np.linspace(-0.5, 0.5, 21)
+
+        def state(terms):
+            return CoherentSuperposition(np.ones(terms, dtype=complex),
+                                         np.stack([amps[:terms], amps[::-1][:terms]], axis=1))
+
+        assert to_fock(state(10), 9).amps.shape == (10, 10)
+        with pytest.raises(CutoffError, match="11 terms"):
+            to_fock(state(11), 9)
+        assert to_fock(state(20), 4).amps.shape == (5, 5)
+        with pytest.raises(CutoffError, match="budget"):
+            photon_distribution(normalized(state(21)), 4)
+
+    def test_vacuum_amplitude_underflow(self):
+        # e^{-|b|^2/2} is subnormal past |b| ~ 37.64 and zero past ~38.6
+        fv = to_fock(CoherentSuperposition.ket(37.0))
+        assert abs(fock_inner(fv, fv) - 1.0) < 1e-12
+        with pytest.raises(CutoffError, match="underflows"):
+            to_fock(CoherentSuperposition.ket(37.7))
+        with pytest.raises(CutoffError, match="underflows"):
+            photon_distribution(CoherentSuperposition.ket(0.5, 40.0j), 10)
+
     def test_three_mode_layout(self):
         s = CoherentSuperposition.ket(0.3, 0.0, 0.5)
         fv = to_fock(s, 8)

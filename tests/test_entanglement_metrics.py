@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ecsim import entanglement_metrics as em
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import DegenerateBasisError
 from ecsim.entanglement_metrics import (
@@ -227,12 +228,22 @@ class TestCharacteristicTime:
         assert characteristic_time(alpha) == pytest.approx(SQRT_HALF, abs=1e-9)
 
     def test_crossing_over_amplitudes(self):
-        # past alpha ~ 2.9 f(0.9995) rounds to 2/3 and no crossing is bracketed
-        for alpha in np.linspace(0.05, 2.8, 23):
+        # past alpha ~ 2.9 f(0.9995) rounds to 2/3; the search brackets the
+        # crossing on f - 2/3 in a form that does not cancel
+        for alpha in np.linspace(0.05, 3.0, 60):
             r_c = characteristic_time(float(alpha))
             assert r_c == pytest.approx(SQRT_HALF, abs=1e-9)
             assert closed_form_f(float(alpha), r_c - 1e-6) > 2.0 / 3.0
             assert closed_form_f(float(alpha), r_c + 1e-6) < 2.0 / 3.0
+
+    def test_margin_is_f_minus_two_thirds(self):
+        r = np.linspace(1e-6, 0.9995, 101)
+        for alpha in (0.05, 0.5, 1.0, 2.0, 3.0):
+            margin = em._fidelity_margin(alpha, r)
+            assert margin == pytest.approx(closed_form_f(alpha, r) - 2.0 / 3.0, abs=1e-14)
+        # where f rounds to 2/3 the margin keeps its sign
+        assert closed_form_f(3.0, 0.9995) == 2.0 / 3.0
+        assert em._fidelity_margin(3.0, 0.9995) < 0.0
 
 
 class TestMixednessPeak:
