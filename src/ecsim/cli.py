@@ -41,13 +41,15 @@ BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
-# shot (three up-front draws and the fidelity), ~1.8 kB per r point with one
-# alpha (its batched density; the column table and its text take ~0.6 kB a
-# point), ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
+# shot (three up-front draws and the fidelity), ~1.5 kB per r point with one
+# alpha in fig2a and teleport-mc (sized at ~1.8 kB; the batched density and its
+# checks), ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36
 MAX_R_POINTS = _SIZE_BUDGET // 1800
 MAX_AR_STEPS = _SIZE_BUDGET // 1200
+# Most randomized cases per report property suite (suite 10.7: ~1 s per 1000).
+MAX_PROPERTY_CASES = 10**5
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("cutoff must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.property_cases < 1:
-        raise ConfigError("property-cases must be >= 1")
+    if not 1 <= cfg.property_cases <= MAX_PROPERTY_CASES:
+        raise ConfigError(f"property-cases must lie in [1, {MAX_PROPERTY_CASES}]")
     if not all(0 < a <= MAX_ALPHA for a in cfg.alphas):
         raise ConfigError(f"alphas must lie in (0, {MAX_ALPHA:g}]")
     if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
@@ -197,14 +199,12 @@ def _rows_bellmeas(cfg: RunConfig):
 
 
 def _rows_teleport_mc(cfg: RunConfig):
-    """Per alpha one batched channel density; per row its own Bell-outcome
-    map and Monte Carlo stream, seeded ``seed + row index``."""
+    """Per alpha one batched, checked channel density; per row a view of it
+    and its own Monte Carlo stream, seeded ``seed + row index``."""
     r = cfg.r_grid()
     f_analytic, f_mc, stderr = [], [], []
     for a, alpha in enumerate(cfg.alphas):
-        batch = dec.channel_rho4(alpha, r).matrix
-        for i in range(len(r)):
-            rho = qe.TwoQubitDensity(batch[i])
+        for i, rho in enumerate(dec.channel_rho4(alpha, r)):
             stats = pr.teleport_average_mc(rho, cfg.samples, cfg.seed + a * len(r) + i)
             f_analytic.append(pr.average_fidelity(rho))
             f_mc.append(stats.mean_fidelity)

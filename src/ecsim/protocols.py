@@ -1,15 +1,14 @@
 """Executable protocols over the coherent-state qubit encoding.
 
 Covers Bell discrimination behind a 50:50 beam splitter with photon
-counting, qubit teleportation over pure and mixed channels (exact average
-and Monte Carlo), entanglement concentration by swapping, and the
-continuous-variable teleportation fidelity of the entangled coherent
-channel.
+counting, qubit teleportation over mixed channels (one shot, and the exact
+average and Monte Carlo through a constant Bloch-transfer kernel built at
+import from the Bell-outcome map), entanglement concentration by swapping,
+and the continuous-variable fidelity of the entangled coherent channel.
 """
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -144,9 +143,11 @@ def misid_probability(alpha: float, cutoff: int | None = None) -> float:
 
 # Outcome -> correction: B1 -> i sigma_y, B2 -> sigma_x, B3 -> -sigma_z, B4 -> identity.
 CORRECTIONS = np.stack((1j * PAULIS[1], PAULIS[0], -PAULIS[2], np.eye(2, dtype=complex)))
-# E[b_m b_n] = _BLOCH_MOMENTS[m] delta_mn for the Bloch coordinates
-# b = (1, n) of inputs uniform on the sphere, in PAULI_BASIS (I, X, Y, Z).
-_BLOCH_MOMENTS = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+# Average fidelity = _FIDELITY_WEIGHTS[p] . sum_k Q[k, m, m] with the global Pauli
+# P = PAULI_BASIS[p] appended to the corrections: E[b_m b_n] = (1, 1/3, 1/3, 1/3)_m
+# delta_mn for inputs b = (1, n) uniform on the sphere, and P s_m P = +-s_m.
+_FIDELITY_WEIGHTS = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]) * np.array(
+    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
 # Shots per block in teleport_average_mc; bounds its working memory.
 MC_CHUNK = 4096
 
@@ -161,29 +162,35 @@ class TeleportRecord:
     fidelity: float
 
 
-def bell_outcome_map(channel: TwoQubitDensity) -> np.ndarray:
-    """Bell-outcome superoperator Lambda[k, a, A, i, l], shape (4, 2, 2, 2, 2).
+def bell_outcome_map(channel: TwoQubitDensity | np.ndarray) -> np.ndarray:
+    """Bell-outcome superoperator Lambda[..., k, a, A, i, l], shape (..., 4, 2, 2, 2, 2).
 
     sum_{a,A} x[a, A] Lambda[k, a, A] is Bob's corrected, unnormalized state
     U_k <B_k|(x (x) rho)|B_k> U_k^dag for an input operator x and outcome k
     (B1..B4, U_k = ``CORRECTIONS[k]``).  For an input projector its trace is
-    the outcome probability.
+    the outcome probability.  ``channel`` may also be a (..., 4, 4) array.
     """
-    bell = BELL_VECTORS.reshape(4, 2, 2)
-    rho4 = channel.matrix.reshape(2, 2, 2, 2)
-    return np.einsum(
-        "kab,bcBC,kAB,kic,klC->kaAil",
-        bell.conj(), rho4, bell, CORRECTIONS, CORRECTIONS.conj(),
-    )
+    m, bell = getattr(channel, "matrix", channel), BELL_VECTORS.reshape(4, 2, 2)
+    return np.einsum("kab,...bcBC,kAB,kic,klC->...kaAil", bell.conj(),
+                     m.reshape(m.shape[:-2] + (2, 2, 2, 2)), bell, CORRECTIONS, CORRECTIONS.conj())
 
 
-def _bloch_transfer(lam: np.ndarray) -> np.ndarray:
-    """Lambda in Bloch coordinates, Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 (real).
+# Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 is linear in rho: it is
+# Re(_TRANSFER_KERNEL @ vec rho)[16 k + 4 m + n], column x from the x-th matrix unit.
+_TRANSFER_KERNEL = np.einsum("mli,xkaAil,naA->kmnx", PAULI_BASIS, bell_outcome_map(
+    np.eye(16).reshape(16, 4, 4)), PAULI_BASIS).reshape(64, 16) / 4.0
+
+
+def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
+    """The Bell-outcome map in Bloch coordinates, Q[..., k, m, n] (real).
 
     An input projector is (1/2) sum_n b_n s_n with b = (1, Bloch vector), so
     outcome k has probability 2 Q[k, 0] . b and fidelity numerator b . Q[k] . b.
+    One fixed contraction over any leading axes: a row's bits do not depend on them.
     """
-    return np.einsum("mli,kaAil,naA->kmn", PAULI_BASIS, lam, PAULI_BASIS).real / 4.0
+    m = channel.matrix
+    q = np.einsum("xj,...j->...x", _TRANSFER_KERNEL, m.reshape(m.shape[:-2] + (16,)))
+    return q.real.reshape(m.shape[:-2] + (4, 4, 4))
 
 
 def teleport(
@@ -217,6 +224,14 @@ class TeleportStats:
     samples: int
 
 
+def _bloch_sum(rows, b) -> np.ndarray:
+    """sum_n rows[n] b[n] with b[0] = 1, element-wise, in the order n = 0, 1, 2, 3."""
+    acc = rows[1] * b[1] + rows[0]
+    acc += rows[2] * b[2]
+    acc += rows[3] * b[3]
+    return acc
+
+
 def teleport_average_mc(
     channel: TwoQubitDensity, samples: int, seed: int
 ) -> TeleportStats:
@@ -224,7 +239,7 @@ def teleport_average_mc(
 
     Inputs are drawn uniformly from the logical Bloch sphere and one outcome
     is sampled per shot from its Born probability, through the channel's
-    Bell-outcome map in Bloch coordinates (``_bloch_transfer``).  The random
+    Bell-outcome map in Bloch coordinates (``bloch_transfer``).  The random
     numbers are drawn up front and the shots evaluated in blocks of
     ``MC_CHUNK``, which bounds the working memory and does not change the
     result.
@@ -235,23 +250,24 @@ def teleport_average_mc(
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
     u = rng.random(samples)  # u * total is uniform(0, total) bit for bit
-    q = _bloch_transfer(bell_outcome_map(channel))
+    q = bloch_transfer(channel)
+    prob_rows = (2.0 * q[:, 0]).T[:, :, None]  # [n, k]: 2 Q[k, 0, n]
+    q_cols = q.reshape(4, 16).T.copy()  # [4 m + n, k]: Q[k, m, n]
     fids = np.empty(samples)
     for start in range(0, samples, MC_CHUNK):
         block = slice(start, start + MC_CHUNK)
         zb, phb = z[block], ph[block]
         s = np.sqrt((1.0 - zb) * (1.0 + zb))
-        b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
-        # Shot axis innermost.  Element-wise sums, not matrix products: a
-        # shot's bits must not depend on how many shots share its block.
-        probs = sum(2.0 * q[:, 0, j, None] * b[j] for j in range(4))  # (4, shots)
-        # the cumulative sum over outcomes; row by row, as np.cumsum along
-        # this short axis is ~10x slower
-        cum = np.stack(list(itertools.accumulate(probs)))
-        ks = (u[block] * cum[-1] > cum).sum(axis=0)
-        qk = np.take(q.reshape(4, 16), ks, axis=0).T  # (16, shots): Q[k][m, n] at 4 m + n
-        num = sum(b[i] * sum(qk[4 * i + j] * b[j] for j in range(4)) for i in range(4))
-        fids[block] = num / probs[ks, np.arange(len(ks))]
+        b = (None, s * np.cos(phb), s * np.sin(phb), zb)  # b[0] = 1 is implicit
+        # shot axis innermost: probabilities (4, shots), transfer rows (16, shots)
+        probs = _bloch_sum(prob_rows, b)
+        cum1 = probs[0] + probs[1]
+        cum2 = cum1 + probs[2]
+        draw = u[block] * (cum2 + probs[3])
+        ks = (draw > probs[0]).astype(np.intp) + (draw > cum1) + (draw > cum2)
+        qk = np.take(q_cols, ks, axis=1)
+        num = _bloch_sum([_bloch_sum(qk[4 * i:4 * i + 4], b) for i in range(4)], b)
+        np.divide(num, probs[ks, np.arange(len(ks))], out=fids[block])
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return TeleportStats(mean_fidelity=mean, stderr=stderr, samples=samples)
@@ -262,21 +278,15 @@ def average_fidelity(
 ) -> float:
     """Exact input-averaged fidelity of the standard scheme.
 
-    A fixed contraction of the Bell-outcome map: the fidelity summed over
-    outcomes is quadratic in the input's Bloch coordinates
-    (``_bloch_transfer``), and the uniform input average replaces their
-    products by the isotropic second moments.  With ``optimize_corrections``
-    a global Pauli is appended to the correction table, maximized over the
-    four choices; for channels with diagonal correlation matrix this attains
-    the optimal fidelity at every decay time.
+    The fidelity summed over outcomes is quadratic in the input's Bloch
+    coordinates (``bloch_transfer``); the uniform input average replaces their
+    products by the isotropic second moments.  With ``optimize_corrections`` a
+    global Pauli P (which only flips signs, P s_m P = +-s_m) is appended to the
+    corrections, maximized over the four choices; for channels with diagonal
+    correlation matrix this attains the optimal fidelity at every decay time.
     """
-    lam = bell_outcome_map(channel)
-    remaps = PAULI_BASIS if optimize_corrections else PAULI_BASIS[:1]
-    best = -np.inf
-    for remap in remaps:
-        q = _bloch_transfer(np.einsum("ij,kaAjm,lm->kaAil", remap, lam, remap.conj()))
-        best = max(best, float(np.einsum("kmm,m->", q, _BLOCH_MOMENTS)))
-    return best
+    weights = _FIDELITY_WEIGHTS if optimize_corrections else _FIDELITY_WEIGHTS[:1]
+    return float(np.max(weights @ np.einsum("kmm->m", bloch_transfer(channel))))
 
 
 def correction_map_coherent(

@@ -241,6 +241,14 @@ class TwoQubitDensity:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def __getitem__(self, i) -> "TwoQubitDensity":
+        """Density ``i`` of a batch: a read-only view, not checked again."""
+        if self.matrix.ndim < 3:
+            raise TypeError("a single density has no rows")
+        row = object.__new__(TwoQubitDensity)
+        object.__setattr__(row, "matrix", self.matrix[i])
+        return row
+
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -252,16 +260,18 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     the channel states here, where decay maps +-a to +-ta); otherwise the
     projection would lose trace and a SpanError is raised instead.
     Coefficients and amplitudes that are arrays (a decay-time grid, with a
-    basis of the same shape) give a batched density of that shape.
+    basis of the same shape) give a batched density of that shape: the sum
+    over dyads of coefficient x outer product of the ket and bra product
+    4-vectors, all element-wise, so a point's bits do not depend on the grid.
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
-    # (terms, *grid, 2) per side and mode; the coordinates are real, so no conj
-    amps = np.stack((rho.kets, rho.bras), axis=1)  # (terms, side, mode, *grid)
-    ket0, bra0 = logical_coords(amps[:, :, 0], basis).swapaxes(0, 1)
-    ket1, bra1 = logical_coords(amps[:, :, 1], basis).swapaxes(0, 1)
-    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
-                    rho.coeffs, ket0, ket1, bra0, bra1)
+    # (terms, side, mode, *grid, 2); the coordinates are real, so no conj
+    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis)
+    out = np.zeros(coords.shape[3:-1] + (2, 2, 2, 2), dtype=complex)
+    for c, (ket0, ket1), (bra0, bra1) in zip(rho.coeffs, coords[:, 0], coords[:, 1]):
+        out += ((c[..., None] * ket0)[..., :, None, None, None] * ket1[..., None, :, None, None]
+                * bra0[..., None, None, :, None] * bra1[..., None, None, None, :])
     return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ecsim import cli, protocols
+from ecsim import qubit_encoding as qe
 from ecsim.decoherence import channel_rho4
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -258,6 +259,20 @@ class TestExitCodes:
         assert cli.main(["report", "--property-cases", "0"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_property_cases_bounded(self, monkeypatch, capsys):
+        # a huge count would run for hours; it exits 2 before any check runs
+        def run_all(property_cases):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.acceptance, "run_all", run_all)
+        over = str(cli.MAX_PROPERTY_CASES + 1)
+        for argv in (["report", "--property-cases", over],
+                     ["report", "--property-cases", "1000000000"]):
+            assert cli.main(argv) == 2
+            assert "configuration error" in capsys.readouterr().err
+        limit = ["report", "--property-cases", str(cli.MAX_PROPERTY_CASES)]
+        assert cli._parse(limit).property_cases == cli.MAX_PROPERTY_CASES
+
     def test_bellmeas_truncated_cutoff(self, capsys):
         # cutoff 5 keeps almost none of the alpha = 4 photon distribution
         assert cli.main(["bellmeas", "--alphas", "4", "--cutoff", "5"]) == 3
@@ -469,7 +484,7 @@ def _mc_kernel_reference(channel, samples, seed, chunk):
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
     u = rng.random(samples)
-    q = protocols._bloch_transfer(protocols.bell_outcome_map(channel))
+    q = protocols.bloch_transfer(channel)
     fids = np.empty(samples)
     for start in range(0, samples, chunk):
         block = slice(start, start + chunk)
@@ -542,6 +557,16 @@ class TestColumnWriters:
                              stats.mean_fidelity, stats.stderr, cfg.samples))
         got = list(zip(*[col.tolist() for col in table.values()]))
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+
+    def test_teleport_rows_check_each_batch_once(self, monkeypatch):
+        # one density check per alpha (its batch); the rows are views of it
+        checks = []
+        check = qe.TwoQubitDensity.__post_init__
+        monkeypatch.setattr(qe.TwoQubitDensity, "__post_init__",
+                            lambda self: checks.append(self.matrix.shape) or check(self))
+        cli._rows_teleport_mc(cli._parse(["teleport-mc", "--alphas", "0.5", "1.5",
+                                          "--r-steps", "6", "--samples", "3"]))
+        assert checks == [(6, 4, 4), (6, 4, 4)]
 
     @pytest.mark.parametrize("chunk", [1, 7, protocols.MC_CHUNK])
     def test_mc_kernel_matches_shot_minor_reference(self, monkeypatch, chunk):

@@ -1,5 +1,6 @@
 """Vacuum decoherence: dyad map, channel construction, closed forms."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,3 +232,18 @@ class TestClosedForms:
         vst = closed_form_vst(0.7, 0.4)
         off = vst.t_matrix - np.diag(np.diag(vst.t_matrix))
         assert np.max(np.abs(off)) == 0.0
+
+
+def test_batched_channel_memory_per_point():
+    # cli.MAX_R_POINTS is sized from this peak (~1.5 kB a point measured):
+    # the density, its check temporaries and the dyads' logical coordinates
+    n = 10**4
+    r = np.linspace(0.0, 0.995, n)
+    channel_rho4(1.0, r[:2])
+    tracemalloc.start()
+    try:
+        channel_rho4(1.0, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1600 * n

@@ -37,6 +37,7 @@ from ecsim.protocols import (
 )
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
+    PAULI_BASIS,
     PAULIS,
     QubitVector,
     TwoQubitDensity,
@@ -79,6 +80,11 @@ def _average_fidelity_reference(channel, remap):
         lp = _branches_reference(p, channel, corrections).sum(0)
         total += np.trace(p @ lp).real / 12
     return total
+
+
+def _bloch_transfer_reference(lam):
+    """Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 by direct contraction of the map."""
+    return np.einsum("mli,kaAil,naA->kmn", PAULI_BASIS, lam, PAULI_BASIS).real / 4.0
 
 
 CHANNELS = [
@@ -283,6 +289,32 @@ class TestBellOutcomeMap:
         assert average_fidelity(channel, optimize_corrections=True) == pytest.approx(
             best, abs=1e-14
         )
+
+
+class TestBlochTransfer:
+    @pytest.mark.parametrize("make_channel", CHANNELS)
+    def test_matches_outcome_map_contraction(self, make_channel):
+        channel = make_channel()
+        want = _bloch_transfer_reference(bell_outcome_map(channel))
+        assert np.max(np.abs(protocols.bloch_transfer(channel) - want)) <= 1e-15
+
+    def test_batched_rows_equal_single_calls(self):
+        singles = [channel_rho4(1.0, 0.4)] + [_random_channel(seed) for seed in (1, 2, 3)]
+        grid = channel_rho4(0.7, np.linspace(0.0, 0.99, 37)).matrix
+        mats = np.concatenate([np.stack([c.matrix for c in singles]), grid])
+        for n in (1, 2, 3, 5, len(mats)):
+            batch = protocols.bloch_transfer(TwoQubitDensity(mats[:n]))
+            assert batch.shape == (n, 4, 4, 4)
+            for i in range(n):
+                one = protocols.bloch_transfer(TwoQubitDensity(mats[i]))
+                assert batch[i].tobytes() == one.tobytes()
+
+    def test_batched_outcome_map(self):
+        mats = np.stack([_random_channel(seed).matrix for seed in (4, 5)])
+        batch = bell_outcome_map(mats)
+        for i in range(2):
+            want = bell_outcome_map(TwoQubitDensity(mats[i]))
+            assert np.max(np.abs(batch[i] - want)) <= 1e-15
 
 
 class TestMonteCarloBlocks:

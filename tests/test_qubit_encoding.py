@@ -11,6 +11,7 @@ from ecsim.coherent_states import (
     inner,
     norm,
 )
+from ecsim.decoherence import DecayClock, channel_rho4, decohere
 from ecsim.errors import DegenerateBasisError, SpanError
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
@@ -18,6 +19,7 @@ from ecsim.qubit_encoding import (
     TwoQubitDensity,
     bell_state,
     from_amplitudes,
+    logical_coords,
     make_basis,
     pauli_decompose,
     pauli_reconstruct,
@@ -222,6 +224,51 @@ class TestDensityProjection:
         bad = CoherentOperator(np.ones((1, 3), dtype=complex), amps, amps)
         with pytest.raises(SpanError):
             project_to_density(bad, b)
+
+
+def _project_reference(rho, basis):
+    """The projection as one five-operand contraction over the dyads."""
+    amps = np.stack((rho.kets, rho.bras), axis=1)  # (terms, side, mode, *grid)
+    ket0, bra0 = logical_coords(amps[:, :, 0], basis).swapaxes(0, 1)
+    ket1, bra1 = logical_coords(amps[:, :, 1], basis).swapaxes(0, 1)
+    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
+                    rho.coeffs, ket0, ket1, bra0, bra1)
+    return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4))).matrix
+
+
+class TestProjectionReference:
+    @pytest.mark.parametrize("alpha", np.linspace(0.1, 2.5, 13))
+    def test_matches_contraction_on_channel_grid(self, alpha):
+        clock = DecayClock.from_r(np.linspace(0.0, 0.995, 300))
+        rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
+        basis = make_basis(alpha, clock.t)
+        got = project_to_density(rho, basis).matrix
+        assert np.max(np.abs(got - _project_reference(rho, basis))) <= 1e-15
+
+    def test_matches_contraction_on_mixture(self):
+        b = make_basis(0.8, 1.0)
+        op = dyad_from_pure(bell_state(2, b)) + 0.5 * dyad_from_pure(bell_state(3, b))
+        op = (1.0 / 1.5) * op
+        got = project_to_density(op, b).matrix
+        assert np.max(np.abs(got - _project_reference(op, b))) <= 1e-15
+
+
+class TestDensityRows:
+    def test_rows_are_views_of_the_checked_batch(self):
+        batch = channel_rho4(1.0, np.linspace(0.0, 0.9, 4))
+        rows = list(batch)
+        assert len(rows) == 4
+        for i, row in enumerate(rows):
+            assert row.matrix.shape == (4, 4)
+            assert np.shares_memory(row.matrix, batch.matrix)
+            assert not row.matrix.flags.writeable
+            # a fresh check leaves the (already Hermitian) matrix's bits as they are
+            assert row.matrix.tobytes() == TwoQubitDensity(batch.matrix[i]).matrix.tobytes()
+        assert batch[-1].matrix.tobytes() == rows[-1].matrix.tobytes()
+
+    def test_single_density_has_no_rows(self):
+        with pytest.raises(TypeError):
+            channel_rho4(1.0, 0.3)[0]
 
 
 class TestPauli:
