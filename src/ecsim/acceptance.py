@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -427,14 +427,19 @@ _PROPERTY_CHECKS = (
 )
 
 
+def _timed(fn, **kwargs):
+    """fn's result and its wall time in seconds."""
+    start = time.perf_counter()
+    out = fn(**kwargs)
+    return out, time.perf_counter() - start
+
+
 def run_property_suite(cases=1000):
     """Run all randomized suites; returns results plus total runtime check."""
     results = []
     total = 0.0
     for check_id, name, fn in _PROPERTY_CHECKS:
-        start = time.perf_counter()
-        passed, detail = fn(cases=cases)
-        elapsed = time.perf_counter() - start
+        (passed, detail), elapsed = _timed(fn, cases=cases)
         total += elapsed
         results.append(_result(check_id, name, passed, f"{detail} [{elapsed:.1f}s]"))
     results.append(
@@ -448,20 +453,26 @@ def run_property_suite(cases=1000):
     return results
 
 
+_CHECKS = (
+    check_zero_time_entanglement,
+    check_oracle_grid,
+    check_characteristic_time,
+    check_mixedness_peak,
+    check_entanglement_ordering,
+    check_bell_discrimination,
+    check_teleportation_mc,
+    check_concentration_ideal,
+    check_concentration_exact_printed_form,
+    check_concentration_limits,
+    check_cv_fidelity,
+)
+
+
 def run_all(property_cases=1000) -> list[CheckResult]:
-    """Evaluate every acceptance check in order."""
-    results = [
-        check_zero_time_entanglement(),
-        check_oracle_grid(),
-        check_characteristic_time(),
-        check_mixedness_peak(),
-        check_entanglement_ordering(),
-        check_bell_discrimination(),
-        check_teleportation_mc(),
-        check_concentration_ideal(),
-        check_concentration_exact_printed_form(),
-        check_concentration_limits(),
-        check_cv_fidelity(),
-    ]
+    """Evaluate every acceptance check in order; each detail ends in its time."""
+    results = []
+    for check in _CHECKS:
+        res, elapsed = _timed(check)
+        results.append(replace(res, detail=f"{res.detail} [{elapsed:.1f}s]"))
     results.extend(run_property_suite(cases=property_cases))
     return results

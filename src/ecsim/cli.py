@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,114 +51,97 @@ MAX_AR_STEPS = _SIZE_BUDGET // 1200
 MAX_PROPERTY_CASES = 10**5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    r_min: float = 0.0
-    r_max: float = 0.995
-    r_steps: int = 200
-    cutoff: int | None = None
-    seed: int = 12345
-    samples: int = 10000
-    fmt: str = "csv"
-    output: str = "-"
-    etas: tuple[float, ...] = DEFAULT_ETAS
-    ar_min: float = 0.0
-    ar_max: float = 2.0
-    ar_steps: int = 201
-    property_cases: int = 1000
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ConfigError instead of exiting; its
+    subparsers are of the same class."""
 
-    def r_grid(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.r_steps)
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process; parsing does not change it.
+
+    Each command holds only the flags it reads."""
+    parser = _Parser(
         prog="ecsim",
         description="Entangled-coherent-channel sweeps and protocol experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, sweep=True):
-        p.add_argument("--alphas", type=float, nargs="+", default=DEFAULT_ALPHAS)
-        if sweep:
-            p.add_argument("--r-min", type=float, default=0.0)
-            p.add_argument("--r-max", type=float, default=0.995)
-            p.add_argument("--r-steps", type=int, default=200)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", type=str, default="-")
-
-    for name in ("fig2a", "fig2b", "fig3", "teleport-mc"):
-        common(sub.add_parser(name))
-    common(sub.add_parser("bellmeas"), sweep=False)
-    p_conc = sub.add_parser("concentrate")
-    common(p_conc, sweep=False)
-    p_conc.add_argument("--etas", type=float, nargs="+", default=DEFAULT_ETAS)
-    p_cv = sub.add_parser("cv")
-    common(p_cv, sweep=False)
-    p_cv.add_argument("--ar-min", type=float, default=0.0)
-    p_cv.add_argument("--ar-max", type=float, default=2.0)
-    p_cv.add_argument("--ar-steps", type=int, default=201)
-    p_rep = sub.add_parser("report")
-    common(p_rep, sweep=False)
-    p_rep.add_argument("--property-cases", type=int, default=1000)
+    flags = {
+        "--alphas": dict(type=float, nargs="+", default=DEFAULT_ALPHAS),
+        "--r-min": dict(type=float, default=0.0),
+        "--r-max": dict(type=float, default=0.995),
+        "--r-steps": dict(type=int, default=200),
+        "--seed": dict(type=int, default=12345),
+        "--samples": dict(type=int, default=10000),
+        "--cutoff": dict(type=int, default=None),
+        "--etas": dict(type=float, nargs="+", default=DEFAULT_ETAS),
+        "--ar-min": dict(type=float, default=0.0),
+        "--ar-max": dict(type=float, default=2.0),
+        "--ar-steps": dict(type=int, default=201),
+        "--property-cases": dict(type=int, default=1000),
+        "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+        "--output": dict(type=str, default="-"),
+    }
+    sweep = ("--alphas", "--r-min", "--r-max", "--r-steps")
+    table = ("--format", "--output")
+    for name, names in (
+        ("fig2a", sweep + table),
+        ("fig2b", sweep + table),
+        ("fig3", sweep + table),
+        ("teleport-mc", sweep + ("--seed", "--samples") + table),
+        ("bellmeas", ("--alphas", "--cutoff") + table),
+        ("concentrate", ("--alphas", "--etas") + table),
+        ("cv", ("--ar-min", "--ar-max", "--ar-steps") + table),
+        ("report", ("--property-cases", "--output")),
+    ):
+        p = sub.add_parser(name)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = dict(
-        command=args.command,
-        alphas=tuple(args.alphas),
-        cutoff=args.cutoff,
-        seed=args.seed,
-        samples=args.samples,
-        fmt=args.fmt,
-        output=args.output,
-    )
-    for name in ("r_min", "r_max", "r_steps", "etas", "ar_min", "ar_max", "ar_steps",
-                 "property_cases"):
-        if hasattr(args, name):
-            val = getattr(args, name)
-            kwargs[name] = tuple(val) if isinstance(val, list) else val
-    cfg = RunConfig(**kwargs)
-    if cfg.command in ("fig2a", "fig2b", "fig3", "teleport-mc"):
-        if not (0.0 <= cfg.r_min <= cfg.r_max):
+def _parse(argv) -> argparse.Namespace:
+    """Parse and validate a command line; raises ConfigError on bad values.
+
+    Each check runs only when the command has the flag it checks."""
+    args = _parser().parse_args(argv)
+    given = vars(args)
+    if "r_steps" in given:
+        if not (0.0 <= args.r_min <= args.r_max):
             raise ConfigError("need 0 <= r_min <= r_max")
-        if cfg.r_max >= 1.0:
+        if args.r_max >= 1.0:
             raise ConfigError("r_max must be < 1")
-        if cfg.r_steps < 2:
+        if args.r_steps < 2:
             raise ConfigError("r_steps must be >= 2")
-        if cfg.r_steps * len(cfg.alphas) > MAX_R_POINTS:
+        if args.r_steps * len(args.alphas) > MAX_R_POINTS:
             raise ConfigError(f"r_steps times the number of alphas must be <= {MAX_R_POINTS}")
-    if not 1 <= cfg.samples <= MAX_SAMPLES:
+    if "samples" in given and not 1 <= args.samples <= MAX_SAMPLES:
         raise ConfigError(f"samples must lie in [1, {MAX_SAMPLES}]")
-    if cfg.cutoff is not None and cfg.cutoff < 1:
+    if given.get("cutoff") is not None and args.cutoff < 1:
         raise ConfigError("cutoff must be >= 1")
-    if cfg.seed < 0:
+    if "seed" in given and args.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if not 1 <= cfg.property_cases <= MAX_PROPERTY_CASES:
+    if "property_cases" in given and not 1 <= args.property_cases <= MAX_PROPERTY_CASES:
         raise ConfigError(f"property-cases must lie in [1, {MAX_PROPERTY_CASES}]")
-    if not all(0 < a <= MAX_ALPHA for a in cfg.alphas):
+    if "alphas" in given and not all(0 < a <= MAX_ALPHA for a in args.alphas):
         raise ConfigError(f"alphas must lie in (0, {MAX_ALPHA:g}]")
-    if not all(0.0 < eta < math.pi / 2 for eta in cfg.etas):
+    if "etas" in given and not all(0.0 < eta < math.pi / 2 for eta in args.etas):
         raise ConfigError("etas must lie in (0, pi/2)")
-    # a finite width implies finite ends, and keeps the grid from overflowing
-    if not (math.isfinite(cfg.ar_max - cfg.ar_min) and cfg.ar_min <= cfg.ar_max):
-        raise ConfigError("need finite ar-min <= ar-max with a finite width")
-    if cfg.command == "cv" and not 2 <= cfg.ar_steps <= MAX_AR_STEPS:
-        raise ConfigError(f"ar-steps must lie in [2, {MAX_AR_STEPS}]")
-    return cfg
+    if "ar_steps" in given:
+        # a finite width implies finite ends, and keeps the grid from overflowing
+        if not (math.isfinite(args.ar_max - args.ar_min) and args.ar_min <= args.ar_max):
+            raise ConfigError("need finite ar-min <= ar-max with a finite width")
+        if not 2 <= args.ar_steps <= MAX_AR_STEPS:
+            raise ConfigError(f"ar-steps must lie in [2, {MAX_AR_STEPS}]")
+    return args
 
 
-def _parse(argv) -> RunConfig:
-    """Parse and validate a command line; raises ConfigError on bad values."""
-    return _config_from_args(_parser().parse_args(argv))
+def _r_grid(args: argparse.Namespace) -> np.ndarray:
+    """The r grid of a sweep command."""
+    return np.linspace(args.r_min, args.r_max, args.r_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -171,52 +153,52 @@ def _table(names, rows) -> dict:
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
-def _sweep_table(cfg: RunConfig, r: np.ndarray, **columns) -> dict:
+def _sweep_table(args: argparse.Namespace, r: np.ndarray, **columns) -> dict:
     """The (alpha, r) grid of a sweep, alpha major, then its value columns."""
-    return {"alpha": np.repeat(cfg.alphas, len(r)), "r": np.tile(r, len(cfg.alphas)),
+    return {"alpha": np.repeat(args.alphas, len(r)), "r": np.tile(r, len(args.alphas)),
             **{name: np.asarray(col) for name, col in columns.items()}}
 
 
-def _rows_fig(cfg: RunConfig, key: str, closed, numeric, **extra):
+def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
     """One fig sweep: per alpha, one closed-form and one numeric call on the
     whole r grid (one batched channel density)."""
-    r = cfg.r_grid()
-    parts = [(closed(alpha, r), numeric(dec.channel_rho4(alpha, r))) for alpha in cfg.alphas]
+    r = _r_grid(args)
+    parts = [(closed(alpha, r), numeric(dec.channel_rho4(alpha, r))) for alpha in args.alphas]
     closed_col, numeric_col = (np.concatenate(col) for col in zip(*parts))
-    return _sweep_table(cfg, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
+    return _sweep_table(args, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
                         **{name: np.full(len(closed_col), v) for name, v in extra.items()})
 
 
-def _rows_bellmeas(cfg: RunConfig):
+def _rows_bellmeas(args: argparse.Namespace):
     rows = []
-    for alpha in cfg.alphas:
+    for alpha in args.alphas:
         meas = pr.bell_measure_distribution(
-            qe.bell_state(1, qe.make_basis(alpha, 1.0)), cfg.cutoff, BELLMEAS_TAIL_TOL
+            qe.bell_state(1, qe.make_basis(alpha, 1.0)), args.cutoff, BELLMEAS_TAIL_TOL
         )
         rows.append((alpha, pr.misid_probability_closed(alpha), meas.misidentification(),
                      meas.tail_bound))
     return _table(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), rows)
 
 
-def _rows_teleport_mc(cfg: RunConfig):
+def _rows_teleport_mc(args: argparse.Namespace):
     """Per alpha one batched, checked channel density; per row a view of it
     and its own Monte Carlo stream, seeded ``seed + row index``."""
-    r = cfg.r_grid()
+    r = _r_grid(args)
     f_analytic, f_mc, stderr = [], [], []
-    for a, alpha in enumerate(cfg.alphas):
+    for a, alpha in enumerate(args.alphas):
         for i, rho in enumerate(dec.channel_rho4(alpha, r)):
-            stats = pr.teleport_average_mc(rho, cfg.samples, cfg.seed + a * len(r) + i)
+            stats = pr.teleport_average_mc(rho, args.samples, args.seed + a * len(r) + i)
             f_analytic.append(pr.average_fidelity(rho))
             f_mc.append(stats.mean_fidelity)
             stderr.append(stats.stderr)
-    return _sweep_table(cfg, r, f_analytic=f_analytic, f_mc=f_mc, stderr=stderr,
-                        samples=np.full(len(f_mc), cfg.samples))
+    return _sweep_table(args, r, f_analytic=f_analytic, f_mc=f_mc, stderr=stderr,
+                        samples=np.full(len(f_mc), args.samples))
 
 
-def _rows_concentrate(cfg: RunConfig):
+def _rows_concentrate(args: argparse.Namespace):
     rows = []
-    for alpha in cfg.alphas:
-        for eta in cfg.etas:
+    for alpha in args.alphas:
+        for eta in args.etas:
             ideal = pr.concentrate_ideal(eta)
             rows.append((
                 alpha, eta, ideal.p1, ideal.p2, (math.cos(eta) * math.sin(eta)) ** 2,
@@ -227,11 +209,11 @@ def _rows_concentrate(cfg: RunConfig):
                    "p2_exact_closed"), rows)
 
 
-def _rows_cv(cfg: RunConfig):
+def _rows_cv(args: argparse.Namespace):
     """The fidelity on the amplitude grid, then the located maximum (is_max 1)."""
-    grid = np.linspace(cfg.ar_min, cfg.ar_max, cfg.ar_steps)
+    grid = np.linspace(args.ar_min, args.ar_max, args.ar_steps)
     x_star, f_star = pr.cv_max()
-    is_max = np.zeros(cfg.ar_steps + 1, dtype=int)
+    is_max = np.zeros(args.ar_steps + 1, dtype=int)
     is_max[-1] = 1
     return {"alpha_r": np.append(grid, x_star),
             "f": np.array([pr.cv_fidelity(x) for x in grid.tolist()] + [f_star]),
@@ -239,12 +221,12 @@ def _rows_cv(cfg: RunConfig):
 
 
 _ROW_BUILDERS = {
-    "fig2a": lambda cfg: _rows_fig(cfg, "e", em.closed_form_e, em.negativity_e),
-    "fig2b": lambda cfg: _rows_fig(
-        cfg, "f", em.closed_form_f, em.optimal_fidelity,
+    "fig2a": lambda args: _rows_fig(args, "e", em.closed_form_e, em.negativity_e),
+    "fig2b": lambda args: _rows_fig(
+        args, "f", em.closed_form_f, em.optimal_fidelity,
         classical_limit=em.CLASSICAL_FIDELITY_LIMIT,
     ),
-    "fig3": lambda cfg: _rows_fig(cfg, "s", em.closed_form_s, em.linear_entropy),
+    "fig3": lambda args: _rows_fig(args, "s", em.closed_form_s, em.linear_entropy),
     "bellmeas": _rows_bellmeas,
     "teleport-mc": _rows_teleport_mc,
     "concentrate": _rows_concentrate,
@@ -278,8 +260,8 @@ def _to_json(table: dict) -> str:
     return f"[\n{body}\n]\n"
 
 
-def _render_report(cfg: RunConfig) -> tuple[str, bool]:
-    results = acceptance.run_all(property_cases=cfg.property_cases)
+def _render_report(args: argparse.Namespace) -> tuple[str, bool]:
+    results = acceptance.run_all(property_cases=args.property_cases)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -289,12 +271,12 @@ def _render_report(cfg: RunConfig) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", n_fail == 0
 
 
-def _render_config(cfg: RunConfig) -> tuple[str, bool]:
+def _render_config(args: argparse.Namespace) -> tuple[str, bool]:
     """Output text of a validated configuration, and whether every check passed."""
-    if cfg.command == "report":
-        return _render_report(cfg)
-    table = _ROW_BUILDERS[cfg.command](cfg)
-    return (_to_csv(table) if cfg.fmt == "csv" else _to_json(table)), True
+    if args.command == "report":
+        return _render_report(args)
+    table = _ROW_BUILDERS[args.command](args)
+    return (_to_csv(table) if args.fmt == "csv" else _to_json(table)), True
 
 
 def render(argv) -> str:
@@ -304,20 +286,20 @@ def render(argv) -> str:
 
 def main(argv=None) -> int:
     try:
-        cfg = _parse(argv)
+        args = _parse(argv)
     except ConfigError as exc:
         print(f"ecsim: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        text, all_passed = _render_config(cfg)
+        text, all_passed = _render_config(args)
     except (DegenerateBasisError, CutoffError, DensityError, ZeroNormError) as exc:
         print(f"ecsim: numeric guard: {exc}", file=sys.stderr)
         return 3
     try:
-        if cfg.output == "-":
+        if args.output == "-":
             sys.stdout.write(text)
         else:
-            with open(cfg.output, "w") as fh:
+            with open(args.output, "w") as fh:
                 fh.write(text)
     except OSError as exc:
         print(f"ecsim: I/O error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """CLI: schemas, determinism, exit codes."""
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,10 +335,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["bellmeas", "--cutoff", "0"],
                                       ["bellmeas", "--cutoff", "-3"],
-                                      ["fig2a", "--cutoff", "0"]])
+                                      ["bellmeas", "--alphas", "0.5", "--cutoff", "0"]])
     def test_cutoff_below_one(self, argv, capsys):
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("ecsim: configuration error:")
+        assert capsys.readouterr().err.startswith("ecsim: configuration error: cutoff")
 
     def test_sizes_past_their_limits(self, capsys):
         assert cli.main(["teleport-mc", "--samples", str(cli.MAX_SAMPLES + 1)]) == 2
@@ -393,10 +395,27 @@ class TestExitCodes:
         assert code == 0
         assert target.read_text().startswith("alpha,r,e_closed,e_numeric")
 
-    def test_unknown_command_exits_2(self):
+    def test_unknown_command_exits_2(self, capsys):
+        assert cli.main(["nonsense"]) == 2
+        assert capsys.readouterr().err.startswith("ecsim: configuration error:")
         with pytest.raises(SystemExit) as exc:
-            cli.main(["nonsense"])
-        assert exc.value.code == 2
+            cli.main(["fig2a", "--help"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig2a", "--no-such-flag"], "unrecognized arguments"),
+        (["fig2a", "--r-steps", "2.5"], "invalid int value"),
+        (["cv", "--format", "xml"], "invalid choice"),
+        # a flag the command does not read is not accepted
+        (["fig2a", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ])
+    def test_argparse_errors_exit_2(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("ecsim: configuration error:")
+        assert message in captured.err
 
 
 class TestReport:
@@ -410,6 +429,11 @@ class TestReport:
         assert len(fails) == 1
         assert "8.2" in fails[0]
         assert any(ln.startswith("PASS     1") for ln in lines)
+        checks = [ln for ln in lines if ln.startswith(("PASS", "FAIL"))]
+        # every check but the runtime total (10.8) ends in its own time
+        untimed = [ln for ln in checks if not re.search(r" \[\d+\.\ds\]$", ln)]
+        assert len(checks) == 19
+        assert [ln.split()[1] for ln in untimed] == ["10.8"]
 
 
 class TestConsoleEntryPoint:
@@ -550,7 +574,7 @@ class TestColumnWriters:
         table = cli._rows_teleport_mc(cfg)
         want = []
         for a, alpha in enumerate(cfg.alphas):
-            for i, r in enumerate(cfg.r_grid()):
+            for i, r in enumerate(cli._r_grid(cfg)):
                 rho = channel_rho4(alpha, float(r))
                 stats = protocols.teleport_average_mc(rho, cfg.samples, cfg.seed + 5 * a + i)
                 want.append((alpha, float(r), protocols.average_fidelity(rho),
@@ -592,16 +616,30 @@ SMALL_BASE = {
 }
 
 
+def _commands():
+    """{command: subparser} for every command of the CLI."""
+    sub = next(a for a in cli._parser()._actions if a.dest == "command")
+    return sub.choices
+
+
+def _flag_actions(parser):
+    return [action for action in parser._actions if action.dest != "help"]
+
+
+def _base_argv(command, parser):
+    """A small command line that the command runs in well under a second."""
+    base = [command, *SMALL_BASE.get(command, ["--alphas", "1", "--r-steps", "2"])]
+    if any(action.dest == "samples" for action in parser._actions):
+        base += ["--samples", "20"]
+    return base
+
+
 def _flag_extremes(tmp_path):
     """(command, base argv, {flag: [argv tails]}) for every flag of every command."""
-    sub = next(a for a in cli._parser()._actions if a.dest == "command")
-    for command, parser in sub.choices.items():
-        base = [command, *SMALL_BASE.get(command, ["--alphas", "1", "--r-steps", "2"]),
-                "--samples", "20"]
+    for command, parser in _commands().items():
+        base = _base_argv(command, parser)
         flags = {}
-        for action in parser._actions:
-            if action.dest == "help":
-                continue
+        for action in _flag_actions(parser):
             flag = action.option_strings[0]
             if action.choices:
                 values = ("", "xml")
@@ -619,15 +657,12 @@ def _flag_extremes(tmp_path):
 
 
 def _check_exit(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the text of a value
-        code = exc.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in captured.err, argv
     if code != 0:
-        return
+        return code
     if argv[0] == "report":  # no checks run under the stub
         assert captured.out == "0/0 checks passed\n"
     elif captured.out.startswith("["):
@@ -636,6 +671,7 @@ def _check_exit(argv, capsys):
     else:
         lines = captured.out.splitlines()[1:]
         assert all(math.isfinite(float(x)) for ln in lines for x in ln.split(",")), argv
+    return code
 
 
 class TestExtremeFlags:
@@ -648,6 +684,7 @@ class TestExtremeFlags:
 
     def test_each_flag_alone(self, tmp_path, capsys):
         for _, base, flags in _flag_extremes(tmp_path):
+            assert _check_exit(base, capsys) == 0, base
             for tails in flags.values():
                 for tail in tails:
                     _check_exit(base + tail, capsys)
@@ -657,7 +694,8 @@ class TestExtremeFlags:
         for _, base, flags in _flag_extremes(tmp_path):
             names = sorted(flags)
             for _ in range(40):
-                picked = rng.choice(names, size=rng.integers(2, 4), replace=False)
+                size = rng.integers(2, min(4, len(names) + 1))
+                picked = rng.choice(names, size=size, replace=False)
                 tails = [flags[f][rng.integers(len(flags[f]))] for f in picked]
                 _check_exit(base + [arg for tail in tails for arg in tail], capsys)
 
@@ -672,3 +710,71 @@ class TestExtremeFlags:
         assert cli.main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("ecsim: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# every accepted flag is read, and the README documents each one
+
+# a valid value for each flag, other than its default and its value in the
+# small base command lines
+LIVE_VALUES = {
+    "--alphas": "0.7", "--r-min": "0.1", "--r-max": "0.8", "--r-steps": "3",
+    "--seed": "7", "--samples": "21", "--cutoff": "30", "--etas": "0.4",
+    "--ar-min": "0.5", "--ar-max": "1.5", "--ar-steps": "4", "--property-cases": "2",
+    "--format": "json",
+}
+
+
+class TestNoDeadFlags:
+    @pytest.fixture(autouse=True)
+    def _stub_report(self, monkeypatch):
+        # a report whose text shows the case count it was asked for
+        def run_all(property_cases):
+            return [cli.acceptance.CheckResult("10.1", "stub", True, f"{property_cases} cases")]
+
+        monkeypatch.setattr(cli.acceptance, "run_all", run_all)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, action.option_strings[0])
+        for command, parser in _commands().items() for action in _flag_actions(parser)
+    ])
+    def test_flag_changes_output(self, command, flag, tmp_path, capsys):
+        base = _base_argv(command, _commands()[command])
+        if flag == "--output":
+            target = tmp_path / "out"
+            assert cli.main(base + [flag, str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_text() == cli.render(base)
+        else:
+            assert cli.render(base + [flag, LIVE_VALUES[flag]]) != cli.render(base)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FLAG_TABLE_HEADER = "| command | flags (defaults) |\n| --- | --- |\n"
+
+
+def _readme_default(text, action):
+    """The value a default written in the README's flag table stands for."""
+    if text == "automatic":
+        return None
+    values = [math.pi / float(t[3:]) if t.startswith("pi/") else (action.type or str)(t)
+              for t in text.split()]
+    return tuple(values) if action.nargs == "+" else values[0]
+
+
+class TestReadmeFlagTable:
+    def test_matches_parser(self):
+        rows = README.read_text().split(FLAG_TABLE_HEADER)[1].split("\n\n")[0]
+        documented = {}
+        for row in rows.splitlines():
+            commands, flags = row.strip("|").split("|")
+            for command in re.findall(r"`([\w-]+)`", commands):
+                documented[command] = dict(re.findall(r"`(--[\w-]+)` \(`([^`]*)`\)", flags))
+        parsed = {command: {action.option_strings[0]: action for action in _flag_actions(parser)}
+                  for command, parser in _commands().items()}
+        assert documented.keys() == parsed.keys()
+        for command, actions in parsed.items():
+            assert documented[command].keys() == actions.keys(), command
+            for flag, action in actions.items():
+                default = _readme_default(documented[command][flag], action)
+                assert default == action.default, (command, flag)
