@@ -40,7 +40,7 @@ BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
-# shot (three up-front draws and the fidelity), ~1.5 kB per r point with one
+# shot (three up-front draws and the fidelity), ~1.4 kB per r point with one
 # alpha in fig2a and teleport-mc (sized at ~1.8 kB; the batched density and its
 # checks), ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
 _SIZE_BUDGET = 2**28

@@ -371,8 +371,8 @@ def dyad_from_pure(s: CoherentSuperposition) -> CoherentOperator:
     n = len(s.coeffs)
     return CoherentOperator(
         np.multiply.outer(s.coeffs, s.coeffs.conj()).ravel(),
-        np.repeat(s.amps, n, axis=0),
-        np.repeat(s.amps[None], n, axis=0).reshape(n * n, s.modes),
+        s.amps.repeat(n, axis=0),
+        s.amps[None].repeat(n, axis=0).reshape(n * n, s.modes),
     )
 
 

@@ -36,7 +36,7 @@ class DecayClock:
     t: float | np.ndarray
 
     def __post_init__(self):
-        if not np.all((0.0 < self.t) & (self.t <= 1.0)):
+        if not np.logical_and(0.0 < self.t, self.t <= 1.0).all():
             raise ValueError("decay factor t must lie in (0, 1]")
 
     @property
@@ -45,7 +45,7 @@ class DecayClock:
 
     @classmethod
     def from_r(cls, r) -> "DecayClock":
-        if not np.all((0.0 <= r) & (r < 1.0)):
+        if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
         return cls(t=np.sqrt(1.0 - r * r))
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent_states import (
+    DROP_TOL,
     CoherentOperator,
     CoherentSuperposition,
     consolidate,
-    tensor,
 )
 from .errors import DegenerateBasisError, DensityError, SpanError
 
@@ -31,6 +31,10 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULIS)
 PAULI_PRODUCTS = np.einsum("mij,nkl->mnikjl", PAULI_BASIS, PAULI_BASIS)
 PAULI_PRODUCTS = PAULI_PRODUCTS.reshape(4, 4, 4, 4)
+
+# Added to a density before its Cholesky test: the factorization then
+# completes exactly when every eigenvalue lies above -1e-10.
+_PSD_SHIFT = 1e-10 * np.eye(4)
 
 _SQ2 = math.sqrt(2.0)
 # Ideal Bell vectors in logical coordinates (rows: B1..B4).
@@ -77,11 +81,12 @@ def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if not np.all((0.0 < t) & (t <= 1.0)):
+    if not np.logical_and(0.0 < t, t <= 1.0).all():
         raise ValueError("decay factor t must lie in (0, 1]")
-    s2 = np.exp(-2.0 * (t * alpha) ** 2)  # sin 2theta
-    n_theta = -np.expm1(-4.0 * (t * alpha) ** 2)  # 1 - sin^2 2theta, stable
-    if np.any(n_theta < DEGENERACY_FLOOR):
+    a2 = (t * alpha) ** 2
+    s2 = np.exp(-2.0 * a2)  # sin 2theta
+    n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
+    if not n_theta.min() >= DEGENERACY_FLOOR:
         raise DegenerateBasisError(
             f"basis degenerate at alpha={alpha}, t={np.min(t)}: "
             f"1-exp(-4 t^2 a^2)={np.min(n_theta):.3e}"
@@ -116,7 +121,8 @@ def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
     Exact inversion of the basis definition: |ta> = cos th Psi+ + sin th Psi-
     and |-ta> = sin th Psi+ + cos th Psi-.  ``amp`` must equal +-ta.  Array
     amplitudes broadcast against the basis; the result has a trailing axis
-    of length 2.
+    of length 2, a view whose memory holds that axis first, so that the
+    last axis of the amplitudes runs innermost.
     """
     a = basis.amplitude
     plus = np.abs(amp - a) < SPAN_TOL
@@ -124,8 +130,10 @@ def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
     if not ok.all():
         bad = np.broadcast_to(amp, ok.shape)[~ok][0]
         raise SpanError(f"amplitude {bad!r} is not +-{a} within {SPAN_TOL}")
-    c, s = np.cos(basis.theta), np.sin(basis.theta)
-    return np.stack([np.where(plus, c, s), np.where(plus, s, c)], axis=-1)
+    pair = np.array((np.cos(basis.theta), np.sin(basis.theta)))
+    # (2, 1, ..., 1, *basis shape): the pair axis ahead of every axis of plus
+    pair = pair.reshape((2,) + (1,) * (plus.ndim - pair.ndim + 1) + pair.shape[1:])
+    return np.where(plus, pair, pair[::-1]).transpose(*range(1, plus.ndim + 1), 0)
 
 
 def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
@@ -134,21 +142,34 @@ def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
     B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2.
     B2 and B4 are entangled coherent states exactly; B1 and B3 carry the
     extra -sin(2 theta) cross terms.
+
+    Built directly on the product kets (ta, ta), (ta, -ta), (-ta, ta),
+    (-ta, -ta), in that order.  Each coefficient takes the complex products
+    and sums that ``consolidate`` applies to the tensor products of
+    ``psi_plus`` and ``psi_minus``, so its bits are theirs; terms at or below
+    DROP_TOL of the largest are dropped, as there.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
-    p = psi_plus(basis)
-    m = psi_minus(basis)
-    inv = 1.0 / _SQ2
-    if k == 1:
-        s = inv * (tensor(p, p) + tensor(m, m))
-    elif k == 2:
-        s = inv * (tensor(p, p) - tensor(m, m))
-    elif k == 3:
-        s = inv * (tensor(p, m) + tensor(m, p))
-    else:
-        s = inv * (tensor(p, m) - tensor(m, p))
-    return consolidate(s)
+    c = 1.0 / math.sqrt(basis.n_theta)
+    cos, sin = c * math.cos(basis.theta), c * math.sin(basis.theta)
+    plus = (complex(cos), complex(-sin))  # psi_plus on (|ta>, |-ta>)
+    minus = (complex(-sin), complex(cos))  # psi_minus
+    u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
+    inv = complex(1.0 / _SQ2)
+    coeffs = []
+    for i in (0, 1):
+        for j in (0, 1):
+            second = w[i] * x[j]
+            if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
+                second = complex(-1.0) * second
+            coeffs.append(inv * (u[i] * v[j]) + inv * second)
+    coeffs = np.array(coeffs)
+    size = np.abs(coeffs)
+    kept = size > DROP_TOL * size.max()
+    a = basis.amplitude
+    amps = np.array([[a, a], [a, -a], [-a, a], [-a, -a]], dtype=complex)
+    return CoherentSuperposition(coeffs[kept], amps[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +241,12 @@ class TwoQubitDensity:
     """4x4 density matrix in the logical product ordering.
 
     ``matrix`` may carry leading axes, shape (..., 4, 4): a batch of
-    densities, each held to the same checks.
+    densities, each held to the same checks.  A density must be Hermitian
+    and of unit trace within 1e-10, and every eigenvalue of its Hermitian
+    part must lie above -1e-10: tested as a Cholesky factorization of that
+    part plus 1e-10 I, which completes exactly when its eigenvalues are
+    positive (up to rounding at the threshold).  Each check is written so
+    that a NaN fails it; a failed check raises DensityError.
     """
 
     matrix: np.ndarray
@@ -230,14 +256,18 @@ class TwoQubitDensity:
         if m.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
         m_dag = m.conj().swapaxes(-1, -2)
-        if np.max(np.abs(m - m_dag)) > 1e-10:
+        if not np.abs(m - m_dag).max() <= 1e-10:
             raise DensityError("density matrix is not Hermitian within 1e-10")
-        tr = np.trace(m, axis1=-2, axis2=-1)
-        if np.any(np.abs(tr.real - 1.0) > 1e-10) or np.any(np.abs(tr.imag) > 1e-10):
+        tr = m.trace(axis1=-2, axis2=-1)
+        if not (np.abs(tr.real - 1.0).max() <= 1e-10 and np.abs(tr.imag).max() <= 1e-10):
             raise DensityError("density matrix trace differs from 1 by more than 1e-10")
-        m = (m + m_dag) / 2
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise DensityError("density matrix has an eigenvalue below -1e-10")
+        m = m + m_dag
+        del m_dag
+        m /= 2
+        try:
+            np.linalg.cholesky(m + _PSD_SHIFT)
+        except np.linalg.LinAlgError:
+            raise DensityError("density matrix has an eigenvalue below -1e-10") from None
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -266,13 +296,34 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
-    # (terms, side, mode, *grid, 2); the coordinates are real, so no conj
-    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis)
-    out = np.zeros(coords.shape[3:-1] + (2, 2, 2, 2), dtype=complex)
-    for c, (ket0, ket1), (bra0, bra1) in zip(rho.coeffs, coords[:, 0], coords[:, 1]):
-        out += ((c[..., None] * ket0)[..., :, None, None, None] * ket1[..., None, :, None, None]
-                * bra0[..., None, None, :, None] * bra1[..., None, None, None, :])
-    return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
+    # (terms, side, mode, logical index, *grid), the grid innermost in memory
+    # too; the coordinates are real, so no conj
+    coords = logical_coords(
+        np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis
+    )
+    coords = coords.transpose(0, 1, 2, -1, *range(3, coords.ndim - 1))
+    # Each term's product c x ket0 x ket1 x bra0 x bra1, taken in that order
+    # on the (re, im) pair of c: by real coordinates these are the bits of
+    # the complex products, and the sum from zero never meets -0.  Axes
+    # after the term: ket0, ket1, bra0, bra1 logical index, re/im, *grid.
+    # Each array is dropped once used, which bounds a batch's peak memory.
+    grid = coords.shape[4:]
+    c = rho.coeffs[:, None, None]
+    kets = np.concatenate((c.real, c.imag), axis=2) * coords[:, 0, 0, :, None]
+    kets = (kets[:, :, None] * coords[:, 0, 1, None, :, None])[:, :, :, None, None]
+    bras = coords[:, 1].copy()  # (terms, mode, logical index, *grid)
+    del coords
+    bra0 = bras[:, 0, None, None, :, None, None]
+    bra1 = bras[:, 1, None, None, None, :, None]
+    out = np.zeros((2, 2, 2, 2, 2) + grid)
+    for term in range(len(kets)):
+        out += kets[term] * bra0[term] * bra1[term]
+    del kets, bras, bra0, bra1
+    # (*grid, 16 entries, re/im) viewed as complex (*grid, 4, 4)
+    matrix = np.ascontiguousarray(out.reshape(16, 2, -1).transpose(2, 0, 1))
+    matrix = matrix.view(complex).reshape(grid + (4, 4))
+    del out
+    return TwoQubitDensity(matrix)
 
 
 @dataclass(frozen=True)

@@ -235,8 +235,9 @@ class TestClosedForms:
 
 
 def test_batched_channel_memory_per_point():
-    # cli.MAX_R_POINTS is sized from this peak (~1.5 kB a point measured):
-    # the density, its check temporaries and the dyads' logical coordinates
+    # cli.MAX_R_POINTS is sized from this peak (~1.4 kB a point measured):
+    # the damped dyads, the density and its check temporaries (the
+    # symmetrized matrix, its shifted copy and the Cholesky factor)
     n = 10**4
     r = np.linspace(0.0, 0.995, n)
     channel_rho4(1.0, r[:2])

@@ -301,3 +301,34 @@ class TestBatches:
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - numeric(channel_rho4(14.0, r)))) < 1e-9
 
+
+# Accuracy envelope of the numeric route against the closed forms: max
+# |numeric - closed| for E, f and S over 400 r in [0, 0.995], on a half-decade
+# grid of alpha over the CLI's range.  Each band's bounds are under 3x the
+# largest error the route showed in that band when they were set.  The error
+# grows as ~alpha^-2 below alpha ~ 0.3 and, for E and S, rises again from
+# alpha ~ 3 to 100.
+ENVELOPE_ALPHAS = np.logspace(-3.0, 6.0, 19)
+ENVELOPE_BANDS = [  # (alpha lo, alpha hi, bound on E, f, S)
+    (1e-3, 1e-3, 3e-10, 8e-11, 3.5e-10),
+    (3e-3, 1e-2, 3e-11, 9e-12, 3.3e-11),
+    (3e-2, 0.1, 2.5e-13, 1e-13, 3.5e-13),
+    (0.3, 2.0, 4e-15, 1.9e-15, 7e-15),
+    (3.0, 100.0, 5e-12, 6e-16, 7e-12),
+    (300.0, 400.0, 6e-16, 3e-16, 8e-13),
+    (1e3, 1e6, 6e-16, 3e-16, 1.3e-15),
+]
+
+
+@pytest.mark.parametrize("lo,hi,e_tol,f_tol,s_tol", ENVELOPE_BANDS)
+def test_numeric_route_accuracy_envelope(lo, hi, e_tol, f_tol, s_tol):
+    # a little slack at each end: the grid's decades need not be exact
+    alphas = ENVELOPE_ALPHAS[(ENVELOPE_ALPHAS >= lo * 0.999) & (ENVELOPE_ALPHAS <= hi * 1.001)]
+    assert len(alphas) >= 1
+    r = np.linspace(0.0, 0.995, 400)
+    for alpha in alphas:
+        rho = channel_rho4(float(alpha), r)
+        tols = (e_tol, f_tol, s_tol)
+        for (closed, numeric), tol in zip(CLOSED_FORMS, tols):
+            err = np.max(np.abs(numeric(rho) - closed(float(alpha), r)))
+            assert err <= tol, (closed.__name__, alpha, err)

@@ -7,12 +7,14 @@ import pytest
 from ecsim.coherent_states import (
     CoherentOperator,
     CoherentSuperposition,
+    consolidate,
     dyad_from_pure,
     inner,
     norm,
+    tensor,
 )
 from ecsim.decoherence import DecayClock, channel_rho4, decohere
-from ecsim.errors import DegenerateBasisError, SpanError
+from ecsim.errors import DegenerateBasisError, DensityError, SpanError
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
     QubitVector,
@@ -33,6 +35,14 @@ from ecsim.qubit_encoding import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+def _bell_reference(k, basis):
+    """Bell state k as the consolidated sum of tensor products of psi_plus
+    and psi_minus."""
+    p, m = psi_plus(basis), psi_minus(basis)
+    first, second = (tensor(p, p), tensor(m, m)) if k < 3 else (tensor(p, m), tensor(m, p))
+    return consolidate((1.0 / SQ2) * (first + second if k % 2 else first - second))
 
 
 class TestMakeBasis:
@@ -132,6 +142,15 @@ class TestBellStates:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             bell_state(5, make_basis(1.0, 1.0))
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 2.5, 30.0, 1e6])
+    @pytest.mark.parametrize("t", [1.0, 0.3])
+    def test_bitwise_equal_to_tensor_construction(self, alpha, t):
+        b = make_basis(alpha, t)
+        for k in (1, 2, 3, 4):
+            got, want = bell_state(k, b), _bell_reference(k, b)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.amps.tobytes() == want.amps.tobytes()
 
 
 class TestQubitVector:
@@ -359,3 +378,69 @@ class TestDensityValidation:
                 TwoQubitDensity(bad)
         with pytest.raises(ValueError):
             TwoQubitDensity(np.ones((3, 4, 3)) / 4.0)
+
+    def test_rejects_nan(self):
+        one_nan = np.eye(4, dtype=complex) / 4.0
+        one_nan[0, 0] = np.nan
+        all_nan = np.full((4, 4), np.nan, dtype=complex)
+        good = np.eye(4, dtype=complex) / 4.0
+        for bad in (one_nan, all_nan):
+            with pytest.raises(DensityError):
+                TwoQubitDensity(bad)
+            with pytest.raises(DensityError):
+                TwoQubitDensity(np.stack([good, bad, good]))
+
+    @pytest.mark.parametrize("lam_min,accepted", [(-0.5e-10, True), (-2e-10, False)])
+    def test_positivity_threshold(self, lam_min, accepted):
+        rng = np.random.default_rng(31)
+        m = _density_with_min_eigenvalue(rng, lam_min)
+        assert _accepted(m) is accepted
+        batch = np.stack([np.eye(4, dtype=complex) / 4.0, m, channel_rho4(1.0, 0.4).matrix])
+        assert _accepted(batch) is accepted
+
+    def test_verdict_matches_eigvalsh_near_threshold(self):
+        # smallest eigenvalue -1e-10 (1 +- d), d in [0.01, 0.9]: far outside
+        # the ~1e-16 rounding of the construction and of the factorization
+        rng = np.random.default_rng(32)
+        inside, outside = [], []
+        for side in (-1.0, 1.0) * 100:
+            m = _density_with_min_eigenvalue(rng, -1e-10 * (1.0 + side * rng.uniform(0.01, 0.9)))
+            verdict = bool(np.linalg.eigvalsh(m).min() >= -1e-10)
+            assert verdict is (side < 0)
+            assert _accepted(m) is verdict
+            (inside if verdict else outside).append(m)
+        assert _accepted(np.stack(inside))
+        for m in outside[:5]:
+            assert not _accepted(np.stack(inside[:7] + [m] + inside[7:]))
+
+    def test_verdict_matches_eigvalsh_on_channel_densities(self):
+        # acceptance check 2's grid, one batch per amplitude ...
+        mats = [channel_rho4(float(alpha), np.linspace(0.0, 0.95, 20)).matrix
+                for alpha in np.linspace(0.1, 2.0, 20)]
+        # ... and property suite 10.4's 1000 draws, in its order
+        rng = np.random.default_rng(304)
+        for _ in range(1000):
+            alpha = rng.uniform(0.1, 2.0)
+            mats.append(channel_rho4(alpha, rng.uniform(0.0, 0.97)).matrix[None])
+        mats = np.concatenate(mats)
+        assert mats.shape == (1400, 4, 4)
+        assert np.linalg.eigvalsh(mats).min() >= -1e-10
+        assert all(_accepted(m) for m in mats)
+
+
+def _accepted(m) -> bool:
+    try:
+        TwoQubitDensity(m)
+    except DensityError:
+        return False
+    return True
+
+
+def _density_with_min_eigenvalue(rng, lam_min):
+    """Unit-trace Hermitian Q diag(l) Q^dag with a random unitary Q, smallest
+    eigenvalue ``lam_min`` and the other three in [0.125, 0.75]."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q = np.linalg.qr(g)[0]
+    rest = (0.2 + rng.dirichlet(np.ones(3))) / 1.6 * (1.0 - lam_min)
+    m = (q * np.concatenate(([lam_min], rest))) @ q.conj().T
+    return (m + m.conj().T) / 2.0
