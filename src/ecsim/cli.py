@@ -40,9 +40,10 @@ BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
-# shot (three up-front draws and the fidelity), ~1.4 kB per r point with one
-# alpha in fig2a and teleport-mc (sized at ~1.8 kB; the batched density and its
-# checks), ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
+# shot (three up-front draws and the fidelity), ~1.4 kB per (alpha, r) point
+# in the fig sweeps and teleport-mc, whose whole grid is one batched density
+# and its checks (sized at ~1.8 kB; 198 MB at MAX_R_POINTS over 3 alphas),
+# ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36
 MAX_R_POINTS = _SIZE_BUDGET // 1800
@@ -160,11 +161,12 @@ def _sweep_table(args: argparse.Namespace, r: np.ndarray, **columns) -> dict:
 
 
 def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
-    """One fig sweep: per alpha, one closed-form and one numeric call on the
-    whole r grid (one batched channel density)."""
+    """One fig sweep: per alpha one closed-form call on the whole r grid, then
+    one numeric call on the whole (alpha, r) grid (one batched channel
+    density)."""
     r = _r_grid(args)
-    parts = [(closed(alpha, r), numeric(dec.channel_rho4(alpha, r))) for alpha in args.alphas]
-    closed_col, numeric_col = (np.concatenate(col) for col in zip(*parts))
+    closed_col = np.concatenate([closed(alpha, r) for alpha in args.alphas])
+    numeric_col = numeric(dec.channel_rho4(np.array(args.alphas), r)).ravel()
     return _sweep_table(args, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
                         **{name: np.full(len(closed_col), v) for name, v in extra.items()})
 
@@ -181,12 +183,13 @@ def _rows_bellmeas(args: argparse.Namespace):
 
 
 def _rows_teleport_mc(args: argparse.Namespace):
-    """Per alpha one batched, checked channel density; per row a view of it
-    and its own Monte Carlo stream, seeded ``seed + row index``."""
+    """One batched, checked channel density over the (alpha, r) grid; per row
+    a view of it and its own Monte Carlo stream, seeded
+    ``seed + alpha index * len(r) + r index``."""
     r = _r_grid(args)
     f_analytic, f_mc, stderr = [], [], []
-    for a, alpha in enumerate(args.alphas):
-        for i, rho in enumerate(dec.channel_rho4(alpha, r)):
+    for a, rows in enumerate(dec.channel_rho4(np.array(args.alphas), r)):
+        for i, rho in enumerate(rows):
             stats = pr.teleport_average_mc(rho, args.samples, args.seed + a * len(r) + i)
             f_analytic.append(pr.average_fidelity(rho))
             f_mc.append(stats.mean_fidelity)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap
 from .qubit_encoding import (
-    LogicalBasis,
     PauliDecomposition,
     TwoQubitDensity,
     bell_state,
@@ -47,7 +46,10 @@ class DecayClock:
     def from_r(cls, r) -> "DecayClock":
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
-        return cls(t=np.sqrt(1.0 - r * r))
+        # every such r gives t = sqrt(1 - r^2) in (0, 1]: not checked again
+        clock = object.__new__(cls)
+        object.__setattr__(clock, "t", np.sqrt(1.0 - r * r))
+        return clock
 
     @classmethod
     def from_interaction(cls, gamma: float, tau: float) -> "DecayClock":
@@ -90,7 +92,9 @@ class ChannelCoefficients:
         c_coef = 2 - (1 + gamma_coef) W
         d_coef = -2 gamma_coef + (1 + gamma_coef) W
 
-    Each field has the shape of ``r`` (a float for a scalar ``r``).
+    Each of these fields has the shape of ``r`` (a float for a scalar ``r``);
+    ``n_theta`` = 1 - exp(-4 a^2) is the time-independent normalization of
+    the undecayed basis.
     """
 
     a_coef: float
@@ -99,10 +103,15 @@ class ChannelCoefficients:
     d_coef: float
     gamma_coef: float
     w_coef: float
+    n_theta: float
 
     @classmethod
     def evaluate(cls, alpha: float, r) -> "ChannelCoefficients":
-        t2 = DecayClock.from_r(r).t ** 2
+        """The coefficients at amplitude ``alpha`` over ``r``, behind the
+        guard of ``closed_form_normalization``."""
+        t = DecayClock.from_r(r).t
+        n_theta = closed_form_normalization(alpha, t)
+        t2 = t**2
         g = np.exp(-4.0 * (1.0 - t2) * alpha**2)
         w = np.exp(-4.0 * t2 * alpha**2)
         return cls(
@@ -112,38 +121,64 @@ class ChannelCoefficients:
             d_coef=-2.0 * g + (1.0 + g) * w,
             gamma_coef=g,
             w_coef=w,
+            n_theta=n_theta,
         )
 
 
-def decayed_basis(alpha: float, r) -> LogicalBasis:
-    """Logical basis tracking the damped amplitude t * alpha."""
-    return make_basis(alpha, DecayClock.from_r(r).t)
-
-
-def closed_form_normalization(alpha: float, r) -> float:
+def closed_form_normalization(alpha: float, t) -> float:
     """N_theta = 1 - exp(-4 alpha^2), the time-independent normalization of
     the undecayed basis shared by the closed forms.
 
-    Also their degeneracy guard: raises DegenerateBasisError when the decayed
-    basis at any ``r`` is degenerate, as the numeric route would.
+    Also their degeneracy guard, given the decay factors ``t`` of the grid:
+    raises DegenerateBasisError when the decayed basis at any ``t`` is
+    degenerate, as the numeric route would.  Its normalization rises with
+    ``t``, so the basis at the least ``t`` decides, with the same message.
     """
-    decayed_basis(alpha, r)
+    make_basis(alpha, t.min())
     return -math.expm1(-4.0 * alpha**2)
 
 
-def channel_rho4(alpha: float, r) -> TwoQubitDensity:
+def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     """Density matrix of the damped antisymmetric entangled channel.
 
     Builds the undecayed channel state, damps both modes to normalized time
     ``r``, and projects onto the decayed logical product basis.  All dyad
     amplitudes are +-(t alpha), so the projection is exact and trace
-    preserving.  An array ``r`` gives the batch of densities, shape
-    ``r.shape + (4, 4)``, in one pass.
+    preserving.  ``alpha`` and ``r`` may be arrays: the batch of densities,
+    shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over the
+    whole grid, each density with the bits of its own scalar call.  Only the
+    undecayed B4 dyad is built per amplitude; every one has the same terms,
+    (ta, -ta) and (-ta, ta) on both sides, and a dyad with other terms
+    raises ValueError.
     """
-    basis0 = make_basis(alpha, 1.0)
+    alpha = np.asarray(alpha, dtype=float)
+    amps = alpha.ravel().tolist()
+    if not amps:
+        raise ValueError("alpha must hold at least one amplitude")
+    # the undecayed dyads with the amplitude axis last: coefficients
+    # (terms, n), kets and bras (terms, modes, n)
+    for i, a in enumerate(amps):
+        dyad = dyad_from_pure(bell_state(4, make_basis(a, 1.0)))
+        if i == 0:
+            coeffs = np.empty(dyad.coeffs.shape + (len(amps),), dtype=complex)
+            kets, bras = np.empty((2,) + dyad.kets.shape + (len(amps),), dtype=complex)
+        elif dyad.kets.shape != kets.shape[:-1]:
+            raise ValueError(
+                f"the B4 dyad at alpha={a} has {len(dyad.coeffs)} terms, "
+                f"not {len(coeffs)} as at alpha={amps[0]}"
+            )
+        coeffs[:, i], kets[..., i], bras[..., i] = dyad.coeffs, dyad.kets, dyad.bras
     clock = DecayClock.from_r(r)
-    rho = decohere(dyad_from_pure(bell_state(4, basis0)), clock)
-    return project_to_density(rho, make_basis(alpha, clock.t))
+    batch = alpha.shape
+    dyads = CoherentOperator(
+        coeffs.reshape(coeffs.shape[:1] + batch),
+        kets.reshape(kets.shape[:2] + batch),
+        bras.reshape(bras.shape[:2] + batch),
+    )
+    rho = decohere(dyads, clock)
+    # the amplitudes ahead of the decay-time axes; [()] makes a 0-d one a scalar
+    basis = make_basis(alpha.reshape(batch + (1,) * np.ndim(clock.t))[()], clock.t)
+    return project_to_density(rho, basis)
 
 
 def closed_form_vst(alpha: float, r) -> PauliDecomposition:
@@ -154,11 +189,10 @@ def closed_form_vst(alpha: float, r) -> PauliDecomposition:
     time-independent normalization of the undecayed basis.  Broadcasts over
     an array ``r`` like ``channel_rho4``.
     """
-    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
     v = np.zeros(np.shape(co.b_coef) + (3,))
-    v[..., 0] = co.b_coef / n_theta
+    v[..., 0] = co.b_coef / co.n_theta
     diag = np.stack(
         [co.a_coef + co.d_coef, -co.a_coef + co.d_coef, co.a_coef - co.c_coef], axis=-1
-    ) / (2.0 * n_theta)
+    ) / (2.0 * co.n_theta)
     return PauliDecomposition(v=v, s=v.copy(), t_matrix=diag[..., None] * np.eye(3))

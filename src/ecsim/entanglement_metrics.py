@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import ChannelCoefficients, channel_rho4, closed_form_normalization
+from .decoherence import (
+    ChannelCoefficients,
+    DecayClock,
+    channel_rho4,
+    closed_form_normalization,
+)
 from .qubit_encoding import TwoQubitDensity, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
@@ -45,10 +50,9 @@ def closed_form_e(alpha: float, r) -> float | np.ndarray:
 
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
     """
-    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
     root = np.sqrt(16.0 * co.b_coef**2 + (co.c_coef - co.d_coef) ** 2)
-    return _value((root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * n_theta))
+    return _value((root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * co.n_theta))
 
 
 def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
@@ -95,10 +99,9 @@ def closed_form_f(alpha: float, r) -> float | np.ndarray:
     max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
     W from ``ChannelCoefficients``, which cannot overflow at large amplitude.
     """
-    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
     g, w = co.gamma_coef, co.w_coef
-    return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
+    return _value(np.maximum(1.0 + (1.0 - g) / co.n_theta, 2.0 + (g - w) / co.n_theta) / 3.0)
 
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -116,7 +119,7 @@ def closed_form_s(alpha: float, r) -> float | np.ndarray:
     r^2 + t^2 = 1: at large amplitude the peak is then flat to rounding,
     where the growing exponentials would scatter it by several ulps.
     """
-    n_theta = closed_form_normalization(alpha, r)
+    n_theta = closed_form_normalization(alpha, DecayClock.from_r(r).t)
     a2 = alpha**2
     r2 = r * r
     num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
@@ -139,10 +142,9 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     amplitude the margin is below the rounding of f: at alpha = 3 and
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
-    n_theta = closed_form_normalization(alpha, r)
     co = ChannelCoefficients.evaluate(alpha, r)
     g = co.gamma_coef
-    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - co.w_coef) / (3.0 * n_theta)
+    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - co.w_coef) / (3.0 * co.n_theta)
 
 
 def characteristic_time(alpha: float) -> float:

@@ -25,7 +25,7 @@ from .coherent_states import (
     project_modes,
     tensor,
 )
-from .errors import SpanError
+from .errors import SpanError, ZeroNormError
 from .qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
@@ -415,7 +415,11 @@ def concentrate_exact(alpha: float, eta: float) -> ExactConcentration:
     joint = tensor(d4, d4)  # (b', b'', b, c)
     chi = project_modes(joint, (1, 2), bell_state(2, basis))
     p = inner(chi, chi).real
-    return ExactConcentration(success_probability=float(p), state=normalized(chi))
+    # normalized(chi), without computing <chi|chi> a second time
+    n = math.sqrt(max(p, 0.0))
+    if n == 0.0:
+        raise ZeroNormError("cannot normalize a zero state")
+    return ExactConcentration(success_probability=float(p), state=(1.0 / n) * chi)
 
 
 def concentration_success_closed_form(alpha: float, eta: float) -> float:

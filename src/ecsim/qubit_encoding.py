@@ -55,11 +55,13 @@ class LogicalBasis:
     ``theta`` is the mixing angle with sin(2 theta) = <ta|-ta> = exp(-2 t^2
     alpha^2); ``n_theta`` = cos^2(2 theta) is the normalization of the pair.
     ``t = 1`` is the undecayed basis; smaller ``t`` tracks amplitude decay.
-    An array ``t`` gives one basis per entry: ``theta``, ``n_theta`` and the
-    properties are then arrays of its shape.
+    ``alpha`` and ``t`` may be arrays that broadcast against each other (an
+    amplitude axis ahead of a decay-time grid, say), one basis per entry of
+    the broadcast shape: ``theta``, ``n_theta`` and the properties are then
+    arrays of that shape.
     """
 
-    alpha: float
+    alpha: float | np.ndarray
     t: float | np.ndarray
     theta: float | np.ndarray
     n_theta: float | np.ndarray
@@ -73,26 +75,33 @@ class LogicalBasis:
         return np.exp(-2.0 * (self.t * self.alpha) ** 2)
 
 
-def make_basis(alpha: float, t: float | np.ndarray = 1.0) -> LogicalBasis:
-    """Build the logical basis at amplitude ``t * alpha`` (``t`` may be an array).
+def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> LogicalBasis:
+    """Build the logical basis at amplitude ``t * alpha``.
 
-    Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 at any ``t``: there the
+    ``alpha`` and ``t`` may be arrays that broadcast against each other; each
+    entry is computed element-wise, so its bits do not depend on the others.
+    Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 anywhere: there the
     pair {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
+    The error names the first such amplitude, the least ``t`` and that
+    amplitude's least 1 - exp(-4 t^2 alpha^2).
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not np.logical_and(0.0 < t, t <= 1.0).all():
+    # both range checks in one reduction; the error names the first that fails
+    if not (np.logical_and(0.0 < t, t <= 1.0) & (alpha > 0)).all():
+        if not np.greater(alpha, 0.0).all():
+            raise ValueError("alpha must be positive")
         raise ValueError("decay factor t must lie in (0, 1]")
     a2 = (t * alpha) ** 2
     s2 = np.exp(-2.0 * a2)  # sin 2theta
     n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
     if not n_theta.min() >= DEGENERACY_FLOOR:
+        amps = np.broadcast_to(alpha, n_theta.shape)
+        bad = amps[~(n_theta >= DEGENERACY_FLOOR)][0]
         raise DegenerateBasisError(
-            f"basis degenerate at alpha={alpha}, t={np.min(t)}: "
-            f"1-exp(-4 t^2 a^2)={np.min(n_theta):.3e}"
+            f"basis degenerate at alpha={bad}, t={np.min(t)}: "
+            f"1-exp(-4 t^2 a^2)={np.min(n_theta[amps == bad]):.3e}"
         )
     theta = 0.5 * np.arcsin(s2)
-    return LogicalBasis(alpha=float(alpha), t=t, theta=theta, n_theta=n_theta)
+    return LogicalBasis(alpha=alpha, t=t, theta=theta, n_theta=n_theta)
 
 
 def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
@@ -302,24 +311,27 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
         np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis
     )
     coords = coords.transpose(0, 1, 2, -1, *range(3, coords.ndim - 1))
+    grid = coords.shape[4:]
+    # from here on the grid is one flat axis (a view), which keeps the work
+    # per point the same for any number of grid axes
+    coords = coords.reshape(coords.shape[:4] + (-1,))
     # Each term's product c x ket0 x ket1 x bra0 x bra1, taken in that order
     # on the (re, im) pair of c: by real coordinates these are the bits of
     # the complex products, and the sum from zero never meets -0.  Axes
-    # after the term: ket0, ket1, bra0, bra1 logical index, re/im, *grid.
+    # after the term: ket0, ket1, bra0, bra1 logical index, re/im, points.
     # Each array is dropped once used, which bounds a batch's peak memory.
-    grid = coords.shape[4:]
-    c = rho.coeffs[:, None, None]
+    c = rho.coeffs.reshape(len(rho.coeffs), 1, 1, -1)
     kets = np.concatenate((c.real, c.imag), axis=2) * coords[:, 0, 0, :, None]
     kets = (kets[:, :, None] * coords[:, 0, 1, None, :, None])[:, :, :, None, None]
-    bras = coords[:, 1].copy()  # (terms, mode, logical index, *grid)
+    bras = coords[:, 1].copy()  # (terms, mode, logical index, points)
     del coords
     bra0 = bras[:, 0, None, None, :, None, None]
     bra1 = bras[:, 1, None, None, None, :, None]
-    out = np.zeros((2, 2, 2, 2, 2) + grid)
+    out = np.zeros((2, 2, 2, 2, 2, bras.shape[-1]))
     for term in range(len(kets)):
         out += kets[term] * bra0[term] * bra1[term]
     del kets, bras, bra0, bra1
-    # (*grid, 16 entries, re/im) viewed as complex (*grid, 4, 4)
+    # (points, 16 entries, re/im) viewed as complex (*grid, 4, 4)
     matrix = np.ascontiguousarray(out.reshape(16, 2, -1).transpose(2, 0, 1))
     matrix = matrix.view(complex).reshape(grid + (4, 4))
     del out

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from ecsim import cli, protocols
+from ecsim import decoherence as dec
 from ecsim import qubit_encoding as qe
 from ecsim.decoherence import channel_rho4
+from ecsim.errors import DegenerateBasisError
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -255,6 +257,26 @@ class TestExitCodes:
         assert cli.main(["fig2a", "--alphas", "1e-4", "--r-steps", "2"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ecsim: numeric guard:")
+        # the same when that amplitude shares the batched density with a sound one
+        assert cli.main(["fig2a", "--alphas", "1", "1e-4"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ecsim: numeric guard: density matrix is not Hermitian within 1e-10"]
+
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b", "fig3", "teleport-mc"])
+    @pytest.mark.parametrize("alphas", [("1", "1e-7"), ("1e-7", "1"), ("0.5", "2e-6", "2")])
+    def test_degenerate_alpha_in_a_list(self, command, alphas, capsys):
+        # the message is that of the degenerate amplitude alone: a fig sweep's
+        # closed form guards with the decayed basis over the whole grid;
+        # teleport-mc's channel builds the undecayed basis first.  2e-6 is
+        # degenerate only at the smallest decay factors.
+        argv = [command, "--alphas", *alphas, "--r-steps", "4"]
+        bad = float(next(a for a in alphas if float(a) < 1e-3))
+        with pytest.raises(DegenerateBasisError) as guard:
+            if command == "teleport-mc":
+                qe.make_basis(bad, 1.0)
+            qe.make_basis(bad, dec.DecayClock.from_r(cli._r_grid(cli._parse(argv))).t)
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [f"ecsim: numeric guard: {guard.value}"]
 
     def test_property_cases_must_be_positive(self, capsys):
         # zero randomized cases would report every property suite as passed
@@ -583,14 +605,41 @@ class TestColumnWriters:
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
     def test_teleport_rows_check_each_batch_once(self, monkeypatch):
-        # one density check per alpha (its batch); the rows are views of it
+        # one density check per request (its (alpha, r) batch); the rows are views of it
         checks = []
         check = qe.TwoQubitDensity.__post_init__
         monkeypatch.setattr(qe.TwoQubitDensity, "__post_init__",
                             lambda self: checks.append(self.matrix.shape) or check(self))
         cli._rows_teleport_mc(cli._parse(["teleport-mc", "--alphas", "0.5", "1.5",
                                           "--r-steps", "6", "--samples", "3"]))
-        assert checks == [(6, 4, 4), (6, 4, 4)]
+        assert checks == [(2, 6, 4, 4)]
+
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b", "fig3"])
+    def test_fig_rows_match_per_alpha_renders(self, command):
+        # one numeric pass over the (alpha, r) grid gives each alpha's own rows
+        alphas = ["0.001", "0.05", "0.7", "2.3", "14", "1e6"]
+        grid = ["--r-min", "0.05", "--r-max", "0.99", "--r-steps", "9"]
+        table = cli._ROW_BUILDERS[command](cli._parse([command, "--alphas", *alphas, *grid]))
+        want = []
+        for alpha in alphas:
+            one = cli._ROW_BUILDERS[command](cli._parse([command, "--alphas", alpha, *grid]))
+            want += list(zip(*[col.tolist() for col in one.values()]))
+        got = list(zip(*[col.tolist() for col in table.values()]))
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+
+    def test_teleport_rows_match_per_alpha_renders(self):
+        # the batched request keeps each row's stream, seed + alpha index * len(r) + i
+        alphas, steps, seed = ["0.3", "1.7", "2.9"], 4, 11
+        base = ["--r-max", "0.93", "--r-steps", str(steps), "--samples", "23"]
+        table = cli._rows_teleport_mc(
+            cli._parse(["teleport-mc", "--alphas", *alphas, "--seed", str(seed), *base]))
+        want = []
+        for a, alpha in enumerate(alphas):
+            one = cli._rows_teleport_mc(cli._parse(
+                ["teleport-mc", "--alphas", alpha, "--seed", str(seed + a * steps), *base]))
+            want += list(zip(*[col.tolist() for col in one.values()]))
+        got = list(zip(*[col.tolist() for col in table.values()]))
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
     @pytest.mark.parametrize("chunk", [1, 7, protocols.MC_CHUNK])
     def test_mc_kernel_matches_shot_minor_reference(self, monkeypatch, chunk):

@@ -11,6 +11,8 @@ from ecsim.coherent_states import (
     dyad_from_pure,
     operator_trace,
 )
+from ecsim import decoherence
+from ecsim import entanglement_metrics as em
 from ecsim.decoherence import (
     ChannelCoefficients,
     DecayClock,
@@ -18,7 +20,12 @@ from ecsim.decoherence import (
     closed_form_vst,
     decohere,
 )
-from ecsim.entanglement_metrics import optimal_fidelity
+from ecsim.entanglement_metrics import (
+    closed_form_e,
+    closed_form_f,
+    closed_form_s,
+    optimal_fidelity,
+)
 from ecsim.errors import DegenerateBasisError
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
@@ -196,6 +203,74 @@ class TestChannel:
                 dec = pauli_decompose(channel_rho4(alpha, r))
                 assert np.linalg.norm(dec.v) > 1e-6
                 assert np.max(np.abs(dec.v - dec.s)) < 1e-12
+
+
+class TestAlphaBatch:
+    ALPHAS = np.logspace(-3.0, 6.0, 19)
+
+    @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 400), 0.5], ids=["grid", "scalar"])
+    def test_slices_are_bitwise_the_scalar_alpha_calls(self, r):
+        batch = channel_rho4(self.ALPHAS, r).matrix
+        assert batch.shape == self.ALPHAS.shape + np.shape(r) + (4, 4)
+        for alpha, rows in zip(self.ALPHAS.tolist(), batch):
+            assert rows.tobytes() == channel_rho4(alpha, r).matrix.tobytes()
+
+    def test_alpha_axes_lead(self):
+        alphas = np.array([[0.2, 1.0, 3.0], [0.5, 1.5, 40.0]])
+        r = np.linspace(0.0, 0.9, 5)
+        batch = channel_rho4(alphas, r).matrix
+        assert batch.shape == (2, 3, 5, 4, 4)
+        assert batch.tobytes() == channel_rho4(alphas.ravel(), r).matrix.tobytes()
+        assert channel_rho4(np.float64(1.3), r).matrix.tobytes() == (
+            channel_rho4(np.array([1.3]), r).matrix[0].tobytes())
+
+    def test_dyads_with_other_terms_fail_loudly(self, monkeypatch):
+        # B1 carries all four product kets, B4 two: the batch is not padded
+        bell = decoherence.bell_state
+        monkeypatch.setattr(decoherence, "bell_state",
+                            lambda k, basis: bell(1 if basis.alpha == 2.0 else k, basis))
+        channel_rho4(np.array([2.0, 2.0]), 0.5)
+        with pytest.raises(ValueError, match="has 16 terms, not 4"):
+            channel_rho4(np.array([1.0, 2.0]), 0.5)
+
+    def test_needs_an_amplitude(self):
+        with pytest.raises(ValueError):
+            channel_rho4(np.array([]), 0.5)
+
+    def test_degenerate_alpha_named(self):
+        # 2e-6 is degenerate only at small decay factors: the batch's message
+        # is that of the amplitude's own call
+        r = np.linspace(0.0, 0.995, 7)
+        with pytest.raises(DegenerateBasisError) as alone:
+            channel_rho4(2e-6, r)
+        with pytest.raises(DegenerateBasisError) as batched:
+            channel_rho4(np.array([1.0, 2e-6, 3e-6]), r)
+        assert "alpha=2e-06" in str(alone.value)
+        assert str(batched.value) == str(alone.value)
+
+
+class TestClosedFormGuard:
+    CLOSED = [closed_form_e, closed_form_f, closed_form_s, closed_form_vst, em._fidelity_margin]
+
+    @pytest.mark.parametrize("closed", CLOSED)
+    def test_message_is_that_of_the_decayed_basis(self, closed):
+        grid = np.array([0.0, 0.5, 0.9999999])
+        with pytest.raises(DegenerateBasisError) as whole:
+            make_basis(1e-3, DecayClock.from_r(grid).t)
+        with pytest.raises(DegenerateBasisError) as got:
+            closed(1e-3, grid)
+        assert str(got.value) == str(whole.value)
+
+    @pytest.mark.parametrize("closed", CLOSED)
+    def test_one_clock_and_one_basis_per_call(self, closed, monkeypatch):
+        calls = []
+        from_r, basis = DecayClock.from_r, decoherence.make_basis
+        monkeypatch.setattr(DecayClock, "from_r",
+                            classmethod(lambda cls, r: calls.append("from_r") or from_r(r)))
+        monkeypatch.setattr(decoherence, "make_basis",
+                            lambda *a: calls.append("make_basis") or basis(*a))
+        closed(1.3, np.linspace(0.0, 0.995, 50))
+        assert sorted(calls) == ["from_r", "make_basis"]
 
 
 class TestClosedForms:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecsim import entanglement_metrics as em
-from ecsim.decoherence import channel_rho4
+from ecsim.decoherence import channel_rho4, closed_form_vst
 from ecsim.errors import DegenerateBasisError
 from ecsim.entanglement_metrics import (
     characteristic_time,
@@ -332,3 +332,30 @@ def test_numeric_route_accuracy_envelope(lo, hi, e_tol, f_tol, s_tol):
         for (closed, numeric), tol in zip(CLOSED_FORMS, tols):
             err = np.max(np.abs(numeric(rho) - closed(float(alpha), r)))
             assert err <= tol, (closed.__name__, alpha, err)
+
+
+# The same envelope for the Pauli coefficients: max |numeric - closed| of
+# pauli_decompose(channel_rho4) against closed_form_vst, over the same grid,
+# one batched channel_rho4 call per band.  Each bound is under 3x the largest
+# error in the band when it was set; past alpha ~ 300 both v and s are 0.
+PAULI_BANDS = [  # (alpha lo, alpha hi, bound on v and s, bound on T)
+    (1e-3, 1e-3, 2.5e-10, 3.5e-10),
+    (3e-3, 1e-2, 2.9e-11, 3.2e-11),
+    (3e-2, 0.1, 2.3e-13, 2.7e-13),
+    (0.3, 2.0, 3.3e-15, 4.6e-15),
+    (3.0, 100.0, 6.6e-16, 1.6e-15),
+    (300.0, 1e6, 0.0, 6.6e-16),
+]
+
+
+@pytest.mark.parametrize("lo,hi,vs_tol,t_tol", PAULI_BANDS)
+def test_pauli_coefficients_accuracy_envelope(lo, hi, vs_tol, t_tol):
+    alphas = ENVELOPE_ALPHAS[(ENVELOPE_ALPHAS >= lo * 0.999) & (ENVELOPE_ALPHAS <= hi * 1.001)]
+    assert len(alphas) >= 1
+    r = np.linspace(0.0, 0.995, 400)
+    got = pauli_decompose(channel_rho4(alphas, r))
+    for a, alpha in enumerate(alphas.tolist()):
+        want = closed_form_vst(alpha, r)
+        for name, tol in (("v", vs_tol), ("s", vs_tol), ("t_matrix", t_tol)):
+            err = np.max(np.abs(getattr(got, name)[a] - getattr(want, name)))
+            assert err <= tol, (name, alpha, err)

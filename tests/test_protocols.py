@@ -5,13 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecsim import protocols
+from ecsim import coherent_states, protocols
 from ecsim.coherent_states import (
     CoherentSuperposition,
     beam_split,
     inner,
     norm,
+    normalized,
     photon_distribution,
+    project_modes,
+    tensor,
 )
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import CutoffError, SpanError
@@ -502,6 +505,23 @@ class TestConcentrationExact:
         # outcome carries probability exactly 1/4 at any amplitude
         res = concentrate_exact(alpha, math.pi / 4)
         assert res.success_probability == pytest.approx(0.25, abs=1e-12)
+
+    def test_state_is_normalized_chi_with_one_inner_product_fewer(self, monkeypatch):
+        # the kept state is normalized(chi) bit for bit, from the one <chi|chi>
+        calls = []
+        counted = lambda a, b: calls.append(1) or inner(a, b)
+        monkeypatch.setattr(protocols, "inner", counted)
+        monkeypatch.setattr(coherent_states, "inner", counted)
+        alpha, eta = 0.8, math.pi / 5
+        d4 = partial_pair_state(alpha, eta)
+        chi = project_modes(tensor(d4, d4), (1, 2), bell_state(2, make_basis(alpha, 1.0)))
+        want = normalized(chi)
+        reference = len(calls) + 1  # the success probability's <chi|chi>
+        calls.clear()
+        res = concentrate_exact(alpha, eta)
+        assert len(calls) == reference - 1
+        assert res.state.coeffs.tobytes() == want.coeffs.tobytes()
+        assert res.state.amps.tobytes() == want.amps.tobytes()
 
     def test_amplitude_limits(self):
         for eta in (math.pi / 8, math.pi / 6, math.pi / 3):
