@@ -39,11 +39,13 @@ MAX_ALPHA = 1e6
 BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
-# coherent_states.FOCK_CELL_BUDGET).  Measured peaks: ~36 B per Monte Carlo
-# shot (three up-front draws and the fidelity), ~1.4 kB per (alpha, r) point
-# in the fig sweeps and teleport-mc, whose whole grid is one batched density
-# and its checks (sized at ~1.8 kB; 198 MB at MAX_R_POINTS over 3 alphas),
-# ~0.35 kB per cv point (sized at ~1.2 kB, when rows were dicts).
+# coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): ~32 B per
+# Monte Carlo shot, the three up-front draws and the fidelity, plus one
+# block's ~0.9 MB of work arrays (sized at 36 B; 230 MiB at MAX_SAMPLES);
+# ~1.4 kB per (alpha, r) point in the fig sweeps and teleport-mc, whose whole
+# grid is one batched density and its checks (sized at ~1.8 kB; 198 MB at
+# MAX_R_POINTS over 3 alphas); ~0.35 kB per cv point (sized at ~1.2 kB, when
+# rows were dicts).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36
 MAX_R_POINTS = _SIZE_BUDGET // 1800
@@ -183,19 +185,17 @@ def _rows_bellmeas(args: argparse.Namespace):
 
 
 def _rows_teleport_mc(args: argparse.Namespace):
-    """One batched, checked channel density over the (alpha, r) grid; per row
-    a view of it and its own Monte Carlo stream, seeded
-    ``seed + alpha index * len(r) + r index``."""
+    """One batched, checked channel density over the (alpha, r) grid, its
+    Bloch transfer and its exact average fidelity; per row a Monte Carlo over
+    that row's transfer with its own stream, seeded ``seed + row index``
+    (``seed + alpha index * len(r) + r index``)."""
     r = _r_grid(args)
-    f_analytic, f_mc, stderr = [], [], []
-    for a, rows in enumerate(dec.channel_rho4(np.array(args.alphas), r)):
-        for i, rho in enumerate(rows):
-            stats = pr.teleport_average_mc(rho, args.samples, args.seed + a * len(r) + i)
-            f_analytic.append(pr.average_fidelity(rho))
-            f_mc.append(stats.mean_fidelity)
-            stderr.append(stats.stderr)
-    return _sweep_table(args, r, f_analytic=f_analytic, f_mc=f_mc, stderr=stderr,
-                        samples=np.full(len(f_mc), args.samples))
+    q = pr.bloch_transfer(dec.channel_rho4(np.array(args.alphas), r))
+    stats = [pr.teleport_average_mc(row, args.samples, args.seed + i)
+             for i, row in enumerate(q.reshape(-1, 4, 4, 4))]
+    return _sweep_table(args, r, f_analytic=pr.average_fidelity(q).ravel(),
+                        f_mc=[s.mean_fidelity for s in stats], stderr=[s.stderr for s in stats],
+                        samples=np.full(len(stats), args.samples))
 
 
 def _rows_concentrate(args: argparse.Namespace):

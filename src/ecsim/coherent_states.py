@@ -534,12 +534,6 @@ def to_fock(
     return FockVector(cutoff=cutoff, modes=s.modes, amps=amps, tail_bound=tail)
 
 
-def fock_inner(a: FockVector, b: FockVector) -> complex:
-    if a.modes != b.modes or a.cutoff != b.cutoff:
-        raise ModeMismatchError("fock vectors must share modes and cutoff")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 @dataclass(frozen=True)
 class PhotonDistribution:
     """Joint photon-count probabilities P(n_0, ..., n_{M-1})."""

@@ -193,6 +193,16 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
     return q.real.reshape(m.shape[:-2] + (4, 4, 4))
 
 
+def _transfer(channel: TwoQubitDensity | np.ndarray) -> np.ndarray:
+    """``bloch_transfer(channel)``, or ``channel`` itself when it already is a
+    Bloch transfer: an array Q[..., k, m, n] of shape (..., 4, 4, 4)."""
+    if not isinstance(channel, np.ndarray):
+        return bloch_transfer(channel)
+    if channel.shape[-3:] != (4, 4, 4):
+        raise ValueError(f"a Bloch transfer has shape (..., 4, 4, 4), not {channel.shape}")
+    return channel
+
+
 def teleport(
     input: QubitVector, channel: TwoQubitDensity, rng_seed: int
 ) -> TeleportRecord:
@@ -224,25 +234,17 @@ class TeleportStats:
     samples: int
 
 
-def _bloch_sum(rows, b) -> np.ndarray:
-    """sum_n rows[n] b[n] with b[0] = 1, element-wise, in the order n = 0, 1, 2, 3."""
-    acc = rows[1] * b[1] + rows[0]
-    acc += rows[2] * b[2]
-    acc += rows[3] * b[3]
-    return acc
-
-
 def teleport_average_mc(
-    channel: TwoQubitDensity, samples: int, seed: int
+    channel: TwoQubitDensity | np.ndarray, samples: int, seed: int
 ) -> TeleportStats:
     """Monte Carlo average fidelity of the standard scheme.
 
     Inputs are drawn uniformly from the logical Bloch sphere and one outcome
     is sampled per shot from its Born probability, through the channel's
-    Bell-outcome map in Bloch coordinates (``bloch_transfer``).  The random
-    numbers are drawn up front and the shots evaluated in blocks of
-    ``MC_CHUNK``, which bounds the working memory and does not change the
-    result.
+    Bell-outcome map in Bloch coordinates.  ``channel`` is one density or
+    its ``bloch_transfer`` Q, shape (4, 4, 4).  The random numbers are drawn
+    up front and the shots evaluated in blocks of ``MC_CHUNK``, which bounds
+    the working memory and does not change the result.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -250,32 +252,79 @@ def teleport_average_mc(
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
     u = rng.random(samples)  # u * total is uniform(0, total) bit for bit
-    q = bloch_transfer(channel)
-    prob_rows = (2.0 * q[:, 0]).T[:, :, None]  # [n, k]: 2 Q[k, 0, n]
-    q_cols = q.reshape(4, 16).T.copy()  # [4 m + n, k]: Q[k, m, n]
+    q = _transfer(channel)
+    if q.ndim != 3:
+        raise ValueError("the Monte Carlo takes one channel, not a batch")
+    qt = q.transpose(2, 1, 0)  # [n, m, k]: Q[k, m, n]
+    prob_rows = 2.0 * qt[:, 0, :, None]  # [n, k]: 2 Q[k, 0, n]
+    # [3 n + m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
+    # sum_n Q[k, 0, n] b_n, is half the probability of k bit for bit: the
+    # probability sums the same products of 2 Q, and doubling is exact (a
+    # subnormal product can round apart, which can show only in the sum of an
+    # outcome of vanishing probability; the tests pin amplitudes near underflow).
+    q_cols = qt[:, 1:].reshape(12, 4)
     fids = np.empty(samples)
+    # one block's work arrays, shot axis innermost; a short last block uses a prefix
+    width = min(samples, MC_CHUNK)
+    work, index = np.empty((27, width)), np.empty((2, width), dtype=np.intp)
+    hits, shot = np.empty(width, dtype=bool), np.arange(width)
     for start in range(0, samples, MC_CHUNK):
         block = slice(start, start + MC_CHUNK)
-        zb, phb = z[block], ph[block]
-        s = np.sqrt((1.0 - zb) * (1.0 + zb))
-        b = (None, s * np.cos(phb), s * np.sin(phb), zb)  # b[0] = 1 is implicit
-        # shot axis innermost: probabilities (4, shots), transfer rows (16, shots)
-        probs = _bloch_sum(prob_rows, b)
-        cum1 = probs[0] + probs[1]
-        cum2 = cum1 + probs[2]
-        draw = u[block] * (cum2 + probs[3])
-        ks = (draw > probs[0]).astype(np.intp) + (draw > cum1) + (draw > cum2)
-        qk = np.take(q_cols, ks, axis=1)
-        num = _bloch_sum([_bloch_sum(qk[4 * i:4 * i + 4], b) for i in range(4)], b)
-        np.divide(num, probs[ks, np.arange(len(ks))], out=fids[block])
+        zb, fb = z[block], fids[block]
+        n = len(zb)
+        w, hit = work[:, :n], hits[:n]
+        probs, b, tmp, qk, rows, pk = w[:4], w[4:7], w[7:11], w[11:23], w[23:26], w[26]
+        ks, at = index[:, :n]  # outcomes, and where probs[ks, i] sits in work.ravel()
+        # b = (b1, b2, b3) = (s cos ph, s sin ph, z) with s = sqrt((1 - z)(1 + z)); b0 = 1
+        np.subtract(1.0, zb, out=tmp[0])
+        np.add(1.0, zb, out=tmp[1])
+        s = np.multiply(tmp[0], tmp[1], out=tmp[2])
+        np.sqrt(s, out=s)
+        np.cos(ph[block], out=b[0])
+        np.sin(ph[block], out=b[1])
+        b[:2] *= s
+        b[2] = zb
+        # probabilities (4, shots): sum_n 2 Q[k, 0, n] b_n in the order n = 0, 1, 2, 3
+        np.multiply(prob_rows[1], b[0], out=probs)
+        probs += prob_rows[0]
+        probs += np.multiply(prob_rows[2], b[1], out=tmp)
+        probs += np.multiply(prob_rows[3], b[2], out=tmp)
+        # outcome: the number of cumulative sums below u * total
+        cum1 = np.add(probs[0], probs[1], out=tmp[0])
+        cum2 = np.add(cum1, probs[2], out=tmp[1])
+        draw = np.add(cum2, probs[3], out=tmp[2])
+        draw *= u[block]
+        np.greater(draw, probs[0], out=ks)
+        ks += np.greater(draw, cum1, out=hit)
+        ks += np.greater(draw, cum2, out=hit)
+        # gathers by outcome; ks is in 0..3, so "clip" never clips (and unlike
+        # "raise", does not copy through a buffer)
+        np.take(q_cols, ks, axis=1, out=qk, mode="clip")
+        np.multiply(ks, width, out=at)
+        at += shot[:n]
+        np.take(work.ravel(), at, out=pk, mode="clip")
+        # numerator rows m = 1..3: sum_n Q[k, m, n] b_n in the order n = 0, 1, 2, 3
+        qk = qk.reshape(4, 3, n)
+        np.multiply(qk[1], b[0], out=rows)
+        rows += qk[0]
+        rows += np.multiply(qk[2], b[1], out=tmp[:3])
+        rows += np.multiply(qk[3], b[2], out=tmp[:3])
+        # numerator sum_m row_m b_m in the order m = 0, 1, 2, 3, over the probability
+        rows *= b
+        np.multiply(pk, 0.5, out=fb)
+        fb += rows[0]
+        fb += rows[1]
+        fb += rows[2]
+        fb /= pk
+    del z, ph, u  # so that the standard deviation's temporary does not add to the peak
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return TeleportStats(mean_fidelity=mean, stderr=stderr, samples=samples)
 
 
 def average_fidelity(
-    channel: TwoQubitDensity, optimize_corrections: bool = False
-) -> float:
+    channel: TwoQubitDensity | np.ndarray, optimize_corrections: bool = False
+) -> float | np.ndarray:
     """Exact input-averaged fidelity of the standard scheme.
 
     The fidelity summed over outcomes is quadratic in the input's Bloch
@@ -284,9 +333,14 @@ def average_fidelity(
     global Pauli P (which only flips signs, P s_m P = +-s_m) is appended to the
     corrections, maximized over the four choices; for channels with diagonal
     correlation matrix this attains the optimal fidelity at every decay time.
+    ``channel`` is one density or a batch, or its ``bloch_transfer`` Q; the
+    result is a float for one channel, an array over the batch otherwise,
+    each entry with the bits of its own single call.
     """
     weights = _FIDELITY_WEIGHTS if optimize_corrections else _FIDELITY_WEIGHTS[:1]
-    return float(np.max(weights @ np.einsum("kmm->m", bloch_transfer(channel))))
+    diag = np.einsum("...kmm->...m", _transfer(channel))
+    f = np.max(weights @ diag[..., None], axis=-2)[..., 0]
+    return float(f) if f.ndim == 0 else f
 
 
 def correction_map_coherent(

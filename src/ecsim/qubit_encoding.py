@@ -280,14 +280,6 @@ class TwoQubitDensity:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def __getitem__(self, i) -> "TwoQubitDensity":
-        """Density ``i`` of a batch: a read-only view, not checked again."""
-        if self.matrix.ndim < 3:
-            raise TypeError("a single density has no rows")
-        row = object.__new__(TwoQubitDensity)
-        object.__setattr__(row, "matrix", self.matrix[i])
-        return row
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 

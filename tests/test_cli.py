@@ -14,6 +14,7 @@ from ecsim import decoherence as dec
 from ecsim import qubit_encoding as qe
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import DegenerateBasisError
+from test_protocols import _random_channel
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -650,6 +651,33 @@ class TestColumnWriters:
                 stats = protocols.teleport_average_mc(channel, samples, seed=100 + k)
                 want = _mc_kernel_reference(channel, samples, 100 + k, chunk)
                 assert (repr(stats.mean_fidelity), repr(stats.stderr)) == tuple(map(repr, want))
+
+    @pytest.mark.parametrize("channel", [
+        pytest.param(lambda: channel_rho4(1e-3, 0.4), id="alpha1e-3"),
+        # e^{-4 alpha^2} is subnormal: transfer entries near underflow
+        pytest.param(lambda: channel_rho4(13.4, 0.0), id="alpha13.4-r0"),
+        pytest.param(lambda: channel_rho4(13.4, 0.7), id="alpha13.4-r0.7"),
+        pytest.param(lambda: channel_rho4(1e6, 0.9), id="alpha1e6"),
+        *(pytest.param(lambda seed=seed: _random_channel(seed), id=f"random{seed}")
+          for seed in (1, 2, 3)),
+    ])
+    def test_mc_kernel_matches_reference_at_extremes(self, channel):
+        # the kernel takes the m = 0 numerator row as half the outcome probability
+        channel = channel()
+        for samples in (1, 2, protocols.MC_CHUNK - 1, protocols.MC_CHUNK + 1):
+            stats = protocols.teleport_average_mc(channel, samples, seed=samples)
+            want = _mc_kernel_reference(channel, samples, samples, protocols.MC_CHUNK)
+            assert (repr(stats.mean_fidelity), repr(stats.stderr)) == tuple(map(repr, want))
+
+    def test_teleport_request_makes_one_transfer_and_one_average(self, monkeypatch):
+        calls = []
+        for name in ("bloch_transfer", "average_fidelity"):
+            fn = getattr(protocols, name)
+            monkeypatch.setattr(protocols, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        cli.render(["teleport-mc", "--alphas", "0.5", "1.5", "2.5", "--r-steps", "4",
+                    "--samples", "3"])
+        assert sorted(calls) == ["average_fidelity", "bloch_transfer"]
 
 
 # ---------------------------------------------------------------------------

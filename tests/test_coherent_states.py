@@ -22,7 +22,6 @@ from ecsim.coherent_states import (
     beam_split,
     consolidate,
     dyad_from_pure,
-    fock_inner,
     inner,
     log_overlap,
     norm,
@@ -54,6 +53,12 @@ def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
             )
         coeffs[t] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return CoherentSuperposition(coeffs, amps)
+
+
+def fock_inner(a, b) -> complex:
+    """<a|b> of two Fock vectors on the same modes and cutoff."""
+    assert (a.modes, a.cutoff) == (b.modes, b.cutoff)
+    return complex(np.vdot(a.amps, b.amps))
 
 
 class TestOverlap:

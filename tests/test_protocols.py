@@ -367,6 +367,33 @@ class TestAverageFidelity:
     def test_perfect_channel(self):
         assert average_fidelity(channel_rho4(1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_batch_rows_equal_single_calls(self, optimize):
+        singles = [_random_channel(seed) for seed in (1, 2, 3)]
+        grid = channel_rho4(np.array([0.05, 0.7, 2.3]), np.linspace(0.0, 0.99, 13)).matrix
+        mats = np.concatenate([np.stack([c.matrix for c in singles]), grid.reshape(-1, 4, 4)])
+        want = [average_fidelity(TwoQubitDensity(m), optimize) for m in mats]
+        assert all(isinstance(f, float) for f in want)
+        for n in range(1, 42):
+            batch = average_fidelity(TwoQubitDensity(mats[:n]), optimize)
+            assert batch.shape == (n,)
+            assert batch.tobytes() == np.array(want[:n]).tobytes()
+        q = protocols.bloch_transfer(TwoQubitDensity(mats[:41]))
+        assert average_fidelity(q.reshape(41, 1, 4, 4, 4), optimize).tobytes() == \
+            np.array(want[:41]).tobytes()
+
+    def test_takes_a_bloch_transfer(self):
+        rho = channel_rho4(1.3, 0.4)
+        q = protocols.bloch_transfer(rho)
+        assert average_fidelity(q) == average_fidelity(rho)
+        assert teleport_average_mc(q, 777, seed=4) == teleport_average_mc(rho, 777, seed=4)
+        with pytest.raises(ValueError, match="Bloch transfer"):
+            average_fidelity(rho.matrix)
+        with pytest.raises(ValueError, match="Bloch transfer"):
+            teleport_average_mc(rho.matrix, 10, seed=1)
+        with pytest.raises(ValueError, match="one channel"):
+            teleport_average_mc(np.stack([q, q]), 10, seed=1)
+
     def test_classical_limit_at_characteristic_time(self):
         assert average_fidelity(channel_rho4(1.0, SQRT_HALF)) == pytest.approx(
             2.0 / 3.0, abs=1e-9

@@ -272,24 +272,6 @@ class TestProjectionReference:
         assert np.max(np.abs(got - _project_reference(op, b))) <= 1e-15
 
 
-class TestDensityRows:
-    def test_rows_are_views_of_the_checked_batch(self):
-        batch = channel_rho4(1.0, np.linspace(0.0, 0.9, 4))
-        rows = list(batch)
-        assert len(rows) == 4
-        for i, row in enumerate(rows):
-            assert row.matrix.shape == (4, 4)
-            assert np.shares_memory(row.matrix, batch.matrix)
-            assert not row.matrix.flags.writeable
-            # a fresh check leaves the (already Hermitian) matrix's bits as they are
-            assert row.matrix.tobytes() == TwoQubitDensity(batch.matrix[i]).matrix.tobytes()
-        assert batch[-1].matrix.tobytes() == rows[-1].matrix.tobytes()
-
-    def test_single_density_has_no_rows(self):
-        with pytest.raises(TypeError):
-            channel_rho4(1.0, 0.3)[0]
-
-
 class TestPauli:
     def test_pure_singlet_like_channel(self):
         b = make_basis(1.0, 1.0)
