@@ -11,7 +11,6 @@ from .coherent_states import (
     norm,
     normalized,
     operator_trace,
-    overlap,
     phase_shift,
     photon_distribution,
     project_modes,
@@ -55,10 +54,8 @@ from .protocols import (
     concentrate_exact,
     concentrate_ideal,
     concentration_success_closed_form,
-    correction_map_coherent,
     cv_fidelity,
     cv_max,
-    misid_probability,
     misid_probability_closed,
     teleport,
     teleport_average_mc,
@@ -69,15 +66,9 @@ from .qubit_encoding import (
     QubitVector,
     TwoQubitDensity,
     bell_state,
-    from_amplitudes,
     make_basis,
     pauli_decompose,
     project_to_density,
-    psi_minus,
-    psi_plus,
-    qubit_to_coherent,
-    reduced,
-    to_logical_vector,
 )
 
 __version__ = "0.1.0"

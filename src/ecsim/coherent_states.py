@@ -85,10 +85,6 @@ class CoherentSuperposition:
         """Single coherent product ket  coeff * |amps[0], amps[1], ...>."""
         return cls(np.array([complex(coeff)]), np.array([_as_complex_tuple(amps)]))
 
-    @classmethod
-    def vacuum(cls, modes: int = 1) -> "CoherentSuperposition":
-        return cls.ket(*([0.0] * modes))
-
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.modes != other.modes:
             raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
@@ -180,11 +176,6 @@ def log_overlap(beta, gamma):
     without branch ambiguity.
     """
     return -0.5 * np.abs(beta) ** 2 - 0.5 * np.abs(gamma) ** 2 + np.conj(beta) * gamma
-
-
-def overlap(beta: complex, gamma: complex) -> complex:
-    """Coherent-state overlap <beta|gamma>; |result| <= 1."""
-    return cmath.exp(complex(log_overlap(complex(beta), complex(gamma))))
 
 
 def _mode_major(amps: np.ndarray) -> np.ndarray:

@@ -38,10 +38,6 @@ class DecayClock:
         if not np.logical_and(0.0 < self.t, self.t <= 1.0).all():
             raise ValueError("decay factor t must lie in (0, 1]")
 
-    @property
-    def r(self) -> float | np.ndarray:
-        return np.sqrt(np.maximum(0.0, 1.0 - self.t * self.t))
-
     @classmethod
     def from_r(cls, r) -> "DecayClock":
         if not np.logical_and(0.0 <= r, r < 1.0).all():
@@ -50,13 +46,6 @@ class DecayClock:
         clock = object.__new__(cls)
         object.__setattr__(clock, "t", np.sqrt(1.0 - r * r))
         return clock
-
-    @classmethod
-    def from_interaction(cls, gamma: float, tau: float) -> "DecayClock":
-        """Clock after evolving for time tau at energy decay rate gamma."""
-        if gamma < 0 or tau < 0:
-            raise ValueError("gamma and tau must be non-negative")
-        return cls(t=math.exp(-0.5 * gamma * tau))
 
 
 def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
@@ -148,8 +137,9 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over the
     whole grid, each density with the bits of its own scalar call.  Only the
     undecayed B4 dyad is built per amplitude; every one has the same terms,
-    (ta, -ta) and (-ta, ta) on both sides, and a dyad with other terms
-    raises ValueError.
+    (ta, -ta) and (-ta, ta) on both sides: the B4 coefficients on (ta, ta)
+    and (-ta, -ta) cancel exactly, and those on the mixed kets are
+    +-1/sqrt(2 N_theta), never zero.
     """
     alpha = np.asarray(alpha, dtype=float)
     amps = alpha.ravel().tolist()
@@ -162,11 +152,6 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
         if i == 0:
             coeffs = np.empty(dyad.coeffs.shape + (len(amps),), dtype=complex)
             kets, bras = np.empty((2,) + dyad.kets.shape + (len(amps),), dtype=complex)
-        elif dyad.kets.shape != kets.shape[:-1]:
-            raise ValueError(
-                f"the B4 dyad at alpha={a} has {len(dyad.coeffs)} terms, "
-                f"not {len(coeffs)} as at alpha={amps[0]}"
-            )
         coeffs[:, i], kets[..., i], bras[..., i] = dyad.coeffs, dyad.kets, dyad.bras
     clock = DecayClock.from_r(r)
     batch = alpha.shape

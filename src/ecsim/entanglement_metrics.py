@@ -27,9 +27,9 @@ def _value(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def partial_transpose(rho: TwoQubitDensity | np.ndarray) -> np.ndarray:
+def partial_transpose(rho: TwoQubitDensity) -> np.ndarray:
     """Transpose on the second qubit in the fixed logical ordering."""
-    m = rho.matrix if isinstance(rho, TwoQubitDensity) else np.asarray(rho)
+    m = rho.matrix
     pt = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1)
     return pt.reshape(m.shape)
 
@@ -79,15 +79,11 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     return _value(np.clip(f, 0.0, 1.0))
 
 
-def optimal_fidelity_from_fraction(fraction: float, dim: int = 2) -> float:
-    """Optimal teleportation fidelity (F N + 1)/(N + 1) in dimension N."""
-    return (fraction * dim + 1.0) / (dim + 1.0)
-
-
 def optimal_fidelity(rho: TwoQubitDensity) -> float | np.ndarray:
     """Best fidelity achievable with local operations and classical
-    communication over the given channel: (2 F + 1)/3."""
-    return optimal_fidelity_from_fraction(singlet_fraction(rho), dim=2)
+    communication over the given channel: (2 F + 1)/3, with F the singlet
+    fraction (the qubit case of (F N + 1)/(N + 1) in dimension N)."""
+    return (singlet_fraction(rho) * 2 + 1.0) / 3.0
 
 
 def closed_form_f(alpha: float, r) -> float | np.ndarray:

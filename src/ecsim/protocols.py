@@ -17,15 +17,13 @@ import numpy as np
 from .coherent_states import (
     CoherentSuperposition,
     beam_split,
-    consolidate,
     inner,
     normalized,
-    phase_shift,
     photon_distribution,
     project_modes,
     tensor,
 )
-from .errors import SpanError, ZeroNormError
+from .errors import ZeroNormError
 from .qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
@@ -125,17 +123,6 @@ def misid_probability_closed(alpha: float) -> float:
     """
     x = math.exp(-4.0 * alpha**2)
     return 0.5 * x / (1.0 + x)
-
-
-def misid_probability(alpha: float, cutoff: int | None = None) -> float:
-    """Wrong-estimation probability of the discriminator, from photon counting.
-
-    With the four Bell states equally likely, odd counts identify B2/B4
-    unambiguously, while an even count declares B1 or B3 by which detector
-    fired (``BellMeasurement.misidentification``).
-    """
-    basis = make_basis(alpha, 1.0)
-    return bell_measure_distribution(bell_state(1, basis), cutoff).misidentification()
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +303,15 @@ def teleport_average_mc(
         fb += rows[1]
         fb += rows[2]
         fb /= pk
-    del z, ph, u  # so that the standard deviation's temporary does not add to the peak
-    mean = float(fids.mean())
-    stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return TeleportStats(mean_fidelity=mean, stderr=stderr, samples=samples)
+    # mean and std(ddof=1) by numpy's own steps, the sum taken once and the
+    # deviations squared in place, so nothing is allocated after the blocks
+    mean = fids.sum() / samples
+    stderr = 0.0
+    if samples > 1:
+        fids -= mean
+        var = np.square(fids, out=fids).sum() / (samples - 1)
+        stderr = float(math.sqrt(var) / math.sqrt(samples))
+    return TeleportStats(mean_fidelity=float(mean), stderr=stderr, samples=samples)
 
 
 def average_fidelity(
@@ -341,52 +333,6 @@ def average_fidelity(
     diag = np.einsum("...kmm->...m", _transfer(channel))
     f = np.max(weights @ diag[..., None], axis=-2)[..., 0]
     return float(f) if f.ndim == 0 else f
-
-
-def correction_map_coherent(
-    outcome: BellLabel, state: CoherentSuperposition, alpha: float
-) -> CoherentSuperposition:
-    """Receiver-side correction in the coherent representation.
-
-    B2 is an exact pi phase shift and B4 the identity; B1 and B3 apply the
-    finite-amplitude operators
-
-        B1:  |a> -> (sin2th |a> - |-a>)/N_th,   |-a> -> (|a> - sin2th |-a>)/N_th
-        B3:  |a> -> (|a> - sin2th |-a>)/N_th,   |-a> -> (sin2th |a> - |-a>)/N_th
-
-    which are non-unitary at finite amplitude (they approach -i sigma_y and
-    -sigma_z as the amplitude grows); the result is renormalized.
-    """
-    if state.modes != 1:
-        raise ValueError("expected a single-mode state")
-    basis = make_basis(alpha, 1.0)
-    if outcome is BellLabel.B4:
-        return state
-    if outcome is BellLabel.B2:
-        return phase_shift(state, 0, math.pi)
-    if outcome is BellLabel.AMBIGUOUS:
-        raise ValueError("ambiguous outcome is a protocol failure; no correction")
-    u = basis.sin2theta
-    n = basis.n_theta
-    plus = CoherentSuperposition.ket(alpha)
-    minus = CoherentSuperposition.ket(-alpha)
-    if outcome is BellLabel.B1:
-        img_plus = (1.0 / n) * (u * plus - minus)
-        img_minus = (1.0 / n) * (plus - u * minus)
-    else:  # B3
-        img_plus = (1.0 / n) * (plus - u * minus)
-        img_minus = (1.0 / n) * (u * plus - minus)
-    amp = state.amps[:, 0]
-    on_plus = np.abs(amp - alpha) < 1e-9
-    bad = ~on_plus & ~(np.abs(amp + alpha) < 1e-9)
-    if bad.any():
-        raise SpanError(f"amplitude {complex(amp[bad][0])!r} outside span of +-{alpha}")
-    # both images are on the kets (|a>, |-a>), in that order
-    images = np.where(on_plus[:, None], img_plus.coeffs, img_minus.coeffs)
-    total = CoherentSuperposition(
-        (state.coeffs[:, None] * images).ravel(), np.tile(img_plus.amps, (len(amp), 1))
-    )
-    return normalized(consolidate(total))
 
 
 # ---------------------------------------------------------------------------

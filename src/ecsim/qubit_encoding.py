@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_states import (
-    DROP_TOL,
-    CoherentOperator,
-    CoherentSuperposition,
-    consolidate,
-)
+from .coherent_states import DROP_TOL, CoherentOperator, CoherentSuperposition
 from .errors import DegenerateBasisError, DensityError, SpanError
 
 DEGENERACY_FLOOR = 1e-12  # minimum allowed value of 1 - exp(-4 t^2 a^2)
@@ -104,26 +99,6 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
     return LogicalBasis(alpha=alpha, t=t, theta=theta, n_theta=n_theta)
 
 
-def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
-    """plus |ta> + minus |-ta>."""
-    a = basis.amplitude
-    return CoherentSuperposition(
-        np.array([plus, minus], dtype=complex), np.array([[a], [-a]], dtype=complex)
-    )
-
-
-def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
-    """|Psi+> = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)."""
-    c = 1.0 / math.sqrt(basis.n_theta)
-    return _on_pair(basis, c * math.cos(basis.theta), -c * math.sin(basis.theta))
-
-
-def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
-    """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
-    c = 1.0 / math.sqrt(basis.n_theta)
-    return _on_pair(basis, -c * math.sin(basis.theta), c * math.cos(basis.theta))
-
-
 def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
     """Coordinates of a coherent ket |amp> in the (Psi+, Psi-) basis.
 
@@ -153,17 +128,19 @@ def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
     extra -sin(2 theta) cross terms.
 
     Built directly on the product kets (ta, ta), (ta, -ta), (-ta, ta),
-    (-ta, -ta), in that order.  Each coefficient takes the complex products
-    and sums that ``consolidate`` applies to the tensor products of
-    ``psi_plus`` and ``psi_minus``, so its bits are theirs; terms at or below
+    (-ta, -ta), in that order, from the logical kets
+    Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta) and
+    Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta).  Each coefficient
+    takes the complex products and sums that ``consolidate`` applies to the
+    tensor products of those kets, so its bits are theirs; terms at or below
     DROP_TOL of the largest are dropped, as there.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
     c = 1.0 / math.sqrt(basis.n_theta)
     cos, sin = c * math.cos(basis.theta), c * math.sin(basis.theta)
-    plus = (complex(cos), complex(-sin))  # psi_plus on (|ta>, |-ta>)
-    minus = (complex(-sin), complex(cos))  # psi_minus
+    plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
+    minus = (complex(-sin), complex(cos))  # Psi-
     u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
     inv = complex(1.0 / _SQ2)
     coeffs = []
@@ -199,46 +176,6 @@ class QubitVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.plus, self.minus], dtype=complex)
-
-
-def from_amplitudes(a: complex, b: complex, basis: LogicalBasis) -> QubitVector:
-    """Logical coordinates of  a |ta> + b |-ta>.
-
-    The exact basis inversion gives plus = a cos th + b sin th and
-    minus = a sin th + b cos th (the 1/cos 2th from inverting the 2x2 system
-    cancels against sqrt(N_theta) identically).  The coefficient norm equals
-    the physical state norm, so normalization only rescales unnormalized
-    inputs.
-    """
-    a = complex(a)
-    b = complex(b)
-    if abs(a) == 0 and abs(b) == 0:
-        raise ValueError("amplitudes must not both vanish")
-    c, s = math.cos(basis.theta), math.sin(basis.theta)
-    plus = a * c + b * s
-    minus = a * s + b * c
-    n = math.sqrt(abs(plus) ** 2 + abs(minus) ** 2)
-    return QubitVector(plus / n, minus / n)
-
-
-def qubit_to_coherent(q: QubitVector, basis: LogicalBasis) -> CoherentSuperposition:
-    """Realize a logical vector as the corresponding coherent superposition."""
-    return consolidate(q.plus * psi_plus(basis) + q.minus * psi_minus(basis))
-
-
-def to_logical_qubit(state: CoherentSuperposition, basis: LogicalBasis) -> np.ndarray:
-    """Project a single-mode state in span{|ta>, |-ta>} onto (Psi+, Psi-)."""
-    if state.modes != 1:
-        raise ValueError("expected a single-mode state")
-    return state.coeffs @ logical_coords(state.amps[:, 0], basis)
-
-
-def to_logical_vector(state: CoherentSuperposition, basis: LogicalBasis) -> np.ndarray:
-    """Project a two-mode state onto the logical product basis (4-vector)."""
-    if state.modes != 2:
-        raise ValueError("expected a two-mode state")
-    c0, c1 = logical_coords(state.amps, basis).transpose(1, 0, 2)
-    return np.einsum("t,ti,tj->ij", state.coeffs, c0, c1).reshape(4)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +216,6 @@ class TwoQubitDensity:
             raise DensityError("density matrix has an eigenvalue below -1e-10") from None
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDensity:
@@ -356,13 +290,3 @@ def pauli_reconstruct(dec: PauliDecomposition) -> np.ndarray:
     c[..., 0, 1:] = dec.s
     c[..., 1:, 1:] = dec.t_matrix
     return np.einsum("...mn,mnij->...ij", c, PAULI_PRODUCTS) / 4.0
-
-
-def reduced(rho: TwoQubitDensity, which_mode: int) -> np.ndarray:
-    """Partial trace down to one qubit; equals (I + bloch.sigma)/2."""
-    m = rho.matrix.reshape(2, 2, 2, 2)
-    if which_mode == 0:
-        return np.einsum("ikjk->ij", m)
-    if which_mode == 1:
-        return np.einsum("kikj->ij", m)
-    raise ValueError("which_mode must be 0 or 1")

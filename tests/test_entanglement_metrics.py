@@ -18,7 +18,6 @@ from ecsim.entanglement_metrics import (
     mixedness_peak,
     negativity_e,
     optimal_fidelity,
-    optimal_fidelity_from_fraction,
     partial_transpose,
     singlet_fraction,
     vn_entropy,
@@ -144,13 +143,14 @@ class TestOptimalFidelity:
         rng = np.random.default_rng(42)
         for _ in range(20):
             rho = random_density(rng)
-            assert optimal_fidelity(rho) == optimal_fidelity_from_fraction(
-                singlet_fraction(rho), dim=2
-            )
+            assert optimal_fidelity(rho) == (singlet_fraction(rho) * 2 + 1.0) / 3.0
 
     def test_general_dimension_form(self):
-        assert optimal_fidelity_from_fraction(1.0, dim=3) == pytest.approx(1.0)
-        assert optimal_fidelity_from_fraction(0.25, dim=2) == pytest.approx(0.5)
+        # (F N + 1)/(N + 1) at N = 2: a Bell state (F = 1) and the
+        # maximally mixed state (F = 1/4)
+        bell = TwoQubitDensity(np.outer(BELL_VECTORS[3], BELL_VECTORS[3]))
+        assert optimal_fidelity(bell) == pytest.approx(1.0)
+        assert optimal_fidelity(TwoQubitDensity(np.eye(4) / 4.0)) == pytest.approx(0.5)
 
     def test_perfect_at_zero_time(self):
         assert closed_form_f(1.0, 0.0) == pytest.approx(1.0, abs=1e-12)

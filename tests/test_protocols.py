@@ -9,9 +9,11 @@ from ecsim import coherent_states, protocols
 from ecsim.coherent_states import (
     CoherentSuperposition,
     beam_split,
+    consolidate,
     inner,
     norm,
     normalized,
+    phase_shift,
     photon_distribution,
     project_modes,
     tensor,
@@ -29,10 +31,8 @@ from ecsim.protocols import (
     concentrate_exact,
     concentrate_ideal,
     concentration_success_closed_form,
-    correction_map_coherent,
     cv_fidelity,
     cv_max,
-    misid_probability,
     misid_probability_closed,
     partial_pair_state,
     teleport,
@@ -42,14 +42,14 @@ from ecsim.qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
     PAULIS,
+    LogicalBasis,
     QubitVector,
     TwoQubitDensity,
     bell_state,
-    from_amplitudes,
+    logical_coords,
     make_basis,
-    qubit_to_coherent,
-    to_logical_qubit,
 )
+from test_qubit_encoding import psi_minus, psi_plus
 
 SQ2 = math.sqrt(2.0)
 SQRT_HALF = 1.0 / SQ2
@@ -192,7 +192,8 @@ class TestBellMeasurement:
 class TestMisidentification:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_matches_closed_form(self, alpha):
-        assert misid_probability(alpha) == pytest.approx(
+        meas = bell_measure_distribution(bell_state(1, make_basis(alpha, 1.0)))
+        assert meas.misidentification() == pytest.approx(
             misid_probability_closed(alpha), abs=1e-6
         )
 
@@ -357,9 +358,9 @@ class TestMonteCarloBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # z, phase, outcome draw and fidelity per shot, two temporaries of
-        # the final standard deviation, and one block's temporaries; a
-        # per-shot branch array alone would be 256 B a shot
+        # z, phase, outcome draw and fidelity per shot (the closing
+        # statistics work in place) and one block's temporaries; a per-shot
+        # branch array alone would be 256 B a shot
         assert peak < 6 * 8 * samples + 400 * protocols.MC_CHUNK
 
 
@@ -412,6 +413,122 @@ class TestAverageFidelity:
         assert average_fidelity(rho) == pytest.approx(want, abs=1e-12)
         stats = teleport_average_mc(rho, 60_000, seed=8)
         assert abs(stats.mean_fidelity - want) <= 3 * stats.stderr
+
+
+# ---------------------------------------------------------------------------
+# In-test references: the paper's finite-amplitude receiver corrections in
+# the coherent representation, and the logical coordinates of single-mode
+# states that they are checked in.
+
+
+def from_amplitudes(a: complex, b: complex, basis: LogicalBasis) -> QubitVector:
+    """Logical coordinates of  a |ta> + b |-ta>.
+
+    The exact basis inversion gives plus = a cos th + b sin th and
+    minus = a sin th + b cos th (the 1/cos 2th from inverting the 2x2 system
+    cancels against sqrt(N_theta) identically).  The coefficient norm equals
+    the physical state norm, so normalization only rescales unnormalized
+    inputs.
+    """
+    a = complex(a)
+    b = complex(b)
+    if abs(a) == 0 and abs(b) == 0:
+        raise ValueError("amplitudes must not both vanish")
+    c, s = math.cos(basis.theta), math.sin(basis.theta)
+    plus = a * c + b * s
+    minus = a * s + b * c
+    n = math.sqrt(abs(plus) ** 2 + abs(minus) ** 2)
+    return QubitVector(plus / n, minus / n)
+
+
+def qubit_to_coherent(q: QubitVector, basis: LogicalBasis) -> CoherentSuperposition:
+    """Realize a logical vector as the corresponding coherent superposition."""
+    return consolidate(q.plus * psi_plus(basis) + q.minus * psi_minus(basis))
+
+
+def to_logical_qubit(state: CoherentSuperposition, basis: LogicalBasis) -> np.ndarray:
+    """Project a single-mode state in span{|ta>, |-ta>} onto (Psi+, Psi-)."""
+    if state.modes != 1:
+        raise ValueError("expected a single-mode state")
+    return state.coeffs @ logical_coords(state.amps[:, 0], basis)
+
+
+def correction_map_coherent(
+    outcome: BellLabel, state: CoherentSuperposition, alpha: float
+) -> CoherentSuperposition:
+    """Receiver-side correction in the coherent representation.
+
+    B2 is an exact pi phase shift and B4 the identity; B1 and B3 apply the
+    finite-amplitude operators
+
+        B1:  |a> -> (sin2th |a> - |-a>)/N_th,   |-a> -> (|a> - sin2th |-a>)/N_th
+        B3:  |a> -> (|a> - sin2th |-a>)/N_th,   |-a> -> (sin2th |a> - |-a>)/N_th
+
+    which are non-unitary at finite amplitude (they approach -i sigma_y and
+    -sigma_z as the amplitude grows); the result is renormalized.
+    """
+    if state.modes != 1:
+        raise ValueError("expected a single-mode state")
+    basis = make_basis(alpha, 1.0)
+    if outcome is BellLabel.B4:
+        return state
+    if outcome is BellLabel.B2:
+        return phase_shift(state, 0, math.pi)
+    if outcome is BellLabel.AMBIGUOUS:
+        raise ValueError("ambiguous outcome is a protocol failure; no correction")
+    u = basis.sin2theta
+    n = basis.n_theta
+    plus = CoherentSuperposition.ket(alpha)
+    minus = CoherentSuperposition.ket(-alpha)
+    if outcome is BellLabel.B1:
+        img_plus = (1.0 / n) * (u * plus - minus)
+        img_minus = (1.0 / n) * (plus - u * minus)
+    else:  # B3
+        img_plus = (1.0 / n) * (plus - u * minus)
+        img_minus = (1.0 / n) * (u * plus - minus)
+    amp = state.amps[:, 0]
+    on_plus = np.abs(amp - alpha) < 1e-9
+    bad = ~on_plus & ~(np.abs(amp + alpha) < 1e-9)
+    if bad.any():
+        raise SpanError(f"amplitude {complex(amp[bad][0])!r} outside span of +-{alpha}")
+    # both images are on the kets (|a>, |-a>), in that order
+    images = np.where(on_plus[:, None], img_plus.coeffs, img_minus.coeffs)
+    total = CoherentSuperposition(
+        (state.coeffs[:, None] * images).ravel(), np.tile(img_plus.amps, (len(amp), 1))
+    )
+    return normalized(consolidate(total))
+
+
+class TestQubitVector:
+    def test_from_amplitudes_basis_ket(self):
+        b = make_basis(1.0, 1.0)
+        q = from_amplitudes(1.0, 0.0, b)
+        assert q.plus == pytest.approx(math.cos(b.theta), abs=1e-12)
+        assert q.minus == pytest.approx(math.sin(b.theta), abs=1e-12)
+
+    def test_symmetric_state(self):
+        b = make_basis(0.6, 1.0)
+        x = 1.0 / math.sqrt(2.0 * (1.0 + b.sin2theta))
+        q = from_amplitudes(x, x, b)
+        assert abs(q.plus) == pytest.approx(1.0 / SQ2, abs=1e-12)
+        assert q.plus == pytest.approx(q.minus, abs=1e-12)
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(22)
+        b = make_basis(1.1, 0.8)
+        for _ in range(20):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            q = QubitVector(complex(v[0]), complex(v[1]))
+            state = qubit_to_coherent(q, b)
+            back = to_logical_qubit(state, b)
+            phase = np.vdot(back, q.as_array())
+            assert abs(abs(phase) - 1.0) < 1e-12
+            assert np.max(np.abs(q.as_array() - phase / abs(phase) * back)) < 1e-12
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            from_amplitudes(0.0, 0.0, make_basis(1.0, 1.0))
 
 
 class TestCorrectionMaps:
