@@ -178,9 +178,9 @@ def check_teleportation_mc() -> CheckResult:
     details = []
     ok = True
     for i, r in enumerate((0.0, 0.3, SQRT_HALF)):
-        rho = dec.channel_rho4(1.0, r)
-        analytic = pr.average_fidelity(rho)
-        stats = pr.teleport_average_mc(rho, samples=100_000, seed=20_000 + i)
+        q = pr.bloch_transfer(dec.channel_rho4(1.0, r))
+        analytic = pr.average_fidelity(q)
+        stats = pr.teleport_average_mc(q, samples=100_000, seed=20_000 + i)
         err = abs(stats.mean_fidelity - analytic)
         tol = max(3.0 * stats.stderr, 1e-12)
         ok = ok and err <= tol

@@ -29,11 +29,9 @@ import numpy as np
 
 from .errors import CutoffError, ModeMismatchError, ZeroNormError
 
-# Term consolidation: amplitudes closer than MERGE_TOL (per mode, max norm)
-# are treated as the same ket; coefficients below DROP_TOL relative to the
-# largest are discarded.  Both sit far below the physical scales in use
-# (|amp| <= ~3), and keep term counts bounded under repeated maps.
-MERGE_TOL = 1e-12
+# Term consolidation discards coefficients below DROP_TOL relative to the
+# largest, far below the physical scales in use, which keeps term counts
+# bounded under repeated maps.
 DROP_TOL = 1e-15
 # Largest Fock grid, (cutoff + 1) ** modes amplitudes, and largest working
 # array, (cutoff + 1) ** (modes - 1) per term, that to_fock builds (256 MiB of
@@ -219,69 +217,32 @@ def tensor(a: CoherentSuperposition, b: CoherentSuperposition) -> CoherentSuperp
     )
 
 
-def _near_pairs(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of (T, M) amplitude rows closer than
-    MERGE_TOL in every mode.
-
-    Compared in blocks of 64 rows, so the work array is (M, 64, T), never
-    (M, T, T).
-    """
-    block = 64
-    cols = _mode_major(amps)
-    lo, hi = [], []
-    for start in range(0, len(amps), block):
-        diff = np.abs(cols[:, start : start + block, None] - cols[:, None, : start + block])
-        j, i = np.nonzero(diff.max(axis=0) < MERGE_TOL)
-        j += start
-        earlier = i < j
-        lo.append(i[earlier])
-        hi.append(j[earlier])
-    return np.concatenate(lo), np.concatenate(hi)
-
-
 def consolidate(s: CoherentSuperposition) -> CoherentSuperposition:
-    """Merge terms with coinciding amplitudes and drop negligible ones.
+    """Merge terms with equal amplitudes and drop negligible ones.
 
-    Terms are taken in order: a term whose amplitudes all lie closer than
-    MERGE_TOL to those of an earlier representative adds its coefficient to
-    the first such representative, in term order; any other term becomes a
-    representative.  Representatives keep first-occurrence order, and those
-    with |coeff| <= DROP_TOL times the largest are dropped (if all are, one
-    zero-coefficient term on the first amplitudes is kept).
+    A term whose amplitude row equals, in value, that of an earlier term
+    adds its coefficient to the first such term: that term's own coefficient
+    comes first, then the others' in term order.  Merged terms keep
+    first-occurrence order, and those with |coeff| <= DROP_TOL times the
+    largest are dropped (if all are, one zero-coefficient term on the first
+    amplitudes is kept).
     """
     n = len(s.coeffs)
     if n == 0:
         return s
-    # Bitwise-equal amplitude rows are matched by a keyed lookup on their
-    # bytes; only first occurrences are compared pairwise.
-    raw = s.amps.tobytes()
+    # rows are matched by a keyed lookup on their bytes; adding 0.0 turns
+    # -0.0 into 0.0, so rows equal in value have equal bytes
+    raw = (s.amps + 0.0).tobytes()
     width = len(raw) // n
     seen: dict[bytes, int] = {}
     first = np.array(
         [seen.setdefault(raw[k * width : (k + 1) * width], k) for k in range(n)]
     )
-    rep = first == np.arange(n)  # candidate representatives
-    target = first  # each term's representative, as a term index
-    lo, hi = _near_pairs(s.amps[rep])
-    if lo.size:
-        # A first occurrence is a representative iff no earlier representative
-        # is near it.  The rule only looks back, so iterating it from "all
-        # candidates" settles in (longest chain of near rows) + 1 rounds.
-        cand = rep
-        lo, hi = np.flatnonzero(cand)[[lo, hi]]
-        while True:
-            blocked = np.zeros(n, dtype=bool)
-            blocked[hi[rep[lo]]] = True
-            if np.array_equal(cand & ~blocked, rep):
-                break
-            rep = cand & ~blocked
-        to = np.arange(n)
-        np.minimum.at(to, hi[rep[lo]], lo[rep[lo]])
-        target = to[first]
+    rep = first == np.arange(n)
     leaders = np.flatnonzero(rep)
-    coeffs = s.coeffs[leaders]  # a representative's own coefficient first,
+    coeffs = s.coeffs[leaders]  # a leader's own coefficient first,
     rest = ~rep  # then the others', in term order
-    np.add.at(coeffs, (np.cumsum(rep) - 1)[target[rest]], s.coeffs[rest])
+    np.add.at(coeffs, (np.cumsum(rep) - 1)[first[rest]], s.coeffs[rest])
     size = np.abs(coeffs)
     kept = size > DROP_TOL * size.max()
     if not kept.any():

@@ -130,11 +130,10 @@ def misid_probability_closed(alpha: float) -> float:
 
 # Outcome -> correction: B1 -> i sigma_y, B2 -> sigma_x, B3 -> -sigma_z, B4 -> identity.
 CORRECTIONS = np.stack((1j * PAULIS[1], PAULIS[0], -PAULIS[2], np.eye(2, dtype=complex)))
-# Average fidelity = _FIDELITY_WEIGHTS[p] . sum_k Q[k, m, m] with the global Pauli
-# P = PAULI_BASIS[p] appended to the corrections: E[b_m b_n] = (1, 1/3, 1/3, 1/3)_m
-# delta_mn for inputs b = (1, n) uniform on the sphere, and P s_m P = +-s_m.
-_FIDELITY_WEIGHTS = np.array([1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]) * np.array(
-    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+# Average fidelity = _FIDELITY_WEIGHTS . sum_k Q[k, m, m]: E[b_m b_n] =
+# (1, 1/3, 1/3, 1/3)_m delta_mn for inputs b = (1, n) uniform on the sphere.
+# A (1, 4) row, so that the product with the diagonal is a fixed-shape matmul.
+_FIDELITY_WEIGHTS = np.array([[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 # Shots per block in teleport_average_mc; bounds its working memory.
 MC_CHUNK = 4096
 
@@ -180,16 +179,6 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
     return q.real.reshape(m.shape[:-2] + (4, 4, 4))
 
 
-def _transfer(channel: TwoQubitDensity | np.ndarray) -> np.ndarray:
-    """``bloch_transfer(channel)``, or ``channel`` itself when it already is a
-    Bloch transfer: an array Q[..., k, m, n] of shape (..., 4, 4, 4)."""
-    if not isinstance(channel, np.ndarray):
-        return bloch_transfer(channel)
-    if channel.shape[-3:] != (4, 4, 4):
-        raise ValueError(f"a Bloch transfer has shape (..., 4, 4, 4), not {channel.shape}")
-    return channel
-
-
 def teleport(
     input: QubitVector, channel: TwoQubitDensity, rng_seed: int
 ) -> TeleportRecord:
@@ -221,27 +210,25 @@ class TeleportStats:
     samples: int
 
 
-def teleport_average_mc(
-    channel: TwoQubitDensity | np.ndarray, samples: int, seed: int
-) -> TeleportStats:
+def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> TeleportStats:
     """Monte Carlo average fidelity of the standard scheme.
 
     Inputs are drawn uniformly from the logical Bloch sphere and one outcome
     is sampled per shot from its Born probability, through the channel's
-    Bell-outcome map in Bloch coordinates.  ``channel`` is one density or
-    its ``bloch_transfer`` Q, shape (4, 4, 4).  The random numbers are drawn
-    up front and the shots evaluated in blocks of ``MC_CHUNK``, which bounds
-    the working memory and does not change the result.
+    Bell-outcome map in Bloch coordinates: ``q`` is the ``bloch_transfer`` Q
+    of one density, shape (4, 4, 4).  The random numbers are drawn up front
+    and the shots evaluated in blocks of ``MC_CHUNK``, which bounds the
+    working memory and does not change the result.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if q.shape != (4, 4, 4):
+        raise ValueError("the Monte Carlo takes one Bloch transfer of shape (4, 4, 4), "
+                         f"not {q.shape}")
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
     u = rng.random(samples)  # u * total is uniform(0, total) bit for bit
-    q = _transfer(channel)
-    if q.ndim != 3:
-        raise ValueError("the Monte Carlo takes one channel, not a batch")
     qt = q.transpose(2, 1, 0)  # [n, m, k]: Q[k, m, n]
     prob_rows = 2.0 * qt[:, 0, :, None]  # [n, k]: 2 Q[k, 0, n]
     # [3 n + m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
@@ -314,24 +301,18 @@ def teleport_average_mc(
     return TeleportStats(mean_fidelity=float(mean), stderr=stderr, samples=samples)
 
 
-def average_fidelity(
-    channel: TwoQubitDensity | np.ndarray, optimize_corrections: bool = False
-) -> float | np.ndarray:
+def average_fidelity(q: np.ndarray) -> float | np.ndarray:
     """Exact input-averaged fidelity of the standard scheme.
 
     The fidelity summed over outcomes is quadratic in the input's Bloch
-    coordinates (``bloch_transfer``); the uniform input average replaces their
-    products by the isotropic second moments.  With ``optimize_corrections`` a
-    global Pauli P (which only flips signs, P s_m P = +-s_m) is appended to the
-    corrections, maximized over the four choices; for channels with diagonal
-    correlation matrix this attains the optimal fidelity at every decay time.
-    ``channel`` is one density or a batch, or its ``bloch_transfer`` Q; the
-    result is a float for one channel, an array over the batch otherwise,
-    each entry with the bits of its own single call.
+    coordinates; the uniform input average replaces their products by the
+    isotropic second moments.  ``q`` is the ``bloch_transfer`` Q[..., k, m, n]
+    of one density or a batch; the result is a float for one channel, an
+    array over the batch otherwise, each entry with the bits of its own
+    single call.
     """
-    weights = _FIDELITY_WEIGHTS if optimize_corrections else _FIDELITY_WEIGHTS[:1]
-    diag = np.einsum("...kmm->...m", _transfer(channel))
-    f = np.max(weights @ diag[..., None], axis=-2)[..., 0]
+    diag = np.einsum("...kmm->...m", q)
+    f = (_FIDELITY_WEIGHTS @ diag[..., None])[..., 0, 0]
     return float(f) if f.ndim == 0 else f
 
 

@@ -598,9 +598,9 @@ class TestColumnWriters:
         want = []
         for a, alpha in enumerate(cfg.alphas):
             for i, r in enumerate(cli._r_grid(cfg)):
-                rho = channel_rho4(alpha, float(r))
-                stats = protocols.teleport_average_mc(rho, cfg.samples, cfg.seed + 5 * a + i)
-                want.append((alpha, float(r), protocols.average_fidelity(rho),
+                q = protocols.bloch_transfer(channel_rho4(alpha, float(r)))
+                stats = protocols.teleport_average_mc(q, cfg.samples, cfg.seed + 5 * a + i)
+                want.append((alpha, float(r), protocols.average_fidelity(q),
                              stats.mean_fidelity, stats.stderr, cfg.samples))
         got = list(zip(*[col.tolist() for col in table.values()]))
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
@@ -648,7 +648,8 @@ class TestColumnWriters:
         channels = [channel_rho4(1.0, 0.0), channel_rho4(0.4, 0.6), channel_rho4(2.0, 0.93)]
         for samples in sorted({1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5} - {0}):
             for k, channel in enumerate(channels):
-                stats = protocols.teleport_average_mc(channel, samples, seed=100 + k)
+                stats = protocols.teleport_average_mc(protocols.bloch_transfer(channel), samples,
+                                                      seed=100 + k)
                 want = _mc_kernel_reference(channel, samples, 100 + k, chunk)
                 assert (repr(stats.mean_fidelity), repr(stats.stderr)) == tuple(map(repr, want))
 
@@ -665,7 +666,8 @@ class TestColumnWriters:
         # the kernel takes the m = 0 numerator row as half the outcome probability
         channel = channel()
         for samples in (1, 2, protocols.MC_CHUNK - 1, protocols.MC_CHUNK + 1):
-            stats = protocols.teleport_average_mc(channel, samples, seed=samples)
+            stats = protocols.teleport_average_mc(protocols.bloch_transfer(channel), samples,
+                                                  seed=samples)
             want = _mc_kernel_reference(channel, samples, samples, protocols.MC_CHUNK)
             assert (repr(stats.mean_fidelity), repr(stats.stderr)) == tuple(map(repr, want))
 

@@ -15,7 +15,6 @@ from ecsim import coherent_states
 from ecsim.coherent_states import (
     DROP_TOL,
     FOCK_CELL_BUDGET,
-    MERGE_TOL,
     CoherentOperator,
     CoherentSuperposition,
     auto_cutoff,
@@ -406,7 +405,7 @@ def ref_consolidate(s):
     reps = []
     for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
         for i, (coeff, amps) in enumerate(reps):
-            if all(abs(x - y) < MERGE_TOL for x, y in zip(row, amps)):
+            if row == amps:
                 reps[i] = (coeff + c, amps)
                 break
         else:
@@ -576,34 +575,45 @@ class TestArrayRoute:
 
 class TestConsolidate:
     def test_matches_sequential_merge(self):
-        # amplitudes drawn from a few points jittered on the MERGE_TOL scale,
-        # so exact repeats, near pairs and chains of near rows all occur
+        # rows repeated exactly from a few centres, some entries moved one ulp
+        # up or down, so exact repeats and rows one ulp apart both occur
         rng = np.random.default_rng(50)
         for _ in range(200):
             modes = int(rng.integers(1, 4))
             centers = rng.uniform(-1, 1, (3, modes)) + 1j * rng.uniform(-1, 1, (3, modes))
             n = int(rng.integers(1, 40))
-            jitter = MERGE_TOL * rng.integers(-2, 3, (n, modes)) * 0.6
-            amps = centers[rng.integers(0, 3, n)] + jitter * (rng.uniform() < 0.7)
+            amps = centers[rng.integers(0, 3, n)]
+            for part in (amps.real, amps.imag):
+                moved = rng.uniform(size=(n, modes)) < 0.15
+                part[moved] = np.nextafter(part[moved], rng.choice([-2.0, 2.0], moved.sum()))
             coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             s = CoherentSuperposition(coeffs, amps)
             assert term_list(consolidate(s)) == ref_consolidate(s)
 
-    def test_strict_merge_boundary(self):
-        at = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(MERGE_TOL)
-        assert len(consolidate(at).coeffs) == 2
-        below = CoherentSuperposition.ket(0.0) + CoherentSuperposition.ket(
-            np.nextafter(MERGE_TOL, 0.0))
-        assert len(consolidate(below).coeffs) == 1
-
-    def test_chain_merges_into_representatives_only(self):
-        # 1 merges into 0; 2 is near 1 but not 0, and 1 is no representative
-        x = 0.6 * MERGE_TOL
-        s = sum((CoherentSuperposition.ket(k * x, coeff=k + 1.0) for k in range(1, 3)),
-                CoherentSuperposition.ket(0.0))
+    def test_ulp_apart_rows_stay_apart(self):
+        x = 0.3 - 0.2j
+        rows = [x, complex(np.nextafter(x.real, 1.0), x.imag),
+                complex(x.real, np.nextafter(x.imag, -1.0)), 0j, complex(5e-324, 0.0)]
+        s = sum((CoherentSuperposition.ket(a, 0.1, coeff=k + 1.0) for k, a in enumerate(rows)),
+                CoherentSuperposition.ket(x, 0.1, coeff=0.5))
         out = consolidate(s)
-        assert out.amps.tolist() == [[0j], [2 * x + 0j]]
-        assert out.coeffs.tolist() == [3.0, 3.0]
+        assert term_list(out) == [(c + 0j, [a, 0.1 + 0j])
+                                  for c, a in zip((1.5, 2.0, 3.0, 4.0, 5.0), rows)]
+
+    def test_negative_zero_merges_into_zero(self):
+        big = 2.0**53
+        zero, neg, other = 0j, complex(-0.0, -0.0), 0.25 + 0j
+        s = (CoherentSuperposition.ket(zero, 0.5, coeff=3.0)
+             + CoherentSuperposition.ket(other, 0.5, coeff=1.0)
+             + CoherentSuperposition.ket(neg, 0.5, coeff=big)
+             + CoherentSuperposition.ket(complex(0.0, -0.0), 0.5, coeff=-big))
+        out = consolidate(s)
+        assert out.amps.tolist() == [[0j, 0.5 + 0j], [other, 0.5 + 0j]]
+        assert not np.signbit(out.amps[0, 0].real) and not np.signbit(out.amps[0, 0].imag)
+        # the first row's coefficient first, then the others' in term order
+        want = (3.0 + big) + -big
+        assert want != 3.0 + (big + -big)
+        assert out.coeffs.tolist() == [want + 0j, 1.0 + 0j]
 
     def test_drop_floor(self):
         big = CoherentSuperposition.ket(0.5)
@@ -627,7 +637,7 @@ class TestConsolidate:
 
     def test_project_modes_peak_allocation(self):
         # a 1024-term intermediate: pairwise work of shape (T, T, M) would
-        # need 16 MiB; the blocked compare stays near 1 MiB
+        # need 16 MiB; the keyed merge holds a few arrays of T entries
         rng = np.random.default_rng(51)
         s = array_state(rng, 1024, 2)
         onto = CoherentSuperposition.ket(0.4 - 0.2j)

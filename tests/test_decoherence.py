@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ecsim.coherent_states import (
-    MERGE_TOL,
     CoherentOperator,
     dyad_from_pure,
     operator_trace,
@@ -44,19 +43,11 @@ def hermiticity_defect(rho: CoherentOperator) -> float:
     for _, kets, bras in terms:
         partner = 0.0 + 0.0j
         for coeff, other_kets, other_bras in terms:
-            if all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other_kets, bras)
-            ) and all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other_bras, kets)
-            ):
+            if other_kets == bras and other_bras == kets:
                 partner += coeff
         mine = 0.0 + 0.0j
         for coeff, other_kets, other_bras in terms:
-            if all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other_kets, kets)
-            ) and all(
-                abs(x - y) < MERGE_TOL for x, y in zip(other_bras, bras)
-            ):
+            if other_kets == kets and other_bras == bras:
                 mine += coeff
         worst = max(worst, abs(partner.conjugate() - mine))
     return worst

