@@ -48,7 +48,6 @@ from .protocols import (
     BellLabel,
     BellOutcome,
     ConcentrationResult,
-    TeleportRecord,
     average_fidelity,
     bell_measure_distribution,
     concentrate_exact,
@@ -57,13 +56,11 @@ from .protocols import (
     cv_fidelity,
     cv_max,
     misid_probability_closed,
-    teleport,
     teleport_average_mc,
 )
 from .qubit_encoding import (
     LogicalBasis,
     PauliDecomposition,
-    QubitVector,
     TwoQubitDensity,
     bell_state,
     make_basis,

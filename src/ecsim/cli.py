@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from . import decoherence as dec
 from . import entanglement_metrics as em
 from . import protocols as pr
@@ -158,17 +157,19 @@ def _table(names, rows) -> dict:
 
 def _sweep_table(args: argparse.Namespace, r: np.ndarray, **columns) -> dict:
     """The (alpha, r) grid of a sweep, alpha major, then its value columns."""
-    return {"alpha": np.repeat(args.alphas, len(r)), "r": np.tile(r, len(args.alphas)),
+    alphas = np.array(args.alphas)
+    return {"alpha": alphas.repeat(len(r)), "r": np.concatenate([r] * len(alphas)),
             **{name: np.asarray(col) for name, col in columns.items()}}
 
 
 def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
-    """One fig sweep: per alpha one closed-form call on the whole r grid, then
-    one numeric call on the whole (alpha, r) grid (one batched channel
-    density)."""
+    """One fig sweep: one closed-form call on the whole (alpha, r) grid (an
+    alpha column against the r row), then one numeric call on it (one
+    batched channel density)."""
     r = _r_grid(args)
-    closed_col = np.concatenate([closed(alpha, r) for alpha in args.alphas])
-    numeric_col = numeric(dec.channel_rho4(np.array(args.alphas), r)).ravel()
+    alphas = np.array(args.alphas)
+    closed_col = closed(alphas[:, None], r).ravel()
+    numeric_col = numeric(dec.channel_rho4(alphas, r)).ravel()
     return _sweep_table(args, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
                         **{name: np.full(len(closed_col), v) for name, v in extra.items()})
 
@@ -264,6 +265,9 @@ def _to_json(table: dict) -> str:
 
 
 def _render_report(args: argparse.Namespace) -> tuple[str, bool]:
+    # imported here, so that no other command loads (or compiles) it
+    from . import acceptance
+
     results = acceptance.run_all(property_cases=args.property_cases)
     lines = []
     for res in results:

@@ -15,14 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap
+# dyad_from_pure stays bound here, uncalled: perfbench/test_perfbench.py
+# checks that its tracer wraps the name in this namespace too.
+from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap  # noqa: F401
 from .qubit_encoding import (
     PauliDecomposition,
     TwoQubitDensity,
-    bell_state,
+    basis_from_squares,
+    bell_coeffs,
+    each_float,
     make_basis,
     project_to_density,
 )
+
+# Signs of the channel's dyad amplitudes over alpha, (ket/bra, term, mode):
+# the dyads |k_i><k_j| of k_0 = (a, -a) and k_1 = (-a, a), ket term major.
+_DYAD_SIGNS = np.array([[[1, -1], [1, -1], [-1, 1], [-1, 1]],
+                        [[1, -1], [-1, 1], [1, -1], [-1, 1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -81,50 +90,55 @@ class ChannelCoefficients:
         c_coef = 2 - (1 + gamma_coef) W
         d_coef = -2 gamma_coef + (1 + gamma_coef) W
 
-    Each of these fields has the shape of ``r`` (a float for a scalar ``r``);
-    ``n_theta`` = 1 - exp(-4 a^2) is the time-independent normalization of
-    the undecayed basis.
+    Each of these fields has the broadcast shape of ``alpha`` and ``r``;
+    ``n_theta`` = 1 - exp(-4 a^2), the time-independent normalization of
+    the undecayed basis, has the shape of ``alpha``.
     """
 
-    a_coef: float
-    b_coef: float
-    c_coef: float
-    d_coef: float
-    gamma_coef: float
-    w_coef: float
-    n_theta: float
+    a_coef: float | np.ndarray
+    b_coef: float | np.ndarray
+    c_coef: float | np.ndarray
+    d_coef: float | np.ndarray
+    gamma_coef: float | np.ndarray
+    w_coef: float | np.ndarray
+    n_theta: float | np.ndarray
 
     @classmethod
-    def evaluate(cls, alpha: float, r) -> "ChannelCoefficients":
-        """The coefficients at amplitude ``alpha`` over ``r``, behind the
-        guard of ``closed_form_normalization``."""
+    def evaluate(cls, alpha, r) -> "ChannelCoefficients":
+        """The coefficients at amplitude ``alpha`` over ``r``, behind the guard
+        of ``closed_form_normalization``.  An array ``alpha`` (a column against
+        a row ``r``, say) gives each entry the bits of its own scalar call."""
         t = DecayClock.from_r(r).t
         n_theta = closed_form_normalization(alpha, t)
         t2 = t**2
-        g = np.exp(-4.0 * (1.0 - t2) * alpha**2)
-        w = np.exp(-4.0 * t2 * alpha**2)
+        a2 = each_float(lambda a: a**2, alpha)
+        g = np.exp(-4.0 * (1.0 - t2) * a2)
+        w = np.exp(-4.0 * t2 * a2)
+        loss, gw = 1.0 - g, (1.0 + g) * w
         return cls(
-            a_coef=(1.0 - g) * w,
-            b_coef=(1.0 - g) * np.sqrt(w),
-            c_coef=2.0 - (1.0 + g) * w,
-            d_coef=-2.0 * g + (1.0 + g) * w,
+            a_coef=loss * w,
+            b_coef=loss * np.sqrt(w),
+            c_coef=2.0 - gw,
+            d_coef=-2.0 * g + gw,
             gamma_coef=g,
             w_coef=w,
             n_theta=n_theta,
         )
 
 
-def closed_form_normalization(alpha: float, t) -> float:
+def closed_form_normalization(alpha, t) -> float | np.ndarray:
     """N_theta = 1 - exp(-4 alpha^2), the time-independent normalization of
-    the undecayed basis shared by the closed forms.
+    the undecayed basis shared by the closed forms, in the shape of
+    ``alpha`` (0-d for a scalar), each entry with the bits of a scalar call.
 
     Also their degeneracy guard, given the decay factors ``t`` of the grid:
     raises DegenerateBasisError when the decayed basis at any ``t`` is
     degenerate, as the numeric route would.  Its normalization rises with
-    ``t``, so the basis at the least ``t`` decides, with the same message.
+    ``t``, so the basis at the least ``t`` decides, with the same message;
+    of several amplitudes, the first degenerate one is named.
     """
     make_basis(alpha, t.min())
-    return -math.expm1(-4.0 * alpha**2)
+    return each_float(lambda a: -math.expm1(-4.0 * a**2), alpha)
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
@@ -135,35 +149,34 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     amplitudes are +-(t alpha), so the projection is exact and trace
     preserving.  ``alpha`` and ``r`` may be arrays: the batch of densities,
     shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over the
-    whole grid, each density with the bits of its own scalar call.  Only the
-    undecayed B4 dyad is built per amplitude; every one has the same terms,
-    (ta, -ta) and (-ta, ta) on both sides: the B4 coefficients on (ta, ta)
-    and (-ta, -ta) cancel exactly, and those on the mixed kets are
-    +-1/sqrt(2 N_theta), never zero.
+    whole grid, each density with the bits of its own scalar call.  The
+    undecayed B4 dyads of all amplitudes are built at once from
+    ``bell_coeffs`` of one batched basis; every one has the same terms,
+    (a, -a) and (-a, a) on both sides, since the B4 coefficients on (a, a)
+    and (-a, -a) cancel exactly, and those on the mixed kets are
+    +-1/sqrt(2 N_theta), never zero (``bell_state`` drops and keeps the same).
     """
     alpha = np.asarray(alpha, dtype=float)
-    amps = alpha.ravel().tolist()
-    if not amps:
+    if not alpha.size:
         raise ValueError("alpha must hold at least one amplitude")
-    # the undecayed dyads with the amplitude axis last: coefficients
-    # (terms, n), kets and bras (terms, modes, n)
-    for i, a in enumerate(amps):
-        dyad = dyad_from_pure(bell_state(4, make_basis(a, 1.0)))
-        if i == 0:
-            coeffs = np.empty(dyad.coeffs.shape + (len(amps),), dtype=complex)
-            kets, bras = np.empty((2,) + dyad.kets.shape + (len(amps),), dtype=complex)
-        coeffs[:, i], kets[..., i], bras[..., i] = dyad.coeffs, dyad.kets, dyad.bras
+    if not alpha.min() > 0.0:
+        raise ValueError("alpha must be positive")
+    # make_basis(a, 1.0) of every amplitude a, each with the bits of its own
+    # call: the squares one float at a time (Python's a**2 is libm's pow,
+    # numpy squares by a product, and the two can differ in the last bit)
+    undecayed = basis_from_squares(alpha, 1.0, each_float(lambda a: a**2, alpha))
+    b4 = bell_coeffs(4, undecayed)[1:3]
+    # |B4><B4| in dyad_from_pure's term order, the amplitude axes last:
+    # coefficients (terms, *alpha), kets and bras (terms, modes, *alpha)
+    coeffs = (b4[:, None] * b4.conj()[None]).reshape((4,) + alpha.shape)
+    kets, bras = np.multiply.outer(_DYAD_SIGNS, alpha)
     clock = DecayClock.from_r(r)
-    batch = alpha.shape
-    dyads = CoherentOperator(
-        coeffs.reshape(coeffs.shape[:1] + batch),
-        kets.reshape(kets.shape[:2] + batch),
-        bras.reshape(bras.shape[:2] + batch),
-    )
-    rho = decohere(dyads, clock)
-    # the amplitudes ahead of the decay-time axes; [()] makes a 0-d one a scalar
-    basis = make_basis(alpha.reshape(batch + (1,) * np.ndim(clock.t))[()], clock.t)
-    return project_to_density(rho, basis)
+    rho = decohere(CoherentOperator(coeffs, kets, bras), clock)
+    # the amplitudes ahead of the decay-time axes; [()] makes a 0-d one a
+    # scalar.  Both are in range: alpha is checked above, and a clock's t
+    # lies in (0, 1].
+    alpha = alpha.reshape(alpha.shape + (1,) * np.ndim(clock.t))[()]
+    return project_to_density(rho, basis_from_squares(alpha, clock.t, (clock.t * alpha) ** 2))
 
 
 def closed_form_vst(alpha: float, r) -> PauliDecomposition:

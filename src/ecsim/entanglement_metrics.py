@@ -2,8 +2,11 @@
 
 Every functional has two routes: a numeric one acting on the 4x4 matrix and
 a closed form in (alpha, r) for the damped entangled channel; the pair is
-cross-checked in the test suite.  Both broadcast: a batched density or an
-array ``r`` gives an array of values, a single one a float.
+cross-checked in the test suite.  Both broadcast: a batched density, or an
+array ``r`` and an ``alpha`` that broadcasts against it (an amplitude column
+against an r row: one closed-form call for a whole sweep), gives an array of
+values, each entry with the bits of its own scalar call; a single one gives
+a float.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .decoherence import (
     channel_rho4,
     closed_form_normalization,
 )
-from .qubit_encoding import TwoQubitDensity, pauli_decompose
+from .qubit_encoding import TwoQubitDensity, each_float, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
 
@@ -38,14 +41,15 @@ def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
     """E = -2 sum of negative eigenvalues of the partial transpose.
 
     Positive iff the state is inseparable (two-qubit partial transposition
-    criterion); scaled so that E is 1 on maximally entangled states.
+    criterion); scaled so that E is 1 on maximally entangled states.  A
+    separable state reads +0, not -0: the sum is subtracted from zero.
     """
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
     eigs = np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs)
-    return _value(-2.0 * np.where(eigs < 0, eigs, 0.0).sum(axis=-1))
+    return _value(0.0 - 2.0 * np.where(eigs < 0, eigs, 0.0).sum(axis=-1))
 
 
-def closed_form_e(alpha: float, r) -> float | np.ndarray:
+def closed_form_e(alpha, r) -> float | np.ndarray:
     """Closed-form channel negativity.
 
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
@@ -86,7 +90,7 @@ def optimal_fidelity(rho: TwoQubitDensity) -> float | np.ndarray:
     return (singlet_fraction(rho) * 2 + 1.0) / 3.0
 
 
-def closed_form_f(alpha: float, r) -> float | np.ndarray:
+def closed_form_f(alpha, r) -> float | np.ndarray:
     """Closed-form optimal fidelity of the damped channel.
 
     f = (1/3) max{ 1 + (e^{4a^2} - e^{4t^2a^2}) / (e^{4a^2} - 1),
@@ -106,7 +110,7 @@ def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     return _value(1.0 - np.trace(m @ m, axis1=-2, axis2=-1).real)
 
 
-def closed_form_s(alpha: float, r) -> float | np.ndarray:
+def closed_form_s(alpha, r) -> float | np.ndarray:
     """Closed-form channel linear entropy.
 
     S = (e^{8 r^2 a^2} - 1)(e^{8 t^2 a^2} - 1) / (2 (e^{4 a^2} - 1)^2);
@@ -116,10 +120,10 @@ def closed_form_s(alpha: float, r) -> float | np.ndarray:
     where the growing exponentials would scatter it by several ulps.
     """
     n_theta = closed_form_normalization(alpha, DecayClock.from_r(r).t)
-    a2 = alpha**2
+    a2 = each_float(lambda a: a**2, alpha)
     r2 = r * r
     num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
-    return _value(num / (2.0 * n_theta**2))
+    return _value(num / (2.0 * each_float(lambda n: n**2, n_theta)))
 
 
 def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:

@@ -1,9 +1,9 @@
 """Executable protocols over the coherent-state qubit encoding.
 
 Covers Bell discrimination behind a 50:50 beam splitter with photon
-counting, qubit teleportation over mixed channels (one shot, and the exact
-average and Monte Carlo through a constant Bloch-transfer kernel built at
-import from the Bell-outcome map), entanglement concentration by swapping,
+counting, qubit teleportation over mixed channels (the exact average and the
+Monte Carlo, through a constant Bloch-transfer kernel built at import from
+the Bell-outcome map), entanglement concentration by swapping,
 and the continuous-variable fidelity of the entangled coherent channel.
 """
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
     PAULIS,
-    QubitVector,
     TwoQubitDensity,
     bell_state,
     make_basis,
@@ -138,16 +137,6 @@ _FIDELITY_WEIGHTS = np.array([[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 MC_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class TeleportRecord:
-    """One teleportation shot: sampled outcome and corrected output."""
-
-    input: QubitVector
-    outcome: BellLabel
-    output: np.ndarray  # Bob's corrected 2x2 density
-    fidelity: float
-
-
 def bell_outcome_map(channel: TwoQubitDensity | np.ndarray) -> np.ndarray:
     """Bell-outcome superoperator Lambda[..., k, a, A, i, l], shape (..., 4, 2, 2, 2, 2).
 
@@ -177,30 +166,6 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
     m = channel.matrix
     q = np.einsum("xj,...j->...x", _TRANSFER_KERNEL, m.reshape(m.shape[:-2] + (16,)))
     return q.real.reshape(m.shape[:-2] + (4, 4, 4))
-
-
-def teleport(
-    input: QubitVector, channel: TwoQubitDensity, rng_seed: int
-) -> TeleportRecord:
-    """One run of the standard scheme: Bell measurement, Pauli correction.
-
-    The measurement outcome is sampled from its Born probability with a
-    seeded generator, so runs are reproducible bit for bit.
-    """
-    rng = np.random.default_rng(rng_seed)
-    psi = input.as_array()
-    proj = np.outer(psi, psi.conj())
-    branches = np.einsum("aA,kaAil->kil", proj, bell_outcome_map(channel))
-    probs = np.einsum("kii->k", branches).real
-    k = int(rng.choice(4, p=probs / probs.sum()))
-    rho_out = branches[k] / probs[k]
-    fid = float((psi.conj() @ rho_out @ psi).real)
-    return TeleportRecord(
-        input=input,
-        outcome=(BellLabel.B1, BellLabel.B2, BellLabel.B3, BellLabel.B4)[k],
-        output=rho_out,
-        fidelity=fid,
-    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,11 @@ PAULI_PRODUCTS = PAULI_PRODUCTS.reshape(4, 4, 4, 4)
 # Added to a density before its Cholesky test: the factorization then
 # completes exactly when every eigenvalue lies above -1e-10.
 _PSD_SHIFT = 1e-10 * np.eye(4)
+# Grid points per block of project_to_density: its largest work array takes
+# 256 B a point and dyad, 128 kB a block for the channel's 4 dyads.  Measured
+# on 2-1200 point grids, larger blocks fault in more fresh pages per call and
+# smaller ones pay more fixed cost.
+_PROJECTION_BLOCK = 128
 
 _SQ2 = math.sqrt(2.0)
 # Ideal Bell vectors in logical coordinates (rows: B1..B4).
@@ -85,7 +90,13 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
         if not np.greater(alpha, 0.0).all():
             raise ValueError("alpha must be positive")
         raise ValueError("decay factor t must lie in (0, 1]")
-    a2 = (t * alpha) ** 2
+    return basis_from_squares(alpha, t, (t * alpha) ** 2)
+
+
+def basis_from_squares(alpha, t, a2) -> LogicalBasis:
+    """``make_basis(alpha, t)`` from the squared amplitudes ``a2`` = (t alpha)^2,
+    for ``alpha`` and ``t`` already known to be in range; only the
+    degeneracy check is made."""
     s2 = np.exp(-2.0 * a2)  # sin 2theta
     n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
     if not n_theta.min() >= DEGENERACY_FLOOR:
@@ -97,6 +108,14 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
         )
     theta = 0.5 * np.arcsin(s2)
     return LogicalBasis(alpha=alpha, t=t, theta=theta, n_theta=n_theta)
+
+
+def each_float(f, x) -> np.ndarray:
+    """``f`` applied to every entry of ``x`` as a Python float, shaped like
+    ``x`` (0-d for a scalar): the bits of the scalar arithmetic, where
+    Python's and numpy's differ (``**``, ``math.expm1``)."""
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
@@ -120,62 +139,53 @@ def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
     return np.where(plus, pair, pair[::-1]).transpose(*range(1, plus.ndim + 1), 0)
 
 
-def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
-    """The k-th Bell state (k = 1..4) as a two-mode coherent superposition.
+def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
+    """Coefficients of the k-th Bell state (k = 1..4) on the product kets
+    (ta, ta), (ta, -ta), (-ta, ta), (-ta, -ta), shape (4, *basis shape).
 
-    B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2.
-    B2 and B4 are entangled coherent states exactly; B1 and B3 carry the
-    extra -sin(2 theta) cross terms.
-
-    Built directly on the product kets (ta, ta), (ta, -ta), (-ta, ta),
-    (-ta, -ta), in that order, from the logical kets
-    Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta) and
-    Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta).  Each coefficient
-    takes the complex products and sums that ``consolidate`` applies to the
-    tensor products of those kets, so its bits are theirs; terms at or below
-    DROP_TOL of the largest are dropped, as there.
+    B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2,
+    from the logical kets Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)
+    and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta).  Each
+    coefficient takes the complex products and sums that ``consolidate``
+    applies to the tensor products of those kets, so its bits are theirs.
+    Every entry of the basis is taken in Python's scalar float arithmetic,
+    so its bits do not depend on the others.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
-    c = 1.0 / math.sqrt(basis.n_theta)
-    cos, sin = c * math.cos(basis.theta), c * math.sin(basis.theta)
-    plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
-    minus = (complex(-sin), complex(cos))  # Psi-
-    u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
     inv = complex(1.0 / _SQ2)
-    coeffs = []
-    for i in (0, 1):
-        for j in (0, 1):
-            second = w[i] * x[j]
-            if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
-                second = complex(-1.0) * second
-            coeffs.append(inv * (u[i] * v[j]) + inv * second)
-    coeffs = np.array(coeffs)
+    n_thetas, thetas = np.asarray(basis.n_theta), np.asarray(basis.theta)
+    coeffs = []  # amplitude major
+    for n_theta, theta in zip(n_thetas.flat, thetas.flat):
+        c = 1.0 / math.sqrt(n_theta)
+        cos, sin = c * math.cos(theta), c * math.sin(theta)
+        plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
+        minus = (complex(-sin), complex(cos))  # Psi-
+        u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
+        for i in (0, 1):
+            for j in (0, 1):
+                second = w[i] * x[j]
+                if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
+                    second = complex(-1.0) * second
+                coeffs.append(inv * (u[i] * v[j]) + inv * second)
+    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + thetas.shape)
+
+
+def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
+    """The k-th Bell state (k = 1..4) of a single basis as a two-mode
+    coherent superposition.
+
+    B2 and B4 are entangled coherent states exactly; B1 and B3 carry the
+    extra -sin(2 theta) cross terms.  The terms are those of ``bell_coeffs``,
+    in that order; terms at or below DROP_TOL of the largest are dropped, as
+    in ``consolidate``.
+    """
+    coeffs = bell_coeffs(k, basis)
     size = np.abs(coeffs)
     kept = size > DROP_TOL * size.max()
     a = basis.amplitude
     amps = np.array([[a, a], [a, -a], [-a, a], [-a, -a]], dtype=complex)
     return CoherentSuperposition(coeffs[kept], amps[kept])
-
-
-# ---------------------------------------------------------------------------
-# logical qubit vectors
-
-
-@dataclass(frozen=True)
-class QubitVector:
-    """Unit vector in the logical basis: plus * Psi+ + minus * Psi-."""
-
-    plus: complex
-    minus: complex
-
-    def __post_init__(self):
-        n2 = abs(self.plus) ** 2 + abs(self.minus) ** 2
-        if abs(n2 - 1.0) > 1e-12:
-            raise ValueError(f"qubit vector norm^2 = {n2!r}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.plus, self.minus], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +211,16 @@ class TwoQubitDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        m_dag = m.conj().swapaxes(-1, -2)
+        # laid out like m, so that both uses below run on contiguous memory
+        m_dag = np.conjugate(m.swapaxes(-1, -2), order="C")
         if not np.abs(m - m_dag).max() <= 1e-10:
             raise DensityError("density matrix is not Hermitian within 1e-10")
-        tr = m.trace(axis1=-2, axis2=-1)
-        if not (np.abs(tr.real - 1.0).max() <= 1e-10 and np.abs(tr.imag).max() <= 1e-10):
+        # the real and imaginary parts of tr - 1 side by side
+        off = np.asarray(m.trace(axis1=-2, axis2=-1) - 1.0)[..., None].view(float)
+        if not np.abs(off).max() <= 1e-10:
             raise DensityError("density matrix trace differs from 1 by more than 1e-10")
-        m = m + m_dag
-        del m_dag
+        m_dag += m
+        m = m_dag
         m /= 2
         try:
             np.linalg.cholesky(m + _PSD_SHIFT)
@@ -241,27 +253,33 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     # from here on the grid is one flat axis (a view), which keeps the work
     # per point the same for any number of grid axes
     coords = coords.reshape(coords.shape[:4] + (-1,))
-    # Each term's product c x ket0 x ket1 x bra0 x bra1, taken in that order
-    # on the (re, im) pair of c: by real coordinates these are the bits of
-    # the complex products, and the sum from zero never meets -0.  Axes
-    # after the term: ket0, ket1, bra0, bra1 logical index, re/im, points.
-    # Each array is dropped once used, which bounds a batch's peak memory.
-    c = rho.coeffs.reshape(len(rho.coeffs), 1, 1, -1)
-    kets = np.concatenate((c.real, c.imag), axis=2) * coords[:, 0, 0, :, None]
-    kets = (kets[:, :, None] * coords[:, 0, 1, None, :, None])[:, :, :, None, None]
-    bras = coords[:, 1].copy()  # (terms, mode, logical index, points)
-    del coords
-    bra0 = bras[:, 0, None, None, :, None, None]
-    bra1 = bras[:, 1, None, None, None, :, None]
-    out = np.zeros((2, 2, 2, 2, 2, bras.shape[-1]))
-    for term in range(len(kets)):
-        out += kets[term] * bra0[term] * bra1[term]
-    del kets, bras, bra0, bra1
+    c = rho.coeffs.reshape(len(rho.coeffs), 1, -1)
+    c = np.concatenate((c.real, c.imag), axis=1)  # (terms, re/im, points)
+    n = coords.shape[-1]
+    out = np.empty((n, 32))
+    for start in range(0, n, _PROJECTION_BLOCK):
+        s = slice(start, start + _PROJECTION_BLOCK)
+        out[s] = _summed_products(c[..., s], coords[..., s])
+    del coords, c
     # (points, 16 entries, re/im) viewed as complex (*grid, 4, 4)
-    matrix = np.ascontiguousarray(out.reshape(16, 2, -1).transpose(2, 0, 1))
-    matrix = matrix.view(complex).reshape(grid + (4, 4))
-    del out
-    return TwoQubitDensity(matrix)
+    return TwoQubitDensity(out.view(complex).reshape(grid + (4, 4)))
+
+
+def _summed_products(c: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The sum over terms of c x ket0 x ket1 x bra0 x bra1, (points, 32).
+
+    ``c`` is (terms, re/im, points) and ``coords`` (terms, side, mode,
+    logical index, points).  Each product is taken in that order on the
+    (re, im) pair of c: by real coordinates these are the bits of the
+    complex products.  Its axes are the term, the ket0, ket1, bra0 and bra1
+    logical indices, re/im and the points; the terms are summed from zero in
+    order, so the sum never meets -0.
+    """
+    prod = c[:, None] * coords[:, 0, 0, :, None]
+    prod = prod[:, :, None] * coords[:, 0, 1, None, :, None]
+    prod = prod[:, :, :, None] * coords[:, 1, 0, None, None, :, None]
+    prod = prod[:, :, :, :, None] * coords[:, 1, 1, None, None, None, :, None]
+    return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
 
 
 @dataclass(frozen=True)

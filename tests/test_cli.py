@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecsim import cli, protocols
+from ecsim import acceptance, cli, protocols
+from ecsim import coherent_states as cs
 from ecsim import decoherence as dec
+from ecsim import entanglement_metrics as em
 from ecsim import qubit_encoding as qe
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import DegenerateBasisError
@@ -189,6 +191,29 @@ class TestFigRows:
             assert got[2:] == pytest.approx(ref[2:], abs=1e-13)
 
 
+    def test_separable_rows_print_zero_not_minus_zero(self):
+        # at alpha = 3 the channel is separable from r ~ 0.87 on
+        out = cli.render(["fig2a", "--alphas", "3", "5", "10", "--r-steps", "50"])
+        fields = [f for line in out.splitlines()[1:] for f in line.split(",")]
+        assert "-0" not in fields
+        assert out.splitlines()[50].split(",")[-1] == "0"
+
+    @pytest.mark.parametrize("command,closed", [
+        ("fig2a", "closed_form_e"), ("fig2b", "closed_form_f"), ("fig3", "closed_form_s"),
+    ])
+    def test_one_closed_form_call_and_no_per_alpha_dyads(self, command, closed, monkeypatch):
+        calls = []
+        for module, name in ((em, closed), (dec, "closed_form_normalization"),
+                             (em, "closed_form_normalization"), (dec, "channel_rho4"),
+                             (qe, "bell_state"), (cs, "dyad_from_pure"),
+                             (dec, "dyad_from_pure")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        cli.render([command, "--alphas", "0.5", "1.5", "2.5", "--r-steps", "4"])
+        assert sorted(calls) == sorted([closed, "closed_form_normalization", "channel_rho4"])
+
+
 class TestDeterminism:
     def test_teleport_mc_byte_identical(self):
         argv = [
@@ -289,7 +314,7 @@ class TestExitCodes:
         def run_all(property_cases):
             raise AssertionError("a check ran")
 
-        monkeypatch.setattr(cli.acceptance, "run_all", run_all)
+        monkeypatch.setattr(acceptance, "run_all", run_all)
         over = str(cli.MAX_PROPERTY_CASES + 1)
         for argv in (["report", "--property-cases", over],
                      ["report", "--property-cases", "1000000000"]):
@@ -471,6 +496,18 @@ class TestConsoleEntryPoint:
 
 
 class TestImportPath:
+    def test_fig_render_does_not_load_acceptance(self):
+        # only report reads the acceptance checks; other commands never
+        # import (or, without bytecode caching, compile) them
+        code = (
+            "import sys, ecsim.cli\n"
+            "ecsim.cli.render(['fig2a', '--r-steps', '3'])\n"
+            "print('ecsim.acceptance' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_cli_import_skips_scipy_stats_and_optimize(self):
         # numpy is the only runtime dependency: neither the import nor a
         # command that searches for a maximum loads any scipy module
@@ -759,7 +796,7 @@ class TestExtremeFlags:
     @pytest.fixture(autouse=True)
     def _stub_report(self, monkeypatch):
         # the acceptance checks take seconds and have their own tests
-        monkeypatch.setattr(cli.acceptance, "run_all", lambda property_cases: [])
+        monkeypatch.setattr(acceptance, "run_all", lambda property_cases: [])
 
     def test_each_flag_alone(self, tmp_path, capsys):
         for _, base, flags in _flag_extremes(tmp_path):
@@ -809,9 +846,9 @@ class TestNoDeadFlags:
     def _stub_report(self, monkeypatch):
         # a report whose text shows the case count it was asked for
         def run_all(property_cases):
-            return [cli.acceptance.CheckResult("10.1", "stub", True, f"{property_cases} cases")]
+            return [acceptance.CheckResult("10.1", "stub", True, f"{property_cases} cases")]
 
-        monkeypatch.setattr(cli.acceptance, "run_all", run_all)
+        monkeypatch.setattr(acceptance, "run_all", run_all)
 
     @pytest.mark.parametrize("command,flag", [
         (command, action.option_strings[0])

@@ -31,6 +31,7 @@ from ecsim.qubit_encoding import (
     bell_state,
     make_basis,
     pauli_decompose,
+    project_to_density,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -192,8 +193,28 @@ class TestChannel:
                 assert np.max(np.abs(dec.v - dec.s)) < 1e-12
 
 
+def _channel_one_amplitude(alpha: float, r):
+    """The damped channel of one amplitude from the scalar pieces: the B4
+    state of the undecayed basis, its dyad, the decay and the projection."""
+    clock = DecayClock.from_r(r)
+    rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
+    return project_to_density(rho, make_basis(alpha, clock.t))
+
+
 class TestAlphaBatch:
     ALPHAS = np.logspace(-3.0, 6.0, 19)
+    # 0.45641438732799167 squares differently by Python's a**2 (libm's pow)
+    # and numpy's square, which moves its B4 coefficients
+    PINNED = [0.45641438732799167, 0.15, 1e-3, 13.4, 1e6]
+
+    @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 23), 0.5], ids=["grid", "scalar"])
+    def test_batch_is_bitwise_the_one_amplitude_route(self, r):
+        rng = np.random.default_rng(47)
+        alphas = np.concatenate((self.PINNED, rng.uniform(1e-3, 3.0, 30),
+                                 10.0 ** rng.uniform(-3.0, 6.0, 10)))
+        batch = channel_rho4(alphas, r).matrix
+        for alpha, rows in zip(alphas.tolist(), batch):
+            assert rows.tobytes() == _channel_one_amplitude(alpha, r).matrix.tobytes()
 
     @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 400), 0.5], ids=["grid", "scalar"])
     def test_slices_are_bitwise_the_scalar_alpha_calls(self, r):

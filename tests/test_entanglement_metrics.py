@@ -70,6 +70,13 @@ class TestNegativity:
     def test_maximally_mixed_is_separable(self):
         assert negativity_e(TwoQubitDensity(np.eye(4) / 4.0)) == 0.0
 
+    def test_separable_reads_plus_zero(self):
+        # every clamped eigenvalue zero: -2 times their sum would read -0.0
+        e = negativity_e(TwoQubitDensity(np.eye(4) / 4.0))
+        assert math.copysign(1.0, e) == 1.0
+        batch = negativity_e(channel_rho4(np.array([3.0, 5.0, 10.0]), np.linspace(0.9, 0.995, 7)))
+        assert np.all(batch == 0.0) and not np.signbit(batch).any()
+
     def test_entangled_past_characteristic_time(self):
         assert negativity_e(channel_rho4(1.0, 0.7)) > 0.0
 
@@ -260,6 +267,25 @@ class TestMixednessPeak:
             mixedness_peak(1.0, "renyi")
 
 
+def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
+    """E, f and S of one amplitude over an r grid, in the scalar float
+    arithmetic of the closed forms: Python's alpha**2 (libm's pow) and
+    math.expm1 per amplitude, numpy over the grid."""
+    t = np.sqrt(1.0 - r * r)
+    n = -math.expm1(-4.0 * alpha**2)
+    t2 = t**2
+    g, w = np.exp(-4.0 * (1.0 - t2) * alpha**2), np.exp(-4.0 * t2 * alpha**2)
+    a, b = (1.0 - g) * w, (1.0 - g) * np.sqrt(w)
+    c, d = 2.0 - (1.0 + g) * w, -2.0 * g + (1.0 + g) * w
+    r2 = r * r
+    return {
+        closed_form_e: (np.sqrt(16.0 * b**2 + (c - d) ** 2) - (2.0 * a + c + d)) / (4.0 * n),
+        closed_form_f: np.maximum(1.0 + (1.0 - g) / n, 2.0 + (g - w) / n) / 3.0,
+        closed_form_s: np.expm1(-8.0 * r2 * alpha**2) * np.expm1(-8.0 * (1.0 - r2) * alpha**2)
+        / (2.0 * n**2),
+    }
+
+
 METRICS = [negativity_e, singlet_fraction, optimal_fidelity, linear_entropy, vn_entropy]
 CLOSED_FORMS = [(closed_form_e, negativity_e), (closed_form_f, optimal_fidelity),
                 (closed_form_s, linear_entropy)]
@@ -286,6 +312,21 @@ class TestBatches:
             assert got.shape == r.shape
             assert list(got) == [closed(alpha, float(x)) for x in r]
             assert np.array_equal(closed(alpha, r[1:].reshape(7, 8)), got[1:].reshape(7, 8))
+
+    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
+    def test_alpha_column_is_bitwise_the_scalar_calls(self, closed, numeric):
+        # Python's a**2 (libm's pow) and numpy's square differ on
+        # 0.45641438732799167 and on the N_theta of 0.6367562934712789; the
+        # rest span the CLI's range, then a random set
+        rng = np.random.default_rng(45)
+        alphas = np.concatenate(([0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6],
+                                 rng.uniform(1e-3, 3.0, 40), 10.0 ** rng.uniform(-3.0, 6.0, 20)))
+        r = np.linspace(0.0, 0.995, 31)
+        got = closed(alphas[:, None], r)
+        assert got.shape == (len(alphas), len(r))
+        for alpha, row in zip(alphas.tolist(), got):
+            assert row.tobytes() == closed(alpha, r).tobytes()
+            assert row.tobytes() == _closed_forms_one_amplitude(alpha, r)[closed].tobytes()
 
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_closed_form_grid_degeneracy_guard(self, closed, numeric):

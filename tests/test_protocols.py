@@ -1,6 +1,7 @@
 """Bell discrimination, teleportation, concentration, CV fidelity."""
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from ecsim.protocols import (
     cv_max,
     misid_probability_closed,
     partial_pair_state,
-    teleport,
     teleport_average_mc,
 )
 from ecsim.qubit_encoding import (
@@ -43,16 +43,51 @@ from ecsim.qubit_encoding import (
     PAULI_BASIS,
     PAULIS,
     LogicalBasis,
-    QubitVector,
     TwoQubitDensity,
     bell_state,
     logical_coords,
     make_basis,
 )
-from test_qubit_encoding import psi_minus, psi_plus
+from test_qubit_encoding import QubitVector, psi_minus, psi_plus
 
 SQ2 = math.sqrt(2.0)
 SQRT_HALF = 1.0 / SQ2
+
+
+# The paper's single-shot teleportation scheme: the reference that the exact
+# average and the Monte Carlo of the library are checked against.
+
+
+@dataclass(frozen=True)
+class TeleportRecord:
+    """One teleportation shot: sampled outcome and corrected output."""
+
+    input: QubitVector
+    outcome: BellLabel
+    output: np.ndarray  # Bob's corrected 2x2 density
+    fidelity: float
+
+
+def teleport(input: QubitVector, channel: TwoQubitDensity, rng_seed: int) -> TeleportRecord:
+    """One run of the standard scheme: Bell measurement, Pauli correction.
+
+    The measurement outcome is sampled from its Born probability with a
+    seeded generator, so runs are reproducible bit for bit.
+    """
+    rng = np.random.default_rng(rng_seed)
+    psi = input.as_array()
+    proj = np.outer(psi, psi.conj())
+    branches = np.einsum("aA,kaAil->kil", proj, bell_outcome_map(channel))
+    probs = np.einsum("kii->k", branches).real
+    k = int(rng.choice(4, p=probs / probs.sum()))
+    rho_out = branches[k] / probs[k]
+    fid = float((psi.conj() @ rho_out @ psi).real)
+    return TeleportRecord(
+        input=input,
+        outcome=(BellLabel.B1, BellLabel.B2, BellLabel.B3, BellLabel.B4)[k],
+        output=rho_out,
+        fidelity=fid,
+    )
 
 
 def _random_channel(seed):

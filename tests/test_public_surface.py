@@ -20,9 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ecsim"
 CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 
-# The paper's single-shot teleportation scheme, kept as the library's
-# statement of the protocol that the exact average and the Monte Carlo compute.
-ALLOWED = {"protocols.teleport"}
+# Public names kept without a program caller; none at present.
+ALLOWED: set[str] = set()
 # The layers whose parameter defaults must each be passed by some program call.
 LAYERS = ("coherent_states", "qubit_encoding", "decoherence", "entanglement_metrics",
           "protocols")

@@ -1,5 +1,6 @@
 """Logical basis, Bell states, logical projections, Pauli decomposition."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ecsim.errors import DegenerateBasisError, DensityError, SpanError
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
     LogicalBasis,
-    QubitVector,
     TwoQubitDensity,
     bell_state,
     logical_coords,
@@ -29,6 +29,22 @@ from ecsim.qubit_encoding import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class QubitVector:
+    """Unit vector in the logical basis: plus * Psi+ + minus * Psi-."""
+
+    plus: complex
+    minus: complex
+
+    def __post_init__(self):
+        n2 = abs(self.plus) ** 2 + abs(self.minus) ** 2
+        if abs(n2 - 1.0) > 1e-12:
+            raise ValueError(f"qubit vector norm^2 = {n2!r}, expected 1")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.plus, self.minus], dtype=complex)
 
 
 def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
