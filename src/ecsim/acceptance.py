@@ -196,7 +196,7 @@ def check_concentration_ideal() -> CheckResult:
     for eta in (math.pi / 8, math.pi / 6, math.pi / 3):
         res = pr.concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
-        worst = max(worst, abs(res.p1 - want), abs(res.p2 - want))
+        worst = max(worst, *(abs(p - want) for p in res.outcome_probs[:2]))
     return _result(
         "8.1",
         "ideal concentration probabilities",

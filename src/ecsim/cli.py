@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -54,8 +55,15 @@ MAX_PROPERTY_CASES = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises ConfigError instead of exiting; its
+    """An argument parser that raises ConfigError instead of exiting and reads a
+    negative number in any spelling (-5e-1, -inf) as a value, not a flag; its
     subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test, consulted for a token no flag matches, reads
+        # only -1 and -.5 as negative numbers
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)
@@ -205,7 +213,7 @@ def _rows_concentrate(args: argparse.Namespace):
         for eta in args.etas:
             ideal = pr.concentrate_ideal(eta)
             rows.append((
-                alpha, eta, ideal.p1, ideal.p2, (math.cos(eta) * math.sin(eta)) ** 2,
+                alpha, eta, *ideal.outcome_probs[:2], (math.cos(eta) * math.sin(eta)) ** 2,
                 pr.concentrate_exact(alpha, eta).success_probability,
                 pr.concentration_success_closed_form(alpha, eta),
             ))

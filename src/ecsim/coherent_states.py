@@ -159,6 +159,11 @@ class FockVector:
     amps: np.ndarray
     tail_bound: float
 
+    @property
+    def probs(self) -> np.ndarray:
+        """Joint photon-count probabilities P(n_0, ..., n_{M-1})."""
+        return np.abs(self.amps) ** 2
+
 
 # ---------------------------------------------------------------------------
 # overlaps and inner products
@@ -486,25 +491,9 @@ def to_fock(
     return FockVector(cutoff=cutoff, modes=s.modes, amps=amps, tail_bound=tail)
 
 
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Joint photon-count probabilities P(n_0, ..., n_{M-1})."""
-
-    cutoff: int
-    modes: int
-    probs: np.ndarray
-    tail_bound: float
-
-
 def photon_distribution(
     s: CoherentSuperposition, cutoff: int | None = None, tail_tol: float | None = None
-) -> PhotonDistribution:
-    """Photon counting statistics of a (normalized) state; ``tail_tol`` as in
-    ``to_fock``."""
-    fv = to_fock(s, cutoff, tail_tol)
-    return PhotonDistribution(
-        cutoff=fv.cutoff,
-        modes=fv.modes,
-        probs=np.abs(fv.amps) ** 2,
-        tail_bound=fv.tail_bound,
-    )
+) -> FockVector:
+    """Photon counting statistics of a (normalized) state: its Fock record,
+    whose ``probs`` are the count probabilities; ``tail_tol`` as in ``to_fock``."""
+    return to_fock(s, cutoff, tail_tol)

@@ -38,7 +38,7 @@ _DYAD_SIGNS = np.array([[[1, -1], [1, -1], [-1, 1], [-1, 1]],
 class DecayClock:
     """Amplitude decay factor t = exp(-gamma tau / 2); r = sqrt(1 - t^2).
 
-    ``t`` may be an array of decay factors, one clock per entry.
+    ``t`` may be an array, one clock per entry; ``from_r`` also takes a list.
     """
 
     t: float | np.ndarray
@@ -49,12 +49,10 @@ class DecayClock:
 
     @classmethod
     def from_r(cls, r) -> "DecayClock":
+        r = np.asarray(r, dtype=float)
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
-        # every such r gives t = sqrt(1 - r^2) in (0, 1]: not checked again
-        clock = object.__new__(cls)
-        object.__setattr__(clock, "t", np.sqrt(1.0 - r * r))
-        return clock
+        return cls(np.sqrt(1.0 - r * r))
 
 
 def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
@@ -105,13 +103,10 @@ class ChannelCoefficients:
 
     @classmethod
     def evaluate(cls, alpha, r) -> "ChannelCoefficients":
-        """The coefficients at amplitude ``alpha`` over ``r``, behind the guard
-        of ``closed_form_normalization``.  An array ``alpha`` (a column against
-        a row ``r``, say) gives each entry the bits of its own scalar call."""
-        t = DecayClock.from_r(r).t
-        n_theta = closed_form_normalization(alpha, t)
-        t2 = t**2
-        a2 = each_float(lambda a: a**2, alpha)
+        """The coefficients at ``alpha`` over ``r``, from ``closed_form_inputs``;
+        an array ``alpha`` gives each entry the bits of its own scalar call."""
+        t, a2, n_theta = closed_form_inputs(alpha, r)
+        t2 = t * t
         g = np.exp(-4.0 * (1.0 - t2) * a2)
         w = np.exp(-4.0 * t2 * a2)
         loss, gw = 1.0 - g, (1.0 + g) * w
@@ -126,19 +121,20 @@ class ChannelCoefficients:
         )
 
 
-def closed_form_normalization(alpha, t) -> float | np.ndarray:
-    """N_theta = 1 - exp(-4 alpha^2), the time-independent normalization of
-    the undecayed basis shared by the closed forms, in the shape of
-    ``alpha`` (0-d for a scalar), each entry with the bits of a scalar call.
+def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, alpha^2, N_theta): t = sqrt(1 - r^2) shaped like ``r``, then alpha^2
+    and the undecayed basis's normalization N_theta = 1 - exp(-4 alpha^2)
+    shaped like ``alpha``, each entry with the bits of a scalar call.
 
-    Also their degeneracy guard, given the decay factors ``t`` of the grid:
-    raises DegenerateBasisError when the decayed basis at any ``t`` is
-    degenerate, as the numeric route would.  Its normalization rises with
-    ``t``, so the basis at the least ``t`` decides, with the same message;
-    of several amplitudes, the first degenerate one is named.
+    Also the closed forms' guard: raises DegenerateBasisError, with the same
+    message, when the numeric route's decayed basis is degenerate at any t;
+    it is so first at the least t.
     """
+    alpha = np.asarray(alpha, dtype=float)
+    t = DecayClock.from_r(r).t
     make_basis(alpha, t.min())
-    return each_float(lambda a: -math.expm1(-4.0 * a**2), alpha)
+    a2 = each_float(lambda a: a**2, alpha)
+    return t, a2, each_float(lambda x: -math.expm1(-4.0 * x), a2)
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
@@ -176,7 +172,8 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     # scalar.  Both are in range: alpha is checked above, and a clock's t
     # lies in (0, 1].
     alpha = alpha.reshape(alpha.shape + (1,) * np.ndim(clock.t))[()]
-    return project_to_density(rho, basis_from_squares(alpha, clock.t, (clock.t * alpha) ** 2))
+    ta = clock.t * alpha  # squared by a product, as numpy squares an array
+    return project_to_density(rho, basis_from_squares(alpha, clock.t, ta * ta))
 
 
 def closed_form_vst(alpha: float, r) -> PauliDecomposition:

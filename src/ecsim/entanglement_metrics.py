@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import (
-    ChannelCoefficients,
-    DecayClock,
-    channel_rho4,
-    closed_form_normalization,
-)
+from .decoherence import ChannelCoefficients, channel_rho4, closed_form_inputs
 from .qubit_encoding import TwoQubitDensity, each_float, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
@@ -55,7 +50,9 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
     """
     co = ChannelCoefficients.evaluate(alpha, r)
-    root = np.sqrt(16.0 * co.b_coef**2 + (co.c_coef - co.d_coef) ** 2)
+    # squares as products, as numpy squares an array (a scalar's ** is libm's pow)
+    c_d = co.c_coef - co.d_coef
+    root = np.sqrt(16.0 * (co.b_coef * co.b_coef) + c_d * c_d)
     return _value((root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * co.n_theta))
 
 
@@ -119,9 +116,8 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
     r^2 + t^2 = 1: at large amplitude the peak is then flat to rounding,
     where the growing exponentials would scatter it by several ulps.
     """
-    n_theta = closed_form_normalization(alpha, DecayClock.from_r(r).t)
-    a2 = each_float(lambda a: a**2, alpha)
-    r2 = r * r
+    _, a2, n_theta = closed_form_inputs(alpha, r)
+    r2 = np.square(r)  # r * r, for a list r too
     num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
     return _value(num / (2.0 * each_float(lambda n: n**2, n_theta)))
 

@@ -28,6 +28,7 @@ from .qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
     PAULIS,
+    LogicalBasis,
     TwoQubitDensity,
     bell_state,
     make_basis,
@@ -137,15 +138,15 @@ _FIDELITY_WEIGHTS = np.array([[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 MC_CHUNK = 4096
 
 
-def bell_outcome_map(channel: TwoQubitDensity | np.ndarray) -> np.ndarray:
+def bell_outcome_map(m: np.ndarray) -> np.ndarray:
     """Bell-outcome superoperator Lambda[..., k, a, A, i, l], shape (..., 4, 2, 2, 2, 2).
 
     sum_{a,A} x[a, A] Lambda[k, a, A] is Bob's corrected, unnormalized state
     U_k <B_k|(x (x) rho)|B_k> U_k^dag for an input operator x and outcome k
     (B1..B4, U_k = ``CORRECTIONS[k]``).  For an input projector its trace is
-    the outcome probability.  ``channel`` may also be a (..., 4, 4) array.
+    the outcome probability.  ``m`` is a channel matrix, shape (..., 4, 4).
     """
-    m, bell = getattr(channel, "matrix", channel), BELL_VECTORS.reshape(4, 2, 2)
+    bell = BELL_VECTORS.reshape(4, 2, 2)
     return np.einsum("kab,...bcBC,kAB,kic,klC->...kaAil", bell.conj(),
                      m.reshape(m.shape[:-2] + (2, 2, 2, 2)), bell, CORRECTIONS, CORRECTIONS.conj())
 
@@ -172,7 +173,6 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
 class TeleportStats:
     mean_fidelity: float
     stderr: float
-    samples: int
 
 
 def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> TeleportStats:
@@ -263,7 +263,7 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> TeleportStats
         fids -= mean
         var = np.square(fids, out=fids).sum() / (samples - 1)
         stderr = float(math.sqrt(var) / math.sqrt(samples))
-    return TeleportStats(mean_fidelity=float(mean), stderr=stderr, samples=samples)
+    return TeleportStats(mean_fidelity=float(mean), stderr=stderr)
 
 
 def average_fidelity(q: np.ndarray) -> float | np.ndarray:
@@ -292,12 +292,10 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    """Swapping outcomes for the ideal (orthonormal-qubit) pair state."""
+    """Swapping outcomes B1..B4 for the ideal (orthonormal-qubit) pair state."""
 
     outcome_probs: tuple[float, float, float, float]
     resulting_states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    p1: float
-    p2: float
 
 
 def concentrate_ideal(eta: float) -> ConcentrationResult:
@@ -322,23 +320,17 @@ def concentrate_ideal(eta: float) -> ConcentrationResult:
         p = float(np.vdot(chi, chi).real)
         probs.append(p)
         states.append(chi / math.sqrt(p) if p > 0 else chi)
-    return ConcentrationResult(
-        outcome_probs=tuple(probs),
-        resulting_states=tuple(states),
-        p1=probs[0],
-        p2=probs[1],
-    )
+    return ConcentrationResult(outcome_probs=tuple(probs), resulting_states=tuple(states))
 
 
-def partial_pair_state(alpha: float, eta: float) -> CoherentSuperposition:
-    """Normalized partially entangled pair cos(eta)|a,-a> - sin(eta)|-a,a>."""
+def partial_pair_state(basis: LogicalBasis, eta: float) -> CoherentSuperposition:
+    """Normalized partially entangled pair cos(eta)|a,-a> - sin(eta)|-a,a> at
+    the amplitude a of ``basis``, built by ``make_basis``, which guards it."""
     if not (0.0 < eta < math.pi / 2.0):
         raise ValueError("eta must lie in (0, pi/2)")
-    make_basis(alpha, 1.0)  # degeneracy guard
-    s = math.cos(eta) * CoherentSuperposition.ket(alpha, -alpha) - math.sin(
-        eta
-    ) * CoherentSuperposition.ket(-alpha, alpha)
-    return normalized(s)
+    a = basis.amplitude
+    return normalized(math.cos(eta) * CoherentSuperposition.ket(a, -a)
+                      - math.sin(eta) * CoherentSuperposition.ket(-a, a))
 
 
 @dataclass(frozen=True)
@@ -356,8 +348,8 @@ def concentrate_exact(alpha: float, eta: float) -> ExactConcentration:
     partial state, Bell projection of the measured modes onto the B2 state.
     The surviving pair is exactly B2 at any amplitude.
     """
-    d4 = partial_pair_state(alpha, eta)
     basis = make_basis(alpha, 1.0)
+    d4 = partial_pair_state(basis, eta)
     joint = tensor(d4, d4)  # (b', b'', b, c)
     chi = project_modes(joint, (1, 2), bell_state(2, basis))
     p = inner(chi, chi).real

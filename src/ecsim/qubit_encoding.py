@@ -50,29 +50,23 @@ BELL_VECTORS = np.array(
 
 @dataclass(frozen=True)
 class LogicalBasis:
-    """Orthonormal pair built from |ta> and |-ta| for real amplitude a = alpha.
+    """Orthonormal pair built from |ta> and |-ta> at amplitude ``amplitude`` = ta.
 
     ``theta`` is the mixing angle with sin(2 theta) = <ta|-ta> = exp(-2 t^2
     alpha^2); ``n_theta`` = cos^2(2 theta) is the normalization of the pair.
     ``t = 1`` is the undecayed basis; smaller ``t`` tracks amplitude decay.
-    ``alpha`` and ``t`` may be arrays that broadcast against each other (an
-    amplitude axis ahead of a decay-time grid, say), one basis per entry of
-    the broadcast shape: ``theta``, ``n_theta`` and the properties are then
-    arrays of that shape.
+    A basis built from arrays ``alpha`` and ``t`` that broadcast against each
+    other (an amplitude axis ahead of a decay-time grid, say) holds one basis
+    per entry of the broadcast shape: its fields are then arrays of that shape.
     """
 
-    alpha: float | np.ndarray
-    t: float | np.ndarray
+    amplitude: float | np.ndarray
     theta: float | np.ndarray
     n_theta: float | np.ndarray
 
     @property
-    def amplitude(self) -> float | np.ndarray:
-        return self.t * self.alpha
-
-    @property
     def sin2theta(self) -> float | np.ndarray:
-        return np.exp(-2.0 * (self.t * self.alpha) ** 2)
+        return np.exp(-2.0 * self.amplitude ** 2)
 
 
 def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> LogicalBasis:
@@ -107,7 +101,7 @@ def basis_from_squares(alpha, t, a2) -> LogicalBasis:
             f"1-exp(-4 t^2 a^2)={np.min(n_theta[amps == bad]):.3e}"
         )
     theta = 0.5 * np.arcsin(s2)
-    return LogicalBasis(alpha=alpha, t=t, theta=theta, n_theta=n_theta)
+    return LogicalBasis(amplitude=t * alpha, theta=theta, n_theta=n_theta)
 
 
 def each_float(f, x) -> np.ndarray:

@@ -203,15 +203,15 @@ class TestFigRows:
     ])
     def test_one_closed_form_call_and_no_per_alpha_dyads(self, command, closed, monkeypatch):
         calls = []
-        for module, name in ((em, closed), (dec, "closed_form_normalization"),
-                             (em, "closed_form_normalization"), (dec, "channel_rho4"),
+        for module, name in ((em, closed), (dec, "closed_form_inputs"),
+                             (em, "closed_form_inputs"), (dec, "channel_rho4"),
                              (qe, "bell_state"), (cs, "dyad_from_pure"),
                              (dec, "dyad_from_pure")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
         cli.render([command, "--alphas", "0.5", "1.5", "2.5", "--r-steps", "4"])
-        assert sorted(calls) == sorted([closed, "closed_form_normalization", "channel_rho4"])
+        assert sorted(calls) == sorted([closed, "closed_form_inputs", "channel_rho4"])
 
 
 class TestDeterminism:
@@ -464,6 +464,21 @@ class TestExitCodes:
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith("ecsim: configuration error:")
         assert message in captured.err
+
+
+class TestNegativeNumbers:
+    """A negative number in exponent form is a value, as -0.5 is."""
+
+    def test_exponent_form_is_read_as_the_value(self):
+        assert cli.render(["cv", "--ar-min", "-5e-1"]) == cli.render(["cv", "--ar-min=-0.5"])
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig2a", "--r-min", "-1e-3"], "need 0 <= r_min <= r_max"),
+        (["fig2a", "--alphas", "1", "-1e-3"], "alphas must lie in (0, 1e+06]"),
+    ])
+    def test_out_of_range_exponent_form_is_a_config_error(self, argv, message, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"ecsim: configuration error: {message}\n"
 
 
 class TestReport:

@@ -308,6 +308,47 @@ class TestClosedForms:
         assert np.max(np.abs(off)) == 0.0
 
 
+# Rows of np.linspace(0, 0.99, 20001) at alpha = 1.3 where a scalar r once
+# lost the bits of its grid row: numpy's x**2 is libm's pow on a float64
+# scalar but a product on an array.  These are the 27 rows of E and the 14
+# of f (13 shared) where the two differed.
+POW_ROWS = (455, 1926, 2687, 3095, 4245, 4317, 4448, 4521, 5254, 5521, 5601, 6088, 6560,
+            6566, 6874, 7101, 7583, 8936, 9314, 9991, 10748, 11552, 11760, 12339, 12578,
+            15033, 18579, 18918)
+
+
+class TestScalarMatchesGridRow:
+    @pytest.mark.parametrize("closed", [closed_form_e, closed_form_f, closed_form_s])
+    def test_closed_forms_at_the_pow_rows(self, closed):
+        r = np.linspace(0.0, 0.99, 20001)
+        grid = closed(1.3, r)
+        for i in POW_ROWS:
+            assert np.float64(closed(1.3, float(r[i]))).tobytes() == grid[i].tobytes(), i
+
+    @pytest.mark.parametrize("r_max,rows", [(0.99, (406,)), (0.999, (54, 2698))])
+    def test_channel_at_the_pow_rows(self, r_max, rows):
+        r = np.linspace(0.0, r_max, 4001)
+        grid = channel_rho4(0.7, r).matrix
+        for i in rows:
+            assert channel_rho4(0.7, float(r[i])).matrix.tobytes() == grid[i].tobytes(), i
+
+
+class TestListInputs:
+    @pytest.mark.parametrize("fn", [closed_form_e, closed_form_f, closed_form_s, channel_rho4])
+    @pytest.mark.parametrize("alpha,r", [
+        (1.0, [0.1, 0.2]), ([0.5, 1.0], 0.3), ([[0.5], [1.0]], [0.1, 0.7]),
+    ])
+    def test_lists_give_the_bits_of_arrays(self, fn, alpha, r):
+        got, want = fn(alpha, r), fn(np.array(alpha), np.array(r))
+        got, want = getattr(got, "matrix", got), getattr(want, "matrix", want)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_clock_from_a_list(self):
+        assert DecayClock.from_r([0.1, 0.7]).t.tobytes() == DecayClock.from_r(
+            np.array([0.1, 0.7])).t.tobytes()
+
+
 def test_batched_channel_memory_per_point():
     # cli.MAX_R_POINTS is sized from this peak (~1.4 kB a point measured):
     # the damped dyads, the density and its check temporaries (the

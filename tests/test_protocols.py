@@ -77,7 +77,7 @@ def teleport(input: QubitVector, channel: TwoQubitDensity, rng_seed: int) -> Tel
     rng = np.random.default_rng(rng_seed)
     psi = input.as_array()
     proj = np.outer(psi, psi.conj())
-    branches = np.einsum("aA,kaAil->kil", proj, bell_outcome_map(channel))
+    branches = np.einsum("aA,kaAil->kil", proj, bell_outcome_map(channel.matrix))
     probs = np.einsum("kii->k", branches).real
     k = int(rng.choice(4, p=probs / probs.sum()))
     rho_out = branches[k] / probs[k]
@@ -307,7 +307,7 @@ class TestBellOutcomeMap:
     @pytest.mark.parametrize("make_channel", CHANNELS)
     def test_matches_contraction_per_outcome(self, make_channel):
         channel = make_channel()
-        lam = bell_outcome_map(channel)
+        lam = bell_outcome_map(channel.matrix)
         assert lam.shape == (4, 2, 2, 2, 2)
         rng = np.random.default_rng(61)
         for _ in range(5):
@@ -338,7 +338,7 @@ class TestBlochTransfer:
     @pytest.mark.parametrize("make_channel", CHANNELS)
     def test_matches_outcome_map_contraction(self, make_channel):
         channel = make_channel()
-        want = _bloch_transfer_reference(bell_outcome_map(channel))
+        want = _bloch_transfer_reference(bell_outcome_map(channel.matrix))
         assert np.max(np.abs(protocols.bloch_transfer(channel) - want)) <= 1e-15
 
     def test_batched_rows_equal_single_calls(self):
@@ -356,7 +356,7 @@ class TestBlochTransfer:
         mats = np.stack([_random_channel(seed).matrix for seed in (4, 5)])
         batch = bell_outcome_map(mats)
         for i in range(2):
-            want = bell_outcome_map(TwoQubitDensity(mats[i]))
+            want = bell_outcome_map(TwoQubitDensity(mats[i]).matrix)
             assert np.max(np.abs(batch[i] - want)) <= 1e-15
 
 
@@ -622,8 +622,8 @@ class TestCorrectionMaps:
 class TestConcentrationIdeal:
     def test_symmetric_input_all_outcomes_maximal(self):
         res = concentrate_ideal(math.pi / 4)
-        assert res.p1 == pytest.approx(0.25, abs=1e-12)
-        assert res.p2 == pytest.approx(0.25, abs=1e-12)
+        assert res.outcome_probs[0] == pytest.approx(0.25, abs=1e-12)
+        assert res.outcome_probs[1] == pytest.approx(0.25, abs=1e-12)
         for state in res.resulting_states:
             sv = np.linalg.svd(state.reshape(2, 2), compute_uv=False)
             assert np.max(np.abs(sv - SQRT_HALF)) < 1e-12  # maximally entangled
@@ -632,8 +632,8 @@ class TestConcentrationIdeal:
     def test_success_probabilities(self, eta):
         res = concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
-        assert res.p1 == pytest.approx(want, abs=1e-12)
-        assert res.p2 == pytest.approx(want, abs=1e-12)
+        assert res.outcome_probs[0] == pytest.approx(want, abs=1e-12)
+        assert res.outcome_probs[1] == pytest.approx(want, abs=1e-12)
 
     def test_outcome_structure(self):
         eta = math.pi / 6
@@ -667,7 +667,7 @@ class TestConcentrationIdeal:
 
 class TestConcentrationExact:
     def test_pair_state_normalized(self):
-        s = partial_pair_state(0.7, math.pi / 6)
+        s = partial_pair_state(make_basis(0.7, 1.0), math.pi / 6)
         assert norm(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_is_exactly_b2(self):
@@ -698,7 +698,7 @@ class TestConcentrationExact:
         monkeypatch.setattr(protocols, "inner", counted)
         monkeypatch.setattr(coherent_states, "inner", counted)
         alpha, eta = 0.8, math.pi / 5
-        d4 = partial_pair_state(alpha, eta)
+        d4 = partial_pair_state(make_basis(alpha, 1.0), eta)
         chi = project_modes(tensor(d4, d4), (1, 2), bell_state(2, make_basis(alpha, 1.0)))
         want = normalized(chi)
         reference = len(calls) + 1  # the success probability's <chi|chi>
