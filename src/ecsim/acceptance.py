@@ -50,36 +50,31 @@ def _result(check_id, name, passed, detail="") -> CheckResult:
 
 def check_zero_time_entanglement() -> CheckResult:
     """At r = 0 the channel is maximally entangled for every amplitude."""
-    worst = 0.0
-    for alpha in (0.1, 1.0, 2.0):
-        e_num = em.negativity_e(dec.channel_rho4(alpha, 0.0))
-        e_closed = em.closed_form_e(alpha, 0.0)
-        worst = max(worst, abs(e_num - 1.0), abs(e_closed - 1.0))
+    alphas = np.array([0.1, 1.0, 2.0])
+    e_num = em.negativity_e(dec.channel_rho4(alphas, 0.0))
+    e_closed = em.closed_form_e(alphas, 0.0)
+    worst = max(np.abs(e_num - 1.0).max(), np.abs(e_closed - 1.0).max())
     return _result(
         "1", "zero-time entanglement", worst <= 1e-10, f"max |E-1| = {worst:.3e}"
     )
 
 
 def check_oracle_grid() -> CheckResult:
-    """Numeric channel construction matches every closed form on a grid."""
+    """Numeric channel construction matches every closed form on a grid:
+    one batched density and one closed-form call on an alpha column against
+    the r row, as the CLI makes them."""
     start = time.perf_counter()
-    worst_e = 0.0
-    worst_vst = 0.0
-    for alpha in np.linspace(0.1, 2.0, 20):
-        for r in np.linspace(0.0, 0.95, 20):
-            rho = dec.channel_rho4(float(alpha), float(r))
-            worst_e = max(
-                worst_e,
-                abs(em.negativity_e(rho) - em.closed_form_e(float(alpha), float(r))),
-            )
-            got = qe.pauli_decompose(rho)
-            want = dec.closed_form_vst(float(alpha), float(r))
-            worst_vst = max(
-                worst_vst,
-                np.max(np.abs(got.v - want.v)),
-                np.max(np.abs(got.s - want.s)),
-                np.max(np.abs(got.t_matrix - want.t_matrix)),
-            )
+    alphas = np.linspace(0.1, 2.0, 20)
+    r = np.linspace(0.0, 0.95, 20)
+    rho = dec.channel_rho4(alphas, r)
+    worst_e = np.abs(em.negativity_e(rho) - em.closed_form_e(alphas[:, None], r)).max()
+    got = qe.pauli_decompose(rho)
+    want = dec.closed_form_vst(alphas[:, None], r)
+    worst_vst = max(
+        np.abs(got.v - want.v).max(),
+        np.abs(got.s - want.s).max(),
+        np.abs(got.t_matrix - want.t_matrix).max(),
+    )
     elapsed = time.perf_counter() - start
     ok = worst_e <= 1e-9 and worst_vst <= 1e-10 and elapsed < 10.0
     return _result(
@@ -93,14 +88,12 @@ def check_oracle_grid() -> CheckResult:
 def check_characteristic_time() -> CheckResult:
     """Fidelity crosses 2/3 at r = 1/sqrt(2) for every amplitude, and the
     channel stays entangled while useless beyond it."""
-    worst = 0.0
-    beyond_ok = True
-    for alpha in (0.1, 1.0, 2.0):
-        worst = max(worst, abs(em.characteristic_time(alpha) - SQRT_HALF))
-        for r in (0.75, 0.85, 0.95):
-            f = em.closed_form_f(alpha, r)
-            e = em.closed_form_e(alpha, r)
-            beyond_ok = beyond_ok and (f < 2.0 / 3.0) and (e > 0.0)
+    alphas = (0.1, 1.0, 2.0)
+    worst = max(abs(em.characteristic_time(alpha) - SQRT_HALF) for alpha in alphas)
+    column, r = np.array(alphas)[:, None], np.array([0.75, 0.85, 0.95])
+    f = em.closed_form_f(column, r)
+    e = em.closed_form_e(column, r)
+    beyond_ok = bool((f < 2.0 / 3.0).all() and (e > 0.0).all())
     ok = worst <= 1e-9 and beyond_ok
     return _result(
         "3",
@@ -130,10 +123,10 @@ def check_mixedness_peak() -> CheckResult:
 
 def check_entanglement_ordering() -> CheckResult:
     """Larger amplitudes decohere faster at fixed r."""
-    vals_closed = [em.closed_form_e(a, 0.5) for a in (2.0, 1.0, 0.1)]
-    vals_num = [em.negativity_e(dec.channel_rho4(a, 0.5)) for a in (2.0, 1.0, 0.1)]
-    ok = vals_closed[0] < vals_closed[1] < vals_closed[2]
-    ok = ok and vals_num[0] < vals_num[1] < vals_num[2]
+    alphas = np.array([2.0, 1.0, 0.1])
+    vals_closed = em.closed_form_e(alphas, 0.5)
+    vals_num = em.negativity_e(dec.channel_rho4(alphas, 0.5))
+    ok = (np.diff(vals_closed) > 0).all() and (np.diff(vals_num) > 0).all()
     return _result(
         "5",
         "entanglement ordering at r = 0.5",

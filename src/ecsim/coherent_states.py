@@ -97,9 +97,6 @@ class CoherentSuperposition:
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
         return CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
 
-    def __neg__(self) -> "CoherentSuperposition":
-        return (-1.0) * self
-
 
 @dataclass(frozen=True, eq=False)
 class CoherentOperator:

@@ -23,8 +23,8 @@ from .qubit_encoding import (
     TwoQubitDensity,
     basis_from_squares,
     bell_coeffs,
+    check_nondegenerate,
     each_float,
-    make_basis,
     project_to_density,
 )
 
@@ -128,11 +128,14 @@ def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Also the closed forms' guard: raises DegenerateBasisError, with the same
     message, when the numeric route's decayed basis is degenerate at any t;
-    it is so first at the least t.
+    it is so first at the least t, where N_theta alone is checked.
     """
     alpha = np.asarray(alpha, dtype=float)
     t = DecayClock.from_r(r).t
-    make_basis(alpha, t.min())
+    if not np.greater(alpha, 0.0).all():
+        raise ValueError("alpha must be positive")
+    t_min = t.min()
+    check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (t_min * alpha) ** 2))
     a2 = each_float(lambda a: a**2, alpha)
     return t, a2, each_float(lambda x: -math.expm1(-4.0 * x), a2)
 
@@ -176,18 +179,19 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     return project_to_density(rho, basis_from_squares(alpha, clock.t, ta * ta))
 
 
-def closed_form_vst(alpha: float, r) -> PauliDecomposition:
+def closed_form_vst(alpha, r) -> PauliDecomposition:
     """Closed-form Bloch vectors and correlation matrix of the channel.
 
     v = s = (b_coef/N_theta, 0, 0) and T is diagonal with entries
     (a+d, -a+d, a-c)/(2 N_theta); N_theta = 1 - exp(-4 alpha^2) is the
     time-independent normalization of the undecayed basis.  Broadcasts over
-    an array ``r`` like ``channel_rho4``.
+    an array ``r`` and an array ``alpha``, such as an alpha column against an
+    r row, like ``closed_form_e``.
     """
     co = ChannelCoefficients.evaluate(alpha, r)
     v = np.zeros(np.shape(co.b_coef) + (3,))
     v[..., 0] = co.b_coef / co.n_theta
     diag = np.stack(
         [co.a_coef + co.d_coef, -co.a_coef + co.d_coef, co.a_coef - co.c_coef], axis=-1
-    ) / (2.0 * co.n_theta)
+    ) / (2.0 * co.n_theta[..., None])
     return PauliDecomposition(v=v, s=v.copy(), t_matrix=diag[..., None] * np.eye(3))

@@ -93,6 +93,15 @@ def basis_from_squares(alpha, t, a2) -> LogicalBasis:
     degeneracy check is made."""
     s2 = np.exp(-2.0 * a2)  # sin 2theta
     n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
+    check_nondegenerate(alpha, t, n_theta)
+    theta = 0.5 * np.arcsin(s2)
+    return LogicalBasis(amplitude=t * alpha, theta=theta, n_theta=n_theta)
+
+
+def check_nondegenerate(alpha, t, n_theta) -> None:
+    """Raise DegenerateBasisError where the normalization ``n_theta`` of the
+    basis at ``alpha`` (broadcast to its shape) and ``t`` lies below
+    DEGENERACY_FLOOR, naming the first such amplitude."""
     if not n_theta.min() >= DEGENERACY_FLOOR:
         amps = np.broadcast_to(alpha, n_theta.shape)
         bad = amps[~(n_theta >= DEGENERACY_FLOOR)][0]
@@ -100,8 +109,6 @@ def basis_from_squares(alpha, t, a2) -> LogicalBasis:
             f"basis degenerate at alpha={bad}, t={np.min(t)}: "
             f"1-exp(-4 t^2 a^2)={np.min(n_theta[amps == bad]):.3e}"
         )
-    theta = 0.5 * np.arcsin(s2)
-    return LogicalBasis(amplitude=t * alpha, theta=theta, n_theta=n_theta)
 
 
 def each_float(f, x) -> np.ndarray:

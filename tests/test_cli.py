@@ -523,6 +523,20 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("module,loaded", [
+        ("ecsim", ["ecsim"]),
+        ("ecsim.coherent_states", ["ecsim", "ecsim.coherent_states", "ecsim.errors"]),
+    ], ids=["package", "coherent_states"])
+    def test_import_loads_only_the_module_and_its_imports(self, module, loaded):
+        # the package re-exports nothing, so a layer loads no layer above it
+        code = (
+            f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ecsim'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(loaded)
+
     def test_cli_import_skips_scipy_stats_and_optimize(self):
         # numpy is the only runtime dependency: neither the import nor a
         # command that searches for a maximum loads any scipy module

@@ -10,8 +10,8 @@ from ecsim.coherent_states import (
     dyad_from_pure,
     operator_trace,
 )
-from ecsim import decoherence
 from ecsim import entanglement_metrics as em
+from ecsim import qubit_encoding
 from ecsim.decoherence import (
     ChannelCoefficients,
     DecayClock,
@@ -262,14 +262,15 @@ class TestClosedFormGuard:
 
     @pytest.mark.parametrize("closed", CLOSED)
     def test_one_clock_and_one_basis_per_call(self, closed, monkeypatch):
+        # one clock, and a guard that checks N_theta alone: no basis is built
         calls = []
-        from_r, basis = DecayClock.from_r, decoherence.make_basis
+        from_r = DecayClock.from_r
         monkeypatch.setattr(DecayClock, "from_r",
                             classmethod(lambda cls, r: calls.append("from_r") or from_r(r)))
-        monkeypatch.setattr(decoherence, "make_basis",
-                            lambda *a: calls.append("make_basis") or basis(*a))
+        monkeypatch.setattr(qubit_encoding, "LogicalBasis",
+                            lambda **fields: calls.append("basis"))
         closed(1.3, np.linspace(0.0, 0.995, 50))
-        assert sorted(calls) == ["from_r", "make_basis"]
+        assert calls == ["from_r"]
 
 
 class TestClosedForms:
@@ -301,6 +302,18 @@ class TestClosedForms:
             assert np.array_equal(grid.v[i], one.v)
             assert np.array_equal(grid.s[i], one.s)
             assert np.array_equal(grid.t_matrix[i], one.t_matrix)
+
+    @pytest.mark.parametrize("alphas", [[0.5, 1.0, 2.0], [0.5, 1.0]], ids=["three", "two"])
+    def test_alpha_arrays_are_bitwise_scalar(self, alphas):
+        # a 1-D alpha against a scalar r, and an alpha column against an r row
+        alphas = np.array(alphas)
+        r = np.linspace(0.0, 0.99, 7)
+        row, grid = closed_form_vst(alphas, 0.3), closed_form_vst(alphas[:, None], r)
+        for i, alpha in enumerate(alphas.tolist()):
+            for got, want in ((row, closed_form_vst(alpha, 0.3)),
+                              (grid, closed_form_vst(alpha, r))):
+                for name in ("v", "s", "t_matrix"):
+                    assert getattr(got, name)[i].tobytes() == getattr(want, name).tobytes()
 
     def test_t_diagonal_structure(self):
         vst = closed_form_vst(0.7, 0.4)

@@ -6,8 +6,9 @@ is kept working for no program.  The scan parses ``src/ecsim`` and
 ``perfbench`` (their test files excepted) and collects every name that is
 read: a function or class counts as used when it is read as a bare name or
 as an attribute, a method only as an attribute (a local variable of the same
-name is not a call).  Re-exports in ``ecsim/__init__`` do not count as a
-use.  A reference that the tests need belongs in the tests.
+name is not a call).  ``ecsim/__init__`` holds only the version: every
+program imports the module that defines a name.  A reference that the tests
+need belongs in the tests.
 
 Likewise a parameter with a default that no program call passes is a knob
 with one value in use: the other values are code kept for the tests alone.
@@ -41,8 +42,6 @@ def _defined() -> tuple[set[str], set[str]]:
     ``module.Class.method`` for each public method of a public class."""
     names, methods = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         module = path.stem
         for node in _parse(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
@@ -58,11 +57,10 @@ def _defined() -> tuple[set[str], set[str]]:
 
 
 def _program_nodes():
-    """Every AST node of ``src/ecsim`` and ``perfbench``, outside the tests
-    and ``__init__``."""
+    """Every AST node of ``src/ecsim`` and ``perfbench``, outside the tests."""
     for folder in CALLER_DIRS:
         for path in sorted(folder.glob("*.py")):
-            if path.name == "__init__.py" or path.name.startswith("test_"):
+            if path.name.startswith("test_"):
                 continue
             yield from ast.walk(_parse(path))
 
