@@ -44,8 +44,8 @@ BELLMEAS_TAIL_TOL = 1e-9
 # block's ~0.9 MB of work arrays (sized at 36 B; 230 MiB at MAX_SAMPLES);
 # ~1.4 kB per (alpha, r) point in the fig sweeps and teleport-mc, whose whole
 # grid is one batched density and its checks (sized at ~1.8 kB; 198 MB at
-# MAX_R_POINTS over 3 alphas); ~0.35 kB per cv point (sized at ~1.2 kB, when
-# rows were dicts).
+# MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV
+# (sized at 1.2 kB, over 3x that; MAX_AR_STEPS points peak at ~74 MB).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36
 MAX_R_POINTS = _SIZE_BUDGET // 1800
@@ -183,11 +183,14 @@ def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
 
 
 def _rows_bellmeas(args: argparse.Namespace):
+    """One Bell measurement of B1 per amplitude; CutoffError past BELLMEAS_TAIL_TOL."""
     rows = []
     for alpha in args.alphas:
-        meas = pr.bell_measure_distribution(
-            qe.bell_state(1, qe.make_basis(alpha, 1.0)), args.cutoff, BELLMEAS_TAIL_TOL
-        )
+        meas = pr.bell_measure_distribution(qe.bell_state(1, qe.make_basis(alpha, 1.0)),
+                                            args.cutoff)
+        if not meas.tail_bound <= BELLMEAS_TAIL_TOL:
+            raise CutoffError(f"alpha {alpha!r}: cutoff {args.cutoff or 'automatic'} leaves "
+                              f"Fock tail bound {meas.tail_bound:.3e} > {BELLMEAS_TAIL_TOL:.0e}")
         rows.append((alpha, pr.misid_probability_closed(alpha), meas.misidentification(),
                      meas.tail_bound))
     return _table(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), rows)
@@ -208,12 +211,13 @@ def _rows_teleport_mc(args: argparse.Namespace):
 
 
 def _rows_concentrate(args: argparse.Namespace):
+    """One row per (alpha, eta), alpha major; the ideal swap once per eta."""
+    ideal = [pr.concentrate_ideal(eta).outcome_probs[:2] for eta in args.etas]
     rows = []
     for alpha in args.alphas:
-        for eta in args.etas:
-            ideal = pr.concentrate_ideal(eta)
+        for eta, swap in zip(args.etas, ideal):
             rows.append((
-                alpha, eta, *ideal.outcome_probs[:2], (math.cos(eta) * math.sin(eta)) ** 2,
+                alpha, eta, *swap, (math.cos(eta) * math.sin(eta)) ** 2,
                 pr.concentrate_exact(alpha, eta).success_probability,
                 pr.concentration_success_closed_form(alpha, eta),
             ))

@@ -437,17 +437,14 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     return total * total
 
 
-def to_fock(
-    s: CoherentSuperposition, cutoff: int | None = None, tail_tol: float | None = None
-) -> FockVector:
+def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Truncated-Fock representation of ``s``.
 
     Raises CutoffError, before allocating, when the grid or the working array
     (one row of (cutoff+1)^(modes-1) amplitudes per term) would hold more
-    than FOCK_CELL_BUDGET amplitudes, when a vacuum amplitude e^{-|amp|^2/2}
-    falls below the normal range (|amp| > ~37.6), and when ``tail_tol`` is
-    given and the recorded tail bound exceeds it; truncation is never silent
-    beyond the recorded bound.
+    than FOCK_CELL_BUDGET amplitudes, and when a vacuum amplitude
+    e^{-|amp|^2/2} falls below the normal range (|amp| > ~37.6).  Truncation
+    is never silent: the record holds the bound on the norm lost beyond it.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
@@ -467,11 +464,6 @@ def to_fock(
             f"|amp| = {np.abs(s.amps).max():.4g}: the Fock vacuum amplitude "
             "e^(-|amp|^2/2) underflows past |amp| ~ 37.6"
         )
-    tail = truncation_tail_bound(s, cutoff)
-    if tail_tol is not None and tail > tail_tol:
-        raise CutoffError(
-            f"cutoff {cutoff} leaves tail bound {tail:.3e} > requested {tail_tol:.3e}"
-        )
     # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), by the
     # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
@@ -485,12 +477,11 @@ def to_fock(
     for m in range(1, s.modes):
         rest = (rest[:, :, None] * table[:, m, None, :]).reshape(len(s.coeffs), -1)
     amps = ((s.coeffs[:, None] * table[:, 0]).T @ rest).reshape((cutoff + 1,) * s.modes)
-    return FockVector(cutoff=cutoff, modes=s.modes, amps=amps, tail_bound=tail)
+    return FockVector(cutoff=cutoff, modes=s.modes, amps=amps,
+                      tail_bound=truncation_tail_bound(s, cutoff))
 
 
-def photon_distribution(
-    s: CoherentSuperposition, cutoff: int | None = None, tail_tol: float | None = None
-) -> FockVector:
+def photon_distribution(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Photon counting statistics of a (normalized) state: its Fock record,
-    whose ``probs`` are the count probabilities; ``tail_tol`` as in ``to_fock``."""
-    return to_fock(s, cutoff, tail_tol)
+    whose ``probs`` are the count probabilities."""
+    return to_fock(s, cutoff)

@@ -19,7 +19,6 @@ import numpy as np
 # checks that its tracer wraps the name in this namespace too.
 from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap  # noqa: F401
 from .qubit_encoding import (
-    PauliDecomposition,
     TwoQubitDensity,
     basis_from_squares,
     bell_coeffs,
@@ -179,19 +178,22 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     return project_to_density(rho, basis_from_squares(alpha, clock.t, ta * ta))
 
 
-def closed_form_vst(alpha, r) -> PauliDecomposition:
-    """Closed-form Bloch vectors and correlation matrix of the channel.
+def closed_form_vst(alpha, r) -> np.ndarray:
+    """Closed-form Pauli coordinates of the channel, as ``pauli_decompose``.
 
-    v = s = (b_coef/N_theta, 0, 0) and T is diagonal with entries
-    (a+d, -a+d, a-c)/(2 N_theta); N_theta = 1 - exp(-4 alpha^2) is the
-    time-independent normalization of the undecayed basis.  Broadcasts over
-    an array ``r`` and an array ``alpha``, such as an alpha column against an
-    r row, like ``closed_form_e``.
+    Both Bloch vectors are (b_coef/N_theta, 0, 0) and T is diagonal with
+    entries (a+d, -a+d, a-c)/(2 N_theta); N_theta = 1 - exp(-4 alpha^2) is
+    the time-independent normalization of the undecayed basis, and the
+    trace c[..., 0, 0] is 1.  Broadcasts over an array ``r`` and an array
+    ``alpha``, such as an alpha column against an r row, like
+    ``closed_form_e``.
     """
     co = ChannelCoefficients.evaluate(alpha, r)
-    v = np.zeros(np.shape(co.b_coef) + (3,))
-    v[..., 0] = co.b_coef / co.n_theta
-    diag = np.stack(
-        [co.a_coef + co.d_coef, -co.a_coef + co.d_coef, co.a_coef - co.c_coef], axis=-1
-    ) / (2.0 * co.n_theta[..., None])
-    return PauliDecomposition(v=v, s=v.copy(), t_matrix=diag[..., None] * np.eye(3))
+    c = np.zeros(np.shape(co.b_coef) + (4, 4))
+    c[..., 0, 0] = 1.0
+    c[..., 1, 0] = c[..., 0, 1] = co.b_coef / co.n_theta
+    n2 = 2.0 * co.n_theta
+    c[..., 1, 1] = (co.a_coef + co.d_coef) / n2
+    c[..., 2, 2] = (-co.a_coef + co.d_coef) / n2
+    c[..., 3, 3] = (co.a_coef - co.c_coef) / n2
+    return c

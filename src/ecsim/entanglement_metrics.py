@@ -75,7 +75,7 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     enters.  For the channel's diagonal T the optimum is attained on the
     four Bell states of the decayed basis.
     """
-    t = pauli_decompose(rho).t_matrix
+    t = pauli_decompose(rho)[..., 1:, 1:]
     f = 0.25 * (1.0 + max_rotation_trace(-t))
     return _value(np.clip(f, 0.0, 1.0))
 

@@ -90,20 +90,17 @@ class BellMeasurement:
 
 
 def bell_measure_distribution(
-    state: CoherentSuperposition,
-    cutoff: int | None = None,
-    tail_tol: float | None = None,
+    state: CoherentSuperposition, cutoff: int | None = None
 ) -> BellMeasurement:
     """Distribution of Bell-discrimination outcomes for a two-mode state.
 
     Applies the 50:50 beam splitter to the two modes and counts photons in
-    both outputs; each count pair is classified by ``classify_counts``.
-    Raises CutoffError when ``tail_tol`` is given and the Fock truncation
-    tail bound exceeds it.
+    both outputs; each count pair is classified by ``classify_counts``.  The
+    record keeps the Fock truncation's tail bound.
     """
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
-    dist = photon_distribution(beam_split(state, 0, 1), cutoff, tail_tol)
+    dist = photon_distribution(beam_split(state, 0, 1), cutoff)
     # only the non-zero cells, ~2 cutoff of the (cutoff + 1)^2, in row-major order
     probs = dist.probs.ravel()
     cells = np.flatnonzero(probs > 0.0)

@@ -190,7 +190,7 @@ def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
 
 
 # ---------------------------------------------------------------------------
-# densities and Pauli decomposition
+# densities and Pauli coordinates
 
 
 @dataclass(frozen=True)
@@ -283,29 +283,14 @@ def _summed_products(c: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
 
 
-@dataclass(frozen=True)
-class PauliDecomposition:
-    """Local Bloch vectors and correlation matrix of a two-qubit state.
-
-    rho = (1/4)(II + v.sigma x I + I x s.sigma + sum t_nm sigma_n x sigma_m).
-    """
-
-    v: np.ndarray
-    s: np.ndarray
-    t_matrix: np.ndarray
+def pauli_decompose(rho: TwoQubitDensity) -> np.ndarray:
+    """Pauli coordinates c[..., m, n] = tr(rho s_m (x) s_n), s = (I, X, Y, Z),
+    over any leading axes: c[0, 0] is the trace, c[1:, 0] and c[0, 1:] the
+    local Bloch vectors and c[1:, 1:] the correlation matrix T, so that
+    rho = (1/4) sum_mn c_mn s_m (x) s_n."""
+    return np.einsum("...ij,mnji->...mn", rho.matrix, PAULI_PRODUCTS).real
 
 
-def pauli_decompose(rho: TwoQubitDensity) -> PauliDecomposition:
-    """tr(rho s_m (x) s_n) for every Pauli pair, over any leading axes."""
-    c = np.einsum("...ij,mnji->...mn", rho.matrix, PAULI_PRODUCTS).real
-    return PauliDecomposition(v=c[..., 1:, 0], s=c[..., 0, 1:], t_matrix=c[..., 1:, 1:])
-
-
-def pauli_reconstruct(dec: PauliDecomposition) -> np.ndarray:
-    """Rebuild the 4x4 matrix from a Pauli decomposition (round-trip check)."""
-    c = np.zeros(np.shape(dec.v)[:-1] + (4, 4))
-    c[..., 0, 0] = 1.0
-    c[..., 1:, 0] = dec.v
-    c[..., 0, 1:] = dec.s
-    c[..., 1:, 1:] = dec.t_matrix
+def pauli_reconstruct(c: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix of Pauli coordinates ``c`` (round-trip check)."""
     return np.einsum("...mn,mnij->...ij", c, PAULI_PRODUCTS) / 4.0

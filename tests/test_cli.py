@@ -326,7 +326,15 @@ class TestExitCodes:
     def test_bellmeas_truncated_cutoff(self, capsys):
         # cutoff 5 keeps almost none of the alpha = 4 photon distribution
         assert cli.main(["bellmeas", "--alphas", "4", "--cutoff", "5"]) == 3
-        assert "numeric guard" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ecsim: numeric guard: ")
+        for part in ("alpha 4.0", "cutoff 5", "2.000e+00", "1e-09"):
+            assert part in err
+
+    def test_bellmeas_tail_tolerance_names_the_automatic_cutoff(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BELLMEAS_TAIL_TOL", 0.0)
+        assert cli.main(["bellmeas", "--alphas", "1"]) == 3
+        assert "cutoff automatic" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,code,kind",
@@ -746,6 +754,15 @@ class TestColumnWriters:
         cli.render(["teleport-mc", "--alphas", "0.5", "1.5", "2.5", "--r-steps", "4",
                     "--samples", "3"])
         assert sorted(calls) == ["average_fidelity", "bloch_transfer"]
+
+    def test_concentrate_request_makes_one_ideal_swap_per_eta(self, monkeypatch):
+        calls = []
+        real = protocols.concentrate_ideal
+        monkeypatch.setattr(protocols, "concentrate_ideal",
+                            lambda eta: calls.append(eta) or real(eta))
+        cli.render(["concentrate", "--alphas", "0.5", "1.0", "2.0",
+                    "--etas", "0.3", "0.7", "1.1"])
+        assert calls == [0.3, 0.7, 1.1]
 
 
 # ---------------------------------------------------------------------------

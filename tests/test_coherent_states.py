@@ -218,9 +218,10 @@ class TestFock:
             assert abs(fock_inner(fa, fb) - inner(a, b)) <= bound
 
     def test_cutoff_error_reported(self):
-        s = CoherentSuperposition.ket(2.0)
-        with pytest.raises(CutoffError):
-            to_fock(s, 3, tail_tol=1e-12)
+        # the record carries the truncation: P(N > 3) for N ~ Poisson(4)
+        fv = to_fock(CoherentSuperposition.ket(2.0), 3)
+        assert fv.tail_bound > 1e-12
+        assert fv.tail_bound == pytest.approx(special.pdtrc(3, 4.0), rel=1e-12)
 
     def test_cell_budget(self, monkeypatch):
         # refused before anything of the grid's size is allocated

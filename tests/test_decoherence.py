@@ -188,9 +188,9 @@ class TestChannel:
         # the damped channel is never Bell diagonal at intermediate times
         for alpha in (0.3, 1.0, 2.0):
             for r in (0.2, 0.5, 0.8):
-                dec = pauli_decompose(channel_rho4(alpha, r))
-                assert np.linalg.norm(dec.v) > 1e-6
-                assert np.max(np.abs(dec.v - dec.s)) < 1e-12
+                c = pauli_decompose(channel_rho4(alpha, r))
+                assert np.linalg.norm(c[1:, 0]) > 1e-6
+                assert np.max(np.abs(c[1:, 0] - c[0, 1:])) < 1e-12
 
 
 def _channel_one_amplitude(alpha: float, r):
@@ -282,26 +282,24 @@ class TestClosedForms:
         assert co.gamma_coef == 1.0
         assert co.c_coef == pytest.approx(2.0 * n_theta, abs=1e-14)
         assert co.d_coef == pytest.approx(-2.0 * n_theta, abs=1e-14)
-        vst = closed_form_vst(1.0, 0.0)
-        assert np.max(np.abs(vst.t_matrix - np.diag([-1.0, -1.0, -1.0]))) < 1e-14
-        assert np.max(np.abs(vst.v)) == 0.0
+        c = closed_form_vst(1.0, 0.0)
+        assert np.max(np.abs(c[1:, 1:] - np.diag([-1.0, -1.0, -1.0]))) < 1e-14
+        assert np.max(np.abs(c[1:, 0])) == 0.0
 
     @pytest.mark.parametrize("alpha,r", [(1.0, 0.5), (0.1, 0.3), (2.0, 0.8), (1.0, SQRT_HALF)])
     def test_matches_projection(self, alpha, r):
         got = pauli_decompose(channel_rho4(alpha, r))
         want = closed_form_vst(alpha, r)
-        assert np.max(np.abs(got.v - want.v)) < 1e-10
-        assert np.max(np.abs(got.s - want.s)) < 1e-10
-        assert np.max(np.abs(got.t_matrix - want.t_matrix)) < 1e-10
+        assert np.max(np.abs(got[1:, 0] - want[1:, 0])) < 1e-10
+        assert np.max(np.abs(got[0, 1:] - want[0, 1:])) < 1e-10
+        assert np.max(np.abs(got[1:, 1:] - want[1:, 1:])) < 1e-10
 
     def test_grid_is_bitwise_scalar(self):
         r = np.linspace(0.0, 0.99, 23)
         grid = closed_form_vst(1.3, r)
         for i, x in enumerate(r):
             one = closed_form_vst(1.3, float(x))
-            assert np.array_equal(grid.v[i], one.v)
-            assert np.array_equal(grid.s[i], one.s)
-            assert np.array_equal(grid.t_matrix[i], one.t_matrix)
+            assert np.array_equal(grid[i], one)
 
     @pytest.mark.parametrize("alphas", [[0.5, 1.0, 2.0], [0.5, 1.0]], ids=["three", "two"])
     def test_alpha_arrays_are_bitwise_scalar(self, alphas):
@@ -312,12 +310,11 @@ class TestClosedForms:
         for i, alpha in enumerate(alphas.tolist()):
             for got, want in ((row, closed_form_vst(alpha, 0.3)),
                               (grid, closed_form_vst(alpha, r))):
-                for name in ("v", "s", "t_matrix"):
-                    assert getattr(got, name)[i].tobytes() == getattr(want, name).tobytes()
+                assert got[i].tobytes() == want.tobytes()
 
     def test_t_diagonal_structure(self):
-        vst = closed_form_vst(0.7, 0.4)
-        off = vst.t_matrix - np.diag(np.diag(vst.t_matrix))
+        t = closed_form_vst(0.7, 0.4)[1:, 1:]
+        off = t - np.diag(np.diag(t))
         assert np.max(np.abs(off)) == 0.0
 
 
