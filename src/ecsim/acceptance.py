@@ -1,8 +1,11 @@
 """Acceptance suite: every release gate as an executable check.
 
-Each check returns a CheckResult; ``run_all`` evaluates all of them in
-order.  The CLI ``report`` command prints one pass/fail line per check and
-the pytest acceptance module asserts each one.
+Each check returns ``(passed, detail)``; ``run_all`` runs all of them in
+order, each timed, into one CheckResult per check.  A check that raises a
+ValueError (every ``ecsim.errors`` class is one) is reported as that check's
+failure, naming the error, and the remaining checks still run.  The CLI
+``report`` command prints one pass/fail line per check and the pytest
+acceptance module asserts each one.
 
 Check 8.2 compares the exact swap construction against the closed-form
 success probability as originally stated (single normalization power in the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,26 +43,20 @@ class CheckResult:
     detail: str
 
 
-def _result(check_id, name, passed, detail) -> CheckResult:
-    return CheckResult(check_id, name, bool(passed), detail)
-
-
 # ---------------------------------------------------------------------------
 # criteria 1-9
 
 
-def check_zero_time_entanglement() -> CheckResult:
+def check_zero_time_entanglement() -> tuple[bool, str]:
     """At r = 0 the channel is maximally entangled for every amplitude."""
     alphas = np.array([0.1, 1.0, 2.0])
     e_num = em.negativity_e(dec.channel_rho4(alphas, 0.0))
     e_closed = em.closed_form_e(alphas, 0.0)
     worst = max(np.abs(e_num - 1.0).max(), np.abs(e_closed - 1.0).max())
-    return _result(
-        "1", "zero-time entanglement", worst <= 1e-10, f"max |E-1| = {worst:.3e}"
-    )
+    return worst <= 1e-10, f"max |E-1| = {worst:.3e}"
 
 
-def check_oracle_grid() -> CheckResult:
+def check_oracle_grid() -> tuple[bool, str]:
     """Numeric channel construction matches every closed form on a grid:
     one batched density and one closed-form call on an alpha column against
     the r row, as the CLI makes them."""
@@ -72,15 +69,10 @@ def check_oracle_grid() -> CheckResult:
     worst_vst = np.abs(qe.pauli_decompose(rho) - want).max()
     elapsed = time.perf_counter() - start
     ok = worst_e <= 1e-9 and worst_vst <= 1e-10 and elapsed < 10.0
-    return _result(
-        "2",
-        "closed-form oracle equivalence (20x20 grid)",
-        ok,
-        f"|dE|={worst_e:.3e}, |dVST|={worst_vst:.3e}, {elapsed:.2f}s",
-    )
+    return ok, f"|dE|={worst_e:.3e}, |dVST|={worst_vst:.3e}, {elapsed:.2f}s"
 
 
-def check_characteristic_time() -> CheckResult:
+def check_characteristic_time() -> tuple[bool, str]:
     """Fidelity crosses 2/3 at r = 1/sqrt(2) for every amplitude, and the
     channel stays entangled while useless beyond it."""
     alphas = (0.1, 1.0, 2.0)
@@ -90,15 +82,10 @@ def check_characteristic_time() -> CheckResult:
     e = em.closed_form_e(column, r)
     beyond_ok = bool((f < 2.0 / 3.0).all() and (e > 0.0).all())
     ok = worst <= 1e-9 and beyond_ok
-    return _result(
-        "3",
-        "characteristic time r_c = 1/sqrt(2)",
-        ok,
-        f"max |r_c - 1/sqrt2| = {worst:.3e}, beyond-r_c behavior ok: {beyond_ok}",
-    )
+    return ok, f"max |r_c - 1/sqrt2| = {worst:.3e}, beyond-r_c behavior ok: {beyond_ok}"
 
 
-def check_mixedness_peak() -> CheckResult:
+def check_mixedness_peak() -> tuple[bool, str]:
     """Mixedness peaks at the characteristic time, by either entropy."""
     worst_lin = 0.0
     worst_vn = 0.0
@@ -108,29 +95,19 @@ def check_mixedness_peak() -> CheckResult:
         worst_lin = max(worst_lin, abs(r_lin - SQRT_HALF))
         worst_vn = max(worst_vn, abs(r_vn - r_lin))
     ok = worst_lin <= 1e-6 and worst_vn <= 1e-6
-    return _result(
-        "4",
-        "mixedness peak at r_c",
-        ok,
-        f"linear argmax err {worst_lin:.3e}, vn vs linear {worst_vn:.3e}",
-    )
+    return ok, f"linear argmax err {worst_lin:.3e}, vn vs linear {worst_vn:.3e}"
 
 
-def check_entanglement_ordering() -> CheckResult:
+def check_entanglement_ordering() -> tuple[bool, str]:
     """Larger amplitudes decohere faster at fixed r."""
     alphas = np.array([2.0, 1.0, 0.1])
     vals_closed = em.closed_form_e(alphas, 0.5)
     vals_num = em.negativity_e(dec.channel_rho4(alphas, 0.5))
     ok = (np.diff(vals_closed) > 0).all() and (np.diff(vals_num) > 0).all()
-    return _result(
-        "5",
-        "entanglement ordering at r = 0.5",
-        ok,
-        "E(2) < E(1) < E(0.1): " + ", ".join(f"{v:.6f}" for v in vals_closed),
-    )
+    return ok, "E(2) < E(1) < E(0.1): " + ", ".join(f"{v:.6f}" for v in vals_closed)
 
 
-def check_bell_discrimination() -> CheckResult:
+def check_bell_discrimination() -> tuple[bool, str]:
     """Photon-counting misidentification matches the closed form; odd-count
     channels are discriminated without cross-label mass."""
     worst = 0.0
@@ -153,15 +130,10 @@ def check_bell_discrimination() -> CheckResult:
                 if label is not own:
                     cross_worst = max(cross_worst, meas.mass(label))
     ok = worst <= tol and cross_worst <= 1e-12
-    return _result(
-        "6",
-        "beam-splitter Bell discrimination",
-        ok,
-        f"|dP_i| = {worst:.3e} (tol {tol:.1e}), cross mass = {cross_worst:.3e}",
-    )
+    return ok, f"|dP_i| = {worst:.3e} (tol {tol:.1e}), cross mass = {cross_worst:.3e}"
 
 
-def check_teleportation_mc() -> CheckResult:
+def check_teleportation_mc() -> tuple[bool, str]:
     """Seeded Monte Carlo agrees with the exact scheme average."""
     details = []
     ok = True
@@ -175,25 +147,20 @@ def check_teleportation_mc() -> CheckResult:
         if r == 0.0:
             ok = ok and abs(analytic - 1.0) <= 1e-12
         details.append(f"r={r:.3f}: |mc-exact|={err:.2e} (3se={3 * stats.stderr:.2e})")
-    return _result("7", "teleportation Monte Carlo", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_concentration_ideal() -> CheckResult:
+def check_concentration_ideal() -> tuple[bool, str]:
     """Four-qubit swap reproduces the maximally entangled outcome weights."""
     worst = 0.0
     for eta in (math.pi / 8, math.pi / 6, math.pi / 3):
         res = pr.concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
         worst = max(worst, *(abs(p - want) for p in res.outcome_probs[:2]))
-    return _result(
-        "8.1",
-        "ideal concentration probabilities",
-        worst <= 1e-10,
-        f"max |p - cos^2 sin^2| = {worst:.3e}",
-    )
+    return worst <= 1e-10, f"max |p - cos^2 sin^2| = {worst:.3e}"
 
 
-def check_concentration_exact_printed_form() -> CheckResult:
+def check_concentration_exact_printed_form() -> tuple[bool, str]:
     """Exact swap vs the stated closed form (single normalization power).
 
     Expected to fail: the exact construction carries one normalization
@@ -213,15 +180,10 @@ def check_concentration_exact_printed_form() -> CheckResult:
                 / (4.0 * (1.0 - u2 * math.sin(2.0 * eta)))
             )
             worst = max(worst, abs(swap - printed))
-    return _result(
-        "8.2",
-        "exact concentration vs stated closed form",
-        worst <= 1e-9,
-        f"max deviation = {worst:.3e} (single-power denominator)",
-    )
+    return worst <= 1e-9, f"max deviation = {worst:.3e} (single-power denominator)"
 
 
-def check_concentration_limits() -> CheckResult:
+def check_concentration_limits() -> tuple[bool, str]:
     """Large- and small-amplitude limits of the exact swap probability."""
     ok = True
     details = []
@@ -232,22 +194,17 @@ def check_concentration_limits() -> CheckResult:
         small = pr.concentrate_exact(0.05, eta).success_probability
         ok = ok and small < 1e-3
         details.append(f"eta={eta:.3f}: large err {abs(big - want):.1e}, small {small:.1e}")
-    return _result("8.3", "concentration amplitude limits", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def check_cv_fidelity() -> CheckResult:
+def check_cv_fidelity() -> tuple[bool, str]:
     """Continuous-variable fidelity: value at zero, global bound, maximum."""
     ok = pr.cv_fidelity(0.0) == 0.5
     for x in np.concatenate([np.linspace(0.05, 4.0, 40), -np.linspace(0.05, 4.0, 40)]):
         ok = ok and pr.cv_fidelity(float(x)) > 0.5
     x_star, f_star = pr.cv_max()
     ok = ok and 0.59 <= f_star <= 0.61 and 0.6 <= x_star <= 0.8
-    return _result(
-        "9",
-        "continuous-variable fidelity",
-        ok,
-        f"f(0)={pr.cv_fidelity(0.0)}, max f={f_star:.6f} at {x_star:.6f}",
-    )
+    return ok, f"f(0)={pr.cv_fidelity(0.0)}, max f={f_star:.6f} at {x_star:.6f}"
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +282,8 @@ def property_density_validity(cases=1000):
     for _ in range(cases):
         alpha = rng.uniform(0.1, 2.0)
         r = rng.uniform(0.0, 0.97)
-        rho = dec.channel_rho4(alpha, r)  # constructor enforces the invariants
+        # a DensityError from its constructor is this suite's failure line
+        rho = dec.channel_rho4(alpha, r)
         m = rho.matrix
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             return False, "hermiticity violation"
@@ -404,6 +362,21 @@ def property_cli_determinism(cases=1000):
     return True, f"{cases} randomized configs byte-identical on repeat"
 
 
+_CHECKS = (
+    ("1", "zero-time entanglement", check_zero_time_entanglement),
+    ("2", "closed-form oracle equivalence (20x20 grid)", check_oracle_grid),
+    ("3", "characteristic time r_c = 1/sqrt(2)", check_characteristic_time),
+    ("4", "mixedness peak at r_c", check_mixedness_peak),
+    ("5", "entanglement ordering at r = 0.5", check_entanglement_ordering),
+    ("6", "beam-splitter Bell discrimination", check_bell_discrimination),
+    ("7", "teleportation Monte Carlo", check_teleportation_mc),
+    ("8.1", "ideal concentration probabilities", check_concentration_ideal),
+    ("8.2", "exact concentration vs stated closed form", check_concentration_exact_printed_form),
+    ("8.3", "concentration amplitude limits", check_concentration_limits),
+    ("9", "continuous-variable fidelity", check_cv_fidelity),
+)
+
+
 _PROPERTY_CHECKS = (
     ("10.1", "gram positivity", property_gram_positivity),
     ("10.2", "linear-optics norm preservation", property_linear_optics_norm),
@@ -415,52 +388,27 @@ _PROPERTY_CHECKS = (
 )
 
 
-def _timed(fn, **kwargs):
-    """fn's result and its wall time in seconds."""
+def _run(check_id, name, check, **kwargs) -> tuple[CheckResult, float]:
+    """The check's result, its detail ending in its time, and that time in
+    seconds; a ValueError raised inside the check is its failure."""
     start = time.perf_counter()
-    out = fn(**kwargs)
-    return out, time.perf_counter() - start
+    try:
+        passed, detail = check(**kwargs)
+    except ValueError as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - start
+    return CheckResult(check_id, name, bool(passed), f"{detail} [{elapsed:.1f}s]"), elapsed
 
 
 def run_property_suite(cases=1000):
     """Run all randomized suites; returns results plus total runtime check."""
-    results = []
-    total = 0.0
-    for check_id, name, fn in _PROPERTY_CHECKS:
-        (passed, detail), elapsed = _timed(fn, cases=cases)
-        total += elapsed
-        results.append(_result(check_id, name, passed, f"{detail} [{elapsed:.1f}s]"))
-    results.append(
-        _result(
-            "10.8",
-            "property-suite runtime",
-            total < 60.0,
-            f"total {total:.1f}s for {cases} cases per suite",
-        )
-    )
-    return results
-
-
-_CHECKS = (
-    check_zero_time_entanglement,
-    check_oracle_grid,
-    check_characteristic_time,
-    check_mixedness_peak,
-    check_entanglement_ordering,
-    check_bell_discrimination,
-    check_teleportation_mc,
-    check_concentration_ideal,
-    check_concentration_exact_printed_form,
-    check_concentration_limits,
-    check_cv_fidelity,
-)
+    results, times = zip(*(_run(*check, cases=cases) for check in _PROPERTY_CHECKS))
+    total = sum(times)
+    runtime = CheckResult("10.8", "property-suite runtime", total < 60.0,
+                          f"total {total:.1f}s for {cases} cases per suite")
+    return [*results, runtime]
 
 
 def run_all(property_cases=1000) -> list[CheckResult]:
     """Evaluate every acceptance check in order; each detail ends in its time."""
-    results = []
-    for check in _CHECKS:
-        res, elapsed = _timed(check)
-        results.append(replace(res, detail=f"{res.detail} [{elapsed:.1f}s]"))
-    results.extend(run_property_suite(cases=property_cases))
-    return results
+    return [_run(*check)[0] for check in _CHECKS] + run_property_suite(cases=property_cases)

@@ -75,49 +75,29 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     )
 
 
-@dataclass(frozen=True)
-class ChannelCoefficients:
-    """Closed-form coefficients of the damped entangled channel.
+def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
+    """Closed-form coefficients (a, b, c, d, gamma, W, N_theta) of the damped
+    entangled channel, from ``closed_form_inputs``.
 
-    With W = ``w_coef`` = exp(-4 t^2 a^2) and the decoherence functional
-    gamma_coef = exp(-4 r^2 a^2):
+    With W = exp(-4 t^2 a^2) and the decoherence functional
+    gamma = exp(-4 r^2 a^2):
 
-        a_coef = (1 - gamma_coef) W
-        b_coef = (1 - gamma_coef) sqrt(W)
-        c_coef = 2 - (1 + gamma_coef) W
-        d_coef = -2 gamma_coef + (1 + gamma_coef) W
+        a = (1 - gamma) W
+        b = (1 - gamma) sqrt(W)
+        c = 2 - (1 + gamma) W
+        d = -2 gamma + (1 + gamma) W
 
-    Each of these fields has the broadcast shape of ``alpha`` and ``r``;
-    ``n_theta`` = 1 - exp(-4 a^2), the time-independent normalization of
-    the undecayed basis, has the shape of ``alpha``.
+    Each of these has the broadcast shape of ``alpha`` and ``r``;
+    N_theta = 1 - exp(-4 a^2), the time-independent normalization of the
+    undecayed basis, has the shape of ``alpha``.  An array ``alpha`` gives
+    each entry the bits of its own scalar call.
     """
-
-    a_coef: float | np.ndarray
-    b_coef: float | np.ndarray
-    c_coef: float | np.ndarray
-    d_coef: float | np.ndarray
-    gamma_coef: float | np.ndarray
-    w_coef: float | np.ndarray
-    n_theta: float | np.ndarray
-
-    @classmethod
-    def evaluate(cls, alpha, r) -> "ChannelCoefficients":
-        """The coefficients at ``alpha`` over ``r``, from ``closed_form_inputs``;
-        an array ``alpha`` gives each entry the bits of its own scalar call."""
-        t, a2, n_theta = closed_form_inputs(alpha, r)
-        t2 = t * t
-        g = np.exp(-4.0 * (1.0 - t2) * a2)
-        w = np.exp(-4.0 * t2 * a2)
-        loss, gw = 1.0 - g, (1.0 + g) * w
-        return cls(
-            a_coef=loss * w,
-            b_coef=loss * np.sqrt(w),
-            c_coef=2.0 - gw,
-            d_coef=-2.0 * g + gw,
-            gamma_coef=g,
-            w_coef=w,
-            n_theta=n_theta,
-        )
+    t, a2, n_theta = closed_form_inputs(alpha, r)
+    t2 = t * t
+    g = np.exp(-4.0 * (1.0 - t2) * a2)
+    w = np.exp(-4.0 * t2 * a2)
+    loss, gw = 1.0 - g, (1.0 + g) * w
+    return loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w, n_theta
 
 
 def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,19 +161,18 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
 def closed_form_vst(alpha, r) -> np.ndarray:
     """Closed-form Pauli coordinates of the channel, as ``pauli_decompose``.
 
-    Both Bloch vectors are (b_coef/N_theta, 0, 0) and T is diagonal with
-    entries (a+d, -a+d, a-c)/(2 N_theta); N_theta = 1 - exp(-4 alpha^2) is
-    the time-independent normalization of the undecayed basis, and the
-    trace c[..., 0, 0] is 1.  Broadcasts over an array ``r`` and an array
-    ``alpha``, such as an alpha column against an r row, like
-    ``closed_form_e``.
+    Both Bloch vectors are (b/N_theta, 0, 0) and T is diagonal with entries
+    (a+d, -a+d, a-c)/(2 N_theta), with a, b, c, d and N_theta from
+    ``channel_coefficients``, and the trace c[..., 0, 0] is 1.  Broadcasts
+    over an array ``r`` and an array ``alpha``, such as an alpha column
+    against an r row, like ``closed_form_e``.
     """
-    co = ChannelCoefficients.evaluate(alpha, r)
-    c = np.zeros(np.shape(co.b_coef) + (4, 4))
-    c[..., 0, 0] = 1.0
-    c[..., 1, 0] = c[..., 0, 1] = co.b_coef / co.n_theta
-    n2 = 2.0 * co.n_theta
-    c[..., 1, 1] = (co.a_coef + co.d_coef) / n2
-    c[..., 2, 2] = (-co.a_coef + co.d_coef) / n2
-    c[..., 3, 3] = (co.a_coef - co.c_coef) / n2
-    return c
+    a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
+    coords = np.zeros(np.shape(b) + (4, 4))
+    coords[..., 0, 0] = 1.0
+    coords[..., 1, 0] = coords[..., 0, 1] = b / n_theta
+    n2 = 2.0 * n_theta
+    coords[..., 1, 1] = (a + d) / n2
+    coords[..., 2, 2] = (-a + d) / n2
+    coords[..., 3, 3] = (a - c) / n2
+    return coords

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import ChannelCoefficients, channel_rho4, closed_form_inputs
+from .decoherence import channel_coefficients, channel_rho4, closed_form_inputs
 from .qubit_encoding import TwoQubitDensity, each_float, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
@@ -49,11 +49,11 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
 
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
     """
-    co = ChannelCoefficients.evaluate(alpha, r)
+    a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
     # squares as products, as numpy squares an array (a scalar's ** is libm's pow)
-    c_d = co.c_coef - co.d_coef
-    root = np.sqrt(16.0 * (co.b_coef * co.b_coef) + c_d * c_d)
-    return _value((root - (2.0 * co.a_coef + co.c_coef + co.d_coef)) / (4.0 * co.n_theta))
+    c_d = c - d
+    root = np.sqrt(16.0 * (b * b) + c_d * c_d)
+    return _value((root - (2.0 * a + c + d)) / (4.0 * n_theta))
 
 
 def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
@@ -94,11 +94,10 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
                    (e^{4t^2a^2} - e^{4r^2a^2} + 2 e^{4a^2} - 2) / (e^{4a^2} - 1) }.
     Evaluated divided through by e^{4a^2}, as
     max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
-    W from ``ChannelCoefficients``, which cannot overflow at large amplitude.
+    W from ``channel_coefficients``, which cannot overflow at large amplitude.
     """
-    co = ChannelCoefficients.evaluate(alpha, r)
-    g, w = co.gamma_coef, co.w_coef
-    return _value(np.maximum(1.0 + (1.0 - g) / co.n_theta, 2.0 + (g - w) / co.n_theta) / 3.0)
+    *_, g, w, n_theta = channel_coefficients(alpha, r)
+    return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
 
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -138,9 +137,8 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     amplitude the margin is below the rounding of f: at alpha = 3 and
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
-    co = ChannelCoefficients.evaluate(alpha, r)
-    g = co.gamma_coef
-    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - co.w_coef) / (3.0 * co.n_theta)
+    *_, g, w, n_theta = channel_coefficients(alpha, r)
+    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - w) / (3.0 * n_theta)
 
 
 def characteristic_time(alpha: float) -> float:

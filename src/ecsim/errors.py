@@ -10,7 +10,8 @@ class DegenerateBasisError(ValueError):
 
 
 class CutoffError(ValueError):
-    """A Fock-space cutoff is too small for the requested truncation tolerance."""
+    """A Fock cutoff below 1, a grid over ``FOCK_CELL_BUDGET`` amplitudes, an
+    underflowing vacuum amplitude, or a ``bellmeas`` tail over its tolerance."""
 
 
 class SpanError(ValueError):

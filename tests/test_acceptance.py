@@ -1,7 +1,9 @@
 """Acceptance gate: one test per release criterion, at stated tolerances.
 
-Each test prints a PASS/FAIL line (visible with ``pytest -s`` and in the CLI
-``report`` command, which runs the same checks).
+Each check returns ``(passed, detail)``; each test prints a PASS/FAIL line
+(visible with ``pytest -s`` and in the CLI ``report`` command, which runs
+the same checks and reports a check that raises a ValueError as its
+failure).
 
 Check 8.2 is expected to fail: it holds the exact swap construction against
 a closed-form target whose denominator carries a single normalization power,
@@ -12,6 +14,7 @@ test_protocols.py.
 """
 import itertools
 import math
+import re
 import types
 
 import numpy as np
@@ -23,55 +26,64 @@ from ecsim import decoherence as dec
 from ecsim import qubit_encoding as qe
 
 
-def _check(result):
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.check_id} {result.name}: {result.detail}")
-    assert result.passed, f"[{result.check_id}] {result.name}: {result.detail}"
+_CRITERIA = {check: (check_id, name) for check_id, name, check in acceptance._CHECKS}
+
+
+def _check(check_id, name, passed, detail):
+    status = "PASS" if passed else "FAIL"
+    print(f"{status} {check_id} {name}: {detail}")
+    assert passed, f"[{check_id}] {name}: {detail}"
+
+
+def _criterion(check):
+    """Run one of criteria 1-9 and assert its (passed, detail)."""
+    passed, detail = check()
+    _check(*_CRITERIA[check], bool(passed), detail)
 
 
 def test_criterion_01_zero_time_entanglement():
-    _check(acceptance.check_zero_time_entanglement())
+    _criterion(acceptance.check_zero_time_entanglement)
 
 
 def test_criterion_02_closed_form_oracle_grid():
-    _check(acceptance.check_oracle_grid())
+    _criterion(acceptance.check_oracle_grid)
 
 
 def test_criterion_03_characteristic_time():
-    _check(acceptance.check_characteristic_time())
+    _criterion(acceptance.check_characteristic_time)
 
 
 def test_criterion_04_mixedness_peak():
-    _check(acceptance.check_mixedness_peak())
+    _criterion(acceptance.check_mixedness_peak)
 
 
 def test_criterion_05_entanglement_ordering():
-    _check(acceptance.check_entanglement_ordering())
+    _criterion(acceptance.check_entanglement_ordering)
 
 
 def test_criterion_06_bell_discrimination():
-    _check(acceptance.check_bell_discrimination())
+    _criterion(acceptance.check_bell_discrimination)
 
 
 def test_criterion_07_teleportation_mc():
-    _check(acceptance.check_teleportation_mc())
+    _criterion(acceptance.check_teleportation_mc)
 
 
 def test_criterion_08_1_concentration_ideal():
-    _check(acceptance.check_concentration_ideal())
+    _criterion(acceptance.check_concentration_ideal)
 
 
 def test_criterion_08_2_concentration_exact_vs_stated_form():
     # Known honest failure; see module docstring.
-    _check(acceptance.check_concentration_exact_printed_form())
+    _criterion(acceptance.check_concentration_exact_printed_form)
 
 
 def test_criterion_08_3_concentration_limits():
-    _check(acceptance.check_concentration_limits())
+    _criterion(acceptance.check_concentration_limits)
 
 
 def test_criterion_09_cv_fidelity():
-    _check(acceptance.check_cv_fidelity())
+    _criterion(acceptance.check_cv_fidelity)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +96,8 @@ def property_results():
     ["10.1", "10.2", "10.3", "10.4", "10.5", "10.6", "10.7", "10.8"],
 )
 def test_criterion_10_property_suites(property_results, check_id):
-    _check(property_results[check_id])
+    res = property_results[check_id]
+    _check(res.check_id, res.name, res.passed, res.detail)
 
 
 def test_gram_positivity_reports_the_true_minimum():
@@ -182,3 +195,25 @@ def test_property_suite_fails_when_its_property_breaks(monkeypatch, suite, patch
     passed, detail = getattr(acceptance, suite)(cases=5)
     assert not passed
     assert fragment in detail
+
+
+def test_density_error_from_the_constructor_is_the_suite_failure(monkeypatch):
+    # the real TwoQubitDensity refuses the matrix before the suite looks at it
+    monkeypatch.setattr(dec, "channel_rho4",
+                        lambda alpha, r: qe.TwoQubitDensity(np.triu(np.ones((4, 4))) / 4))
+    results = acceptance.run_property_suite(cases=3)
+    assert [r.check_id for r in results] == [f"10.{k}" for k in range(1, 9)]
+    res = results[3]
+    assert not res.passed
+    assert res.detail.startswith("DensityError: density matrix is not Hermitian")
+    assert re.search(r" \[\d+\.\ds\]$", res.detail)
+
+
+def test_a_type_error_in_a_check_propagates(monkeypatch):
+    # only a ValueError is a check's failure; any other exception is a bug
+    def broken(alpha, r):
+        raise TypeError("not a numeric guard")
+
+    monkeypatch.setattr(dec, "channel_rho4", broken)
+    with pytest.raises(TypeError, match="not a numeric guard"):
+        acceptance.run_all(property_cases=3)

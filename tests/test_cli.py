@@ -506,6 +506,25 @@ class TestReport:
         assert len(checks) == 19
         assert [ln.split()[1] for ln in untimed] == ["10.8"]
 
+    def test_a_check_that_raises_is_its_failure_line(self, monkeypatch, capsys):
+        # a numeric guard inside a check fails that check alone: every check
+        # still prints its line, nothing goes to stderr, and report exits 1
+        def degenerate(alpha, r):
+            raise DegenerateBasisError("stand-in degenerate basis")
+
+        monkeypatch.setattr(dec, "channel_rho4", degenerate)
+        assert cli.main(["report", "--property-cases", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        checks = [ln for ln in lines if ln.startswith(("PASS", "FAIL"))]
+        assert len(checks) == 19 and len(lines) == 20
+        assert re.fullmatch(r"\d+/19 checks passed", lines[-1])
+        raised = [ln.split()[1] for ln in checks if re.search(
+            r": DegenerateBasisError: stand-in degenerate basis \[\d+\.\ds\]$", ln)]
+        assert raised[0] == "1" and "10.4" in raised and "10.7" in raised
+        assert all(ln.startswith("FAIL") for ln in checks if ln.split()[1] in raised)
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

@@ -13,8 +13,8 @@ from ecsim.coherent_states import (
 from ecsim import entanglement_metrics as em
 from ecsim import qubit_encoding
 from ecsim.decoherence import (
-    ChannelCoefficients,
     DecayClock,
+    channel_coefficients,
     channel_rho4,
     closed_form_vst,
     decohere,
@@ -275,13 +275,13 @@ class TestClosedFormGuard:
 
 class TestClosedForms:
     def test_r0_limits(self):
-        co = ChannelCoefficients.evaluate(1.0, 0.0)
+        a, b, c_coef, d, gamma, _, _ = channel_coefficients(1.0, 0.0)
         n_theta = 1.0 - math.exp(-4.0)
-        assert co.a_coef == 0.0
-        assert co.b_coef == 0.0
-        assert co.gamma_coef == 1.0
-        assert co.c_coef == pytest.approx(2.0 * n_theta, abs=1e-14)
-        assert co.d_coef == pytest.approx(-2.0 * n_theta, abs=1e-14)
+        assert a == 0.0
+        assert b == 0.0
+        assert gamma == 1.0
+        assert c_coef == pytest.approx(2.0 * n_theta, abs=1e-14)
+        assert d == pytest.approx(-2.0 * n_theta, abs=1e-14)
         c = closed_form_vst(1.0, 0.0)
         assert np.max(np.abs(c[1:, 1:] - np.diag([-1.0, -1.0, -1.0]))) < 1e-14
         assert np.max(np.abs(c[1:, 0])) == 0.0
