@@ -58,14 +58,14 @@ def check_zero_time_entanglement() -> tuple[bool, str]:
 
 def check_oracle_grid() -> tuple[bool, str]:
     """Numeric channel construction matches every closed form on a grid:
-    one batched density and one closed-form call on an alpha column against
-    the r row, as the CLI makes them."""
+    one batched density and one closed-form call on the (alpha, r) grid, as
+    the CLI makes them."""
     start = time.perf_counter()
     alphas = np.linspace(0.1, 2.0, 20)
     r = np.linspace(0.0, 0.95, 20)
     rho = dec.channel_rho4(alphas, r)
-    worst_e = np.abs(em.negativity_e(rho) - em.closed_form_e(alphas[:, None], r)).max()
-    want = dec.closed_form_vst(alphas[:, None], r)
+    worst_e = np.abs(em.negativity_e(rho) - em.closed_form_e(alphas, r)).max()
+    want = dec.closed_form_vst(alphas, r)
     worst_vst = np.abs(qe.pauli_decompose(rho) - want).max()
     elapsed = time.perf_counter() - start
     ok = worst_e <= 1e-9 and worst_vst <= 1e-10 and elapsed < 10.0
@@ -77,9 +77,9 @@ def check_characteristic_time() -> tuple[bool, str]:
     channel stays entangled while useless beyond it."""
     alphas = (0.1, 1.0, 2.0)
     worst = max(abs(em.characteristic_time(alpha) - SQRT_HALF) for alpha in alphas)
-    column, r = np.array(alphas)[:, None], np.array([0.75, 0.85, 0.95])
-    f = em.closed_form_f(column, r)
-    e = em.closed_form_e(column, r)
+    r = np.array([0.75, 0.85, 0.95])
+    f = em.closed_form_f(alphas, r)
+    e = em.closed_form_e(alphas, r)
     beyond_ok = bool((f < 2.0 / 3.0).all() and (e > 0.0).all())
     ok = worst <= 1e-9 and beyond_ok
     return ok, f"max |r_c - 1/sqrt2| = {worst:.3e}, beyond-r_c behavior ok: {beyond_ok}"
@@ -140,13 +140,13 @@ def check_teleportation_mc() -> tuple[bool, str]:
     for i, r in enumerate((0.0, 0.3, SQRT_HALF)):
         q = pr.bloch_transfer(dec.channel_rho4(1.0, r))
         analytic = pr.average_fidelity(q)
-        stats = pr.teleport_average_mc(q, samples=100_000, seed=20_000 + i)
-        err = abs(stats.mean_fidelity - analytic)
-        tol = max(3.0 * stats.stderr, 1e-12)
+        mean, stderr = pr.teleport_average_mc(q, samples=100_000, seed=20_000 + i)
+        err = abs(mean - analytic)
+        tol = max(3.0 * stderr, 1e-12)
         ok = ok and err <= tol
         if r == 0.0:
             ok = ok and abs(analytic - 1.0) <= 1e-12
-        details.append(f"r={r:.3f}: |mc-exact|={err:.2e} (3se={3 * stats.stderr:.2e})")
+        details.append(f"r={r:.3f}: |mc-exact|={err:.2e} (3se={3 * stderr:.2e})")
     return ok, "; ".join(details)
 
 
@@ -154,9 +154,9 @@ def check_concentration_ideal() -> tuple[bool, str]:
     """Four-qubit swap reproduces the maximally entangled outcome weights."""
     worst = 0.0
     for eta in (math.pi / 8, math.pi / 6, math.pi / 3):
-        res = pr.concentrate_ideal(eta)
+        probs, _ = pr.concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
-        worst = max(worst, *(abs(p - want) for p in res.outcome_probs[:2]))
+        worst = max(worst, *(abs(p - want) for p in probs[:2]))
     return worst <= 1e-10, f"max |p - cos^2 sin^2| = {worst:.3e}"
 
 

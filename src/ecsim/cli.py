@@ -171,12 +171,11 @@ def _sweep_table(args: argparse.Namespace, r: np.ndarray, **columns) -> dict:
 
 
 def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
-    """One fig sweep: one closed-form call on the whole (alpha, r) grid (an
-    alpha column against the r row), then one numeric call on it (one
-    batched channel density)."""
+    """One fig sweep: one closed-form call on the whole (alpha, r) grid, then
+    one numeric call on it (one batched channel density)."""
     r = _r_grid(args)
     alphas = np.array(args.alphas)
-    closed_col = closed(alphas[:, None], r).ravel()
+    closed_col = closed(alphas, r).ravel()
     numeric_col = numeric(dec.channel_rho4(alphas, r)).ravel()
     return _sweep_table(args, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
                         **{name: np.full(len(closed_col), v) for name, v in extra.items()})
@@ -203,16 +202,15 @@ def _rows_teleport_mc(args: argparse.Namespace):
     (``seed + alpha index * len(r) + r index``)."""
     r = _r_grid(args)
     q = pr.bloch_transfer(dec.channel_rho4(np.array(args.alphas), r))
-    stats = [pr.teleport_average_mc(row, args.samples, args.seed + i)
-             for i, row in enumerate(q.reshape(-1, 4, 4, 4))]
-    return _sweep_table(args, r, f_analytic=pr.average_fidelity(q).ravel(),
-                        f_mc=[s.mean_fidelity for s in stats], stderr=[s.stderr for s in stats],
-                        samples=np.full(len(stats), args.samples))
+    f_mc, stderr = zip(*(pr.teleport_average_mc(row, args.samples, args.seed + i)
+                         for i, row in enumerate(q.reshape(-1, 4, 4, 4))))
+    return _sweep_table(args, r, f_analytic=pr.average_fidelity(q).ravel(), f_mc=f_mc,
+                        stderr=stderr, samples=np.full(len(f_mc), args.samples))
 
 
 def _rows_concentrate(args: argparse.Namespace):
     """One row per (alpha, eta), alpha major; the ideal swap once per eta."""
-    ideal = [pr.concentrate_ideal(eta).outcome_probs[:2] for eta in args.etas]
+    ideal = [pr.concentrate_ideal(eta)[0][:2] for eta in args.etas]
     rows = []
     for alpha in args.alphas:
         for eta, swap in zip(args.etas, ideal):

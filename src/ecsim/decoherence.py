@@ -10,7 +10,6 @@ r = sqrt(1 - t^2) in [0, 1).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,9 @@ import numpy as np
 from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap  # noqa: F401
 from .qubit_encoding import (
     TwoQubitDensity,
-    basis_from_squares,
+    basis_in_range,
     bell_coeffs,
     check_nondegenerate,
-    each_float,
     project_to_density,
 )
 
@@ -87,10 +85,9 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
         c = 2 - (1 + gamma) W
         d = -2 gamma + (1 + gamma) W
 
-    Each of these has the broadcast shape of ``alpha`` and ``r``;
-    N_theta = 1 - exp(-4 a^2), the time-independent normalization of the
-    undecayed basis, has the shape of ``alpha``.  An array ``alpha`` gives
-    each entry the bits of its own scalar call.
+    Each of these has the shape ``alpha.shape + r.shape``; N_theta =
+    1 - exp(-4 a^2), the time-independent normalization of the undecayed
+    basis, has the shape of ``alpha`` with a length-1 axis for each of ``r``.
     """
     t, a2, n_theta = closed_form_inputs(alpha, r)
     t2 = t * t
@@ -100,23 +97,35 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     return loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w, n_theta
 
 
+def _amplitudes(alpha) -> np.ndarray:
+    """``alpha`` as a float array, checked to hold positive amplitudes."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not alpha.size:
+        raise ValueError("alpha must hold at least one amplitude")
+    if not alpha.min() > 0.0:
+        raise ValueError("alpha must be positive")
+    return alpha
+
+
 def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(t, alpha^2, N_theta): t = sqrt(1 - r^2) shaped like ``r``, then alpha^2
-    and the undecayed basis's normalization N_theta = 1 - exp(-4 alpha^2)
-    shaped like ``alpha``, each entry with the bits of a scalar call.
+    and the undecayed basis's normalization N_theta = 1 - exp(-4 alpha^2),
+    shaped like ``alpha`` with a length-1 axis for each of ``r``: alpha's
+    axes come ahead of r's, as in ``channel_rho4``.
 
-    Also the closed forms' guard: raises DegenerateBasisError, with the same
-    message, when the numeric route's decayed basis is degenerate at any t;
-    it is so first at the least t, where N_theta alone is checked.
+    Checks ``alpha``, then ``r``, as ``channel_rho4`` does.  Also the closed
+    forms' guard: raises DegenerateBasisError, with the same message, when
+    the numeric route's decayed basis is degenerate at any t; it is so
+    first at the least t, where N_theta alone is checked.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _amplitudes(alpha)
     t = DecayClock.from_r(r).t
-    if not np.greater(alpha, 0.0).all():
-        raise ValueError("alpha must be positive")
+    alpha = alpha.reshape(alpha.shape + (1,) * t.ndim)
     t_min = t.min()
-    check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (t_min * alpha) ** 2))
-    a2 = each_float(lambda a: a**2, alpha)
-    return t, a2, each_float(lambda x: -math.expm1(-4.0 * x), a2)
+    ta = t_min * alpha
+    check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (ta * ta)))
+    a2 = alpha * alpha
+    return t, a2, -np.expm1(-4.0 * a2)
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
@@ -134,28 +143,19 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     and (-a, -a) cancel exactly, and those on the mixed kets are
     +-1/sqrt(2 N_theta), never zero (``bell_state`` drops and keeps the same).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if not alpha.size:
-        raise ValueError("alpha must hold at least one amplitude")
-    if not alpha.min() > 0.0:
-        raise ValueError("alpha must be positive")
-    # make_basis(a, 1.0) of every amplitude a, each with the bits of its own
-    # call: the squares one float at a time (Python's a**2 is libm's pow,
-    # numpy squares by a product, and the two can differ in the last bit)
-    undecayed = basis_from_squares(alpha, 1.0, each_float(lambda a: a**2, alpha))
-    b4 = bell_coeffs(4, undecayed)[1:3]
+    alpha = _amplitudes(alpha)
+    clock = DecayClock.from_r(r)
+    b4 = bell_coeffs(4, basis_in_range(alpha, 1.0))[1:3]
     # |B4><B4| in dyad_from_pure's term order, the amplitude axes last:
     # coefficients (terms, *alpha), kets and bras (terms, modes, *alpha)
     coeffs = (b4[:, None] * b4.conj()[None]).reshape((4,) + alpha.shape)
     kets, bras = np.multiply.outer(_DYAD_SIGNS, alpha)
-    clock = DecayClock.from_r(r)
     rho = decohere(CoherentOperator(coeffs, kets, bras), clock)
     # the amplitudes ahead of the decay-time axes; [()] makes a 0-d one a
     # scalar.  Both are in range: alpha is checked above, and a clock's t
     # lies in (0, 1].
     alpha = alpha.reshape(alpha.shape + (1,) * np.ndim(clock.t))[()]
-    ta = clock.t * alpha  # squared by a product, as numpy squares an array
-    return project_to_density(rho, basis_from_squares(alpha, clock.t, ta * ta))
+    return project_to_density(rho, basis_in_range(alpha, clock.t))
 
 
 def closed_form_vst(alpha, r) -> np.ndarray:
@@ -163,9 +163,9 @@ def closed_form_vst(alpha, r) -> np.ndarray:
 
     Both Bloch vectors are (b/N_theta, 0, 0) and T is diagonal with entries
     (a+d, -a+d, a-c)/(2 N_theta), with a, b, c, d and N_theta from
-    ``channel_coefficients``, and the trace c[..., 0, 0] is 1.  Broadcasts
-    over an array ``r`` and an array ``alpha``, such as an alpha column
-    against an r row, like ``closed_form_e``.
+    ``channel_coefficients``, and the trace c[..., 0, 0] is 1.  An array
+    ``alpha`` and an array ``r`` give shape ``alpha.shape + r.shape + (4, 4)``,
+    like ``closed_form_e``.
     """
     a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
     coords = np.zeros(np.shape(b) + (4, 4))

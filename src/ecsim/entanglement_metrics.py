@@ -2,18 +2,18 @@
 
 Every functional has two routes: a numeric one acting on the 4x4 matrix and
 a closed form in (alpha, r) for the damped entangled channel; the pair is
-cross-checked in the test suite.  Both broadcast: a batched density, or an
-array ``r`` and an ``alpha`` that broadcasts against it (an amplitude column
-against an r row: one closed-form call for a whole sweep), gives an array of
-values, each entry with the bits of its own scalar call; a single one gives
-a float.
+cross-checked in the test suite.  Both take batches: a batched density, or
+an array ``alpha`` and an array ``r`` (one closed-form call for a whole
+sweep, shaped ``alpha.shape + r.shape`` like ``channel_rho4``), gives an
+array of values, each entry with the bits of its own scalar call; a single
+one gives a float.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .decoherence import channel_coefficients, channel_rho4, closed_form_inputs
-from .qubit_encoding import TwoQubitDensity, each_float, pauli_decompose
+from .qubit_encoding import TwoQubitDensity, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
 
@@ -50,7 +50,6 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
     E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
     """
     a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
-    # squares as products, as numpy squares an array (a scalar's ** is libm's pow)
     c_d = c - d
     root = np.sqrt(16.0 * (b * b) + c_d * c_d)
     return _value((root - (2.0 * a + c + d)) / (4.0 * n_theta))
@@ -118,7 +117,7 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
     _, a2, n_theta = closed_form_inputs(alpha, r)
     r2 = np.square(r)  # r * r, for a list r too
     num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
-    return _value(num / (2.0 * each_float(lambda n: n**2, n_theta)))
+    return _value(num / (2.0 * (n_theta * n_theta)))
 
 
 def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -138,7 +137,7 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
     *_, g, w, n_theta = channel_coefficients(alpha, r)
-    return np.maximum(np.exp(-4.0 * alpha**2) - g, g - w) / (3.0 * n_theta)
+    return np.maximum(np.exp(-4.0 * (alpha * alpha)) - g, g - w) / (3.0 * n_theta)
 
 
 def characteristic_time(alpha: float) -> float:

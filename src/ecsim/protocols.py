@@ -166,14 +166,8 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
     return q.real.reshape(m.shape[:-2] + (4, 4, 4))
 
 
-@dataclass(frozen=True)
-class TeleportStats:
-    mean_fidelity: float
-    stderr: float
-
-
-def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> TeleportStats:
-    """Monte Carlo average fidelity of the standard scheme.
+def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo average fidelity of the standard scheme: (mean, stderr).
 
     Inputs are drawn uniformly from the logical Bloch sphere and one outcome
     is sampled per shot from its Born probability, through the channel's
@@ -260,7 +254,7 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> TeleportStats
         fids -= mean
         var = np.square(fids, out=fids).sum() / (samples - 1)
         stderr = float(math.sqrt(var) / math.sqrt(samples))
-    return TeleportStats(mean_fidelity=float(mean), stderr=stderr)
+    return float(mean), stderr
 
 
 def average_fidelity(q: np.ndarray) -> float | np.ndarray:
@@ -287,21 +281,15 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
 # four-mode tensors is (b', b'', b, c).
 
 
-@dataclass(frozen=True)
-class ConcentrationResult:
-    """Swapping outcomes B1..B4 for the ideal (orthonormal-qubit) pair state."""
-
-    outcome_probs: tuple[float, float, float, float]
-    resulting_states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def concentrate_ideal(eta: float) -> ConcentrationResult:
+def concentrate_ideal(eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Swap two copies of  cos(eta) |+-> - sin(eta) |-+>  (logical qubits).
 
     Explicit four-qubit construction: tensor the two pairs, project the
     measured pair on each Bell vector, and read off probabilities and
-    post-measurement states.  Outcomes B1 and B2 occur with probability
-    cos^2(eta) sin^2(eta) each and leave a maximally entangled pair.
+    post-measurement states: the outcome probabilities of B1..B4, shape (4,),
+    and the normalized post-measurement pair states, shape (4, 4).  Outcomes
+    B1 and B2 occur with probability cos^2(eta) sin^2(eta) each and leave a
+    maximally entangled pair.
     """
     if not (0.0 < eta < math.pi / 2.0):
         raise ValueError("eta must lie in (0, pi/2)")
@@ -317,7 +305,7 @@ def concentrate_ideal(eta: float) -> ConcentrationResult:
         p = float(np.vdot(chi, chi).real)
         probs.append(p)
         states.append(chi / math.sqrt(p) if p > 0 else chi)
-    return ConcentrationResult(outcome_probs=tuple(probs), resulting_states=tuple(states))
+    return np.array(probs), np.array(states)
 
 
 def partial_pair_state(basis: LogicalBasis, eta: float) -> CoherentSuperposition:

@@ -66,7 +66,8 @@ class LogicalBasis:
 
     @property
     def sin2theta(self) -> float | np.ndarray:
-        return np.exp(-2.0 * self.amplitude ** 2)
+        a = self.amplitude
+        return np.exp(-2.0 * (a * a))
 
 
 def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> LogicalBasis:
@@ -84,18 +85,20 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
         if not np.greater(alpha, 0.0).all():
             raise ValueError("alpha must be positive")
         raise ValueError("decay factor t must lie in (0, 1]")
-    return basis_from_squares(alpha, t, (t * alpha) ** 2)
+    return basis_in_range(alpha, t)
 
 
-def basis_from_squares(alpha, t, a2) -> LogicalBasis:
-    """``make_basis(alpha, t)`` from the squared amplitudes ``a2`` = (t alpha)^2,
-    for ``alpha`` and ``t`` already known to be in range; only the
-    degeneracy check is made."""
+def basis_in_range(alpha, t) -> LogicalBasis:
+    """``make_basis(alpha, t)`` for ``alpha`` and ``t`` already known to be in
+    range; only the degeneracy check is made.  The amplitude is squared by a
+    product, so a scalar call is the 0-d case of an array call, bit for bit."""
+    ta = t * alpha
+    a2 = ta * ta
     s2 = np.exp(-2.0 * a2)  # sin 2theta
     n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
     check_nondegenerate(alpha, t, n_theta)
     theta = 0.5 * np.arcsin(s2)
-    return LogicalBasis(amplitude=t * alpha, theta=theta, n_theta=n_theta)
+    return LogicalBasis(amplitude=ta, theta=theta, n_theta=n_theta)
 
 
 def check_nondegenerate(alpha, t, n_theta) -> None:
@@ -109,14 +112,6 @@ def check_nondegenerate(alpha, t, n_theta) -> None:
             f"basis degenerate at alpha={bad}, t={np.min(t)}: "
             f"1-exp(-4 t^2 a^2)={np.min(n_theta[amps == bad]):.3e}"
         )
-
-
-def each_float(f, x) -> np.ndarray:
-    """``f`` applied to every entry of ``x`` as a Python float, shaped like
-    ``x`` (0-d for a scalar): the bits of the scalar arithmetic, where
-    Python's and numpy's differ (``**``, ``math.expm1``)."""
-    x = np.asarray(x, dtype=float)
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:

@@ -303,10 +303,10 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("alphas", [[0.5, 1.0, 2.0], [0.5, 1.0]], ids=["three", "two"])
     def test_alpha_arrays_are_bitwise_scalar(self, alphas):
-        # a 1-D alpha against a scalar r, and an alpha column against an r row
+        # a 1-D alpha against a scalar r, and against a 1-D r
         alphas = np.array(alphas)
         r = np.linspace(0.0, 0.99, 7)
-        row, grid = closed_form_vst(alphas, 0.3), closed_form_vst(alphas[:, None], r)
+        row, grid = closed_form_vst(alphas, 0.3), closed_form_vst(alphas, r)
         for i, alpha in enumerate(alphas.tolist()):
             for got, want in ((row, closed_form_vst(alpha, 0.3)),
                               (grid, closed_form_vst(alpha, r))):

@@ -268,21 +268,22 @@ class TestMixednessPeak:
 
 
 def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
-    """E, f and S of one amplitude over an r grid, in the scalar float
-    arithmetic of the closed forms: Python's alpha**2 (libm's pow) and
-    math.expm1 per amplitude, numpy over the grid."""
+    """E, f and S of one amplitude over an r grid, in the arithmetic of the
+    closed forms: every square a product, numpy's ufuncs throughout."""
     t = np.sqrt(1.0 - r * r)
-    n = -math.expm1(-4.0 * alpha**2)
-    t2 = t**2
-    g, w = np.exp(-4.0 * (1.0 - t2) * alpha**2), np.exp(-4.0 * t2 * alpha**2)
+    a2 = alpha * alpha
+    n = -np.expm1(-4.0 * a2)
+    t2 = t * t
+    g, w = np.exp(-4.0 * (1.0 - t2) * a2), np.exp(-4.0 * t2 * a2)
     a, b = (1.0 - g) * w, (1.0 - g) * np.sqrt(w)
     c, d = 2.0 - (1.0 + g) * w, -2.0 * g + (1.0 + g) * w
     r2 = r * r
     return {
-        closed_form_e: (np.sqrt(16.0 * b**2 + (c - d) ** 2) - (2.0 * a + c + d)) / (4.0 * n),
+        closed_form_e: (np.sqrt(16.0 * (b * b) + (c - d) * (c - d)) - (2.0 * a + c + d))
+        / (4.0 * n),
         closed_form_f: np.maximum(1.0 + (1.0 - g) / n, 2.0 + (g - w) / n) / 3.0,
-        closed_form_s: np.expm1(-8.0 * r2 * alpha**2) * np.expm1(-8.0 * (1.0 - r2) * alpha**2)
-        / (2.0 * n**2),
+        closed_form_s: np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
+        / (2.0 * (n * n)),
     }
 
 
@@ -315,18 +316,31 @@ class TestBatches:
 
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_alpha_column_is_bitwise_the_scalar_calls(self, closed, numeric):
-        # Python's a**2 (libm's pow) and numpy's square differ on
+        # Python's a**2 (libm's pow) and a product differ on
         # 0.45641438732799167 and on the N_theta of 0.6367562934712789; the
         # rest span the CLI's range, then a random set
         rng = np.random.default_rng(45)
         alphas = np.concatenate(([0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6],
                                  rng.uniform(1e-3, 3.0, 40), 10.0 ** rng.uniform(-3.0, 6.0, 20)))
         r = np.linspace(0.0, 0.995, 31)
-        got = closed(alphas[:, None], r)
+        got = closed(alphas, r)
         assert got.shape == (len(alphas), len(r))
         for alpha, row in zip(alphas.tolist(), got):
             assert row.tobytes() == closed(alpha, r).tobytes()
             assert row.tobytes() == _closed_forms_one_amplitude(alpha, r)[closed].tobytes()
+
+    @pytest.mark.parametrize("closed,numeric",
+                             CLOSED_FORMS + [(closed_form_vst, pauli_decompose)])
+    @pytest.mark.parametrize("alpha_shape,r_shape",
+                             [((2,), (3,)), ((2, 2), (3,)), ((2,), (2, 3)), ((2,), ()), ((), (3,))],
+                             ids=["2-3", "2x2-3", "2-2x3", "2-scalar", "scalar-3"])
+    def test_closed_form_has_the_shape_of_the_numeric_route(self, closed, numeric,
+                                                             alpha_shape, r_shape):
+        alphas = np.linspace(0.5, 2.0, math.prod(alpha_shape)).reshape(alpha_shape)
+        r = np.linspace(0.1, 0.9, math.prod(r_shape)).reshape(r_shape)
+        got, want = closed(alphas, r), numeric(channel_rho4(alphas, r))
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) < 1e-9
 
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_closed_form_grid_degeneracy_guard(self, closed, numeric):

@@ -35,6 +35,10 @@ GUARDS = [
      "alpha must be positive"),
     ("channel-alpha-negative", lambda: dec.channel_rho4(-1.0, 0.5), ValueError,
      "alpha must be positive"),
+    ("closed-form-alpha-empty", lambda: em.closed_form_e(np.array([]), 0.5), ValueError,
+     "alpha must hold at least one amplitude"),
+    ("channel-alpha-empty", lambda: dec.channel_rho4(np.array([]), 0.5), ValueError,
+     "alpha must hold at least one amplitude"),
     ("bell-one-mode", lambda: pr.bell_measure_distribution(ONE), ValueError,
      "expected a two-mode state"),
     ("density-one-mode", lambda: qe.project_to_density(cs.dyad_from_pure(ONE), BASIS),

@@ -261,8 +261,8 @@ class TestTeleport:
         channel = TwoQubitDensity(np.eye(4) / 4.0)
         rec = teleport(QubitVector(1.0, 0.0), channel, 7)
         assert rec.fidelity == pytest.approx(0.5, abs=1e-12)
-        stats = teleport_average_mc(protocols.bloch_transfer(channel), 500, 11)
-        assert stats.mean_fidelity == pytest.approx(0.5, abs=1e-12)
+        mean, _ = teleport_average_mc(protocols.bloch_transfer(channel), 500, 11)
+        assert mean == pytest.approx(0.5, abs=1e-12)
 
     def test_seeded_determinism(self):
         channel = channel_rho4(1.0, 0.4)
@@ -285,14 +285,14 @@ class TestTeleport:
 
     def test_mc_matches_exact_average(self):
         q = protocols.bloch_transfer(channel_rho4(1.0, 0.3))
-        stats = teleport_average_mc(q, 100_000, seed=99)
-        assert abs(stats.mean_fidelity - average_fidelity(q)) <= 3 * stats.stderr
+        mean, stderr = teleport_average_mc(q, 100_000, seed=99)
+        assert abs(mean - average_fidelity(q)) <= 3 * stderr
 
     def test_mc_error_scaling(self):
         q = protocols.bloch_transfer(channel_rho4(1.0, 0.5))
-        s_small = teleport_average_mc(q, 2_000, seed=3)
-        s_big = teleport_average_mc(q, 32_000, seed=4)
-        ratio = s_small.stderr / s_big.stderr
+        _, se_small = teleport_average_mc(q, 2_000, seed=3)
+        _, se_big = teleport_average_mc(q, 32_000, seed=4)
+        ratio = se_small / se_big
         assert 2.5 < ratio < 6.5  # expect ~4 for a 16x sample increase
 
     def test_mc_reproducible(self):
@@ -369,7 +369,7 @@ class TestMonteCarloBlocks:
             monkeypatch.setattr(protocols, "MC_CHUNK", chunk)
             assert teleport_average_mc(channel, samples, seed=17) == want
 
-    # (mean_fidelity, stderr) computed by the earlier implementation, which
+    # (mean, stderr) computed by the earlier implementation, which
     # held a (samples, 4, 2, 2) branch array and drew outcomes with
     # uniform(0, total): same seed, same random stream, same estimate.
     @pytest.mark.parametrize(
@@ -384,9 +384,9 @@ class TestMonteCarloBlocks:
         ],
     )
     def test_estimate_pinned(self, make_channel, samples, seed, mean, stderr):
-        stats = teleport_average_mc(protocols.bloch_transfer(make_channel()), samples, seed)
-        assert stats.mean_fidelity == pytest.approx(mean, abs=1e-14)
-        assert stats.stderr == pytest.approx(stderr, abs=1e-14)
+        got = teleport_average_mc(protocols.bloch_transfer(make_channel()), samples, seed)
+        assert got[0] == pytest.approx(mean, abs=1e-14)
+        assert got[1] == pytest.approx(stderr, abs=1e-14)
 
     def test_working_memory_is_a_few_floats_per_shot(self):
         samples = 200_000
@@ -451,8 +451,8 @@ class TestAverageFidelity:
         want = p[3] + (1.0 - p[3]) / 3.0
         q = protocols.bloch_transfer(rho)
         assert average_fidelity(q) == pytest.approx(want, abs=1e-12)
-        stats = teleport_average_mc(q, 60_000, seed=8)
-        assert abs(stats.mean_fidelity - want) <= 3 * stats.stderr
+        mean, stderr = teleport_average_mc(q, 60_000, seed=8)
+        assert abs(mean - want) <= 3 * stderr
 
 
 # ---------------------------------------------------------------------------
@@ -620,41 +620,41 @@ class TestCorrectionMaps:
 
 class TestConcentrationIdeal:
     def test_symmetric_input_all_outcomes_maximal(self):
-        res = concentrate_ideal(math.pi / 4)
-        assert res.outcome_probs[0] == pytest.approx(0.25, abs=1e-12)
-        assert res.outcome_probs[1] == pytest.approx(0.25, abs=1e-12)
-        for state in res.resulting_states:
+        probs, states = concentrate_ideal(math.pi / 4)
+        assert probs[0] == pytest.approx(0.25, abs=1e-12)
+        assert probs[1] == pytest.approx(0.25, abs=1e-12)
+        for state in states:
             sv = np.linalg.svd(state.reshape(2, 2), compute_uv=False)
             assert np.max(np.abs(sv - SQRT_HALF)) < 1e-12  # maximally entangled
 
     @pytest.mark.parametrize("eta", [math.pi / 8, math.pi / 6, math.pi / 3])
     def test_success_probabilities(self, eta):
-        res = concentrate_ideal(eta)
+        probs, _ = concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
-        assert res.outcome_probs[0] == pytest.approx(want, abs=1e-12)
-        assert res.outcome_probs[1] == pytest.approx(want, abs=1e-12)
+        assert probs[0] == pytest.approx(want, abs=1e-12)
+        assert probs[1] == pytest.approx(want, abs=1e-12)
 
     def test_outcome_structure(self):
         eta = math.pi / 6
-        res = concentrate_ideal(eta)
-        assert sum(res.outcome_probs) == pytest.approx(1.0, abs=1e-12)
+        probs, states = concentrate_ideal(eta)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         # failed branches keep probability (cos^4 + sin^4)/2 each
         tail = (math.cos(eta) ** 4 + math.sin(eta) ** 4) / 2.0
-        assert res.outcome_probs[2] == pytest.approx(tail, abs=1e-12)
-        assert res.outcome_probs[3] == pytest.approx(tail, abs=1e-12)
+        assert probs[2] == pytest.approx(tail, abs=1e-12)
+        assert probs[3] == pytest.approx(tail, abs=1e-12)
         # the antisymmetric-outcome state is cos^2 |+-> - sin^2 |-+>
         want = np.zeros(4)
         want[1] = math.cos(eta) ** 2
         want[2] = -math.sin(eta) ** 2
         want /= np.linalg.norm(want)
-        got = res.resulting_states[3]
+        got = states[3]
         phase = np.vdot(got, want)
         assert abs(abs(phase) - 1.0) < 1e-12
 
     def test_first_outcomes_maximally_entangled(self):
-        res = concentrate_ideal(math.pi / 8)
+        _, states = concentrate_ideal(math.pi / 8)
         for k in (0, 1):
-            sv = np.linalg.svd(res.resulting_states[k].reshape(2, 2), compute_uv=False)
+            sv = np.linalg.svd(states[k].reshape(2, 2), compute_uv=False)
             assert np.max(np.abs(sv - SQRT_HALF)) < 1e-12
 
     def test_eta_range(self):

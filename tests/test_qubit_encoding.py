@@ -119,6 +119,23 @@ class TestMakeBasis:
         with pytest.raises(ValueError):
             make_basis(1.0, np.array([0.5, 1.5]))
 
+    ALPHAS = np.random.default_rng(48).uniform(0.01, 3.0, 20000)
+    TIMES = np.random.default_rng(49).uniform(0.05, 1.0, 20000)
+
+    # a scalar square by libm's pow once differed from an array's product:
+    # theta or n_theta of 15 of these amplitudes at t = 1, and of 10 of
+    # these t at alpha = 1.3
+    @pytest.mark.parametrize("alpha,t", [(ALPHAS, 1.0), (ALPHAS, 0.8), (ALPHAS, 0.3),
+                                         (ALPHAS, 0.05), (1.3, TIMES)],
+                             ids=["t1", "t0.8", "t0.3", "t0.05", "alpha1.3"])
+    def test_entries_are_bitwise_the_scalar_calls(self, alpha, t):
+        batch = make_basis(alpha, t)
+        alphas, times = np.broadcast_arrays(alpha, t)
+        scalar = [make_basis(a, x) for a, x in zip(alphas.tolist(), times.tolist())]
+        for name in ("amplitude", "theta", "n_theta", "sin2theta"):
+            want = np.array([getattr(b, name) for b in scalar])
+            assert getattr(batch, name).tobytes() == want.tobytes(), name
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             make_basis(-1.0, 1.0)
