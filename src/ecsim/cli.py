@@ -73,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it.
 
-    Each command holds only the flags it reads."""
+    Each command holds only the flags it reads; ``commands`` maps each
+    command's name to its own parser."""
     parser = _Parser(
         prog="ecsim",
         description="Entangled-coherent-channel sweeps and protocol experiments.",
@@ -110,14 +111,23 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag in names:
             p.add_argument(flag, **flags[flag])
+    parser.commands = sub.choices
     return parser
 
 
 def _parse(argv) -> argparse.Namespace:
     """Parse and validate a command line; raises ConfigError on bad values.
 
-    Each check runs only when the command has the flag it checks."""
-    args = _parser().parse_args(argv)
+    A command's own parser reads its flags, as the top-level parser would hand
+    them on; anything else (no arguments, an unknown command, -h) goes to the
+    top-level parser for its messages.  Each check runs only when the command
+    has the flag it checks."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        args = _parser().parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     given = vars(args)
     if "r_steps" in given:
         if not (0.0 <= args.r_min <= args.r_max):

@@ -20,6 +20,7 @@ code paths.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,6 +38,11 @@ DROP_TOL = 1e-15
 # array, (cutoff + 1) ** (modes - 1) per term, that to_fock builds (256 MiB of
 # complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
+# Most cutoffs whose fixed rows (_cutoff_rows) are kept for reuse, and the
+# largest such cutoff, that of a two-mode grid at FOCK_CELL_BUDGET: at most
+# ~70 kB a cutoff.  A one-mode state may ask for more; its rows are not kept.
+CUTOFF_ROWS_CACHED = 64
+LARGEST_CACHED_CUTOFF = math.isqrt(FOCK_CELL_BUDGET) - 1
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -56,10 +62,19 @@ class CoherentSuperposition:
     over without a copy and made read-only.  The coherent kets form a
     non-orthogonal basis; norms and overlaps are evaluated through the Gram
     matrix of pairwise coherent overlaps.
+
+    A private memo holds the arrays derived from ``amps`` alone, each
+    computed on first use: the mode-major amplitudes and their conjugates
+    with the halves +-|amp|^2/2 of ``log_overlap`` (for ``inner``), |amp|^2,
+    and the per-term root Poisson tails at each cutoff (for ``to_fock``),
+    none larger than T x M.  It relies on ``amps`` staying read-only.  A
+    scalar multiple keeps ``amps``, and so shares the memo; two threads that
+    fill one entry at once store equal arrays.
     """
 
     coeffs: np.ndarray
     amps: np.ndarray
+    _memo = None  # not a field: a state's own memo is made on first use
 
     def __post_init__(self):
         coeffs, amps = self.coeffs, self.amps
@@ -95,7 +110,9 @@ class CoherentSuperposition:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
-        return CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
+        out = CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
+        object.__setattr__(out, "_memo", _memo_of(self))  # same amps, same derived arrays
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +201,44 @@ def _mode_major(amps: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(amps.T)
 
 
+def _memo_of(s: CoherentSuperposition) -> dict:
+    """The state's memo of arrays derived from its amplitudes, made on first use."""
+    memo = s._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(s, "_memo", memo)
+    return memo
+
+
 def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Sesquilinear inner product <a|b> = c_a^dag exp(L) c_b, with L the
-    log-Gram matrix of the two term sets."""
-    if a.modes != b.modes:
+    log-Gram matrix of the two term sets.  Each state's side of L comes from
+    its memo; L is summed as ``log_overlap`` sums it."""
+    # written out in full (no property, no helper call): inner is the hottest
+    # call, mostly on fresh states
+    if a.amps.shape[1] != b.amps.shape[1]:
         raise ModeMismatchError(f"{a.modes} modes vs {b.modes} modes")
-    bras, kets = _mode_major(a.amps), _mode_major(b.amps)
-    gram = np.exp(log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0))
+    memo = a._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(a, "_memo", memo)
+    bra = memo.get("bra")
+    if bra is None:  # conj(b) and -|b|^2/2 of the mode-major amplitudes, (M, T, 1)
+        bras = np.ascontiguousarray(a.amps.T)[:, :, None]
+        bra = memo["bra"] = (np.conj(bras), -0.5 * np.square(np.abs(bras)))
+    memo = b._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(b, "_memo", memo)
+    ket = memo.get("ket")
+    if ket is None:  # g and |g|^2/2 of the mode-major amplitudes, (M, 1, T)
+        kets = np.ascontiguousarray(b.amps.T)[:, None, :]
+        ket = memo["ket"] = (kets, 0.5 * np.square(np.abs(kets)))
+    # log_overlap's (-|b|^2/2 - |g|^2/2) + conj(b) g, added in place: the sum
+    # commutes exactly
+    exps = bra[0] * ket[0]
+    exps += bra[1] - ket[1]
+    gram = np.exp(np.add.reduce(exps, 0))
     return complex(a.coeffs.conj() @ gram @ b.coeffs)
 
 
@@ -341,12 +389,21 @@ def operator_trace(rho: CoherentOperator) -> complex | np.ndarray:
 # truncated-Fock oracle
 
 
+def _abs2(s: CoherentSuperposition) -> np.ndarray:
+    """|amps|^2, shape (T, M), from the state's memo."""
+    memo = _memo_of(s)
+    abs2 = memo.get("abs2")
+    if abs2 is None:
+        abs2 = memo["abs2"] = np.square(np.abs(s.amps))
+    return abs2
+
+
 def auto_cutoff(s: CoherentSuperposition) -> int:
     """Cutoff heuristic 2m + 10 sqrt(m) + 20 with m the max per-mode |b|^2.
 
     Keeps the truncation tail below ~1e-12 for |b| <= 3.
     """
-    m = float(np.max(np.abs(s.amps) ** 2, initial=0.0))
+    m = float(np.max(_abs2(s), initial=0.0))
     return math.ceil(2.0 * m + 10.0 * math.sqrt(m) + 20.0)
 
 
@@ -372,16 +429,40 @@ def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
     return np.exp(k * log_ratio - (m - k) - (_LOG_SQRT_2PI + 0.5 * math.log(k) + delta))
 
 
+def _series_cap(limit: int) -> float:
+    """Terms at which prod_i limit/(limit + i) drops below e^-40."""
+    return 41.0 + math.sqrt(1600.0 + 80.0 * limit)
+
+
 def _series_length(first_ratio: float, limit: int) -> int:
     """How many terms of 1 + r_1 + r_1 r_2 + ... leave a remainder below
     ~1e-17 of the first, when every ratio is at most ``first_ratio`` < 1
     and the products fall at least as fast as prod_i limit/(limit + i):
-    the fewer of the geometric count and the count at which that product
-    drops below e^-40."""
+    the fewer of the geometric count and ``_series_cap``."""
     if first_ratio <= 0.0:
         return 1
     geometric = 39.2 / -math.log(first_ratio)
-    return int(min(geometric, 41.0 + math.sqrt(1600.0 + 80.0 * limit))) + 1
+    return int(min(geometric, _series_cap(limit))) + 1
+
+
+@functools.lru_cache(maxsize=CUTOFF_ROWS_CACHED)
+def _cached_cutoff_rows(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rows fixed by the cutoff k alone: sqrt(1), ..., sqrt(k) for
+    ``to_fock``'s recursion, and the denominators k+1, k+2, ... and k, k-1,
+    ..., 1 of ``poisson_tail``'s upper and lower series, each as long as its
+    longest series (a series takes a prefix)."""
+    rows = (np.sqrt(np.arange(1, k + 1)),
+            np.arange(k + 1.0, k + 2.0 + int(_series_cap(k + 1))),
+            np.arange(k, 0, -1.0))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+def _cutoff_rows(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cutoff's rows, made once per cutoff up to LARGEST_CACHED_CUTOFF."""
+    make = _cached_cutoff_rows if k <= LARGEST_CACHED_CUTOFF else _cached_cutoff_rows.__wrapped__
+    return make(k)
 
 
 def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
@@ -410,7 +491,7 @@ def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
 def _poisson_upper_tail(k: int, m: np.ndarray, top: float) -> np.ndarray:
     """sum_{n > k} P(N = n), for 0 <= m <= top <= k + 1."""
     n = _series_length(top / (k + 2), k + 1)
-    terms = np.cumprod(m[..., None] / np.arange(k + 1.0, k + 1.0 + n), axis=-1)
+    terms = np.cumprod(m[..., None] / _cutoff_rows(k)[1][:n], axis=-1)
     return _poisson_pmf(k, m) * terms.sum(axis=-1)
 
 
@@ -420,7 +501,7 @@ def _poisson_lower_tail(k: int, m: np.ndarray) -> np.ndarray:
     # amplitude beyond ~1e154, out of the exponent
     m = np.minimum(m, 1e300)
     n = min(k, _series_length(k / float(m.min()), k))
-    terms = np.cumprod(np.arange(k, k - n, -1.0) / m[..., None], axis=-1)
+    terms = np.cumprod(_cutoff_rows(k)[2][:n] / m[..., None], axis=-1)
     return 1.0 - _poisson_pmf(k, m) * (1.0 + terms.sum(axis=-1))
 
 
@@ -430,10 +511,15 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     Per ket, the per-mode photon distribution is Poisson(|b|^2), whose mass
     above the cutoff is ``poisson_tail``; the lost norm of the product ket
     is bounded by the summed per-mode tails.  The triangle inequality then
-    bounds the superposition's loss.
+    bounds the superposition's loss.  The per-term roots of those sums are
+    kept in the state's memo, one array per cutoff.
     """
-    tails = poisson_tail(cutoff, np.abs(s.amps) ** 2).sum(axis=1)
-    total = float(np.abs(s.coeffs) @ np.sqrt(tails))
+    memo = _memo_of(s)
+    roots = memo.get(("root_tails", cutoff))  # per term
+    if roots is None:
+        roots = memo["root_tails", cutoff] = np.sqrt(
+            poisson_tail(cutoff, _abs2(s)).sum(axis=1))
+    total = float(np.abs(s.coeffs) @ roots)
     return total * total
 
 
@@ -445,6 +531,9 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     than FOCK_CELL_BUDGET amplitudes, and when a vacuum amplitude
     e^{-|amp|^2/2} falls below the normal range (|amp| > ~37.6).  Truncation
     is never silent: the record holds the bound on the norm lost beyond it.
+    |amp|^2 and the per-term root tails come from the state's memo, and the
+    rows fixed by the cutoff from ``_cutoff_rows``; the table is built anew
+    on every call.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
@@ -458,7 +547,7 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
         )
     # <0|b> per amplitude; below the normal range the row n = 0..cutoff
     # built on it loses precision, then vanishes
-    vacuum = np.exp(-0.5 * np.abs(s.amps) ** 2)
+    vacuum = np.exp(-0.5 * _abs2(s))
     if vacuum.min(initial=1.0) < sys.float_info.min:
         raise CutoffError(
             f"|amp| = {np.abs(s.amps).max():.4g}: the Fock vacuum amplitude "
@@ -468,7 +557,7 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
     table[..., 0] = vacuum
-    table[..., 1:] = s.amps[..., None] / np.sqrt(np.arange(1, cutoff + 1))
+    table[..., 1:] = s.amps[..., None] / _cutoff_rows(cutoff)[0]
     np.cumprod(table, axis=-1, out=table)
     # sum_t c_t table[t, 0] (x) ... (x) table[t, M-1]: the coefficient rides on
     # mode 0, modes 1.. form a row-wise outer product, and one matrix product

@@ -115,17 +115,20 @@ def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Checks ``alpha``, then ``r``, as ``channel_rho4`` does.  Also the closed
     forms' guard: raises DegenerateBasisError, with the same message, when
-    the numeric route's decayed basis is degenerate at any t; it is so
+    the numeric route's basis is degenerate, which ``channel_rho4`` checks
+    undecayed first and then at every t; the decayed basis is degenerate
     first at the least t, where N_theta alone is checked.
     """
     alpha = _amplitudes(alpha)
     t = DecayClock.from_r(r).t
     alpha = alpha.reshape(alpha.shape + (1,) * t.ndim)
+    a2 = alpha * alpha
+    n_theta = -np.expm1(-4.0 * a2)
+    check_nondegenerate(alpha, 1.0, n_theta)
     t_min = t.min()
     ta = t_min * alpha
     check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (ta * ta)))
-    a2 = alpha * alpha
-    return t, a2, -np.expm1(-4.0 * a2)
+    return t, a2, n_theta
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:

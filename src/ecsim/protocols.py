@@ -9,6 +9,7 @@ and the continuous-variable fidelity of the entangled coherent channel.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +90,16 @@ class BellMeasurement:
         return 0.5 * wrong / (wrong + right)
 
 
+# Most (n_f, n_g) records bell_measure_distribution keeps for reuse: every
+# cell of a cutoff-63 grid.
+BELL_RECORDS_CACHED = 4096
+
+
+@functools.lru_cache(maxsize=BELL_RECORDS_CACHED)
+def _bell_outcome(n_f: int, n_g: int) -> BellOutcome:
+    return BellOutcome(classify_counts(n_f, n_g), (n_f, n_g))
+
+
 def bell_measure_distribution(
     state: CoherentSuperposition, cutoff: int | None = None
 ) -> BellMeasurement:
@@ -96,7 +107,9 @@ def bell_measure_distribution(
 
     Applies the 50:50 beam splitter to the two modes and counts photons in
     both outputs; each count pair is classified by ``classify_counts``.  The
-    record keeps the Fock truncation's tail bound.
+    record keeps the Fock truncation's tail bound.  Equal counts give the same
+    frozen ``BellOutcome`` object, from a cache of the last
+    ``BELL_RECORDS_CACHED`` count pairs.
     """
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
@@ -105,10 +118,8 @@ def bell_measure_distribution(
     probs = dist.probs.ravel()
     cells = np.flatnonzero(probs > 0.0)
     n_f, n_g = np.divmod(cells, dist.cutoff + 1)
-    outcomes = tuple(
-        (BellOutcome(classify_counts(f, g), (f, g)), p)
-        for f, g, p in zip(n_f.tolist(), n_g.tolist(), probs[cells].tolist())
-    )
+    outcomes = tuple(zip(map(_bell_outcome, n_f.tolist(), n_g.tolist()),
+                         probs[cells].tolist()))
     return BellMeasurement(outcomes=outcomes, tail_bound=dist.tail_bound)
 
 
@@ -314,8 +325,8 @@ def partial_pair_state(basis: LogicalBasis, eta: float) -> CoherentSuperposition
     if not (0.0 < eta < math.pi / 2.0):
         raise ValueError("eta must lie in (0, pi/2)")
     a = basis.amplitude
-    return normalized(math.cos(eta) * CoherentSuperposition.ket(a, -a)
-                      - math.sin(eta) * CoherentSuperposition.ket(-a, a))
+    coeffs = np.array([math.cos(eta), -math.sin(eta)], dtype=complex)
+    return normalized(CoherentSuperposition(coeffs, np.array([[a, -a], [-a, a]], dtype=complex)))
 
 
 @dataclass(frozen=True)

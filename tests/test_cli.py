@@ -242,6 +242,23 @@ class TestParser:
         assert cli._parser.cache_info().misses == 1
         assert cli._parser() is cli._parser()
 
+    @pytest.mark.parametrize("argv", [
+        ["fig2a"], ["fig2b", "--alphas", "0.5", "1e-1", "--r-steps", "3"],
+        ["teleport-mc", "--samples", "30", "--seed", "4"], ["bellmeas", "--cut", "5"],
+        ["concentrate", "--etas", "0.3", "--alph", "1"], ["cv", "--format", "json"],
+        ["report"], [], ["bogus"], ["--", "fig2a"], ["fig2a", "--bogus"], ["fig2a", "extra"],
+        ["fig2a", "--alphas"], ["teleport-mc", "--samples", "x"], ["report", "--format", "csv"],
+    ])
+    def test_command_parser_reads_as_the_nested_parse(self, argv):
+        # the command's own parser gives the Namespace, or the error text, of
+        # the top-level parser handing it the rest of the line
+        def outcome(parse):
+            try:
+                return vars(parse(argv))
+            except cli.ConfigError as exc:
+                return str(exc)
+        assert outcome(cli._parse) == outcome(cli._parser().parse_args)
+
     def test_defaults_survive_repeated_parsing(self):
         first = cli._parse(["concentrate"])
         cli._parse(["concentrate", "--alphas", "0.5", "--etas", "0.3"])
@@ -291,15 +308,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["fig2a", "fig2b", "fig3", "teleport-mc"])
     @pytest.mark.parametrize("alphas", [("1", "1e-7"), ("1e-7", "1"), ("0.5", "2e-6", "2")])
     def test_degenerate_alpha_in_a_list(self, command, alphas, capsys):
-        # the message is that of the degenerate amplitude alone: a fig sweep's
-        # closed form guards with the decayed basis over the whole grid;
-        # teleport-mc's channel builds the undecayed basis first.  2e-6 is
-        # degenerate only at the smallest decay factors.
+        # the message is that of the degenerate amplitude alone, and both
+        # channel routes name the same basis: the undecayed one first, then the
+        # decayed one over the whole grid.  2e-6 is degenerate only at the
+        # smallest decay factors.
         argv = [command, "--alphas", *alphas, "--r-steps", "4"]
         bad = float(next(a for a in alphas if float(a) < 1e-3))
         with pytest.raises(DegenerateBasisError) as guard:
-            if command == "teleport-mc":
-                qe.make_basis(bad, 1.0)
+            qe.make_basis(bad, 1.0)
             qe.make_basis(bad, dec.DecayClock.from_r(cli._r_grid(cli._parse(argv))).t)
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [f"ecsim: numeric guard: {guard.value}"]

@@ -653,6 +653,88 @@ class TestConsolidate:
         assert peak < 4 * 2**20
 
 
+def log_overlap_inner(a, b):
+    """<a|b> summed from ``log_overlap`` alone, with no memo."""
+    bras, kets = np.ascontiguousarray(a.amps.T), np.ascontiguousarray(b.amps.T)
+    gram = np.exp(log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0))
+    return complex(a.coeffs.conj() @ gram @ b.coeffs)
+
+
+def fresh_copy(s, scalar=1.0):
+    """``scalar * s`` as a new state on copied arrays: an empty memo."""
+    return CoherentSuperposition(complex(scalar) * s.coeffs.copy(), s.amps.copy())
+
+
+def same_bits(x, y) -> bool:
+    return np.array([x]).tobytes() == np.array([y]).tobytes()
+
+
+def same_fock(f, g) -> bool:
+    return (f.cutoff, f.modes) == (g.cutoff, g.modes) and f.amps.tobytes() == g.amps.tobytes() \
+        and same_bits(f.tail_bound, g.tail_bound)
+
+
+def memo_arrays(s):
+    for value in s._memo.values():
+        yield from value if isinstance(value, tuple) else (value,)
+
+
+class TestMemo:
+    """A state computes each array derived from its amplitudes once, and every
+    result has the bits of a fresh state's."""
+
+    @pytest.mark.parametrize("terms,modes", sizes(24))
+    def test_fresh_repeated_and_scaled_calls_agree(self, terms, modes):
+        rng = np.random.default_rng([24, terms, modes])
+        s, u = array_state(rng, terms, modes), array_state(rng, terms, modes)
+        cutoff = auto_cutoff(s) if modes <= 2 else 4
+        want = {"su": log_overlap_inner(s, u), "us": log_overlap_inner(u, s),
+                "ss": log_overlap_inner(s, s)}
+        fock = to_fock(fresh_copy(s), cutoff)
+        for _ in range(2):  # fresh, then from the memo
+            assert same_bits(inner(s, u), want["su"]) and same_bits(inner(u, s), want["us"])
+            assert same_bits(inner(s, s), want["ss"])
+            assert same_bits(norm(s), norm(fresh_copy(s)))
+            assert same_fock(to_fock(s, cutoff), fock)
+        k = 0.3 - 1.7j
+        scaled = k * s
+        assert scaled._memo is s._memo and scaled.amps is s.amps
+        assert same_bits(inner(scaled, u), log_overlap_inner(fresh_copy(s, k), u))
+        assert same_bits(inner(u, scaled), log_overlap_inner(u, fresh_copy(s, k)))
+        assert same_bits(norm(scaled), norm(fresh_copy(s, k)))
+        assert same_fock(to_fock(scaled, cutoff), to_fock(fresh_copy(s, k), cutoff))
+        assert same_fock(to_fock(normalized(s), cutoff), to_fock(normalized(fresh_copy(s)), cutoff))
+
+    @pytest.mark.parametrize("terms,modes", sizes(25, cases=6))
+    def test_memo_holds_no_array_beyond_terms_times_modes(self, terms, modes):
+        s = array_state(np.random.default_rng([25, terms, modes]), terms, modes)
+        inner(s, s)
+        for cutoff in (2, 3, 5):
+            to_fock(s, cutoff)
+        assert {"bra", "ket", "abs2", ("root_tails", 5)} <= set(s._memo)
+        assert all(a.size <= terms * modes for a in memo_arrays(s))
+
+    def test_a_new_amplitude_array_starts_a_new_memo(self):
+        s = CoherentSuperposition.ket(0.5, 1.0) + CoherentSuperposition.ket(-0.5, 0.2)
+        inner(s, s)
+        for other in (beam_split(s, 0, 1), s + s, dataclasses.replace(s), consolidate(s + s)):
+            assert other._memo is None or other._memo is not s._memo
+
+    def test_cutoff_rows_are_read_only_and_bounded(self):
+        rows, cached = coherent_states._cutoff_rows, coherent_states._cached_cutoff_rows
+        assert cached.cache_info().maxsize == coherent_states.CUTOFF_ROWS_CACHED
+        largest = coherent_states.LARGEST_CACHED_CUTOFF
+        assert (largest + 2) ** 2 > FOCK_CELL_BUDGET  # a two-mode grid needs no more
+        assert not any(row.flags.writeable for row in rows(7))
+        assert rows(7) is rows(7) and rows(largest) is rows(largest)
+        assert rows(largest + 1) is not rows(largest + 1)
+        for k in (0, 1, 7, largest + 1):  # prefixes of the rows that were built per call
+            root, upper, lower = rows(k)
+            assert root.tobytes() == np.sqrt(np.arange(1, k + 1)).tobytes()
+            assert upper[:9].tobytes() == np.arange(k + 1.0, k + 10.0).tobytes()
+            assert lower.tobytes() == np.arange(k, 0, -1.0).tobytes()
+
+
 class TestStorage:
     def test_arrays_are_read_only(self):
         s = CoherentSuperposition.ket(0.5, 1.0) + CoherentSuperposition.ket(-0.5, 0.2)

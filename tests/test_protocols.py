@@ -216,6 +216,23 @@ class TestBellMeasurement:
             assert all(type(n) is int for o, _ in got for n in o.counts)
             assert all(type(p) is float for _, p in got)
 
+    def test_equal_counts_give_the_same_record(self):
+        # a record is made once per count pair and shared by every call
+        first = bell_measure_distribution(bell_state(1, make_basis(1.2, 1.0)))
+        again = bell_measure_distribution(bell_state(1, make_basis(1.2, 1.0)))
+        other = bell_measure_distribution(bell_state(3, make_basis(0.9, 1.0)))
+        assert all(a is b for (a, _), (b, _) in zip(first.outcomes, again.outcomes, strict=True))
+        records = {o.counts: o for o, _ in first.outcomes}
+        shared = [o for o, _ in other.outcomes if o.counts in records]
+        assert shared and all(records[o.counts] is o for o in shared)
+
+    def test_record_cache_is_bounded(self):
+        cached = protocols._bell_outcome
+        assert cached.cache_info().maxsize == protocols.BELL_RECORDS_CACHED
+        for n_g in range(protocols.BELL_RECORDS_CACHED + 1):
+            assert cached(7, n_g).counts == (7, n_g)
+        assert cached.cache_info().currsize == protocols.BELL_RECORDS_CACHED
+
     def test_tail_tolerance(self):
         state = bell_state(1, make_basis(4.0, 1.0))
         # the record carries the bound; the bellmeas command refuses it
@@ -668,6 +685,18 @@ class TestConcentrationExact:
     def test_pair_state_normalized(self):
         s = partial_pair_state(make_basis(0.7, 1.0), math.pi / 6)
         assert norm(s) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 2.6, 9.0])
+    def test_pair_state_has_the_bytes_of_two_kets(self, alpha):
+        # reference: the two-ket construction cos(eta) |a,-a> - sin(eta) |-a,a>
+        basis = make_basis(alpha, 1.0)
+        a = basis.amplitude
+        for eta in (0.01, math.pi / 8, math.pi / 4, 1.2, math.pi / 2 - 1e-9):
+            want = normalized(math.cos(eta) * CoherentSuperposition.ket(a, -a)
+                              - math.sin(eta) * CoherentSuperposition.ket(-a, a))
+            got = partial_pair_state(basis, eta)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.amps.tobytes() == want.amps.tobytes()
 
     def test_outcome_is_exactly_b2(self):
         for alpha, eta in ((0.5, math.pi / 8), (1.0, math.pi / 6), (2.0, math.pi / 3)):
