@@ -235,7 +235,7 @@ def _random_hermitian_operator(rng, modes):
     return cs.dyad_from_pure(s1) + w * cs.dyad_from_pure(s2)
 
 
-def property_gram_positivity(cases=1000):
+def property_gram_positivity(cases):
     rng = np.random.default_rng(301)
     worst = math.inf
     for _ in range(cases):
@@ -247,7 +247,7 @@ def property_gram_positivity(cases=1000):
     return True, f"min norm^2 = {worst:.3e} over {cases} states"
 
 
-def property_linear_optics_norm(cases=1000):
+def property_linear_optics_norm(cases):
     rng = np.random.default_rng(302)
     worst = 0.0
     for _ in range(cases):
@@ -263,7 +263,7 @@ def property_linear_optics_norm(cases=1000):
     return True, f"max norm drift = {worst:.3e} over {cases} states"
 
 
-def property_trace_preservation(cases=1000):
+def property_trace_preservation(cases):
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(cases):
@@ -277,7 +277,7 @@ def property_trace_preservation(cases=1000):
     return True, f"max trace drift = {worst:.3e} over {cases} operators"
 
 
-def property_density_validity(cases=1000):
+def property_density_validity(cases):
     rng = np.random.default_rng(304)
     for _ in range(cases):
         alpha = rng.uniform(0.1, 2.0)
@@ -294,7 +294,7 @@ def property_density_validity(cases=1000):
     return True, f"{cases} channel densities validated"
 
 
-def property_pauli_round_trip(cases=1000):
+def property_pauli_round_trip(cases):
     rng = np.random.default_rng(305)
     worst = 0.0
     for _ in range(cases):
@@ -311,7 +311,7 @@ def property_pauli_round_trip(cases=1000):
     return True, f"max round-trip error = {worst:.3e} over {cases} densities"
 
 
-def property_semigroup(cases=1000):
+def property_semigroup(cases):
     rng = np.random.default_rng(306)
     worst = 0.0
     for _ in range(cases):
@@ -331,7 +331,7 @@ def property_semigroup(cases=1000):
     return True, f"max semigroup defect = {worst:.3e} over {cases} operators"
 
 
-def property_cli_determinism(cases=1000):
+def property_cli_determinism(cases):
     from . import cli  # deferred: cli imports this module for `report`
 
     rng = np.random.default_rng(307)
@@ -400,7 +400,7 @@ def _run(check_id, name, check, **kwargs) -> tuple[CheckResult, float]:
     return CheckResult(check_id, name, bool(passed), f"{detail} [{elapsed:.1f}s]"), elapsed
 
 
-def run_property_suite(cases=1000):
+def run_property_suite(cases):
     """Run all randomized suites; returns results plus total runtime check."""
     results, times = zip(*(_run(*check, cases=cases) for check in _PROPERTY_CHECKS))
     total = sum(times)
@@ -409,6 +409,6 @@ def run_property_suite(cases=1000):
     return [*results, runtime]
 
 
-def run_all(property_cases=1000) -> list[CheckResult]:
+def run_all(property_cases) -> list[CheckResult]:
     """Evaluate every acceptance check in order; each detail ends in its time."""
     return [_run(*check)[0] for check in _CHECKS] + run_property_suite(cases=property_cases)

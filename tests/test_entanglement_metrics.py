@@ -1,11 +1,13 @@
 """Negativity, singlet fraction, fidelity, and entropy functionals."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ecsim import entanglement_metrics as em
+from ecsim import protocols as pr
 from ecsim.decoherence import channel_rho4, closed_form_vst
 from ecsim.errors import DegenerateBasisError
 from ecsim.entanglement_metrics import (
@@ -22,7 +24,14 @@ from ecsim.entanglement_metrics import (
     singlet_fraction,
     vn_entropy,
 )
-from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, TwoQubitDensity, pauli_decompose
+from ecsim.qubit_encoding import (
+    BELL_VECTORS,
+    PAULIS,
+    TwoQubitDensity,
+    bell_state,
+    make_basis,
+    pauli_decompose,
+)
 from test_protocols import _average_fidelity_reference
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -415,3 +424,45 @@ def test_pauli_coefficients_accuracy_envelope(lo, hi, vs_tol, t_tol):
                                 ("t", np.s_[..., 1:, 1:], t_tol)):
             err = np.max(np.abs(got[a][part] - want[part]))
             assert err <= tol, (name, alpha, err)
+
+
+# Every closed form of the library, and the helpers only they call.
+CLOSED_FORM_NAMES = ("channel_coefficients", "closed_form_inputs", "closed_form_vst",
+                "closed_form_e", "closed_form_f", "closed_form_s", "_fidelity_margin",
+                "misid_probability_closed", "concentration_success_closed_form")
+
+
+def test_numeric_route_calls_no_closed_form(monkeypatch):
+    # the numeric route (coherent algebra, projection, metric) is the
+    # independent oracle for the closed forms: with every binding of a closed
+    # form, in every loaded ecsim module, replaced by one that fails, it runs
+    called = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"the numeric route called {name}")
+        return call
+
+    bound = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "ecsim":
+            continue
+        for name in CLOSED_FORM_NAMES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+                bound.add(name)
+    assert bound == set(CLOSED_FORM_NAMES)
+
+    rho = channel_rho4(np.array([0.4, 1.0, 2.5]), np.linspace(0.0, 0.99, 7))
+    assert rho.matrix.shape == (3, 7, 4, 4)
+    for metric in (negativity_e, singlet_fraction, optimal_fidelity, linear_entropy,
+                   vn_entropy):
+        assert np.isfinite(metric(rho)).all()
+    assert np.isfinite(pauli_decompose(rho)).all()
+    assert np.isfinite(pr.average_fidelity(pr.bloch_transfer(rho))).all()
+    state = bell_state(1, make_basis(1.0, 1.0))
+    assert 0.0 < pr.bell_measure_distribution(state).misidentification() < 0.5
+    assert 0.0 < pr.concentrate_exact(1.0, 0.3).success_probability < 1.0
+    assert mixedness_peak(1.0, "vn") == pytest.approx(SQRT_HALF, abs=1e-6)
+    assert called == []

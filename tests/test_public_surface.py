@@ -26,7 +26,7 @@ CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 ALLOWED: set[str] = set()
 # The layers whose parameter defaults must each be passed by some program call.
 LAYERS = ("coherent_states", "qubit_encoding", "decoherence", "entanglement_metrics",
-          "protocols")
+          "protocols", "acceptance")
 
 
 def _parse(path: Path) -> ast.Module:

@@ -14,6 +14,7 @@ from ecsim.coherent_states import (
     norm,
     tensor,
 )
+from ecsim import decoherence, qubit_encoding
 from ecsim.decoherence import DecayClock, channel_rho4, decohere
 from ecsim.errors import DegenerateBasisError, DensityError, SpanError
 from ecsim.qubit_encoding import (
@@ -280,30 +281,85 @@ class TestDensityProjection:
 
 
 def _project_reference(rho, basis):
-    """The projection as one five-operand contraction over the dyads."""
-    amps = np.stack((rho.kets, rho.bras), axis=1)  # (terms, side, mode, *grid)
-    ket0, bra0 = logical_coords(amps[:, :, 0], basis).swapaxes(0, 1)
-    ket1, bra1 = logical_coords(amps[:, :, 1], basis).swapaxes(0, 1)
-    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl",
-                    rho.coeffs, ket0, ket1, bra0, bra1)
-    return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4))).matrix
+    """The projection as it was computed before it became one contraction:
+    the coefficients split into real and imaginary parts, the grid flat and
+    worked through in blocks of 128 points, each dyad's products taken on
+    the (re, im) pair and viewed as complex at the end."""
+    coords = logical_coords(
+        np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis
+    )
+    # (terms, side, mode, logical index, *grid), the grid flat
+    coords = coords.transpose(0, 1, 2, -1, *range(3, coords.ndim - 1))
+    grid = coords.shape[4:]
+    coords = coords.reshape(coords.shape[:4] + (-1,))
+    c = rho.coeffs.reshape(len(rho.coeffs), 1, -1)
+    c = np.concatenate((c.real, c.imag), axis=1)  # (terms, re/im, points)
+    n = coords.shape[-1]
+    out = np.empty((n, 32))
+    for start in range(0, n, 128):
+        s = slice(start, start + 128)
+        out[s] = _summed_products(c[..., s], coords[..., s])
+    # (points, 16 entries, re/im) viewed as complex (*grid, 4, 4)
+    return out.view(complex).reshape(grid + (4, 4))
+
+
+def _summed_products(c, coords):
+    """The sum over terms of c x ket0 x ket1 x bra0 x bra1, (points, 32),
+    each product in that order on the (re, im) pair of c; the terms are
+    summed from zero in order."""
+    prod = c[:, None] * coords[:, 0, 0, :, None]
+    prod = prod[:, :, None] * coords[:, 0, 1, None, :, None]
+    prod = prod[:, :, :, None] * coords[:, 1, 0, None, None, :, None]
+    prod = prod[:, :, :, :, None] * coords[:, 1, 1, None, None, None, :, None]
+    return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
+
+
+@dataclass(frozen=True)
+class _Unchecked:
+    """Stands in for TwoQubitDensity: the projection's output as it is handed
+    to the density checks (alpha = 1e-3 fails the trace check at some r)."""
+
+    matrix: np.ndarray
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestProjectionReference:
-    @pytest.mark.parametrize("alpha", np.linspace(0.1, 2.5, 13))
-    def test_matches_contraction_on_channel_grid(self, alpha):
-        clock = DecayClock.from_r(np.linspace(0.0, 0.995, 300))
+    @pytest.fixture(autouse=True)
+    def unchecked(self, monkeypatch):
+        monkeypatch.setattr(qubit_encoding, "TwoQubitDensity", _Unchecked)
+
+    # block edges (127-129, 257 points) and a 2-D (3, 400) decay-time grid
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 2.5, 13.4, 1e6])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (127,), (128,), (129,), (257,), (3, 400)])
+    def test_bitwise_on_channel_grid(self, alpha, shape):
+        r = np.linspace(0.0, 0.995, math.prod(shape)).reshape(shape)
+        clock = DecayClock.from_r(r)
         rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
         basis = make_basis(alpha, clock.t)
-        got = project_to_density(rho, basis).matrix
-        assert np.max(np.abs(got - _project_reference(rho, basis))) <= 1e-15
+        _same_bits(project_to_density(rho, basis).matrix, _project_reference(rho, basis))
 
-    def test_matches_contraction_on_mixture(self):
+    def test_bitwise_on_alpha_r_grid(self, monkeypatch):
+        # the operator and basis that channel_rho4 projects on an (alpha, r) grid
+        seen = []
+
+        def keep(rho, basis):
+            seen.append((rho, basis))
+            return project_to_density(rho, basis)
+
+        monkeypatch.setattr(decoherence, "project_to_density", keep)
+        got = channel_rho4(np.array([1e-3, 0.4, 1.7, 13.4]), np.linspace(0.0, 0.9999, 131))
+        assert got.matrix.shape == (4, 131, 4, 4)
+        _same_bits(got.matrix, _project_reference(*seen[0]))
+
+    def test_bitwise_on_mixture(self):
         b = make_basis(0.8, 1.0)
         op = dyad_from_pure(bell_state(2, b)) + 0.5 * dyad_from_pure(bell_state(3, b))
         op = (1.0 / 1.5) * op
-        got = project_to_density(op, b).matrix
-        assert np.max(np.abs(got - _project_reference(op, b))) <= 1e-15
+        _same_bits(project_to_density(op, b).matrix, _project_reference(op, b))
 
 
 class TestPauli:
