@@ -7,7 +7,6 @@ product ordering {Psi+Psi+, Psi+Psi-, Psi-Psi+, Psi-Psi-}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ PAULI_PRODUCTS = PAULI_PRODUCTS.reshape(4, 4, 4, 4)
 # completes exactly when every eigenvalue lies above -1e-10.
 _PSD_SHIFT = 1e-10 * np.eye(4)
 
-_SQ2 = math.sqrt(2.0)
+_SQ2 = np.sqrt(2.0)
 # Ideal Bell vectors in logical coordinates (rows: B1..B4).
 BELL_VECTORS = np.array(
     [
@@ -138,29 +137,24 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
     B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2,
     from the logical kets Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)
     and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta).  Each
-    coefficient takes the complex products and sums that ``consolidate``
-    applies to the tensor products of those kets, so its bits are theirs.
-    Every entry of the basis is taken in Python's scalar float arithmetic,
-    so its bits do not depend on the others.
+    coefficient is inv * (u_i v_j) + inv * (+-w_i x_j) of those kets' real
+    coordinates, with inv = 1/sqrt2 and B2's and B4's second product negated
+    exactly, cast to complex once: the products and sums that ``consolidate``
+    applies to the tensor products of the kets, so its bits are theirs.
+    Every entry of the basis is taken element-wise, so its bits do not depend
+    on the others.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
-    inv = complex(1.0 / _SQ2)
-    n_thetas, thetas = np.asarray(basis.n_theta), np.asarray(basis.theta)
-    coeffs = []  # amplitude major
-    for n_theta, theta in zip(n_thetas.flat, thetas.flat):
-        c = 1.0 / math.sqrt(n_theta)
-        cos, sin = c * math.cos(theta), c * math.sin(theta)
-        plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
-        minus = (complex(-sin), complex(cos))  # Psi-
-        u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
-        for i in (0, 1):
-            for j in (0, 1):
-                second = w[i] * x[j]
-                if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
-                    second = complex(-1.0) * second
-                coeffs.append(inv * (u[i] * v[j]) + inv * second)
-    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + thetas.shape)
+    c = 1.0 / np.sqrt(basis.n_theta)
+    cos, sin = c * np.cos(basis.theta), c * np.sin(basis.theta)
+    plus, minus = np.array((cos, -sin)), np.array((-sin, cos))  # on (|ta>, |-ta>)
+    u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
+    second = w[:, None] * x  # (i, j, *basis shape)
+    if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
+        second = -second
+    inv = 1.0 / _SQ2
+    return (inv * (u[:, None] * v) + inv * second).reshape((4,) + cos.shape).astype(complex)
 
 
 def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:

@@ -21,6 +21,7 @@ from ecsim.qubit_encoding import (
     BELL_VECTORS,
     LogicalBasis,
     TwoQubitDensity,
+    bell_coeffs,
     bell_state,
     logical_coords,
     make_basis,
@@ -82,6 +83,27 @@ def _bell_reference(k, basis):
     p, m = psi_plus(basis), psi_minus(basis)
     first, second = (tensor(p, p), tensor(m, m)) if k < 3 else (tensor(p, m), tensor(m, p))
     return consolidate((1.0 / SQ2) * (first + second if k % 2 else first - second))
+
+
+def _bell_coeffs_reference(k, basis):
+    """``bell_coeffs`` as a loop over the basis entries in Python's scalar
+    float and complex arithmetic, one coefficient at a time."""
+    inv = complex(1.0 / SQ2)
+    n_thetas, thetas = np.asarray(basis.n_theta), np.asarray(basis.theta)
+    coeffs = []  # amplitude major
+    for n_theta, theta in zip(n_thetas.flat, thetas.flat):
+        c = 1.0 / math.sqrt(n_theta)
+        cos, sin = c * math.cos(theta), c * math.sin(theta)
+        plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
+        minus = (complex(-sin), complex(cos))  # Psi-
+        u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
+        for i in (0, 1):
+            for j in (0, 1):
+                second = w[i] * x[j]
+                if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
+                    second = complex(-1.0) * second
+                coeffs.append(inv * (u[i] * v[j]) + inv * second)
+    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + thetas.shape)
 
 
 class TestMakeBasis:
@@ -216,6 +238,25 @@ class TestBellStates:
             got, want = bell_state(k, b), _bell_reference(k, b)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got.amps.tobytes() == want.amps.tobytes()
+
+
+class TestBellCoeffs:
+    # log-uniform amplitudes t * alpha from the degeneracy floor to MAX_ALPHA;
+    # sin(theta) underflows to 0 from t * alpha ~ 19.3 on
+    AMPS = np.exp(np.random.default_rng(50).uniform(np.log(6e-7), np.log(1e6), 20000))
+    ALPHAS = np.exp(np.random.default_rng(51).uniform(np.log(1.2e-5), np.log(1e6), 200))
+    TIMES = np.random.default_rng(52).uniform(0.05, 1.0, 100)
+
+    @pytest.mark.parametrize("alpha,t", [(AMPS, 1.0), (AMPS / 0.8, 0.8), (AMPS / 0.3, 0.3),
+                                         (AMPS / 0.05, 0.05), (ALPHAS[:, None], TIMES),
+                                         (0.7, 0.9)],
+                             ids=["t1", "t0.8", "t0.3", "t0.05", "alpha-t-grid", "scalar"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_entries_are_bitwise_the_scalar_loop(self, k, alpha, t):
+        basis = make_basis(alpha, t)
+        got = bell_coeffs(k, basis)
+        assert got.shape == (4,) + np.shape(basis.theta)
+        assert got.tobytes() == _bell_coeffs_reference(k, basis).tobytes()
 
 
 class TestQubitVector:
