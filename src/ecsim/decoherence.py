@@ -47,6 +47,8 @@ class DecayClock:
     @classmethod
     def from_r(cls, r) -> "DecayClock":
         r = np.asarray(r, dtype=float)
+        if not r.size:
+            raise ValueError("r must hold at least one decay time")
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
         return cls(np.sqrt(1.0 - r * r))
@@ -97,13 +99,19 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     return loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w, n_theta
 
 
+_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max))  # the largest alpha with a finite square
+
+
 def _amplitudes(alpha) -> np.ndarray:
-    """``alpha`` as a float array, checked to hold positive amplitudes."""
+    """``alpha`` as a float array, checked to hold positive amplitudes whose
+    squares are finite."""
     alpha = np.asarray(alpha, dtype=float)
     if not alpha.size:
         raise ValueError("alpha must hold at least one amplitude")
     if not alpha.min() > 0.0:
         raise ValueError("alpha must be positive")
+    if not alpha.max() <= _ALPHA_BOUND:
+        raise ValueError(f"alpha must be at most {_ALPHA_BOUND!r}: beyond it alpha^2 overflows")
     return alpha
 
 

@@ -39,6 +39,18 @@ GUARDS = [
      "alpha must hold at least one amplitude"),
     ("channel-alpha-empty", lambda: dec.channel_rho4(np.array([]), 0.5), ValueError,
      "alpha must hold at least one amplitude"),
+    ("closed-form-alpha-overflow", lambda: em.closed_form_e(1e200, 0.5), ValueError,
+     "alpha must be at most 1.3407807929942596e+154: beyond it alpha^2 overflows"),
+    ("channel-alpha-overflow", lambda: dec.channel_rho4(1e200, 0.5), ValueError,
+     "alpha must be at most 1.3407807929942596e+154: beyond it alpha^2 overflows"),
+    ("closed-form-alpha-inf", lambda: em.closed_form_f(math.inf, 0.5), ValueError,
+     "beyond it alpha^2 overflows"),
+    ("channel-alpha-inf", lambda: dec.channel_rho4([1.0, math.inf], 0.5), ValueError,
+     "beyond it alpha^2 overflows"),
+    ("closed-form-r-empty", lambda: em.closed_form_e(1.0, []), ValueError,
+     "r must hold at least one decay time"),
+    ("channel-r-empty", lambda: dec.channel_rho4(1.0, []), ValueError,
+     "r must hold at least one decay time"),
     ("bell-one-mode", lambda: pr.bell_measure_distribution(ONE), ValueError,
      "expected a two-mode state"),
     ("density-one-mode", lambda: qe.project_to_density(cs.dyad_from_pure(ONE), BASIS),
@@ -58,6 +70,17 @@ GUARDS = [
 def test_guard_raises_and_names_the_fault(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(-4 alpha^2) underflows
+@pytest.mark.parametrize("alpha", [1.3e154, 1.3407807929942596e154])
+def test_alpha_with_a_finite_square_is_accepted_by_both_routes(alpha):
+    assert (em.closed_form_e(alpha, 0.5), em.closed_form_f(alpha, 0.5),
+            em.closed_form_s(alpha, 0.5)) == (0.0, 2.0 / 3.0, 0.5)
+    # the populations read two ulps below 1/2, as before alpha^2 was checked
+    half = 0.5 - 2.0 ** -53
+    want = np.diag([0.0, half, half, 0.0]).astype(complex)
+    assert dec.channel_rho4(alpha, 0.5).matrix.tobytes() == want.tobytes()
 
 
 def test_consolidate_returns_a_zero_term_state():
