@@ -106,9 +106,6 @@ class CoherentSuperposition:
             np.concatenate((self.amps, other.amps)),
         )
 
-    def __sub__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
         out = CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
         object.__setattr__(out, "_memo", _memo_of(self))  # same amps, same derived arrays

@@ -89,7 +89,7 @@ class TestOverlap:
 
 class TestInner:
     def test_cancellation(self):
-        s = CoherentSuperposition.ket(0.9) - CoherentSuperposition.ket(0.9)
+        s = CoherentSuperposition.ket(0.9) + (-1.0) * CoherentSuperposition.ket(0.9)
         assert abs(inner(s, s)) < 1e-14
 
     def test_mode_mismatch(self):
@@ -276,7 +276,7 @@ class TestPhotonDistribution:
         alpha = 0.8
         odd = normalized(
             CoherentSuperposition.ket(SQ2 * alpha)
-            - CoherentSuperposition.ket(-SQ2 * alpha)
+            + (-1.0) * CoherentSuperposition.ket(-SQ2 * alpha)
         )
         dist = photon_distribution(odd)
         assert np.max(dist.probs[0::2]) < 1e-25
@@ -624,7 +624,8 @@ class TestConsolidate:
         assert len(consolidate(above).coeffs) == 2
 
     def test_all_dropped_fallback(self):
-        s = (CoherentSuperposition.ket(0.3, 0.1) - CoherentSuperposition.ket(0.3, 0.1)
+        s = (CoherentSuperposition.ket(0.3, 0.1)
+             + (-1.0) * CoherentSuperposition.ket(0.3, 0.1)
              + 0.0 * CoherentSuperposition.ket(-0.7, 0.2))
         out = consolidate(s)
         assert term_list(out) == [(0j, [0.3 + 0j, 0.1 + 0j])]

@@ -538,11 +538,11 @@ def correction_map_coherent(
     plus = CoherentSuperposition.ket(alpha)
     minus = CoherentSuperposition.ket(-alpha)
     if outcome is BellLabel.B1:
-        img_plus = (1.0 / n) * (u * plus - minus)
-        img_minus = (1.0 / n) * (plus - u * minus)
+        img_plus = (1.0 / n) * (u * plus + (-1.0) * minus)
+        img_minus = (1.0 / n) * (plus + (-1.0) * (u * minus))
     else:  # B3
-        img_plus = (1.0 / n) * (plus - u * minus)
-        img_minus = (1.0 / n) * (u * plus - minus)
+        img_plus = (1.0 / n) * (plus + (-1.0) * (u * minus))
+        img_minus = (1.0 / n) * (u * plus + (-1.0) * minus)
     amp = state.amps[:, 0]
     on_plus = np.abs(amp - alpha) < 1e-9
     bad = ~on_plus & ~(np.abs(amp + alpha) < 1e-9)
@@ -693,7 +693,7 @@ class TestConcentrationExact:
         a = basis.amplitude
         for eta in (0.01, math.pi / 8, math.pi / 4, 1.2, math.pi / 2 - 1e-9):
             want = normalized(math.cos(eta) * CoherentSuperposition.ket(a, -a)
-                              - math.sin(eta) * CoherentSuperposition.ket(-a, a))
+                              + (-1.0) * (math.sin(eta) * CoherentSuperposition.ket(-a, a)))
             got = partial_pair_state(basis, eta)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got.amps.tobytes() == want.amps.tobytes()

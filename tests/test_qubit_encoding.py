@@ -82,7 +82,7 @@ def _bell_reference(k, basis):
     and psi_minus."""
     p, m = psi_plus(basis), psi_minus(basis)
     first, second = (tensor(p, p), tensor(m, m)) if k < 3 else (tensor(p, m), tensor(m, p))
-    return consolidate((1.0 / SQ2) * (first + second if k % 2 else first - second))
+    return consolidate((1.0 / SQ2) * (first + second if k % 2 else first + (-1.0) * second))
 
 
 def _bell_coeffs_reference(k, basis):
@@ -173,9 +173,8 @@ class TestMakeBasis:
         for _ in range(20):
             b = make_basis(rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.0))
             a = b.amplitude
-            s = math.cos(b.theta) * CoherentSuperposition.ket(a) - math.sin(
-                b.theta
-            ) * CoherentSuperposition.ket(-a)
+            s = math.cos(b.theta) * CoherentSuperposition.ket(a) + (-1.0) * (
+                math.sin(b.theta) * CoherentSuperposition.ket(-a))
             assert norm(s) == pytest.approx(math.sqrt(b.n_theta), abs=1e-12)
 
 
@@ -184,7 +183,7 @@ class TestBellStates:
         b = make_basis(0.8, 1.0)
         a = b.amplitude
         explicit = (1.0 / math.sqrt(2.0 * b.n_theta)) * (
-            CoherentSuperposition.ket(a, -a) - CoherentSuperposition.ket(-a, a)
+            CoherentSuperposition.ket(a, -a) + (-1.0) * CoherentSuperposition.ket(-a, a)
         )
         assert abs(inner(bell_state(4, b), explicit) - 1.0) < 1e-12
 
