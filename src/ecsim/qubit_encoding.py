@@ -141,20 +141,19 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
     coordinates, with inv = 1/sqrt2 and B2's and B4's second product negated
     exactly, cast to complex once: the products and sums that ``consolidate``
     applies to the tensor products of the kets, so its bits are theirs.
-    Every entry of the basis is taken element-wise, so its bits do not depend
-    on the others.
+    Each is one element-wise expression over the basis, so an entry's bits
+    do not depend on the others, and a 0-d basis pays numpy scalars only.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
     c = 1.0 / np.sqrt(basis.n_theta)
     cos, sin = c * np.cos(basis.theta), c * np.sin(basis.theta)
-    plus, minus = np.array((cos, -sin)), np.array((-sin, cos))  # on (|ta>, |-ta>)
+    plus, minus = (cos, -sin), (-sin, cos)  # on (|ta>, |-ta>)
     u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
-    second = w[:, None] * x  # (i, j, *basis shape)
-    if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
-        second = -second
+    sign = 1.0 if k % 2 else -1.0  # B2, B4: a - b is a + (-1) * b
     inv = 1.0 / _SQ2
-    return (inv * (u[:, None] * v) + inv * second).reshape((4,) + cos.shape).astype(complex)
+    return np.array([inv * (u[i] * v[j]) + inv * (sign * (w[i] * x[j]))
+                     for i in (0, 1) for j in (0, 1)], dtype=complex)
 
 
 def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
