@@ -29,6 +29,7 @@ from .qubit_encoding import (
 # the dyads |k_i><k_j| of k_0 = (a, -a) and k_1 = (-a, a), ket term major.
 _DYAD_SIGNS = np.array([[[1, -1], [1, -1], [-1, 1], [-1, 1]],
                         [[1, -1], [-1, 1], [1, -1], [-1, 1]]], dtype=complex)
+_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max))  # the largest alpha with a finite square
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,6 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     w = np.exp(-4.0 * t2 * a2)
     loss, gw = 1.0 - g, (1.0 + g) * w
     return loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w, n_theta
-
-
-_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max))  # the largest alpha with a finite square
 
 
 def _amplitudes(alpha) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_guard_raises_and_names_the_fault(call, exc, fragment):
         call()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(-4 alpha^2) underflows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 4 alpha^2 overflows on the way
 @pytest.mark.parametrize("alpha", [1.3e154, 1.3407807929942596e154])
 def test_alpha_with_a_finite_square_is_accepted_by_both_routes(alpha):
     assert (em.closed_form_e(alpha, 0.5), em.closed_form_f(alpha, 0.5),

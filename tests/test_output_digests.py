@@ -28,25 +28,17 @@ from ecsim import cli  # noqa: E402
 import workloads as wl  # noqa: E402
 
 RECORD = HERE / "output_digests.json"
-COMMANDS = {
-    "fig2a": ["fig2a"],
-    "fig2b": ["fig2b"],
-    "fig3": ["fig3"],
-    "bellmeas": ["bellmeas"],
-    "concentrate": ["concentrate"],
-    "cv": ["cv"],
-    "teleport-mc --samples 200": ["teleport-mc", "--samples", "200"],
-    "fig2a --alphas 0.3 1 2.5 --r-steps 1200 --r-max 0.999":
-        ["fig2a", "--alphas", "0.3", "1", "2.5", "--r-steps", "1200", "--r-max", "0.999"],
-    "fig3 --alphas 1e-3 13.4 1e6 --r-steps 50":
-        ["fig3", "--alphas", "1e-3", "13.4", "1e6", "--r-steps", "50"],
-    "bellmeas --alphas 0.3 1 2 3": ["bellmeas", "--alphas", "0.3", "1", "2", "3"],
-    "concentrate --alphas 0.4 1.3 2.6 --etas 0.2 0.7 1.3":
-        ["concentrate", "--alphas", "0.4", "1.3", "2.6", "--etas", "0.2", "0.7", "1.3"],
-}
+COMMANDS = [
+    "fig2a", "fig2b", "fig3", "bellmeas", "concentrate", "cv",
+    "teleport-mc --samples 200",
+    "fig2a --alphas 0.3 1 2.5 --r-steps 1200 --r-max 0.999",
+    "fig3 --alphas 1e-3 13.4 1e6 --r-steps 50",
+    "bellmeas --alphas 0.3 1 2 3",
+    "concentrate --alphas 0.4 1.3 2.6 --etas 0.2 0.7 1.3",
+]
 # name -> the argv of one CLI output, or the (workload, seed) of a request list
-RENDERS = {f"{name} {fmt}": argv + ["--format", fmt]
-           for name, argv in COMMANDS.items() for fmt in ("csv", "json")}
+RENDERS = {f"{command} {fmt}": command.split() + ["--format", fmt]
+           for command in COMMANDS for fmt in ("csv", "json")}
 RENDERS.update({f"{w} {seed} requests": (w, seed)
                 for w in ("sweep", "teleport") for seed in (401, 402)})
 SECONDS = 20  # the benchmark's run length, which sets the number of requests
