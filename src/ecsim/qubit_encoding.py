@@ -136,24 +136,28 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
 
     B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2,
     from the logical kets Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)
-    and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta).  Each
-    coefficient is inv * (u_i v_j) + inv * (+-w_i x_j) of those kets' real
-    coordinates, with inv = 1/sqrt2 and B2's and B4's second product negated
-    exactly, cast to complex once: the products and sums that ``consolidate``
-    applies to the tensor products of the kets, so its bits are theirs.
-    Each is one element-wise expression over the basis, so an entry's bits
-    do not depend on the others, and a 0-d basis pays numpy scalars only.
+    and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta), that is
+    Psi+ = (a, b) and Psi- = (b, a) on (|ta>, |-ta>).  The coefficient on
+    (i, j) is inv u_i v_j + inv (+-w_i x_j), inv = 1/sqrt2: the products and
+    sums that ``consolidate`` applies to the tensor products of the kets, so
+    its bits are theirs.  Every such product is inv a a, inv a b (= inv b a)
+    or inv b b, and B2's and B4's second term is subtracted (a - b is
+    a + (-1) * b), so each coefficient is one sum or difference of two of
+    those three, taken element-wise over the basis and cast to complex once.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
     c = 1.0 / np.sqrt(basis.n_theta)
-    cos, sin = c * np.cos(basis.theta), c * np.sin(basis.theta)
-    plus, minus = (cos, -sin), (-sin, cos)  # on (|ta>, |-ta>)
-    u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
-    sign = 1.0 if k % 2 else -1.0  # B2, B4: a - b is a + (-1) * b
+    a, b = c * np.cos(basis.theta), -(c * np.sin(basis.theta))
     inv = 1.0 / _SQ2
-    return np.array([inv * (u[i] * v[j]) + inv * (sign * (w[i] * x[j]))
-                     for i in (0, 1) for j in (0, 1)], dtype=complex)
+    aa, ab, bb = inv * (a * a), inv * (a * b), inv * (b * b)
+    if k % 2:
+        s, d = aa + bb, ab + ab
+        coeffs = (s, d, d, s) if k == 1 else (d, s, s, d)
+    else:
+        z = ab - ab  # inv a b - inv b a: +0
+        coeffs = (aa - bb, z, z, bb - aa) if k == 2 else (z, aa - bb, bb - aa, z)
+    return np.array(coeffs, dtype=complex)
 
 
 def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
