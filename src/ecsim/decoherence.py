@@ -101,8 +101,7 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
 
 
 def _amplitudes(alpha) -> np.ndarray:
-    """``alpha`` as a float array, checked to hold positive amplitudes whose
-    squares are finite."""
+    """``alpha`` as a float array, checked to hold positive amplitudes with finite squares."""
     alpha = np.asarray(alpha, dtype=float)
     if not alpha.size:
         raise ValueError("alpha must hold at least one amplitude")

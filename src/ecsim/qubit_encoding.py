@@ -136,14 +136,13 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
 
     B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2,
     from the logical kets Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)
-    and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta), that is
-    Psi+ = (a, b) and Psi- = (b, a) on (|ta>, |-ta>).  The coefficient on
-    (i, j) is inv u_i v_j + inv (+-w_i x_j), inv = 1/sqrt2: the products and
-    sums that ``consolidate`` applies to the tensor products of the kets, so
-    its bits are theirs.  Every such product is inv a a, inv a b (= inv b a)
-    or inv b b, and B2's and B4's second term is subtracted (a - b is
-    a + (-1) * b), so each coefficient is one sum or difference of two of
-    those three, taken element-wise over the basis and cast to complex once.
+    = (a, b) and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta) = (b, a).
+    Of B = inv (u v +- w x), inv = 1/sqrt2, the coefficient on (i, j) is
+    inv u_i v_j + inv (+-w_i x_j), the sum ``consolidate`` takes of the
+    tensor products, so its bits are theirs.  Each product is inv a a,
+    inv a b (= inv b a) or inv b b, and B2's and B4's second term is
+    subtracted (a - b is a + (-1) * b): each coefficient is a sum or
+    difference of two of those three, element-wise, cast to complex once.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
