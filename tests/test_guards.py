@@ -77,7 +77,7 @@ def test_guard_raises_and_names_the_fault(call, exc, fragment):
 def test_alpha_with_a_finite_square_is_accepted_by_both_routes(alpha):
     assert (em.closed_form_e(alpha, 0.5), em.closed_form_f(alpha, 0.5),
             em.closed_form_s(alpha, 0.5)) == (0.0, 2.0 / 3.0, 0.5)
-    # the populations read two ulps below 1/2, as before alpha^2 was checked
+    # the numeric route's populations read two ulps below 1/2 here
     half = 0.5 - 2.0 ** -53
     want = np.diag([0.0, half, half, 0.0]).astype(complex)
     assert dec.channel_rho4(alpha, 0.5).matrix.tobytes() == want.tobytes()
