@@ -32,8 +32,8 @@ class ConfigError(ValueError):
 DEFAULT_ALPHAS = (0.1, 1.0, 2.0)
 DEFAULT_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3)
 # Largest amplitude accepted.  Every output is at its large-amplitude limit
-# far below it (e^{-4 alpha^2} underflows past alpha ~ 13.4); alpha^2
-# itself overflows past ~1.3e154.
+# far below it (e^{-4 alpha^2} underflows past alpha ~ 13.4); the library
+# refuses alpha past ~6.7e153, where 4 alpha^2 overflows.
 MAX_ALPHA = 1e6
 # Largest Fock truncation tail bellmeas accepts; a larger one exits 3.
 BELLMEAS_TAIL_TOL = 1e-9
@@ -42,8 +42,8 @@ BELLMEAS_TAIL_TOL = 1e-9
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): ~32 B per
 # Monte Carlo shot, the three up-front draws and the fidelity, plus one
 # block's ~0.9 MB of work arrays (sized at 36 B; 230 MiB at MAX_SAMPLES);
-# ~1.4 kB per (alpha, r) point in the fig sweeps and teleport-mc, whose whole
-# grid is one batched density and its checks (sized at ~1.8 kB; 198 MB at
+# ~1.4 kB per (alpha, r) point in a whole fig or teleport-mc render, set by its
+# one batched density and its checks (sized at ~1.8 kB; 198 MB at
 # MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV
 # (sized at 1.2 kB, over 3x that; MAX_AR_STEPS points peak at ~74 MB).
 _SIZE_BUDGET = 2**28
@@ -165,19 +165,16 @@ def _r_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# column tables: column name -> 1-D array, in output order, one entry a row
+# column tables: column name -> array, in output order.  Every column
+# broadcasts to the table's shape, and the rows are that shape's elements in
+# C order; in a 1-D table every column holds one entry a row.
 
 
-def _table(names, rows) -> dict:
-    """The column table of a few rows given as tuples."""
-    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
-
-
-def _sweep_table(args: argparse.Namespace, r: np.ndarray, **columns) -> dict:
-    """The (alpha, r) grid of a sweep, alpha major, then its value columns."""
-    alphas = np.array(args.alphas)
-    return {"alpha": alphas.repeat(len(r)), "r": np.concatenate([r] * len(alphas)),
-            **{name: np.asarray(col) for name, col in columns.items()}}
+def _grid_table(args: argparse.Namespace, name: str, axis, **columns) -> dict:
+    """The grid of ``args.alphas`` by ``axis``, alpha major: alpha (A, 1) and
+    the axis (1, N), then the value columns, (A, N), (N,) or 0-d constants."""
+    return {"alpha": np.array(args.alphas)[:, None], name: np.asarray(axis)[None],
+            **{key: np.asarray(col) for key, col in columns.items()}}
 
 
 def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
@@ -185,10 +182,9 @@ def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
     one numeric call on it (one batched channel density)."""
     r = _r_grid(args)
     alphas = np.array(args.alphas)
-    closed_col = closed(alphas, r).ravel()
-    numeric_col = numeric(dec.channel_rho4(alphas, r)).ravel()
-    return _sweep_table(args, r, **{f"{key}_closed": closed_col, f"{key}_numeric": numeric_col},
-                        **{name: np.full(len(closed_col), v) for name, v in extra.items()})
+    return _grid_table(args, "r", r, **{f"{key}_closed": closed(alphas, r),
+                                        f"{key}_numeric": numeric(dec.channel_rho4(alphas, r))},
+                       **extra)
 
 
 def _rows_bellmeas(args: argparse.Namespace):
@@ -202,7 +198,7 @@ def _rows_bellmeas(args: argparse.Namespace):
                               f"Fock tail bound {meas.tail_bound:.3e} > {BELLMEAS_TAIL_TOL:.0e}")
         rows.append((alpha, pr.misid_probability_closed(alpha), meas.misidentification(),
                      meas.tail_bound))
-    return _table(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), rows)
+    return dict(zip(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), np.array(rows).T))
 
 
 def _rows_teleport_mc(args: argparse.Namespace):
@@ -212,25 +208,22 @@ def _rows_teleport_mc(args: argparse.Namespace):
     (``seed + alpha index * len(r) + r index``)."""
     r = _r_grid(args)
     q = pr.bloch_transfer(dec.channel_rho4(np.array(args.alphas), r))
-    f_mc, stderr = zip(*(pr.teleport_average_mc(row, args.samples, args.seed + i)
-                         for i, row in enumerate(q.reshape(-1, 4, 4, 4))))
-    return _sweep_table(args, r, f_analytic=pr.average_fidelity(q).ravel(), f_mc=f_mc,
-                        stderr=stderr, samples=np.full(len(f_mc), args.samples))
+    mc = np.array([pr.teleport_average_mc(row, args.samples, args.seed + i)
+                   for i, row in enumerate(q.reshape(-1, 4, 4, 4))]).reshape(q.shape[:-3] + (2,))
+    return _grid_table(args, "r", r, f_analytic=pr.average_fidelity(q), f_mc=mc[..., 0],
+                       stderr=mc[..., 1], samples=args.samples)
 
 
 def _rows_concentrate(args: argparse.Namespace):
-    """One row per (alpha, eta), alpha major; the ideal swap once per eta."""
-    ideal = [pr.concentrate_ideal(eta)[0][:2] for eta in args.etas]
-    rows = []
-    for alpha in args.alphas:
-        for eta, swap in zip(args.etas, ideal):
-            rows.append((
-                alpha, eta, *swap, (math.cos(eta) * math.sin(eta)) ** 2,
-                pr.concentrate_exact(alpha, eta).success_probability,
-                pr.concentration_success_closed_form(alpha, eta),
-            ))
-    return _table(("alpha", "eta", "p1_swap", "p2_swap", "p_ideal_closed", "p2_exact",
-                   "p2_exact_closed"), rows)
+    """The (alpha, eta) grid: the ideal swap once per eta, the exact one at each point."""
+    ideal = np.array([(*pr.concentrate_ideal(eta)[0][:2], (math.cos(eta) * math.sin(eta)) ** 2)
+                      for eta in args.etas]).T
+    exact = np.array([[(pr.concentrate_exact(alpha, eta).success_probability,
+                        pr.concentration_success_closed_form(alpha, eta)) for eta in args.etas]
+                      for alpha in args.alphas])
+    return _grid_table(args, "eta", args.etas, p1_swap=ideal[0], p2_swap=ideal[1],
+                       p_ideal_closed=ideal[2], p2_exact=exact[..., 0],
+                       p2_exact_closed=exact[..., 1])
 
 
 def _rows_cv(args: argparse.Namespace):
@@ -258,12 +251,45 @@ _ROW_BUILDERS = {
 }
 
 
+def _template_rows(table: dict, column) -> tuple[list, zip]:
+    """Each column's template slot, and the table's rows of template arguments.
+
+    ``column(col)`` gives a column's slot and its values in C order.  A smaller
+    column than the table is formatted once per value, and the strings,
+    repeated along the axes it broadcasts over, fill a ``%s`` slot."""
+    full = np.broadcast(*table.values())
+    slots, args = [], []
+    for col in table.values():
+        fmt, vals = column(col)
+        if col.size != full.size:
+            fmt, vals, block = "%s", [fmt % v for v in vals], 1
+            if len(vals) == 1:
+                vals *= full.size
+            else:
+                for n, m in zip(col.shape[::-1] + (1,) * full.ndim, full.shape[::-1]):
+                    if n != m:  # repeat each block of the trailing axes m times
+                        vals = vals * m if block == len(vals) else [
+                            v for i in range(0, len(vals), block) for v in vals[i:i + block] * m]
+                    block *= m
+        slots.append(fmt)
+        args.append(vals)
+    return slots, zip(*args)
+
+
 def _to_csv(table: dict) -> str:
     """One line per row: ``%.17g`` floats (round-trip exact), ``%d`` ints."""
-    template = ",".join("%d" if col.dtype.kind == "i" else "%.17g" for col in table.values())
-    lines = [",".join(table)]
-    lines += [template % row for row in zip(*[col.tolist() for col in table.values()])]
-    return "\n".join(lines) + "\n"
+    slots, rows = _template_rows(table, lambda col: (
+        "%d" if col.dtype.kind == "i" else "%.17g", col.ravel().tolist()))
+    template = ",".join(slots)
+    return "\n".join([",".join(table)] + [template % row for row in rows]) + "\n"
+
+
+def _json_column(col: np.ndarray) -> tuple[str, list]:
+    values = col.ravel().tolist()
+    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflows
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            values[i] = json.dumps(values[i])
+    return "%s", values
 
 
 def _to_json(table: dict) -> str:
@@ -274,13 +300,7 @@ def _to_json(table: dict) -> str:
     own spelling (NaN, Infinity, -Infinity).
     """
     template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in table) + "\n  }"
-    columns = []
-    for col in table.values():
-        values = col.tolist()
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            values[i] = json.dumps(values[i])
-        columns.append(values)
-    body = ",\n".join(template % row for row in zip(*columns))
+    body = ",\n".join(template % row for row in _template_rows(table, _json_column)[1])
     return f"[\n{body}\n]\n"
 
 

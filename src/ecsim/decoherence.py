@@ -29,7 +29,7 @@ from .qubit_encoding import (
 # the dyads |k_i><k_j| of k_0 = (a, -a) and k_1 = (-a, a), ket term major.
 _DYAD_SIGNS = np.array([[[1, -1], [1, -1], [-1, 1], [-1, 1]],
                         [[1, -1], [-1, 1], [1, -1], [-1, 1]]], dtype=complex)
-_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max))  # the largest alpha with a finite square
+_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max)) / 2  # the largest alpha with a finite 4 alpha^2
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,14 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
 
 
 def _amplitudes(alpha) -> np.ndarray:
-    """``alpha`` as a float array, checked to hold positive amplitudes with finite squares."""
+    """``alpha`` as a float array, checked to hold positive amplitudes with a finite 4 alpha^2."""
     alpha = np.asarray(alpha, dtype=float)
     if not alpha.size:
         raise ValueError("alpha must hold at least one amplitude")
     if not alpha.min() > 0.0:
         raise ValueError("alpha must be positive")
     if not alpha.max() <= _ALPHA_BOUND:
-        raise ValueError(f"alpha must be at most {_ALPHA_BOUND!r}: beyond it alpha^2 overflows")
+        raise ValueError(f"alpha must be at most {_ALPHA_BOUND!r}: beyond it 4 alpha^2 overflows")
     return alpha
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -629,9 +630,20 @@ def _ref_to_json(rows) -> str:
     return json.dumps(plain, indent=2) + "\n"
 
 
+def _broadcast_columns(table):
+    """Each column of a column table broadcast to the table's shape, flat in C order."""
+    shape = np.broadcast_shapes(*(col.shape for col in table.values()))
+    return [np.broadcast_to(col, shape).ravel() for col in table.values()]
+
+
 def _row_dicts(table):
     """The per-row dicts of a column table, with numpy scalar values."""
-    return [dict(zip(table, values)) for values in zip(*table.values())]
+    return [dict(zip(table, values)) for values in zip(*_broadcast_columns(table))]
+
+
+def _row_tuples(table):
+    """The rows of a column table as tuples of Python values."""
+    return list(zip(*[col.tolist() for col in _broadcast_columns(table)]))
 
 
 def _mc_kernel_reference(channel, samples, seed, chunk):
@@ -662,6 +674,35 @@ DEFAULT_ARGV = {
     "fig2a": [], "fig2b": [], "fig3": [], "bellmeas": [], "concentrate": [], "cv": [],
     "teleport-mc": ["--samples", "50"],
 }
+# Each table's column shapes at the defaults (3 alphas, 200 r, 3 etas, 201 cv
+# steps): a grid axis and a constant are held once, not once a row.
+_SWEEP = {"alpha": (3, 1), "r": (1, 200)}
+DEFAULT_SHAPES = {
+    "fig2a": {**_SWEEP, "e_closed": (3, 200), "e_numeric": (3, 200)},
+    "fig2b": {**_SWEEP, "f_closed": (3, 200), "f_numeric": (3, 200), "classical_limit": ()},
+    "fig3": {**_SWEEP, "s_closed": (3, 200), "s_numeric": (3, 200)},
+    "teleport-mc": {**_SWEEP, "f_analytic": (3, 200), "f_mc": (3, 200), "stderr": (3, 200),
+                    "samples": ()},
+    "bellmeas": dict.fromkeys(("alpha", "p_i_closed", "p_i_numeric", "tail_bound"), (3,)),
+    "concentrate": {"alpha": (3, 1), "eta": (1, 3), "p1_swap": (3,), "p2_swap": (3,),
+                    "p_ideal_closed": (3,), "p2_exact": (3, 3), "p2_exact_closed": (3, 3)},
+    "cv": dict.fromkeys(("alpha_r", "f", "is_max"), (202,)),
+}
+# Extreme values in broadcast columns: NaN, +-inf, -0.0 next to 0.0, the least
+# subnormal, and 0-d ints, in (A, 1), (1, R) and 0-d columns
+_ALPHA_COL = np.array([[math.nan], [-0.0], [0.0], [math.inf], [5e-324]])
+_R_COL = np.array([[-math.inf, 0.0, -0.0, 5e-324, 1.0 / 3.0, math.nan]])
+BROADCAST_TABLES = {
+    "with-full-column": {"alpha": _ALPHA_COL, "r": _R_COL,
+                         "x": np.arange(30.0).reshape(5, 6) - 14.0,
+                         "const": np.array(-0.0), "n": np.array(7), "big": np.array(-(2**62))},
+    "no-full-column": {"n": np.array(3), "r": _R_COL, "alpha": _ALPHA_COL,
+                       "nan": np.array(math.nan)},
+    "flat-axis": {"alpha": _ALPHA_COL, "r": _R_COL[0], "inf": np.array(-math.inf)},
+    "middle-axis": {"a": np.array([[[1.5, -0.0, math.inf]], [[math.nan, 0.0, 5e-324]]]),
+                    "b": np.array([[-1.0], [0.0], [-0.0], [math.inf]]), "k": np.array(0)},
+    "one-row": {"a": np.array(math.nan), "b": np.array([[-0.0]]), "n": np.array(1)},
+}
 
 
 class TestColumnWriters:
@@ -670,7 +711,7 @@ class TestColumnWriters:
     def test_match_row_writers_at_defaults(self, command, fmt):
         cfg = cli._parse([command, "--format", fmt, *DEFAULT_ARGV[command]])
         table = cli._ROW_BUILDERS[command](cfg)
-        assert {col.shape for col in table.values()} == {(len(_row_dicts(table)),)}
+        assert {name: col.shape for name, col in table.items()} == DEFAULT_SHAPES[command]
         if fmt == "csv":
             text, want = cli._to_csv(table), _ref_to_csv(_row_dicts(table))
         else:
@@ -699,6 +740,29 @@ class TestColumnWriters:
         back = json.loads(cli._to_json(table))
         assert [list(r) for r in back] == [list(table)] * len(rows)
 
+    @pytest.mark.parametrize("table", list(BROADCAST_TABLES.values()), ids=list(BROADCAST_TABLES))
+    def test_broadcast_columns_match_row_writers(self, table):
+        rows = _row_dicts(table)
+        csv_text, json_text = cli._to_csv(table), cli._to_json(table)
+        assert csv_text == _ref_to_csv(rows)
+        assert json_text == _ref_to_json(rows)
+        assert [list(r) for r in json.loads(json_text)] == [list(table)] * len(rows)
+
+    def test_broadcast_rows_are_alpha_major_and_keep_signed_zeros(self):
+        table = BROADCAST_TABLES["with-full-column"]
+        header, *lines = cli._to_csv(table).splitlines()
+        fields = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        alphas = ["nan", "-0", "0", "inf", "4.9406564584124654e-324"]
+        rs = ["-inf", "0", "-0", "4.9406564584124654e-324", "0.33333333333333331", "nan"]
+        assert [f["alpha"] for f in fields] == [a for a in alphas for _ in rs]
+        assert [f["r"] for f in fields] == rs * len(alphas)
+        assert [f["x"] for f in fields] == ["%.17g" % (i - 14.0) for i in range(30)]
+        assert {(f["const"], f["n"], f["big"]) for f in fields} == {("-0", "7", str(-(2**62)))}
+        records = json.loads(cli._to_json(table))
+        signs = [math.copysign(1.0, rec["alpha"]) for rec in records[6:18]]
+        assert signs == [-1.0] * 6 + [1.0] * 6
+        assert [math.copysign(1.0, rec["r"]) for rec in records[1:3]] == [1.0, -1.0]
+
     def test_teleport_rows_match_per_point_loop(self):
         cfg = cli._parse(["teleport-mc", "--alphas", "0.3", "1.7", "--r-min", "0.05",
                           "--r-max", "0.93", "--r-steps", "5", "--samples", "37",
@@ -712,8 +776,37 @@ class TestColumnWriters:
                                                              cfg.seed + 5 * a + i)
                 want.append((alpha, float(r), protocols.average_fidelity(q), mean, stderr,
                              cfg.samples))
-        got = list(zip(*[col.tolist() for col in table.values()]))
+        got = _row_tuples(table)
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+
+    @pytest.mark.parametrize("command", ["fig2a", "fig2b", "fig3", "teleport-mc"])
+    def test_render_memory_per_point(self, command, monkeypatch):
+        # cli.MAX_R_POINTS is sized at this many bytes a point, for the whole
+        # render: the batched density, its checks and metrics, and the text
+        sized = cli._SIZE_BUDGET // cli.MAX_R_POINTS
+        argv = [command, "--alphas", "0.5", "1", "2", "--r-steps", "3000", "--samples", "1"]
+        argv = argv if command == "teleport-mc" else argv[:-2]
+        if command == "teleport-mc":
+            # each row's Monte Carlo frees its blocks before the next, and runs
+            # ~7x slower traced: the traced renders replay its results, row i's
+            # from the stream seeded seed + i
+            kernel, results, seed = protocols.teleport_average_mc, [], cli._parse(argv).seed
+            monkeypatch.setattr(protocols, "teleport_average_mc",
+                                lambda *a: results.append(kernel(*a)) or results[-1])
+        want = cli.render(argv)  # also builds the parser and the import-time caches
+        if command == "teleport-mc":
+            monkeypatch.setattr(protocols, "teleport_average_mc",
+                                lambda q, samples, row_seed: results[row_seed - seed])
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                text = cli.render(argv + ["--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if fmt == "csv":
+                assert text == want  # the replayed rows are the real ones
+            assert peak < sized * 3 * 3000, fmt
 
     def test_teleport_rows_check_each_batch_once(self, monkeypatch):
         # one density check per request (its (alpha, r) batch); the rows are views of it
@@ -734,8 +827,8 @@ class TestColumnWriters:
         want = []
         for alpha in alphas:
             one = cli._ROW_BUILDERS[command](cli._parse([command, "--alphas", alpha, *grid]))
-            want += list(zip(*[col.tolist() for col in one.values()]))
-        got = list(zip(*[col.tolist() for col in table.values()]))
+            want += _row_tuples(one)
+        got = _row_tuples(table)
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
     def test_teleport_rows_match_per_alpha_renders(self):
@@ -748,8 +841,8 @@ class TestColumnWriters:
         for a, alpha in enumerate(alphas):
             one = cli._rows_teleport_mc(cli._parse(
                 ["teleport-mc", "--alphas", alpha, "--seed", str(seed + a * steps), *base]))
-            want += list(zip(*[col.tolist() for col in one.values()]))
-        got = list(zip(*[col.tolist() for col in table.values()]))
+            want += _row_tuples(one)
+        got = _row_tuples(table)
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
     @pytest.mark.parametrize("chunk", [1, 7, protocols.MC_CHUNK])

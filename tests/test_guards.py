@@ -2,6 +2,8 @@
 names what is wrong."""
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,13 +42,13 @@ GUARDS = [
     ("channel-alpha-empty", lambda: dec.channel_rho4(np.array([]), 0.5), ValueError,
      "alpha must hold at least one amplitude"),
     ("closed-form-alpha-overflow", lambda: em.closed_form_e(1e200, 0.5), ValueError,
-     "alpha must be at most 1.3407807929942596e+154: beyond it alpha^2 overflows"),
+     "alpha must be at most 6.703903964971298e+153: beyond it 4 alpha^2 overflows"),
     ("channel-alpha-overflow", lambda: dec.channel_rho4(1e200, 0.5), ValueError,
-     "alpha must be at most 1.3407807929942596e+154: beyond it alpha^2 overflows"),
+     "alpha must be at most 6.703903964971298e+153: beyond it 4 alpha^2 overflows"),
     ("closed-form-alpha-inf", lambda: em.closed_form_f(math.inf, 0.5), ValueError,
-     "beyond it alpha^2 overflows"),
+     "beyond it 4 alpha^2 overflows"),
     ("channel-alpha-inf", lambda: dec.channel_rho4([1.0, math.inf], 0.5), ValueError,
-     "beyond it alpha^2 overflows"),
+     "beyond it 4 alpha^2 overflows"),
     ("closed-form-r-empty", lambda: em.closed_form_e(1.0, []), ValueError,
      "r must hold at least one decay time"),
     ("channel-r-empty", lambda: dec.channel_rho4(1.0, []), ValueError,
@@ -72,15 +74,36 @@ def test_guard_raises_and_names_the_fault(call, exc, fragment):
         call()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 4 alpha^2 overflows on the way
-@pytest.mark.parametrize("alpha", [1.3e154, 1.3407807929942596e154])
-def test_alpha_with_a_finite_square_is_accepted_by_both_routes(alpha):
-    assert (em.closed_form_e(alpha, 0.5), em.closed_form_f(alpha, 0.5),
-            em.closed_form_s(alpha, 0.5)) == (0.0, 2.0 / 3.0, 0.5)
+# The largest alpha with a finite 4 alpha^2, the log-overlap exponent of the
+# channel's (a, -a) dyads; past it that exponent is -inf, and at r = 0 decohere
+# multiplies it by 1 - t^2 = 0, which gives NaN.
+ALPHA_BOUND = math.sqrt(sys.float_info.max) / 2
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_alpha_at_the_bound_is_accepted_by_both_routes(r):
+    assert ALPHA_BOUND == 6.703903964971298e153 and math.isfinite(4.0 * ALPHA_BOUND**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rho = dec.channel_rho4(ALPHA_BOUND, r)
+        numeric = (em.negativity_e(rho), em.optimal_fidelity(rho))
     # the numeric route's populations read two ulps below 1/2 here
     half = 0.5 - 2.0 ** -53
-    want = np.diag([0.0, half, half, 0.0]).astype(complex)
-    assert dec.channel_rho4(alpha, 0.5).matrix.tobytes() == want.tobytes()
+    assert np.diag(rho.matrix).tobytes() == np.array([0.0, half, half, 0.0], complex).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the closed forms' 8 alpha^2 overflows
+        closed = (em.closed_form_e(ALPHA_BOUND, r), em.closed_form_f(ALPHA_BOUND, r))
+    assert closed == ((1.0, 1.0) if r == 0.0 else (0.0, 2.0 / 3.0))
+    assert numeric == pytest.approx(closed, abs=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5])
+@pytest.mark.parametrize("route", [dec.channel_rho4, em.closed_form_e, em.closed_form_f])
+def test_alpha_past_the_bound_is_refused_by_both_routes(route, r):
+    above = math.nextafter(ALPHA_BOUND, math.inf)
+    with pytest.raises(ValueError, match=re.escape(
+            f"alpha must be at most {ALPHA_BOUND!r}: beyond it 4 alpha^2 overflows")):
+        route(above, r)
 
 
 def test_consolidate_returns_a_zero_term_state():
