@@ -263,14 +263,10 @@ def _template_rows(table: dict, column) -> tuple[list, zip]:
         fmt, vals = column(col)
         if col.size != full.size:
             fmt, vals, block = "%s", [fmt % v for v in vals], 1
-            if len(vals) == 1:
-                vals *= full.size
-            else:
-                for n, m in zip(col.shape[::-1] + (1,) * full.ndim, full.shape[::-1]):
-                    if n != m:  # repeat each block of the trailing axes m times
-                        vals = vals * m if block == len(vals) else [
-                            v for i in range(0, len(vals), block) for v in vals[i:i + block] * m]
-                    block *= m
+            for n, m in zip(col.shape[::-1] + (1,) * full.ndim, full.shape[::-1]):
+                if n != m:  # repeat each block of the trailing axes m times
+                    vals = [v for i in range(0, len(vals), block) for v in vals[i:i + block] * m]
+                block *= m
         slots.append(fmt)
         args.append(vals)
     return slots, zip(*args)
@@ -286,9 +282,8 @@ def _to_csv(table: dict) -> str:
 
 def _json_column(col: np.ndarray) -> tuple[str, list]:
     values = col.ravel().tolist()
-    if not math.isfinite(sum(values)):  # a value is not finite, or the sum overflows
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            values[i] = json.dumps(values[i])
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        values[i] = json.dumps(values[i])
     return "%s", values
 
 

@@ -87,18 +87,24 @@ def test_alpha_at_the_bound_is_accepted_by_both_routes(r):
         warnings.simplefilter("error", RuntimeWarning)
         rho = dec.channel_rho4(ALPHA_BOUND, r)
         numeric = (em.negativity_e(rho), em.optimal_fidelity(rho))
-    # the numeric route's populations read two ulps below 1/2 here
+    # the numeric route's populations read two ulps below 1/2 here; at r = 0
+    # the state is pure, (|01> - |10>)/sqrt2, and at r = 0.5 the coherence is gone
     half = 0.5 - 2.0 ** -53
-    assert np.diag(rho.matrix).tobytes() == np.array([0.0, half, half, 0.0], complex).tobytes()
+    want = np.diag([0.0, half, half, 0.0]).astype(complex)
+    if r == 0.0:
+        want[1, 2] = want[2, 1] = -half
+    assert rho.matrix.tobytes() == want.tobytes()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the closed forms' 8 alpha^2 overflows
-        closed = (em.closed_form_e(ALPHA_BOUND, r), em.closed_form_f(ALPHA_BOUND, r))
-    assert closed == ((1.0, 1.0) if r == 0.0 else (0.0, 2.0 / 3.0))
-    assert numeric == pytest.approx(closed, abs=1e-15)
+        warnings.simplefilter("ignore", RuntimeWarning)  # closed_form_s's 8 alpha^2 overflows
+        closed = (em.closed_form_e(ALPHA_BOUND, r), em.closed_form_f(ALPHA_BOUND, r),
+                  em.closed_form_s(ALPHA_BOUND, r))
+    assert closed == ((1.0, 1.0, 0.0) if r == 0.0 else (0.0, 2.0 / 3.0, 0.5))
+    assert numeric == pytest.approx(closed[:2], abs=1e-15)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
-@pytest.mark.parametrize("route", [dec.channel_rho4, em.closed_form_e, em.closed_form_f])
+@pytest.mark.parametrize("route", [dec.channel_rho4, em.closed_form_e, em.closed_form_f,
+                                   em.closed_form_s])
 def test_alpha_past_the_bound_is_refused_by_both_routes(route, r):
     above = math.nextafter(ALPHA_BOUND, math.inf)
     with pytest.raises(ValueError, match=re.escape(
