@@ -192,12 +192,6 @@ def log_overlap(beta, gamma):
     return -0.5 * np.abs(beta) ** 2 - 0.5 * np.abs(gamma) ** 2 + np.conj(beta) * gamma
 
 
-def _mode_major(amps: np.ndarray) -> np.ndarray:
-    """Contiguous (M, T) copy of (T, M) amplitudes, so that broadcast
-    element-wise work runs along the terms rather than the short mode axis."""
-    return np.ascontiguousarray(amps.T)
-
-
 def _memo_of(s: CoherentSuperposition) -> dict:
     """The state's memo of arrays derived from its amplitudes, made on first use."""
     memo = s._memo
@@ -221,8 +215,11 @@ def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
         object.__setattr__(a, "_memo", memo)
     bra = memo.get("bra")
     if bra is None:  # conj(b) and -|b|^2/2 of the mode-major amplitudes, (M, T, 1)
-        bras = np.ascontiguousarray(a.amps.T)[:, :, None]
-        bra = memo["bra"] = (np.conj(bras), -0.5 * np.square(np.abs(bras)))
+        amps = np.ascontiguousarray(a.amps.T)
+        abs2 = np.square(np.abs(amps))
+        bra = memo["bra"] = (np.conj(amps[:, :, None]), -0.5 * abs2[:, :, None])
+        if b is a:  # <a|a>: the ket side from the same amplitudes and |amp|^2
+            memo["ket"] = (amps[:, None, :], 0.5 * abs2[:, None, :])
     memo = b._memo
     if memo is None:
         memo = {}
@@ -277,24 +274,24 @@ def consolidate(s: CoherentSuperposition) -> CoherentSuperposition:
     n = len(s.coeffs)
     if n == 0:
         return s
-    # rows are matched by a keyed lookup on their bytes; adding 0.0 turns
-    # -0.0 into 0.0, so rows equal in value have equal bytes
-    raw = (s.amps + 0.0).tobytes()
-    width = len(raw) // n
-    seen: dict[bytes, int] = {}
-    first = np.array(
-        [seen.setdefault(raw[k * width : (k + 1) * width], k) for k in range(n)]
-    )
-    rep = first == np.arange(n)
-    leaders = np.flatnonzero(rep)
-    coeffs = s.coeffs[leaders]  # a leader's own coefficient first,
-    rest = ~rep  # then the others', in term order
-    np.add.at(coeffs, (np.cumsum(rep) - 1)[first[rest]], s.coeffs[rest])
+    # rows are matched by a keyed lookup on their bytes (adding 0.0 turns -0.0
+    # into 0.0, so rows equal in value have equal bytes), in one pass in term
+    # order: a row's first occurrence opens its sum, each repeat adds to it
+    amps = np.add(s.amps, 0.0, order="C")
+    keys = amps.view(f"V{amps.itemsize * amps.shape[1]}").ravel().tolist()
+    sums, leaders = {}, {}  # per distinct row: its coefficient sum, its first term
+    for k, key, c in zip(range(n), keys, s.coeffs.tolist()):
+        if key in sums:
+            sums[key] += c
+        else:
+            sums[key], leaders[key] = c, k
+    coeffs = np.fromiter(sums.values(), s.coeffs.dtype, len(sums))
     size = np.abs(coeffs)
     kept = size > DROP_TOL * size.max()
     if not kept.any():
         return CoherentSuperposition(np.zeros(1, dtype=complex), s.amps[:1])
-    return CoherentSuperposition(coeffs[kept], s.amps[leaders[kept]])
+    rows = s.amps[np.fromiter(leaders.values(), np.intp, len(leaders))]
+    return CoherentSuperposition(coeffs[kept], rows[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +316,8 @@ def beam_split(s: CoherentSuperposition, i: int, j: int) -> CoherentSuperpositio
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     bi, bj = s.amps[:, i], s.amps[:, j]
     amps = s.amps.copy()
-    amps[:, i] = (bi + bj) * inv_sqrt2
-    amps[:, j] = (bi - bj) * inv_sqrt2
+    np.multiply(bi + bj, inv_sqrt2, out=amps[:, i])
+    np.multiply(bi - bj, inv_sqrt2, out=amps[:, j])
     return CoherentSuperposition(s.coeffs, amps)
 
 
@@ -353,11 +350,12 @@ def project_modes(
     keep = [m for m in range(s.modes) if m not in set(modes)]
     if not keep:
         raise ValueError("projection must leave at least one mode")
-    # (onto term, s term) log-overlaps on the projected modes
-    bras, kets = _mode_major(onto.amps), _mode_major(s.amps[:, list(modes)])
-    exps = log_overlap(bras[:, :, None], kets[:, None, :]).sum(axis=0)
+    # (onto term, s term) log-overlaps on the projected modes, from contiguous
+    # mode-major (M, T) copies, so that the work runs along the terms
+    bras, kets = np.ascontiguousarray(onto.amps.T), np.ascontiguousarray(s.amps[:, list(modes)].T)
+    exps = np.add.reduce(log_overlap(bras[:, :, None], kets[:, None, :]), 0)
     coeffs = onto.coeffs.conj()[:, None] * s.coeffs[None, :] * np.exp(exps)
-    amps = np.repeat(s.amps[:, keep], len(onto.coeffs), axis=0)
+    amps = s.amps[:, keep].repeat(len(onto.coeffs), 0)
     return consolidate(CoherentSuperposition(coeffs.T.ravel(), amps))
 
 
@@ -400,7 +398,7 @@ def auto_cutoff(s: CoherentSuperposition) -> int:
 
     Keeps the truncation tail below ~1e-12 for |b| <= 3.
     """
-    m = float(np.max(_abs2(s), initial=0.0))
+    m = float(_abs2(s).max(initial=0.0))
     return math.ceil(2.0 * m + 10.0 * math.sqrt(m) + 20.0)
 
 
@@ -420,8 +418,8 @@ def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
         delta = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
     else:
         delta = math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
-    ratio = m / k
-    log_ratio = np.log(ratio, out=np.full(m.shape, -np.inf), where=ratio > 0.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: P(N = k) = 0 at m = 0
+        log_ratio = np.log(m / k)
     # m - k is exact for m within a factor of 2 of k, where the terms cancel most
     return np.exp(k * log_ratio - (m - k) - (_LOG_SQRT_2PI + 0.5 * math.log(k) + delta))
 
@@ -444,11 +442,11 @@ def _series_length(first_ratio: float, limit: int) -> int:
 
 @functools.lru_cache(maxsize=CUTOFF_ROWS_CACHED)
 def _cached_cutoff_rows(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows fixed by the cutoff k alone: sqrt(1), ..., sqrt(k) for
-    ``to_fock``'s recursion, and the denominators k+1, k+2, ... and k, k-1,
-    ..., 1 of ``poisson_tail``'s upper and lower series, each as long as its
-    longest series (a series takes a prefix)."""
-    rows = (np.sqrt(np.arange(1, k + 1)),
+    """Read-only rows fixed by the cutoff k alone: 1/sqrt(1), ..., 1/sqrt(k)
+    for ``to_fock``'s recursion, and the denominators k+1, k+2, ... and k,
+    k-1, ..., 1 of ``poisson_tail``'s upper and lower series, each as long as
+    its longest series (a series takes a prefix)."""
+    rows = (1.0 / np.sqrt(np.arange(1, k + 1)),
             np.arange(k + 1.0, k + 2.0 + int(_series_cap(k + 1))),
             np.arange(k, 0, -1.0))
     for row in rows:
@@ -488,8 +486,8 @@ def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
 def _poisson_upper_tail(k: int, m: np.ndarray, top: float) -> np.ndarray:
     """sum_{n > k} P(N = n), for 0 <= m <= top <= k + 1."""
     n = _series_length(top / (k + 2), k + 1)
-    terms = np.cumprod(m[..., None] / _cutoff_rows(k)[1][:n], axis=-1)
-    return _poisson_pmf(k, m) * terms.sum(axis=-1)
+    terms = np.multiply.accumulate(m[..., None] / _cutoff_rows(k)[1][:n], axis=-1)
+    return _poisson_pmf(k, m) * np.add.reduce(terms, -1)
 
 
 def _poisson_lower_tail(k: int, m: np.ndarray) -> np.ndarray:
@@ -515,7 +513,7 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     roots = memo.get(("root_tails", cutoff))  # per term
     if roots is None:
         roots = memo["root_tails", cutoff] = np.sqrt(
-            poisson_tail(cutoff, _abs2(s)).sum(axis=1))
+            np.add.reduce(poisson_tail(cutoff, _abs2(s)), 1))
     total = float(np.abs(s.coeffs) @ roots)
     return total * total
 
@@ -551,11 +549,14 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
             "e^(-|amp|^2/2) underflows past |amp| ~ 37.6"
         )
     # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), by the
-    # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product
+    # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product, with the bits
+    # of numpy's quotient (Smith's method), zero signs too: parts of b (1 - 0j) times 1/sqrt(n+1)
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
     table[..., 0] = vacuum
-    table[..., 1:] = s.amps[..., None] / _cutoff_rows(cutoff)[0]
-    np.cumprod(table, axis=-1, out=table)
+    parts, step, inv_roots = s.amps * complex(1.0, -0.0), table[..., 1:], _cutoff_rows(cutoff)[0]
+    np.multiply(parts.real[..., None], inv_roots, out=step.real)
+    np.multiply(parts.imag[..., None], inv_roots, out=step.imag)
+    np.multiply.accumulate(table, axis=-1, out=table)
     # sum_t c_t table[t, 0] (x) ... (x) table[t, M-1]: the coefficient rides on
     # mode 0, modes 1.. form a row-wise outer product, and one matrix product
     # sums the terms.

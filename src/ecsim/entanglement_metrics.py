@@ -116,7 +116,8 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
     """
     _, a2, n_theta = closed_form_inputs(alpha, r)
     r2 = np.square(r)  # r * r, for a list r too
-    num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
+    with np.errstate(over="ignore"):  # past a2 ~ 2.2e307 an exponent is -inf: expm1 gives -1
+        num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
     return _value(num / (2.0 * (n_theta * n_theta)))
 
 

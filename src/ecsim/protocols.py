@@ -116,10 +116,9 @@ def bell_measure_distribution(
     dist = photon_distribution(beam_split(state, 0, 1), cutoff)
     # only the non-zero cells, ~2 cutoff of the (cutoff + 1)^2, in row-major order
     probs = dist.probs.ravel()
-    cells = np.flatnonzero(probs > 0.0)
+    cells = (probs > 0.0).nonzero()[0]
     n_f, n_g = np.divmod(cells, dist.cutoff + 1)
-    outcomes = tuple(zip(map(_bell_outcome, n_f.tolist(), n_g.tolist()),
-                         probs[cells].tolist()))
+    outcomes = tuple(zip(map(_bell_outcome, n_f.tolist(), n_g.tolist()), probs[cells].tolist()))
     return BellMeasurement(outcomes=outcomes, tail_bound=dist.tail_bound)
 
 

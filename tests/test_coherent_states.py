@@ -401,6 +401,35 @@ def ref_to_fock(s, cutoff):
     return amps
 
 
+def division_to_fock(s, cutoff):
+    """to_fock's amplitudes by the recursion as it divides: each factor of
+    <n|b> is the complex quotient b / sqrt(n), then the same products."""
+    table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
+    table[..., 0] = np.exp(-0.5 * np.square(np.abs(s.amps)))
+    table[..., 1:] = s.amps[..., None] / np.sqrt(np.arange(1, cutoff + 1))
+    np.cumprod(table, axis=-1, out=table)
+    rest = np.ones((len(s.coeffs), 1), dtype=complex)
+    for m in range(1, s.modes):
+        rest = (rest[:, :, None] * table[:, m, None, :]).reshape(len(s.coeffs), -1)
+    return ((s.coeffs[:, None] * table[:, 0]).T @ rest).reshape((cutoff + 1,) * s.modes)
+
+
+def signed_parts(rng, shape, special):
+    """Uniform parts in (-2, 2), about half of them replaced by ``special``
+    values (signed zeros, subnormals)."""
+    part = rng.uniform(-2.0, 2.0, shape)
+    swap = rng.uniform(size=shape) < 0.5
+    part[swap] = rng.choice(special, swap.sum())
+    return part
+
+
+def with_parts(real, imag):
+    """A complex array holding exactly these parts, signed zeros included."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
 def ref_consolidate(s):
     """(coefficient, amplitude row) per kept term, by the sequential merge."""
     reps = []
@@ -557,6 +586,29 @@ class TestArrayRoute:
             assert fv.amps.shape == want.shape
             assert np.max(np.abs(fv.amps - want)) <= 1e-14 * scale(s)
 
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_to_fock_has_the_bits_of_division(self, modes):
+        # b * (1/sqrt(n)) must give the quotient's bits, the sign of every
+        # zero included: pure-imaginary and vacuum amplitudes, parts of +-0
+        # and +-5e-324, in states of few terms, where a zero part can reach
+        # an output amplitude
+        rng = np.random.default_rng([53, modes])
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 0.7, -1.3])
+        for _ in range(150):
+            terms = int(rng.integers(1, 4))
+            amps = with_parts(signed_parts(rng, (terms, modes), special),
+                              signed_parts(rng, (terms, modes), special))
+            kind = rng.uniform(size=(terms, modes))
+            amps[kind < 0.2] = with_parts(rng.choice([0.0, -0.0], (kind < 0.2).sum()),
+                                          rng.uniform(-2.0, 2.0, (kind < 0.2).sum()))
+            amps[kind > 0.9] = with_parts(rng.choice([0.0, -0.0], (kind > 0.9).sum()),
+                                          rng.choice([0.0, -0.0], (kind > 0.9).sum()))
+            coeffs = with_parts(signed_parts(rng, terms, special[:2]),
+                                signed_parts(rng, terms, special[:2]))
+            cutoff = int(rng.integers(1, 12 if modes <= 2 else 6))
+            s = CoherentSuperposition(coeffs, amps)
+            assert to_fock(s, cutoff).amps.tobytes() == division_to_fock(s, cutoff).tobytes()
+
     def test_tail_bound_matches_poisson_sf(self):
         rng = np.random.default_rng(48)
         for t, m in sizes(49):
@@ -590,6 +642,27 @@ class TestConsolidate:
             coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
             s = CoherentSuperposition(coeffs, amps)
             assert term_list(consolidate(s)) == ref_consolidate(s)
+
+    @pytest.mark.parametrize("terms", [8, 64, 256, 1024])
+    def test_matches_sequential_merge_bytes(self, terms):
+        # term_list compares values, which cannot see a zero's sign: here the
+        # kept coefficients and rows must have the reference's bytes.  Rows
+        # repeat from a few centres with parts of +-0, and a repeat may flip
+        # a zero's sign; coefficient parts are often -0.0
+        rng = np.random.default_rng([54, terms])
+        special = np.array([0.0, -0.0, 0.25])
+        centres = with_parts(signed_parts(rng, (max(2, terms // 4), 2), special),
+                             signed_parts(rng, (max(2, terms // 4), 2), special))
+        amps = centres[rng.integers(0, len(centres), terms)]
+        zero = (amps.real == 0.0) & (rng.uniform(size=amps.shape) < 0.5)
+        amps.real[zero] = -amps.real[zero]
+        coeffs = with_parts(signed_parts(rng, terms, np.array([-0.0])),
+                            signed_parts(rng, terms, np.array([-0.0])))
+        s = CoherentSuperposition(coeffs, amps)
+        out, want = consolidate(s), ref_consolidate(s)
+        assert len(want) < terms
+        assert out.coeffs.tobytes() == np.array([c for c, _ in want], dtype=complex).tobytes()
+        assert out.amps.tobytes() == np.array([a for _, a in want], dtype=complex).tobytes()
 
     def test_ulp_apart_rows_stay_apart(self):
         x = 0.3 - 0.2j
@@ -730,8 +803,8 @@ class TestMemo:
         assert rows(7) is rows(7) and rows(largest) is rows(largest)
         assert rows(largest + 1) is not rows(largest + 1)
         for k in (0, 1, 7, largest + 1):  # prefixes of the rows that were built per call
-            root, upper, lower = rows(k)
-            assert root.tobytes() == np.sqrt(np.arange(1, k + 1)).tobytes()
+            inv_root, upper, lower = rows(k)
+            assert inv_root.tobytes() == (1.0 / np.sqrt(np.arange(1, k + 1))).tobytes()
             assert upper[:9].tobytes() == np.arange(k + 1.0, k + 10.0).tobytes()
             assert lower.tobytes() == np.arange(k, 0, -1.0).tobytes()
 

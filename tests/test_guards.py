@@ -95,7 +95,7 @@ def test_alpha_at_the_bound_is_accepted_by_both_routes(r):
         want[1, 2] = want[2, 1] = -half
     assert rho.matrix.tobytes() == want.tobytes()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # closed_form_s's 8 alpha^2 overflows
+        warnings.simplefilter("error", RuntimeWarning)
         closed = (em.closed_form_e(ALPHA_BOUND, r), em.closed_form_f(ALPHA_BOUND, r),
                   em.closed_form_s(ALPHA_BOUND, r))
     assert closed == ((1.0, 1.0, 0.0) if r == 0.0 else (0.0, 2.0 / 3.0, 0.5))
