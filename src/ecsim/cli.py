@@ -39,9 +39,9 @@ MAX_ALPHA = 1e6
 BELLMEAS_TAIL_TOL = 1e-9
 # Largest sizes the flags accept, checked before anything is allocated, so
 # that no command asks for more than ~256 MiB of working memory (as
-# coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): ~32 B per
-# Monte Carlo shot, the three up-front draws and the fidelity, plus one
-# block's ~0.9 MB of work arrays (sized at 36 B; 230 MiB at MAX_SAMPLES);
+# coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): 8 B per Monte
+# Carlo shot, its fidelity, plus one block's ~1.1 MB of work arrays and draws
+# (58 MiB at MAX_SAMPLES; sized at 36 B from when the draws were made up front);
 # ~1.4 kB per (alpha, r) point in a whole fig or teleport-mc render, set by its
 # one batched density and its checks (sized at ~1.8 kB; 198 MB at
 # MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV

@@ -182,9 +182,10 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
     Inputs are drawn uniformly from the logical Bloch sphere and one outcome
     is sampled per shot from its Born probability, through the channel's
     Bell-outcome map in Bloch coordinates: ``q`` is the ``bloch_transfer`` Q
-    of one density, shape (4, 4, 4).  The random numbers are drawn up front
-    and the shots evaluated in blocks of ``MC_CHUNK``, which bounds the
-    working memory and does not change the result.
+    of one density, shape (4, 4, 4).  The shots run in blocks of ``MC_CHUNK``,
+    each drawing its slice of the seed's stream when it runs (z at draws [0, S),
+    phases at [S, 2S), outcome draws at [2S, 3S), S = ``samples``; PCG64 jumps
+    ahead), so only the fidelities grow with S and no bit depends on the block size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -192,9 +193,7 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         raise ValueError("the Monte Carlo takes one Bloch transfer of shape (4, 4, 4), "
                          f"not {q.shape}")
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, samples)
-    ph = rng.uniform(0.0, 2.0 * math.pi, samples)
-    u = rng.random(samples)  # u * total is uniform(0, total) bit for bit
+    origin = rng.bit_generator.state if samples > MC_CHUNK else None
     qt = q.transpose(2, 1, 0)  # [n, m, k]: Q[k, m, n]
     prob_rows = 2.0 * qt[:, 0, :, None]  # [n, k]: 2 Q[k, 0, n]
     # [3 n + m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
@@ -204,26 +203,38 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
     # outcome of vanishing probability; the tests pin amplitudes near underflow).
     q_cols = qt[:, 1:].reshape(12, 4)
     fids = np.empty(samples)
-    # one block's work arrays, shot axis innermost; a short last block uses a prefix
+    # one block's work arrays, shot axis innermost; a short last block packs its rows
+    # into a prefix, so that every row it reads or writes is contiguous
     width = min(samples, MC_CHUNK)
-    work, index = np.empty((27, width)), np.empty((2, width), dtype=np.intp)
+    work, index = np.empty(27 * width), np.empty((2, width), dtype=np.intp)
     hits, shot = np.empty(width, dtype=bool), np.arange(width)
     for start in range(0, samples, MC_CHUNK):
-        block = slice(start, start + MC_CHUNK)
-        zb, fb = z[block], fids[block]
-        n = len(zb)
-        w, hit = work[:, :n], hits[:n]
+        fb = fids[start:start + MC_CHUNK]
+        n = len(fb)
+        w, hit = work[:27 * n].reshape(27, n), hits[:n]
         probs, b, tmp, qk, rows, pk = w[:4], w[4:7], w[7:11], w[11:23], w[23:26], w[26]
-        ks, at = index[:, :n]  # outcomes, and where probs[ks, i] sits in work.ravel()
+        ks, at = index[:, :n]  # outcomes, and where probs[ks, i] sits in work
+        # each draw fills a row that is free until it is read, from the block's slice
+        # of its segment; z and the phase are rng.uniform's low + (high - low) d, one
+        # rounding each, fused or not (2 d is exact); u * total is uniform(0, total)
+        zb, phb, ub = b[2], tmp[3], pk
+        if origin:
+            rng.bit_generator.state = origin
+        for skip, row in ((start, zb), (samples - n, phb), (samples - n, ub)):
+            if origin:
+                rng.bit_generator.advance(skip)
+            rng.random(out=row)
+        zb *= 2.0
+        zb -= 1.0
+        phb *= 2.0 * math.pi
         # b = (b1, b2, b3) = (s cos ph, s sin ph, z) with s = sqrt((1 - z)(1 + z)); b0 = 1
         np.subtract(1.0, zb, out=tmp[0])
         np.add(1.0, zb, out=tmp[1])
         s = np.multiply(tmp[0], tmp[1], out=tmp[2])
         np.sqrt(s, out=s)
-        np.cos(ph[block], out=b[0])
-        np.sin(ph[block], out=b[1])
+        np.cos(phb, out=b[0])
+        np.sin(phb, out=b[1])
         b[:2] *= s
-        b[2] = zb
         # probabilities (4, shots): sum_n 2 Q[k, 0, n] b_n in the order n = 0, 1, 2, 3
         np.multiply(prob_rows[1], b[0], out=probs)
         probs += prob_rows[0]
@@ -233,16 +244,16 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         cum1 = np.add(probs[0], probs[1], out=tmp[0])
         cum2 = np.add(cum1, probs[2], out=tmp[1])
         draw = np.add(cum2, probs[3], out=tmp[2])
-        draw *= u[block]
+        draw *= ub
         np.greater(draw, probs[0], out=ks)
         ks += np.greater(draw, cum1, out=hit)
         ks += np.greater(draw, cum2, out=hit)
         # gathers by outcome; ks is in 0..3, so "clip" never clips (and unlike
         # "raise", does not copy through a buffer)
         np.take(q_cols, ks, axis=1, out=qk, mode="clip")
-        np.multiply(ks, width, out=at)
+        np.multiply(ks, n, out=at)
         at += shot[:n]
-        np.take(work.ravel(), at, out=pk, mode="clip")
+        np.take(work, at, out=pk, mode="clip")
         # numerator rows m = 1..3: sum_n Q[k, m, n] b_n in the order n = 0, 1, 2, 3
         qk = qk.reshape(4, 3, n)
         np.multiply(qk[1], b[0], out=rows)

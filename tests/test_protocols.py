@@ -414,10 +414,11 @@ class TestMonteCarloBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # z, phase, outcome draw and fidelity per shot (the closing
-        # statistics work in place) and one block's temporaries; a per-shot
-        # branch array alone would be 256 B a shot
-        assert peak < 6 * 8 * samples + 400 * protocols.MC_CHUNK
+        # the fidelity per shot (the closing statistics work in place) and one
+        # block's work arrays, which hold its draws too: 2.7-3.4 MB at 200 000
+        # shots.  Draws made up front for every shot would add 24 B a shot, and
+        # a per-shot branch array alone would be 256 B a shot
+        assert peak < 2 * 8 * samples + 400 * protocols.MC_CHUNK
 
 
 class TestAverageFidelity:
