@@ -193,7 +193,7 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         raise ValueError("the Monte Carlo takes one Bloch transfer of shape (4, 4, 4), "
                          f"not {q.shape}")
     rng = np.random.default_rng(seed)
-    origin = rng.bit_generator.state if samples > MC_CHUNK else None
+    origin = rng.bit_generator.state
     qt = q.transpose(2, 1, 0)  # [n, m, k]: Q[k, m, n]
     prob_rows = 2.0 * qt[:, 0, :, None]  # [n, k]: 2 Q[k, 0, n]
     # [3 n + m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
@@ -218,11 +218,9 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         # of its segment; z and the phase are rng.uniform's low + (high - low) d, one
         # rounding each, fused or not (2 d is exact); u * total is uniform(0, total)
         zb, phb, ub = b[2], tmp[3], pk
-        if origin:
-            rng.bit_generator.state = origin
+        rng.bit_generator.state = origin
         for skip, row in ((start, zb), (samples - n, phb), (samples - n, ub)):
-            if origin:
-                rng.bit_generator.advance(skip)
+            rng.bit_generator.advance(skip)
             rng.random(out=row)
         zb *= 2.0
         zb -= 1.0
