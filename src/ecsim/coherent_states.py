@@ -23,8 +23,8 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -35,23 +35,15 @@ from .errors import CutoffError, ModeMismatchError, ZeroNormError
 # bounded under repeated maps.
 DROP_TOL = 1e-15
 # Largest Fock grid, (cutoff + 1) ** modes amplitudes, and largest working
-# array, (cutoff + 1) ** (modes - 1) per term, that to_fock builds (256 MiB of
-# complex amplitudes); a larger request raises CutoffError.
+# array, (cutoff + 1) ** max(modes - 1, 1) per term, that to_fock builds
+# (256 MiB of complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
-# Most cutoffs whose fixed rows (_cutoff_rows) are kept for reuse, and the
+# Most cutoffs whose row 1/sqrt(1..k) (_cutoff_row) is kept for reuse, and the
 # largest such cutoff, that of a two-mode grid at FOCK_CELL_BUDGET: at most
-# ~70 kB a cutoff.  A one-mode state may ask for more; its rows are not kept.
+# ~32 kB a cutoff.  A one-mode state may ask for more; its row is not kept.
 CUTOFF_ROWS_CACHED = 64
 LARGEST_CACHED_CUTOFF = math.isqrt(FOCK_CELL_BUDGET) - 1
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _as_complex_tuple(amps: Iterable[complex]) -> tuple[complex, ...]:
-    out = tuple(complex(a) for a in amps)
-    for a in out:
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError(f"non-finite coherent amplitude {a!r}")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +55,18 @@ class CoherentSuperposition:
     non-orthogonal basis; norms and overlaps are evaluated through the Gram
     matrix of pairwise coherent overlaps.
 
-    A private memo holds the arrays derived from ``amps`` alone, each
-    computed on first use: the mode-major amplitudes and their conjugates
-    with the halves +-|amp|^2/2 of ``log_overlap`` (for ``inner``), |amp|^2,
-    and the per-term root Poisson tails at each cutoff (for ``to_fock``),
-    none larger than T x M.  It relies on ``amps`` staying read-only.  A
-    scalar multiple keeps ``amps``, and so shares the memo; two threads that
-    fill one entry at once store equal arrays.
+    A private memo, a dict made with the state, holds the arrays derived from
+    ``amps`` alone, each computed on first use: the mode-major amplitudes and
+    their conjugates with the halves +-|amp|^2/2 of ``log_overlap`` (for
+    ``inner``), |amp|^2, and the per-term root Poisson tails at each cutoff
+    (for ``to_fock``), none larger than T x M.  It relies on ``amps``
+    staying read-only.  A scalar multiple keeps ``amps``, and so shares the
+    memo; two threads that fill one entry at once store equal arrays.
     """
 
     coeffs: np.ndarray
     amps: np.ndarray
-    _memo = None  # not a field: a state's own memo is made on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         coeffs, amps = self.coeffs, self.amps
@@ -96,7 +88,10 @@ class CoherentSuperposition:
     @classmethod
     def ket(cls, *amps: complex, coeff: complex = 1.0) -> "CoherentSuperposition":
         """Single coherent product ket  coeff * |amps[0], amps[1], ...>."""
-        return cls(np.array([complex(coeff)]), np.array([_as_complex_tuple(amps)]))
+        coeffs, rows = np.array([coeff], dtype=complex), np.array([amps], dtype=complex)
+        if not (np.isfinite(coeffs).all() and np.isfinite(rows).all()):
+            raise ValueError(f"non-finite coefficient {coeff!r} or amplitudes {amps!r}")
+        return cls(coeffs, rows)
 
     def __add__(self, other: "CoherentSuperposition") -> "CoherentSuperposition":
         if self.modes != other.modes:
@@ -108,7 +103,7 @@ class CoherentSuperposition:
 
     def __rmul__(self, scalar: complex) -> "CoherentSuperposition":
         out = CoherentSuperposition(complex(scalar) * self.coeffs, self.amps)
-        object.__setattr__(out, "_memo", _memo_of(self))  # same amps, same derived arrays
+        object.__setattr__(out, "_memo", self._memo)  # same amps, same derived arrays
         return out
 
 
@@ -192,15 +187,6 @@ def log_overlap(beta, gamma):
     return -0.5 * np.abs(beta) ** 2 - 0.5 * np.abs(gamma) ** 2 + np.conj(beta) * gamma
 
 
-def _memo_of(s: CoherentSuperposition) -> dict:
-    """The state's memo of arrays derived from its amplitudes, made on first use."""
-    memo = s._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(s, "_memo", memo)
-    return memo
-
-
 def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Sesquilinear inner product <a|b> = c_a^dag exp(L) c_b, with L the
     log-Gram matrix of the two term sets.  Each state's side of L comes from
@@ -210,9 +196,6 @@ def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     if a.amps.shape[1] != b.amps.shape[1]:
         raise ModeMismatchError(f"{a.modes} modes vs {b.modes} modes")
     memo = a._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(a, "_memo", memo)
     bra = memo.get("bra")
     if bra is None:  # conj(b) and -|b|^2/2 of the mode-major amplitudes, (M, T, 1)
         amps = np.ascontiguousarray(a.amps.T)
@@ -221,9 +204,6 @@ def inner(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
         if b is a:  # <a|a>: the ket side from the same amplitudes and |amp|^2
             memo["ket"] = (amps[:, None, :], 0.5 * abs2[:, None, :])
     memo = b._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(b, "_memo", memo)
     ket = memo.get("ket")
     if ket is None:  # g and |g|^2/2 of the mode-major amplitudes, (M, 1, T)
         kets = np.ascontiguousarray(b.amps.T)[:, None, :]
@@ -386,7 +366,7 @@ def operator_trace(rho: CoherentOperator) -> complex | np.ndarray:
 
 def _abs2(s: CoherentSuperposition) -> np.ndarray:
     """|amps|^2, shape (T, M), from the state's memo."""
-    memo = _memo_of(s)
+    memo = s._memo
     abs2 = memo.get("abs2")
     if abs2 is None:
         abs2 = memo["abs2"] = np.square(np.abs(s.amps))
@@ -441,22 +421,16 @@ def _series_length(first_ratio: float, limit: int) -> int:
 
 
 @functools.lru_cache(maxsize=CUTOFF_ROWS_CACHED)
-def _cached_cutoff_rows(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows fixed by the cutoff k alone: 1/sqrt(1), ..., 1/sqrt(k)
-    for ``to_fock``'s recursion, and the denominators k+1, k+2, ... and k,
-    k-1, ..., 1 of ``poisson_tail``'s upper and lower series, each as long as
-    its longest series (a series takes a prefix)."""
-    rows = (1.0 / np.sqrt(np.arange(1, k + 1)),
-            np.arange(k + 1.0, k + 2.0 + int(_series_cap(k + 1))),
-            np.arange(k, 0, -1.0))
-    for row in rows:
-        row.setflags(write=False)
-    return rows
+def _cached_cutoff_row(k: int) -> np.ndarray:
+    """1/sqrt(1), ..., 1/sqrt(k), read-only, for ``to_fock``'s recursion."""
+    row = 1.0 / np.sqrt(np.arange(1, k + 1))
+    row.setflags(write=False)
+    return row
 
 
-def _cutoff_rows(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cutoff's rows, made once per cutoff up to LARGEST_CACHED_CUTOFF."""
-    make = _cached_cutoff_rows if k <= LARGEST_CACHED_CUTOFF else _cached_cutoff_rows.__wrapped__
+def _cutoff_row(k: int) -> np.ndarray:
+    """The cutoff's row, made once per cutoff up to LARGEST_CACHED_CUTOFF."""
+    make = _cached_cutoff_row if k <= LARGEST_CACHED_CUTOFF else _cached_cutoff_row.__wrapped__
     return make(k)
 
 
@@ -486,7 +460,7 @@ def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
 def _poisson_upper_tail(k: int, m: np.ndarray, top: float) -> np.ndarray:
     """sum_{n > k} P(N = n), for 0 <= m <= top <= k + 1."""
     n = _series_length(top / (k + 2), k + 1)
-    terms = np.multiply.accumulate(m[..., None] / _cutoff_rows(k)[1][:n], axis=-1)
+    terms = np.multiply.accumulate(m[..., None] / np.arange(k + 1.0, k + 1.0 + n), axis=-1)
     return _poisson_pmf(k, m) * np.add.reduce(terms, -1)
 
 
@@ -496,7 +470,7 @@ def _poisson_lower_tail(k: int, m: np.ndarray) -> np.ndarray:
     # amplitude beyond ~1e154, out of the exponent
     m = np.minimum(m, 1e300)
     n = min(k, _series_length(k / float(m.min()), k))
-    terms = np.cumprod(_cutoff_rows(k)[2][:n] / m[..., None], axis=-1)
+    terms = np.cumprod(np.arange(k, k - n, -1.0) / m[..., None], axis=-1)
     return 1.0 - _poisson_pmf(k, m) * (1.0 + terms.sum(axis=-1))
 
 
@@ -509,7 +483,7 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     bounds the superposition's loss.  The per-term roots of those sums are
     kept in the state's memo, one array per cutoff.
     """
-    memo = _memo_of(s)
+    memo = s._memo
     roots = memo.get(("root_tails", cutoff))  # per term
     if roots is None:
         roots = memo["root_tails", cutoff] = np.sqrt(
@@ -521,20 +495,20 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
 def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Truncated-Fock representation of ``s``.
 
-    Raises CutoffError, before allocating, when the grid or the working array
-    (one row of (cutoff+1)^(modes-1) amplitudes per term) would hold more
-    than FOCK_CELL_BUDGET amplitudes, and when a vacuum amplitude
-    e^{-|amp|^2/2} falls below the normal range (|amp| > ~37.6).  Truncation
-    is never silent: the record holds the bound on the norm lost beyond it.
-    |amp|^2 and the per-term root tails come from the state's memo, and the
-    rows fixed by the cutoff from ``_cutoff_rows``; the table is built anew
-    on every call.
+    Raises CutoffError, before allocating, when the grid or the working
+    arrays (per term, cutoff+1 amplitudes a mode and (cutoff+1)^(modes-1) in
+    the outer product) would hold more than FOCK_CELL_BUDGET amplitudes, and
+    when a vacuum amplitude e^{-|amp|^2/2} falls below the normal range
+    (|amp| > ~37.6).  Truncation is never silent: the record holds the bound
+    on the norm lost beyond it.  |amp|^2 and the per-term root tails come
+    from the state's memo, and 1/sqrt(1..cutoff) from ``_cutoff_row``; the
+    table is built anew on every call.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
     if cutoff < 1:
         raise CutoffError("cutoff must be >= 1")
-    cells = max(cutoff + 1, len(s.coeffs)) * (cutoff + 1) ** (s.modes - 1)
+    cells = max((cutoff + 1) ** s.modes, len(s.coeffs) * (cutoff + 1) ** max(s.modes - 1, 1))
     if cells > FOCK_CELL_BUDGET:
         raise CutoffError(
             f"cutoff {cutoff} on {s.modes} modes and {len(s.coeffs)} terms needs "
@@ -553,7 +527,7 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     # of numpy's quotient (Smith's method), zero signs too: parts of b (1 - 0j) times 1/sqrt(n+1)
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
     table[..., 0] = vacuum
-    parts, step, inv_roots = s.amps * complex(1.0, -0.0), table[..., 1:], _cutoff_rows(cutoff)[0]
+    parts, step, inv_roots = s.amps * complex(1.0, -0.0), table[..., 1:], _cutoff_row(cutoff)
     np.multiply(parts.real[..., None], inv_roots, out=step.real)
     np.multiply(parts.imag[..., None], inv_roots, out=step.imag)
     np.multiply.accumulate(table, axis=-1, out=table)

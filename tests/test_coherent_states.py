@@ -3,8 +3,10 @@ import cmath
 import dataclasses
 import decimal
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,8 +85,12 @@ class TestOverlap:
             assert abs(cmath.exp(log_overlap(b, g))) <= 1.0 + 1e-14
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CoherentSuperposition.ket(complex("inf"))
+        # a non-finite weight would turn projections and consolidate's drop
+        # threshold into inf * 0 and inf / inf
+        for amp, coeff in ((complex("inf"), 1.0), (0.5, math.inf), (0.5, math.nan),
+                           (0.5, complex(0.0, -math.inf))):
+            with pytest.raises(ValueError):
+                CoherentSuperposition.ket(amp, coeff=coeff)
 
 
 class TestInner:
@@ -253,6 +259,30 @@ class TestFock:
         assert to_fock(state(20), 4).amps.shape == (5, 5)
         with pytest.raises(CutoffError, match="budget"):
             photon_distribution(normalized(state(21)), 4)
+
+    def test_cell_budget_counts_one_mode_terms(self, monkeypatch):
+        # one mode builds a table of cutoff + 1 amplitudes per term, not a
+        # grid of cutoff + 1 alone
+        budget = 10_000
+        monkeypatch.setattr(coherent_states, "FOCK_CELL_BUDGET", budget)
+
+        def state(terms):
+            return CoherentSuperposition(np.ones(terms, dtype=complex),
+                                         np.linspace(-1.0, 1.0, terms)[:, None] + 0.5j)
+
+        with pytest.raises(CutoffError, match="51 terms"):
+            to_fock(state(51), 199)
+        with pytest.raises(CutoffError, match="budget"):
+            to_fock(state(200), 199)
+        to_fock(state(50), 199)  # warm the cutoff's row before measuring
+        tracemalloc.start()
+        try:
+            fv = to_fock(state(50), 199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fv.amps.shape == (200,)
+        assert peak <= 4 * budget * 16
 
     def test_vacuum_amplitude_underflow(self):
         # e^{-|b|^2/2} is subnormal past |b| ~ 37.64 and zero past ~38.6
@@ -790,23 +820,42 @@ class TestMemo:
 
     def test_a_new_amplitude_array_starts_a_new_memo(self):
         s = CoherentSuperposition.ket(0.5, 1.0) + CoherentSuperposition.ket(-0.5, 0.2)
+        assert type(s._memo) is dict and s._memo == {}  # made with the state
+        assert (0.5j * s)._memo is s._memo
         inner(s, s)
         for other in (beam_split(s, 0, 1), s + s, dataclasses.replace(s), consolidate(s + s)):
-            assert other._memo is None or other._memo is not s._memo
+            assert other._memo == {} and other._memo is not s._memo
+
+    @pytest.mark.parametrize("terms,modes", sizes(30, cases=4))
+    def test_threads_sharing_a_fresh_state_get_fresh_bits(self, terms, modes):
+        # four threads fill one memo at once; each result has the bits of a
+        # fresh state's
+        rng = np.random.default_rng([30, terms, modes])
+        cutoff = 6 if modes <= 2 else 3
+        calls = (lambda s, u: inner(s, s), lambda s, u: inner(s, u),
+                 lambda s, u: norm(s), lambda s, u: to_fock(s, cutoff).amps.tobytes())
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(10):
+                s, u = array_state(rng, terms, modes), array_state(rng, terms, modes)
+                want = [np.array([call(fresh_copy(s), u)]).tobytes() for call in calls]
+                barrier = threading.Barrier(4, timeout=60)
+
+                def run(call, s=s, u=u, barrier=barrier):
+                    barrier.wait()
+                    return np.array([call(s, u)]).tobytes()
+
+                assert list(pool.map(run, calls)) == want
 
     def test_cutoff_rows_are_read_only_and_bounded(self):
-        rows, cached = coherent_states._cutoff_rows, coherent_states._cached_cutoff_rows
+        row, cached = coherent_states._cutoff_row, coherent_states._cached_cutoff_row
         assert cached.cache_info().maxsize == coherent_states.CUTOFF_ROWS_CACHED
         largest = coherent_states.LARGEST_CACHED_CUTOFF
         assert (largest + 2) ** 2 > FOCK_CELL_BUDGET  # a two-mode grid needs no more
-        assert not any(row.flags.writeable for row in rows(7))
-        assert rows(7) is rows(7) and rows(largest) is rows(largest)
-        assert rows(largest + 1) is not rows(largest + 1)
-        for k in (0, 1, 7, largest + 1):  # prefixes of the rows that were built per call
-            inv_root, upper, lower = rows(k)
-            assert inv_root.tobytes() == (1.0 / np.sqrt(np.arange(1, k + 1))).tobytes()
-            assert upper[:9].tobytes() == np.arange(k + 1.0, k + 10.0).tobytes()
-            assert lower.tobytes() == np.arange(k, 0, -1.0).tobytes()
+        assert not row(7).flags.writeable
+        assert row(7) is row(7) and row(largest) is row(largest)
+        assert row(largest + 1) is not row(largest + 1)
+        for k in (0, 1, 7, largest + 1):  # the row that was built per call
+            assert row(k).tobytes() == (1.0 / np.sqrt(np.arange(1, k + 1))).tobytes()
 
 
 class TestStorage:

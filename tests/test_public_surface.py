@@ -10,6 +10,9 @@ name is not a call).  ``ecsim/__init__`` holds only the version: every
 program imports the module that defines a name.  A reference that the tests
 need belongs in the tests.
 
+The same holds for a private module-level function or class and for a
+module-level constant: one that no program reads is left over from a cut.
+
 Likewise a parameter with a default that no program call passes is a knob
 with one value in use: the other values are code kept for the tests alone.
 """
@@ -54,6 +57,24 @@ def _defined() -> tuple[set[str], set[str]]:
                     if isinstance(item, ast.FunctionDef) and _public(item.name)
                 )
     return names, methods
+
+
+def _module_level() -> set[str]:
+    """``module.name`` for each private top-level function and class and each
+    name assigned at the top level, dunders such as ``__version__`` aside."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _public(node.name):
+                found = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            names.update(f"{path.stem}.{name}" for name in found
+                         if not (name.startswith("__") and name.endswith("__")))
+    return names
 
 
 def _program_nodes():
@@ -139,6 +160,12 @@ def test_every_public_name_has_a_library_or_benchmark_caller():
         + [m for m in methods - ALLOWED if _last(m) not in attrs]
     )
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_private_name_and_constant_is_read_by_the_program():
+    bare, attrs = _read()
+    unread = sorted(n for n in _module_level() if _last(n) not in bare | attrs)
+    assert not unread, f"module-level names that no program reads: {unread}"
 
 
 def test_every_layer_default_is_passed_by_a_program_call():
