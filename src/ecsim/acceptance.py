@@ -232,7 +232,10 @@ def _random_hermitian_operator(rng, modes):
     s1 = _random_superposition(rng, modes=modes, max_terms=3)
     s2 = _random_superposition(rng, modes=modes, max_terms=3)
     w = rng.uniform(0.1, 1.0)
-    return cs.dyad_from_pure(s1) + w * cs.dyad_from_pure(s2)
+    d1, d2 = cs.dyad_from_pure(s1), cs.dyad_from_pure(s2)  # d1 + w d2
+    return cs.CoherentOperator(np.concatenate((d1.coeffs, complex(w) * d2.coeffs)),
+                               np.concatenate((d1.kets, d2.kets)),
+                               np.concatenate((d1.bras, d2.bras)))
 
 
 def property_gram_positivity(cases):

@@ -6,7 +6,8 @@ of two read-only arrays: ``coeffs`` of shape (T,) and ``amps`` of shape
 sum_t c_t |k_t><g_t|  is a ``CoherentOperator`` of ``coeffs`` (T, *batch),
 ``kets`` and ``bras`` (T, M, *batch); optional trailing batch axes carry a
 parameter grid, one operator per entry.  Each type is built from its arrays
-alone; ``CoherentSuperposition.ket``, ``+`` and scalar ``*`` compose states.
+alone; ``CoherentSuperposition.ket``, ``+`` and scalar ``*`` compose states,
+and operators are composed by their callers' array operations.
 
 Every operation acts on whole arrays.  Inner products, partial projections
 and traces exponentiate sums of ``log_overlap`` built by broadcasting, so
@@ -20,7 +21,6 @@ code paths.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -38,11 +38,6 @@ DROP_TOL = 1e-15
 # array, (cutoff + 1) ** max(modes - 1, 1) per term, that to_fock builds
 # (256 MiB of complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
-# Most cutoffs whose row 1/sqrt(1..k) (_cutoff_row) is kept for reuse, and the
-# largest such cutoff, that of a two-mode grid at FOCK_CELL_BUDGET: at most
-# ~32 kB a cutoff.  A one-mode state may ask for more; its row is not kept.
-CUTOFF_ROWS_CACHED = 64
-LARGEST_CACHED_CUTOFF = math.isqrt(FOCK_CELL_BUDGET) - 1
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -53,7 +48,8 @@ class CoherentSuperposition:
     ``coeffs`` (T,) and ``amps`` (T, M), M >= 1, are complex arrays, taken
     over without a copy and made read-only.  The coherent kets form a
     non-orthogonal basis; norms and overlaps are evaluated through the Gram
-    matrix of pairwise coherent overlaps.
+    matrix of pairwise coherent overlaps.  Only ``ket`` refuses non-finite
+    values; the constructor checks shapes and takes the values as given.
 
     A private memo, a dict made with the state, holds the arrays derived from
     ``amps`` alone, each computed on first use: the mode-major amplitudes and
@@ -113,7 +109,11 @@ class CoherentOperator:
 
     ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch), M >= 1,
     are complex arrays, taken over without a copy and made read-only; the
-    optional trailing batch axes carry one operator per entry.
+    optional trailing batch axes carry one operator per entry.  The type has
+    no arithmetic: a sum of operators is the concatenation of their three
+    arrays along the term axis, and a scalar multiple scales ``coeffs``.
+    Like ``CoherentSuperposition``'s, the constructor checks shapes only and
+    takes the values as given, finite or not.
     """
 
     coeffs: np.ndarray
@@ -138,18 +138,6 @@ class CoherentOperator:
     @property
     def modes(self) -> int:
         return self.kets.shape[1]
-
-    def __add__(self, other: "CoherentOperator") -> "CoherentOperator":
-        if self.modes != other.modes:
-            raise ModeMismatchError(f"{self.modes} modes vs {other.modes} modes")
-        return CoherentOperator(
-            np.concatenate((self.coeffs, other.coeffs)),
-            np.concatenate((self.kets, other.kets)),
-            np.concatenate((self.bras, other.bras)),
-        )
-
-    def __rmul__(self, scalar: complex) -> "CoherentOperator":
-        return CoherentOperator(complex(scalar) * self.coeffs, self.kets, self.bras)
 
 
 @dataclass(frozen=True)
@@ -420,20 +408,6 @@ def _series_length(first_ratio: float, limit: int) -> int:
     return int(min(geometric, _series_cap(limit))) + 1
 
 
-@functools.lru_cache(maxsize=CUTOFF_ROWS_CACHED)
-def _cached_cutoff_row(k: int) -> np.ndarray:
-    """1/sqrt(1), ..., 1/sqrt(k), read-only, for ``to_fock``'s recursion."""
-    row = 1.0 / np.sqrt(np.arange(1, k + 1))
-    row.setflags(write=False)
-    return row
-
-
-def _cutoff_row(k: int) -> np.ndarray:
-    """The cutoff's row, made once per cutoff up to LARGEST_CACHED_CUTOFF."""
-    make = _cached_cutoff_row if k <= LARGEST_CACHED_CUTOFF else _cached_cutoff_row.__wrapped__
-    return make(k)
-
-
 def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
     """P(N > cutoff) for N ~ Poisson(m), element-wise over means m >= 0.
 
@@ -501,8 +475,8 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     when a vacuum amplitude e^{-|amp|^2/2} falls below the normal range
     (|amp| > ~37.6).  Truncation is never silent: the record holds the bound
     on the norm lost beyond it.  |amp|^2 and the per-term root tails come
-    from the state's memo, and 1/sqrt(1..cutoff) from ``_cutoff_row``; the
-    table is built anew on every call.
+    from the state's memo; the row 1/sqrt(1..cutoff) and the table are built
+    anew on every call.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
@@ -527,7 +501,8 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     # of numpy's quotient (Smith's method), zero signs too: parts of b (1 - 0j) times 1/sqrt(n+1)
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
     table[..., 0] = vacuum
-    parts, step, inv_roots = s.amps * complex(1.0, -0.0), table[..., 1:], _cutoff_row(cutoff)
+    parts, step = s.amps * complex(1.0, -0.0), table[..., 1:]
+    inv_roots = 1.0 / np.sqrt(np.arange(1, cutoff + 1))
     np.multiply(parts.real[..., None], inv_roots, out=step.real)
     np.multiply(parts.imag[..., None], inv_roots, out=step.imag)
     np.multiply.accumulate(table, axis=-1, out=table)

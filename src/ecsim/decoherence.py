@@ -77,8 +77,8 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
 
 
 def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
-    """Closed-form coefficients (a, b, c, d, gamma, W, N_theta) of the damped
-    entangled channel, from ``closed_form_inputs``.
+    """Closed-form coefficients (a, b, c, d, gamma, W, 1 - gamma, 1 - W,
+    N_theta) of the damped entangled channel, from ``closed_form_inputs``.
 
     With W = exp(-4 t^2 a^2) and the decoherence functional
     gamma = exp(-4 r^2 a^2):
@@ -88,16 +88,18 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
         c = 2 - (1 + gamma) W
         d = -2 gamma + (1 + gamma) W
 
-    Each of these has the shape ``alpha.shape + r.shape``; N_theta =
+    Each of these, and 1 - gamma and 1 - W (each an expm1, without
+    cancellation), has the shape ``alpha.shape + r.shape``; N_theta =
     1 - exp(-4 a^2), the time-independent normalization of the undecayed
     basis, has the shape of ``alpha`` with a length-1 axis for each of ``r``.
     """
     t, a2, n_theta = closed_form_inputs(alpha, r)
     t2 = t * t
-    g = np.exp(-4.0 * (1.0 - t2) * a2)
-    w = np.exp(-4.0 * t2 * a2)
+    log_g, log_w = -4.0 * (1.0 - t2) * a2, -4.0 * t2 * a2
+    g, w = np.exp(log_g), np.exp(log_w)
     loss, gw = 1.0 - g, (1.0 + g) * w
-    return loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w, n_theta
+    return (loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w,
+            -np.expm1(log_g), -np.expm1(log_w), n_theta)
 
 
 def _amplitudes(alpha) -> np.ndarray:
@@ -175,7 +177,7 @@ def closed_form_vst(alpha, r) -> np.ndarray:
     ``alpha`` and an array ``r`` give shape ``alpha.shape + r.shape + (4, 4)``,
     like ``closed_form_e``.
     """
-    a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
+    a, b, c, d, *_, n_theta = channel_coefficients(alpha, r)
     coords = np.zeros(np.shape(b) + (4, 4))
     coords[..., 0, 0] = 1.0
     coords[..., 1, 0] = coords[..., 0, 1] = b / n_theta

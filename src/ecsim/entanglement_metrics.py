@@ -47,12 +47,17 @@ def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
 def closed_form_e(alpha, r) -> float | np.ndarray:
     """Closed-form channel negativity.
 
-    E = (sqrt(16 b^2 + (c-d)^2) - (2a + c + d)) / (4 N_theta).
+    E = (root - (2a + c + d)) / (4 N_theta), root = sqrt(16 b^2 + (c-d)^2).
+    Since root^2 - (2a + c + d)^2 = 16 gamma (1 - W)^2, it is evaluated as
+    E = 4 gamma (1 - W)^2 / (N_theta (root + 2a + c + d)), halved through,
+    with 2a + c + d = 2 (1 - gamma)(1 + W), 16 b^2 = 16 (1 - gamma)^2 W and
+    c - d = 2 (1 + gamma)(1 - W): every term is non-negative, and 1 - gamma
+    and 1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma
+    does not underflow.
     """
-    a, b, c, d, _, _, n_theta = channel_coefficients(alpha, r)
-    c_d = c - d
-    root = np.sqrt(16.0 * (b * b) + c_d * c_d)
-    return _value((root - (2.0 * a + c + d)) / (4.0 * n_theta))
+    *_, g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    root = np.sqrt(4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w))
+    return _value(2.0 * g * (one_w * one_w) / (n_theta * (root + one_g * (1.0 + w))))
 
 
 def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
@@ -95,7 +100,7 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
     W from ``channel_coefficients``, which cannot overflow at large amplitude.
     """
-    *_, g, w, n_theta = channel_coefficients(alpha, r)
+    *_, g, w, _, _, n_theta = channel_coefficients(alpha, r)
     return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
 
 
@@ -137,7 +142,7 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     amplitude the margin is below the rounding of f: at alpha = 3 and
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
-    *_, g, w, n_theta = channel_coefficients(alpha, r)
+    *_, g, w, _, _, n_theta = channel_coefficients(alpha, r)
     return np.maximum(np.exp(-4.0 * (alpha * alpha)) - g, g - w) / (3.0 * n_theta)
 
 

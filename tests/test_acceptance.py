@@ -24,6 +24,7 @@ from ecsim import acceptance, cli
 from ecsim import coherent_states as cs
 from ecsim import decoherence as dec
 from ecsim import qubit_encoding as qe
+from test_coherent_states import operator_sum
 
 
 _CRITERIA = {check: (check_id, name) for check_id, name, check in acceptance._CHECKS}
@@ -139,8 +140,8 @@ def test_semigroup_fails_on_term_count_mismatch(monkeypatch):
 
     def padded(op, clock):
         out = real(op, clock)
-        return out + cs.CoherentOperator(
-            np.zeros_like(out.coeffs[-1:]), out.kets[-1:], out.bras[-1:])
+        return operator_sum((1, out), (1, cs.CoherentOperator(
+            np.zeros_like(out.coeffs[-1:]), out.kets[-1:], out.bras[-1:])))
 
     monkeypatch.setattr(acceptance.dec, "decohere", padded)
     passed, detail = acceptance.property_semigroup(cases=5)
@@ -151,6 +152,11 @@ def test_semigroup_fails_on_term_count_mismatch(monkeypatch):
 def _scaled(factor):
     """A patch that multiplies the real call's result by ``factor``."""
     return lambda real: lambda *args: factor * real(*args)
+
+
+def _scaled_operator(factor):
+    """``_scaled`` for a call that returns an operator."""
+    return lambda real: lambda *args: operator_sum((factor, real(*args)))
 
 
 def _unchecked(matrix):
@@ -171,7 +177,7 @@ PROPERTY_BREAKS = [
     ("property_gram_positivity", {(cs, "inner"): lambda real: lambda a, b: -1 + 0j},
      "norm^2 = "),
     ("property_linear_optics_norm", {(cs, "beam_split"): _scaled(2.0)}, "norm drift"),
-    ("property_trace_preservation", {(dec, "decohere"): _scaled(2.0)}, "trace drift"),
+    ("property_trace_preservation", {(dec, "decohere"): _scaled_operator(2.0)}, "trace drift"),
     ("property_density_validity", {(dec, "channel_rho4"): _unchecked(np.triu(np.ones((4, 4))) / 4)},
      "hermiticity violation"),
     ("property_density_validity", {(dec, "channel_rho4"): _unchecked(np.eye(4) / 2)},
@@ -182,7 +188,7 @@ PROPERTY_BREAKS = [
     ("property_pauli_round_trip",
      {(qe, "pauli_decompose"): _scaled(1024.0), (qe, "pauli_reconstruct"): _scaled(1 / 1024)},
      "Bloch vector outside the ball"),
-    ("property_semigroup", {(dec, "decohere"): _scaled(2.0)}, "semigroup defect"),
+    ("property_semigroup", {(dec, "decohere"): _scaled_operator(2.0)}, "semigroup defect"),
     ("property_cli_determinism", {(cli, "render"): _renders_differ}, "not byte-identical"),
 ]
 

@@ -41,6 +41,14 @@ from ecsim.errors import CutoffError, ModeMismatchError
 SQ2 = math.sqrt(2.0)
 
 
+def operator_sum(*terms):
+    """sum_k w_k O_k over (w_k, O_k) pairs: the operators' arrays concatenated
+    along the term axis, each one's coefficients scaled by its weight."""
+    return CoherentOperator(np.concatenate([complex(w) * op.coeffs for w, op in terms]),
+                            np.concatenate([op.kets for _, op in terms]),
+                            np.concatenate([op.bras for _, op in terms]))
+
+
 def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
     n = int(rng.integers(1, max_terms + 1))
     coeffs = np.empty(n, dtype=complex)
@@ -588,7 +596,7 @@ class TestArrayRoute:
         rng = np.random.default_rng(44)
         for t, m in sizes(45):
             a, b = array_state(rng, t, m), array_state(rng, 4, m)
-            rho = dyad_from_pure(a) + (0.3 - 0.2j) * dyad_from_pure(b)
+            rho = operator_sum((1, dyad_from_pure(a)), (0.3 - 0.2j, dyad_from_pure(b)))
             want = ref_operator_trace(rho)
             assert abs(operator_trace(rho) - want) <= 1e-14 * (scale(a, a) + scale(b, b))
 
@@ -845,17 +853,6 @@ class TestMemo:
                     return np.array([call(s, u)]).tobytes()
 
                 assert list(pool.map(run, calls)) == want
-
-    def test_cutoff_rows_are_read_only_and_bounded(self):
-        row, cached = coherent_states._cutoff_row, coherent_states._cached_cutoff_row
-        assert cached.cache_info().maxsize == coherent_states.CUTOFF_ROWS_CACHED
-        largest = coherent_states.LARGEST_CACHED_CUTOFF
-        assert (largest + 2) ** 2 > FOCK_CELL_BUDGET  # a two-mode grid needs no more
-        assert not row(7).flags.writeable
-        assert row(7) is row(7) and row(largest) is row(largest)
-        assert row(largest + 1) is not row(largest + 1)
-        for k in (0, 1, 7, largest + 1):  # the row that was built per call
-            assert row(k).tobytes() == (1.0 / np.sqrt(np.arange(1, k + 1))).tobytes()
 
 
 class TestStorage:

@@ -1,14 +1,17 @@
 """Vacuum decoherence: dyad map, channel construction, closed forms."""
+import cmath
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ecsim.coherent_states import (
     CoherentOperator,
     dyad_from_pure,
     operator_trace,
+    to_fock,
 )
 from ecsim import entanglement_metrics as em
 from ecsim import qubit_encoding
@@ -33,6 +36,7 @@ from ecsim.qubit_encoding import (
     pauli_decompose,
     project_to_density,
 )
+from test_coherent_states import operator_sum
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -107,6 +111,73 @@ class TestDecohereDyad:
         assert coeff == pytest.approx(math.exp(-2.0) ** 0.36, rel=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# an independent oracle for the decay law: the paper's vacuum channel as
+# amplitude damping in the Fock basis, with transmissivity t^2 on each mode
+
+ORACLE_CUTOFF = 60  # Poisson(4) beyond 60 photons is ~1e-46: |amp| <= 2 loses nothing
+
+
+def _fock_ket(beta: complex, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+    """<n|beta> = e^{-|beta|^2/2} beta^n / sqrt(n!), n = 0..cutoff."""
+    n = np.arange(cutoff + 1)
+    return (math.exp(-0.5 * abs(beta) ** 2) * np.power(complex(beta), n)
+            / np.sqrt(special.factorial(n)))
+
+
+def _kraus(r: float, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+    """K_k = sum_m sqrt(C(m, k)) t^(m-k) r^k |m-k><m|, t = sqrt(1 - r^2), as an
+    array (k, row, column)."""
+    t = math.sqrt(1.0 - r * r)
+    k, m = np.nonzero(np.less_equal.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)))
+    kraus = np.zeros((cutoff + 1,) * 3)
+    kraus[k, m - k, m] = np.sqrt(special.comb(m, k)) * t ** (m - k) * r ** k
+    return kraus
+
+
+def _logical_fock_kets(amplitude: float) -> np.ndarray:
+    """Psi+ and Psi- at ``amplitude`` in the Fock basis, rows (2, cutoff + 1):
+    (cos th |a> - sin th |-a>) / sqrt(N) and (-sin th |a> + cos th |-a>) / sqrt(N),
+    sin 2th = <a|-a> = e^{-2 a^2}, N = 1 - e^{-4 a^2}."""
+    s2 = math.exp(-2.0 * amplitude * amplitude)
+    th, n = 0.5 * math.asin(s2), -math.expm1(-4.0 * amplitude * amplitude)
+    plus, minus = _fock_ket(amplitude), _fock_ket(-amplitude)
+    return np.stack((math.cos(th) * plus - math.sin(th) * minus,
+                     -math.sin(th) * plus + math.cos(th) * minus)) / math.sqrt(n)
+
+
+class TestKrausOracle:
+    """``decohere``'s law |b><g| -> <g|b>^(1-t^2) |tb><tg| against the Kraus
+    sums of amplitude damping, which contain neither it nor the closed forms."""
+
+    @pytest.mark.parametrize("alpha,r", [(0.5, 0.3), (0.8, 0.9), (1.0, 0.5), (1.2, 0.99),
+                                         (1.5, 0.6), (2.0, 0.2), (2.0, 0.99)])
+    def test_channel_density(self, alpha, r):
+        fock = to_fock(bell_state(4, make_basis(alpha)), ORACLE_CUTOFF)
+        assert fock.tail_bound < 1e-30  # the amplitude error, sqrt(tail), is below 1e-15
+        # <e_i| K_k on each mode, then sum_k over both modes' environments
+        bra_k = np.einsum("in,knm->ikm", _logical_fock_kets(math.sqrt(1.0 - r * r) * alpha).conj(),
+                          _kraus(r))
+        amps = np.einsum("akm,mn->akn", bra_k, fock.amps)
+        amps = np.einsum("akn,bln->abkl", amps, bra_k).reshape(4, -1)
+        want = amps @ amps.conj().T
+        got = channel_rho4(alpha, r).matrix
+        assert np.abs(got - want).max() <= 1e-13 + fock.tail_bound
+
+    def test_random_complex_dyads(self):
+        rng = np.random.default_rng(61)
+        for _ in range(24):
+            beta, gamma = (2.0 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+                           for _ in range(2))
+            r = rng.uniform(0.05, 0.99)
+            kraus = _kraus(r).astype(complex)
+            dyad = np.outer(_fock_ket(beta), _fock_ket(gamma).conj())
+            want = (kraus @ dyad @ kraus.transpose(0, 2, 1)).sum(axis=0)
+            coeff, ket, bra = damp_single_dyad(beta, gamma, DecayClock.from_r(r))
+            got = coeff * np.outer(_fock_ket(ket), _fock_ket(bra).conj())
+            assert np.abs(got - want).max() <= 1e-13, (beta, gamma, r)
+
+
 class TestDecohere:
     def test_identity_at_t1(self):
         b = make_basis(1.0, 1.0)
@@ -118,7 +189,7 @@ class TestDecohere:
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(32)
         b = make_basis(1.2, 1.0)
-        op = dyad_from_pure(bell_state(1, b)) + 0.7 * dyad_from_pure(bell_state(3, b))
+        op = operator_sum((1, dyad_from_pure(bell_state(1, b))), (0.7, dyad_from_pure(bell_state(3, b))))
         for _ in range(10):
             clock = DecayClock.from_r(rng.uniform(0.0, 0.95))
             out = decohere(op, clock)
@@ -129,7 +200,7 @@ class TestDecohere:
 
     def test_array_clock_matches_scalar_clocks(self):
         b = make_basis(1.1, 1.0)
-        op = dyad_from_pure(bell_state(1, b)) + 0.3 * dyad_from_pure(bell_state(2, b))
+        op = operator_sum((1, dyad_from_pure(bell_state(1, b))), (0.3, dyad_from_pure(bell_state(2, b))))
         t = np.array([[1.0, 0.8], [0.5, 0.2]])
         batch = decohere(op, DecayClock(t))
         for idx in np.ndindex(t.shape):
@@ -275,7 +346,7 @@ class TestClosedFormGuard:
 
 class TestClosedForms:
     def test_r0_limits(self):
-        a, b, c_coef, d, gamma, _, _ = channel_coefficients(1.0, 0.0)
+        a, b, c_coef, d, gamma, *_ = channel_coefficients(1.0, 0.0)
         n_theta = 1.0 - math.exp(-4.0)
         assert a == 0.0
         assert b == 0.0

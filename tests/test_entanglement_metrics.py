@@ -1,4 +1,5 @@
 """Negativity, singlet fraction, fidelity, and entropy functionals."""
+import decimal
 import itertools
 import math
 import sys
@@ -100,6 +101,19 @@ class TestNegativity:
             assert (negativity_e(rho) > 1e-12) == (min_eig < -1e-12)
 
 
+def _decimal_e(alpha: float, r: float) -> decimal.Decimal:
+    """The stated closed form E = (root - (2a + c + d)) / (4 N_theta) in stdlib
+    decimal at 400 digits, from the binary values of alpha and r: its
+    difference loses at most the ~300 digits below a normal float's E."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r) ** 2
+        g, w, n = (-4 * r2 * a2).exp(), (-4 * (1 - r2) * a2).exp(), 1 - (-4 * a2).exp()
+        a, b = (1 - g) * w, (1 - g) * w.sqrt()
+        c, d = 2 - (1 + g) * w, -2 * g + (1 + g) * w
+        return ((16 * b * b + (c - d) ** 2).sqrt() - (2 * a + c + d)) / (4 * n)
+
+
 class TestClosedFormE:
     def test_unit_at_zero_time(self):
         for alpha in (0.1, 1.0, 2.0):
@@ -124,6 +138,37 @@ class TestClosedFormE:
         assert closed_form_e(alpha, r) == pytest.approx(
             negativity_e(channel_rho4(alpha, r)), abs=1e-10
         )
+
+    # log alpha in [1e-2, 20] by r in (0, 1); at alpha = 3 and beyond the
+    # stated difference of two numbers near 2 read -1.1e-16 or 0 where E was
+    # 1e-16 to 1e-63
+    GRID = (np.geomspace(1e-2, 20.0, 400), np.concatenate(([0.0], np.linspace(1e-3, 0.999, 500))))
+
+    def test_positive_until_the_decoherence_functional_underflows(self):
+        alpha, r = self.GRID
+        e = closed_form_e(alpha, r)
+        assert (e >= 0.0).all()
+        gamma = np.exp(-4.0 * np.square(np.multiply.outer(alpha, r)))
+        assert (e[gamma > 0.0] > 0.0).all()
+        assert (e[gamma == 0.0] == 0.0).all()
+
+    def test_non_increasing_in_alpha(self):
+        alpha, r = self.GRID
+        e = closed_form_e(alpha, r)
+        assert (e[1:] <= e[:-1] * (1.0 + 4.0 * np.finfo(float).eps)).all()
+
+    def test_matches_a_decimal_evaluation_of_the_stated_form(self):
+        points = [(a, r) for a in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0)
+                  for r in (0.05, 0.5, 0.99)]
+        checked = 0
+        for alpha, r in points:
+            want = _decimal_e(alpha, r)
+            if want < 1e-300:  # E underflows in floats
+                continue
+            assert abs(closed_form_e(alpha, r) - float(want)) <= 1e-12 * float(want), (alpha, r)
+            checked += 1
+        assert checked >= 20
+        assert float(_decimal_e(3.0, 0.99)) == pytest.approx(8.35e-17, rel=1e-3)
 
 
 class TestSingletFraction:
@@ -283,13 +328,13 @@ def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
     a2 = alpha * alpha
     n = -np.expm1(-4.0 * a2)
     t2 = t * t
-    g, w = np.exp(-4.0 * (1.0 - t2) * a2), np.exp(-4.0 * t2 * a2)
-    a, b = (1.0 - g) * w, (1.0 - g) * np.sqrt(w)
-    c, d = 2.0 - (1.0 + g) * w, -2.0 * g + (1.0 + g) * w
+    x, y = -4.0 * (1.0 - t2) * a2, -4.0 * t2 * a2
+    g, w = np.exp(x), np.exp(y)
+    one_g, one_w = -np.expm1(x), -np.expm1(y)
     r2 = r * r
     return {
-        closed_form_e: (np.sqrt(16.0 * (b * b) + (c - d) * (c - d)) - (2.0 * a + c + d))
-        / (4.0 * n),
+        closed_form_e: 2.0 * g * (one_w * one_w) / (n * (np.sqrt(
+            4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w)) + one_g * (1.0 + w))),
         closed_form_f: np.maximum(1.0 + (1.0 - g) / n, 2.0 + (g - w) / n) / 3.0,
         closed_form_s: np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
         / (2.0 * (n * n)),

@@ -22,8 +22,6 @@ BASIS = qe.make_basis(1.0, 1.0)
 # (id, call, exception, fragment of its message)
 GUARDS = [
     ("state-sum-modes", lambda: ONE + TWO, ModeMismatchError, "1 modes vs 2 modes"),
-    ("operator-sum-modes", lambda: cs.dyad_from_pure(ONE) + cs.dyad_from_pure(TWO),
-     ModeMismatchError, "1 modes vs 2 modes"),
     ("normalize-zero", lambda: cs.normalized(0.0 * ONE), ZeroNormError,
      "cannot normalize a zero state"),
     ("project-onto-modes", lambda: cs.project_modes(TWO, [0, 1], ONE), ModeMismatchError,

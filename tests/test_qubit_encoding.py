@@ -29,6 +29,7 @@ from ecsim.qubit_encoding import (
     pauli_reconstruct,
     project_to_density,
 )
+from test_coherent_states import operator_sum
 
 SQ2 = math.sqrt(2.0)
 
@@ -287,8 +288,9 @@ class TestDensityProjection:
 
     def test_trace_preserved_for_mixtures(self):
         b = make_basis(0.8, 1.0)
-        op = dyad_from_pure(bell_state(2, b)) + 0.5 * dyad_from_pure(bell_state(4, b))
-        m = project_to_density((1.0 / 1.5) * op, b).matrix
+        op = operator_sum((1.0 / 1.5, dyad_from_pure(bell_state(2, b))),
+                          (0.5 / 1.5, dyad_from_pure(bell_state(4, b))))
+        m = project_to_density(op, b).matrix
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
 
     def test_span_error(self):
@@ -397,8 +399,8 @@ class TestProjectionReference:
 
     def test_bitwise_on_mixture(self):
         b = make_basis(0.8, 1.0)
-        op = dyad_from_pure(bell_state(2, b)) + 0.5 * dyad_from_pure(bell_state(3, b))
-        op = (1.0 / 1.5) * op
+        op = operator_sum((1.0 / 1.5, dyad_from_pure(bell_state(2, b))),
+                          (0.5 / 1.5, dyad_from_pure(bell_state(3, b))))
         _same_bits(project_to_density(op, b).matrix, _project_reference(op, b))
 
 
