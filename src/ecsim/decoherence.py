@@ -47,12 +47,17 @@ class DecayClock:
 
     @classmethod
     def from_r(cls, r) -> "DecayClock":
+        """The clock at normalized times ``r``, checked once: r in [0, 1)
+        gives r * r < 1, so t = sqrt(1 - r * r) lies in (0, 1] and the
+        constructor's check is skipped."""
         r = np.asarray(r, dtype=float)
         if not r.size:
             raise ValueError("r must hold at least one decay time")
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
-        return cls(np.sqrt(1.0 - r * r))
+        clock = object.__new__(cls)
+        object.__setattr__(clock, "t", np.sqrt(1.0 - r * r))
+        return clock
 
 
 def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:

@@ -26,6 +26,25 @@ PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + PAULIS)
 PAULI_PRODUCTS = np.einsum("mij,nkl->mnikjl", PAULI_BASIS, PAULI_BASIS)
 PAULI_PRODUCTS = PAULI_PRODUCTS.reshape(4, 4, 4, 4)
 
+
+def _pauli_terms() -> tuple[np.ndarray, np.ndarray]:
+    """``pauli_decompose``'s gather index and signs, each of shape (4, 16).
+
+    Every s_m (x) s_n has one non-zero entry, +-1 or +-i, in each column, so
+    Re tr(rho s_m (x) s_n) is a signed sum of four parts of rho, one from
+    each row i: Re(x (+-1)) = +-Re x and Re(x (+-i)) = -+Im x.  Entry
+    [i, 4 m + n] gives that part's index in the float view of rho's 16
+    entries (8 i + 2 j, + 1 for an imaginary part) and its sign.
+    """
+    p = PAULI_PRODUCTS.reshape(16, 4, 4).transpose(2, 0, 1)  # [i, mn, j] = (s_m (x) s_n)[j, i]
+    found = np.nonzero(p)  # one j for each (i, mn), in that order
+    j, phase = found[2].reshape(4, 16), p[found].reshape(4, 16)
+    imag = phase.imag != 0
+    return 8 * np.arange(4)[:, None] + 2 * j + imag, np.where(imag, -phase.imag, phase.real)
+
+
+_PAULI_GATHER, _PAULI_SIGN = _pauli_terms()
+
 # Added to a density before its Cholesky test: the factorization then
 # completes exactly when every eigenvalue lies above -1e-10.
 _PSD_SHIFT = 1e-10 * np.eye(4)
@@ -247,8 +266,18 @@ def pauli_decompose(rho: TwoQubitDensity) -> np.ndarray:
     """Pauli coordinates c[..., m, n] = tr(rho s_m (x) s_n), s = (I, X, Y, Z),
     over any leading axes: c[0, 0] is the trace, c[1:, 0] and c[0, 1:] the
     local Bloch vectors and c[1:, 1:] the correlation matrix T, so that
-    rho = (1/4) sum_mn c_mn s_m (x) s_n."""
-    return np.einsum("...ij,mnji->...mn", rho.matrix, PAULI_PRODUCTS).real
+    rho = (1/4) sum_mn c_mn s_m (x) s_n.
+
+    Each coordinate is the signed sum of four parts of rho, one gather of
+    the real view and one einsum over the +-1 signs (numpy's own loop, no
+    BLAS).  The sum runs from zero over the rows i in order, as the complex
+    contraction sum_ij rho_ij (s_m (x) s_n)_ji does, whose other twelve
+    products are zeros: the bits are that contraction's, and a batch entry
+    has those of its own scalar call.
+    """
+    m = rho.matrix
+    parts = m.reshape(m.shape[:-2] + (16,)).view(float).take(_PAULI_GATHER, axis=-1)
+    return np.einsum("...im,im->...m", parts, _PAULI_SIGN).reshape(m.shape)
 
 
 def pauli_reconstruct(c: np.ndarray) -> np.ndarray:

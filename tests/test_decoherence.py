@@ -91,6 +91,29 @@ class TestDecayClock:
         with pytest.raises(ValueError):
             DecayClock(np.array([0.5, 0.0]))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1, -5e-324, 1.0, 1.5])
+    def test_from_r_refuses(self, r):
+        for value in (r, [0.5, r]):
+            with pytest.raises(ValueError, match=r"^normalized time r must lie in \[0, 1\)$"):
+                DecayClock.from_r(value)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.5, 1.0 + 2.0**-52, 1.5])
+    def test_constructor_refuses(self, t):
+        for value in (t, np.array([0.5, t])):
+            with pytest.raises(ValueError, match=r"^decay factor t must lie in \(0, 1\]$"):
+                DecayClock(value)
+
+    def test_from_r_checks_once(self, monkeypatch):
+        # r in [0, 1) puts sqrt(1 - r * r) in (0, 1], so from_r skips the
+        # constructor's check, down to r's extremes
+        r = np.array([0.0, 5e-324, 1e-8, 0.5, np.nextafter(1.0, 0.0)])
+        want = np.sqrt(1.0 - r * r)
+        assert np.logical_and(0.0 < want, want <= 1.0).all()
+        monkeypatch.setattr(DecayClock, "__post_init__",
+                            lambda self: pytest.fail("from_r ran the constructor's check"))
+        assert DecayClock.from_r(r).t.tobytes() == want.tobytes()
+        assert DecayClock.from_r(0.5).t == math.sqrt(0.75)
+
 
 class TestDecohereDyad:
     def test_diagonal_dyad(self):

@@ -199,6 +199,68 @@ class TestSingletFraction:
                 )
 
 
+def _rotation_trace_by_lu(m: np.ndarray) -> np.ndarray:
+    """max_rotation_trace with the sign of det M from LAPACK's LU."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., 0] + sv[..., 1] + np.where(np.linalg.det(m) >= 0, sv[..., 2], -sv[..., 2])
+
+
+def _exact_det(m: np.ndarray) -> int:
+    """The determinant of a 3x3 matrix of integers, in integer arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = m.astype(int).tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+class TestDeterminantSign:
+    """``max_rotation_trace`` takes the sign of det M from six triple
+    products; its flip has the sign LAPACK's LU gives wherever that is
+    decided, and the exact sign on integer matrices."""
+
+    def test_random(self):
+        m = np.random.default_rng(47).standard_normal((2000, 3, 3))
+        assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+
+    def test_singular(self):
+        rng = np.random.default_rng(48)
+        zero_column = rng.standard_normal((200, 3, 3))
+        zero_column[:, :, 1] = 0.0
+        u, v = rng.standard_normal((2, 200, 3))
+        rank_one = u[:, :, None] * v[:, None, :]
+        for m in (zero_column, rank_one, np.zeros((2, 3, 3))):
+            assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+
+    def test_near_singular(self):
+        rng = np.random.default_rng(49)
+        cases = []
+        for tiny in (1e-16, -1e-16, 1e-8, -1e-100):
+            for perm in itertools.permutations(range(3)):
+                for signs in itertools.product((1.0, -1.0), repeat=3):
+                    cases.append(np.diag(np.array([1.0, 0.5, tiny]) * signs)[list(perm)])
+        rank_two = rng.standard_normal((400, 3, 2)) @ rng.standard_normal((400, 2, 3))
+        for m in (np.array(cases), rank_two + 1e-9 * rng.standard_normal((400, 3, 3)),
+                  rank_two + 1e-13 * rng.standard_normal((400, 3, 3))):
+            assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+
+    def test_channel_at_the_characteristic_time(self):
+        # T is diagonal up to rounding, and its first entry is ~1e-16 here
+        t = pauli_decompose(channel_rho4(np.array([0.1, 0.5, 1.0, 2.0, 3.0]), SQRT_HALF))
+        t = t[..., 1:, 1:]
+        assert abs(t[2, 0, 0]) < 1e-15
+        assert max_rotation_trace(-t).tobytes() == _rotation_trace_by_lu(-t).tobytes()
+
+    def test_exact_on_integer_matrices(self):
+        # products of small integers are exact, so a singular one reads
+        # det = 0 and keeps +s3, where the LU's rounding can read either sign
+        rng = np.random.default_rng(50)
+        m = rng.integers(-3, 4, size=(500, 3, 3)).astype(float)
+        m[:250, 2] = m[:250, 0] + m[:250, 1]
+        sv = np.linalg.svd(m, compute_uv=False)
+        exact = np.array([_exact_det(x) for x in m])
+        assert (exact[:250] == 0).all() and (exact[250:] != 0).any()
+        want = sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2])
+        assert max_rotation_trace(m).tobytes() == want.tobytes()
+
+
 class TestOptimalFidelity:
     def test_linkage_is_exact(self):
         rng = np.random.default_rng(42)
@@ -306,6 +368,21 @@ class TestCharacteristicTime:
         assert closed_form_f(3.0, 0.9995) == 2.0 / 3.0
         assert em._fidelity_margin(3.0, 0.9995) < 0.0
 
+    def test_below_the_classical_limit_exactly_past_the_characteristic_time(self):
+        # the abstract's third claim: f < 2/3 exactly when r > 1/sqrt(2),
+        # wherever the margin does not underflow to 0
+        r = np.linspace(0.0, 1.0, 2002)[1:-1]
+        late = r > SQRT_HALF
+        zeros = 0
+        for alpha in np.logspace(-2.0, math.log10(14.0), 120):
+            margin = em._fidelity_margin(float(alpha), r)
+            read = margin != 0.0
+            assert np.array_equal(margin[read] < 0.0, late[read]), alpha
+            if not read.all():  # both terms below the least double: large alpha, r near 1
+                assert alpha > 13.5 and r[~read].min() > 0.97, alpha
+            zeros += np.count_nonzero(~read)
+        assert zeros < 100
+
 
 class TestMixednessPeak:
     def test_both_entropies_peak_together(self):
@@ -358,6 +435,32 @@ class TestBatches:
         want = [metric(TwoQubitDensity(m)) for m in mats]
         assert all(type(w) is float for w in want)
         assert np.max(np.abs(got.reshape(-1) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("kernel", [linear_entropy, pauli_decompose, optimal_fidelity])
+    def test_kernel_entries_are_bitwise_their_scalar_calls(self, kernel):
+        rng = np.random.default_rng(46)
+        mats = [random_density(rng).matrix for _ in range(20)]
+        grid = channel_rho4(np.array([2e-3, 0.7, 2.5, 13.4]), np.linspace(0.0, 0.995, 25))
+        mats += list(grid.matrix.reshape(-1, 4, 4))
+        got = kernel(TwoQubitDensity(np.stack(mats)))
+        assert len(got) == len(mats)
+        for m, entry in zip(mats, got):
+            assert np.asarray(kernel(TwoQubitDensity(m))).tobytes() == entry.tobytes()
+
+    def test_linear_entropy_within_two_ulps_of_the_matrix_product(self):
+        # counted at the larger term of 1 - tr(rho^2)
+        rng = np.random.default_rng(51)
+        g = rng.standard_normal((2000, 4, 4)) + 1j * rng.standard_normal((2000, 4, 4))
+        m = g @ g.conj().swapaxes(-1, -2)
+        m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
+        grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500)).matrix
+        for rho in (TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0),
+                    TwoQubitDensity(grid)):
+            purity = np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
+            want = 1.0 - purity
+            ulp = np.spacing(np.maximum(purity, want))
+            assert (np.abs(linear_entropy(rho) - want) <= 2.0 * ulp).all()
 
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_closed_form_grid_is_bitwise_scalar(self, closed, numeric):

@@ -10,10 +10,19 @@ an output on purpose re-pins the file with
     python tests/test_output_digests.py --write
 
 and states which digests moved, and by how much each moved column shifted.
+That shift is measured against another tree, such as a checkout of the parent
+commit, with
+
+    python tests/test_output_digests.py --against <that tree's src directory>
+
+which renders every pinned output with both trees and prints, for each output
+that moved, the largest absolute and relative shift in each column.
 """
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,12 +53,16 @@ RENDERS.update({f"{w} {seed} requests": (w, seed)
 SECONDS = 20  # the benchmark's run length, which sets the number of requests
 
 
-def _digest(name: str) -> str:
+def _argvs(name: str) -> list[list[str]]:
+    """The CLI calls whose concatenated outputs make up one pinned output."""
     spec = RENDERS[name]
     if isinstance(spec, tuple):
-        text = "".join(cli.render(req["argv"]) for req in wl.build_requests(*spec, SECONDS))
-    else:
-        text = cli.render(spec)
+        return [req["argv"] for req in wl.build_requests(*spec, SECONDS)]
+    return [spec]
+
+
+def _digest(name: str) -> str:
+    text = "".join(cli.render(argv) for argv in _argvs(name))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -84,10 +97,78 @@ def test_other_environment_is_named_not_compared(monkeypatch):
         _pinned()
 
 
+# Renders the argv lists read from stdin with the ecsim on the path, as JSON.
+_RENDER_ELSEWHERE = ("import json, sys; from ecsim import cli; "
+                     "print(json.dumps([cli.render(argv) for argv in json.load(sys.stdin)]))")
+
+
+def _columns(text: str) -> dict[str, list[float]]:
+    """The columns of one CSV or JSON render, by header name."""
+    if text.startswith("["):
+        rows = json.loads(text)
+        return {key: [float(row[key]) for row in rows] for key in rows[0]} if rows else {}
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    return {key: [float(row[k]) for row in rows] for k, key in enumerate(header)}
+
+
+def _shifts(old: list[str], new: list[str]) -> dict[str, str]:
+    """Per column, the values that moved between two lists of renders and
+    their largest absolute and relative shift (relative to the old value)."""
+    moved: dict[str, list[tuple[float, float]]] = {}
+    counts: dict[str, int] = {}
+    for before, after in zip(old, new):
+        if before == after:
+            for key, values in _columns(after).items():
+                counts[key] = counts.get(key, 0) + len(values)
+            continue
+        cols_before, cols_after = _columns(before), _columns(after)
+        if cols_before.keys() != cols_after.keys():
+            return {"(header)": f"{list(cols_before)} -> {list(cols_after)}"}
+        for key, values in cols_after.items():
+            if len(values) != len(cols_before[key]):
+                return {key: f"{len(cols_before[key])} -> {len(values)} values"}
+            counts[key] = counts.get(key, 0) + len(values)
+            moved.setdefault(key, []).extend(
+                (a, b) for a, b in zip(cols_before[key], values) if a != b)
+    out = {}
+    for key, pairs in moved.items():
+        if pairs:
+            shift = max(abs(b - a) for a, b in pairs)
+            rel = max(abs(b - a) / abs(a) if a else float("inf") for a, b in pairs)
+            out[key] = (f"{len(pairs)} of {counts[key]} values moved, largest shift "
+                        f"{shift:.3g} absolute, {rel:.3g} relative")
+    return out
+
+
+def compare(other_src: Path) -> str:
+    """Each pinned output rendered by this tree and by the ecsim under
+    ``other_src``, and the shift of every column of each output that moved."""
+    argvs = {name: _argvs(name) for name in RENDERS}
+    flat = [argv for name in RENDERS for argv in argvs[name]]
+    env = {**os.environ, "PYTHONPATH": str(other_src.resolve())}
+    done = subprocess.run([sys.executable, "-c", _RENDER_ELSEWHERE], input=json.dumps(flat),
+                          capture_output=True, text=True, env=env, cwd=other_src, check=True)
+    theirs = iter(json.loads(done.stdout))
+    lines, same = [], 0
+    for name in RENDERS:
+        old = [next(theirs) for _ in argvs[name]]
+        new = [cli.render(argv) for argv in argvs[name]]
+        if old == new:
+            same += 1
+            continue
+        lines.append(f"{name}: moved")
+        lines += [f"  {key}: {what}" for key, what in _shifts(old, new).items()]
+    lines.append(f"{same} of {len(RENDERS)} outputs unchanged")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_output_digests.py --write")
-    RECORD.write_text(json.dumps(
-        {**_environment(), "digests": {name: _digest(name) for name in RENDERS}},
-        indent=1) + "\n")
-    print(f"pinned {len(RENDERS)} digests to {RECORD.name}")
+    if sys.argv[1:] == ["--write"]:
+        RECORD.write_text(json.dumps(
+            {**_environment(), "digests": {name: _digest(name) for name in RENDERS}},
+            indent=1) + "\n")
+        print(f"pinned {len(RENDERS)} digests to {RECORD.name}")
+    elif len(sys.argv) == 3 and sys.argv[1] == "--against":
+        print(compare(Path(sys.argv[2])))
+    else:
+        sys.exit("usage: python tests/test_output_digests.py --write | --against <src directory>")

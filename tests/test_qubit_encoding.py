@@ -404,6 +404,18 @@ class TestProjectionReference:
         _same_bits(project_to_density(op, b).matrix, _project_reference(op, b))
 
 
+def _pauli_reference(m: np.ndarray) -> np.ndarray:
+    """The complex contraction tr(rho s_m (x) s_n) that ``pauli_decompose``
+    takes as signed sums of four parts."""
+    return np.einsum("...ij,mnji->...mn", m, qubit_encoding.PAULI_PRODUCTS).real
+
+
+def _random_densities(rng, shape: tuple) -> TwoQubitDensity:
+    g = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return TwoQubitDensity(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+
 class TestPauli:
     def test_pure_singlet_like_channel(self):
         b = make_basis(1.0, 1.0)
@@ -443,6 +455,44 @@ class TestPauli:
             one = pauli_decompose(TwoQubitDensity(batch.matrix[idx]))
             assert np.array_equal(c[idx], one)
         assert np.max(np.abs(pauli_reconstruct(c) - batch.matrix)) < 1e-14
+
+    def test_bitwise_the_contraction_on_random_batches(self):
+        rng = np.random.default_rng(26)
+        for shape in [(), (1,), (2,), (3, 5), (600,)]:
+            rho = _random_densities(rng, shape)
+            assert pauli_decompose(rho).tobytes() == _pauli_reference(rho.matrix).tobytes(), shape
+
+    def test_bitwise_the_contraction_on_channel_grids(self):
+        for alphas, r in [(np.array([0.1, 1.0, 2.5]), np.linspace(0.0, 0.995, 400)),
+                          (np.array([2e-3, 13.4, 1e6]), np.linspace(0.0, 0.995, 50)),
+                          (1.0, 1.0 / SQ2)]:
+            rho = channel_rho4(alphas, r)
+            assert pauli_decompose(rho).tobytes() == _pauli_reference(rho.matrix).tobytes()
+
+    def test_signed_zeros_as_the_contraction(self):
+        # every coordinate sums from +0, as the contraction does, so four
+        # parts that all read -0 give +0; off-diagonal parts of +-0 make
+        # such coordinates
+        rng = np.random.default_rng(28)
+        m = np.where(rng.random((200, 4, 4, 2)) < 0.5, -0.0, 0.0)
+        m[:, range(4), range(4), 0] = 0.25
+        rho = TwoQubitDensity(m.view(complex)[..., 0])
+        signed = rho.matrix.reshape(200, 16).view(float)[:, qubit_encoding._PAULI_GATHER] \
+            * qubit_encoding._PAULI_SIGN
+        assert np.signbit(signed).all(axis=1).any()
+        c = pauli_decompose(rho)
+        assert c.tobytes() == _pauli_reference(rho.matrix).tobytes()
+        assert not np.signbit(c).any()
+
+    def test_a_flipped_sign_fails(self, monkeypatch):
+        rho = _random_densities(np.random.default_rng(27), (4,))
+        want = _pauli_reference(rho.matrix).tobytes()
+        signs = qubit_encoding._PAULI_SIGN
+        for k in range(signs.size):
+            mutant = signs.copy()
+            mutant.flat[k] *= -1.0
+            monkeypatch.setattr(qubit_encoding, "_PAULI_SIGN", mutant)
+            assert pauli_decompose(rho).tobytes() != want, k
 
     def test_reduced_matches_bloch(self):
         rng = np.random.default_rng(24)
