@@ -228,7 +228,7 @@ class TwoQubitDensity:
             raise DensityError("density matrix trace differs from 1 by more than 1e-10")
         m_dag += m
         m = m_dag
-        m /= 2
+        m.view(float)[...] *= 0.5  # halves each part: a division by 2 + 0j took ~6x as long
         try:
             np.linalg.cholesky(m + _PSD_SHIFT)
         except np.linalg.LinAlgError:
@@ -244,21 +244,22 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     the channel states here, where decay maps +-a to +-ta); otherwise the
     projection would lose trace and a SpanError is raised instead.
     Coefficients and amplitudes that are arrays (a decay-time grid, with a
-    basis of the same shape) give a batched density of that shape: one
-    contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t, which
-    einsum's generic loop (no ``optimize`` path to regroup the factors)
-    takes point by point in that order, summing the dyads from zero in term
-    order, so a point's bits do not depend on the grid.  The coordinates are
-    real (no conj) and cast to complex once: an imaginary part of +0 keeps
-    the bits, and einsum's own casting took up to 1.07x as long.
+    basis of the same shape) give a batched density of that shape: the
+    contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t, multiplied
+    left to right, c ket0 (x) ket1 by ufuncs and the rest by einsum's generic
+    loop, which sums the dyads point by point from zero in term order: a
+    point's bits do not depend on the grid.  The coordinates are real, cast
+    to complex once: with imaginary parts of +0 every product rounds once a
+    part, fused or not, so the bits are those of a five-operand einsum.
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
     # (terms, side, mode, *grid, logical index)
-    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis).astype(complex)
-    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl", rho.coeffs,
-                    coords[:, 0, 0], coords[:, 0, 1], coords[:, 1, 0], coords[:, 1, 1])
-    del coords  # 512 B a point, freed before the density check sets the peak
+    coords = logical_coords(np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1),
+                            basis).astype(complex)
+    p = (rho.coeffs[..., None] * coords[:, 0, 0])[..., :, None] * coords[:, 0, 1, ..., None, :]
+    out = np.einsum("t...ij,t...k,t...l->...ijkl", p, coords[:, 1, 0], coords[:, 1, 1])
+    del coords, p  # 768 B a point, freed before the density check sets the peak
     return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
 
 

@@ -7,7 +7,9 @@ benchmark runs.  For every workload and end-to-end metric it holds the
 median, q1 and q3 of each side, and ``change_wins``, the pairs in which the
 change read lower.  A claim holds when the change wins at least 9 of at least
 10 pairs and its median is below the parent's by more than the parent's
-interquartile range.
+interquartile range.  No record may show a regression: every end-to-end
+change median lies within ``BENCHMARK.json``'s bound of its parent median,
+and a stated ``within_bound`` says the same.
 
 Run as a script, it prints the trajectory: per record and workload, the
 ``wall_s`` and ``request_p50_ms`` medians of both sides and the change's wins.
@@ -35,6 +37,7 @@ def _records() -> dict[int, dict]:
 
 
 RECORDS = _records()
+BOUNDS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 def _entry(record: dict, workload: str, metric: str) -> dict:
@@ -84,6 +87,38 @@ def test_record_has_every_end_to_end_entry(number):
                 assert q["q1"] <= q["median"] <= q["q3"], (workload, metric, side)
             won, pairs = _wins(entry)
             assert 0 <= won <= pairs and pairs >= 10, (workload, metric)
+
+
+def within_bound(entry: dict, metric: str) -> bool:
+    """The change's median is no worse than the parent's by more than the
+    metric's bound, a fraction of the parent's median."""
+    spec = BOUNDS[metric]
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    if spec["better"] == "lower":
+        return change <= parent * (1.0 + spec["bound"])
+    return change >= parent * (1.0 - spec["bound"])
+
+
+def test_bounds_cover_the_end_to_end_metrics():
+    assert set(BOUNDS) == set(METRICS)
+
+
+@pytest.mark.parametrize("number", list(RECORDS))
+def test_record_is_within_every_bound(number):
+    for workload in WORKLOADS:
+        for metric in METRICS:
+            entry = _entry(RECORDS[number], workload, metric)
+            verdict = within_bound(entry, metric)
+            assert verdict, (workload, metric)
+            assert entry.get("within_bound", verdict) == verdict, (workload, metric)
+
+
+def test_a_regression_beyond_the_bound_fails():
+    entry = copy.deepcopy(_entry(RECORDS[32], "sweep", "wall_s"))
+    assert within_bound(entry, "wall_s")
+    bound = BOUNDS["wall_s"]["bound"]
+    entry["change"]["median"] = entry["parent"]["median"] * (1.0 + bound) * 1.01
+    assert not within_bound(entry, "wall_s")
 
 
 CLAIMED = [n for n, record in RECORDS.items()

@@ -100,6 +100,21 @@ class TestNegativity:
             min_eig = np.linalg.eigvalsh(partial_transpose(rho)).min()
             assert (negativity_e(rho) > 1e-12) == (min_eig < -1e-12)
 
+    def test_one_pass_select_is_the_clamp_then_select(self, monkeypatch):
+        # the clamp to zero, then the select of the negatives, on eigenvalues
+        # at and around +-EIG_CLAMP, +-0, subnormals, NaN and +-inf
+        c, tiny = em.EIG_CLAMP, 5e-324
+        values = [c, -c, np.nextafter(-c, 0.0), np.nextafter(-c, -1.0), np.nextafter(c, 0.0),
+                  0.0, -0.0, tiny, -tiny, -2.2e-308, 2.2e-308, -0.3, 0.25,
+                  np.nan, -np.inf, np.inf]
+        eigs = np.array(list(itertools.product(values, repeat=2)))
+        eigs = np.concatenate((eigs, eigs[:, ::-1]), axis=1)  # (256, 4)
+        old = np.where(np.abs(eigs) < c, 0.0, eigs)
+        old = 0.0 - 2.0 * np.where(old < 0, old, 0.0).sum(axis=-1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigs)
+        got = negativity_e(TwoQubitDensity(np.broadcast_to(np.eye(4) / 4.0, (256, 4, 4))))
+        assert got.tobytes() == old.tobytes()
+
 
 def _decimal_e(alpha: float, r: float) -> decimal.Decimal:
     """The stated closed form E = (root - (2a + c + d)) / (4 N_theta) in stdlib
@@ -200,7 +215,8 @@ class TestSingletFraction:
 
 
 def _rotation_trace_by_lu(m: np.ndarray) -> np.ndarray:
-    """max_rotation_trace with the sign of det M from LAPACK's LU."""
+    """max_rotation_trace by singular values, with the sign of det M from
+    LAPACK's LU: s1 + s2 + sgn(det M) s3."""
     sv = np.linalg.svd(m, compute_uv=False)
     return sv[..., 0] + sv[..., 1] + np.where(np.linalg.det(m) >= 0, sv[..., 2], -sv[..., 2])
 
@@ -211,14 +227,40 @@ def _exact_det(m: np.ndarray) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-class TestDeterminantSign:
-    """``max_rotation_trace`` takes the sign of det M from six triple
-    products; its flip has the sign LAPACK's LU gives wherever that is
-    decided, and the exact sign on integer matrices."""
+HORN_EPS = 16  # the stated bound, in eps (s1 + s2 + s3)
+
+
+def _within_horn_bound(m: np.ndarray, want: np.ndarray) -> None:
+    """Horn's eigenvalue is within HORN_EPS eps (s1 + s2 + s3) of ``want``."""
+    scale = np.linalg.svd(m, compute_uv=False).sum(axis=-1) * np.finfo(float).eps
+    assert (np.abs(max_rotation_trace(m) - want) <= HORN_EPS * scale).all()
+
+
+class TestHornEigenvalue:
+    """``max_rotation_trace`` is the largest eigenvalue of Horn's 4x4 K(M):
+    within its stated bound of the singular values with the sign of det M
+    from LU, exact on integer diagonal and signed-permutation matrices, and
+    each batch entry with the bits of its own scalar call."""
+
+    def test_k_is_the_rotation_trace_as_a_quadratic_form(self):
+        # q^T K(M) q = tr(M R(q)) for unit quaternions q = (w, x, y, z), and
+        # K is symmetric (eigvalsh reads one triangle)
+        rng = np.random.default_rng(54)
+        assert (em._HORN == em._HORN.swapaxes(-1, -2)).all()
+        for _ in range(50):
+            m = rng.standard_normal((3, 3))
+            q = rng.standard_normal(4)
+            q /= np.linalg.norm(q)
+            w, x, y, z = q
+            rot = np.array([[w*w + x*x - y*y - z*z, 2*(x*y - w*z), 2*(x*z + w*y)],
+                            [2*(x*y + w*z), w*w - x*x + y*y - z*z, 2*(y*z - w*x)],
+                            [2*(x*z - w*y), 2*(y*z + w*x), w*w - x*x - y*y + z*z]])
+            k = np.einsum("i,iab->ab", m.reshape(9), em._HORN)
+            assert q @ k @ q == pytest.approx(np.trace(m @ rot), abs=1e-13)
 
     def test_random(self):
         m = np.random.default_rng(47).standard_normal((2000, 3, 3))
-        assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+        _within_horn_bound(m, _rotation_trace_by_lu(m))
 
     def test_singular(self):
         rng = np.random.default_rng(48)
@@ -227,7 +269,8 @@ class TestDeterminantSign:
         u, v = rng.standard_normal((2, 200, 3))
         rank_one = u[:, :, None] * v[:, None, :]
         for m in (zero_column, rank_one, np.zeros((2, 3, 3))):
-            assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+            _within_horn_bound(m, _rotation_trace_by_lu(m))
+        assert (max_rotation_trace(np.zeros((2, 3, 3))) == 0.0).all()
 
     def test_near_singular(self):
         rng = np.random.default_rng(49)
@@ -239,26 +282,48 @@ class TestDeterminantSign:
         rank_two = rng.standard_normal((400, 3, 2)) @ rng.standard_normal((400, 2, 3))
         for m in (np.array(cases), rank_two + 1e-9 * rng.standard_normal((400, 3, 3)),
                   rank_two + 1e-13 * rng.standard_normal((400, 3, 3))):
-            assert max_rotation_trace(m).tobytes() == _rotation_trace_by_lu(m).tobytes()
+            _within_horn_bound(m, _rotation_trace_by_lu(m))
 
     def test_channel_at_the_characteristic_time(self):
         # T is diagonal up to rounding, and its first entry is ~1e-16 here
         t = pauli_decompose(channel_rho4(np.array([0.1, 0.5, 1.0, 2.0, 3.0]), SQRT_HALF))
         t = t[..., 1:, 1:]
         assert abs(t[2, 0, 0]) < 1e-15
-        assert max_rotation_trace(-t).tobytes() == _rotation_trace_by_lu(-t).tobytes()
+        _within_horn_bound(-t, _rotation_trace_by_lu(-t))
 
-    def test_exact_on_integer_matrices(self):
-        # products of small integers are exact, so a singular one reads
-        # det = 0 and keeps +s3, where the LU's rounding can read either sign
+    def test_integer_matrices(self):
+        # against the exact sign of det M, 250 of them singular
         rng = np.random.default_rng(50)
         m = rng.integers(-3, 4, size=(500, 3, 3)).astype(float)
         m[:250, 2] = m[:250, 0] + m[:250, 1]
         sv = np.linalg.svd(m, compute_uv=False)
         exact = np.array([_exact_det(x) for x in m])
         assert (exact[:250] == 0).all() and (exact[250:] != 0).any()
-        want = sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2])
+        _within_horn_bound(m, sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2]))
+
+    def test_exact_on_integer_diagonal_matrices(self):
+        d = np.random.default_rng(52).integers(-5, 6, size=(1000, 3)).astype(float)
+        s = -np.sort(-np.abs(d), axis=1)
+        want = s[:, 0] + s[:, 1] + np.where(np.prod(d, axis=1) >= 0, s[:, 2], -s[:, 2])
+        assert max_rotation_trace(d[:, :, None] * np.eye(3)).tobytes() == want.tobytes()
+
+    def test_exact_on_signed_permutations(self):
+        # a rotation's optimum is O = M^T, 3; a reflection's is 1
+        cases = [np.eye(3)[list(perm)] * np.array(signs)[:, None]
+                 for perm in itertools.permutations(range(3))
+                 for signs in itertools.product((1.0, -1.0), repeat=3)]
+        m = np.array(cases)
+        want = np.where(np.array([_exact_det(x) for x in m]) > 0, 3.0, 1.0)
         assert max_rotation_trace(m).tobytes() == want.tobytes()
+
+    def test_batch_entries_are_bitwise_their_scalar_calls(self):
+        rng = np.random.default_rng(53)
+        m = np.concatenate((rng.standard_normal((200, 3, 3)),
+                            rng.integers(-3, 4, size=(50, 3, 3)).astype(float)))
+        got = max_rotation_trace(m.reshape(10, 25, 3, 3)).reshape(-1)
+        for x, entry in zip(m, got):
+            one = max_rotation_trace(x)
+            assert type(one) is float and np.float64(one).tobytes() == entry.tobytes()
 
 
 class TestOptimalFidelity:
@@ -317,6 +382,16 @@ class TestEntropy:
         rho = TwoQubitDensity(np.eye(4) / 4.0)
         assert linear_entropy(rho) == pytest.approx(0.75, abs=1e-14)
         assert vn_entropy(rho) == pytest.approx(2.0, abs=1e-12)
+
+    def test_pure_channel_floor(self):
+        # S is not clamped: on the pure channel states it reads its density's
+        # rounding, -11 to +13.5 eps / N_theta over these amplitudes (-1.14e-12
+        # at alpha ~ 0.011).  Pinned with a margin of 5 eps / N_theta.
+        alpha = np.geomspace(1e-2, 16.0, 400)
+        s = linear_entropy(channel_rho4(alpha, 0.0))
+        scaled = s * -np.expm1(-4.0 * alpha * alpha) / np.finfo(float).eps
+        assert s.min() < 0.0
+        assert -16.0 <= scaled.min() and scaled.max() <= 18.5
 
     def test_range_on_mixed_channel(self):
         rho = channel_rho4(1.0, 0.5)

@@ -356,6 +356,16 @@ def _summed_products(c, coords):
     return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
 
 
+def _five_operand_einsum(rho, basis):
+    """The projection as one five-operand contraction, c ket0 ket1 bra0 bra1
+    multiplied left to right in einsum's generic loop and summed over the
+    dyads from zero in term order."""
+    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis).astype(complex)
+    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl", rho.coeffs,
+                    coords[:, 0, 0], coords[:, 0, 1], coords[:, 1, 0], coords[:, 1, 1])
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 @dataclass(frozen=True)
 class _Unchecked:
     """Stands in for TwoQubitDensity: the projection's output as it is handed
@@ -402,6 +412,18 @@ class TestProjectionReference:
         op = operator_sum((1.0 / 1.5, dyad_from_pure(bell_state(2, b))),
                           (0.5 / 1.5, dyad_from_pure(bell_state(3, b))))
         _same_bits(project_to_density(op, b).matrix, _project_reference(op, b))
+
+    @pytest.mark.parametrize("grid", [(), (7,), (128,), (3, 50)])
+    def test_bitwise_the_five_operand_einsum(self, grid):
+        # random complex coefficients on random +-t alpha dyads, one basis a point
+        rng = np.random.default_rng(29)
+        terms = 6
+        basis = make_basis(rng.uniform(0.05, 3.0, grid), rng.uniform(0.05, 1.0, grid))
+        signs = rng.choice((-1.0, 1.0), size=(2, terms, 2) + grid)
+        kets, bras = (signs * basis.amplitude).astype(complex)
+        coeffs = rng.standard_normal((terms,) + grid) + 1j * rng.standard_normal((terms,) + grid)
+        rho = CoherentOperator(coeffs, kets, bras)
+        _same_bits(project_to_density(rho, basis).matrix, _five_operand_einsum(rho, basis))
 
 
 def _pauli_reference(m: np.ndarray) -> np.ndarray:
@@ -542,6 +564,26 @@ class TestDensityValidation:
                 TwoQubitDensity(bad)
         with pytest.raises(ValueError):
             TwoQubitDensity(np.ones((3, 4, 3)) / 4.0)
+
+    def test_halving_has_the_complex_division_values(self):
+        # the Hermitian sum is halved part by part, not divided by 2 + 0j:
+        # the same values, and the same bits wherever a part is non-zero
+        rng = np.random.default_rng(30)
+        parts = 0.01 * rng.standard_normal((300, 4, 4, 2))
+        zero = rng.random(parts.shape) < 0.3  # parts of +-0, either sign
+        parts[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        parts[:, range(4), range(4), 0] = 0.25
+        parts[:, range(4), range(4), 1] = np.where(rng.random((300, 4)) < 0.5, -0.0, 0.0)
+        m = parts.view(complex)[..., 0]
+        m = np.where(np.tril(np.ones((4, 4), bool), -1), np.conjugate(m.swapaxes(-1, -2)), m)
+        old = np.conjugate(m.swapaxes(-1, -2)) + m
+        old /= 2
+        got = TwoQubitDensity(m).matrix
+        assert np.array_equal(got, old)
+        parts, old_parts = got.view(float), old.view(float)
+        nonzero = old_parts != 0.0
+        assert nonzero.any() and not nonzero.all()
+        assert parts[nonzero].tobytes() == old_parts[nonzero].tobytes()
 
     def test_rejects_nan(self):
         one_nan = np.eye(4, dtype=complex) / 4.0
