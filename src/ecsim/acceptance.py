@@ -121,13 +121,8 @@ def check_bell_discrimination() -> tuple[bool, str]:
         tol = max(tol, max(1e-6, meas1.tail_bound))
         for k, own in ((2, pr.BellLabel.B2), (4, pr.BellLabel.B4)):
             meas = pr.bell_measure_distribution(qe.bell_state(k, basis))
-            for label in (
-                pr.BellLabel.B1,
-                pr.BellLabel.B2,
-                pr.BellLabel.B3,
-                pr.BellLabel.B4,
-            ):
-                if label is not own:
+            for label in pr.BellLabel:
+                if label not in (own, pr.BellLabel.AMBIGUOUS):
                     cross_worst = max(cross_worst, meas.mass(label))
     ok = worst <= tol and cross_worst <= 1e-12
     return ok, f"|dP_i| = {worst:.3e} (tol {tol:.1e}), cross mass = {cross_worst:.3e}"

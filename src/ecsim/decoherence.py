@@ -82,29 +82,21 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
 
 
 def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
-    """Closed-form coefficients (a, b, c, d, gamma, W, 1 - gamma, 1 - W,
-    N_theta) of the damped entangled channel, from ``closed_form_inputs``.
+    """The five quantities the closed forms of E, f and the Pauli
+    coordinates read, (gamma, W, 1 - gamma, 1 - W, N_theta), from
+    ``closed_form_inputs``.
 
-    With W = exp(-4 t^2 a^2) and the decoherence functional
-    gamma = exp(-4 r^2 a^2):
-
-        a = (1 - gamma) W
-        b = (1 - gamma) sqrt(W)
-        c = 2 - (1 + gamma) W
-        d = -2 gamma + (1 + gamma) W
-
-    Each of these, and 1 - gamma and 1 - W (each an expm1, without
-    cancellation), has the shape ``alpha.shape + r.shape``; N_theta =
-    1 - exp(-4 a^2), the time-independent normalization of the undecayed
-    basis, has the shape of ``alpha`` with a length-1 axis for each of ``r``.
+    gamma = exp(-4 r^2 a^2) is the decoherence functional and
+    W = exp(-4 t^2 a^2); 1 - gamma and 1 - W are each an expm1, without
+    cancellation.  These four have the shape ``alpha.shape + r.shape``;
+    N_theta = 1 - exp(-4 a^2), the time-independent normalization of the
+    undecayed basis, has the shape of ``alpha`` with a length-1 axis for
+    each of ``r``.
     """
     t, a2, n_theta = closed_form_inputs(alpha, r)
     t2 = t * t
     log_g, log_w = -4.0 * (1.0 - t2) * a2, -4.0 * t2 * a2
-    g, w = np.exp(log_g), np.exp(log_w)
-    loss, gw = 1.0 - g, (1.0 + g) * w
-    return (loss * w, loss * np.sqrt(w), 2.0 - gw, -2.0 * g + gw, g, w,
-            -np.expm1(log_g), -np.expm1(log_w), n_theta)
+    return np.exp(log_g), np.exp(log_w), -np.expm1(log_g), -np.expm1(log_w), n_theta
 
 
 def _amplitudes(alpha) -> np.ndarray:
@@ -176,18 +168,18 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
 def closed_form_vst(alpha, r) -> np.ndarray:
     """Closed-form Pauli coordinates of the channel, as ``pauli_decompose``.
 
-    Both Bloch vectors are (b/N_theta, 0, 0) and T is diagonal with entries
-    (a+d, -a+d, a-c)/(2 N_theta), with a, b, c, d and N_theta from
-    ``channel_coefficients``, and the trace c[..., 0, 0] is 1.  An array
-    ``alpha`` and an array ``r`` give shape ``alpha.shape + r.shape + (4, 4)``,
-    like ``closed_form_e``.
+    Both Bloch vectors are ((1 - gamma) sqrt(W) / N_theta, 0, 0) and T is
+    diagonal with entries (W - gamma, -gamma (1 - W), -(1 - W)) / N_theta,
+    from the quantities of ``channel_coefficients``: only T_11 is a
+    difference, of two exps, and the rest are products.  The trace
+    c[..., 0, 0] is 1.  An array ``alpha`` and an array ``r`` give shape
+    ``alpha.shape + r.shape + (4, 4)``, like ``closed_form_e``.
     """
-    a, b, c, d, *_, n_theta = channel_coefficients(alpha, r)
-    coords = np.zeros(np.shape(b) + (4, 4))
+    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    coords = np.zeros(np.shape(g) + (4, 4))
     coords[..., 0, 0] = 1.0
-    coords[..., 1, 0] = coords[..., 0, 1] = b / n_theta
-    n2 = 2.0 * n_theta
-    coords[..., 1, 1] = (a + d) / n2
-    coords[..., 2, 2] = (-a + d) / n2
-    coords[..., 3, 3] = (a - c) / n2
+    coords[..., 1, 0] = coords[..., 0, 1] = one_g * np.sqrt(w) / n_theta
+    coords[..., 1, 1] = (w - g) / n_theta
+    coords[..., 2, 2] = -(g * one_w) / n_theta
+    coords[..., 3, 3] = -one_w / n_theta
     return coords

@@ -56,15 +56,18 @@ def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
 def closed_form_e(alpha, r) -> float | np.ndarray:
     """Closed-form channel negativity.
 
-    E = (root - (2a + c + d)) / (4 N_theta), root = sqrt(16 b^2 + (c-d)^2).
-    Since root^2 - (2a + c + d)^2 = 16 gamma (1 - W)^2, it is evaluated as
+    E = (root - (2a + c + d)) / (4 N_theta), root = sqrt(16 b^2 + (c-d)^2),
+    in the paper's coefficients a = (1 - gamma) W, b = (1 - gamma) sqrt(W),
+    c = 2 - (1 + gamma) W and d = -2 gamma + (1 + gamma) W, with gamma, W
+    and N_theta from ``channel_coefficients``.  Since
+    root^2 - (2a + c + d)^2 = 16 gamma (1 - W)^2, it is evaluated as
     E = 4 gamma (1 - W)^2 / (N_theta (root + 2a + c + d)), halved through,
     with 2a + c + d = 2 (1 - gamma)(1 + W), 16 b^2 = 16 (1 - gamma)^2 W and
     c - d = 2 (1 + gamma)(1 - W): every term is non-negative, and 1 - gamma
     and 1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma
     does not underflow.
     """
-    *_, g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
     root = np.sqrt(4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w))
     return _value(2.0 * g * (one_w * one_w) / (n_theta * (root + one_g * (1.0 + w))))
 
@@ -114,7 +117,7 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
     W from ``channel_coefficients``, which cannot overflow at large amplitude.
     """
-    *_, g, w, _, _, n_theta = channel_coefficients(alpha, r)
+    g, w, _, _, n_theta = channel_coefficients(alpha, r)
     return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
 
 
@@ -161,12 +164,13 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     """closed_form_f(alpha, r) - 2/3, without cancelling against 2/3.
 
     Subtracting 2/3 inside the max of ``closed_form_f`` leaves
-    max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta).  Near r = 1 at large
+    max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta), and e^{-4a^2} = gamma W
+    makes the first term -gamma (1 - W), a product.  Near r = 1 at large
     amplitude the margin is below the rounding of f: at alpha = 3 and
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
-    *_, g, w, _, _, n_theta = channel_coefficients(alpha, r)
-    return np.maximum(np.exp(-4.0 * (alpha * alpha)) - g, g - w) / (3.0 * n_theta)
+    g, w, _, one_w, n_theta = channel_coefficients(alpha, r)
+    return np.maximum(-(g * one_w), g - w) / (3.0 * n_theta)
 
 
 def characteristic_time(alpha: float) -> float:

@@ -369,16 +369,14 @@ class TestClosedFormGuard:
 
 class TestClosedForms:
     def test_r0_limits(self):
-        a, b, c_coef, d, gamma, *_ = channel_coefficients(1.0, 0.0)
-        n_theta = 1.0 - math.exp(-4.0)
-        assert a == 0.0
-        assert b == 0.0
+        # at r = 0, gamma = 1 and W = exp(-4 alpha^2): 1 - W is N_theta's own expm1
+        gamma, _, one_g, one_w, n_theta = channel_coefficients(1.0, 0.0)
         assert gamma == 1.0
-        assert c_coef == pytest.approx(2.0 * n_theta, abs=1e-14)
-        assert d == pytest.approx(-2.0 * n_theta, abs=1e-14)
+        assert one_g == 0.0
+        assert one_w.tobytes() == n_theta.tobytes()
         c = closed_form_vst(1.0, 0.0)
-        assert np.max(np.abs(c[1:, 1:] - np.diag([-1.0, -1.0, -1.0]))) < 1e-14
         assert np.max(np.abs(c[1:, 0])) == 0.0
+        assert np.max(np.abs(c[1:, 1:] + np.eye(3))) <= 1e-15
 
     @pytest.mark.parametrize("alpha,r", [(1.0, 0.5), (0.1, 0.3), (2.0, 0.8), (1.0, SQRT_HALF)])
     def test_matches_projection(self, alpha, r):

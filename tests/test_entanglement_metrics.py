@@ -537,14 +537,26 @@ class TestBatches:
             ulp = np.spacing(np.maximum(purity, want))
             assert (np.abs(linear_entropy(rho) - want) <= 2.0 * ulp).all()
 
+    GRID_ALPHAS, GRID_R = (0.1, 1.0, 2.5), np.linspace(0.0, 0.995, 57)
+
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_closed_form_grid_is_bitwise_scalar(self, closed, numeric):
-        for alpha in (0.1, 1.0, 2.5):
-            r = np.linspace(0.0, 0.995, 57)
+        r = self.GRID_R
+        for alpha in self.GRID_ALPHAS:
             got = closed(alpha, r)
             assert got.shape == r.shape
             assert list(got) == [closed(alpha, float(x)) for x in r]
             assert np.array_equal(closed(alpha, r[1:].reshape(7, 8)), got[1:].reshape(7, 8))
+
+    @pytest.mark.parametrize("closed", [closed_form_vst, em._fidelity_margin])
+    def test_coordinates_and_margin_grid_is_bitwise_scalar(self, closed):
+        # the same grids; a point's coordinates are a 4x4 block, its margin a scalar
+        r = self.GRID_R
+        for alpha in self.GRID_ALPHAS:
+            got = closed(alpha, r)
+            assert got.shape == r.shape + np.shape(closed(alpha, 0.5))
+            assert got.tobytes() == np.stack([closed(alpha, float(x)) for x in r]).tobytes()
+            assert closed(alpha, r[1:].reshape(7, 8)).tobytes() == got[1:].tobytes()
 
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
     def test_alpha_column_is_bitwise_the_scalar_calls(self, closed, numeric):
@@ -647,6 +659,42 @@ def test_pauli_coefficients_accuracy_envelope(lo, hi, vs_tol, t_tol):
                                 ("t", np.s_[..., 1:, 1:], t_tol)):
             err = np.max(np.abs(got[a][part] - want[part]))
             assert err <= tol, (name, alpha, err)
+
+
+def _decimal_vst_and_margin(alpha: float, r: float) -> tuple[decimal.Decimal, ...]:
+    """The Bloch entry (1 - gamma) sqrt(W) / N_theta, T's diagonal
+    (a + d, -a + d, a - c) / (2 N_theta) and the fidelity margin
+    max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta), as the paper states
+    them, in stdlib decimal at 400 digits, as ``_decimal_e``: -a + d loses
+    the ~280 digits below gamma's.  The exponents take the code's own float
+    t * t, so the reference tests the forms and not 1 - t^2."""
+    t = np.sqrt(1.0 - r * r)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        a2, t2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(float(t * t))
+        g, w, e4 = (-4 * (1 - t2) * a2).exp(), (-4 * t2 * a2).exp(), (-4 * a2).exp()
+        n = 1 - e4
+        a, c, d = (1 - g) * w, 2 - (1 + g) * w, -2 * g + (1 + g) * w
+        return ((1 - g) * w.sqrt() / n, (a + d) / (2 * n), (-a + d) / (2 * n),
+                (a - c) / (2 * n), max(e4 - g, g - w) / (3 * n))
+
+
+# Points where W = exp(-4 t^2 alpha^2) is a normal float: past
+# 4 t^2 alpha^2 ~ 708 sqrt(W), and with it the Bloch entry, loses bits to
+# underflow.  At (3, 0.99), (3, 0.9995), (5, 0.95) and (10, 0.9) the stated
+# T_22 = (-a + d) / (2 N_theta) is 3% or wholly off in floats.
+DECIMAL_POINTS = ([(a, r) for a in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
+                   for r in (0.05, 0.5, 0.9, 0.99)]
+                  + [(14.0, 0.5), (14.0, 0.7), (14.0, 0.9), (3.0, 0.9995), (5.0, 0.95)])
+
+
+def test_pauli_coordinates_and_margin_match_a_decimal_evaluation():
+    for alpha, r in DECIMAL_POINTS:
+        c = closed_form_vst(alpha, r)
+        got = (c[1, 0], c[0, 1], c[1, 1], c[2, 2], c[3, 3], em._fidelity_margin(alpha, r))
+        v, *rest = _decimal_vst_and_margin(alpha, r)
+        for name, x, want in zip(("v", "s", "t11", "t22", "t33", "margin"), got, [v, v, *rest]):
+            assert abs(float(x) - float(want)) <= 1e-12 * abs(float(want)), (name, alpha, r, x)
 
 
 # Every closed form of the library, and the helpers only they call.
