@@ -6,11 +6,13 @@ Each mode coupled to a zero-temperature bath evolves a dyad as
 
 which is exact, trace preserving, and forms a semigroup in t.  The sweep
 parameter used throughout is the normalized decoherence time
-r = sqrt(1 - t^2) in [0, 1).
+r = sqrt(1 - t^2) in [0, 1).  The damping exponent 1 - t^2 = r^2 is formed
+once, as a ``DecayClock``'s ``loss``, and both routes read it: ``decohere``
+for the numeric route and ``channel_coefficients`` for the closed forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,27 +38,33 @@ _ALPHA_BOUND = float(np.sqrt(np.finfo(float).max)) / 2  # the largest alpha with
 class DecayClock:
     """Amplitude decay factor t = exp(-gamma tau / 2); r = sqrt(1 - t^2).
 
-    ``t`` may be an array, one clock per entry; ``from_r`` also takes a list.
+    ``loss`` = 1 - t^2 = r^2, the damping exponent, is derived and formed
+    once: from_r squares r, so it keeps its bits at small r, where t rounds
+    r^2 away; the t constructor forms 1 - t * t.  ``t`` may be an array,
+    one clock per entry; ``from_r`` also takes a list.
     """
 
     t: float | np.ndarray
+    loss: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not np.logical_and(0.0 < self.t, self.t <= 1.0).all():
             raise ValueError("decay factor t must lie in (0, 1]")
+        object.__setattr__(self, "loss", 1.0 - self.t * self.t)
 
     @classmethod
     def from_r(cls, r) -> "DecayClock":
         """The clock at normalized times ``r``, checked once: r in [0, 1)
-        gives r * r < 1, so t = sqrt(1 - r * r) lies in (0, 1] and the
-        constructor's check is skipped."""
+        puts t = sqrt((1 - r)(1 + r)) in (0, 1], so the constructor's check
+        is skipped.  Neither t nor loss = r * r is formed as 1 - r * r."""
         r = np.asarray(r, dtype=float)
         if not r.size:
             raise ValueError("r must hold at least one decay time")
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
         clock = object.__new__(cls)
-        object.__setattr__(clock, "t", np.sqrt(1.0 - r * r))
+        object.__setattr__(clock, "t", np.sqrt((1.0 - r) * (1.0 + r)))
+        object.__setattr__(clock, "loss", r * r)
         return clock
 
 
@@ -64,39 +72,22 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     """Damp every mode of a coherent operator independently.
 
     Each dyad coefficient gains <gamma|beta>^(1-t^2), evaluated as
-    exp((1-t^2) w) with w the exact overlap exponent, so no branch choice is
-    involved even for complex amplitudes.  Trace and Hermiticity are
-    preserved exactly: the per-mode coefficient times <t gamma|t beta>
-    recombines to the original <gamma|beta>.  With an array clock every
-    coefficient and amplitude gains trailing axes of the clock's shape.
+    exp(loss w) with the clock's loss = 1 - t^2 and w the exact overlap
+    exponent, so no branch choice is involved even for complex amplitudes.
+    Trace and Hermiticity are preserved exactly: the per-mode coefficient
+    times <t gamma|t beta> recombines to the original <gamma|beta>.  With an
+    array clock every coefficient and amplitude gains trailing axes of the
+    clock's shape.
     """
     t = clock.t
     w = log_overlap(rho.bras, rho.kets).sum(axis=1)  # (terms, *batch)
     # term axis first: (terms, *batch, *clock) coefficients,
     # (terms, modes, *batch, *clock) amplitudes
-    factor = np.exp(np.multiply.outer(w, 1.0 - t * t))
+    factor = np.exp(np.multiply.outer(w, clock.loss))
     coeffs = rho.coeffs.reshape(rho.coeffs.shape + (1,) * np.ndim(t)) * factor
     return CoherentOperator(
         coeffs, np.multiply.outer(rho.kets, t), np.multiply.outer(rho.bras, t)
     )
-
-
-def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
-    """The five quantities the closed forms of E, f and the Pauli
-    coordinates read, (gamma, W, 1 - gamma, 1 - W, N_theta), from
-    ``closed_form_inputs``.
-
-    gamma = exp(-4 r^2 a^2) is the decoherence functional and
-    W = exp(-4 t^2 a^2); 1 - gamma and 1 - W are each an expm1, without
-    cancellation.  These four have the shape ``alpha.shape + r.shape``;
-    N_theta = 1 - exp(-4 a^2), the time-independent normalization of the
-    undecayed basis, has the shape of ``alpha`` with a length-1 axis for
-    each of ``r``.
-    """
-    t, a2, n_theta = closed_form_inputs(alpha, r)
-    t2 = t * t
-    log_g, log_w = -4.0 * (1.0 - t2) * a2, -4.0 * t2 * a2
-    return np.exp(log_g), np.exp(log_w), -np.expm1(log_g), -np.expm1(log_w), n_theta
 
 
 def _amplitudes(alpha) -> np.ndarray:
@@ -111,11 +102,17 @@ def _amplitudes(alpha) -> np.ndarray:
     return alpha
 
 
-def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, alpha^2, N_theta): t = sqrt(1 - r^2) shaped like ``r``, then alpha^2
-    and the undecayed basis's normalization N_theta = 1 - exp(-4 alpha^2),
-    shaped like ``alpha`` with a length-1 axis for each of ``r``: alpha's
-    axes come ahead of r's, as in ``channel_rho4``.
+def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
+    """The five quantities every closed form reads, (gamma, W, 1 - gamma,
+    1 - W, N_theta).
+
+    gamma = exp(-4 r^2 a^2) is the decoherence functional, its exponent from
+    the clock's loss = r * r, and W = exp(-4 t^2 a^2); 1 - gamma and 1 - W
+    are each an expm1, without cancellation.  These four have the shape
+    ``alpha.shape + r.shape``: alpha's axes come ahead of r's, as in
+    ``channel_rho4``.  N_theta = 1 - exp(-4 a^2), the time-independent
+    normalization of the undecayed basis, has the shape of ``alpha`` with a
+    length-1 axis for each of ``r``.
 
     Checks ``alpha``, then ``r``, as ``channel_rho4`` does.  Also the closed
     forms' guard: raises DegenerateBasisError, with the same message, when
@@ -124,7 +121,8 @@ def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first at the least t, where N_theta alone is checked.
     """
     alpha = _amplitudes(alpha)
-    t = DecayClock.from_r(r).t
+    clock = DecayClock.from_r(r)
+    t = clock.t
     alpha = alpha.reshape(alpha.shape + (1,) * t.ndim)
     a2 = alpha * alpha
     n_theta = -np.expm1(-4.0 * a2)
@@ -132,7 +130,8 @@ def closed_form_inputs(alpha, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t_min = t.min()
     ta = t_min * alpha
     check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (ta * ta)))
-    return t, a2, n_theta
+    log_g, log_w = -4.0 * clock.loss * a2, -4.0 * (t * t) * a2
+    return np.exp(log_g), np.exp(log_w), -np.expm1(log_g), -np.expm1(log_w), n_theta
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:

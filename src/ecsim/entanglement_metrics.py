@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import channel_coefficients, channel_rho4, closed_form_inputs
+from .decoherence import channel_coefficients, channel_rho4
 from .qubit_encoding import TwoQubitDensity, pauli_decompose
 
 EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
@@ -114,11 +114,12 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     f = (1/3) max{ 1 + (e^{4a^2} - e^{4t^2a^2}) / (e^{4a^2} - 1),
                    (e^{4t^2a^2} - e^{4r^2a^2} + 2 e^{4a^2} - 2) / (e^{4a^2} - 1) }.
     Evaluated divided through by e^{4a^2}, as
-    max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma and
-    W from ``channel_coefficients``, which cannot overflow at large amplitude.
+    max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma, W
+    and the expm1 1 - gamma from ``channel_coefficients``, which cannot
+    overflow at large amplitude.
     """
-    g, w, _, _, n_theta = channel_coefficients(alpha, r)
-    return _value(np.maximum(1.0 + (1.0 - g) / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
+    g, w, one_g, _, n_theta = channel_coefficients(alpha, r)
+    return _value(np.maximum(1.0 + one_g / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
 
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -141,15 +142,15 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
 
     S = (e^{8 r^2 a^2} - 1)(e^{8 t^2 a^2} - 1) / (2 (e^{4 a^2} - 1)^2);
     symmetric under r^2 <-> t^2, hence peaked at r = 1/sqrt(2).  Evaluated
-    as (1 - e^{-8 r^2 a^2})(1 - e^{-8 t^2 a^2}) / (2 N_theta^2), equal since
-    r^2 + t^2 = 1: at large amplitude the peak is then flat to rounding,
-    where the growing exponentials would scatter it by several ulps.
+    divided through by e^{8 a^2}, as (1 - gamma)(1 + gamma)(1 - W)(1 + W)
+    / (2 N_theta^2) with the quantities of ``channel_coefficients``: a
+    product of non-negative factors, 1 - gamma and 1 - W each an expm1, so
+    nothing cancels, nothing overflows at large amplitude, and there the
+    peak is flat to rounding, where the growing exponentials would scatter
+    it by several ulps.
     """
-    _, a2, n_theta = closed_form_inputs(alpha, r)
-    r2 = np.square(r)  # r * r, for a list r too
-    with np.errstate(over="ignore"):  # past a2 ~ 2.2e307 an exponent is -inf: expm1 gives -1
-        num = np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
-    return _value(num / (2.0 * (n_theta * n_theta)))
+    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    return _value(one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n_theta * n_theta)))
 
 
 def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:

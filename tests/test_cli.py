@@ -204,15 +204,15 @@ class TestFigRows:
     ])
     def test_one_closed_form_call_and_no_per_alpha_dyads(self, command, closed, monkeypatch):
         calls = []
-        for module, name in ((em, closed), (dec, "closed_form_inputs"),
-                             (em, "closed_form_inputs"), (dec, "channel_rho4"),
+        for module, name in ((em, closed), (dec, "channel_coefficients"),
+                             (em, "channel_coefficients"), (dec, "channel_rho4"),
                              (qe, "bell_state"), (cs, "dyad_from_pure"),
                              (dec, "dyad_from_pure")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
         cli.render([command, "--alphas", "0.5", "1.5", "2.5", "--r-steps", "4"])
-        assert sorted(calls) == sorted([closed, "closed_form_inputs", "channel_rho4"])
+        assert sorted(calls) == sorted([closed, "channel_coefficients", "channel_rho4"])
 
 
 class TestDeterminism:

@@ -104,15 +104,27 @@ class TestDecayClock:
                 DecayClock(value)
 
     def test_from_r_checks_once(self, monkeypatch):
-        # r in [0, 1) puts sqrt(1 - r * r) in (0, 1], so from_r skips the
-        # constructor's check, down to r's extremes
+        # r in [0, 1) puts sqrt((1 - r)(1 + r)) in (0, 1], so from_r skips
+        # the constructor's check, down to r's extremes
         r = np.array([0.0, 5e-324, 1e-8, 0.5, np.nextafter(1.0, 0.0)])
-        want = np.sqrt(1.0 - r * r)
+        want = np.sqrt((1.0 - r) * (1.0 + r))
         assert np.logical_and(0.0 < want, want <= 1.0).all()
         monkeypatch.setattr(DecayClock, "__post_init__",
                             lambda self: pytest.fail("from_r ran the constructor's check"))
         assert DecayClock.from_r(r).t.tobytes() == want.tobytes()
         assert DecayClock.from_r(0.5).t == math.sqrt(0.75)
+
+    @pytest.mark.parametrize("r", [0.3, [0.0, 1e-9, 0.5],
+                                   np.array([[5e-324, 1e-8], [0.7, np.nextafter(1.0, 0.0)]])],
+                             ids=["scalar", "list", "array"])
+    def test_loss_is_r_squared_and_t_is_formed_without_cancelling(self, r):
+        clock, x = DecayClock.from_r(r), np.asarray(r, dtype=float)
+        assert clock.loss.tobytes() == (x * x).tobytes()
+        assert clock.t.tobytes() == np.sqrt((1.0 - x) * (1.0 + x)).tobytes()
+
+    def test_constructor_loss_is_one_minus_t_squared(self):
+        for t in (0.8, np.array([1.0, 0.3, 1e-8])):
+            assert np.asarray(DecayClock(t).loss).tobytes() == np.asarray(1.0 - t * t).tobytes()
 
 
 class TestDecohereDyad:

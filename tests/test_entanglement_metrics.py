@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ecsim import decoherence as dec
 from ecsim import entanglement_metrics as em
 from ecsim import protocols as pr
 from ecsim.decoherence import channel_rho4, closed_form_vst
@@ -475,21 +476,19 @@ class TestMixednessPeak:
 
 def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
     """E, f and S of one amplitude over an r grid, in the arithmetic of the
-    closed forms: every square a product, numpy's ufuncs throughout."""
-    t = np.sqrt(1.0 - r * r)
+    closed forms: every square a product, the exponent of gamma from r * r
+    and that of W from t * t, numpy's ufuncs throughout."""
+    t = np.sqrt((1.0 - r) * (1.0 + r))
     a2 = alpha * alpha
     n = -np.expm1(-4.0 * a2)
-    t2 = t * t
-    x, y = -4.0 * (1.0 - t2) * a2, -4.0 * t2 * a2
+    x, y = -4.0 * (r * r) * a2, -4.0 * (t * t) * a2
     g, w = np.exp(x), np.exp(y)
     one_g, one_w = -np.expm1(x), -np.expm1(y)
-    r2 = r * r
     return {
         closed_form_e: 2.0 * g * (one_w * one_w) / (n * (np.sqrt(
             4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w)) + one_g * (1.0 + w))),
-        closed_form_f: np.maximum(1.0 + (1.0 - g) / n, 2.0 + (g - w) / n) / 3.0,
-        closed_form_s: np.expm1(-8.0 * r2 * a2) * np.expm1(-8.0 * (1.0 - r2) * a2)
-        / (2.0 * (n * n)),
+        closed_form_f: np.maximum(1.0 + one_g / n, 2.0 + (g - w) / n) / 3.0,
+        closed_form_s: one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n * n)),
     }
 
 
@@ -666,13 +665,14 @@ def _decimal_vst_and_margin(alpha: float, r: float) -> tuple[decimal.Decimal, ..
     (a + d, -a + d, a - c) / (2 N_theta) and the fidelity margin
     max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta), as the paper states
     them, in stdlib decimal at 400 digits, as ``_decimal_e``: -a + d loses
-    the ~280 digits below gamma's.  The exponents take the code's own float
-    t * t, so the reference tests the forms and not 1 - t^2."""
-    t = np.sqrt(1.0 - r * r)
+    the ~280 digits below gamma's.  The exponents take the code's own floats
+    r * r and t * t, so the reference tests the forms and not the clock."""
+    t = np.sqrt((1.0 - r) * (1.0 + r))
     with decimal.localcontext() as ctx:
         ctx.prec = 400
-        a2, t2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(float(t * t))
-        g, w, e4 = (-4 * (1 - t2) * a2).exp(), (-4 * t2 * a2).exp(), (-4 * a2).exp()
+        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r * r)
+        t2 = decimal.Decimal(float(t * t))
+        g, w, e4 = (-4 * r2 * a2).exp(), (-4 * t2 * a2).exp(), (-4 * a2).exp()
         n = 1 - e4
         a, c, d = (1 - g) * w, 2 - (1 + g) * w, -2 * g + (1 + g) * w
         return ((1 - g) * w.sqrt() / n, (a + d) / (2 * n), (-a + d) / (2 * n),
@@ -697,10 +697,59 @@ def test_pauli_coordinates_and_margin_match_a_decimal_evaluation():
             assert abs(float(x) - float(want)) <= 1e-12 * abs(float(want)), (name, alpha, r, x)
 
 
+def _decimal_efs(alpha: float, r: float) -> tuple[decimal.Decimal, ...]:
+    """E, f and S of the channel in stdlib decimal at 50 digits, from the
+    binary values of alpha and r, with t^2 = 1 - r^2 exact: E in the
+    cancellation-free form of ``closed_form_e``, f and S as stated, divided
+    through by e^{4 a^2} and e^{8 a^2}.  Nothing cancels at the points below."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin = 50, decimal.MIN_EMIN  # W is ~10^-1.7e12 at alpha = 1e6
+        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r) ** 2
+        g, w, n = (-4 * r2 * a2).exp(), (-4 * (1 - r2) * a2).exp(), 1 - (-4 * a2).exp()
+        root = (4 * (1 - g) ** 2 * w + ((1 + g) * (1 - w)) ** 2).sqrt()
+        return (2 * g * (1 - w) ** 2 / (n * (root + (1 - g) * (1 + w))),
+                max(1 + (1 - g) / n, 2 + (g - w) / n) / 3,
+                (1 - g * g) * (1 - w * w) / (2 * n * n))
+
+
+# r alpha of order 1 at large alpha, where gamma = exp(-4 r^2 alpha^2) is
+# neither 0 nor 1 but t = sqrt(1 - r^2) rounds r^2 away, then three points
+# of the figures' range
+DECAY_EXPONENT_POINTS = ([(a, k / a) for a in (1e2, 1e3, 1e4, 1e6) for k in (0.5, 1.0, 2.0)]
+                         + [(30.0, 0.03), (14.0, 0.5), (3.0, 0.99)])
+
+
+def _route_errors(alpha: float, r: float) -> dict:
+    """Relative error of both routes' E, f and S against ``_decimal_efs``; the
+    numeric E only where E >= 1e-6, clear of the eigenvalue clamp."""
+    rho, errors = channel_rho4(alpha, r), {}
+    for (closed, numeric), want in zip(CLOSED_FORMS, _decimal_efs(alpha, r)):
+        want = float(want)
+        errors[closed.__name__] = abs(closed(alpha, r) / want - 1.0)
+        if numeric is not negativity_e or want >= 1e-6:
+            errors[numeric.__name__] = abs(numeric(rho) / want - 1.0)
+    return errors
+
+
+@pytest.mark.parametrize("alpha,r", DECAY_EXPONENT_POINTS)
+def test_both_routes_match_a_decimal_evaluation_where_t_rounds_r_away(alpha, r):
+    errors = _route_errors(alpha, r)
+    assert max(errors.values()) <= 1e-12, errors
+
+
+def test_a_decay_exponent_of_one_minus_t_squared_fails_the_decimal_check(monkeypatch):
+    # a mutant decohere, damping by 1 - t * t of from_r's t instead of r * r
+    decohere = dec.decohere
+    monkeypatch.setattr(dec, "decohere",
+                        lambda rho, clock: decohere(rho, dec.DecayClock(clock.t)))
+    worst = max(_route_errors(alpha, r)["linear_entropy"] for alpha, r in DECAY_EXPONENT_POINTS)
+    assert worst > 1e-12
+
+
 # Every closed form of the library, and the helpers only they call.
-CLOSED_FORM_NAMES = ("channel_coefficients", "closed_form_inputs", "closed_form_vst",
-                "closed_form_e", "closed_form_f", "closed_form_s", "_fidelity_margin",
-                "misid_probability_closed", "concentration_success_closed_form")
+CLOSED_FORM_NAMES = ("channel_coefficients", "closed_form_vst", "closed_form_e",
+                     "closed_form_f", "closed_form_s", "_fidelity_margin",
+                     "misid_probability_closed", "concentration_success_closed_form")
 
 
 def test_numeric_route_calls_no_closed_form(monkeypatch):
