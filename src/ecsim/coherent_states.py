@@ -107,10 +107,10 @@ class CoherentSuperposition:
 class CoherentOperator:
     """A (generally mixed) operator as a sum of multimode coherent dyads.
 
-    ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch), M >= 1,
-    are complex arrays, taken over without a copy and made read-only; the
-    optional trailing batch axes carry one operator per entry.  The type has
-    no arithmetic: a sum of operators is the concatenation of their three
+    ``coeffs`` (T, *batch), ``kets`` and ``bras`` (T, M, *batch), M >= 1, are
+    complex (or all real) arrays, taken over without a copy and made read-only;
+    the optional trailing batch axes carry one operator per entry.  The type
+    has no arithmetic: a sum of operators is the concatenation of their three
     arrays along the term axis, and a scalar multiple scales ``coeffs``.
     Like ``CoherentSuperposition``'s, the constructor checks shapes only and
     takes the values as given, finite or not.

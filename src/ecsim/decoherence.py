@@ -148,6 +148,8 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     (a, -a) and (-a, a) on both sides, since the B4 coefficients on (a, a)
     and (-a, -a) cancel exactly, and those on the mixed kets are
     +-1/sqrt(2 N_theta), never zero (``bell_state`` drops and keeps the same).
+    Alpha, t and the B4 coefficients are real, so the decayed operator's
+    imaginary parts are exact zeros: its real parts give a float64 density.
     """
     alpha = _amplitudes(alpha)
     clock = DecayClock.from_r(r)
@@ -157,6 +159,7 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     coeffs = (b4[:, None] * b4.conj()[None]).reshape((4,) + alpha.shape)
     kets, bras = np.multiply.outer(_DYAD_SIGNS, alpha)
     rho = decohere(CoherentOperator(coeffs, kets, bras), clock)
+    rho = CoherentOperator(rho.coeffs.real, rho.kets.real, rho.bras.real)
     # the amplitudes ahead of the decay-time axes; [()] makes a 0-d one a
     # scalar.  Both are in range: alpha is checked above, and a clock's t
     # lies in (0, 1].

@@ -127,14 +127,18 @@ def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     rounding, which is not clamped away: on the pure channel states it reads
     -12 to +17 eps / N_theta (-1.6e-12 at alpha ~ 0.01).
 
-    The stored density is exactly Hermitian, so tr(rho^2) = sum |rho_ij|^2:
-    the sum of the squares of its 32 floats, taken for the whole batch at
-    once (numpy's pairwise sum, no BLAS) instead of a matrix product per
-    density.  It is within 2 ulps of the exact sum of squares on the
-    channel grids, where an einsum's vector loop strays up to 4 ulps.
+    The stored density is exactly Hermitian, so tr(rho^2) = sum |rho_ij|^2: its
+    squared floats, summed for the whole batch (no BLAS) down the float view's
+    columns, then in pairs, as numpy's pairwise sum of a complex rho's 32
+    floats (a real rho has the bits of its complex copy); within 2 ulps of the
+    exact sum on the channel grids, where an einsum strays up to 4 ulps.
     """
     m = rho.matrix
-    return _value(1.0 - np.square(m.reshape(m.shape[:-2] + (16,)).view(float)).sum(axis=-1))
+    s = np.square(m.view(float))
+    sums = ((s[..., 0, :] + s[..., 1, :]) + s[..., 2, :]) + s[..., 3, :]  # sum(-2): 2-4x slower
+    while sums.shape[-1] > 1:
+        sums = sums[..., ::2] + sums[..., 1::2]
+    return _value(1.0 - sums[..., 0])
 
 
 def closed_form_s(alpha, r) -> float | np.ndarray:

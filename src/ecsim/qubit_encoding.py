@@ -44,6 +44,7 @@ def _pauli_terms() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAULI_GATHER, _PAULI_SIGN = _pauli_terms()
+_PAULI_REAL = _PAULI_GATHER // 2, np.where(_PAULI_GATHER % 2, 0.0, _PAULI_SIGN)
 
 # Added to a density before its Cholesky test: the factorization then
 # completes exactly when every eigenvalue lies above -1e-10.
@@ -203,26 +204,27 @@ def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
 class TwoQubitDensity:
     """4x4 density matrix in the logical product ordering.
 
-    ``matrix`` may carry leading axes, shape (..., 4, 4): a batch of
-    densities, each held to the same checks.  A density must be Hermitian
-    and of unit trace within 1e-10, and every eigenvalue of its Hermitian
-    part must lie above -1e-10: tested as a Cholesky factorization of that
-    part plus 1e-10 I, which completes exactly when its eigenvalues are
-    positive (up to rounding at the threshold).  Each check is written so
-    that a NaN fails it; a failed check raises DensityError.
+    ``matrix`` may carry leading axes, shape (..., 4, 4): a batch of densities,
+    each held to the same checks; float64 if real, else complex128.  A density
+    must be Hermitian and of unit trace within 1e-10, and every eigenvalue of
+    its Hermitian part must lie above -1e-10: tested as a Cholesky
+    factorization of that part plus 1e-10 I, which completes exactly when its
+    eigenvalues are positive (up to rounding at the threshold).  Each check is
+    written so that a NaN fails it; a failed check raises DensityError.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.promote_types(m.dtype, float), copy=False)
         if m.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
         # laid out like m, so that both uses below run on contiguous memory
         m_dag = np.conjugate(m.swapaxes(-1, -2), order="C")
         if not np.abs(m - m_dag).max() <= 1e-10:
             raise DensityError("density matrix is not Hermitian within 1e-10")
-        # the real and imaginary parts of tr - 1 side by side
+        # tr - 1 as floats, a complex one's real and imaginary parts side by side
         off = np.asarray(m.trace(axis1=-2, axis2=-1) - 1.0)[..., None].view(float)
         if not np.abs(off).max() <= 1e-10:
             raise DensityError("density matrix trace differs from 1 by more than 1e-10")
@@ -248,18 +250,17 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t, multiplied
     left to right, c ket0 (x) ket1 by ufuncs and the rest by einsum's generic
     loop, which sums the dyads point by point from zero in term order: a
-    point's bits do not depend on the grid.  The coordinates are real, cast
-    to complex once: with imaginary parts of +0 every product rounds once a
-    part, fused or not, so the bits are those of a five-operand einsum.
+    point's bits do not depend on the grid.  The coordinates are real; complex
+    coefficients meet their imaginary parts of +0, so every product rounds once
+    a part, fused or not, and the bits are those of a five-operand einsum.
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
     # (terms, side, mode, *grid, logical index)
-    coords = logical_coords(np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1),
-                            basis).astype(complex)
+    coords = logical_coords(np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis)
     p = (rho.coeffs[..., None] * coords[:, 0, 0])[..., :, None] * coords[:, 0, 1, ..., None, :]
     out = np.einsum("t...ij,t...k,t...l->...ijkl", p, coords[:, 1, 0], coords[:, 1, 1])
-    del coords, p  # 768 B a point, freed before the density check sets the peak
+    del coords, p  # 384 B a point for the channel's real ones, freed before the density check
     return TwoQubitDensity(out.reshape(out.shape[:-4] + (4, 4)))
 
 
@@ -270,15 +271,17 @@ def pauli_decompose(rho: TwoQubitDensity) -> np.ndarray:
     rho = (1/4) sum_mn c_mn s_m (x) s_n.
 
     Each coordinate is the signed sum of four parts of rho, one gather of
-    the real view and one einsum over the +-1 signs (numpy's own loop, no
+    the float view and one einsum over the +-1 signs (numpy's own loop, no
     BLAS).  The sum runs from zero over the rows i in order, as the complex
     contraction sum_ij rho_ij (s_m (x) s_n)_ji does, whose other twelve
     products are zeros: the bits are that contraction's, and a batch entry
-    has those of its own scalar call.
+    has those of its own scalar call.  A real rho has the bits of its
+    complex copy: its table gives each imaginary part the sign 0.
     """
     m = rho.matrix
-    parts = m.reshape(m.shape[:-2] + (16,)).view(float).take(_PAULI_GATHER, axis=-1)
-    return np.einsum("...im,im->...m", parts, _PAULI_SIGN).reshape(m.shape)
+    gather, sign = (_PAULI_GATHER, _PAULI_SIGN) if np.iscomplexobj(m) else _PAULI_REAL
+    parts = m.reshape(m.shape[:-2] + (16,)).view(float).take(gather, axis=-1)
+    return np.einsum("...im,im->...m", parts, sign).reshape(m.shape)
 
 
 def pauli_reconstruct(c: np.ndarray) -> np.ndarray:

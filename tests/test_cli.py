@@ -191,6 +191,35 @@ class TestFigRows:
             assert got[:2] == pytest.approx(ref[:2], abs=1e-15)
             assert got[2:] == pytest.approx(ref[2:], abs=1e-13)
 
+    # Every printed pair against its oracle, at defaults and on a wide grid.
+    # The numeric route's error is k eps / N_theta (k at most 6 on these grids);
+    # e_numeric may also read 0 where E is within 2 EIG_CLAMP of 0 (alpha = 3
+    # from r ~ 0.866 on).  f_analytic is the standard scheme's fidelity, the
+    # second branch of closed_form_f, formed here from channel_coefficients.
+    @pytest.mark.parametrize("grid", [[], ["--alphas", "0.1", "0.3", "1", "3", "13.4", "1000",
+                                           "--r-steps", "400", "--r-max", "0.9999"]],
+                             ids=["defaults", "wide"])
+    def test_every_numeric_column_within_its_oracle(self, grid):
+        k = 16.0
+        for command, key, slack in (("fig2a", "e", 2.0 * em.EIG_CLAMP), ("fig2b", "f", 0.0),
+                                    ("fig3", "s", 0.0), ("teleport-mc", "f", 0.0)):
+            argv = [command] + grid + (["--samples", "1"] if command == "teleport-mc" else [])
+            header, rows = parse_csv(cli.render(argv))
+            col = {name: np.array([float(row[name]) for row in rows]) for name in header}
+            alpha = np.array(list(dict.fromkeys(col["alpha"].tolist())))
+            r = col["r"][:len(rows) // len(alpha)]
+            assert col["alpha"].tolist() == np.repeat(alpha, len(r)).tolist()
+            assert col["r"].tolist() == np.tile(r, len(alpha)).tolist()
+            g, w, _, _, n_theta = (np.broadcast_to(q, (len(alpha), len(r))).ravel()
+                                   for q in dec.channel_coefficients(alpha, r))
+            if command == "teleport-mc":
+                got, want = col["f_analytic"], (2.0 + (g - w) / n_theta) / 3.0
+            else:
+                got, want = col[f"{key}_numeric"], col[f"{key}_closed"]
+            bound = k * np.finfo(float).eps / n_theta + slack
+            worst = np.argmax(np.abs(got - want) - bound)
+            assert abs(got[worst] - want[worst]) <= bound[worst], (command, col["alpha"][worst],
+                                                                   col["r"][worst])
 
     def test_separable_rows_print_zero_not_minus_zero(self):
         # at alpha = 3 the channel is separable from r ~ 0.87 on

@@ -13,6 +13,7 @@ from ecsim.coherent_states import (
     operator_trace,
     to_fock,
 )
+from ecsim import decoherence
 from ecsim import entanglement_metrics as em
 from ecsim import qubit_encoding
 from ecsim.decoherence import (
@@ -320,7 +321,21 @@ class TestAlphaBatch:
                                  10.0 ** rng.uniform(-3.0, 6.0, 10)))
         batch = channel_rho4(alphas, r).matrix
         for alpha, rows in zip(alphas.tolist(), batch):
-            assert rows.tobytes() == _channel_one_amplitude(alpha, r).matrix.tobytes()
+            want = _channel_one_amplitude(alpha, r).matrix
+            assert not want.imag.any()
+            assert rows.tobytes() == want.real.tobytes()
+
+    def test_the_decayed_operator_has_zero_imaginary_parts(self, monkeypatch):
+        # channel_rho4 projects the real parts of the complex route's operator
+        seen = []
+        monkeypatch.setattr(decoherence, "decohere",
+                            lambda rho, clock: seen.append(decohere(rho, clock)) or seen[-1])
+        monkeypatch.setattr(decoherence, "project_to_density", lambda rho, basis: None)
+        channel_rho4(self.ALPHAS, np.linspace(0.0, 0.9999, 401))
+        (rho,) = seen
+        assert rho.coeffs.shape == (4,) + self.ALPHAS.shape + (401,)
+        for part in (rho.coeffs, rho.kets, rho.bras):
+            assert part.dtype == np.complex128 and not part.imag.any()
 
     @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 400), 0.5], ids=["grid", "scalar"])
     def test_slices_are_bitwise_the_scalar_alpha_calls(self, r):

@@ -600,6 +600,42 @@ class TestBatches:
         assert np.max(np.abs(got - numeric(channel_rho4(14.0, r)))) < 1e-9
 
 
+class TestRealDensity:
+    """A real density is measured as the same density held as complex."""
+
+    @staticmethod
+    def _pair():
+        # random real symmetric densities of ranks 1 to 4, then channel densities
+        rng = np.random.default_rng(48)
+        g = rng.standard_normal((2000, 4, 4)) * (rng.random((2000, 1, 4)) < 0.7)
+        m = g @ g.swapaxes(-1, -2) + np.eye(4) * rng.choice((0.0, 1e-3), (2000, 1, 1))
+        m = m[np.trace(m, axis1=-2, axis2=-1) > 0]
+        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+        m = (m + m.swapaxes(-1, -2)) / 2.0
+        grid = channel_rho4(np.array([2e-3, 0.1, 0.7, 2.5, 13.4]), np.linspace(0.0, 0.9999, 200))
+        m = np.concatenate((m, grid.matrix.reshape(-1, 4, 4)))
+        real, cplx = TwoQubitDensity(m), TwoQubitDensity(m.astype(complex))
+        assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
+        return real, cplx
+
+    @pytest.mark.parametrize("metric", [pauli_decompose, linear_entropy, singlet_fraction,
+                                        optimal_fidelity])
+    def test_bitwise(self, metric):
+        real, cplx = self._pair()
+        assert metric(real).tobytes() == metric(cplx).tobytes()
+
+    # LAPACK's real and complex symmetric solvers round differently: their
+    # eigenvalues lie up to 6 eps apart on these densities (norm <= 1), and
+    # 8 eps is allowed.  E takes twice the one negative eigenvalue of the
+    # partial transpose; -l log2 l of an eigenvalue l >= EIG_CLAMP moves by
+    # at most (|log2 l| + 1.45) |dl|, under 42 |dl|, for each of the four.
+    @pytest.mark.parametrize("metric,bound", [(negativity_e, 2 * 8 * np.finfo(float).eps),
+                                              (vn_entropy, 4 * 42 * 8 * np.finfo(float).eps)])
+    def test_within_the_solvers_rounding(self, metric, bound):
+        real, cplx = self._pair()
+        assert np.max(np.abs(metric(real) - metric(cplx))) <= bound
+
+
 # Accuracy envelope of the numeric route against the closed forms: max
 # |numeric - closed| for E, f and S over 400 r in [0, 0.995], on a half-decade
 # grid of alpha over the CLI's range.  Each band's bounds are under 3x the

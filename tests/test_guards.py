@@ -88,7 +88,7 @@ def test_alpha_at_the_bound_is_accepted_by_both_routes(r):
     # the numeric route's populations read two ulps below 1/2 here; at r = 0
     # the state is pure, (|01> - |10>)/sqrt2, and at r = 0.5 the coherence is gone
     half = 0.5 - 2.0 ** -53
-    want = np.diag([0.0, half, half, 0.0]).astype(complex)
+    want = np.diag([0.0, half, half, 0.0])
     if r == 0.0:
         want[1, 2] = want[2, 1] = -half
     assert rho.matrix.tobytes() == want.tobytes()

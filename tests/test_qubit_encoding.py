@@ -405,7 +405,9 @@ class TestProjectionReference:
         monkeypatch.setattr(decoherence, "project_to_density", keep)
         got = channel_rho4(np.array([1e-3, 0.4, 1.7, 13.4]), np.linspace(0.0, 0.9999, 131))
         assert got.matrix.shape == (4, 131, 4, 4)
-        _same_bits(got.matrix, _project_reference(*seen[0]))
+        want = _project_reference(*seen[0])
+        assert not want.imag.any()
+        _same_bits(got.matrix, np.ascontiguousarray(want.real))
 
     def test_bitwise_on_mixture(self):
         b = make_basis(0.8, 1.0)
@@ -634,6 +636,33 @@ class TestDensityValidation:
         assert all(_accepted(m) for m in mats)
 
 
+class TestRealDensity:
+    @pytest.mark.parametrize("given,kept", [(np.float64, np.float64), (np.complex128, np.complex128),
+                                            (np.int64, np.float64), (np.int32, np.float64)])
+    def test_dtype(self, given, kept):
+        one = np.diag([1, 0, 0, 0]).astype(given)
+        assert TwoQubitDensity(one).matrix.dtype == kept
+        assert TwoQubitDensity(np.stack([one, one[::-1, ::-1]])).matrix.dtype == kept
+
+    def test_the_channel_density_is_real(self):
+        assert channel_rho4(1.0, np.linspace(0.0, 0.9, 5)).matrix.dtype == np.float64
+
+    def test_each_check_fails_a_real_matrix(self):
+        good = np.eye(4) / 4.0
+        asym, nan = good.copy(), good.copy()
+        asym[0, 1] = 0.2
+        nan[2, 2] = np.nan
+        rng = np.random.default_rng(33)
+        low = _density_with_min_eigenvalue(rng, -2e-10, real=True)
+        assert low.dtype == np.float64
+        assert _accepted(_density_with_min_eigenvalue(rng, -0.5e-10, real=True))
+        for bad, fault in ((asym, "not Hermitian"), (2.0 * good, "trace differs"),
+                           (low, "eigenvalue below"), (nan, "not Hermitian")):
+            for m in (bad, np.stack([good, bad, good])):
+                with pytest.raises(DensityError, match=fault):
+                    TwoQubitDensity(m)
+
+
 def _accepted(m) -> bool:
     try:
         TwoQubitDensity(m)
@@ -642,10 +671,13 @@ def _accepted(m) -> bool:
     return True
 
 
-def _density_with_min_eigenvalue(rng, lam_min):
-    """Unit-trace Hermitian Q diag(l) Q^dag with a random unitary Q, smallest
-    eigenvalue ``lam_min`` and the other three in [0.125, 0.75]."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def _density_with_min_eigenvalue(rng, lam_min, real=False):
+    """Unit-trace Hermitian Q diag(l) Q^dag with a random unitary Q (orthogonal
+    if ``real``), smallest eigenvalue ``lam_min`` and the other three in
+    [0.125, 0.75]."""
+    g = rng.standard_normal((4, 4))
+    if not real:
+        g = g + 1j * rng.standard_normal((4, 4))
     q = np.linalg.qr(g)[0]
     rest = (0.2 + rng.dirichlet(np.ones(3))) / 1.6 * (1.0 - lam_min)
     m = (q * np.concatenate(([lam_min], rest))) @ q.conj().T
