@@ -103,12 +103,16 @@ def _amplitudes(alpha) -> np.ndarray:
 
 
 def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
-    """The five quantities every closed form reads, (gamma, W, 1 - gamma,
-    1 - W, N_theta).
+    """The seven quantities every closed form reads, (gamma, W, 1 - gamma,
+    1 - W, N_theta, W - gamma, sqrt(W)).
 
     gamma = exp(-4 r^2 a^2) is the decoherence functional, its exponent from
     the clock's loss = r * r, and W = exp(-4 t^2 a^2); 1 - gamma and 1 - W
-    are each an expm1, without cancellation.  These four have the shape
+    are each an expm1, and so is W - gamma: with x = 4 a^2 (r * r - t * t) =
+    log W - log gamma, it is gamma expm1(x) for x <= 0 and -W expm1(-x) for
+    x > 0, the larger of the two times an expm1 that cannot overflow.
+    sqrt(W) = exp(log W / 2) is not 0 where W underflows (4 t^2 a^2 past
+    ~745).  These six have the shape
     ``alpha.shape + r.shape``: alpha's axes come ahead of r's, as in
     ``channel_rho4``.  N_theta = 1 - exp(-4 a^2), the time-independent
     normalization of the undecayed basis, has the shape of ``alpha`` with a
@@ -130,8 +134,12 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     t_min = t.min()
     ta = t_min * alpha
     check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (ta * ta)))
-    log_g, log_w = -4.0 * clock.loss * a2, -4.0 * (t * t) * a2
-    return np.exp(log_g), np.exp(log_w), -np.expm1(log_g), -np.expm1(log_w), n_theta
+    t2 = t * t
+    log_g, log_w = -4.0 * clock.loss * a2, -4.0 * t2 * a2
+    g, w = np.exp(log_g), np.exp(log_w)
+    x = 4.0 * (clock.loss - t2) * a2
+    w_minus_g = np.copysign(np.maximum(g, w) * -np.expm1(-np.abs(x)), x)
+    return g, w, -np.expm1(log_g), -np.expm1(log_w), n_theta, w_minus_g, np.exp(0.5 * log_w)
 
 
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
@@ -172,16 +180,16 @@ def closed_form_vst(alpha, r) -> np.ndarray:
 
     Both Bloch vectors are ((1 - gamma) sqrt(W) / N_theta, 0, 0) and T is
     diagonal with entries (W - gamma, -gamma (1 - W), -(1 - W)) / N_theta,
-    from the quantities of ``channel_coefficients``: only T_11 is a
-    difference, of two exps, and the rest are products.  The trace
+    from the quantities of ``channel_coefficients``, none of them a
+    difference of two exps.  The trace
     c[..., 0, 0] is 1.  An array ``alpha`` and an array ``r`` give shape
     ``alpha.shape + r.shape + (4, 4)``, like ``closed_form_e``.
     """
-    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    g, _, one_g, one_w, n_theta, w_minus_g, sqrt_w = channel_coefficients(alpha, r)
     coords = np.zeros(np.shape(g) + (4, 4))
     coords[..., 0, 0] = 1.0
-    coords[..., 1, 0] = coords[..., 0, 1] = one_g * np.sqrt(w) / n_theta
-    coords[..., 1, 1] = (w - g) / n_theta
+    coords[..., 1, 0] = coords[..., 0, 1] = one_g * sqrt_w / n_theta
+    coords[..., 1, 1] = w_minus_g / n_theta
     coords[..., 2, 2] = -(g * one_w) / n_theta
     coords[..., 3, 3] = -one_w / n_theta
     return coords

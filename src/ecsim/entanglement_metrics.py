@@ -67,7 +67,7 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
     and 1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma
     does not underflow.
     """
-    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
     root = np.sqrt(4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w))
     return _value(2.0 * g * (one_w * one_w) / (n_theta * (root + one_g * (1.0 + w))))
 
@@ -114,12 +114,12 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     f = (1/3) max{ 1 + (e^{4a^2} - e^{4t^2a^2}) / (e^{4a^2} - 1),
                    (e^{4t^2a^2} - e^{4r^2a^2} + 2 e^{4a^2} - 2) / (e^{4a^2} - 1) }.
     Evaluated divided through by e^{4a^2}, as
-    max{1 + (1 - gamma)/N_theta, 2 + (gamma - W)/N_theta} / 3 with gamma, W
-    and the expm1 1 - gamma from ``channel_coefficients``, which cannot
-    overflow at large amplitude.
+    max{1 + (1 - gamma)/N_theta, 2 - (W - gamma)/N_theta} / 3 with 1 - gamma
+    and W - gamma from ``channel_coefficients``, which cannot overflow at
+    large amplitude and do not cancel.
     """
-    g, w, one_g, _, n_theta = channel_coefficients(alpha, r)
-    return _value(np.maximum(1.0 + one_g / n_theta, 2.0 + (g - w) / n_theta) / 3.0)
+    _, _, one_g, _, n_theta, w_minus_g, _ = channel_coefficients(alpha, r)
+    return _value(np.maximum(1.0 + one_g / n_theta, 2.0 - w_minus_g / n_theta) / 3.0)
 
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -153,7 +153,7 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
     peak is flat to rounding, where the growing exponentials would scatter
     it by several ulps.
     """
-    g, w, one_g, one_w, n_theta = channel_coefficients(alpha, r)
+    g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
     return _value(one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n_theta * n_theta)))
 
 
@@ -170,12 +170,13 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
 
     Subtracting 2/3 inside the max of ``closed_form_f`` leaves
     max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta), and e^{-4a^2} = gamma W
-    makes the first term -gamma (1 - W), a product.  Near r = 1 at large
+    makes the first term -gamma (1 - W), a product; the second is
+    -(W - gamma) of ``channel_coefficients``.  Near r = 1 at large
     amplitude the margin is below the rounding of f: at alpha = 3 and
     r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
     """
-    g, w, _, one_w, n_theta = channel_coefficients(alpha, r)
-    return np.maximum(-(g * one_w), g - w) / (3.0 * n_theta)
+    g, _, _, one_w, n_theta, w_minus_g, _ = channel_coefficients(alpha, r)
+    return np.maximum(-(g * one_w), -w_minus_g) / (3.0 * n_theta)
 
 
 def characteristic_time(alpha: float) -> float:

@@ -1,0 +1,154 @@
+"""The references that more than one test module reads: the channel's
+decimal referee, the 40-digit Poisson tail and shared numpy helpers.  Test
+modules import them from here, never from one another, so a helper renamed in
+one cannot break the collection of another.  pytest does not collect this
+module (no ``test_`` prefix); its default import mode puts ``tests/`` on the
+path.
+"""
+import decimal
+import functools
+import math
+from collections import namedtuple
+from dataclasses import dataclass
+
+import numpy as np
+
+from ecsim.coherent_states import CoherentOperator, CoherentSuperposition
+from ecsim.protocols import CORRECTIONS
+from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, LogicalBasis, TwoQubitDensity
+
+# Immutable, as decimal_channel hands one cached record to every caller.
+DecimalChannel = namedtuple("DecimalChannel", "gamma w one_g one_w n_theta a b c d e f s bloch "
+                                              "t_diag margin")
+
+
+@functools.cache
+def decimal_channel(alpha: float, r: float, float_squares: bool = False) -> DecimalChannel:
+    """The channel at (alpha, r) as the paper states it, in stdlib decimal at
+    400 digits with Emin and Emax at their limits (W is ~10^-1.7e12 at
+    alpha = 1e6).  The stated differences lose digits, E's at most the ~300
+    below a normal float's E and -a + d the ~280 below gamma's: 400 leave
+    over 100.  The inputs are alpha and the squares in the decay exponents:
+    r^2 and t^2 = 1 - r^2 exactly, or with ``float_squares`` the code's own
+    floats r * r and t * t, t = sqrt((1 - r)(1 + r)), which test the forms
+    apart from the clock.
+
+    gamma = exp(-4 r^2 a^2), W = exp(-4 t^2 a^2), N_theta = 1 - exp(-4 a^2);
+    a = (1 - gamma) W, b = (1 - gamma) sqrt(W), c = 2 - (1 + gamma) W,
+    d = -2 gamma + (1 + gamma) W; E = (sqrt(16 b^2 + (c - d)^2) - (2a + c + d))
+    / (4 N_theta); f and S divided through by e^{4 a^2} and e^{8 a^2}; the
+    Bloch entry b / N_theta; T's diagonal (a + d, -a + d, a - c) / (2 N_theta);
+    the fidelity margin max{e^{-4 a^2} - gamma, gamma - W} / (3 N_theta).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 400, decimal.MIN_EMIN, decimal.MAX_EMAX
+        a2 = decimal.Decimal(alpha) ** 2
+        e4 = (-4 * a2).exp()
+        if float_squares:
+            t = np.sqrt((1.0 - r) * (1.0 + r))
+            g = (-4 * decimal.Decimal(r * r) * a2).exp()
+            w = (-4 * decimal.Decimal(float(t * t)) * a2).exp()
+        else:  # r^2 + t^2 = 1, so W = e^{-4 a^2} / gamma
+            g = (-4 * decimal.Decimal(r) ** 2 * a2).exp()
+            w = e4 / g
+        n = 1 - e4
+        a, b = (1 - g) * w, (1 - g) * w.sqrt()
+        c, d = 2 - (1 + g) * w, -2 * g + (1 + g) * w
+        return DecimalChannel(
+            gamma=g, w=w, one_g=1 - g, one_w=1 - w, n_theta=n, a=a, b=b, c=c, d=d,
+            e=((16 * b * b + (c - d) ** 2).sqrt() - (2 * a + c + d)) / (4 * n),
+            f=max(1 + (1 - g) / n, 2 + (g - w) / n) / 3,
+            s=(1 - g * g) * (1 - w * w) / (2 * n * n),
+            bloch=b / n,
+            t_diag=((a + d) / (2 * n), (-a + d) / (2 * n), (a - c) / (2 * n)),
+            margin=max(e4 - g, g - w) / (3 * n))
+
+
+def exact_poisson_tails(m: float, top_cutoff: int) -> list[float]:
+    """P(N > k) for k = 0..top_cutoff, N ~ Poisson(m), as upper sums of the
+    probabilities in 40-digit decimal arithmetic on the float's exact value."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dm = decimal.Decimal(m)
+        n_terms = top_cutoff + 2 + int(m + 40.0 * math.sqrt(m) + 60.0)
+        pmf = [(-dm).exp()]
+        for j in range(1, n_terms):
+            pmf.append(pmf[-1] * dm / j)
+        tails, above = [], decimal.Decimal(0)
+        for j in range(n_terms - 1, 0, -1):
+            above += pmf[j]  # P(N >= j) = P(N > j - 1)
+            tails.append(above)
+        return [float(t) for t in tails[::-1][: top_cutoff + 1]]
+
+
+def operator_sum(*terms):
+    """sum_k w_k O_k over (w_k, O_k) pairs: the operators' arrays concatenated
+    along the term axis, each one's coefficients scaled by its weight."""
+    return CoherentOperator(np.concatenate([complex(w) * op.coeffs for w, op in terms]),
+                            np.concatenate([op.kets for _, op in terms]),
+                            np.concatenate([op.bras for _, op in terms]))
+
+
+def random_density(seed, shape: tuple = ()) -> TwoQubitDensity:
+    """Random full-rank two-qubit densities G G^dag / tr(G G^dag), not
+    Bell-diagonal, with G complex Gaussian of shape ``shape + (4, 4)``.
+    ``seed`` is a seed or a Generator, whose next draws it takes."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return TwoQubitDensity(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+
+
+def branches_reference(x, channel, corrections=CORRECTIONS):
+    """U_k <B_k|(x (x) rho)|B_k> U_k^dag per outcome, one contraction per k."""
+    rho4 = channel.matrix.reshape(2, 2, 2, 2)
+    out = np.empty((4, 2, 2), dtype=complex)
+    for k in range(4):
+        bk = BELL_VECTORS[k].reshape(2, 2)
+        chi = np.einsum("ab,aA,bcBC,AB->cC", bk.conj(), x, rho4, bk)
+        out[k] = corrections[k] @ chi @ corrections[k].conj().T
+    return out
+
+
+def average_fidelity_reference(channel, remap):
+    """Scheme average from the isotropic moments: tr L(I)/4 + sum_p tr(p L(p))/12."""
+    corrections = [remap @ u for u in CORRECTIONS]
+    eye = np.eye(2, dtype=complex)
+    total = np.trace(branches_reference(eye, channel, corrections).sum(0)).real / 4
+    for p in PAULIS:
+        lp = branches_reference(p, channel, corrections).sum(0)
+        total += np.trace(p @ lp).real / 12
+    return total
+
+
+@dataclass(frozen=True)
+class QubitVector:
+    """Unit vector in the logical basis: plus * Psi+ + minus * Psi-."""
+
+    plus: complex
+    minus: complex
+
+    def __post_init__(self):
+        n2 = abs(self.plus) ** 2 + abs(self.minus) ** 2
+        if abs(n2 - 1.0) > 1e-12:
+            raise ValueError(f"qubit vector norm^2 = {n2!r}, expected 1")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.plus, self.minus], dtype=complex)
+
+
+def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
+    """(plus |ta> + minus |-ta>) / sqrt(N_theta)."""
+    a, c = basis.amplitude, 1.0 / math.sqrt(basis.n_theta)
+    return CoherentSuperposition(np.array([c * plus, c * minus], dtype=complex),
+                                 np.array([[a], [-a]], dtype=complex))
+
+
+def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
+    """|Psi+> = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)."""
+    return _on_pair(basis, math.cos(basis.theta), -math.sin(basis.theta))
+
+
+def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
+    """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
+    return _on_pair(basis, -math.sin(basis.theta), math.cos(basis.theta))

@@ -24,7 +24,7 @@ from ecsim import acceptance, cli
 from ecsim import coherent_states as cs
 from ecsim import decoherence as dec
 from ecsim import qubit_encoding as qe
-from test_coherent_states import operator_sum
+from reference import operator_sum
 
 
 _CRITERIA = {check: (check_id, name) for check_id, name, check in acceptance._CHECKS}

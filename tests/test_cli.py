@@ -17,9 +17,10 @@ from ecsim import entanglement_metrics as em
 from ecsim import qubit_encoding as qe
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import DegenerateBasisError
-from test_protocols import _random_channel
+from reference import random_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def run_main(argv, capsys):
@@ -35,6 +36,12 @@ def parse_csv(text):
     for ln in lines[1:]:
         rows.append(dict(zip(header, ln.split(","))))
     return header, rows
+
+
+def parse_columns(text):
+    """A CSV render as a float array per column, by name."""
+    header, rows = parse_csv(text)
+    return {name: np.array([float(row[name]) for row in rows]) for name in header}
 
 
 class TestSchemas:
@@ -88,6 +95,13 @@ class TestSchemas:
         assert len(max_rows) == 1
         assert float(max_rows[0]["f"]) == pytest.approx(0.6035533905932738, abs=1e-9)
         assert 0.6 <= float(max_rows[0]["alpha_r"]) <= 0.8
+        # f(0) is 1/2, and the located maximum is at least every grid row: at
+        # defaults it is above the grid's by 9.2e-6
+        for grid in ([], ["--ar-max", "6", "--ar-steps", "3000"]):
+            col = parse_columns(cli.render(["cv"] + grid))
+            top = col["is_max"] == 1
+            assert col["alpha_r"][0] == 0.0 and col["f"][0] == 0.5
+            assert top.sum() == 1 and (col["f"][top] >= col["f"][~top]).all()
 
     def test_bellmeas_matches_closed_form(self, capsys):
         code, out = run_main(["bellmeas", "--alphas", "0.5", "1"], capsys)
@@ -98,6 +112,14 @@ class TestSchemas:
             assert float(row["p_i_numeric"]) == pytest.approx(
                 float(row["p_i_closed"]), abs=tol
             )
+        # at defaults and on 40 amplitudes from 0.05 to 4: within 16 eps
+        # relative plus the Fock tail (measured: 2.8e-17 absolute at defaults,
+        # 4.9 eps relative on the wide grid)
+        wide = [repr(float(a)) for a in np.geomspace(0.05, 4.0, 40)]
+        for grid in ([], ["--alphas", *wide]):
+            col = parse_columns(cli.render(["bellmeas"] + grid))
+            bound = 16 * EPS * col["p_i_closed"] + col["tail_bound"]
+            assert (np.abs(col["p_i_numeric"] - col["p_i_closed"]) <= bound).all()
 
     def test_concentrate_closed_vs_numeric(self, capsys):
         code, out = run_main(["concentrate", "--alphas", "1"], capsys)
@@ -110,6 +132,15 @@ class TestSchemas:
             assert float(row["p2_exact"]) == pytest.approx(
                 float(row["p2_exact_closed"]), abs=1e-10
             )
+        # at defaults and on alpha 0.05 to 10 by eta 0.05 to 1.52: within 32 eps
+        # (measured: 6.9e-17 at defaults; p2_exact strays most at small alpha,
+        # 12.6 eps at alpha = 0.062 on a 25 x 12 grid)
+        for grid in ([], ["--alphas", "0.05", "0.1", "0.3", "1", "3", "10",
+                          "--etas", "0.05", "0.3", "0.7", "1", "1.52"]):
+            col = parse_columns(cli.render(["concentrate"] + grid))
+            for got, want in (("p2_exact", "p2_exact_closed"), ("p1_swap", "p_ideal_closed"),
+                              ("p2_swap", "p_ideal_closed")):
+                assert np.max(np.abs(col[got] - col[want])) <= 32 * EPS, got
 
     def test_teleport_mc_within_three_sigma(self, capsys):
         code, out = run_main(
@@ -124,6 +155,19 @@ class TestSchemas:
         for row in rows:
             err = abs(float(row["f_mc"]) - float(row["f_analytic"]))
             assert err <= max(3.0 * float(row["stderr"]), 1e-12)
+        # at defaults and on a wide grid, 2000 shots a row: no row beyond 5
+        # stderr (1e-12 at least), and the rows beyond 3 no more than five
+        # binomial deviations above n p, p = 0.0027 the normal law's share
+        # (measured: 1 of 600 rows at defaults, the largest z 3.2)
+        p = 0.0027
+        for grid in ([], ["--alphas", "0.1", "0.3", "1", "3", "13.4", "1000",
+                          "--r-steps", "25", "--r-max", "0.9999"]):
+            col = parse_columns(cli.render(["teleport-mc", "--samples", "2000"] + grid))
+            err = np.abs(col["f_mc"] - col["f_analytic"])
+            assert (err <= np.maximum(5.0 * col["stderr"], 1e-12)).all()
+            n = len(err)
+            beyond = np.count_nonzero(err > np.maximum(3.0 * col["stderr"], 1e-12))
+            assert beyond <= n * p + 5.0 * math.sqrt(n * p * (1.0 - p)), beyond
 
     def test_json_mirrors_csv_records(self, capsys):
         args = ["fig2a", "--alphas", "1", "--r-steps", "3", "--r-max", "0.9"]
@@ -196,6 +240,8 @@ class TestFigRows:
     # e_numeric may also read 0 where E is within 2 EIG_CLAMP of 0 (alpha = 3
     # from r ~ 0.866 on).  f_analytic is the standard scheme's fidelity, the
     # second branch of closed_form_f, formed here from channel_coefficients.
+    # It is at most fig2b's f_numeric + 1e-14, and within 1e-14 of it up to
+    # r = 1/sqrt(2) (measured: 3.8e-15 apart at defaults).
     @pytest.mark.parametrize("grid", [[], ["--alphas", "0.1", "0.3", "1", "3", "13.4", "1000",
                                            "--r-steps", "400", "--r-max", "0.9999"]],
                              ids=["defaults", "wide"])
@@ -204,19 +250,23 @@ class TestFigRows:
         for command, key, slack in (("fig2a", "e", 2.0 * em.EIG_CLAMP), ("fig2b", "f", 0.0),
                                     ("fig3", "s", 0.0), ("teleport-mc", "f", 0.0)):
             argv = [command] + grid + (["--samples", "1"] if command == "teleport-mc" else [])
-            header, rows = parse_csv(cli.render(argv))
-            col = {name: np.array([float(row[name]) for row in rows]) for name in header}
+            col = parse_columns(cli.render(argv))
             alpha = np.array(list(dict.fromkeys(col["alpha"].tolist())))
-            r = col["r"][:len(rows) // len(alpha)]
+            r = col["r"][:len(col["r"]) // len(alpha)]
             assert col["alpha"].tolist() == np.repeat(alpha, len(r)).tolist()
             assert col["r"].tolist() == np.tile(r, len(alpha)).tolist()
-            g, w, _, _, n_theta = (np.broadcast_to(q, (len(alpha), len(r))).ravel()
-                                   for q in dec.channel_coefficients(alpha, r))
+            g, w, _, _, n_theta, _, _ = (np.broadcast_to(q, (len(alpha), len(r))).ravel()
+                                         for q in dec.channel_coefficients(alpha, r))
+            if command == "fig2b":
+                f_numeric = col["f_numeric"]
             if command == "teleport-mc":
                 got, want = col["f_analytic"], (2.0 + (g - w) / n_theta) / 3.0
+                assert (got <= f_numeric + 1e-14).all()
+                early = col["r"] <= SQRT_HALF
+                assert (np.abs(got - f_numeric)[early] <= 1e-14).all()
             else:
                 got, want = col[f"{key}_numeric"], col[f"{key}_closed"]
-            bound = k * np.finfo(float).eps / n_theta + slack
+            bound = k * EPS / n_theta + slack
             worst = np.argmax(np.abs(got - want) - bound)
             assert abs(got[worst] - want[worst]) <= bound[worst], (command, col["alpha"][worst],
                                                                    col["r"][worst])
@@ -895,7 +945,7 @@ class TestColumnWriters:
         pytest.param(lambda: channel_rho4(13.4, 0.0), id="alpha13.4-r0"),
         pytest.param(lambda: channel_rho4(13.4, 0.7), id="alpha13.4-r0.7"),
         pytest.param(lambda: channel_rho4(1e6, 0.9), id="alpha1e6"),
-        *(pytest.param(lambda seed=seed: _random_channel(seed), id=f"random{seed}")
+        *(pytest.param(lambda seed=seed: random_density(seed), id=f"random{seed}")
           for seed in (1, 2, 3)),
     ])
     def test_mc_kernel_matches_reference_at_extremes(self, channel):

@@ -1,7 +1,6 @@
 """Coherent-state algebra: overlaps, linear optics, Fock oracle."""
 import cmath
 import dataclasses
-import decimal
 import math
 import threading
 import tracemalloc
@@ -37,16 +36,9 @@ from ecsim.coherent_states import (
     truncation_tail_bound,
 )
 from ecsim.errors import CutoffError, ModeMismatchError
+from reference import exact_poisson_tails, operator_sum
 
 SQ2 = math.sqrt(2.0)
-
-
-def operator_sum(*terms):
-    """sum_k w_k O_k over (w_k, O_k) pairs: the operators' arrays concatenated
-    along the term axis, each one's coefficients scaled by its weight."""
-    return CoherentOperator(np.concatenate([complex(w) * op.coeffs for w, op in terms]),
-                            np.concatenate([op.kets for _, op in terms]),
-                            np.concatenate([op.bras for _, op in terms]))
 
 
 def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
@@ -485,23 +477,6 @@ def ref_consolidate(s):
 
 def term_list(s):
     return list(zip(s.coeffs.tolist(), s.amps.tolist()))
-
-
-def exact_poisson_tails(m: float, top_cutoff: int) -> list[float]:
-    """P(N > k) for k = 0..top_cutoff, N ~ Poisson(m), as upper sums of the
-    probabilities in 40-digit decimal arithmetic on the float's exact value."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        dm = decimal.Decimal(m)
-        n_terms = top_cutoff + 2 + int(m + 40.0 * math.sqrt(m) + 60.0)
-        pmf = [(-dm).exp()]
-        for j in range(1, n_terms):
-            pmf.append(pmf[-1] * dm / j)
-        tails, above = [], decimal.Decimal(0)
-        for j in range(n_terms - 1, 0, -1):
-            above += pmf[j]  # P(N >= j) = P(N > j - 1)
-            tails.append(above)
-        return [float(t) for t in tails[::-1][: top_cutoff + 1]]
 
 
 # cutoffs 0..300 against means in [0, 200]: zero, subnormal and tiny means,

@@ -37,7 +37,7 @@ from ecsim.qubit_encoding import (
     pauli_decompose,
     project_to_density,
 )
-from test_coherent_states import operator_sum
+from reference import operator_sum
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -397,7 +397,7 @@ class TestClosedFormGuard:
 class TestClosedForms:
     def test_r0_limits(self):
         # at r = 0, gamma = 1 and W = exp(-4 alpha^2): 1 - W is N_theta's own expm1
-        gamma, _, one_g, one_w, n_theta = channel_coefficients(1.0, 0.0)
+        gamma, _, one_g, one_w, n_theta, _, _ = channel_coefficients(1.0, 0.0)
         assert gamma == 1.0
         assert one_g == 0.0
         assert one_w.tobytes() == n_theta.tobytes()

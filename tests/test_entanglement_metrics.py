@@ -1,5 +1,4 @@
 """Negativity, singlet fraction, fidelity, and entropy functionals."""
-import decimal
 import itertools
 import math
 import sys
@@ -34,15 +33,9 @@ from ecsim.qubit_encoding import (
     make_basis,
     pauli_decompose,
 )
-from test_protocols import _average_fidelity_reference
+from reference import average_fidelity_reference, decimal_channel, random_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def random_density(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return TwoQubitDensity(m / np.trace(m).real)
 
 
 def max_bell_projection(rho: TwoQubitDensity) -> float:
@@ -117,19 +110,6 @@ class TestNegativity:
         assert got.tobytes() == old.tobytes()
 
 
-def _decimal_e(alpha: float, r: float) -> decimal.Decimal:
-    """The stated closed form E = (root - (2a + c + d)) / (4 N_theta) in stdlib
-    decimal at 400 digits, from the binary values of alpha and r: its
-    difference loses at most the ~300 digits below a normal float's E."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 400
-        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r) ** 2
-        g, w, n = (-4 * r2 * a2).exp(), (-4 * (1 - r2) * a2).exp(), 1 - (-4 * a2).exp()
-        a, b = (1 - g) * w, (1 - g) * w.sqrt()
-        c, d = 2 - (1 + g) * w, -2 * g + (1 + g) * w
-        return ((16 * b * b + (c - d) ** 2).sqrt() - (2 * a + c + d)) / (4 * n)
-
-
 class TestClosedFormE:
     def test_unit_at_zero_time(self):
         for alpha in (0.1, 1.0, 2.0):
@@ -178,13 +158,13 @@ class TestClosedFormE:
                   for r in (0.05, 0.5, 0.99)]
         checked = 0
         for alpha, r in points:
-            want = _decimal_e(alpha, r)
+            want = decimal_channel(alpha, r).e
             if want < 1e-300:  # E underflows in floats
                 continue
             assert abs(closed_form_e(alpha, r) - float(want)) <= 1e-12 * float(want), (alpha, r)
             checked += 1
         assert checked >= 20
-        assert float(_decimal_e(3.0, 0.99)) == pytest.approx(8.35e-17, rel=1e-3)
+        assert float(decimal_channel(3.0, 0.99).e) == pytest.approx(8.35e-17, rel=1e-3)
 
 
 class TestSingletFraction:
@@ -368,7 +348,7 @@ class TestOptimalFidelity:
         for alpha in (0.5, 1.0):
             for r in (0.2, 0.6, SQRT_HALF, 0.9):
                 rho = channel_rho4(alpha, r)
-                best = max(_average_fidelity_reference(rho, remap)
+                best = max(average_fidelity_reference(rho, remap)
                            for remap in (np.eye(2, dtype=complex),) + PAULIS)
                 assert best == pytest.approx(optimal_fidelity(rho), abs=1e-9)
 
@@ -477,17 +457,20 @@ class TestMixednessPeak:
 def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
     """E, f and S of one amplitude over an r grid, in the arithmetic of the
     closed forms: every square a product, the exponent of gamma from r * r
-    and that of W from t * t, numpy's ufuncs throughout."""
+    and that of W from t * t, W - gamma an expm1 of their difference times
+    the larger, numpy's ufuncs throughout."""
     t = np.sqrt((1.0 - r) * (1.0 + r))
     a2 = alpha * alpha
     n = -np.expm1(-4.0 * a2)
     x, y = -4.0 * (r * r) * a2, -4.0 * (t * t) * a2
     g, w = np.exp(x), np.exp(y)
     one_g, one_w = -np.expm1(x), -np.expm1(y)
+    d = 4.0 * (r * r - t * t) * a2
+    w_minus_g = np.copysign(np.maximum(g, w) * -np.expm1(-np.abs(d)), d)
     return {
         closed_form_e: 2.0 * g * (one_w * one_w) / (n * (np.sqrt(
             4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w)) + one_g * (1.0 + w))),
-        closed_form_f: np.maximum(1.0 + one_g / n, 2.0 + (g - w) / n) / 3.0,
+        closed_form_f: np.maximum(1.0 + one_g / n, 2.0 - w_minus_g / n) / 3.0,
         closed_form_s: one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n * n)),
     }
 
@@ -524,9 +507,7 @@ class TestBatches:
     def test_linear_entropy_within_two_ulps_of_the_matrix_product(self):
         # counted at the larger term of 1 - tr(rho^2)
         rng = np.random.default_rng(51)
-        g = rng.standard_normal((2000, 4, 4)) + 1j * rng.standard_normal((2000, 4, 4))
-        m = g @ g.conj().swapaxes(-1, -2)
-        m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        m = random_density(rng, (2000,)).matrix
         mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
         grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500)).matrix
         for rho in (TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0),
@@ -696,56 +677,30 @@ def test_pauli_coefficients_accuracy_envelope(lo, hi, vs_tol, t_tol):
             assert err <= tol, (name, alpha, err)
 
 
-def _decimal_vst_and_margin(alpha: float, r: float) -> tuple[decimal.Decimal, ...]:
-    """The Bloch entry (1 - gamma) sqrt(W) / N_theta, T's diagonal
-    (a + d, -a + d, a - c) / (2 N_theta) and the fidelity margin
-    max{e^{-4a^2} - gamma, gamma - W} / (3 N_theta), as the paper states
-    them, in stdlib decimal at 400 digits, as ``_decimal_e``: -a + d loses
-    the ~280 digits below gamma's.  The exponents take the code's own floats
-    r * r and t * t, so the reference tests the forms and not the clock."""
-    t = np.sqrt((1.0 - r) * (1.0 + r))
-    with decimal.localcontext() as ctx:
-        ctx.prec = 400
-        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r * r)
-        t2 = decimal.Decimal(float(t * t))
-        g, w, e4 = (-4 * r2 * a2).exp(), (-4 * t2 * a2).exp(), (-4 * a2).exp()
-        n = 1 - e4
-        a, c, d = (1 - g) * w, 2 - (1 + g) * w, -2 * g + (1 + g) * w
-        return ((1 - g) * w.sqrt() / n, (a + d) / (2 * n), (-a + d) / (2 * n),
-                (a - c) / (2 * n), max(e4 - g, g - w) / (3 * n))
-
-
 # Points where W = exp(-4 t^2 alpha^2) is a normal float: past
 # 4 t^2 alpha^2 ~ 708 sqrt(W), and with it the Bloch entry, loses bits to
 # underflow.  At (3, 0.99), (3, 0.9995), (5, 0.95) and (10, 0.9) the stated
-# T_22 = (-a + d) / (2 N_theta) is 3% or wholly off in floats.
+# T_22 = (-a + d) / (2 N_theta) is 3% or wholly off in floats.  Then at
+# alpha = 14, r = 0.001 and 0.2, W underflows but sqrt(W) does not: the Bloch
+# entry is 4.5e-174 and 3.7e-164 there.  At alpha = 1e-3, r = 0.71 and 0.67,
+# W - gamma is ~1e-6 of either: as a difference of two exps, T_11 was 2.3e-9
+# and f 1.4e-11 off.  The referee takes the code's own floats r * r and t * t,
+# so it tests the forms and not the clock.
 DECIMAL_POINTS = ([(a, r) for a in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0)
                    for r in (0.05, 0.5, 0.9, 0.99)]
-                  + [(14.0, 0.5), (14.0, 0.7), (14.0, 0.9), (3.0, 0.9995), (5.0, 0.95)])
+                  + [(14.0, 0.5), (14.0, 0.7), (14.0, 0.9), (3.0, 0.9995), (5.0, 0.95)]
+                  + [(14.0, 0.001), (14.0, 0.2), (1e-3, 0.71), (1e-3, 0.67)])
 
 
 def test_pauli_coordinates_and_margin_match_a_decimal_evaluation():
     for alpha, r in DECIMAL_POINTS:
         c = closed_form_vst(alpha, r)
-        got = (c[1, 0], c[0, 1], c[1, 1], c[2, 2], c[3, 3], em._fidelity_margin(alpha, r))
-        v, *rest = _decimal_vst_and_margin(alpha, r)
-        for name, x, want in zip(("v", "s", "t11", "t22", "t33", "margin"), got, [v, v, *rest]):
+        got = (c[1, 0], c[0, 1], c[1, 1], c[2, 2], c[3, 3], em._fidelity_margin(alpha, r),
+               closed_form_f(alpha, r))
+        ref = decimal_channel(alpha, r, float_squares=True)
+        for name, x, want in zip(("v", "s", "t11", "t22", "t33", "margin", "f"), got,
+                                 (ref.bloch, ref.bloch, *ref.t_diag, ref.margin, ref.f)):
             assert abs(float(x) - float(want)) <= 1e-12 * abs(float(want)), (name, alpha, r, x)
-
-
-def _decimal_efs(alpha: float, r: float) -> tuple[decimal.Decimal, ...]:
-    """E, f and S of the channel in stdlib decimal at 50 digits, from the
-    binary values of alpha and r, with t^2 = 1 - r^2 exact: E in the
-    cancellation-free form of ``closed_form_e``, f and S as stated, divided
-    through by e^{4 a^2} and e^{8 a^2}.  Nothing cancels at the points below."""
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emin = 50, decimal.MIN_EMIN  # W is ~10^-1.7e12 at alpha = 1e6
-        a2, r2 = decimal.Decimal(alpha) ** 2, decimal.Decimal(r) ** 2
-        g, w, n = (-4 * r2 * a2).exp(), (-4 * (1 - r2) * a2).exp(), 1 - (-4 * a2).exp()
-        root = (4 * (1 - g) ** 2 * w + ((1 + g) * (1 - w)) ** 2).sqrt()
-        return (2 * g * (1 - w) ** 2 / (n * (root + (1 - g) * (1 + w))),
-                max(1 + (1 - g) / n, 2 + (g - w) / n) / 3,
-                (1 - g * g) * (1 - w * w) / (2 * n * n))
 
 
 # r alpha of order 1 at large alpha, where gamma = exp(-4 r^2 alpha^2) is
@@ -756,10 +711,10 @@ DECAY_EXPONENT_POINTS = ([(a, k / a) for a in (1e2, 1e3, 1e4, 1e6) for k in (0.5
 
 
 def _route_errors(alpha: float, r: float) -> dict:
-    """Relative error of both routes' E, f and S against ``_decimal_efs``; the
-    numeric E only where E >= 1e-6, clear of the eigenvalue clamp."""
-    rho, errors = channel_rho4(alpha, r), {}
-    for (closed, numeric), want in zip(CLOSED_FORMS, _decimal_efs(alpha, r)):
+    """Relative error of both routes' E, f and S against the referee on exact
+    squares; the numeric E only where E >= 1e-6, clear of the eigenvalue clamp."""
+    rho, errors, ref = channel_rho4(alpha, r), {}, decimal_channel(alpha, r)
+    for (closed, numeric), want in zip(CLOSED_FORMS, (ref.e, ref.f, ref.s)):
         want = float(want)
         errors[closed.__name__] = abs(closed(alpha, r) / want - 1.0)
         if numeric is not negativity_e or want >= 1e-6:

@@ -22,7 +22,6 @@ from ecsim.coherent_states import (
 from ecsim.decoherence import channel_rho4
 from ecsim.errors import SpanError
 from ecsim.protocols import (
-    CORRECTIONS,
     BellLabel,
     BellOutcome,
     average_fidelity,
@@ -48,7 +47,8 @@ from ecsim.qubit_encoding import (
     logical_coords,
     make_basis,
 )
-from test_qubit_encoding import QubitVector, psi_minus, psi_plus
+from reference import (QubitVector, average_fidelity_reference, branches_reference, psi_minus,
+                       psi_plus, random_density)
 
 SQ2 = math.sqrt(2.0)
 SQRT_HALF = 1.0 / SQ2
@@ -90,36 +90,6 @@ def teleport(input: QubitVector, channel: TwoQubitDensity, rng_seed: int) -> Tel
     )
 
 
-def _random_channel(seed):
-    """Random full-rank two-qubit density; not Bell-diagonal."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return TwoQubitDensity(m / np.trace(m).real)
-
-
-def _branches_reference(x, channel, corrections=CORRECTIONS):
-    """U_k <B_k|(x (x) rho)|B_k> U_k^dag per outcome, one contraction per k."""
-    rho4 = channel.matrix.reshape(2, 2, 2, 2)
-    out = np.empty((4, 2, 2), dtype=complex)
-    for k in range(4):
-        bk = BELL_VECTORS[k].reshape(2, 2)
-        chi = np.einsum("ab,aA,bcBC,AB->cC", bk.conj(), x, rho4, bk)
-        out[k] = corrections[k] @ chi @ corrections[k].conj().T
-    return out
-
-
-def _average_fidelity_reference(channel, remap):
-    """Scheme average from the isotropic moments: tr L(I)/4 + sum_p tr(p L(p))/12."""
-    corrections = [remap @ u for u in CORRECTIONS]
-    eye = np.eye(2, dtype=complex)
-    total = np.trace(_branches_reference(eye, channel, corrections).sum(0)).real / 4
-    for p in PAULIS:
-        lp = _branches_reference(p, channel, corrections).sum(0)
-        total += np.trace(p @ lp).real / 12
-    return total
-
-
 def _bloch_transfer_reference(lam):
     """Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 by direct contraction of the map."""
     return np.einsum("mli,kaAil,naA->kmn", PAULI_BASIS, lam, PAULI_BASIS).real / 4.0
@@ -127,9 +97,9 @@ def _bloch_transfer_reference(lam):
 
 CHANNELS = [
     pytest.param(lambda: channel_rho4(1.0, 0.4), id="rho4"),
-    pytest.param(lambda: _random_channel(1), id="random1"),
-    pytest.param(lambda: _random_channel(2), id="random2"),
-    pytest.param(lambda: _random_channel(3), id="random3"),
+    pytest.param(lambda: random_density(1), id="random1"),
+    pytest.param(lambda: random_density(2), id="random2"),
+    pytest.param(lambda: random_density(3), id="random3"),
 ]
 
 
@@ -330,7 +300,7 @@ class TestBellOutcomeMap:
             # arbitrary operators, not only projectors: the map is linear
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             got = np.einsum("aA,kaAil->kil", x, lam)
-            want = _branches_reference(x, channel)
+            want = branches_reference(x, channel)
             assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize("make_channel", CHANNELS)
@@ -338,12 +308,12 @@ class TestBellOutcomeMap:
         channel = make_channel()
         eye = np.eye(2, dtype=complex)
         assert average_fidelity(protocols.bloch_transfer(channel)) == pytest.approx(
-            _average_fidelity_reference(channel, eye), abs=1e-14
+            average_fidelity_reference(channel, eye), abs=1e-14
         )
         # a global Pauli P after the corrections acts as P on Bob's half of
         # the channel (Paulis commute up to a phase), so the best remapping
         # is the best scheme average over the four rotated channels
-        best = max(_average_fidelity_reference(channel, r) for r in (eye,) + PAULIS)
+        best = max(average_fidelity_reference(channel, r) for r in (eye,) + PAULIS)
         rotated = [np.kron(eye, r) @ channel.matrix @ np.kron(eye, r.conj().T)
                    for r in (eye,) + PAULIS]
         assert max(average_fidelity(protocols.bloch_transfer(TwoQubitDensity(m)))
@@ -358,7 +328,7 @@ class TestBlochTransfer:
         assert np.max(np.abs(protocols.bloch_transfer(channel) - want)) <= 1e-15
 
     def test_batched_rows_equal_single_calls(self):
-        singles = [channel_rho4(1.0, 0.4)] + [_random_channel(seed) for seed in (1, 2, 3)]
+        singles = [channel_rho4(1.0, 0.4)] + [random_density(seed) for seed in (1, 2, 3)]
         grid = channel_rho4(0.7, np.linspace(0.0, 0.99, 37)).matrix
         mats = np.concatenate([np.stack([c.matrix for c in singles]), grid])
         for n in (1, 2, 3, 5, len(mats)):
@@ -369,7 +339,7 @@ class TestBlochTransfer:
                 assert batch[i].tobytes() == one.tobytes()
 
     def test_batched_outcome_map(self):
-        mats = np.stack([_random_channel(seed).matrix for seed in (4, 5)])
+        mats = np.stack([random_density(seed).matrix for seed in (4, 5)])
         batch = bell_outcome_map(mats)
         for i in range(2):
             want = bell_outcome_map(TwoQubitDensity(mats[i]).matrix)
@@ -379,7 +349,7 @@ class TestBlochTransfer:
 class TestMonteCarloBlocks:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_size_does_not_change_result(self, monkeypatch, offset):
-        channel = protocols.bloch_transfer(_random_channel(4))
+        channel = protocols.bloch_transfer(random_density(4))
         samples = protocols.MC_CHUNK + offset
         want = teleport_average_mc(channel, samples, seed=17)
         for chunk in (1, 7):
@@ -394,7 +364,7 @@ class TestMonteCarloBlocks:
         [
             (lambda: channel_rho4(1.0, 0.3), 5000, 99,
              0.8944951101044011, 0.000726434590389779),
-            (lambda: _random_channel(2024), 4097, 7,
+            (lambda: random_density(2024), 4097, 7,
              0.539715992573849, 0.0019525872578060358),
             (lambda: channel_rho4(2.0, 0.9), 3, 12345,
              0.692726787931774, 0.02124430316210702),
@@ -427,7 +397,7 @@ class TestAverageFidelity:
             pytest.approx(1.0, abs=1e-12)
 
     def test_batch_rows_equal_single_calls(self):
-        singles = [_random_channel(seed) for seed in (1, 2, 3)]
+        singles = [random_density(seed) for seed in (1, 2, 3)]
         grid = channel_rho4(np.array([0.05, 0.7, 2.3]), np.linspace(0.0, 0.99, 13)).matrix
         mats = np.concatenate([np.stack([c.matrix for c in singles]), grid.reshape(-1, 4, 4)])
         want = [average_fidelity(protocols.bloch_transfer(TwoQubitDensity(m))) for m in mats]

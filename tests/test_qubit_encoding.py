@@ -29,45 +29,9 @@ from ecsim.qubit_encoding import (
     pauli_reconstruct,
     project_to_density,
 )
-from test_coherent_states import operator_sum
+from reference import QubitVector, operator_sum, psi_minus, psi_plus, random_density
 
 SQ2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class QubitVector:
-    """Unit vector in the logical basis: plus * Psi+ + minus * Psi-."""
-
-    plus: complex
-    minus: complex
-
-    def __post_init__(self):
-        n2 = abs(self.plus) ** 2 + abs(self.minus) ** 2
-        if abs(n2 - 1.0) > 1e-12:
-            raise ValueError(f"qubit vector norm^2 = {n2!r}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.plus, self.minus], dtype=complex)
-
-
-def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperposition:
-    """plus |ta> + minus |-ta>."""
-    a = basis.amplitude
-    return CoherentSuperposition(
-        np.array([plus, minus], dtype=complex), np.array([[a], [-a]], dtype=complex)
-    )
-
-
-def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
-    """|Psi+> = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)."""
-    c = 1.0 / math.sqrt(basis.n_theta)
-    return _on_pair(basis, c * math.cos(basis.theta), -c * math.sin(basis.theta))
-
-
-def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
-    """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
-    c = 1.0 / math.sqrt(basis.n_theta)
-    return _on_pair(basis, -c * math.sin(basis.theta), c * math.cos(basis.theta))
 
 
 def to_logical_vector(state: CoherentSuperposition, basis: LogicalBasis) -> np.ndarray:
@@ -434,12 +398,6 @@ def _pauli_reference(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,mnji->...mn", m, qubit_encoding.PAULI_PRODUCTS).real
 
 
-def _random_densities(rng, shape: tuple) -> TwoQubitDensity:
-    g = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
-    m = g @ g.conj().swapaxes(-1, -2)
-    return TwoQubitDensity(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
-
-
 class TestPauli:
     def test_pure_singlet_like_channel(self):
         b = make_basis(1.0, 1.0)
@@ -459,19 +417,13 @@ class TestPauli:
     def test_round_trip_random(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            m = g @ g.conj().T
-            rho = TwoQubitDensity(m / np.trace(m).real)
+            rho = random_density(rng)
             back = pauli_reconstruct(pauli_decompose(rho))
             assert np.max(np.abs(back - rho.matrix)) < 1e-10
 
     def test_batch_matches_slices(self):
         rng = np.random.default_rng(25)
-        mats = []
-        for _ in range(6):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            m = g @ g.conj().T
-            mats.append(m / np.trace(m).real)
+        mats = [random_density(rng).matrix for _ in range(6)]
         batch = TwoQubitDensity(np.stack(mats).reshape(2, 3, 4, 4))
         c = pauli_decompose(batch)
         assert c.shape == (2, 3, 4, 4)
@@ -483,7 +435,7 @@ class TestPauli:
     def test_bitwise_the_contraction_on_random_batches(self):
         rng = np.random.default_rng(26)
         for shape in [(), (1,), (2,), (3, 5), (600,)]:
-            rho = _random_densities(rng, shape)
+            rho = random_density(rng, shape)
             assert pauli_decompose(rho).tobytes() == _pauli_reference(rho.matrix).tobytes(), shape
 
     def test_bitwise_the_contraction_on_channel_grids(self):
@@ -509,7 +461,7 @@ class TestPauli:
         assert not np.signbit(c).any()
 
     def test_a_flipped_sign_fails(self, monkeypatch):
-        rho = _random_densities(np.random.default_rng(27), (4,))
+        rho = random_density(27, (4,))
         want = _pauli_reference(rho.matrix).tobytes()
         signs = qubit_encoding._PAULI_SIGN
         for k in range(signs.size):
@@ -519,10 +471,7 @@ class TestPauli:
             assert pauli_decompose(rho).tobytes() != want, k
 
     def test_reduced_matches_bloch(self):
-        rng = np.random.default_rng(24)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = g @ g.conj().T
-        rho = TwoQubitDensity(m / np.trace(m).real)
+        rho = random_density(24)
         c = pauli_decompose(rho)
         from ecsim.qubit_encoding import PAULIS
 
