@@ -125,7 +125,7 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     """S = 1 - tr(rho^2), in [0, 3/4] for two qubits up to the density's
     rounding, which is not clamped away: on the pure channel states it reads
-    -12 to +17 eps / N_theta (-1.6e-12 at alpha ~ 0.01).
+    -12 to +17 eps / N_theta (-4.6e-13 at alpha ~ 0.011).
 
     The stored density is exactly Hermitian, so tr(rho^2) = sum |rho_ij|^2: its
     squared floats, summed for the whole batch (no BLAS) down the float view's

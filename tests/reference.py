@@ -146,9 +146,11 @@ def _on_pair(basis: LogicalBasis, plus: float, minus: float) -> CoherentSuperpos
 
 def psi_plus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi+> = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)."""
-    return _on_pair(basis, math.cos(basis.theta), -math.sin(basis.theta))
+    cos, sin = basis.cos_sin.tolist()
+    return _on_pair(basis, cos, -sin)
 
 
 def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
-    return _on_pair(basis, -math.sin(basis.theta), math.cos(basis.theta))
+    cos, sin = basis.cos_sin.tolist()
+    return _on_pair(basis, -sin, cos)

@@ -385,6 +385,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["ecsim: numeric guard: density matrix is not Hermitian within 1e-10"]
 
+    def test_small_alpha_accepted_on_a_fine_grid(self, capsys):
+        # at alpha = 1e-3 the route's error, ~1.3 eps / N_theta = 7e-11, stays
+        # inside the 1e-10 checks at all 1200 points; a basis built from its
+        # angle fails the trace check at r = 0.16929...
+        assert cli.main(["fig2a", "--alphas", "0.001", "--r-steps", "1200"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1201
+
     @pytest.mark.parametrize("command", ["fig2a", "fig2b", "fig3", "teleport-mc"])
     @pytest.mark.parametrize("alphas", [("1", "1e-7"), ("1e-7", "1"), ("0.5", "2e-6", "2")])
     def test_degenerate_alpha_in_a_list(self, command, alphas, capsys):

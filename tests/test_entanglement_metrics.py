@@ -366,7 +366,7 @@ class TestEntropy:
 
     def test_pure_channel_floor(self):
         # S is not clamped: on the pure channel states it reads its density's
-        # rounding, -11 to +13.5 eps / N_theta over these amplitudes (-1.14e-12
+        # rounding, -11.9 to +13.5 eps / N_theta over these amplitudes (-2.3e-13
         # at alpha ~ 0.011).  Pinned with a margin of 5 eps / N_theta.
         alpha = np.geomspace(1e-2, 16.0, 400)
         s = linear_entropy(channel_rho4(alpha, 0.0))
@@ -647,6 +647,27 @@ def test_numeric_route_accuracy_envelope(lo, hi, e_tol, f_tol, s_tol):
         for (closed, numeric), tol in zip(CLOSED_FORMS, tols):
             err = np.max(np.abs(numeric(rho) - closed(float(alpha), r)))
             assert err <= tol, (closed.__name__, alpha, err)
+
+
+# The numeric route's error model: max |E - closed E| and max |tr rho - 1|
+# are at most eps (ERROR_K / N_theta + ERROR_C), N_theta = 1 - exp(-4 alpha^2).
+# The K / N_theta part is the cancellation in the dyad sum, where B4's
+# coefficients of +-1/(2 N_theta) meet in entries of order 1; C is the
+# rounding of those entries.  On these 25 alpha by 1200 r it read at most
+# 1.73 eps / N_theta up to alpha = 0.09, and 28 eps against a bound of 30.9
+# at alpha = 0.16, its tightest point.
+ERROR_K, ERROR_C = 2.0, 10.0
+
+
+def test_numeric_route_error_model():
+    alphas = np.geomspace(1e-3, 2.0, 25)
+    r = np.linspace(0.0, 0.995, 1200)
+    rho = channel_rho4(alphas, r)
+    e_err = np.abs(negativity_e(rho) - closed_form_e(alphas, r)).max(axis=1)
+    trace_err = np.abs(rho.matrix.trace(axis1=-2, axis2=-1) - 1.0).max(axis=1)
+    bound = np.finfo(float).eps * (ERROR_K / -np.expm1(-4.0 * alphas * alphas) + ERROR_C)
+    for name, err in (("E", e_err), ("trace", trace_err)):
+        assert (err <= bound).all(), (name, alphas[err > bound], (err / bound).max())
 
 
 # The same envelope for the Pauli coefficients: max |numeric - closed| of

@@ -16,7 +16,9 @@ commit, with
     python tests/test_output_digests.py --against <that tree's src directory>
 
 which renders every pinned output with both trees and prints, for each output
-that moved, the largest absolute and relative shift in each column.
+that moved, the largest absolute and relative shift in each column (the
+relative one over nonzero old values; moves away from an exact 0 are counted
+apart).
 """
 import hashlib
 import json
@@ -97,6 +99,14 @@ def test_other_environment_is_named_not_compared(monkeypatch):
         _pinned()
 
 
+def test_shifts_count_moves_from_zero_apart():
+    old, new = ["x,y\n0,1\n0.5,2\n"], ["x,y\n1e-16,1.0000000000000002\n0.5,2\n"]
+    assert _shifts(old, new) == {
+        "x": "1 of 2 values moved, largest shift 1e-16 absolute, 1 from 0",
+        "y": "1 of 2 values moved, largest shift 2.22e-16 absolute, 2.22e-16 relative"}
+    assert _shifts(old, old) == {}
+
+
 # Renders the argv lists read from stdin with the ecsim on the path, as JSON.
 _RENDER_ELSEWHERE = ("import json, sys; from ecsim import cli; "
                      "print(json.dumps([cli.render(argv) for argv in json.load(sys.stdin)]))")
@@ -112,8 +122,10 @@ def _columns(text: str) -> dict[str, list[float]]:
 
 
 def _shifts(old: list[str], new: list[str]) -> dict[str, str]:
-    """Per column, the values that moved between two lists of renders and
-    their largest absolute and relative shift (relative to the old value)."""
+    """Per column, the values that moved between two lists of renders, their
+    largest absolute shift and their largest shift relative to a nonzero old
+    value; a move away from an exact 0, which has no relative shift, is
+    counted apart."""
     moved: dict[str, list[tuple[float, float]]] = {}
     counts: dict[str, int] = {}
     for before, after in zip(old, new):
@@ -133,10 +145,13 @@ def _shifts(old: list[str], new: list[str]) -> dict[str, str]:
     out = {}
     for key, pairs in moved.items():
         if pairs:
-            shift = max(abs(b - a) for a, b in pairs)
-            rel = max(abs(b - a) / abs(a) if a else float("inf") for a, b in pairs)
-            out[key] = (f"{len(pairs)} of {counts[key]} values moved, largest shift "
-                        f"{shift:.3g} absolute, {rel:.3g} relative")
+            rel = [abs(b - a) / abs(a) for a, b in pairs if a]
+            what = f"largest shift {max(abs(b - a) for a, b in pairs):.3g} absolute"
+            if rel:
+                what += f", {max(rel):.3g} relative"
+            if len(rel) < len(pairs):
+                what += f", {len(pairs) - len(rel)} from 0"
+            out[key] = f"{len(pairs)} of {counts[key]} values moved, {what}"
     return out
 
 

@@ -462,7 +462,7 @@ def from_amplitudes(a: complex, b: complex, basis: LogicalBasis) -> QubitVector:
     b = complex(b)
     if abs(a) == 0 and abs(b) == 0:
         raise ValueError("amplitudes must not both vanish")
-    c, s = math.cos(basis.theta), math.sin(basis.theta)
+    c, s = basis.cos_sin.tolist()
     plus = a * c + b * s
     minus = a * s + b * c
     n = math.sqrt(abs(plus) ** 2 + abs(minus) ** 2)
@@ -531,8 +531,8 @@ class TestQubitVector:
     def test_from_amplitudes_basis_ket(self):
         b = make_basis(1.0, 1.0)
         q = from_amplitudes(1.0, 0.0, b)
-        assert q.plus == pytest.approx(math.cos(b.theta), abs=1e-12)
-        assert q.minus == pytest.approx(math.sin(b.theta), abs=1e-12)
+        assert q.plus == pytest.approx(b.cos_sin[0], abs=1e-12)
+        assert q.minus == pytest.approx(b.cos_sin[1], abs=1e-12)
 
     def test_symmetric_state(self):
         b = make_basis(0.6, 1.0)

@@ -54,11 +54,11 @@ def _bell_coeffs_reference(k, basis):
     """``bell_coeffs`` as a loop over the basis entries in Python's scalar
     float and complex arithmetic, one coefficient at a time."""
     inv = complex(1.0 / SQ2)
-    n_thetas, thetas = np.asarray(basis.n_theta), np.asarray(basis.theta)
+    n_thetas, (coss, sins) = np.asarray(basis.n_theta), basis.cos_sin
     coeffs = []  # amplitude major
-    for n_theta, theta in zip(n_thetas.flat, thetas.flat):
+    for n_theta, cos_theta, sin_theta in zip(n_thetas.flat, coss.flat, sins.flat):
         c = 1.0 / math.sqrt(n_theta)
-        cos, sin = c * math.cos(theta), c * math.sin(theta)
+        cos, sin = c * float(cos_theta), c * float(sin_theta)
         plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
         minus = (complex(-sin), complex(cos))  # Psi-
         u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
@@ -68,7 +68,7 @@ def _bell_coeffs_reference(k, basis):
                 if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
                     second = complex(-1.0) * second
                 coeffs.append(inv * (u[i] * v[j]) + inv * second)
-    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + thetas.shape)
+    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + n_thetas.shape)
 
 
 class TestMakeBasis:
@@ -99,8 +99,8 @@ class TestMakeBasis:
         b = make_basis(0.9, t)
         for i, ti in enumerate(t):
             one = make_basis(0.9, float(ti))
-            assert (b.theta[i], b.n_theta[i], b.amplitude[i]) == (
-                one.theta, one.n_theta, one.amplitude
+            assert (tuple(b.cos_sin[:, i]), b.n_theta[i], b.amplitude[i]) == (
+                tuple(one.cos_sin), one.n_theta, one.amplitude
             )
         with pytest.raises(DegenerateBasisError):
             make_basis(1e-4, np.array([1.0, 1e-3]))
@@ -111,7 +111,7 @@ class TestMakeBasis:
     TIMES = np.random.default_rng(49).uniform(0.05, 1.0, 20000)
 
     # a scalar square by libm's pow once differed from an array's product:
-    # theta or n_theta of 15 of these amplitudes at t = 1, and of 10 of
+    # the pair or n_theta of 15 of these amplitudes at t = 1, and of 10 of
     # these t at alpha = 1.3
     @pytest.mark.parametrize("alpha,t", [(ALPHAS, 1.0), (ALPHAS, 0.8), (ALPHAS, 0.3),
                                          (ALPHAS, 0.05), (1.3, TIMES)],
@@ -120,8 +120,8 @@ class TestMakeBasis:
         batch = make_basis(alpha, t)
         alphas, times = np.broadcast_arrays(alpha, t)
         scalar = [make_basis(a, x) for a, x in zip(alphas.tolist(), times.tolist())]
-        for name in ("amplitude", "theta", "n_theta", "sin2theta"):
-            want = np.array([getattr(b, name) for b in scalar])
+        for name in ("amplitude", "cos_sin", "n_theta", "sin2theta"):
+            want = np.stack([getattr(b, name) for b in scalar], axis=-1)
             assert getattr(batch, name).tobytes() == want.tobytes(), name
 
     def test_rejects_bad_arguments(self):
@@ -138,8 +138,8 @@ class TestMakeBasis:
         for _ in range(20):
             b = make_basis(rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.0))
             a = b.amplitude
-            s = math.cos(b.theta) * CoherentSuperposition.ket(a) + (-1.0) * (
-                math.sin(b.theta) * CoherentSuperposition.ket(-a))
+            cos, sin = b.cos_sin.tolist()
+            s = cos * CoherentSuperposition.ket(a) + (-1.0) * (sin * CoherentSuperposition.ket(-a))
             assert norm(s) == pytest.approx(math.sqrt(b.n_theta), abs=1e-12)
 
 
@@ -219,8 +219,23 @@ class TestBellCoeffs:
     def test_entries_are_bitwise_the_scalar_loop(self, k, alpha, t):
         basis = make_basis(alpha, t)
         got = bell_coeffs(k, basis)
-        assert got.shape == (4,) + np.shape(basis.theta)
+        assert got.shape == (4,) + np.shape(basis.n_theta)
         assert got.tobytes() == _bell_coeffs_reference(k, basis).tobytes()
+
+    @pytest.mark.parametrize("t", [1.0, 0.3])
+    def test_the_pair_keeps_its_identities(self, t):
+        # formed without the angle, the pair keeps cos^2 + sin^2 = 1, 2 sin cos =
+        # sin 2theta and cos^2 - sin^2 = cos 2theta = sqrt(N_theta) to a few eps
+        # from the degeneracy floor to 1e6; the cosine and sine of
+        # 1/2 arcsin(sin 2theta) miss the last by up to 2.7e5 eps
+        basis = make_basis(self.AMPS / t, t)
+        (cos, sin), s2 = basis.cos_sin, basis.sin2theta
+        eps = np.finfo(float).eps
+        assert np.abs(cos * cos + sin * sin - 1.0).max() <= 2.0 * eps
+        normal = s2 >= np.finfo(float).tiny
+        assert normal.any() and not normal.all()
+        assert (np.abs(2.0 * sin * cos - s2) <= 2.0 * eps * s2)[normal].all()
+        assert np.abs(cos * cos - sin * sin - np.sqrt(basis.n_theta)).max() <= 4.0 * eps
 
 
 class TestQubitVector:
@@ -233,7 +248,7 @@ class TestQubitVector:
         )
         n = norm(s)
         aa, bb = aa / n, bb / n
-        c, sn = math.cos(b.theta), math.sin(b.theta)
+        c, sn = b.cos_sin.tolist()
         raw = abs(aa * c + bb * sn) ** 2 + abs(aa * sn + bb * c) ** 2
         assert raw == pytest.approx(1.0, abs=1e-12)
 
