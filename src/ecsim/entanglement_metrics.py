@@ -15,8 +15,6 @@ import numpy as np
 from .decoherence import channel_coefficients, channel_rho4
 from .qubit_encoding import TwoQubitDensity, pauli_decompose
 
-EIG_CLAMP = 1e-12  # eigenvalues this close to zero are treated as zero
-
 CLASSICAL_FIDELITY_LIMIT = 2.0 / 3.0
 
 # Horn's K(M), with q^T K q = tr(M R(q)) for R(q) the rotation of a unit
@@ -42,15 +40,34 @@ def partial_transpose(rho: TwoQubitDensity) -> np.ndarray:
     return pt.reshape(m.shape)
 
 
-def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
-    """E = -2 sum of negative eigenvalues of the partial transpose.
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of Hermitian n x n matrices, and each spectrum's
+    zero, n eps lambda_max as (..., 1): an eigenvalue within it of 0 is 0.
 
-    Positive iff the state is inseparable (two-qubit partial transposition
-    criterion); scaled so that E is 1 on maximally entangled states.  A
-    separable state reads +0, not -0: the sum is subtracted from zero.
+    LAPACK's eigenvalues are within a small multiple of eps ||M|| of the
+    exact ones, and ||M|| = lambda_max for a density and for its partial
+    transpose (lambda_min >= -1/2 leaves lambda_max >= (1 - lambda_min) / 3
+    >= -lambda_min).  Over 640 000 random separable densities (mixtures of
+    one to eight product states, real and complex) the partial transpose's
+    lambda_min read >= -2.7 eps lambda_max: n = 4 covers it 1.5 times over.
     """
-    eigs = np.linalg.eigvalsh(partial_transpose(rho))
-    return _value(0.0 - 2.0 * np.where(eigs <= -EIG_CLAMP, eigs, 0.0).sum(axis=-1))
+    eigs = np.linalg.eigvalsh(m)
+    return eigs, eigs.shape[-1] * np.finfo(float).eps * eigs[..., -1:]
+
+
+def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
+    """E = -2 lambda_min of the partial transpose where lambda_min < 0.
+
+    A two-qubit partial transpose has at most one negative eigenvalue
+    (Sanpera, Tarrach and Vidal, PRA 58, 826 (1998)), so E reads it alone:
+    -2 lambda_min where lambda_min lies below the spectrum's rounding scale
+    -n eps lambda_max (``_spectrum``), and +0 otherwise, not -0.  Positive
+    iff the state is inseparable (two-qubit partial transposition criterion)
+    up to that rounding; scaled so that E is 1 on maximally entangled states.
+    """
+    eigs, zero = _spectrum(partial_transpose(rho))
+    lam = eigs[..., 0]
+    return _value(0.0 - 2.0 * np.where(lam < -zero[..., 0], lam, 0.0))
 
 
 def closed_form_e(alpha, r) -> float | np.ndarray:
@@ -124,8 +141,10 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     """S = 1 - tr(rho^2), in [0, 3/4] for two qubits up to the density's
-    rounding, which is not clamped away: on the pure channel states it reads
-    -12 to +17 eps / N_theta (-4.6e-13 at alpha ~ 0.011).
+    rounding, which is not clamped away: on the channel it lies within
+    eps (4 / N_theta + 20) of ``closed_form_s`` (measured: at most
+    3.5 eps / N_theta up to alpha = 0.09 and 17 eps from alpha ~ 1 on, over
+    r in [0, 0.995]), and reads down to -4.6e-13 at r = 0, alpha ~ 0.011.
 
     The stored density is exactly Hermitian, so tr(rho^2) = sum |rho_ij|^2: its
     squared floats, summed for the whole batch (no BLAS) down the float view's
@@ -158,10 +177,16 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
 
 
 def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
-    """von Neumann entropy -sum l log2 l with 0 log 0 := 0."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
-    eigs = np.where(np.abs(eigs) < EIG_CLAMP, 0.0, eigs)
-    pos = np.where(eigs > 0, eigs, 1.0)  # log2(1) = 0 drops the rest
+    """von Neumann entropy -sum l log2 l with 0 log 0 := 0.
+
+    An eigenvalue at or under the spectrum's rounding scale n eps lambda_max
+    counts as 0, and so does every negative one: a density has none beyond
+    its rounding.  It is the zero of ``negativity_e`` (``_spectrum``), which
+    reads the one negative eigenvalue a two-qubit partial transpose can have
+    (Sanpera, Tarrach and Vidal, PRA 58, 826 (1998)).
+    """
+    eigs, zero = _spectrum(rho.matrix)
+    pos = np.where(eigs > zero, eigs, 1.0)  # log2(1) = 0 drops the rest
     return _value(-(pos * np.log2(pos)).sum(axis=-1))
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ecsim import cli
 from ecsim import decoherence as dec
 from ecsim import entanglement_metrics as em
 from ecsim import protocols as pr
@@ -36,6 +37,24 @@ from ecsim.qubit_encoding import (
 from reference import average_fidelity_reference, decimal_channel, random_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+EPS = np.finfo(float).eps
+
+
+def random_separable(rng, n: int, terms: int, real: bool) -> np.ndarray:
+    """n separable densities, each a mixture of one to ``terms`` random pure
+    product states with random weights, as an (n, 4, 4) array."""
+    rho = np.zeros((n, 4, 4), float if real else complex)
+    k = rng.integers(1, terms + 1, n)
+    w = rng.dirichlet(np.ones(terms), n) * (np.arange(terms) < k[:, None])
+    w /= w.sum(axis=-1, keepdims=True)
+    for j in range(terms):
+        v = rng.standard_normal((2, n, 2))
+        if not real:
+            v = v + 1j * rng.standard_normal((2, n, 2))
+        a, b = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        psi = (a[:, :, None] * b[:, None, :]).reshape(n, 4)
+        rho += w[:, j, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
+    return rho
 
 
 def max_bell_projection(rho: TwoQubitDensity) -> float:
@@ -75,39 +94,63 @@ class TestNegativity:
         assert negativity_e(TwoQubitDensity(np.eye(4) / 4.0)) == 0.0
 
     def test_separable_reads_plus_zero(self):
-        # every clamped eigenvalue zero: -2 times their sum would read -0.0
+        # a zero lambda_min would read -0.0 as -2 lambda_min
         e = negativity_e(TwoQubitDensity(np.eye(4) / 4.0))
         assert math.copysign(1.0, e) == 1.0
-        batch = negativity_e(channel_rho4(np.array([3.0, 5.0, 10.0]), np.linspace(0.9, 0.995, 7)))
+        # E is under 1e-35 here, far below the eigenvalues' rounding
+        batch = negativity_e(channel_rho4(np.array([5.0, 10.0]), np.linspace(0.9, 0.995, 7)))
         assert np.all(batch == 0.0) and not np.signbit(batch).any()
 
     def test_entangled_past_characteristic_time(self):
         assert negativity_e(channel_rho4(1.0, 0.7)) > 0.0
 
     def test_peres_horodecki_consistency(self):
+        # E > 0 exactly where lambda_min is below the rounding scale: on random
+        # densities, on separable ones and on the channel out to where E is
+        # 1e-17 (alpha = 3, r = 0.995)
         rng = np.random.default_rng(41)
-        for _ in range(40):
-            if rng.uniform() < 0.5:
-                rho = random_density(rng)
-            else:
-                rho = channel_rho4(rng.uniform(0.2, 2.0), rng.uniform(0.0, 0.95))
-            min_eig = np.linalg.eigvalsh(partial_transpose(rho)).min()
-            assert (negativity_e(rho) > 1e-12) == (min_eig < -1e-12)
+        channel = channel_rho4(np.array([0.2, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.995, 200))
+        rho = TwoQubitDensity(np.concatenate((random_density(rng, (200,)).matrix,
+                                              random_separable(rng, 200, 4, real=False),
+                                              channel.matrix.reshape(-1, 4, 4))))
+        eigs = np.linalg.eigvalsh(partial_transpose(rho))
+        entangled = eigs[:, 0] < -4.0 * EPS * eigs[:, -1]
+        assert ((negativity_e(rho) > 0.0) == entangled).all()
+        assert 100 < entangled.sum() < len(entangled) - 100
 
-    def test_one_pass_select_is_the_clamp_then_select(self, monkeypatch):
-        # the clamp to zero, then the select of the negatives, on eigenvalues
-        # at and around +-EIG_CLAMP, +-0, subnormals, NaN and +-inf
-        c, tiny = em.EIG_CLAMP, 5e-324
-        values = [c, -c, np.nextafter(-c, 0.0), np.nextafter(-c, -1.0), np.nextafter(c, 0.0),
-                  0.0, -0.0, tiny, -tiny, -2.2e-308, 2.2e-308, -0.3, 0.25,
-                  np.nan, -np.inf, np.inf]
-        eigs = np.array(list(itertools.product(values, repeat=2)))
-        eigs = np.concatenate((eigs, eigs[:, ::-1]), axis=1)  # (256, 4)
-        old = np.where(np.abs(eigs) < c, 0.0, eigs)
-        old = 0.0 - 2.0 * np.where(old < 0, old, 0.0).sum(axis=-1)
+    def test_reads_lambda_min_against_its_rounding_scale(self, monkeypatch):
+        # sorted spectra with lambda_min at and around +-4 eps lambda_max, at
+        # +-0 and subnormals: -2 lambda_min where it is below -4 eps lambda_max,
+        # else +0, whatever the two middle eigenvalues
+        tiny, spectra = 5e-324, []
+        for top in (1.0, 0.5, 0.3, 0.25):
+            z = 4.0 * EPS * top
+            for low in (-z, z, np.nextafter(-z, 0.0), np.nextafter(-z, -1.0), -2.0 * z,
+                        0.0, -0.0, tiny, -tiny, -2.2e-308, 2.2e-308, -1e-13, -0.3, -0.5):
+                for mid in (max(low, 0.0), top / 2.0):
+                    spectra.append((low, mid, top / 2.0, top))
+        eigs = np.array(spectra)
+        want = np.array([0.0 - 2.0 * low if low < -4.0 * EPS * top else 0.0
+                         for low, _, _, top in spectra])
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigs)
-        got = negativity_e(TwoQubitDensity(np.broadcast_to(np.eye(4) / 4.0, (256, 4, 4))))
-        assert got.tobytes() == old.tobytes()
+        got = negativity_e(TwoQubitDensity(np.broadcast_to(np.eye(4) / 4.0, (len(eigs), 4, 4))))
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any() and (got > 0.0).sum() == 4 * 2 * 5
+
+    def test_separable_rounding_is_within_the_scale(self):
+        # The partial transposes of random separable densities: lambda_min reads
+        # down to -2.7 eps lambda_max (640 000 densities), and the rule's zero
+        # is 4 eps lambda_max.  Here 12 000, real and complex, one to eight terms.
+        rng = np.random.default_rng(39)
+        worst = 0.0
+        for real in (True, False):
+            for terms in (1, 2, 8):
+                rho = TwoQubitDensity(random_separable(rng, 2000, terms, real))
+                eigs = np.linalg.eigvalsh(partial_transpose(rho))
+                worst = min(worst, (eigs[:, 0] / (EPS * eigs[:, -1])).min())
+                e = negativity_e(rho)
+                assert (e == 0.0).all() and not np.signbit(e).any()
+        assert -3.0 < worst < -1.0
 
 
 class TestClosedFormE:
@@ -608,8 +651,11 @@ class TestRealDensity:
     # LAPACK's real and complex symmetric solvers round differently: their
     # eigenvalues lie up to 6 eps apart on these densities (norm <= 1), and
     # 8 eps is allowed.  E takes twice the one negative eigenvalue of the
-    # partial transpose; -l log2 l of an eigenvalue l >= EIG_CLAMP moves by
-    # at most (|log2 l| + 1.45) |dl|, under 42 |dl|, for each of the four.
+    # partial transpose.  vn_entropy keeps each eigenvalue l > 4 eps lambda_max
+    # >= eps, whose -l log2 l moves by at most (|log2 l| + 1.45) |dl| < 54 |dl|;
+    # one that a solver keeps and the other drops is under 12 eps, its term
+    # under 600 eps.  The bound, 1344 eps, is not the sum of those worst cases
+    # but 6.6 times the 204 eps these densities read.
     @pytest.mark.parametrize("metric,bound", [(negativity_e, 2 * 8 * np.finfo(float).eps),
                                               (vn_entropy, 4 * 42 * 8 * np.finfo(float).eps)])
     def test_within_the_solvers_rounding(self, metric, bound):
@@ -668,6 +714,39 @@ def test_numeric_route_error_model():
     bound = np.finfo(float).eps * (ERROR_K / -np.expm1(-4.0 * alphas * alphas) + ERROR_C)
     for name, err in (("E", e_err), ("trace", trace_err)):
         assert (err <= bound).all(), (name, alphas[err > bound], (err / bound).max())
+
+
+# The same model for S = 1 - tr(rho^2), with its own constants.  On this grid
+# S read at most 2.4 eps / N_theta up to alpha = 0.09, and 37 eps at
+# alpha = 0.16.  K and C hold on denser grids too: 800 alpha in [1e-3, 16] by
+# these r read up to 3.5 eps / N_theta below alpha = 0.09 and 15 eps past
+# alpha = 1, and 4000 alpha in [1e-2, 16] at r = 0 up to 17 eps at 2.4.
+S_ERROR_K, S_ERROR_C = 4.0, 20.0
+
+
+def test_linear_entropy_error_model():
+    alphas = np.geomspace(1e-3, 2.0, 25)
+    r = np.linspace(0.0, 0.995, 1200)
+    err = np.abs(linear_entropy(channel_rho4(alphas, r)) - closed_form_s(alphas, r)).max(axis=1)
+    bound = EPS * (S_ERROR_K / -np.expm1(-4.0 * alphas * alphas) + S_ERROR_C)
+    assert (err <= bound).all(), (alphas[err > bound], (err / bound).max())
+
+
+def test_negativity_is_never_lost_at_alpha_3():
+    # The channel stays entangled at every r < 1.  Wherever E >= 1e-14 on this
+    # grid, e_numeric is non-zero and within the error model of e_closed, and
+    # e_closed is within 1e-13 relative of the stated form at 400 digits.
+    out = cli.render(["fig2a", "--alphas", "3", "--r-steps", "200", "--r-max", "0.999"])
+    r, closed, numeric = np.array([[float(v) for v in line.split(",")[1:]]
+                                   for line in out.splitlines()[1:]]).T
+    seen = closed >= 1e-14
+    assert seen.sum() == 189
+    assert (numeric[seen] > 0.0).all()
+    bound = EPS * (ERROR_K / -math.expm1(-36.0) + ERROR_C)
+    assert np.abs(numeric - closed)[seen].max() <= bound
+    for x, e in zip(r[seen][::8].tolist(), closed[seen][::8].tolist()):
+        want = float(decimal_channel(3.0, x).e)
+        assert abs(e - want) <= 1e-13 * want, (x, e, want)
 
 
 # The same envelope for the Pauli coefficients: max |numeric - closed| of
