@@ -215,15 +215,16 @@ def _rows_teleport_mc(args: argparse.Namespace):
 
 
 def _rows_concentrate(args: argparse.Namespace):
-    """The (alpha, eta) grid: the ideal swap once per eta, the exact one at each point."""
-    ideal = np.array([(*pr.concentrate_ideal(eta)[0][:2], (math.cos(eta) * math.sin(eta)) ** 2)
-                      for eta in args.etas]).T
-    exact = np.array([[(pr.concentrate_exact(alpha, eta).success_probability,
-                        pr.concentration_success_closed_form(alpha, eta)) for eta in args.etas]
-                      for alpha in args.alphas])
-    return _grid_table(args, "eta", args.etas, p1_swap=ideal[0], p2_swap=ideal[1],
-                       p_ideal_closed=ideal[2], p2_exact=exact[..., 0],
-                       p2_exact_closed=exact[..., 1])
+    """The (alpha, eta) grid: the exact swap point by point, first (its guards trip in
+    grid order), then one ideal swap and one closed-form call on the whole grid."""
+    exact = [[pr.concentrate_exact(alpha, eta).success_probability for eta in args.etas]
+             for alpha in args.alphas]
+    etas = np.array(args.etas)
+    ideal, cos_sin = pr.concentrate_ideal(etas), np.cos(etas) * np.sin(etas)
+    return _grid_table(args, "eta", etas, p1_swap=ideal[:, 0], p2_swap=ideal[:, 1],
+                       p_ideal_closed=cos_sin * cos_sin, p2_exact=exact,
+                       p2_exact_closed=pr.concentration_success_closed_form(
+                           np.array(args.alphas)[:, None], etas))
 
 
 def _rows_cv(args: argparse.Namespace):
@@ -233,7 +234,7 @@ def _rows_cv(args: argparse.Namespace):
     is_max = np.zeros(args.ar_steps + 1, dtype=int)
     is_max[-1] = 1
     return {"alpha_r": np.append(grid, x_star),
-            "f": np.array([pr.cv_fidelity(x) for x in grid.tolist()] + [f_star]),
+            "f": np.append(pr.cv_fidelity(grid), f_star),
             "is_max": is_max}
 
 

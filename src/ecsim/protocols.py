@@ -300,31 +300,23 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
 # four-mode tensors is (b', b'', b, c).
 
 
-def concentrate_ideal(eta: float) -> tuple[np.ndarray, np.ndarray]:
+def concentrate_ideal(eta: float | np.ndarray) -> np.ndarray:
     """Swap two copies of  cos(eta) |+-> - sin(eta) |-+>  (logical qubits).
 
-    Explicit four-qubit construction: tensor the two pairs, project the
-    measured pair on each Bell vector, and read off probabilities and
-    post-measurement states: the outcome probabilities of B1..B4, shape (4,),
-    and the normalized post-measurement pair states, shape (4, 4).  Outcomes
-    B1 and B2 occur with probability cos^2(eta) sin^2(eta) each and leave a
-    maximally entangled pair.
+    Explicit four-qubit construction: the two pairs' product, projected on the
+    four Bell vectors of the measured qubits in one contraction.  Returns the
+    outcome probabilities of B1..B4, shape ``eta.shape + (4,)``; an entry has
+    the bits of its own scalar call.  B1 and B2 occur with probability
+    cos^2(eta) sin^2(eta) each and leave a maximally entangled pair.
     """
-    if not (0.0 < eta < math.pi / 2.0):
+    eta = np.asarray(eta, dtype=float)
+    if not ((0.0 < eta) & (eta < math.pi / 2.0)).all():
         raise ValueError("eta must lie in (0, pi/2)")
-    e4 = np.zeros(4)
-    e4[1] = math.cos(eta)
-    e4[2] = -math.sin(eta)
-    psi = np.kron(e4, e4).reshape(2, 2, 2, 2)  # (b', b'', b, c)
-    probs = []
-    states = []
-    for k in range(4):
-        bk = BELL_VECTORS[k].reshape(2, 2)
-        chi = np.einsum("ab,iabj->ij", bk.conj(), psi).reshape(4)
-        p = float(np.vdot(chi, chi).real)
-        probs.append(p)
-        states.append(chi / math.sqrt(p) if p > 0 else chi)
-    return np.array(probs), np.array(states)
+    pair = np.zeros(eta.shape + (4,))
+    pair[..., 1], pair[..., 2] = np.cos(eta), -np.sin(eta)
+    psi = (pair[..., :, None] * pair[..., None, :]).reshape(eta.shape + (2, 2, 2, 2))
+    chi = np.einsum("kab,...iabj->...kij", BELL_VECTORS.reshape(4, 2, 2), psi)
+    return np.einsum("...kij,...kij->...k", chi, chi)
 
 
 def partial_pair_state(basis: LogicalBasis, eta: float) -> CoherentSuperposition:
@@ -364,32 +356,40 @@ def concentrate_exact(alpha: float, eta: float) -> ExactConcentration:
     return ExactConcentration(success_probability=float(p), state=(1.0 / n) * chi)
 
 
-def concentration_success_closed_form(alpha: float, eta: float) -> float:
+def concentration_success_closed_form(alpha, eta) -> float | np.ndarray:
     """Closed-form success probability of the B2-outcome swap.
 
     Equals cos^4(2 th) sin^2(2 eta) / (4 (1 - sin^2(2 th) sin(2 eta))^2):
     the numerator from the two Bell projections, one normalization factor
-    1 - sin^2(2 th) sin(2 eta) per input pair.  Verified against the
-    explicit swap and an independent truncated-Fock computation.
+    1 - sin^2(2 th) sin(2 eta) per input pair.  That factor is evaluated as
+    N_theta + sin^2(2 th) cos^2(2 eta) / (1 + sin(2 eta)), which does not
+    cancel near eta = pi/4: within 8 eps relative of the stated form, and 1/4
+    at eta = fl(pi/4).  ``alpha`` broadcasts against ``eta``.  Verified
+    against the explicit swap and an independent truncated-Fock computation.
     """
     basis = make_basis(alpha, 1.0)
-    u2 = basis.sin2theta**2
-    n_eta = 1.0 - u2 * math.sin(2.0 * eta)
-    return basis.n_theta**2 * math.sin(2.0 * eta) ** 2 / (4.0 * n_eta**2)
+    s, c, u = np.sin(2.0 * eta), np.cos(2.0 * eta), basis.sin2theta
+    # products, not ** 2: a numpy scalar's square is libm's pow, which can round apart
+    y = 1.0 + (u * u) * (c * c) / ((1.0 + s) * basis.n_theta)
+    p = s * s / (4.0 * (y * y))
+    return float(p) if np.ndim(p) == 0 else p
 
 
 # ---------------------------------------------------------------------------
 # continuous-variable teleportation fidelity
 
 
-def cv_fidelity(alpha_r: float) -> float:
+@np.errstate(over="ignore")  # x^2 = inf past |x| ~ 1.3e154, where f is 1/2 at e^{-2 x^2} = 0
+def cv_fidelity(alpha_r: float | np.ndarray) -> float | np.ndarray:
     """Fidelity for teleporting an unknown coherent state over the channel.
 
     f = (1 + e^{-2 x^2}) / (2 (1 + e^{-4 x^2})) with x the real part of the
-    channel amplitude; independent of the teleported amplitude.
+    channel amplitude; independent of the teleported amplitude.  Element-wise
+    on an array; a float for a float.
     """
-    x2 = alpha_r * alpha_r
-    return (1.0 + math.exp(-2.0 * x2)) / (2.0 * (1.0 + math.exp(-4.0 * x2)))
+    x2 = np.multiply(alpha_r, alpha_r)
+    f = (1.0 + np.exp(-2.0 * x2)) / (2.0 * (1.0 + np.exp(-4.0 * x2)))
+    return float(f) if f.ndim == 0 else f
 
 
 def cv_max() -> tuple[float, float]:

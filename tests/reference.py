@@ -1,5 +1,5 @@
-"""The references that more than one test module reads: the channel's
-decimal referee, the 40-digit Poisson tail and shared numpy helpers.  Test
+"""The references that the tests read: the channel's and the swap's decimal
+referees, the 40-digit Poisson tail and shared numpy helpers.  Test
 modules import them from here, never from one another, so a helper renamed in
 one cannot break the collection of another.  pytest does not collect this
 module (no ``test_`` prefix); its default import mode puts ``tests/`` on the
@@ -62,6 +62,39 @@ def decimal_channel(alpha: float, r: float, float_squares: bool = False) -> Deci
             bloch=b / n,
             t_diag=((a + d) / (2 * n), (-a + d) / (2 * n), (a - c) / (2 * n)),
             margin=max(e4 - g, g - w) / (3 * n))
+
+
+def _decimal_sin(x: float) -> decimal.Decimal:
+    """sin x of the float's exact value, |x| <= 4, by its Taylor series summed
+    at the context's precision plus 10 digits (its terms reach at most 4^3/3!
+    ~ 10.7, so the sum loses no more than two), rounded to the context."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 10
+        d = decimal.Decimal(x)
+        term, total, k = d, d, 1
+        while abs(term) > abs(total).scaleb(-ctx.prec):
+            term *= -d * d / ((k + 1) * (k + 2))  # x^k / k! to -x^{k+2} / (k+2)!
+            total += term
+            k += 2
+    return +total
+
+
+def concentration_success_decimal(alphas, etas) -> list[list[decimal.Decimal]]:
+    """The B2-outcome swap's success probability as it is stated,
+    N_theta^2 sin^2(2 eta) / (4 (1 - e^{-4 a^2} sin(2 eta))^2), N_theta =
+    1 - e^{-4 a^2}, at 50 digits on the exact binary alphas and etas: rows
+    over alpha, columns over eta.  The sine's series is summed once per eta
+    and the exponential taken once per alpha.  The difference in the
+    denominator loses 6 digits at most for a >= 1e-3, where it is at least
+    N_theta ~ 4e-6."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        sines = [_decimal_sin(2.0 * eta) for eta in etas]
+        rows = []
+        for alpha in alphas:
+            e4 = (-4 * decimal.Decimal(alpha) ** 2).exp()
+            rows.append([(1 - e4) ** 2 * s * s / (4 * (1 - e4 * s) ** 2) for s in sines])
+        return rows
 
 
 def exact_poisson_tails(m: float, top_cutoff: int) -> list[float]:

@@ -456,6 +456,14 @@ class TestExitCodes:
         assert captured.err.startswith(f"ecsim: {kind}:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("alphas,message", [
+        (["1", "1e-7"], "cannot normalize a zero state"),  # (1, 1e-170) comes first
+        (["1e-7", "1"], "basis degenerate at alpha=1e-07"),
+    ])
+    def test_concentrate_guards_trip_in_grid_order(self, alphas, message, capsys):
+        assert cli.main(["concentrate", "--alphas", *alphas, "--etas", "1e-170", "0.5"]) == 3
+        assert message in capsys.readouterr().err
+
     def test_concentrate_tiny_eta_still_computes(self, capsys):
         code, out = run_main(["concentrate", "--alphas", "1", "--etas", "1e-160"], capsys)
         assert code == 0
@@ -973,14 +981,25 @@ class TestColumnWriters:
                     "--samples", "3"])
         assert sorted(calls) == ["average_fidelity", "bloch_transfer"]
 
-    def test_concentrate_request_makes_one_ideal_swap_per_eta(self, monkeypatch):
+    def test_concentrate_request_makes_one_ideal_swap_and_one_closed_form_call(self, monkeypatch):
         calls = []
-        real = protocols.concentrate_ideal
-        monkeypatch.setattr(protocols, "concentrate_ideal",
-                            lambda eta: calls.append(eta) or real(eta))
+        for name in ("concentrate_ideal", "concentration_success_closed_form"):
+            fn = getattr(protocols, name)
+            monkeypatch.setattr(protocols, name, lambda *a, _fn=fn, _name=name:
+                                calls.append((_name, np.shape(a[-1]))) or _fn(*a))
         cli.render(["concentrate", "--alphas", "0.5", "1.0", "2.0",
                     "--etas", "0.3", "0.7", "1.1"])
-        assert calls == [0.3, 0.7, 1.1]
+        assert sorted(calls) == [("concentrate_ideal", (3,)),
+                                 ("concentration_success_closed_form", (3,))]
+
+    def test_cv_request_makes_one_fidelity_call_for_its_grid(self, monkeypatch):
+        # cv_max's search calls it on one amplitude at a time
+        calls = []
+        real = protocols.cv_fidelity
+        monkeypatch.setattr(protocols, "cv_fidelity",
+                            lambda x: calls.append(np.shape(x)) or real(x))
+        cli.render(["cv", "--ar-steps", "7"])
+        assert [shape for shape in calls if shape] == [(7,)]
 
 
 # ---------------------------------------------------------------------------

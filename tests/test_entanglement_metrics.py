@@ -875,5 +875,6 @@ def test_numeric_route_calls_no_closed_form(monkeypatch):
     state = bell_state(1, make_basis(1.0, 1.0))
     assert 0.0 < pr.bell_measure_distribution(state).misidentification() < 0.5
     assert 0.0 < pr.concentrate_exact(1.0, 0.3).success_probability < 1.0
+    assert np.isfinite(pr.concentrate_ideal(np.array([0.3, 0.7]))).all()
     assert mixedness_peak(1.0, "vn") == pytest.approx(SQRT_HALF, abs=1e-6)
     assert called == []

@@ -1,4 +1,5 @@
 """Bell discrimination, teleportation, concentration, CV fidelity."""
+import decimal
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -47,9 +48,10 @@ from ecsim.qubit_encoding import (
     logical_coords,
     make_basis,
 )
-from reference import (QubitVector, average_fidelity_reference, branches_reference, psi_minus,
-                       psi_plus, random_density)
+from reference import (QubitVector, average_fidelity_reference, branches_reference,
+                       concentration_success_decimal, psi_minus, psi_plus, random_density)
 
+EPS = np.finfo(float).eps
 SQ2 = math.sqrt(2.0)
 SQRT_HALF = 1.0 / SQ2
 
@@ -606,50 +608,92 @@ class TestCorrectionMaps:
             )
 
 
+# The ideal swap's test angles: the CLI's defaults and pinned etas, and pi/4.
+IDEAL_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3, 0.2, 0.7, 1.3, math.pi / 4)
+
+
+def swapped_pairs(eta: float) -> np.ndarray:
+    """Each outcome's corrected pair on (b', c), unnormalized, shape (4, 4, 4).
+
+    The swap teleports b'' through the second pair: the Bell-outcome map of
+    the pair density, contracted with the first pair on b'', gives the pair
+    that outcome k leaves, U_k applied to c.  Its trace is the probability of k.
+    """
+    pair = np.array([0.0, math.cos(eta), -math.sin(eta), 0.0])
+    rho = np.outer(pair, pair)
+    # first pair [b', b'', b', b''] = [i, a, j, A]; the map's [k, a, A, c, C]
+    out = np.einsum("iajA,kaAcC->kicjC", rho.reshape(2, 2, 2, 2), bell_outcome_map(rho))
+    return out.reshape(4, 4, 4)
+
+
+def assert_maximally_entangled(pair: np.ndarray):
+    """The normalized pair is pure and its reduced state on b' is I/2."""
+    rho = pair / np.trace(pair).real
+    assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
+    reduced = np.einsum("icjc->ij", rho.reshape(2, 2, 2, 2))
+    assert np.max(np.abs(reduced - np.eye(2) / 2.0)) < 1e-12
+
+
 class TestConcentrationIdeal:
+    def test_probabilities_are_the_traces_of_the_teleported_pairs(self):
+        # measured: 5.6e-17 at most
+        for eta in IDEAL_ETAS:
+            traces = np.einsum("kii->k", swapped_pairs(eta)).real
+            assert np.max(np.abs(traces - concentrate_ideal(eta))) <= 1e-16, eta
+
+    def test_batch_entries_are_their_scalar_calls(self):
+        etas = np.array(IDEAL_ETAS)
+        for batch in (concentrate_ideal(etas), concentrate_ideal(etas[:, None])[:, 0]):
+            assert batch.shape == (len(IDEAL_ETAS), 4)
+            for eta, row in zip(IDEAL_ETAS, batch):
+                assert row.tobytes() == concentrate_ideal(eta).tobytes()
+        assert concentrate_ideal(0.5).shape == (4,)
+
     def test_symmetric_input_all_outcomes_maximal(self):
-        probs, states = concentrate_ideal(math.pi / 4)
+        probs = concentrate_ideal(math.pi / 4)
         assert probs[0] == pytest.approx(0.25, abs=1e-12)
         assert probs[1] == pytest.approx(0.25, abs=1e-12)
-        for state in states:
-            sv = np.linalg.svd(state.reshape(2, 2), compute_uv=False)
-            assert np.max(np.abs(sv - SQRT_HALF)) < 1e-12  # maximally entangled
+        for pair in swapped_pairs(math.pi / 4):
+            assert_maximally_entangled(pair)
 
     @pytest.mark.parametrize("eta", [math.pi / 8, math.pi / 6, math.pi / 3])
     def test_success_probabilities(self, eta):
-        probs, _ = concentrate_ideal(eta)
+        probs = concentrate_ideal(eta)
         want = (math.cos(eta) * math.sin(eta)) ** 2
         assert probs[0] == pytest.approx(want, abs=1e-12)
         assert probs[1] == pytest.approx(want, abs=1e-12)
 
     def test_outcome_structure(self):
         eta = math.pi / 6
-        probs, states = concentrate_ideal(eta)
+        probs = concentrate_ideal(eta)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         # failed branches keep probability (cos^4 + sin^4)/2 each
         tail = (math.cos(eta) ** 4 + math.sin(eta) ** 4) / 2.0
         assert probs[2] == pytest.approx(tail, abs=1e-12)
         assert probs[3] == pytest.approx(tail, abs=1e-12)
-        # the antisymmetric-outcome state is cos^2 |+-> - sin^2 |-+>
+        # B4 needs no correction and leaves cos^2 |+-> - sin^2 |-+>
         want = np.zeros(4)
         want[1] = math.cos(eta) ** 2
         want[2] = -math.sin(eta) ** 2
         want /= np.linalg.norm(want)
-        got = states[3]
-        phase = np.vdot(got, want)
-        assert abs(abs(phase) - 1.0) < 1e-12
+        got = swapped_pairs(eta)[3]
+        assert np.max(np.abs(got / np.trace(got) - np.outer(want, want))) < 1e-12
 
     def test_first_outcomes_maximally_entangled(self):
-        _, states = concentrate_ideal(math.pi / 8)
+        pairs = swapped_pairs(math.pi / 8)
         for k in (0, 1):
-            sv = np.linalg.svd(states[k].reshape(2, 2), compute_uv=False)
-            assert np.max(np.abs(sv - SQRT_HALF)) < 1e-12
+            assert_maximally_entangled(pairs[k])
 
     def test_eta_range(self):
-        with pytest.raises(ValueError):
-            concentrate_ideal(0.0)
-        with pytest.raises(ValueError):
-            concentrate_ideal(math.pi / 2)
+        for eta in (0.0, math.pi / 2, math.nan, np.array([0.3, 0.0]), np.array([[0.3], [2.0]])):
+            with pytest.raises(ValueError):
+                concentrate_ideal(eta)
+
+
+# The exact swap's error model: |p_exact - p_closed| <= eps (K / N_theta + C).
+# Measured: 1.6 eps/N_theta at most (at alpha ~ 1.3, where N_theta ~ 1), 0.46
+# below alpha = 0.3; at most 0.41 of the bound on 80 alpha by 44 eta.
+SWAP_ERROR_K, SWAP_ERROR_C = 1.0, 3.0
 
 
 class TestConcentrationExact:
@@ -682,6 +726,17 @@ class TestConcentrationExact:
         assert res.success_probability == pytest.approx(
             concentration_success_closed_form(alpha, eta), abs=1e-12
         )
+
+    def test_error_model(self):
+        # at small alpha the swap's error grows as 1/N_theta: 6.7e-12 at alpha = 1e-3
+        alphas = np.geomspace(1e-3, 3.0, 15)
+        etas = np.append(np.linspace(0.1, 1.45, 12), math.pi / 4)
+        exact = np.array([[concentrate_exact(a, e).success_probability for e in etas.tolist()]
+                          for a in alphas.tolist()])
+        closed = concentration_success_closed_form(alphas[:, None], etas)
+        n_theta = make_basis(alphas, 1.0).n_theta[:, None]
+        bound = EPS * (SWAP_ERROR_K / n_theta + SWAP_ERROR_C)
+        assert (np.abs(exact - closed) <= bound).all()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_symmetric_pair_gives_quarter(self, alpha):
@@ -716,7 +771,43 @@ class TestConcentrationExact:
             assert concentrate_exact(0.05, eta).success_probability < 1e-3
 
 
+class TestConcentrationClosedForm:
+    def test_within_eight_eps_of_the_stated_form(self):
+        # the stated form in 50-digit decimal; measured: 4.6 eps at most, where
+        # 1 - sin^2(2 th) sin(2 eta) evaluated as written lost 3.4e5 eps near pi/4
+        q = math.pi / 4
+        alphas = np.geomspace(1e-3, 3.0, 25)
+        etas = np.concatenate([np.linspace(0.02, 1.55, 60), [
+            q, q - 1e-2, q + 1e-2, q - 1e-4, q + 1e-4, q - 1e-6, q + 1e-6, q - 1e-9, q + 1e-9,
+            1e-6, math.pi / 2 - 1e-6]])
+        got = concentration_success_closed_form(alphas[:, None], etas)
+        want = concentration_success_decimal(alphas.tolist(), etas.tolist())
+        worst = max(abs((decimal.Decimal(p) - w) / w)
+                    for row, want_row in zip(got.tolist(), want) for p, w in zip(row, want_row))
+        assert worst <= 8 * EPS, float(worst) / EPS
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-2, 0.5, 3.0])
+    def test_symmetric_pair_reads_a_quarter(self, alpha):
+        assert concentration_success_closed_form(alpha, math.pi / 4) == 0.25
+
+    def test_batch_entries_are_their_scalar_calls(self):
+        alphas, etas = np.geomspace(1e-3, 3.0, 25), np.linspace(0.02, 1.55, 60)
+        got = concentration_success_closed_form(alphas[:, None], etas)
+        assert got.shape == (25, 60)
+        want = [[concentration_success_closed_form(a, e) for e in etas.tolist()]
+                for a in alphas.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert type(concentration_success_closed_form(1.0, 0.3)) is float
+
+
 class TestCvFidelity:
+    def test_batch_entries_are_their_scalar_calls(self):
+        grid = np.linspace(-2.0, 4.0, 301)
+        got = cv_fidelity(grid)
+        assert got.tobytes() == np.array([cv_fidelity(x) for x in grid.tolist()]).tobytes()
+        assert type(cv_fidelity(0.7)) is float
+        assert cv_fidelity(np.array([1e200, -1e300])).tolist() == [0.5, 0.5]
+
     def test_zero_amplitude(self):
         assert cv_fidelity(0.0) == 0.5
 
