@@ -39,6 +39,9 @@ DROP_TOL = 1e-15
 # (256 MiB of complex amplitudes); a larger request raises CutoffError.
 FOCK_CELL_BUDGET = 2**24
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# poisson_tail_bound's relative slack in eps (k + 1 + |log P|): twice the unscaled
+# bound's largest shortfall below the exact tail, 0.96 at cutoffs 0..300 (0.57 to 3e5).
+TAIL_SLACK = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +57,11 @@ class CoherentSuperposition:
     A private memo, a dict made with the state, holds the arrays derived from
     ``amps`` alone, each computed on first use: the mode-major amplitudes and
     their conjugates with the halves +-|amp|^2/2 of ``log_overlap`` (for
-    ``inner``), |amp|^2, and the per-term root Poisson tails at each cutoff
-    (for ``to_fock``), none larger than T x M.  It relies on ``amps``
-    staying read-only.  A scalar multiple keeps ``amps``, and so shares the
-    memo; two threads that fill one entry at once store equal arrays.
+    ``inner``), |amp|^2, and the per-term roots of the Poisson tail upper
+    bounds at each cutoff (for ``to_fock``), none larger than T x M.  It
+    relies on ``amps`` staying read-only.  A scalar multiple keeps ``amps``,
+    and so shares the memo; two threads that fill one entry at once store
+    equal arrays.
     """
 
     coeffs: np.ndarray
@@ -364,7 +368,7 @@ def _abs2(s: CoherentSuperposition) -> np.ndarray:
 def auto_cutoff(s: CoherentSuperposition) -> int:
     """Cutoff heuristic 2m + 10 sqrt(m) + 20 with m the max per-mode |b|^2.
 
-    Keeps the truncation tail below ~1e-12 for |b| <= 3.
+    Keeps the upper bound on the truncation loss below ~1e-12 for |b| <= 3.
     """
     m = float(_abs2(s).max(initial=0.0))
     return math.ceil(2.0 * m + 10.0 * math.sqrt(m) + 20.0)
@@ -392,76 +396,39 @@ def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
     return np.exp(k * log_ratio - (m - k) - (_LOG_SQRT_2PI + 0.5 * math.log(k) + delta))
 
 
-def _series_cap(limit: int) -> float:
-    """Terms at which prod_i limit/(limit + i) drops below e^-40."""
-    return 41.0 + math.sqrt(1600.0 + 80.0 * limit)
+def poisson_tail_bound(cutoff: int, m: np.ndarray) -> np.ndarray:
+    """Upper bound on P(N > k), k = cutoff, N ~ Poisson(m), element-wise on m >= 0.
 
-
-def _series_length(first_ratio: float, limit: int) -> int:
-    """How many terms of 1 + r_1 + r_1 r_2 + ... leave a remainder below
-    ~1e-17 of the first, when every ratio is at most ``first_ratio`` < 1
-    and the products fall at least as fast as prod_i limit/(limit + i):
-    the fewer of the geometric count and ``_series_cap``."""
-    if first_ratio <= 0.0:
-        return 1
-    geometric = 39.2 / -math.log(first_ratio)
-    return int(min(geometric, _series_cap(limit))) + 1
-
-
-def poisson_tail(cutoff: int, m: np.ndarray) -> np.ndarray:
-    """P(N > cutoff) for N ~ Poisson(m), element-wise over means m >= 0.
-
-    Where m <= cutoff + 1 it sums the upper series
-    P(N = cutoff) (m/(cutoff+1) + m^2/((cutoff+1)(cutoff+2)) + ...), whose
-    terms all have one sign and shrink; elsewhere it takes 1 - the lower sum
-    P(N = cutoff) (1 + cutoff/m + ...), which is then below 1/2 (the Poisson
-    median exceeds m - ln 2), so at most one bit cancels (Numerical Recipes,
-    section 6.2).  Each series is cut where its terms fall below ~1e-17 of
-    its first, a length fixed from the largest (upper) or smallest (lower)
-    mean.
+    For m < k + 2 it is P(N = k + 1) (k + 2)/(k + 2 - m), since every ratio
+    of successive terms beyond k + 1 is at most m/(k + 2); it is 1 elsewhere
+    and clipped to 1.  ``_poisson_pmf`` rounds P = P(N = k + 1) to within
+    ~eps (k + 1 + |log P|), and |log P| < 745 for any non-zero double, so the
+    bound is scaled by 1 + TAIL_SLACK eps (k + 746); a non-zero bound also
+    gains one subnormal spacing, the pmf's rounding below the normal range.
+    Where k >= ``auto_cutoff`` it exceeds the exact tail by less than 0.07%.
     """
-    m = np.asarray(m, dtype=float)
-    top = float(m.max(initial=0.0))
-    if top <= cutoff + 1:
-        return _poisson_upper_tail(cutoff, m, top)
-    upper = m <= cutoff + 1
-    tail = np.empty(m.shape)
-    tail[upper] = _poisson_upper_tail(cutoff, m[upper], float(m[upper].max(initial=0.0)))
-    tail[~upper] = _poisson_lower_tail(cutoff, m[~upper])
-    return tail
-
-
-def _poisson_upper_tail(k: int, m: np.ndarray, top: float) -> np.ndarray:
-    """sum_{n > k} P(N = n), for 0 <= m <= top <= k + 1."""
-    n = _series_length(top / (k + 2), k + 1)
-    terms = np.multiply.accumulate(m[..., None] / np.arange(k + 1.0, k + 1.0 + n), axis=-1)
-    return _poisson_pmf(k, m) * np.add.reduce(terms, -1)
-
-
-def _poisson_lower_tail(k: int, m: np.ndarray) -> np.ndarray:
-    """1 - sum_{n <= k} P(N = n), for m > k + 1."""
-    # that sum is 0 for any m >= 1e300; the clamp keeps inf - inf, from an
-    # amplitude beyond ~1e154, out of the exponent
-    m = np.minimum(m, 1e300)
-    n = min(k, _series_length(k / float(m.min()), k))
-    terms = np.cumprod(np.arange(k, k - n, -1.0) / m[..., None], axis=-1)
-    return 1.0 - _poisson_pmf(k, m) * (1.0 + terms.sum(axis=-1))
+    mean = np.minimum(m, cutoff + 2.0)
+    p = _poisson_pmf(cutoff + 1, mean)
+    scale = (cutoff + 2) * (1.0 + TAIL_SLACK * sys.float_info.epsilon * (cutoff + 746))
+    with np.errstate(divide="ignore"):  # x/0 = inf at mean = cutoff + 2, clipped to 1
+        bound = p * (scale / (cutoff + 2 - mean))
+    return np.minimum(bound + np.minimum(bound, math.ulp(0.0)), 1.0)
 
 
 def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
     """Upper bound on the squared norm beyond the cutoff.
 
     Per ket, the per-mode photon distribution is Poisson(|b|^2), whose mass
-    above the cutoff is ``poisson_tail``; the lost norm of the product ket
-    is bounded by the summed per-mode tails.  The triangle inequality then
-    bounds the superposition's loss.  The per-term roots of those sums are
-    kept in the state's memo, one array per cutoff.
+    above the cutoff is at most ``poisson_tail_bound``; the lost norm of the
+    product ket is at most the sum of those per-mode upper bounds.  The
+    triangle inequality then bounds the superposition's loss.  The per-term
+    roots of those sums are kept in the state's memo, one array per cutoff.
     """
     memo = s._memo
     roots = memo.get(("root_tails", cutoff))  # per term
     if roots is None:
         roots = memo["root_tails", cutoff] = np.sqrt(
-            np.add.reduce(poisson_tail(cutoff, _abs2(s)), 1))
+            np.add.reduce(poisson_tail_bound(cutoff, _abs2(s)), 1))
     total = float(np.abs(s.coeffs) @ roots)
     return total * total
 
@@ -473,10 +440,10 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     arrays (per term, cutoff+1 amplitudes a mode and (cutoff+1)^(modes-1) in
     the outer product) would hold more than FOCK_CELL_BUDGET amplitudes, and
     when a vacuum amplitude e^{-|amp|^2/2} falls below the normal range
-    (|amp| > ~37.6).  Truncation is never silent: the record holds the bound
-    on the norm lost beyond it.  |amp|^2 and the per-term root tails come
-    from the state's memo; the row 1/sqrt(1..cutoff) and the table are built
-    anew on every call.
+    (|amp| > ~37.6).  Truncation is never silent: the record holds an upper
+    bound on the norm lost beyond it, ``truncation_tail_bound``.  |amp|^2 and
+    the per-term roots of the tail upper bounds come from the state's memo;
+    the row 1/sqrt(1..cutoff) and the table are built anew on every call.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)

@@ -128,7 +128,7 @@ def misid_probability_closed(alpha: float) -> float:
     Evaluated as x / (2 (1 + x)) with x = e^{-4 a^2}, which cannot overflow
     at large amplitude.
     """
-    x = math.exp(-4.0 * alpha**2)
+    x = math.exp(-4.0 * (alpha * alpha))
     return 0.5 * x / (1.0 + x)
 
 
@@ -393,27 +393,10 @@ def cv_fidelity(alpha_r: float | np.ndarray) -> float | np.ndarray:
 
 
 def cv_max() -> tuple[float, float]:
-    """Maximize the continuous-variable fidelity over the amplitude.
+    """The continuous-variable fidelity's maximum over the amplitude, (x*, f*).
 
-    Golden-section search on [0, 5], where the fidelity is unimodal, to a
-    bracket of 1e-10 (Brent, Algorithms for Minimization without
-    Derivatives, 1973).  The optimum sits at amplitude
-    sqrt(ln(1 + sqrt 2)/2), about 0.664, with fidelity (1 + sqrt 2)/4, about
-    0.60; the fidelity is flat to rounding within ~1e-8 of it, which bounds
-    how well any search can place the amplitude.
+    With y = e^{-2 x^2}, f = (1 + y) / (2 (1 + y^2)) peaks at y = sqrt 2 - 1,
+    the root of y^2 + 2 y - 1: x* = sqrt(ln(1 + sqrt 2)/2), about 0.664, and
+    f* = (1 + sqrt 2)/4, about 0.604.
     """
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 5.0
-    c, d = b - shrink * (b - a), a + shrink * (b - a)
-    fc, fd = cv_fidelity(c), cv_fidelity(d)
-    while b - a > 1e-10:
-        if fc >= fd:  # the maximum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - shrink * (b - a)
-            fc = cv_fidelity(c)
-        else:  # in [c, b]
-            a, c, fc = c, d, fd
-            d = a + shrink * (b - a)
-            fd = cv_fidelity(d)
-    x = 0.5 * (a + b)
-    return x, cv_fidelity(x)
+    return math.sqrt(math.log(1.0 + math.sqrt(2.0)) / 2.0), (1.0 + math.sqrt(2.0)) / 4.0

@@ -432,6 +432,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("ecsim: numeric guard: ")
         for part in ("alpha 4.0", "cutoff 5", "2.000e+00", "1e-09"):
             assert part in err
+        assert cli.main(["bellmeas", "--alphas", "2", "--cutoff", "3"]) == 3
+
+    @pytest.mark.parametrize("alpha,smallest", [("0.3", 8), ("1", 16), ("2", 31), ("3", 49)])
+    def test_bellmeas_smallest_passing_cutoff(self, alpha, smallest, capsys):
+        # the first cutoff whose tail upper bound meets BELLMEAS_TAIL_TOL, as
+        # with the exact tail it replaced
+        argv = ["bellmeas", "--alphas", alpha, "--cutoff"]
+        assert cli.main(argv + [str(smallest - 1)]) == 3
+        assert cli.main(argv + [str(smallest)]) == 0
+        capsys.readouterr()
 
     def test_bellmeas_tail_tolerance_names_the_automatic_cutoff(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "BELLMEAS_TAIL_TOL", 0.0)
@@ -993,13 +1003,13 @@ class TestColumnWriters:
                                  ("concentration_success_closed_form", (3,))]
 
     def test_cv_request_makes_one_fidelity_call_for_its_grid(self, monkeypatch):
-        # cv_max's search calls it on one amplitude at a time
+        # cv_max is a closed form, which calls no fidelity
         calls = []
         real = protocols.cv_fidelity
         monkeypatch.setattr(protocols, "cv_fidelity",
                             lambda x: calls.append(np.shape(x)) or real(x))
         cli.render(["cv", "--ar-steps", "7"])
-        assert [shape for shape in calls if shape] == [(7,)]
+        assert calls == [(7,)]
 
 
 # ---------------------------------------------------------------------------

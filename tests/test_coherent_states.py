@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -29,7 +30,7 @@ from ecsim.coherent_states import (
     operator_trace,
     phase_shift,
     photon_distribution,
-    poisson_tail,
+    poisson_tail_bound,
     project_modes,
     tensor,
     to_fock,
@@ -224,10 +225,11 @@ class TestFock:
             assert abs(fock_inner(fa, fb) - inner(a, b)) <= bound
 
     def test_cutoff_error_reported(self):
-        # the record carries the truncation: P(N > 3) for N ~ Poisson(4)
+        # the record carries the truncation: P(N > 3) for N ~ Poisson(4), at
+        # most 5 P(N = 4), the one-term bound at a mean below cutoff + 2
         fv = to_fock(CoherentSuperposition.ket(2.0), 3)
-        assert fv.tail_bound > 1e-12
-        assert fv.tail_bound == pytest.approx(special.pdtrc(3, 4.0), rel=1e-12)
+        assert special.pdtrc(3, 4.0) < fv.tail_bound < 1.0
+        assert fv.tail_bound == pytest.approx(5.0 * stats.poisson.pmf(4, 4.0), rel=1e-12)
 
     def test_cell_budget(self, monkeypatch):
         # refused before anything of the grid's size is allocated
@@ -480,8 +482,8 @@ def term_list(s):
 
 
 # cutoffs 0..300 against means in [0, 200]: zero, subnormal and tiny means,
-# random ones, and both sides of m = cutoff and of m = cutoff + 1, where the
-# tail switches from the upper series to 1 - the lower sum
+# random ones, and both sides of m = cutoff + 1 and of m = cutoff + 2, past
+# which the bound is 1
 TAIL_CUTOFFS = 300
 TAIL_MEANS = sorted(
     {0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.5, 200.0}
@@ -496,55 +498,58 @@ def exact_tails():
     return np.array([exact_poisson_tails(m, TAIL_CUTOFFS) for m in TAIL_MEANS]).T
 
 
+def auto_cutoffs(m):
+    """``auto_cutoff`` of a one-mode state of mean m, element-wise."""
+    return np.ceil(2.0 * m + 10.0 * np.sqrt(m) + 20.0)
+
+
 class TestPoissonTail:
-    def test_matches_exact_sum(self, exact_tails):
-        # relative error 1e-13, plus ~eps per unit of |log P| from rounding the
-        # exponent, plus two subnormal steps
+    def test_bounds_the_exact_sum(self, exact_tails):
+        # never below the 40-digit tail, and within 0.1% of it (measured 0.068%)
+        # from auto_cutoff's cutoff on, where it is not deep subnormal; without
+        # its slack the bound fell up to 1.26e-13 relative below the tail here
         m = np.array(TAIL_MEANS)
         for cutoff in range(TAIL_CUTOFFS + 1):
-            got, want = poisson_tail(cutoff, m), exact_tails[cutoff]
-            log_want = np.log(np.maximum(want, 5e-324))
-            tol = (1e-13 + 2.5e-16 * np.abs(log_want)) * want + 1e-323
-            assert np.all(np.abs(got - want) <= tol), cutoff
+            got, want = poisson_tail_bound(cutoff, m), exact_tails[cutoff]
+            assert np.all(got >= want), cutoff
+            tight = cutoff >= auto_cutoffs(m)
+            assert np.all(got[tight] <= 1.001 * want[tight] + 1e-323), cutoff
+
+    def test_bounds_the_exact_sum_at_a_large_cutoff(self):
+        # the pmf's rounding, and the slack with it, grows as eps k
+        k = 4095
+        m = np.concatenate([np.linspace(0.0, k + 1.5, 41), [1e-3, k + 1.0, k + 2.0 - 1e-9]])
+        want = np.array([exact_poisson_tails(x, k)[k] for x in m.tolist()])
+        assert np.all(poisson_tail_bound(k, m) >= want)
+
+    def test_bounds_subnormal_tails(self):
+        # tails below the normal range, where the pmf's rounding is half a
+        # subnormal spacing: each of these fell one spacing short without it
+        cases = [(1, 2.832798776032731e-156), (30, 9.513962020530946e-10),
+                 (30, 1.067453368980496e-09), (30, 8.845154096524258e-10)]
+        for cutoff, m in cases:
+            want = exact_poisson_tails(m, cutoff)[cutoff]
+            assert 0.0 < want < sys.float_info.min
+            assert poisson_tail_bound(cutoff, m) >= want, (cutoff, m)
 
     def test_zero_mean_has_no_tail(self):
-        assert np.array_equal(poisson_tail(0, np.zeros((2, 3))), np.zeros((2, 3)))
+        for cutoff in (0, 1, 300, 4095):
+            assert np.array_equal(poisson_tail_bound(cutoff, np.zeros((2, 3))), np.zeros((2, 3)))
 
     def test_overflowing_mean_has_all_its_mass_above(self):
         # |b|^2 is inf for an amplitude beyond ~1e154
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = poisson_tail(10, np.array([np.inf, 1e300, 2.0]))
-        assert got[:2].tolist() == [1.0, 1.0]
+            got = poisson_tail_bound(10, np.array([np.inf, 1e300, 2.0]))
+        assert got[:2].tolist() == [1.0, 1.0] and got[2] < 1.0
 
-    def test_matches_scipy(self, exact_tails):
-        # pdtrc forms its prefactor as exp(a log m - m - lgamma a), a = cutoff
-        # + 1, which is itself off by up to ~6e-13 on this grid when |a - m| >
-        # 0.4 a and a >~ 100, and it flushes tails below ~1e-308 to zero.  The
-        # comparison takes the zero mean and every tail above 1e-30 where scipy
-        # is within 5e-14 of the exact sum; test_matches_exact_sum covers the
-        # rest of the grid.
-        m = np.array(TAIL_MEANS)
-        compared = total = 0
-        for cutoff in range(TAIL_CUTOFFS + 1):
-            want = exact_tails[cutoff]
-            got = poisson_tail(cutoff, m)
-            for ref in (special.pdtrc(cutoff, m), stats.poisson.sf(cutoff, m)):
-                sound = (m == 0) | ((want >= 1e-30) & (np.abs(ref - want) <= 5e-14 * want))
-                assert np.all(np.abs(got[sound] - ref[sound]) <= 1e-13 * ref[sound]), cutoff
-                compared += np.count_nonzero(sound & (want > 0))
-                total += np.count_nonzero(want >= 1e-30)
-        assert compared >= 0.8 * total, (compared, total)
-
-    def test_broadcasts_and_splits_branches(self):
-        # means on both sides of cutoff + 1 in one call match separate calls,
-        # up to the length of the series, which the largest mean sets
-        m = np.array([[0.0, 3.0, 4.0], [4.5, 12.0, 1e-3]])
-        whole = poisson_tail(3, m)
-        assert whole.shape == (2, 3)
-        for idx in np.ndindex(m.shape):
-            single = poisson_tail(3, np.array([m[idx]]))[0]
-            assert whole[idx] == pytest.approx(single, rel=1e-15, abs=0)
+    def test_batch_entries_are_their_scalar_calls(self):
+        m = np.array(TAIL_MEANS + [np.inf, 1e300])
+        for cutoff in (0, 3, 14, 50, 299):
+            whole = poisson_tail_bound(cutoff, m.reshape(2, -1))
+            assert whole.shape == (2, len(m) // 2)
+            for x, got in zip(m.tolist(), whole.ravel().tolist()):
+                assert same_bits(got, poisson_tail_bound(cutoff, x)), (cutoff, x)
 
 
 class TestArrayRoute:
@@ -622,16 +627,31 @@ class TestArrayRoute:
             s = CoherentSuperposition(coeffs, amps)
             assert to_fock(s, cutoff).amps.tobytes() == division_to_fock(s, cutoff).tobytes()
 
-    def test_tail_bound_matches_poisson_sf(self):
+    def test_tail_bound_bounds_the_exact_tails(self):
+        # the 40-digit per-mode tails, composed as truncation_tail_bound
+        # composes its per-mode bounds: correctly rounded sums, roots and
+        # products keep the order, so the result is never below
         rng = np.random.default_rng(48)
         for t, m in sizes(49):
             s = array_state(rng, t, m) + CoherentSuperposition.ket(*[0.0] * m)
-            for cutoff in (3, 10, auto_cutoff(s)):
-                tails = [sum(float(stats.poisson.sf(cutoff, abs(a) ** 2)) if a != 0 else 0.0
-                             for a in row) for row in s.amps.tolist()]
-                want = sum(abs(coeff) * math.sqrt(tail)
-                           for coeff, tail in zip(s.coeffs.tolist(), tails)) ** 2
-                assert truncation_tail_bound(s, cutoff) == pytest.approx(want, rel=1e-13, abs=0)
+            means = np.square(np.abs(s.amps))
+            cutoffs = (3, 10, auto_cutoff(s))
+            exact = np.array([exact_poisson_tails(x, cutoffs[-1]) for x in means.ravel().tolist()])
+            for cutoff in cutoffs:
+                roots = np.sqrt(np.add.reduce(exact[:, cutoff].reshape(means.shape), 1))
+                total = float(np.abs(s.coeffs) @ roots)
+                got, want = truncation_tail_bound(s, cutoff), total * total
+                assert want <= got, (t, m, cutoff)
+                if cutoff == cutoffs[-1]:
+                    assert got <= 1.001 * want + 1e-323, (t, m)
+
+    def test_tail_bound_at_a_large_cutoff(self):
+        # one mode at cutoff 10^5, where the pmf's rounding is ~eps k; the
+        # bound is 8.4% above the tail there, whose mean is within 3.2
+        # standard deviations of the cutoff
+        s = CoherentSuperposition.ket(math.sqrt(99000.0))
+        want = exact_poisson_tails(float(np.square(np.abs(s.amps[0, 0]))), 100000)[100000]
+        assert want <= truncation_tail_bound(s, 100000) <= 1.1 * want
 
     def test_auto_cutoff(self):
         s = CoherentSuperposition.ket(0.5, 2.0 + 1.0j) + CoherentSuperposition.ket(-1.0, 0.0)

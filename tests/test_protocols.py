@@ -232,6 +232,17 @@ class TestMisidentification:
         vals = [misid_probability_closed(a) for a in (0.3, 0.7, 1.2, 2.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.7760918271062733, 1.4172578820939519,
+                                       7.565706835583058, 466.2951147485065])
+    def test_squares_alpha_correctly_rounded(self, alpha):
+        # the form taken on the correctly rounded a^2, which a product gives and
+        # libm's pow misses by an ulp at each amplitude here but 0.1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            square = float(decimal.Decimal(alpha) ** 2)
+        x = math.exp(-4.0 * square)
+        assert misid_probability_closed(alpha) == 0.5 * x / (1.0 + x)
+
 
 class TestTeleport:
     def test_pure_channel_perfect_every_outcome(self):
@@ -834,6 +845,19 @@ class TestCvFidelity:
         assert x_star == pytest.approx(want_x, abs=1e-6)
         assert 0.59 <= f_star <= 0.61
         assert 0.6 <= x_star <= 0.8
+
+    def test_maximum_is_the_function_at_its_peak(self):
+        # within 1 ulp of the 50-digit optimum, and no fidelity on a fine grid
+        # about x*, nor at x* itself, is off f* by more than an ulp
+        x_star, f_star = cv_max()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            root2 = decimal.Decimal(2).sqrt()
+            assert abs(decimal.Decimal(x_star) - ((1 + root2).ln() / 2).sqrt()) <= math.ulp(x_star)
+            assert abs(decimal.Decimal(f_star) - (1 + root2) / 4) <= math.ulp(f_star)
+        near = cv_fidelity(x_star + np.linspace(-1e-3, 1e-3, 20001))
+        assert near.max() <= f_star + math.ulp(f_star)
+        assert abs(cv_fidelity(x_star) - f_star) <= math.ulp(f_star)
 
     def test_maximum_is_interior_and_local(self):
         x_star, f_star = cv_max()
