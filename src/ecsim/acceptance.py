@@ -183,7 +183,8 @@ def check_concentration_limits() -> tuple[bool, str]:
     details = []
     for eta in (math.pi / 8, math.pi / 6, math.pi / 3):
         big = pr.concentrate_exact(3.0, eta).success_probability
-        want = (math.cos(eta) * math.sin(eta)) ** 2
+        cos_sin = math.cos(eta) * math.sin(eta)
+        want = cos_sin * cos_sin
         ok = ok and abs(big - want) <= 1e-6
         small = pr.concentrate_exact(0.05, eta).success_probability
         ok = ok and small < 1e-3

@@ -397,7 +397,7 @@ def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
 
 
 def poisson_tail_bound(cutoff: int, m: np.ndarray) -> np.ndarray:
-    """Upper bound on P(N > k), k = cutoff, N ~ Poisson(m), element-wise on m >= 0.
+    """Upper bound on P(N > k), k = cutoff, N ~ Poisson(m), for means m >= 0.
 
     For m < k + 2 it is P(N = k + 1) (k + 2)/(k + 2 - m), since every ratio
     of successive terms beyond k + 1 is at most m/(k + 2); it is 1 elsewhere
@@ -406,6 +406,7 @@ def poisson_tail_bound(cutoff: int, m: np.ndarray) -> np.ndarray:
     bound is scaled by 1 + TAIL_SLACK eps (k + 746); a non-zero bound also
     gains one subnormal spacing, the pmf's rounding below the normal range.
     Where k >= ``auto_cutoff`` it exceeds the exact tail by less than 0.07%.
+    An array ``m`` gives an array: each entry has the bits of its own scalar call.
     """
     mean = np.minimum(m, cutoff + 2.0)
     p = _poisson_pmf(cutoff + 1, mean)

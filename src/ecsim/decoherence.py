@@ -77,7 +77,7 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     Trace and Hermiticity are preserved exactly: the per-mode coefficient
     times <t gamma|t beta> recombines to the original <gamma|beta>.  With an
     array clock every coefficient and amplitude gains trailing axes of the
-    clock's shape.
+    clock's shape, and each entry has the bits of its own scalar call.
     """
     t = clock.t
     w = log_overlap(rho.bras, rho.kets).sum(axis=1)  # (terms, *batch)
@@ -150,7 +150,7 @@ def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     amplitudes are +-(t alpha), so the projection is exact and trace
     preserving.  ``alpha`` and ``r`` may be arrays: the batch of densities,
     shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over the
-    whole grid, each density with the bits of its own scalar call.  The
+    whole grid, and each entry has the bits of its own scalar call.  The
     undecayed B4 dyads of all amplitudes are built at once from
     ``bell_coeffs`` of one batched basis; every one has the same terms,
     (a, -a) and (-a, a) on both sides, since the B4 coefficients on (a, a)
@@ -183,7 +183,8 @@ def closed_form_vst(alpha, r) -> np.ndarray:
     from the quantities of ``channel_coefficients``, none of them a
     difference of two exps.  The trace
     c[..., 0, 0] is 1.  An array ``alpha`` and an array ``r`` give shape
-    ``alpha.shape + r.shape + (4, 4)``, like ``closed_form_e``.
+    ``alpha.shape + r.shape + (4, 4)``, like ``closed_form_e``, and each entry
+    has the bits of its own scalar call.
     """
     g, _, one_g, one_w, n_theta, w_minus_g, sqrt_w = channel_coefficients(alpha, r)
     coords = np.zeros(np.shape(g) + (4, 4))

@@ -5,8 +5,7 @@ a closed form in (alpha, r) for the damped entangled channel; the pair is
 cross-checked in the test suite.  Both take batches: a batched density, or
 an array ``alpha`` and an array ``r`` (one closed-form call for a whole
 sweep, shaped ``alpha.shape + r.shape`` like ``channel_rho4``), gives an
-array of values, each entry with the bits of its own scalar call; a single
-one gives a float.
+array of values; a single one gives a float.
 """
 from __future__ import annotations
 
@@ -64,6 +63,7 @@ def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
     -n eps lambda_max (``_spectrum``), and +0 otherwise, not -0.  Positive
     iff the state is inseparable (two-qubit partial transposition criterion)
     up to that rounding; scaled so that E is 1 on maximally entangled states.
+    A batch gives an array: each entry has the bits of its own scalar call.
     """
     eigs, zero = _spectrum(partial_transpose(rho))
     lam = eigs[..., 0]
@@ -82,7 +82,8 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
     with 2a + c + d = 2 (1 - gamma)(1 + W), 16 b^2 = 16 (1 - gamma)^2 W and
     c - d = 2 (1 + gamma)(1 - W): every term is non-negative, and 1 - gamma
     and 1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma
-    does not underflow.
+    does not underflow.  Arrays give shape ``alpha.shape + r.shape``: each
+    entry has the bits of its own scalar call.
     """
     g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
     root = np.sqrt(4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w))
@@ -97,6 +98,7 @@ def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
     det M = 0.  K is one einsum of exact products by +-1 and 0, summed from
     zero in M's entry order; LAPACK's eigenvalue is within 16 eps (s1 + s2 +
     s3) of the singular-value form (8.7 eps at most over 200 000 random M).
+    Over any leading axes of ``m``: each entry has the bits of its own scalar call.
     """
     m = np.asarray(m, dtype=float)
     k = np.einsum("...i,iab->...ab", m.reshape(m.shape[:-2] + (9,)), _HORN)
@@ -111,7 +113,8 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     (``max_rotation_trace``), within 16 eps (s1 + s2 + s3).  Maximally entangled
     states have no local Bloch vector, so only the correlation matrix
     enters.  For the channel's diagonal T the optimum is attained on the
-    four Bell states of the decayed basis.
+    four Bell states of the decayed basis.  A batch gives an array: each
+    entry has the bits of its own scalar call.
     """
     t = pauli_decompose(rho)[..., 1:, 1:]
     f = 0.25 * (1.0 + max_rotation_trace(-t))
@@ -121,7 +124,8 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
 def optimal_fidelity(rho: TwoQubitDensity) -> float | np.ndarray:
     """Best fidelity achievable with local operations and classical
     communication over the given channel: (2 F + 1)/3, with F the singlet
-    fraction (the qubit case of (F N + 1)/(N + 1) in dimension N)."""
+    fraction (the qubit case of (F N + 1)/(N + 1) in dimension N).  A batch
+    gives an array: each entry has the bits of its own scalar call."""
     return (singlet_fraction(rho) * 2 + 1.0) / 3.0
 
 
@@ -133,7 +137,8 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     Evaluated divided through by e^{4a^2}, as
     max{1 + (1 - gamma)/N_theta, 2 - (W - gamma)/N_theta} / 3 with 1 - gamma
     and W - gamma from ``channel_coefficients``, which cannot overflow at
-    large amplitude and do not cancel.
+    large amplitude and do not cancel.  Arrays give shape ``alpha.shape +
+    r.shape``: each entry has the bits of its own scalar call.
     """
     _, _, one_g, _, n_theta, w_minus_g, _ = channel_coefficients(alpha, r)
     return _value(np.maximum(1.0 + one_g / n_theta, 2.0 - w_minus_g / n_theta) / 3.0)
@@ -150,7 +155,8 @@ def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     squared floats, summed for the whole batch (no BLAS) down the float view's
     columns, then in pairs, as numpy's pairwise sum of a complex rho's 32
     floats (a real rho has the bits of its complex copy); within 2 ulps of the
-    exact sum on the channel grids, where an einsum strays up to 4 ulps.
+    exact sum on the channel grids, where an einsum strays up to 4 ulps.  A
+    batch gives an array: each entry has the bits of its own scalar call.
     """
     m = rho.matrix
     s = np.square(m.view(float))
@@ -170,7 +176,8 @@ def closed_form_s(alpha, r) -> float | np.ndarray:
     product of non-negative factors, 1 - gamma and 1 - W each an expm1, so
     nothing cancels, nothing overflows at large amplitude, and there the
     peak is flat to rounding, where the growing exponentials would scatter
-    it by several ulps.
+    it by several ulps.  Arrays give shape ``alpha.shape + r.shape``: each
+    entry has the bits of its own scalar call.
     """
     g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
     return _value(one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n_theta * n_theta)))
@@ -183,7 +190,8 @@ def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     counts as 0, and so does every negative one: a density has none beyond
     its rounding.  It is the zero of ``negativity_e`` (``_spectrum``), which
     reads the one negative eigenvalue a two-qubit partial transpose can have
-    (Sanpera, Tarrach and Vidal, PRA 58, 826 (1998)).
+    (Sanpera, Tarrach and Vidal, PRA 58, 826 (1998)).  A batch gives an
+    array: each entry has the bits of its own scalar call.
     """
     eigs, zero = _spectrum(rho.matrix)
     pos = np.where(eigs > zero, eigs, 1.0)  # log2(1) = 0 drops the rest
@@ -198,7 +206,8 @@ def _fidelity_margin(alpha: float, r) -> np.ndarray:
     makes the first term -gamma (1 - W), a product; the second is
     -(W - gamma) of ``channel_coefficients``.  Near r = 1 at large
     amplitude the margin is below the rounding of f: at alpha = 3 and
-    r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.
+    r = 0.9995 it is -2.8e-18, where f - 2/3 reads 0.  An array ``r`` gives
+    an array: each entry has the bits of its own scalar call.
     """
     g, _, _, one_w, n_theta, w_minus_g, _ = channel_coefficients(alpha, r)
     return np.maximum(-(g * one_w), -w_minus_g) / (3.0 * n_theta)

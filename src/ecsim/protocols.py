@@ -151,7 +151,8 @@ def bell_outcome_map(m: np.ndarray) -> np.ndarray:
     sum_{a,A} x[a, A] Lambda[k, a, A] is Bob's corrected, unnormalized state
     U_k <B_k|(x (x) rho)|B_k> U_k^dag for an input operator x and outcome k
     (B1..B4, U_k = ``CORRECTIONS[k]``).  For an input projector its trace is
-    the outcome probability.  ``m`` is a channel matrix, shape (..., 4, 4).
+    the outcome probability.  ``m`` is a channel matrix, shape (..., 4, 4):
+    each entry has the bits of its own scalar call.
     """
     bell = BELL_VECTORS.reshape(4, 2, 2)
     return np.einsum("kab,...bcBC,kAB,kic,klC->...kaAil", bell.conj(),
@@ -169,7 +170,7 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
 
     An input projector is (1/2) sum_n b_n s_n with b = (1, Bloch vector), so
     outcome k has probability 2 Q[k, 0] . b and fidelity numerator b . Q[k] . b.
-    One fixed contraction over any leading axes: a row's bits do not depend on them.
+    One fixed contraction over any leading axes: each entry has the bits of its own scalar call.
     """
     m = channel.matrix
     q = np.einsum("xj,...j->...x", _TRANSFER_KERNEL, m.reshape(m.shape[:-2] + (16,)))
@@ -283,8 +284,8 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
     coordinates; the uniform input average replaces their products by the
     isotropic second moments.  ``q`` is the ``bloch_transfer`` Q[..., k, m, n]
     of one density or a batch; the result is a float for one channel, an
-    array over the batch otherwise, each entry with the bits of its own
-    single call.
+    array over the batch otherwise: each entry has the bits of its own scalar
+    call.
     """
     diag = np.einsum("...kmm->...m", q)
     f = (_FIDELITY_WEIGHTS @ diag[..., None])[..., 0, 0]
@@ -305,7 +306,7 @@ def concentrate_ideal(eta: float | np.ndarray) -> np.ndarray:
 
     Explicit four-qubit construction: the two pairs' product, projected on the
     four Bell vectors of the measured qubits in one contraction.  Returns the
-    outcome probabilities of B1..B4, shape ``eta.shape + (4,)``; an entry has
+    outcome probabilities of B1..B4, shape ``eta.shape + (4,)``; each entry has
     the bits of its own scalar call.  B1 and B2 occur with probability
     cos^2(eta) sin^2(eta) each and leave a maximally entangled pair.
     """
@@ -364,8 +365,9 @@ def concentration_success_closed_form(alpha, eta) -> float | np.ndarray:
     1 - sin^2(2 th) sin(2 eta) per input pair.  That factor is evaluated as
     N_theta + sin^2(2 th) cos^2(2 eta) / (1 + sin(2 eta)), which does not
     cancel near eta = pi/4: within 8 eps relative of the stated form, and 1/4
-    at eta = fl(pi/4).  ``alpha`` broadcasts against ``eta``.  Verified
-    against the explicit swap and an independent truncated-Fock computation.
+    at eta = fl(pi/4).  ``alpha`` broadcasts against ``eta``, and each entry
+    has the bits of its own scalar call.  Verified against the explicit swap
+    and an independent truncated-Fock computation.
     """
     basis = make_basis(alpha, 1.0)
     s, c, u = np.sin(2.0 * eta), np.cos(2.0 * eta), basis.sin2theta
@@ -384,8 +386,9 @@ def cv_fidelity(alpha_r: float | np.ndarray) -> float | np.ndarray:
     """Fidelity for teleporting an unknown coherent state over the channel.
 
     f = (1 + e^{-2 x^2}) / (2 (1 + e^{-4 x^2})) with x the real part of the
-    channel amplitude; independent of the teleported amplitude.  Element-wise
-    on an array; a float for a float.
+    channel amplitude; independent of the teleported amplitude.  An array gives
+    an array, and each entry has the bits of its own scalar call; a float
+    gives a float.
     """
     x2 = np.multiply(alpha_r, alpha_r)
     f = (1.0 + np.exp(-2.0 * x2)) / (2.0 * (1.0 + np.exp(-4.0 * x2)))

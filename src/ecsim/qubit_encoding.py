@@ -88,8 +88,8 @@ class LogicalBasis:
 def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> LogicalBasis:
     """Build the logical basis at amplitude ``t * alpha``.
 
-    ``alpha`` and ``t`` may be arrays that broadcast against each other; each
-    entry is computed element-wise, so its bits do not depend on the others.
+    ``alpha`` and ``t`` may be arrays that broadcast against each other, one
+    basis an entry: each entry has the bits of its own scalar call.
     Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 anywhere: there the
     pair {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
     The error names the first such amplitude, the least ``t`` and that
@@ -106,7 +106,7 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
 def basis_in_range(alpha, t) -> LogicalBasis:
     """``make_basis(alpha, t)`` for ``alpha`` and ``t`` already known to be in
     range; only the degeneracy check is made.  The amplitude is squared by a
-    product, so a scalar call is the 0-d case of an array call, bit for bit."""
+    product, not libm's pow, so each entry has the bits of its own scalar call."""
     ta = t * alpha
     a2 = ta * ta
     s2 = np.exp(-2.0 * a2)  # sin 2theta
@@ -249,8 +249,8 @@ def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDe
     basis of the same shape) give a batched density of that shape: the
     contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t, multiplied
     left to right, c ket0 (x) ket1 by ufuncs and the rest by einsum's generic
-    loop, which sums the dyads point by point from zero in term order: a
-    point's bits do not depend on the grid.  The coordinates are real; complex
+    loop, which sums the dyads point by point from zero in term order: each
+    entry has the bits of its own scalar call.  The coordinates are real; complex
     coefficients meet their imaginary parts of +0, so every product rounds once
     a part, fused or not, and the bits are those of a five-operand einsum.
     """
@@ -274,8 +274,8 @@ def pauli_decompose(rho: TwoQubitDensity) -> np.ndarray:
     the float view and one einsum over the +-1 signs (numpy's own loop, no
     BLAS).  The sum runs from zero over the rows i in order, as the complex
     contraction sum_ij rho_ij (s_m (x) s_n)_ji does, whose other twelve
-    products are zeros: the bits are that contraction's, and a batch entry
-    has those of its own scalar call.  A real rho has the bits of its
+    products are zeros: the bits are that contraction's, and each entry has
+    the bits of its own scalar call.  A real rho has the bits of its
     complex copy: its table gives each imaginary part the sign 0.
     """
     m = rho.matrix

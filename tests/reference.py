@@ -1,5 +1,6 @@
 """The references that the tests read: the channel's and the swap's decimal
-referees, the 40-digit Poisson tail and shared numpy helpers.  Test
+referees, the 40-digit Poisson tail, the one-amplitude routes of the channel
+and its closed forms, shared points and shared numpy helpers.  Test
 modules import them from here, never from one another, so a helper renamed in
 one cannot break the collection of another.  pytest does not collect this
 module (no ``test_`` prefix); its default import mode puts ``tests/`` on the
@@ -13,9 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ecsim.coherent_states import CoherentOperator, CoherentSuperposition
+from ecsim.coherent_states import CoherentOperator, CoherentSuperposition, dyad_from_pure
+from ecsim.decoherence import DecayClock, decohere
+from ecsim.entanglement_metrics import closed_form_e, closed_form_f, closed_form_s
 from ecsim.protocols import CORRECTIONS
-from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, LogicalBasis, TwoQubitDensity
+from ecsim.qubit_encoding import (BELL_VECTORS, PAULIS, LogicalBasis, TwoQubitDensity,
+                                  bell_state, make_basis, project_to_density)
+
+# Python's a**2 (libm's pow) and a product differ on 0.45641438732799167,
+# which moves its B4 coefficients, and on the N_theta of 0.6367562934712789;
+# the rest span the CLI's range.
+PINNED_ALPHAS = (0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6)
+# The CLI's amplitude range, log-spaced.
+LOG_ALPHAS = np.logspace(-3.0, 6.0, 19)
+IDEAL_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3, 0.2, 0.7, 1.3, math.pi / 4)
+# Poisson means in [0, 200]: zero, subnormal and tiny means, random ones, and
+# both sides of m = k + 1 and of m = k + 2, past which the tail bound at
+# cutoff k is 1, for ten cutoffs k
+TAIL_MEANS = sorted(
+    {0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.5, 200.0}
+    | set(np.random.default_rng(60).uniform(0.0, 200.0, 24).tolist())
+    | {c + d for c in (0, 1, 2, 5, 14, 16, 50, 99, 150, 199) for d in (-1e-9, 0.0, 1e-9, 1.0)}
+    - {-1e-9}
+)
 
 # Immutable, as decimal_channel hands one cached record to every caller.
 DecimalChannel = namedtuple("DecimalChannel", "gamma w one_g one_w n_theta a b c d e f s bloch "
@@ -120,6 +141,44 @@ def operator_sum(*terms):
     return CoherentOperator(np.concatenate([complex(w) * op.coeffs for w, op in terms]),
                             np.concatenate([op.kets for _, op in terms]),
                             np.concatenate([op.bras for _, op in terms]))
+
+
+def array_state(rng, terms, modes, max_amp=3.0):
+    """A random superposition of ``terms`` product kets on ``modes`` modes,
+    amplitudes uniform on the disc of radius ``max_amp``."""
+    rad = max_amp * np.sqrt(rng.uniform(size=(terms, modes)))
+    amps = rad * np.exp(2j * math.pi * rng.uniform(size=(terms, modes)))
+    coeffs = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
+    return CoherentSuperposition(coeffs, amps)
+
+
+def channel_one_amplitude(alpha: float, r):
+    """The damped channel of one amplitude from the scalar pieces: the B4
+    state of the undecayed basis, its dyad, the decay and the projection."""
+    clock = DecayClock.from_r(r)
+    rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
+    return project_to_density(rho, make_basis(alpha, clock.t))
+
+
+def closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
+    """E, f and S of one amplitude over an r grid, in the arithmetic of the
+    closed forms: every square a product, the exponent of gamma from r * r
+    and that of W from t * t, W - gamma an expm1 of their difference times
+    the larger, numpy's ufuncs throughout."""
+    t = np.sqrt((1.0 - r) * (1.0 + r))
+    a2 = alpha * alpha
+    n = -np.expm1(-4.0 * a2)
+    x, y = -4.0 * (r * r) * a2, -4.0 * (t * t) * a2
+    g, w = np.exp(x), np.exp(y)
+    one_g, one_w = -np.expm1(x), -np.expm1(y)
+    d = 4.0 * (r * r - t * t) * a2
+    w_minus_g = np.copysign(np.maximum(g, w) * -np.expm1(-np.abs(d)), d)
+    return {
+        closed_form_e: 2.0 * g * (one_w * one_w) / (n * (np.sqrt(
+            4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w)) + one_g * (1.0 + w))),
+        closed_form_f: np.maximum(1.0 + one_g / n, 2.0 - w_minus_g / n) / 3.0,
+        closed_form_s: one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n * n)),
+    }
 
 
 def random_density(seed, shape: tuple = ()) -> TwoQubitDensity:

@@ -37,7 +37,7 @@ from ecsim.coherent_states import (
     truncation_tail_bound,
 )
 from ecsim.errors import CutoffError, ModeMismatchError
-from reference import exact_poisson_tails, operator_sum
+from reference import TAIL_MEANS, array_state, exact_poisson_tails, operator_sum
 
 SQ2 = math.sqrt(2.0)
 
@@ -368,13 +368,6 @@ class TestHousekeeping:
 # array route against per-term reference loops
 
 
-def array_state(rng, terms, modes, max_amp=3.0):
-    rad = max_amp * np.sqrt(rng.uniform(size=(terms, modes)))
-    amps = rad * np.exp(2j * math.pi * rng.uniform(size=(terms, modes)))
-    coeffs = rng.uniform(-1, 1, terms) + 1j * rng.uniform(-1, 1, terms)
-    return CoherentSuperposition(coeffs, amps)
-
-
 def sizes(seed, cases=12):
     """(terms, modes) pairs spanning 1-64 terms and 1-4 modes."""
     rng = np.random.default_rng(seed)
@@ -481,16 +474,8 @@ def term_list(s):
     return list(zip(s.coeffs.tolist(), s.amps.tolist()))
 
 
-# cutoffs 0..300 against means in [0, 200]: zero, subnormal and tiny means,
-# random ones, and both sides of m = cutoff + 1 and of m = cutoff + 2, past
-# which the bound is 1
+# cutoffs 0..300 against TAIL_MEANS
 TAIL_CUTOFFS = 300
-TAIL_MEANS = sorted(
-    {0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.5, 200.0}
-    | set(np.random.default_rng(60).uniform(0.0, 200.0, 24).tolist())
-    | {c + d for c in (0, 1, 2, 5, 14, 16, 50, 99, 150, 199) for d in (-1e-9, 0.0, 1e-9, 1.0)}
-    - {-1e-9}
-)
 
 
 @pytest.fixture(scope="module")
@@ -542,14 +527,6 @@ class TestPoissonTail:
             warnings.simplefilter("error")
             got = poisson_tail_bound(10, np.array([np.inf, 1e300, 2.0]))
         assert got[:2].tolist() == [1.0, 1.0] and got[2] < 1.0
-
-    def test_batch_entries_are_their_scalar_calls(self):
-        m = np.array(TAIL_MEANS + [np.inf, 1e300])
-        for cutoff in (0, 3, 14, 50, 299):
-            whole = poisson_tail_bound(cutoff, m.reshape(2, -1))
-            assert whole.shape == (2, len(m) // 2)
-            for x, got in zip(m.tolist(), whole.ravel().tolist()):
-                assert same_bits(got, poisson_tail_bound(cutoff, x)), (cutoff, x)
 
 
 class TestArrayRoute:

@@ -35,9 +35,8 @@ from ecsim.qubit_encoding import (
     bell_state,
     make_basis,
     pauli_decompose,
-    project_to_density,
 )
-from reference import operator_sum
+from reference import LOG_ALPHAS, PINNED_ALPHAS, channel_one_amplitude, operator_sum
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -234,17 +233,6 @@ class TestDecohere:
             )
             assert hermiticity_defect(out) < 1e-12
 
-    def test_array_clock_matches_scalar_clocks(self):
-        b = make_basis(1.1, 1.0)
-        op = operator_sum((1, dyad_from_pure(bell_state(1, b))), (0.3, dyad_from_pure(bell_state(2, b))))
-        t = np.array([[1.0, 0.8], [0.5, 0.2]])
-        batch = decohere(op, DecayClock(t))
-        for idx in np.ndindex(t.shape):
-            one = decohere(op, DecayClock(float(t[idx])))
-            assert np.max(np.abs(batch.coeffs[(...,) + idx] - one.coeffs)) <= 1e-15
-            assert np.array_equal(batch.kets[(...,) + idx], one.kets)
-            assert np.array_equal(batch.bras[(...,) + idx], one.bras)
-
     def test_semigroup(self):
         b = make_basis(0.9, 1.0)
         op = dyad_from_pure(bell_state(4, b))
@@ -271,16 +259,6 @@ class TestChannel:
         with pytest.raises(DegenerateBasisError):
             channel_rho4(1e-7, 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.5])
-    def test_grid_matches_scalar_calls(self, alpha):
-        r = np.linspace(0.0, 0.995, 41)
-        batch = channel_rho4(alpha, r).matrix
-        assert batch.shape == (41, 4, 4)
-        stacked = np.stack([channel_rho4(alpha, float(x)).matrix for x in r])
-        assert np.max(np.abs(batch - stacked)) <= 1e-15
-        square = channel_rho4(alpha, r[1:].reshape(5, 8)).matrix
-        assert np.array_equal(square.reshape(40, 4, 4), batch[1:])
-
     def test_grid_touching_degenerate_region(self):
         # at alpha = 1e-3 the decayed basis degenerates only as r -> 1
         channel_rho4(1e-3, np.array([0.0, 0.5]))
@@ -300,28 +278,15 @@ class TestChannel:
                 assert np.max(np.abs(c[1:, 0] - c[0, 1:])) < 1e-12
 
 
-def _channel_one_amplitude(alpha: float, r):
-    """The damped channel of one amplitude from the scalar pieces: the B4
-    state of the undecayed basis, its dyad, the decay and the projection."""
-    clock = DecayClock.from_r(r)
-    rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
-    return project_to_density(rho, make_basis(alpha, clock.t))
-
-
 class TestAlphaBatch:
-    ALPHAS = np.logspace(-3.0, 6.0, 19)
-    # 0.45641438732799167 squares differently by Python's a**2 (libm's pow)
-    # and numpy's square, which moves its B4 coefficients
-    PINNED = [0.45641438732799167, 0.15, 1e-3, 13.4, 1e6]
-
     @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 23), 0.5], ids=["grid", "scalar"])
     def test_batch_is_bitwise_the_one_amplitude_route(self, r):
         rng = np.random.default_rng(47)
-        alphas = np.concatenate((self.PINNED, rng.uniform(1e-3, 3.0, 30),
+        alphas = np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, 30),
                                  10.0 ** rng.uniform(-3.0, 6.0, 10)))
         batch = channel_rho4(alphas, r).matrix
         for alpha, rows in zip(alphas.tolist(), batch):
-            want = _channel_one_amplitude(alpha, r).matrix
+            want = channel_one_amplitude(alpha, r).matrix
             assert not want.imag.any()
             assert rows.tobytes() == want.real.tobytes()
 
@@ -331,27 +296,11 @@ class TestAlphaBatch:
         monkeypatch.setattr(decoherence, "decohere",
                             lambda rho, clock: seen.append(decohere(rho, clock)) or seen[-1])
         monkeypatch.setattr(decoherence, "project_to_density", lambda rho, basis: None)
-        channel_rho4(self.ALPHAS, np.linspace(0.0, 0.9999, 401))
+        channel_rho4(LOG_ALPHAS, np.linspace(0.0, 0.9999, 401))
         (rho,) = seen
-        assert rho.coeffs.shape == (4,) + self.ALPHAS.shape + (401,)
+        assert rho.coeffs.shape == (4,) + LOG_ALPHAS.shape + (401,)
         for part in (rho.coeffs, rho.kets, rho.bras):
             assert part.dtype == np.complex128 and not part.imag.any()
-
-    @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 400), 0.5], ids=["grid", "scalar"])
-    def test_slices_are_bitwise_the_scalar_alpha_calls(self, r):
-        batch = channel_rho4(self.ALPHAS, r).matrix
-        assert batch.shape == self.ALPHAS.shape + np.shape(r) + (4, 4)
-        for alpha, rows in zip(self.ALPHAS.tolist(), batch):
-            assert rows.tobytes() == channel_rho4(alpha, r).matrix.tobytes()
-
-    def test_alpha_axes_lead(self):
-        alphas = np.array([[0.2, 1.0, 3.0], [0.5, 1.5, 40.0]])
-        r = np.linspace(0.0, 0.9, 5)
-        batch = channel_rho4(alphas, r).matrix
-        assert batch.shape == (2, 3, 5, 4, 4)
-        assert batch.tobytes() == channel_rho4(alphas.ravel(), r).matrix.tobytes()
-        assert channel_rho4(np.float64(1.3), r).matrix.tobytes() == (
-            channel_rho4(np.array([1.3]), r).matrix[0].tobytes())
 
     def test_needs_an_amplitude(self):
         with pytest.raises(ValueError):
@@ -413,69 +362,10 @@ class TestClosedForms:
         assert np.max(np.abs(got[0, 1:] - want[0, 1:])) < 1e-10
         assert np.max(np.abs(got[1:, 1:] - want[1:, 1:])) < 1e-10
 
-    def test_grid_is_bitwise_scalar(self):
-        r = np.linspace(0.0, 0.99, 23)
-        grid = closed_form_vst(1.3, r)
-        for i, x in enumerate(r):
-            one = closed_form_vst(1.3, float(x))
-            assert np.array_equal(grid[i], one)
-
-    @pytest.mark.parametrize("alphas", [[0.5, 1.0, 2.0], [0.5, 1.0]], ids=["three", "two"])
-    def test_alpha_arrays_are_bitwise_scalar(self, alphas):
-        # a 1-D alpha against a scalar r, and against a 1-D r
-        alphas = np.array(alphas)
-        r = np.linspace(0.0, 0.99, 7)
-        row, grid = closed_form_vst(alphas, 0.3), closed_form_vst(alphas, r)
-        for i, alpha in enumerate(alphas.tolist()):
-            for got, want in ((row, closed_form_vst(alpha, 0.3)),
-                              (grid, closed_form_vst(alpha, r))):
-                assert got[i].tobytes() == want.tobytes()
-
     def test_t_diagonal_structure(self):
         t = closed_form_vst(0.7, 0.4)[1:, 1:]
         off = t - np.diag(np.diag(t))
         assert np.max(np.abs(off)) == 0.0
-
-
-# Rows of np.linspace(0, 0.99, 20001) at alpha = 1.3 where a scalar r once
-# lost the bits of its grid row: numpy's x**2 is libm's pow on a float64
-# scalar but a product on an array.  These are the 27 rows of E and the 14
-# of f (13 shared) where the two differed.
-POW_ROWS = (455, 1926, 2687, 3095, 4245, 4317, 4448, 4521, 5254, 5521, 5601, 6088, 6560,
-            6566, 6874, 7101, 7583, 8936, 9314, 9991, 10748, 11552, 11760, 12339, 12578,
-            15033, 18579, 18918)
-
-
-class TestScalarMatchesGridRow:
-    @pytest.mark.parametrize("closed", [closed_form_e, closed_form_f, closed_form_s])
-    def test_closed_forms_at_the_pow_rows(self, closed):
-        r = np.linspace(0.0, 0.99, 20001)
-        grid = closed(1.3, r)
-        for i in POW_ROWS:
-            assert np.float64(closed(1.3, float(r[i]))).tobytes() == grid[i].tobytes(), i
-
-    @pytest.mark.parametrize("r_max,rows", [(0.99, (406,)), (0.999, (54, 2698))])
-    def test_channel_at_the_pow_rows(self, r_max, rows):
-        r = np.linspace(0.0, r_max, 4001)
-        grid = channel_rho4(0.7, r).matrix
-        for i in rows:
-            assert channel_rho4(0.7, float(r[i])).matrix.tobytes() == grid[i].tobytes(), i
-
-
-class TestListInputs:
-    @pytest.mark.parametrize("fn", [closed_form_e, closed_form_f, closed_form_s, channel_rho4])
-    @pytest.mark.parametrize("alpha,r", [
-        (1.0, [0.1, 0.2]), ([0.5, 1.0], 0.3), ([[0.5], [1.0]], [0.1, 0.7]),
-    ])
-    def test_lists_give_the_bits_of_arrays(self, fn, alpha, r):
-        got, want = fn(alpha, r), fn(np.array(alpha), np.array(r))
-        got, want = getattr(got, "matrix", got), getattr(want, "matrix", want)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_clock_from_a_list(self):
-        assert DecayClock.from_r([0.1, 0.7]).t.tobytes() == DecayClock.from_r(
-            np.array([0.1, 0.7])).t.tobytes()
 
 
 def test_batched_channel_memory_per_point():

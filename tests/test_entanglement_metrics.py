@@ -34,7 +34,8 @@ from ecsim.qubit_encoding import (
     make_basis,
     pauli_decompose,
 )
-from reference import average_fidelity_reference, decimal_channel, random_density
+from reference import (LOG_ALPHAS, PINNED_ALPHAS, average_fidelity_reference,
+                       closed_forms_one_amplitude, decimal_channel, random_density)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -263,8 +264,7 @@ def _within_horn_bound(m: np.ndarray, want: np.ndarray) -> None:
 class TestHornEigenvalue:
     """``max_rotation_trace`` is the largest eigenvalue of Horn's 4x4 K(M):
     within its stated bound of the singular values with the sign of det M
-    from LU, exact on integer diagonal and signed-permutation matrices, and
-    each batch entry with the bits of its own scalar call."""
+    from LU, and exact on integer diagonal and signed-permutation matrices."""
 
     def test_k_is_the_rotation_trace_as_a_quadratic_form(self):
         # q^T K(M) q = tr(M R(q)) for unit quaternions q = (w, x, y, z), and
@@ -339,15 +339,6 @@ class TestHornEigenvalue:
         m = np.array(cases)
         want = np.where(np.array([_exact_det(x) for x in m]) > 0, 3.0, 1.0)
         assert max_rotation_trace(m).tobytes() == want.tobytes()
-
-    def test_batch_entries_are_bitwise_their_scalar_calls(self):
-        rng = np.random.default_rng(53)
-        m = np.concatenate((rng.standard_normal((200, 3, 3)),
-                            rng.integers(-3, 4, size=(50, 3, 3)).astype(float)))
-        got = max_rotation_trace(m.reshape(10, 25, 3, 3)).reshape(-1)
-        for x, entry in zip(m, got):
-            one = max_rotation_trace(x)
-            assert type(one) is float and np.float64(one).tobytes() == entry.tobytes()
 
 
 class TestOptimalFidelity:
@@ -497,56 +488,11 @@ class TestMixednessPeak:
             mixedness_peak(1.0, "renyi")
 
 
-def _closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
-    """E, f and S of one amplitude over an r grid, in the arithmetic of the
-    closed forms: every square a product, the exponent of gamma from r * r
-    and that of W from t * t, W - gamma an expm1 of their difference times
-    the larger, numpy's ufuncs throughout."""
-    t = np.sqrt((1.0 - r) * (1.0 + r))
-    a2 = alpha * alpha
-    n = -np.expm1(-4.0 * a2)
-    x, y = -4.0 * (r * r) * a2, -4.0 * (t * t) * a2
-    g, w = np.exp(x), np.exp(y)
-    one_g, one_w = -np.expm1(x), -np.expm1(y)
-    d = 4.0 * (r * r - t * t) * a2
-    w_minus_g = np.copysign(np.maximum(g, w) * -np.expm1(-np.abs(d)), d)
-    return {
-        closed_form_e: 2.0 * g * (one_w * one_w) / (n * (np.sqrt(
-            4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w)) + one_g * (1.0 + w))),
-        closed_form_f: np.maximum(1.0 + one_g / n, 2.0 - w_minus_g / n) / 3.0,
-        closed_form_s: one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n * n)),
-    }
-
-
-METRICS = [negativity_e, singlet_fraction, optimal_fidelity, linear_entropy, vn_entropy]
 CLOSED_FORMS = [(closed_form_e, negativity_e), (closed_form_f, optimal_fidelity),
                 (closed_form_s, linear_entropy)]
 
 
 class TestBatches:
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_metric_matches_loop_over_slices(self, metric):
-        rng = np.random.default_rng(44)
-        mats = [random_density(rng).matrix for _ in range(5)]
-        mats += list(channel_rho4(1.3, np.linspace(0.0, 0.99, 10)).matrix)
-        batch = TwoQubitDensity(np.stack(mats).reshape(3, 5, 4, 4))
-        got = metric(batch)
-        assert got.shape == (3, 5)
-        want = [metric(TwoQubitDensity(m)) for m in mats]
-        assert all(type(w) is float for w in want)
-        assert np.max(np.abs(got.reshape(-1) - want)) <= 1e-15
-
-    @pytest.mark.parametrize("kernel", [linear_entropy, pauli_decompose, optimal_fidelity])
-    def test_kernel_entries_are_bitwise_their_scalar_calls(self, kernel):
-        rng = np.random.default_rng(46)
-        mats = [random_density(rng).matrix for _ in range(20)]
-        grid = channel_rho4(np.array([2e-3, 0.7, 2.5, 13.4]), np.linspace(0.0, 0.995, 25))
-        mats += list(grid.matrix.reshape(-1, 4, 4))
-        got = kernel(TwoQubitDensity(np.stack(mats)))
-        assert len(got) == len(mats)
-        for m, entry in zip(mats, got):
-            assert np.asarray(kernel(TwoQubitDensity(m))).tobytes() == entry.tobytes()
-
     def test_linear_entropy_within_two_ulps_of_the_matrix_product(self):
         # counted at the larger term of 1 - tr(rho^2)
         rng = np.random.default_rng(51)
@@ -560,41 +506,17 @@ class TestBatches:
             ulp = np.spacing(np.maximum(purity, want))
             assert (np.abs(linear_entropy(rho) - want) <= 2.0 * ulp).all()
 
-    GRID_ALPHAS, GRID_R = (0.1, 1.0, 2.5), np.linspace(0.0, 0.995, 57)
-
     @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
-    def test_closed_form_grid_is_bitwise_scalar(self, closed, numeric):
-        r = self.GRID_R
-        for alpha in self.GRID_ALPHAS:
-            got = closed(alpha, r)
-            assert got.shape == r.shape
-            assert list(got) == [closed(alpha, float(x)) for x in r]
-            assert np.array_equal(closed(alpha, r[1:].reshape(7, 8)), got[1:].reshape(7, 8))
-
-    @pytest.mark.parametrize("closed", [closed_form_vst, em._fidelity_margin])
-    def test_coordinates_and_margin_grid_is_bitwise_scalar(self, closed):
-        # the same grids; a point's coordinates are a 4x4 block, its margin a scalar
-        r = self.GRID_R
-        for alpha in self.GRID_ALPHAS:
-            got = closed(alpha, r)
-            assert got.shape == r.shape + np.shape(closed(alpha, 0.5))
-            assert got.tobytes() == np.stack([closed(alpha, float(x)) for x in r]).tobytes()
-            assert closed(alpha, r[1:].reshape(7, 8)).tobytes() == got[1:].tobytes()
-
-    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
-    def test_alpha_column_is_bitwise_the_scalar_calls(self, closed, numeric):
-        # Python's a**2 (libm's pow) and a product differ on
-        # 0.45641438732799167 and on the N_theta of 0.6367562934712789; the
-        # rest span the CLI's range, then a random set
+    def test_alpha_column_is_bitwise_the_one_amplitude_route(self, closed, numeric):
+        # the pinned amplitudes, then a random set
         rng = np.random.default_rng(45)
-        alphas = np.concatenate(([0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6],
-                                 rng.uniform(1e-3, 3.0, 40), 10.0 ** rng.uniform(-3.0, 6.0, 20)))
+        alphas = np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, 40),
+                                 10.0 ** rng.uniform(-3.0, 6.0, 20)))
         r = np.linspace(0.0, 0.995, 31)
         got = closed(alphas, r)
         assert got.shape == (len(alphas), len(r))
         for alpha, row in zip(alphas.tolist(), got):
-            assert row.tobytes() == closed(alpha, r).tobytes()
-            assert row.tobytes() == _closed_forms_one_amplitude(alpha, r)[closed].tobytes()
+            assert row.tobytes() == closed_forms_one_amplitude(alpha, r)[closed].tobytes()
 
     @pytest.mark.parametrize("closed,numeric",
                              CLOSED_FORMS + [(closed_form_vst, pauli_decompose)])
@@ -664,12 +586,11 @@ class TestRealDensity:
 
 
 # Accuracy envelope of the numeric route against the closed forms: max
-# |numeric - closed| for E, f and S over 400 r in [0, 0.995], on a half-decade
-# grid of alpha over the CLI's range.  Each band's bounds are under 3x the
+# |numeric - closed| for E, f and S over 400 r in [0, 0.995], on LOG_ALPHAS,
+# a half-decade grid of alpha over the CLI's range.  Each band's bounds are under 3x the
 # largest error the route showed in that band when they were set.  The error
 # grows as ~alpha^-2 below alpha ~ 0.3 and, for E and S, rises again from
 # alpha ~ 3 to 100.
-ENVELOPE_ALPHAS = np.logspace(-3.0, 6.0, 19)
 ENVELOPE_BANDS = [  # (alpha lo, alpha hi, bound on E, f, S)
     (1e-3, 1e-3, 3e-10, 8e-11, 3.5e-10),
     (3e-3, 1e-2, 3e-11, 9e-12, 3.3e-11),
@@ -684,7 +605,7 @@ ENVELOPE_BANDS = [  # (alpha lo, alpha hi, bound on E, f, S)
 @pytest.mark.parametrize("lo,hi,e_tol,f_tol,s_tol", ENVELOPE_BANDS)
 def test_numeric_route_accuracy_envelope(lo, hi, e_tol, f_tol, s_tol):
     # a little slack at each end: the grid's decades need not be exact
-    alphas = ENVELOPE_ALPHAS[(ENVELOPE_ALPHAS >= lo * 0.999) & (ENVELOPE_ALPHAS <= hi * 1.001)]
+    alphas = LOG_ALPHAS[(LOG_ALPHAS >= lo * 0.999) & (LOG_ALPHAS <= hi * 1.001)]
     assert len(alphas) >= 1
     r = np.linspace(0.0, 0.995, 400)
     for alpha in alphas:
@@ -765,7 +686,7 @@ PAULI_BANDS = [  # (alpha lo, alpha hi, bound on v and s, bound on T)
 
 @pytest.mark.parametrize("lo,hi,vs_tol,t_tol", PAULI_BANDS)
 def test_pauli_coefficients_accuracy_envelope(lo, hi, vs_tol, t_tol):
-    alphas = ENVELOPE_ALPHAS[(ENVELOPE_ALPHAS >= lo * 0.999) & (ENVELOPE_ALPHAS <= hi * 1.001)]
+    alphas = LOG_ALPHAS[(LOG_ALPHAS >= lo * 0.999) & (LOG_ALPHAS <= hi * 1.001)]
     assert len(alphas) >= 1
     r = np.linspace(0.0, 0.995, 400)
     got = pauli_decompose(channel_rho4(alphas, r))
