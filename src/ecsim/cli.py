@@ -42,9 +42,9 @@ BELLMEAS_TAIL_TOL = 1e-9
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): 8 B per Monte
 # Carlo shot, its fidelity, plus one block's ~1.1 MB of work arrays and draws
 # (58 MiB at MAX_SAMPLES; sized at 36 B from when the draws were made up front);
-# ~0.9 kB per (alpha, r) point in a whole fig render (its batched real density and
-# checks), ~1.2 kB in teleport-mc (its complex Bloch transfer), sized at ~1.8 kB
-# (125 and 172 MiB at MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV
+# ~0.9 kB per (alpha, r) point in a whole fig or teleport-mc render (the batched
+# real density and its checks set it), sized at ~1.8 kB
+# (125 MiB at MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV
 # (sized at 1.2 kB, over 3x that; MAX_AR_STEPS points peak at ~74 MB).
 _SIZE_BUDGET = 2**28
 MAX_SAMPLES = _SIZE_BUDGET // 36

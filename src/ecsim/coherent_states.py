@@ -345,11 +345,9 @@ def dyad_from_pure(s: CoherentSuperposition) -> CoherentOperator:
     )
 
 
-def operator_trace(rho: CoherentOperator) -> complex | np.ndarray:
-    """tr rho;  tr |b><g| = <g|b>.  An array of the batch shape for a
-    batched operator."""
-    total = (rho.coeffs * np.exp(log_overlap(rho.bras, rho.kets).sum(axis=1))).sum(axis=0)
-    return complex(total) if total.ndim == 0 else total
+def operator_trace(rho: CoherentOperator) -> complex:
+    """tr rho;  tr |b><g| = <g|b>."""
+    return complex((rho.coeffs * np.exp(log_overlap(rho.bras, rho.kets).sum(axis=1))).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,11 @@ def bell_outcome_map(m: np.ndarray) -> np.ndarray:
                      m.reshape(m.shape[:-2] + (2, 2, 2, 2)), bell, CORRECTIONS, CORRECTIONS.conj())
 
 
-# Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 is linear in rho: it is
-# Re(_TRANSFER_KERNEL @ vec rho)[16 k + 4 m + n], column x from the x-th matrix unit.
-_TRANSFER_KERNEL = np.einsum("mli,xkaAil,naA->kmnx", PAULI_BASIS, bell_outcome_map(
-    np.eye(16).reshape(16, 4, 4)), PAULI_BASIS).reshape(64, 16) / 4.0
+# Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 is linear in rho: it is Re(K @ vec rho)
+# [16 k + 4 m + n], column x of K from the x-th matrix unit.  Held as the float
+# view of conj K, (Re K, -Im K) interleaved, to contract with that of vec rho.
+_TRANSFER_KERNEL = (np.einsum("mli,xkaAil,naA->kmnx", PAULI_BASIS, bell_outcome_map(
+    np.eye(16).reshape(16, 4, 4)), PAULI_BASIS).reshape(64, 16) / 4.0).conj().view(np.float64)
 
 
 def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
@@ -173,8 +174,9 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
     One fixed contraction over any leading axes: each entry has the bits of its own scalar call.
     """
     m = channel.matrix
-    q = np.einsum("xj,...j->...x", _TRANSFER_KERNEL, m.reshape(m.shape[:-2] + (16,)))
-    return q.real.reshape(m.shape[:-2] + (4, 4, 4))
+    kernel = _TRANSFER_KERNEL if np.iscomplexobj(m) else _TRANSFER_KERNEL[:, ::2]  # Re K: real m
+    q = np.einsum("xj,...j->...x", kernel, m.reshape(m.shape[:-2] + (16,)).view(np.float64))
+    return q.reshape(m.shape[:-2] + (4, 4, 4))
 
 
 def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, float]:

@@ -107,8 +107,12 @@ def _transfer_densities():
 
 
 def _transfers():
+    # complex draws among channel densities, then real channel densities alone,
+    # as the CLI passes them: the kernel has a path for each dtype
     m = _transfer_densities()
-    return [(m[:n],) for n in (1, 2, 3, 5, 41, 82)] + [(m.reshape(2, 41, 4, 4),), (m[::2],)]
+    real = dec.channel_rho4(np.array([0.05, 0.7, 2.3]), np.linspace(0.0, 0.99, 13)).matrix
+    return [(m[:n],) for n in (1, 2, 3, 5, 41, 82)] + [(m.reshape(2, 41, 4, 4),), (m[::2],),
+            (real[1, 4],), (real[1, :1],), (real[1],), (real,), (real[::2],)]
 
 
 def _fidelities():

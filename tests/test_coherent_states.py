@@ -557,20 +557,6 @@ class TestArrayRoute:
             want = ref_operator_trace(rho)
             assert abs(operator_trace(rho) - want) <= 1e-14 * (scale(a, a) + scale(b, b))
 
-    def test_batched_operator_trace_matches_slices(self):
-        rng = np.random.default_rng(46)
-        a = array_state(rng, 5, 2)
-        t = np.array([1.0, 0.7, 0.2])
-        kets = np.multiply.outer(np.repeat(a.amps, 5, axis=0), t)
-        bras = np.multiply.outer(np.tile(a.amps, (5, 1)), t)
-        coeffs = np.multiply.outer(dyad_from_pure(a).coeffs, t)
-        batch = operator_trace(CoherentOperator(coeffs, kets, bras))
-        assert batch.shape == (3,)
-        for i in range(3):
-            one = CoherentOperator(
-                coeffs[..., i].copy(), kets[..., i].copy(), bras[..., i].copy())
-            assert batch[i] == pytest.approx(operator_trace(one), abs=1e-15)
-
     @pytest.mark.parametrize("modes,cutoff", [(1, None), (2, None), (3, 10), (4, 6)])
     def test_to_fock_matches_outer_products(self, modes, cutoff):
         rng = np.random.default_rng(47 + modes)

@@ -354,14 +354,6 @@ class TestClosedForms:
         assert np.max(np.abs(c[1:, 0])) == 0.0
         assert np.max(np.abs(c[1:, 1:] + np.eye(3))) <= 1e-15
 
-    @pytest.mark.parametrize("alpha,r", [(1.0, 0.5), (0.1, 0.3), (2.0, 0.8), (1.0, SQRT_HALF)])
-    def test_matches_projection(self, alpha, r):
-        got = pauli_decompose(channel_rho4(alpha, r))
-        want = closed_form_vst(alpha, r)
-        assert np.max(np.abs(got[1:, 0] - want[1:, 0])) < 1e-10
-        assert np.max(np.abs(got[0, 1:] - want[0, 1:])) < 1e-10
-        assert np.max(np.abs(got[1:, 1:] - want[1:, 1:])) < 1e-10
-
     def test_t_diagonal_structure(self):
         t = closed_form_vst(0.7, 0.4)[1:, 1:]
         off = t - np.diag(np.diag(t))
