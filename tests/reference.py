@@ -27,6 +27,20 @@ from ecsim.qubit_encoding import (BELL_VECTORS, PAULIS, LogicalBasis, TwoQubitDe
 PINNED_ALPHAS = (0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6)
 # The CLI's amplitude range, log-spaced.
 LOG_ALPHAS = np.logspace(-3.0, 6.0, 19)
+# The numeric route's error model, read by the error-model tests and the
+# CLI's column checks: max |E - closed E|, |f - closed f|, the Pauli
+# coordinates' and |tr rho - 1| are at most eps (ERROR_K / N_theta +
+# ERROR_C), N_theta = 1 - exp(-4 alpha^2).  The K / N_theta part is the
+# cancellation in the dyad sum, where B4's coefficients of +-1/(2 N_theta)
+# meet in entries of order 1; C is the rounding of those entries.  On 25
+# alpha in [1e-3, 2] by 1200 r it read at most 1.73 eps / N_theta up to
+# alpha = 0.09, and 28 eps against a bound of 30.9 at alpha = 0.16, its
+# tightest point.  S = 1 - tr(rho^2) has its own constants: on that grid it
+# read at most 2.4 eps / N_theta up to alpha = 0.09, and 37 eps at 0.16; 800
+# alpha in [1e-3, 16] by these r read up to 3.5 eps / N_theta below 0.09 and
+# 15 eps past 1, and 4000 alpha in [1e-2, 16] at r = 0 up to 17 eps at 2.4.
+ERROR_K, ERROR_C = 2.0, 10.0
+S_ERROR_K, S_ERROR_C = 4.0, 20.0
 IDEAL_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3, 0.2, 0.7, 1.3, math.pi / 4)
 # Poisson means in [0, 200]: zero, subnormal and tiny means, random ones, and
 # both sides of m = k + 1 and of m = k + 2, past which the tail bound at

@@ -36,7 +36,7 @@ from ecsim.coherent_states import (
     to_fock,
     truncation_tail_bound,
 )
-from ecsim.errors import CutoffError, ModeMismatchError
+from ecsim.errors import CutoffError
 from reference import TAIL_MEANS, array_state, exact_poisson_tails, operator_sum
 
 SQ2 = math.sqrt(2.0)
@@ -85,23 +85,12 @@ class TestOverlap:
             g = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             assert abs(cmath.exp(log_overlap(b, g))) <= 1.0 + 1e-14
 
-    def test_rejects_non_finite(self):
-        # a non-finite weight would turn projections and consolidate's drop
-        # threshold into inf * 0 and inf / inf
-        for amp, coeff in ((complex("inf"), 1.0), (0.5, math.inf), (0.5, math.nan),
-                           (0.5, complex(0.0, -math.inf))):
-            with pytest.raises(ValueError):
-                CoherentSuperposition.ket(amp, coeff=coeff)
 
 
 class TestInner:
     def test_cancellation(self):
         s = CoherentSuperposition.ket(0.9) + (-1.0) * CoherentSuperposition.ket(0.9)
         assert abs(inner(s, s)) < 1e-14
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            inner(CoherentSuperposition.ket(1.0), CoherentSuperposition.ket(1.0, 1.0))
 
     def test_sesquilinear(self):
         rng = np.random.default_rng(7)
@@ -138,13 +127,6 @@ class TestBeamSplit:
             before = inner(s, s).real
             after = inner(beam_split(s, 0, 1), beam_split(s, 0, 1)).real
             assert after == pytest.approx(before, abs=1e-12 * max(1.0, before))
-
-    def test_invalid_indices(self):
-        s = CoherentSuperposition.ket(1.0, 0.0)
-        with pytest.raises(ValueError):
-            beam_split(s, 0, 0)
-        with pytest.raises(ValueError):
-            beam_split(s, 0, 2)
 
     def test_against_fock_unitary(self):
         # Independent oracle: the same map as a truncated-Fock unitary,
@@ -232,12 +214,9 @@ class TestFock:
         assert fv.tail_bound == pytest.approx(5.0 * stats.poisson.pmf(4, 4.0), rel=1e-12)
 
     def test_cell_budget(self, monkeypatch):
-        # refused before anything of the grid's size is allocated
+        # refused before anything of the grid's size is allocated (at the
+        # default budget: GUARDS' fock-budget rows)
         assert FOCK_CELL_BUDGET == 2**24
-        with pytest.raises(CutoffError, match="budget"):
-            to_fock(CoherentSuperposition.ket(1.0, 1.0), 4096)
-        with pytest.raises(CutoffError, match="budget"):
-            to_fock(CoherentSuperposition.ket(1.0, 1.0, 1.0), 256)
         monkeypatch.setattr(coherent_states, "FOCK_CELL_BUDGET", 100)
         s = CoherentSuperposition.ket(0.3, 0.2)
         assert to_fock(s, 9).amps.shape == (10, 10)
@@ -287,13 +266,10 @@ class TestFock:
         assert peak <= 4 * budget * 16
 
     def test_vacuum_amplitude_underflow(self):
-        # e^{-|b|^2/2} is subnormal past |b| ~ 37.64 and zero past ~38.6
+        # e^{-|b|^2/2} is subnormal past |b| ~ 37.64 and zero past ~38.6;
+        # GUARDS' vacuum-underflow rows refuse 37.7 and 40
         fv = to_fock(CoherentSuperposition.ket(37.0))
         assert abs(fock_inner(fv, fv) - 1.0) < 1e-12
-        with pytest.raises(CutoffError, match="underflows"):
-            to_fock(CoherentSuperposition.ket(37.7))
-        with pytest.raises(CutoffError, match="underflows"):
-            photon_distribution(CoherentSuperposition.ket(0.5, 40.0j), 10)
 
     def test_three_mode_layout(self):
         s = CoherentSuperposition.ket(0.3, 0.0, 0.5)
@@ -841,30 +817,3 @@ class TestStorage:
         assert op.coeffs.shape == (2, 2) and op.kets.shape == op.bras.shape == (2, 1, 2)
         assert np.array_equal(op.kets[0, 0], 0.3 * t) and np.array_equal(op.bras[1, 0], 0.2 * t)
         assert not any(a.flags.writeable for a in (op.coeffs, op.kets, op.bras))
-
-    @pytest.mark.parametrize("coeffs,amps,message", [
-        (np.ones(2), np.zeros((3, 1)), "amplitude rows"),  # wrong row count
-        (np.ones((2, 1)), np.zeros((2, 1)), "amplitude rows"),
-        (np.ones(1), np.zeros((1, 0)), "modes >= 1"),  # zero modes
-        (np.ones(2), np.zeros(2), "modes >= 1"),
-    ])
-    def test_superposition_rejects_shapes(self, coeffs, amps, message):
-        with pytest.raises(ValueError, match=message):
-            CoherentSuperposition(coeffs, amps)
-
-    def test_ket_needs_a_mode(self):
-        with pytest.raises(ValueError, match="modes >= 1"):
-            CoherentSuperposition.ket()
-
-    @pytest.mark.parametrize("coeffs,kets,bras,message", [
-        (np.ones(2), np.zeros((3, 1)), np.zeros((3, 1)), "do not match"),  # wrong rows
-        (np.ones(1), np.zeros((1, 0)), np.zeros((1, 0)), "modes >= 1"),  # zero modes
-        (np.ones(1), np.zeros((1, 1)), np.zeros((1, 2)), "do not match"),
-        # batched amplitudes under unbatched coefficients, and the reverse
-        (np.ones(1), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), "do not match"),
-        (np.ones((1, 3)), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), "do not match"),
-        (np.ones((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), "do not match"),
-    ])
-    def test_operator_rejects_shapes(self, coeffs, kets, bras, message):
-        with pytest.raises(ValueError, match=message):
-            CoherentOperator(coeffs, kets, bras)

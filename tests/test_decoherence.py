@@ -74,34 +74,12 @@ class TestDecayClock:
             c = DecayClock.from_r(r)
             assert c.t**2 + r**2 == pytest.approx(1.0, abs=1e-14)
 
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            DecayClock(0.0)
-        with pytest.raises(ValueError):
-            DecayClock.from_r(1.0)
-
     def test_array_clock(self):
         r = np.linspace(0.0, 0.99, 7)
         c = DecayClock.from_r(r)
         assert c.t.shape == r.shape
         assert list(c.t) == [DecayClock.from_r(float(x)).t for x in r]
         assert np.max(np.abs(np.sqrt(1.0 - c.t * c.t) - r)) < 1e-14
-        with pytest.raises(ValueError):
-            DecayClock.from_r(np.array([0.2, 1.0, 0.5]))
-        with pytest.raises(ValueError):
-            DecayClock(np.array([0.5, 0.0]))
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -0.1, -5e-324, 1.0, 1.5])
-    def test_from_r_refuses(self, r):
-        for value in (r, [0.5, r]):
-            with pytest.raises(ValueError, match=r"^normalized time r must lie in \[0, 1\)$"):
-                DecayClock.from_r(value)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -0.5, 1.0 + 2.0**-52, 1.5])
-    def test_constructor_refuses(self, t):
-        for value in (t, np.array([0.5, t])):
-            with pytest.raises(ValueError, match=r"^decay factor t must lie in \(0, 1\]$"):
-                DecayClock(value)
 
     def test_from_r_checks_once(self, monkeypatch):
         # r in [0, 1) puts sqrt((1 - r)(1 + r)) in (0, 1], so from_r skips
@@ -255,19 +233,11 @@ class TestChannel:
             2.0 / 3.0, abs=1e-9
         )
 
-    def test_degeneracy_guard(self):
-        with pytest.raises(DegenerateBasisError):
-            channel_rho4(1e-7, 0.5)
-
     def test_grid_touching_degenerate_region(self):
-        # at alpha = 1e-3 the decayed basis degenerates only as r -> 1
-        channel_rho4(1e-3, np.array([0.0, 0.5]))
-        closed_form_vst(1e-3, np.array([0.0, 0.5]))
-        grid = np.array([0.0, 0.5, 0.9999999])
-        with pytest.raises(DegenerateBasisError):
-            channel_rho4(1e-3, grid)
-        with pytest.raises(DegenerateBasisError):
-            closed_form_vst(1e-3, grid)
+        # at alpha = 1e-3 the decayed basis degenerates only as r -> 1; GUARDS'
+        # channel-degenerate-near-r-1 row and TestClosedFormGuard refuse r = 0.9999999
+        for route in (channel_rho4, closed_form_vst, closed_form_e, closed_form_f, closed_form_s):
+            route(1e-3, np.array([0.0, 0.5]))
 
     def test_local_vectors_nonzero_midway(self):
         # the damped channel is never Bell diagonal at intermediate times
@@ -301,10 +271,6 @@ class TestAlphaBatch:
         assert rho.coeffs.shape == (4,) + LOG_ALPHAS.shape + (401,)
         for part in (rho.coeffs, rho.kets, rho.bras):
             assert part.dtype == np.complex128 and not part.imag.any()
-
-    def test_needs_an_amplitude(self):
-        with pytest.raises(ValueError):
-            channel_rho4(np.array([]), 0.5)
 
     def test_degenerate_alpha_named(self):
         # 2e-6 is degenerate only at small decay factors: the batch's message

@@ -395,12 +395,8 @@ class TestAverageFidelity:
         rho = channel_rho4(1.3, 0.4)
         q = protocols.bloch_transfer(rho)
         assert isinstance(average_fidelity(q), float)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # numpy's, from a (4, 4) density
             average_fidelity(rho.matrix)
-        with pytest.raises(ValueError, match="Bloch transfer"):
-            teleport_average_mc(rho.matrix, 10, seed=1)
-        with pytest.raises(ValueError, match="one Bloch transfer"):
-            teleport_average_mc(np.stack([q, q]), 10, seed=1)
 
     def test_classical_limit_at_characteristic_time(self):
         q = protocols.bloch_transfer(channel_rho4(1.0, SQRT_HALF))
@@ -651,11 +647,6 @@ class TestConcentrationIdeal:
         pairs = swapped_pairs(math.pi / 8)
         for k in (0, 1):
             assert_maximally_entangled(pairs[k])
-
-    def test_eta_range(self):
-        for eta in (0.0, math.pi / 2, math.nan, np.array([0.3, 0.0]), np.array([[0.3], [2.0]])):
-            with pytest.raises(ValueError):
-                concentrate_ideal(eta)
 
 
 # The exact swap's error model: |p_exact - p_closed| <= eps (K / N_theta + C).

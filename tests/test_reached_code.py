@@ -12,9 +12,10 @@ time count, and then runs ``cli.main`` on:
   fails its checks, and a Fock cutoff too small for its amplitude;
 - an I/O error.
 
-It prints the file and qualified name of each code object that a call
-entered.  A function that no command enters has no work to measure and no
-user, and the test fails on it.
+It prints the file and first line of each code object that a call entered,
+which the test maps to qualified names read from the source (``co_qualname``
+exists only from Python 3.11).  A function that no command enters has no work
+to measure and no user, and the test fails on it.
 """
 import ast
 import json
@@ -61,19 +62,21 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         codes.append(cli.main(argv))
 sys.setprofile(None)
 print(json.dumps({"codes": codes,
-                  "entered": sorted({(c.co_filename, c.co_qualname) for c in entered})}))
+                  "entered": sorted({(c.co_filename, c.co_firstlineno) for c in entered})}))
 """
 
 
-def _defined() -> set[str]:
+def _defined() -> dict[tuple[str, int], str]:
     """``module.qualname`` of every function and method in the package, nested
-    ones as ``outer.<locals>.inner`` (the ``co_qualname`` of their code)."""
-    names = set()
+    ones as ``outer.<locals>.inner`` (the ``co_qualname`` of their code), by
+    module and the first line of their code: the first decorator's, if any."""
+    names = {}
 
     def walk(body, module, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(f"{module}.{prefix}{node.name}")
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                names[module, first] = f"{module}.{prefix}{node.name}"
                 walk(node.body, module, f"{prefix}{node.name}.<locals>.")
             elif isinstance(node, ast.ClassDef):
                 walk(node.body, module, f"{prefix}{node.name}.")
@@ -83,7 +86,7 @@ def _defined() -> set[str]:
     return names
 
 
-def _entered(tmp_path) -> set[str]:
+def _entered(tmp_path, defined) -> set[str]:
     """``module.qualname`` of every package function a call entered."""
     runs = RUNS + [(["cv", "--ar-steps", "5", "--output", str(tmp_path / "no" / "out")], {4})]
     env = dict(os.environ)
@@ -94,12 +97,13 @@ def _entered(tmp_path) -> set[str]:
     for (argv, codes), code in zip(runs, record["codes"]):
         assert code in codes, f"{argv} exited {code}"
     modules = {path.resolve(): path.stem for path in PACKAGE.glob("*.py")}
-    return {f"{modules[Path(file).resolve()]}.{qualname}"
-            for file, qualname in record["entered"] if Path(file).resolve() in modules}
+    keys = {(modules.get(Path(file).resolve()), line) for file, line in record["entered"]}
+    return {defined[key] for key in keys if key in defined}
 
 
 def test_every_library_function_is_entered_by_a_command(tmp_path):
-    defined, entered = _defined(), _entered(tmp_path)
+    names = _defined()
+    defined, entered = set(names.values()), _entered(tmp_path, names)
     assert ALLOWED <= defined, f"allowed but not defined: {sorted(ALLOWED - defined)}"
     assert not ALLOWED & entered, f"entered, so no longer allowed: {sorted(ALLOWED & entered)}"
     missing = defined - entered - ALLOWED
