@@ -219,13 +219,15 @@ def characteristic_time(alpha: float) -> float:
     Root of closed_form_f(alpha, r) = 2/3 on [1e-6, 0.9995], located to
     1e-10 by bisection generalized to 16 sub-intervals a step: each step
     evaluates the broadcast margin f - 2/3 once on 17 points and keeps the
-    sub-interval where it changes sign.  Equals 1/sqrt(2) independently of
-    alpha.
+    sub-interval where it changes sign.  Equals 1/sqrt(2) at every alpha it
+    accepts, which ends at alpha ~ 13.64: past it the margin at r = 0.9995,
+    -gamma (1 - W) / (3 N_theta), underflows to 0 and no crossing is bracketed.
     """
     lo, hi = 1e-6, 0.9995
     ends = _fidelity_margin(alpha, np.array([lo, hi]))
     if ends[0] <= 0 or ends[1] >= 0:
-        raise ValueError(f"no fidelity crossing bracketed for alpha={alpha}")
+        raise ValueError(f"no fidelity crossing bracketed for alpha={alpha}: the margin "
+                         f"f - 2/3 underflows to 0 at r = {hi} past alpha ~ 13.64")
     while hi - lo > 1e-10:
         r = np.linspace(lo, hi, 17)
         k = int(np.argmax(_fidelity_margin(alpha, r) <= 0.0))

@@ -309,6 +309,8 @@ EXITS = [
     # each end is finite, the width overflows to inf
     (["cv", "--ar-min=-1e308", "--ar-max=1e308"], 2,
      "need finite ar-min <= ar-max with a finite width\n"),
+    # equal ends are a grid of one repeated point, and the maximum's record
+    (["cv", "--ar-min", "1", "--ar-max", "1", "--ar-steps", "2"], 0, 3),
     (["bellmeas", "--cutoff", "0"], 2, "cutoff must be >= 1\n"),
     (["bellmeas", "--cutoff", "-3"], 2, "cutoff must be >= 1\n"),
     (["bellmeas", "--alphas", "0.5", "--cutoff", "0"], 2, "cutoff must be >= 1\n"),
@@ -784,15 +786,21 @@ class TestColumnWriters:
         got = _row_tuples(table)
         assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
+    # a block of MC_SORT_MIN shots or more takes cos and sin of its phases in sorted
+    # order; at a crossover of 1 every block does
+    @pytest.mark.parametrize("sort_min", [protocols.MC_SORT_MIN, 1])
     @pytest.mark.parametrize("chunk", [1, 7, protocols.MC_CHUNK])
-    def test_mc_kernel_matches_shot_minor_reference(self, monkeypatch, chunk):
+    def test_mc_kernel_matches_shot_minor_reference(self, monkeypatch, chunk, sort_min):
+        assert 1 < protocols.MC_SORT_MIN <= protocols.MC_CHUNK  # the defaults run both paths
         monkeypatch.setattr(protocols, "MC_CHUNK", chunk)
+        monkeypatch.setattr(protocols, "MC_SORT_MIN", sort_min)
         channels = [channel_rho4(1.0, 0.0), channel_rho4(0.4, 0.6), channel_rho4(2.0, 0.93)]
         # 2 chunk and 2 chunk + 1 put block edges at the start of the phase and
         # outcome-draw segments of the stream; the first seed runs again after the
         # others, so no state can carry from one call to the next
+        crossover = protocols.MC_SORT_MIN
         for samples in sorted({1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
-                               3 * chunk + 5} - {0}):
+                               3 * chunk + 5, crossover - 1, crossover, crossover + 1} - {0}):
             for k in (0, 1, 2, 0):
                 got = protocols.teleport_average_mc(protocols.bloch_transfer(channels[k]),
                                                     samples, seed=100 + k)
@@ -811,7 +819,8 @@ class TestColumnWriters:
     def test_mc_kernel_matches_reference_at_extremes(self, channel):
         # the kernel takes the m = 0 numerator row as half the outcome probability
         channel = channel()
-        for samples in (1, 2, protocols.MC_CHUNK - 1, protocols.MC_CHUNK + 1):
+        for samples in (1, 2, protocols.MC_SORT_MIN - 1, protocols.MC_SORT_MIN + 1,
+                        protocols.MC_CHUNK - 1, protocols.MC_CHUNK + 1):
             got = protocols.teleport_average_mc(protocols.bloch_transfer(channel), samples,
                                                 seed=samples)
             want = _mc_kernel_reference(channel, samples, samples, protocols.MC_CHUNK)

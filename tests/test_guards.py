@@ -248,6 +248,9 @@ GUARDS = [
     # entanglement_metrics
     ("crossing-unbracketed", lambda: em.characteristic_time(30.0),
      ValueError, "no fidelity crossing bracketed for alpha=30.0"),
+    # the first amplitude of two decimals whose margin at r = 0.9995 underflows
+    ("crossing-underflows", lambda: em.characteristic_time(13.65), ValueError,
+     "no fidelity crossing bracketed for alpha=13.65: the margin f - 2/3 underflows to 0"),
     ("peak-unknown-measure", lambda: em.mixedness_peak(1.0, "renyi"),
      ValueError, "measure must be 'linear' or 'vn'"),
     # protocols
