@@ -178,8 +178,8 @@ def _grid_table(args: argparse.Namespace, name: str, axis, **columns) -> dict:
 
 
 def _rows_fig(args: argparse.Namespace, key: str, closed, numeric, **extra):
-    """One fig sweep: one closed-form call on the whole (alpha, r) grid, then
-    one numeric call on it (one batched channel density)."""
+    """One fig sweep: one closed-form call on the whole (alpha, r) grid, then one
+    numeric call on it; it matches its reference bit for bit, each alpha's own rows."""
     r = _r_grid(args)
     alphas = np.array(args.alphas)
     return _grid_table(args, "r", r, **{f"{key}_closed": closed(alphas, r),
@@ -202,10 +202,10 @@ def _rows_bellmeas(args: argparse.Namespace):
 
 
 def _rows_teleport_mc(args: argparse.Namespace):
-    """One batched, checked channel density over the (alpha, r) grid, its
-    Bloch transfer and its exact average fidelity; per row a Monte Carlo over
-    that row's transfer with its own stream, seeded ``seed + row index``
-    (``seed + alpha index * len(r) + r index``)."""
+    """One batched, checked channel density over the (alpha, r) grid, its Bloch
+    transfer and its exact average fidelity; per row a Monte Carlo over that row's
+    transfer with its own stream, seeded ``seed + alpha index * len(r) + r index``:
+    it matches its reference bit for bit, each alpha's rows or each point's calls."""
     r = _r_grid(args)
     q = pr.bloch_transfer(dec.channel_rho4(np.array(args.alphas), r))
     mc = np.array([pr.teleport_average_mc(row, args.samples, args.seed + i)
@@ -274,7 +274,8 @@ def _template_rows(table: dict, column) -> tuple[list, zip]:
 
 
 def _to_csv(table: dict) -> str:
-    """One line per row: ``%.17g`` floats (round-trip exact), ``%d`` ints."""
+    """One line per row: ``%.17g`` floats (round-trip exact), ``%d`` ints; it
+    matches its reference bit for bit, the CSV writer of one row dict at a time."""
     slots, rows = _template_rows(table, lambda col: (
         "%d" if col.dtype.kind == "i" else "%.17g", col.ravel().tolist()))
     template = ",".join(slots)
@@ -291,9 +292,9 @@ def _json_column(col: np.ndarray) -> tuple[str, list]:
 def _to_json(table: dict) -> str:
     """The text of ``json.dumps(rows, indent=2)`` for the table's rows.
 
-    Each row fills one template: ``%s`` prints a float as ``float.__repr__``
-    and an int as its digits, as json does; non-finite floats take json's
-    own spelling (NaN, Infinity, -Infinity).
+    Each row fills one template: ``%s`` prints a float as ``float.__repr__`` and an
+    int as its digits, as json does; non-finite floats take json's own spelling (NaN,
+    Infinity, -Infinity).  It matches its reference bit for bit, json on row dicts.
     """
     template = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in table) + "\n  }"
     body = ",\n".join(template % row for row in _template_rows(table, _json_column)[1])

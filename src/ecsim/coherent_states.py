@@ -236,12 +236,12 @@ def tensor(a: CoherentSuperposition, b: CoherentSuperposition) -> CoherentSuperp
 def consolidate(s: CoherentSuperposition) -> CoherentSuperposition:
     """Merge terms with equal amplitudes and drop negligible ones.
 
-    A term whose amplitude row equals, in value, that of an earlier term
-    adds its coefficient to the first such term: that term's own coefficient
-    comes first, then the others' in term order.  Merged terms keep
-    first-occurrence order, and those with |coeff| <= DROP_TOL times the
-    largest are dropped (if all are, one zero-coefficient term on the first
-    amplitudes is kept).
+    A term whose amplitude row equals, in value, that of an earlier term adds its
+    coefficient to the first such term: that term's own coefficient comes first,
+    then the others' in term order.  Merged terms keep first-occurrence order, and
+    those with |coeff| <= DROP_TOL times the largest are dropped (if all are, one
+    zero-coefficient term on the first amplitudes is kept).  It matches its
+    reference bit for bit, that merge made term by term in Python's complex sums.
     """
     n = len(s.coeffs)
     if n == 0:
@@ -319,7 +319,7 @@ def project_modes(
         _check_mode(s, m)
     if len(set(modes)) != len(modes):
         raise ValueError("projection mode indices must be distinct")
-    keep = [m for m in range(s.modes) if m not in set(modes)]
+    keep = [m for m in range(s.modes) if m not in modes]
     if not keep:
         raise ValueError("projection must leave at least one mode")
     # (onto term, s term) log-overlaps on the projected modes, from contiguous
@@ -435,14 +435,15 @@ def truncation_tail_bound(s: CoherentSuperposition, cutoff: int) -> float:
 def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
     """Truncated-Fock representation of ``s``.
 
-    Raises CutoffError, before allocating, when the grid or the working
-    arrays (per term, cutoff+1 amplitudes a mode and (cutoff+1)^(modes-1) in
-    the outer product) would hold more than FOCK_CELL_BUDGET amplitudes, and
-    when a vacuum amplitude e^{-|amp|^2/2} falls below the normal range
-    (|amp| > ~37.6).  Truncation is never silent: the record holds an upper
-    bound on the norm lost beyond it, ``truncation_tail_bound``.  |amp|^2 and
-    the per-term roots of the tail upper bounds come from the state's memo;
-    the row 1/sqrt(1..cutoff) and the table are built anew on every call.
+    Raises CutoffError, before allocating, when the grid or the working arrays (per
+    term, cutoff+1 amplitudes a mode and (cutoff+1)^(modes-1) in the outer product)
+    would hold more than FOCK_CELL_BUDGET amplitudes, and when a vacuum amplitude
+    e^{-|amp|^2/2} falls below the normal range (|amp| > ~37.6).  Truncation is never
+    silent: the record holds an upper bound on the norm lost beyond it,
+    ``truncation_tail_bound``.  |amp|^2 and the per-term roots of the tail upper
+    bounds come from the state's memo; the row 1/sqrt(1..cutoff) and the table are
+    built anew on every call.  It matches its reference bit for bit, zero signs too:
+    the stable recursion <n+1|b> = <n|b> b / sqrt(n+1) by numpy's complex quotient.
     """
     if cutoff is None:
         cutoff = auto_cutoff(s)
@@ -462,9 +463,8 @@ def to_fock(s: CoherentSuperposition, cutoff: int | None = None) -> FockVector:
             f"|amp| = {np.abs(s.amps).max():.4g}: the Fock vacuum amplitude "
             "e^(-|amp|^2/2) underflows past |amp| ~ 37.6"
         )
-    # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), by the
-    # stable recursion <n+1|b> = <n|b> b / sqrt(n+1) as a cumulative product, with the bits
-    # of numpy's quotient (Smith's method), zero signs too: parts of b (1 - 0j) times 1/sqrt(n+1)
+    # <n|b> for n = 0..cutoff per amplitude, shape (T, M, cutoff + 1), as a cumulative
+    # product; numpy's quotient b / sqrt(n+1) is the parts of b (1 - 0j) times 1/sqrt(n+1)
     table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
     table[..., 0] = vacuum
     parts, step = s.amps * complex(1.0, -0.0), table[..., 1:]

@@ -48,7 +48,10 @@ class DecayClock:
     loss: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not np.logical_and(0.0 < self.t, self.t <= 1.0).all():
+        ok = np.logical_and(0.0 < self.t, self.t <= 1.0)
+        if not (ok.all() and ok.size):
+            if not ok.size:
+                raise ValueError("t must hold at least one decay factor")
             raise ValueError("decay factor t must lie in (0, 1]")
         object.__setattr__(self, "loss", 1.0 - self.t * self.t)
 
@@ -145,18 +148,17 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
 def channel_rho4(alpha: float | np.ndarray, r) -> TwoQubitDensity:
     """Density matrix of the damped antisymmetric entangled channel.
 
-    Builds the undecayed channel state, damps both modes to normalized time
-    ``r``, and projects onto the decayed logical product basis.  All dyad
-    amplitudes are +-(t alpha), so the projection is exact and trace
-    preserving.  ``alpha`` and ``r`` may be arrays: the batch of densities,
-    shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over the
-    whole grid, and each entry has the bits of its own scalar call.  The
-    undecayed B4 dyads of all amplitudes are built at once from
-    ``bell_coeffs`` of one batched basis; every one has the same terms,
-    (a, -a) and (-a, a) on both sides, since the B4 coefficients on (a, a)
-    and (-a, -a) cancel exactly, and those on the mixed kets are
-    +-1/sqrt(2 N_theta), never zero (``bell_state`` drops and keeps the same).
-    Alpha, t and the B4 coefficients are real, so the decayed operator's
+    Builds the undecayed channel state, damps both modes to normalized time ``r``, and
+    projects onto the decayed logical product basis.  All dyad amplitudes are +-(t alpha),
+    so the projection is exact and trace preserving.  ``alpha`` and ``r`` may be arrays: the
+    batch of densities, shape ``alpha.shape + r.shape + (4, 4)``, is built in one pass over
+    the whole grid; each entry has the bits of its own scalar call, and each amplitude's
+    part matches its reference bit for bit, the amplitude's own B4 dyad decayed and
+    projected.  The undecayed B4 dyads of all amplitudes are built at once from
+    ``bell_coeffs`` of one batched basis; every one has the same terms, (a, -a) and (-a, a)
+    on both sides, since the B4 coefficients on (a, a) and (-a, -a) cancel exactly, and
+    those on the mixed kets are +-1/sqrt(2 N_theta), never zero (``bell_state`` drops and
+    keeps the same).  Alpha, t and the B4 coefficients are real, so the decayed operator's
     imaginary parts are exact zeros: its real parts give a float64 density.
     """
     alpha = _amplitudes(alpha)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decoherence import channel_coefficients, channel_rho4
-from .qubit_encoding import TwoQubitDensity, pauli_decompose
+from .qubit_encoding import TwoQubitDensity, float_or_array, pauli_decompose
 
 CLASSICAL_FIDELITY_LIMIT = 2.0 / 3.0
 
@@ -25,11 +25,6 @@ _HORN = np.array([[(1, 5, 9), (6, -8, 0), (7, -3, 0), (2, -4, 0)],
                   [(2, -4, 0), (3, 7, 0), (6, 8, 0), (-1, -5, 9)]], float)
 # built in floats: the integer sign and compare loops added ~0.3 MB to teleport-mc's peak RSS
 _HORN = (np.sign(_HORN) * (np.abs(_HORN) == np.arange(1.0, 10.0).reshape(9, 1, 1, 1))).sum(-1)
-
-
-def _value(x) -> float | np.ndarray:
-    """A float for a single density or ``r``, the array for a batch."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def partial_transpose(rho: TwoQubitDensity) -> np.ndarray:
@@ -67,7 +62,7 @@ def negativity_e(rho: TwoQubitDensity) -> float | np.ndarray:
     """
     eigs, zero = _spectrum(partial_transpose(rho))
     lam = eigs[..., 0]
-    return _value(0.0 - 2.0 * np.where(lam < -zero[..., 0], lam, 0.0))
+    return float_or_array(0.0 - 2.0 * np.where(lam < -zero[..., 0], lam, 0.0))
 
 
 def closed_form_e(alpha, r) -> float | np.ndarray:
@@ -75,19 +70,19 @@ def closed_form_e(alpha, r) -> float | np.ndarray:
 
     E = (root - (2a + c + d)) / (4 N_theta), root = sqrt(16 b^2 + (c-d)^2),
     in the paper's coefficients a = (1 - gamma) W, b = (1 - gamma) sqrt(W),
-    c = 2 - (1 + gamma) W and d = -2 gamma + (1 + gamma) W, with gamma, W
-    and N_theta from ``channel_coefficients``.  Since
-    root^2 - (2a + c + d)^2 = 16 gamma (1 - W)^2, it is evaluated as
-    E = 4 gamma (1 - W)^2 / (N_theta (root + 2a + c + d)), halved through,
-    with 2a + c + d = 2 (1 - gamma)(1 + W), 16 b^2 = 16 (1 - gamma)^2 W and
-    c - d = 2 (1 + gamma)(1 - W): every term is non-negative, and 1 - gamma
-    and 1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma
-    does not underflow.  Arrays give shape ``alpha.shape + r.shape``: each
-    entry has the bits of its own scalar call.
+    c = 2 - (1 + gamma) W and d = -2 gamma + (1 + gamma) W, with gamma, W and N_theta
+    from ``channel_coefficients``.  Since root^2 - (2a + c + d)^2 = 16 gamma (1 - W)^2,
+    it is evaluated as E = 4 gamma (1 - W)^2 / (N_theta (root + 2a + c + d)), halved
+    through, with 2a + c + d = 2 (1 - gamma)(1 + W), 16 b^2 = 16 (1 - gamma)^2 W and
+    c - d = 2 (1 + gamma)(1 - W): every term is non-negative, and 1 - gamma and
+    1 - W come from expm1, so nothing cancels.  E > 0 wherever gamma does not
+    underflow.  Arrays give shape ``alpha.shape + r.shape``: each entry has the bits
+    of its own scalar call, and each row matches its reference bit for bit, the form
+    at one amplitude.
     """
     g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
     root = np.sqrt(4.0 * (one_g * one_g) * w + np.square((1.0 + g) * one_w))
-    return _value(2.0 * g * (one_w * one_w) / (n_theta * (root + one_g * (1.0 + w))))
+    return float_or_array(2.0 * g * (one_w * one_w) / (n_theta * (root + one_g * (1.0 + w))))
 
 
 def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
@@ -102,7 +97,7 @@ def max_rotation_trace(m: np.ndarray) -> float | np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     k = np.einsum("...i,iab->...ab", m.reshape(m.shape[:-2] + (9,)), _HORN)
-    return _value(np.linalg.eigvalsh(k)[..., -1])
+    return float_or_array(np.linalg.eigvalsh(k)[..., -1])
 
 
 def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -112,20 +107,20 @@ def singlet_fraction(rho: TwoQubitDensity) -> float | np.ndarray:
     Horodecki, PRA 60, 1888 (1999)); the maximum is Horn's eigenvalue
     (``max_rotation_trace``), within 16 eps (s1 + s2 + s3).  Maximally entangled
     states have no local Bloch vector, so only the correlation matrix
-    enters.  For the channel's diagonal T the optimum is attained on the
-    four Bell states of the decayed basis.  A batch gives an array: each
-    entry has the bits of its own scalar call.
+    enters.  For the channel's diagonal T the optimum is attained on the four Bell
+    states of the decayed basis.  A batch gives an array: each entry has the bits of
+    its own scalar call; a real rho matches its reference bit for bit, its complex copy.
     """
     t = pauli_decompose(rho)[..., 1:, 1:]
     f = 0.25 * (1.0 + max_rotation_trace(-t))
-    return _value(np.minimum(np.maximum(f, 0.0), 1.0))  # np.clip's bits, ~1 us a call less
+    return float_or_array(np.minimum(np.maximum(f, 0.0), 1.0))  # np.clip's bits, ~1 us a call less
 
 
 def optimal_fidelity(rho: TwoQubitDensity) -> float | np.ndarray:
-    """Best fidelity achievable with local operations and classical
-    communication over the given channel: (2 F + 1)/3, with F the singlet
-    fraction (the qubit case of (F N + 1)/(N + 1) in dimension N).  A batch
-    gives an array: each entry has the bits of its own scalar call."""
+    """Best fidelity achievable with local operations and classical communication over
+    the given channel: (2 F + 1)/3 with F the singlet fraction, the qubit case of
+    (F N + 1)/(N + 1).  A batch gives an array: each entry has the bits of its own
+    scalar call; a real rho matches its reference bit for bit, its complex copy."""
     return (singlet_fraction(rho) * 2 + 1.0) / 3.0
 
 
@@ -135,13 +130,13 @@ def closed_form_f(alpha, r) -> float | np.ndarray:
     f = (1/3) max{ 1 + (e^{4a^2} - e^{4t^2a^2}) / (e^{4a^2} - 1),
                    (e^{4t^2a^2} - e^{4r^2a^2} + 2 e^{4a^2} - 2) / (e^{4a^2} - 1) }.
     Evaluated divided through by e^{4a^2}, as
-    max{1 + (1 - gamma)/N_theta, 2 - (W - gamma)/N_theta} / 3 with 1 - gamma
-    and W - gamma from ``channel_coefficients``, which cannot overflow at
-    large amplitude and do not cancel.  Arrays give shape ``alpha.shape +
-    r.shape``: each entry has the bits of its own scalar call.
+    max{1 + (1 - gamma)/N_theta, 2 - (W - gamma)/N_theta} / 3 with 1 - gamma and W - gamma
+    from ``channel_coefficients``, which cannot overflow at large amplitude and do not cancel.
+    Arrays give shape ``alpha.shape + r.shape``: each entry has the bits of its own scalar
+    call, and each row matches its reference bit for bit, the form at one amplitude.
     """
     _, _, one_g, _, n_theta, w_minus_g, _ = channel_coefficients(alpha, r)
-    return _value(np.maximum(1.0 + one_g / n_theta, 2.0 - w_minus_g / n_theta) / 3.0)
+    return float_or_array(np.maximum(1.0 + one_g / n_theta, 2.0 - w_minus_g / n_theta) / 3.0)
 
 
 def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -153,9 +148,9 @@ def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
 
     The stored density is exactly Hermitian, so tr(rho^2) = sum |rho_ij|^2: its
     squared floats, summed for the whole batch (no BLAS) down the float view's
-    columns, then in pairs, as numpy's pairwise sum of a complex rho's 32
-    floats (a real rho has the bits of its complex copy); within 2 ulps of the
-    exact sum on the channel grids, where an einsum strays up to 4 ulps.  A
+    columns, then in pairs, as numpy's pairwise sum of a complex rho's 32 floats (a
+    real rho matches its reference bit for bit, its complex copy); within 2 ulps of
+    the exact sum on the channel grids, where an einsum strays up to 4 ulps.  A
     batch gives an array: each entry has the bits of its own scalar call.
     """
     m = rho.matrix
@@ -163,24 +158,24 @@ def linear_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     sums = ((s[..., 0, :] + s[..., 1, :]) + s[..., 2, :]) + s[..., 3, :]  # sum(-2): 2-4x slower
     while sums.shape[-1] > 1:
         sums = sums[..., ::2] + sums[..., 1::2]
-    return _value(1.0 - sums[..., 0])
+    return float_or_array(1.0 - sums[..., 0])
 
 
 def closed_form_s(alpha, r) -> float | np.ndarray:
     """Closed-form channel linear entropy.
 
     S = (e^{8 r^2 a^2} - 1)(e^{8 t^2 a^2} - 1) / (2 (e^{4 a^2} - 1)^2);
-    symmetric under r^2 <-> t^2, hence peaked at r = 1/sqrt(2).  Evaluated
-    divided through by e^{8 a^2}, as (1 - gamma)(1 + gamma)(1 - W)(1 + W)
-    / (2 N_theta^2) with the quantities of ``channel_coefficients``: a
-    product of non-negative factors, 1 - gamma and 1 - W each an expm1, so
-    nothing cancels, nothing overflows at large amplitude, and there the
-    peak is flat to rounding, where the growing exponentials would scatter
-    it by several ulps.  Arrays give shape ``alpha.shape + r.shape``: each
-    entry has the bits of its own scalar call.
+    symmetric under r^2 <-> t^2, hence peaked at r = 1/sqrt(2).  Evaluated divided
+    through by e^{8 a^2}, as (1 - gamma)(1 + gamma)(1 - W)(1 + W) / (2 N_theta^2) with
+    the quantities of ``channel_coefficients``: a product of non-negative factors,
+    1 - gamma and 1 - W each an expm1, so nothing cancels, nothing overflows at large
+    amplitude, and there the peak is flat to rounding, where the growing exponentials
+    would scatter it by several ulps.  Arrays give shape ``alpha.shape + r.shape``:
+    each entry has the bits of its own scalar call, and each row matches its reference
+    bit for bit, the form at one amplitude.
     """
     g, w, one_g, one_w, n_theta, _, _ = channel_coefficients(alpha, r)
-    return _value(one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n_theta * n_theta)))
+    return float_or_array(one_g * (1.0 + g) * (one_w * (1.0 + w)) / (2.0 * (n_theta * n_theta)))
 
 
 def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
@@ -195,7 +190,7 @@ def vn_entropy(rho: TwoQubitDensity) -> float | np.ndarray:
     """
     eigs, zero = _spectrum(rho.matrix)
     pos = np.where(eigs > zero, eigs, 1.0)  # log2(1) = 0 drops the rest
-    return _value(-(pos * np.log2(pos)).sum(axis=-1))
+    return float_or_array(-(pos * np.log2(pos)).sum(axis=-1))
 
 
 def _fidelity_margin(alpha: float, r) -> np.ndarray:

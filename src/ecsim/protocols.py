@@ -32,6 +32,7 @@ from .qubit_encoding import (
     LogicalBasis,
     TwoQubitDensity,
     bell_state,
+    float_or_array,
     make_basis,
 )
 
@@ -105,11 +106,11 @@ def bell_measure_distribution(
 ) -> BellMeasurement:
     """Distribution of Bell-discrimination outcomes for a two-mode state.
 
-    Applies the 50:50 beam splitter to the two modes and counts photons in
-    both outputs; each count pair is classified by ``classify_counts``.  The
-    record keeps the Fock truncation's tail bound.  Equal counts give the same
-    frozen ``BellOutcome`` object, from a cache of the last
-    ``BELL_RECORDS_CACHED`` count pairs.
+    Applies the 50:50 beam splitter to the two modes and counts photons in both
+    outputs; each count pair is classified by ``classify_counts``.  It matches its
+    reference bit for bit, a double loop over the Fock grid's non-zero cells, and
+    keeps the truncation's tail bound.  Equal counts give the same frozen
+    ``BellOutcome`` object, from a cache of the last ``BELL_RECORDS_CACHED`` pairs.
     """
     if state.modes != 2:
         raise ValueError("expected a two-mode state")
@@ -185,13 +186,13 @@ def bloch_transfer(channel: TwoQubitDensity) -> np.ndarray:
 def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo average fidelity of the standard scheme: (mean, stderr).
 
-    Inputs are drawn uniformly from the logical Bloch sphere and one outcome
-    is sampled per shot from its Born probability, through the channel's
-    Bell-outcome map in Bloch coordinates: ``q`` is the ``bloch_transfer`` Q
-    of one density, shape (4, 4, 4).  The shots run in blocks of ``MC_CHUNK``,
-    each drawing its slice of the seed's stream when it runs (z at draws [0, S),
-    phases at [S, 2S), outcome draws at [2S, 3S), S = ``samples``; PCG64 jumps
-    ahead), so only the fidelities grow with S and no bit depends on the block size.
+    Inputs are drawn uniformly from the logical Bloch sphere and one outcome is sampled
+    per shot from its Born probability, through the channel's Bell-outcome map in Bloch
+    coordinates: ``q`` is the ``bloch_transfer`` Q of one density, shape (4, 4, 4).  The
+    shots run in blocks of ``MC_CHUNK``, each drawing its slice of the seed's stream
+    when it runs (z at draws [0, S), phases at [S, 2S), outcome draws at [2S, 3S),
+    S = ``samples``; PCG64 jumps ahead), so only the fidelities grow with S, no bit
+    depends on the block size, and it matches its reference bit for bit, a shot-major kernel.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -304,8 +305,7 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
     call.
     """
     diag = np.einsum("...kmm->...m", q)
-    f = (_FIDELITY_WEIGHTS @ diag[..., None])[..., 0, 0]
-    return float(f) if f.ndim == 0 else f
+    return float_or_array((_FIDELITY_WEIGHTS @ diag[..., None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +389,7 @@ def concentration_success_closed_form(alpha, eta) -> float | np.ndarray:
     s, c, u = np.sin(2.0 * eta), np.cos(2.0 * eta), basis.sin2theta
     # products, not ** 2: a numpy scalar's square is libm's pow, which can round apart
     y = 1.0 + (u * u) * (c * c) / ((1.0 + s) * basis.n_theta)
-    p = s * s / (4.0 * (y * y))
-    return float(p) if np.ndim(p) == 0 else p
+    return float_or_array(s * s / (4.0 * (y * y)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +406,7 @@ def cv_fidelity(alpha_r: float | np.ndarray) -> float | np.ndarray:
     gives a float.
     """
     x2 = np.multiply(alpha_r, alpha_r)
-    f = (1.0 + np.exp(-2.0 * x2)) / (2.0 * (1.0 + np.exp(-4.0 * x2)))
-    return float(f) if f.ndim == 0 else f
+    return float_or_array((1.0 + np.exp(-2.0 * x2)) / (2.0 * (1.0 + np.exp(-4.0 * x2))))
 
 
 def cv_max() -> tuple[float, float]:

@@ -62,6 +62,11 @@ BELL_VECTORS = np.array(
 ) / _SQ2
 
 
+def float_or_array(x) -> float | np.ndarray:
+    """A float for a single value, the array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class LogicalBasis:
     """Orthonormal pair built from |ta> and |-ta> at amplitude ``amplitude`` = ta.
@@ -95,10 +100,16 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
     The error names the first such amplitude, the least ``t`` and that
     amplitude's least 1 - exp(-4 t^2 alpha^2).
     """
-    # both range checks in one reduction; the error names the first that fails
-    if not (np.logical_and(0.0 < t, t <= 1.0) & (alpha > 0)).all():
+    # both range checks in one reduction, which an empty alpha or t passes; the
+    # error names the first that fails
+    ok = np.logical_and(0.0 < t, t <= 1.0) & (alpha > 0)
+    if not (ok.all() and ok.size):
         if not np.greater(alpha, 0.0).all():
             raise ValueError("alpha must be positive")
+        if not np.size(alpha):
+            raise ValueError("alpha must hold at least one amplitude")
+        if not np.size(t):
+            raise ValueError("t must hold at least one decay factor")
         raise ValueError("decay factor t must lie in (0, 1]")
     return basis_in_range(alpha, t)
 
@@ -157,12 +168,12 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
     B1,2 = (Psi+Psi+ +- Psi-Psi-)/sqrt2;  B3,4 = (Psi+Psi- +- Psi-Psi+)/sqrt2,
     from the logical kets Psi+ = (cos th |ta> - sin th |-ta>) / sqrt(N_theta)
     = (a, b) and Psi- = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta) = (b, a).
-    Of B = inv (u v +- w x), inv = 1/sqrt2, the coefficient on (i, j) is
-    inv u_i v_j + inv (+-w_i x_j), the sum ``consolidate`` takes of the
-    tensor products, so its bits are theirs.  Each product is inv a a,
-    inv a b (= inv b a) or inv b b, and B2's and B4's second term is
-    subtracted (a - b is a + (-1) * b): each coefficient is a sum or
-    difference of two of those three, element-wise, cast to complex once.
+    Of B = inv (u v +- w x), inv = 1/sqrt2, the coefficient on (i, j) is inv u_i v_j
+    + inv (+-w_i x_j), the sum ``consolidate`` takes of the tensor products.  Each
+    product is inv a a, inv a b (= inv b a) or inv b b, and B2's and B4's second term
+    is subtracted (a - b is a + (-1) * b): each coefficient is a sum or difference of
+    two of those three, element-wise, cast to complex once.  It matches its reference
+    bit for bit, that sum taken one coefficient at a time in Python's scalars.
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
@@ -184,9 +195,9 @@ def bell_state(k: int, basis: LogicalBasis) -> CoherentSuperposition:
     coherent superposition.
 
     B2 and B4 are entangled coherent states exactly; B1 and B3 carry the
-    extra -sin(2 theta) cross terms.  The terms are those of ``bell_coeffs``,
-    in that order; terms at or below DROP_TOL of the largest are dropped, as
-    in ``consolidate``.
+    extra -sin(2 theta) cross terms.  The terms are those of ``bell_coeffs``, in
+    that order, less those at or below DROP_TOL of the largest: it matches its
+    reference bit for bit, the consolidated tensor products of Psi+ and Psi-.
     """
     coeffs = bell_coeffs(k, basis)
     size = np.abs(coeffs)
@@ -220,6 +231,8 @@ class TwoQubitDensity:
         m = m.astype(np.promote_types(m.dtype, float), copy=False)
         if m.shape[-2:] != (4, 4):
             raise ValueError("density matrix must be 4x4")
+        if not m.size:
+            raise ValueError("a density batch must hold at least one density")
         # laid out like m, so that both uses below run on contiguous memory
         m_dag = np.conjugate(m.swapaxes(-1, -2), order="C")
         if not np.abs(m - m_dag).max() <= 1e-10:
@@ -242,17 +255,17 @@ class TwoQubitDensity:
 def project_to_density(rho: CoherentOperator, basis: LogicalBasis) -> TwoQubitDensity:
     """Express a two-mode coherent operator in the logical product basis.
 
-    Every dyad amplitude must lie in the logical span per mode (exact for
-    the channel states here, where decay maps +-a to +-ta); otherwise the
-    projection would lose trace and a SpanError is raised instead.
-    Coefficients and amplitudes that are arrays (a decay-time grid, with a
-    basis of the same shape) give a batched density of that shape: the
-    contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t, multiplied
-    left to right, c ket0 (x) ket1 by ufuncs and the rest by einsum's generic
-    loop, which sums the dyads point by point from zero in term order: each
+    Every dyad amplitude must lie in the logical span per mode (exact for the channel
+    states here, where decay maps +-a to +-ta); otherwise the projection would lose
+    trace and a SpanError is raised instead.  Coefficients and amplitudes that are
+    arrays (a decay-time grid, with a basis of the same shape) give a batched density
+    of that shape: the contraction sum_t c_t ket0_t (x) ket1_t (x) bra0_t (x) bra1_t,
+    multiplied left to right, c ket0 (x) ket1 by ufuncs and the rest by einsum's
+    generic loop, which sums the dyads point by point from zero in term order: each
     entry has the bits of its own scalar call.  The coordinates are real; complex
-    coefficients meet their imaginary parts of +0, so every product rounds once
-    a part, fused or not, and the bits are those of a five-operand einsum.
+    coefficients meet their imaginary parts of +0, so every product rounds once a
+    part, fused or not: it matches its reference bit for bit, a five-operand einsum,
+    or the products on each coefficient's (re, im) pair summed 128 points a block.
     """
     if rho.modes != 2:
         raise ValueError("expected a two-mode operator")
@@ -274,8 +287,8 @@ def pauli_decompose(rho: TwoQubitDensity) -> np.ndarray:
     the float view and one einsum over the +-1 signs (numpy's own loop, no
     BLAS).  The sum runs from zero over the rows i in order, as the complex
     contraction sum_ij rho_ij (s_m (x) s_n)_ji does, whose other twelve
-    products are zeros: the bits are that contraction's, and each entry has
-    the bits of its own scalar call.  A real rho has the bits of its
+    products are zeros: it matches its reference bit for bit, that contraction, and
+    each entry has the bits of its own scalar call.  A real rho has the bits of its
     complex copy: its table gives each imaginary part the sign 0.
     """
     m = rho.matrix

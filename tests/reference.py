@@ -1,25 +1,33 @@
 """The references that the tests read: the channel's and the swap's decimal
 referees, the 40-digit Poisson tail, the one-amplitude routes of the channel
-and its closed forms, shared points and shared numpy helpers.  Test
-modules import them from here, never from one another, so a helper renamed in
-one cannot break the collection of another.  pytest does not collect this
-module (no ``test_`` prefix); its default import mode puts ``tests/`` on the
-path.
+and its closed forms, the references that the library's functions match bit
+for bit with the edge cases they are matched on, shared points and shared
+numpy helpers.  Test modules import them from here, never from one another,
+so a helper renamed in one cannot break the collection of another.  pytest
+does not collect this module (no ``test_`` prefix); its default import mode
+puts ``tests/`` on the path.
 """
+import argparse
 import decimal
 import functools
+import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from ecsim.coherent_states import CoherentOperator, CoherentSuperposition, dyad_from_pure
-from ecsim.decoherence import DecayClock, decohere
+from ecsim import cli, decoherence, protocols
+from ecsim import qubit_encoding as qe
+from ecsim.coherent_states import (DROP_TOL, CoherentOperator, CoherentSuperposition, beam_split,
+                                   consolidate, dyad_from_pure, photon_distribution, tensor)
+from ecsim.decoherence import DecayClock, channel_rho4, decohere
 from ecsim.entanglement_metrics import closed_form_e, closed_form_f, closed_form_s
-from ecsim.protocols import CORRECTIONS
-from ecsim.qubit_encoding import (BELL_VECTORS, PAULIS, LogicalBasis, TwoQubitDensity,
-                                  bell_state, make_basis, project_to_density)
+from ecsim.protocols import CORRECTIONS, BellOutcome, classify_counts
+from ecsim.qubit_encoding import (BELL_VECTORS, PAULI_PRODUCTS, PAULIS, LogicalBasis,
+                                  TwoQubitDensity, bell_state, logical_coords, make_basis,
+                                  project_to_density)
 
 # Python's a**2 (libm's pow) and a product differ on 0.45641438732799167,
 # which moves its B4 coefficients, and on the N_theta of 0.6367562934712789;
@@ -166,12 +174,16 @@ def array_state(rng, terms, modes, max_amp=3.0):
     return CoherentSuperposition(coeffs, amps)
 
 
-def channel_one_amplitude(alpha: float, r):
-    """The damped channel of one amplitude from the scalar pieces: the B4
-    state of the undecayed basis, its dyad, the decay and the projection."""
-    clock = DecayClock.from_r(r)
-    rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
-    return project_to_density(rho, make_basis(alpha, clock.t))
+def channel_per_amplitude(alphas, r):
+    """The damped channel amplitude by amplitude from the scalar pieces: the B4
+    state of the undecayed basis, its dyad, the decay and the projection, whose
+    imaginary parts are zeros."""
+    clock, mats = DecayClock.from_r(r), []
+    for alpha in alphas.tolist():
+        rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
+        mats.append(project_to_density(rho, make_basis(alpha, clock.t)).matrix)
+    assert not any(m.imag.any() for m in mats)
+    return np.stack([m.real for m in mats])
 
 
 def closed_forms_one_amplitude(alpha: float, r: np.ndarray) -> dict:
@@ -260,3 +272,409 @@ def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
     cos, sin = basis.cos_sin.tolist()
     return _on_pair(basis, -sin, cos)
+
+
+# ---------------------------------------------------------------------------
+# the references that library functions match bit for bit, and the edge
+# cases they are matched on
+
+
+def bell_reference(k, basis):
+    """Bell state k as the consolidated sum of tensor products of psi_plus
+    and psi_minus."""
+    p, m = psi_plus(basis), psi_minus(basis)
+    first, second = (tensor(p, p), tensor(m, m)) if k < 3 else (tensor(p, m), tensor(m, p))
+    return consolidate((1.0 / math.sqrt(2.0))
+                       * (first + second if k % 2 else first + (-1.0) * second))
+
+
+def bell_coeffs_reference(k, basis):
+    """``bell_coeffs`` as a loop over the basis entries in Python's scalar
+    float and complex arithmetic, one coefficient at a time."""
+    inv = complex(1.0 / math.sqrt(2.0))
+    n_thetas, (coss, sins) = np.asarray(basis.n_theta), basis.cos_sin
+    coeffs = []  # amplitude major
+    for n_theta, cos_theta, sin_theta in zip(n_thetas.flat, coss.flat, sins.flat):
+        c = 1.0 / math.sqrt(n_theta)
+        cos, sin = c * float(cos_theta), c * float(sin_theta)
+        plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
+        minus = (complex(-sin), complex(cos))  # Psi-
+        u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
+        for i in (0, 1):
+            for j in (0, 1):
+                second = w[i] * x[j]
+                if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
+                    second = complex(-1.0) * second
+                coeffs.append(inv * (u[i] * v[j]) + inv * second)
+    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + n_thetas.shape)
+
+
+# log-uniform amplitudes t * alpha from the degeneracy floor to the CLI's largest
+# alpha; sin(theta) underflows to 0 from t * alpha ~ 19.3 on
+BASIS_AMPLITUDES = np.exp(np.random.default_rng(50).uniform(np.log(6e-7), np.log(1e6), 20000))
+
+
+def bell_coeff_bases():
+    """``BASIS_AMPLITUDES`` at four t, 200 log-uniform alpha by 100 t, one scalar basis."""
+    alphas = np.exp(np.random.default_rng(51).uniform(np.log(1.2e-5), np.log(1e6), 200))
+    times = np.random.default_rng(52).uniform(0.05, 1.0, 100)
+    return [make_basis(BASIS_AMPLITUDES / t, t) for t in (1.0, 0.8, 0.3, 0.05)] + [
+        make_basis(alphas[:, None], times), make_basis(0.7, 0.9)]
+
+
+def project_reference(rho, basis):
+    """The projection as it was computed before it became one contraction:
+    the coefficients split into real and imaginary parts, the grid flat and
+    worked through in blocks of 128 points, each dyad's products taken on
+    the (re, im) pair and viewed as complex at the end.  A real operator's
+    imaginary parts are zeros, and it gives the real parts."""
+    coords = logical_coords(np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis)
+    # (terms, side, mode, logical index, *grid), the grid flat
+    coords = coords.transpose(0, 1, 2, -1, *range(3, coords.ndim - 1))
+    grid = coords.shape[4:]
+    coords = coords.reshape(coords.shape[:4] + (-1,))
+    c = rho.coeffs.reshape(len(rho.coeffs), 1, -1)
+    c = np.concatenate((c.real, c.imag), axis=1)  # (terms, re/im, points)
+    n = coords.shape[-1]
+    out = np.empty((n, 32))
+    for start in range(0, n, 128):
+        s = slice(start, start + 128)
+        out[s] = _summed_products(c[..., s], coords[..., s])
+    # (points, 16 entries, re/im) viewed as complex (*grid, 4, 4)
+    out = out.view(complex).reshape(grid + (4, 4))
+    if np.iscomplexobj(rho.coeffs):
+        return out
+    assert not out.imag.any()
+    return np.ascontiguousarray(out.real)
+
+
+def _summed_products(c, coords):
+    """The sum over terms of c x ket0 x ket1 x bra0 x bra1, (points, 32),
+    each product in that order on the (re, im) pair of c; the terms are
+    summed from zero in order."""
+    prod = c[:, None] * coords[:, 0, 0, :, None]
+    prod = prod[:, :, None] * coords[:, 0, 1, None, :, None]
+    prod = prod[:, :, :, None] * coords[:, 1, 0, None, None, :, None]
+    prod = prod[:, :, :, :, None] * coords[:, 1, 1, None, None, None, :, None]
+    return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
+
+
+def five_operand_einsum(rho, basis):
+    """The projection as one five-operand contraction, c ket0 ket1 bra0 bra1
+    multiplied left to right in einsum's generic loop and summed over the
+    dyads from zero in term order."""
+    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis).astype(complex)
+    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl", rho.coeffs,
+                    coords[:, 0, 0], coords[:, 0, 1], coords[:, 1, 0], coords[:, 1, 1])
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def random_dyads(grid):
+    """Six random complex coefficients on random +-t alpha dyads, one basis a point."""
+    rng = np.random.default_rng(29)
+    basis = make_basis(rng.uniform(0.05, 3.0, grid), rng.uniform(0.05, 1.0, grid))
+    signs = rng.choice((-1.0, 1.0), size=(2, 6, 2) + grid)
+    kets, bras = (signs * basis.amplitude).astype(complex)
+    coeffs = rng.standard_normal((6,) + grid) + 1j * rng.standard_normal((6,) + grid)
+    return CoherentOperator(coeffs, kets, bras), basis
+
+
+def channel_projections():
+    """Calls (operator, basis) of the projection: the decayed B4 dyad at six
+    amplitudes on r grids with block edges (127-129, 257 points) and a (3, 400)
+    grid, Bell dyads mixed, and what ``channel_rho4`` projects on an (alpha, r) grid."""
+    cases = []
+    for alpha in (1e-3, 0.1, 1.0, 2.5, 13.4, 1e6):
+        b4 = dyad_from_pure(bell_state(4, make_basis(alpha, 1.0)))
+        for shape in ((1,), (2,), (127,), (128,), (129,), (257,), (3, 400)):
+            clock = DecayClock.from_r(np.linspace(0.0, 0.995, math.prod(shape)).reshape(shape))
+            cases.append([(decohere(b4, clock), make_basis(alpha, clock.t))])
+    b = make_basis(0.8, 1.0)
+    mixture = operator_sum((1.0 / 1.5, dyad_from_pure(bell_state(2, b))),
+                           (0.5 / 1.5, dyad_from_pure(bell_state(3, b))))
+    seen = []
+    with mock.patch.object(decoherence, "project_to_density", lambda *args: seen.append(args)):
+        channel_rho4(np.array([1e-3, 0.4, 1.7, 13.4]), np.linspace(0.0, 0.9999, 131))
+    return cases + [[(mixture, b)], seen]
+
+
+def pauli_reference(rho: TwoQubitDensity) -> np.ndarray:
+    """The complex contraction tr(rho s_m (x) s_n) that ``pauli_decompose``
+    takes as signed sums of four parts."""
+    return np.einsum("...ij,mnji->...mn", rho.matrix, PAULI_PRODUCTS).real
+
+
+def signed_zero_density() -> TwoQubitDensity:
+    """200 diagonal densities whose other parts are +-0 at random: some Pauli
+    coordinates are then four parts that all read -0, and the contraction,
+    which sums from +0, reads +0 in every coordinate."""
+    rng = np.random.default_rng(28)
+    m = np.where(rng.random((200, 4, 4, 2)) < 0.5, -0.0, 0.0)
+    m[:, range(4), range(4), 0] = 0.25
+    rho = TwoQubitDensity(m.view(complex)[..., 0])
+    signed = rho.matrix.reshape(200, 16).view(float)[:, qe._PAULI_GATHER] * qe._PAULI_SIGN
+    assert np.signbit(signed).all(axis=1).any()
+    assert not np.signbit(pauli_reference(rho)).any()
+    return rho
+
+
+def real_densities() -> TwoQubitDensity:
+    """Random real symmetric densities of ranks 1 to 4, then channel densities."""
+    rng = np.random.default_rng(48)
+    g = rng.standard_normal((2000, 4, 4)) * (rng.random((2000, 1, 4)) < 0.7)
+    m = g @ g.swapaxes(-1, -2) + np.eye(4) * rng.choice((0.0, 1e-3), (2000, 1, 1))
+    m = m[np.trace(m, axis1=-2, axis2=-1) > 0]
+    m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+    m = (m + m.swapaxes(-1, -2)) / 2.0
+    grid = channel_rho4(np.array([2e-3, 0.1, 0.7, 2.5, 13.4]), np.linspace(0.0, 0.9999, 200))
+    real = TwoQubitDensity(np.concatenate((m, grid.matrix.reshape(-1, 4, 4))))
+    assert real.matrix.dtype == np.float64
+    return real
+
+
+def division_to_fock(s, cutoff):
+    """to_fock's amplitudes by the recursion as it divides: each factor of
+    <n|b> is the complex quotient b / sqrt(n), then the same products."""
+    table = np.empty(s.amps.shape + (cutoff + 1,), dtype=complex)
+    table[..., 0] = np.exp(-0.5 * np.square(np.abs(s.amps)))
+    table[..., 1:] = s.amps[..., None] / np.sqrt(np.arange(1, cutoff + 1))
+    np.cumprod(table, axis=-1, out=table)
+    rest = np.ones((len(s.coeffs), 1), dtype=complex)
+    for m in range(1, s.modes):
+        rest = (rest[:, :, None] * table[:, m, None, :]).reshape(len(s.coeffs), -1)
+    return ((s.coeffs[:, None] * table[:, 0]).T @ rest).reshape((cutoff + 1,) * s.modes)
+
+
+def signed_parts(rng, shape, special):
+    """Uniform parts in (-2, 2), about half of them replaced by ``special``
+    values (signed zeros, subnormals)."""
+    part = rng.uniform(-2.0, 2.0, shape)
+    swap = rng.uniform(size=shape) < 0.5
+    part[swap] = rng.choice(special, swap.sum())
+    return part
+
+
+def with_parts(real, imag):
+    """A complex array holding exactly these parts, signed zeros included."""
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def signed_zero_fock_states(modes):
+    """150 (state, cutoff) pairs of 1-3 terms, where a zero part can reach an output
+    amplitude: pure-imaginary and vacuum amplitudes, parts of +-0 and +-5e-324."""
+    rng = np.random.default_rng([53, modes])
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 0.7, -1.3])
+    out = []
+    for _ in range(150):
+        terms = int(rng.integers(1, 4))
+        amps = with_parts(signed_parts(rng, (terms, modes), special),
+                          signed_parts(rng, (terms, modes), special))
+        kind = rng.uniform(size=(terms, modes))
+        amps[kind < 0.2] = with_parts(rng.choice([0.0, -0.0], (kind < 0.2).sum()),
+                                      rng.uniform(-2.0, 2.0, (kind < 0.2).sum()))
+        amps[kind > 0.9] = with_parts(rng.choice([0.0, -0.0], (kind > 0.9).sum()),
+                                      rng.choice([0.0, -0.0], (kind > 0.9).sum()))
+        coeffs = with_parts(signed_parts(rng, terms, special[:2]),
+                            signed_parts(rng, terms, special[:2]))
+        cutoff = int(rng.integers(1, 12 if modes <= 2 else 6))
+        out.append((CoherentSuperposition(coeffs, amps), cutoff))
+    return out
+
+
+def sequential_merge(s):
+    """``consolidate`` by the sequential merge: the kept coefficients and rows."""
+    reps = []
+    for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
+        for i, (coeff, amps) in enumerate(reps):
+            if row == amps:
+                reps[i] = (coeff + c, amps)
+                break
+        else:
+            reps.append((c, row))
+    floor = DROP_TOL * max(abs(c) for c, _ in reps)
+    kept = [(c, a) for c, a in reps if abs(c) > floor] or [(0.0 + 0.0j, s.amps[0].tolist())]
+    return tuple(np.array(part, dtype=complex) for part in zip(*kept))
+
+
+def ulp_apart_states():
+    """200 states whose rows repeat from a few centres, some entries moved one
+    ulp up or down, so that exact repeats and rows one ulp apart both occur."""
+    rng = np.random.default_rng(50)
+    out = []
+    for _ in range(200):
+        modes = int(rng.integers(1, 4))
+        centers = rng.uniform(-1, 1, (3, modes)) + 1j * rng.uniform(-1, 1, (3, modes))
+        n = int(rng.integers(1, 40))
+        amps = centers[rng.integers(0, 3, n)]
+        for part in (amps.real, amps.imag):
+            moved = rng.uniform(size=(n, modes)) < 0.15
+            part[moved] = np.nextafter(part[moved], rng.choice([-2.0, 2.0], moved.sum()))
+        coeffs = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        out.append(CoherentSuperposition(coeffs, amps))
+    return out
+
+
+def signed_zero_repeats(terms):
+    """``terms`` terms whose rows repeat from a few centres with parts of +-0, a
+    repeat may flip a zero's sign, and coefficient parts are often -0.0."""
+    rng = np.random.default_rng([54, terms])
+    special = np.array([0.0, -0.0, 0.25])
+    centres = with_parts(signed_parts(rng, (max(2, terms // 4), 2), special),
+                         signed_parts(rng, (max(2, terms // 4), 2), special))
+    amps = centres[rng.integers(0, len(centres), terms)]
+    zero = (amps.real == 0.0) & (rng.uniform(size=amps.shape) < 0.5)
+    amps.real[zero] = -amps.real[zero]
+    coeffs = with_parts(signed_parts(rng, terms, np.array([-0.0])),
+                        signed_parts(rng, terms, np.array([-0.0])))
+    s = CoherentSuperposition(coeffs, amps)
+    assert len(sequential_merge(s)[0]) < terms
+    return s
+
+
+def bell_cells(state):
+    """Every non-zero Fock cell of the split state, row-major, as a double
+    loop over the grid: (outcome, probability) in Python ints and floats."""
+    dist = photon_distribution(beam_split(state, 0, 1))
+    return tuple((BellOutcome(classify_counts(n_f, n_g), (n_f, n_g)), float(dist.probs[n_f, n_g]))
+                 for n_f in range(dist.cutoff + 1) for n_g in range(dist.cutoff + 1)
+                 if dist.probs[n_f, n_g] > 0.0)
+
+
+def mc_kernel_reference(q, samples, seed, chunk):
+    """teleport_average_mc as it was with an (n, 4) layout, shot axis outermost."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, samples)
+    ph = rng.uniform(0.0, 2.0 * math.pi, samples)
+    u = rng.random(samples)
+    fids = np.empty(samples)
+    for start in range(0, samples, chunk):
+        block = slice(start, start + chunk)
+        zb, phb = z[block], ph[block]
+        s = np.sqrt((1.0 - zb) * (1.0 + zb))
+        b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
+        probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
+        cum = np.cumsum(probs, axis=1)
+        ks = (u[block, None] * cum[:, -1:] > cum).sum(axis=1)
+        qk = q[ks]
+        num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
+        fids[block] = num / probs[np.arange(len(zb)), ks]
+    mean = float(fids.mean())
+    stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return mean, stderr
+
+
+def mc_block_edges():
+    """Calls (MC_CHUNK, MC_SORT_MIN, transfer, shots, seed) of the Monte Carlo:
+    blocks of 1, 7 and MC_CHUNK shots, with cos and sin sorted from MC_SORT_MIN
+    shots or from 1; 2 chunk and 2 chunk + 1 shots put block edges at the starts of
+    the stream's segments, and the first seed runs again last.  Then transfers near
+    underflow and of random densities, and MC_CHUNK +-1 shots in each block size."""
+    chunk0, sort0, transfer = protocols.MC_CHUNK, protocols.MC_SORT_MIN, protocols.bloch_transfer
+    qs = [transfer(channel_rho4(*p)) for p in ((1.0, 0.0), (0.4, 0.6), (2.0, 0.93))]
+    cases = [[(chunk, sort, qs[k], n, 100 + k) for n in sorted(
+        {1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5, sort - 1,
+         sort, sort + 1} - {0}) for k in (0, 1, 2, 0)]
+        for sort in (sort0, 1) for chunk in (1, 7, chunk0)]
+    sizes = (1, 2, sort0 - 1, sort0 + 1, chunk0 - 1, chunk0 + 1)
+    for rho in [channel_rho4(*p) for p in ((1e-3, 0.4), (13.4, 0.0), (13.4, 0.7), (1e6, 0.9))
+                ] + [random_density(seed) for seed in (1, 2, 3)]:
+        cases.append([(chunk0, sort0, transfer(rho), n, n) for n in sizes])
+    q = transfer(random_density(4))
+    return cases + [[(chunk, sort0, q, chunk0 + offset, 17) for chunk in (1, 7, chunk0)]
+                    for offset in (-1, 0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the CLI's tables: the row-dict writers that the column writers replaced
+
+
+def _format_value(v) -> str:
+    return str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
+
+
+def csv_by_rows(table) -> str:
+    """The CSV text of a column table, one row dict at a time."""
+    rows = row_dicts(table)
+    if not rows:
+        return "\n"
+    cols = list(rows[0].keys())
+    lines = [",".join(_format_value(row[c]) for c in cols) for row in rows]
+    return "\n".join([",".join(cols)] + lines) + "\n"
+
+
+def json_by_rows(table) -> str:
+    """The JSON text of a column table, one row dict at a time."""
+    plain = [{k: (int(v) if isinstance(v, (int, np.integer)) else float(v)) for k, v in r.items()}
+             for r in row_dicts(table)]
+    return json.dumps(plain, indent=2) + "\n"
+
+
+def _broadcast_columns(table):
+    """Each column of a column table broadcast to the table's shape, flat in C order."""
+    shape = np.broadcast_shapes(*(col.shape for col in table.values()))
+    return [np.broadcast_to(col, shape).ravel() for col in table.values()]
+
+
+def row_dicts(table):
+    """The per-row dicts of a column table, with numpy scalar values."""
+    return [dict(zip(table, values)) for values in zip(*_broadcast_columns(table))]
+
+
+def row_tuples(table):
+    """The rows of a column table as tuples of Python values."""
+    return list(zip(*[col.tolist() for col in _broadcast_columns(table)]))
+
+
+def rows_per_alpha(argv):
+    """The rows of each amplitude's own request, in order; a teleport-mc seed moves
+    on by len(r) an amplitude, so that each row keeps its stream."""
+    cfg, rows = cli._parse(argv), []
+    for a, alpha in enumerate(cfg.alphas):
+        one = dict(vars(cfg), alphas=[alpha])
+        if "seed" in one:
+            one["seed"] += a * cfg.r_steps
+        rows += row_tuples(cli._ROW_BUILDERS[cfg.command](argparse.Namespace(**one)))
+    return rows
+
+
+def teleport_rows_per_point(argv):
+    """A teleport-mc request's rows, point by point: each point's own channel
+    density, transfer, exact average and Monte Carlo on its own stream."""
+    cfg, rows = cli._parse(argv), []
+    for a, alpha in enumerate(cfg.alphas):
+        for i, r in enumerate(cli._r_grid(cfg).tolist()):
+            q = protocols.bloch_transfer(channel_rho4(alpha, r))
+            mean, stderr = protocols.teleport_average_mc(q, cfg.samples,
+                                                         cfg.seed + a * cfg.r_steps + i)
+            rows.append((alpha, r, protocols.average_fidelity(q), mean, stderr, cfg.samples))
+    return rows
+
+
+# Extreme values in flat columns, and in broadcast ones: NaN, +-inf, -0.0 next
+# to 0.0, the least subnormal, and 0-d ints, in (A, 1), (1, R) and 0-d columns
+_ALPHA_COL = np.array([[math.nan], [-0.0], [0.0], [math.inf], [5e-324]])
+_R_COL = np.array([[-math.inf, 0.0, -0.0, 5e-324, 1.0 / 3.0, math.nan]])
+WRITER_TABLES = {
+    "flat": {"x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                            2.2250738585072014e-308, 1e300, -1e300, 1.0 / 3.0, 0.1, 1e16,
+                            123456789.0]),
+             "n": np.array([0, 1, -7, 2**62, -(2**62), 10, 3, 4, 5, 6, 7, 8, 9])},
+    "flat-one-nan": {"only": np.array([math.nan])},
+    "flat-mixed": {"a": np.array([1.5, -2.5]), "b_col": np.array([-0.0, math.inf]),
+                   "k": np.array([1, 0]), "c": np.array([math.nan, 1e-320])},
+    "with-full-column": {"alpha": _ALPHA_COL, "r": _R_COL,
+                         "x": np.arange(30.0).reshape(5, 6) - 14.0,
+                         "const": np.array(-0.0), "n": np.array(7), "big": np.array(-(2**62))},
+    "no-full-column": {"n": np.array(3), "r": _R_COL, "alpha": _ALPHA_COL,
+                       "nan": np.array(math.nan)},
+    "flat-axis": {"alpha": _ALPHA_COL, "r": _R_COL[0], "inf": np.array(-math.inf)},
+    "middle-axis": {"a": np.array([[[1.5, -0.0, math.inf]], [[math.nan, 0.0, 5e-324]]]),
+                    "b": np.array([[-1.0], [0.0], [-0.0], [math.inf]]), "k": np.array(0)},
+    "one-row": {"a": np.array(math.nan), "b": np.array([[-0.0]]), "n": np.array(1)},
+}
+DEFAULT_ARGV = {
+    "fig2a": [], "fig2b": [], "fig3": [], "bellmeas": [], "concentrate": [], "cv": [],
+    "teleport-mc": ["--samples", "50"],
+}

@@ -23,6 +23,8 @@ import pytest
 from ecsim import acceptance, cli
 from ecsim import coherent_states as cs
 from ecsim import decoherence as dec
+from ecsim import entanglement_metrics as em
+from ecsim import protocols as pr
 from ecsim import qubit_encoding as qe
 from reference import operator_sum
 
@@ -199,6 +201,43 @@ def test_property_suite_fails_when_its_property_breaks(monkeypatch, suite, patch
     for (module, name), patch in patches.items():
         monkeypatch.setattr(module, name, patch(getattr(module, name)))
     passed, detail = getattr(acceptance, suite)(cases=5)
+    assert not passed
+    assert fragment in detail
+
+
+def _beyond_r_c(value):
+    """A patch that sets check 3's (alpha 1, r 0.75) entry of the real call to ``value``."""
+    return lambda real: lambda *args: np.where(np.arange(9).reshape(3, 3) == 3, value, real(*args))
+
+
+def _past_3_stderr(real):
+    """A patch whose Monte Carlo mean lies just past 3 stderr from the exact average."""
+    def mc(q, samples, seed):
+        stderr = real(q, samples, seed)[1]
+        return pr.average_fidelity(q) + 3.0 * (1.0 + 1e-6) * stderr, stderr
+    return mc
+
+
+# (check, {(module, name): patch of the real call}, fragment of the detail), as
+# PROPERTY_BREAKS for checks 1-9: a strict claim broken to its boundary, a
+# tolerance to just past it, so that a loosened clause fails a row too.
+CHECK_BREAKS = [
+    ("check_characteristic_time", {(em, "closed_form_f"): _beyond_r_c(2.0 / 3.0)},
+     "beyond-r_c behavior ok: False"),
+    ("check_characteristic_time", {(em, "closed_form_e"): _beyond_r_c(0.0)},
+     "beyond-r_c behavior ok: False"),
+    ("check_teleportation_mc", {(pr, "teleport_average_mc"): _past_3_stderr}, "|mc-exact|="),
+    ("check_cv_fidelity", {(pr, "cv_max"): lambda real: lambda: (
+        real()[0], real()[1] - 5.0 * acceptance.EPS)}, "grid peak f* +5.0 eps"),
+]
+
+
+@pytest.mark.parametrize("check,patches,fragment", CHECK_BREAKS, ids=[
+    f"{check}-{'-'.join(name for _, name in patches)}" for check, patches, _ in CHECK_BREAKS])
+def test_check_fails_when_its_claim_breaks(monkeypatch, check, patches, fragment):
+    for (module, name), patch in patches.items():
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    passed, detail = getattr(acceptance, check)()
     assert not passed
     assert fragment in detail
 

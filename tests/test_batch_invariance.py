@@ -1,34 +1,49 @@
-"""Batch invariance: each entry has the bits of its own scalar call.
+"""Same bits: each entry has the bits of its own scalar call, and each function
+that names a reference matches its reference bit for bit.
 
 Every sweep of the CLI is one batched call, so each byte-identity claim of a
-render rests on this contract.  ``REGISTRY`` maps every function whose
+render rests on the first contract.  ``REGISTRY`` maps every function whose
 docstring states it, in the words of ``CONTRACT``, to its batched calls: 0-d,
 (1,), (N,), the CLI's (A, 1) x (1, N) grids, non-contiguous views and lists
 where the function takes them.  Each entry of a call is compared with its own
 call by ``tobytes``, so +-0 counts, and a 0-d call returns a Python ``float``
-where the return annotation names one.  Each (function, case) pair is its
-own test, so a failure names the function and the case.  To register a function, state the
-contract in its docstring and add an entry: the static test fails on a
-docstring with the phrase and no entry, and on an entry without the phrase.
+where the return annotation names one.
+
+``REFERENCES`` holds the second, stated in the words of ``CLAIM``: one ``Row``
+per function and reference (``tests/reference.py``), its cases, each a list of
+calls, and how to compare: the arrays' dtypes, shapes and bytes, or ``repr`` for
+Python values and text.  Each (function, case) pair of either table is its own
+test, so a failure names the function and the case.  To register a function,
+state its phrase in its docstring and add an entry or a row: each static test
+fails on a docstring with its phrase and no entry or row, and on an entry or
+row whose function lacks the phrase.
 """
 import ast
+import collections
 import functools
+import itertools
+import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ecsim import cli
 from ecsim import coherent_states as cs
 from ecsim import decoherence as dec
 from ecsim import entanglement_metrics as em
 from ecsim import protocols as pr
 from ecsim import qubit_encoding as qe
 from ecsim.qubit_encoding import TwoQubitDensity
+import reference as ref
 from reference import (IDEAL_ETAS, LOG_ALPHAS, PINNED_ALPHAS, TAIL_MEANS, operator_sum,
                        random_density)
 
 CONTRACT = "each entry has the bits of its own scalar call"
+CLAIM = "matches its reference bit for bit"
 # Rows of np.linspace(0, 0.99, 20001) where a scalar r once lost the bits of its grid
 # row at alpha = 1.3 (27 of E, 14 of f, 13 shared): numpy's x**2 is libm's pow on a
 # float64 scalar but a product on an array.
@@ -64,10 +79,16 @@ def _outer(alpha, r):
     return _entries((np.reshape(alpha, np.shape(alpha) + (1,) * np.ndim(r)), r), (0, 0))
 
 
+def _alpha_column(seed, uniform, log):
+    """The pinned amplitudes, ``uniform`` in [1e-3, 3] and ``log`` log-uniform
+    in [1e-3, 1e6], drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, uniform),
+                           10.0 ** rng.uniform(-3.0, 6.0, log)))
+
+
 def _channel():
-    rng = np.random.default_rng(45)
-    column = np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, 40),
-                             10.0 ** rng.uniform(-3.0, 6.0, 20)))
+    column = _alpha_column(45, 40, 20)
     three, r57, r41 = np.array([0.1, 1.0, 2.5]), np.linspace(0, .995, 57), np.linspace(0, .995, 41)
     at_pow = [np.linspace(0, 0.99, 4001)[406]] + np.linspace(0, 0.999, 4001)[[54, 2698]].tolist()
     return [(np.array(0.7), np.array(0.3)), (np.float64(1.3), np.linspace(0.0, 0.9, 5)),
@@ -209,17 +230,17 @@ def _name(fn) -> str:
 
 
 @functools.cache
-def _cases(fn):
-    return REGISTRY[fn].cases()
+def _cases(table_entry):
+    return table_entry.cases()
 
 
 @pytest.mark.parametrize("fn, case", [(fn, case) for fn in REGISTRY
-                                      for case in range(len(_cases(fn)))],
+                                      for case in range(len(_cases(REGISTRY[fn])))],
                          ids=lambda x: _name(x) if callable(x) else str(x))
 def test_each_entry_has_the_bits_of_its_own_scalar_call(fn, case):
     _, split, call, parts = REGISTRY[fn]
     floats = "float" in str(fn.__annotations__["return"])  # a Python float for a 0-d call
-    args = _cases(fn)[case]
+    args = _cases(REGISTRY[fn])[case]
     entries = split(*args)
     ones = [call(fn, *one) for _, one in entries]
     assert ones and all(type(x) is float for x in ones if floats and np.ndim(x) == 0)
@@ -233,17 +254,141 @@ def test_each_entry_has_the_bits_of_its_own_scalar_call(fn, case):
             pytest.fail(f"{len(bad)} entries differ, first at {bad[:3]}")
 
 
-def test_registry_is_every_function_that_states_the_contract():
-    # a function or method of src/ecsim whose docstring, its lines joined, has the phrase
+def _stating(phrase) -> set[str]:
+    """``module.qualname`` of each function of src/ecsim whose docstring has ``phrase``."""
     stated = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ecsim").glob("*.py")):
         nodes = [(node, "") for node in ast.parse(path.read_text()).body]
         for node, prefix in nodes:
             if isinstance(node, ast.ClassDef):
                 nodes += [(item, f"{prefix}{node.name}.") for item in node.body]
-            elif isinstance(node, ast.FunctionDef) and CONTRACT in " ".join(
+            elif isinstance(node, ast.FunctionDef) and phrase in " ".join(
                     (ast.get_docstring(node) or "").split()):
                 stated.add(f"{path.stem}.{prefix}{node.name}")
-    registered = {_name(fn) for fn in REGISTRY}
+    return stated
+
+
+def test_registry_is_every_function_that_states_the_contract():
+    stated, registered = _stating(CONTRACT), {_name(fn) for fn in REGISTRY}
     assert not stated - registered, f"no registry entry: {sorted(stated - registered)}"
     assert not registered - stated, f"no contract in the docstring: {sorted(registered - stated)}"
+
+
+# ---------------------------------------------------------------------------
+# each function whose docstring says it matches a named reference
+
+
+def _array_bits(x) -> list:
+    """Each array's dtype, shape and bytes, so that +-0 counts: a density's
+    matrix, a superposition's coefficients and amplitudes, or the arrays given."""
+    if isinstance(x, TwoQubitDensity):
+        x = x.matrix
+    elif isinstance(x, cs.CoherentSuperposition):
+        x = x.coeffs, x.amps
+    arrays = x if type(x) is tuple else (x,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+class Row(NamedTuple):
+    fn: Callable
+    reference: Callable  # (*args) -> what fn's call must match
+    cases: Callable  # () -> the cases, each a list of argument tuples
+    call: Callable = lambda fn, *args: fn(*args)  # -> fn's output as the reference gives it
+    bits: Callable = _array_bits  # or repr, which tells +-0, int, float and numpy's scalars apart
+
+
+def _unchecked(fn, *args):
+    """``fn``'s matrix before the density checks, which random dyads fail, and the
+    trace check at alpha = 1e-3 and some r."""
+    with mock.patch.object(qe, "TwoQubitDensity", lambda m: SimpleNamespace(matrix=m)):
+        return fn(*args).matrix
+
+
+def _pauli_cases():
+    """Seed 26's random batches, channel grids, and signed zeros."""
+    rng = np.random.default_rng(26)
+    return [[(random_density(rng, shape),) for shape in ((), (1,), (2,), (3, 5), (600,))],
+            [(dec.channel_rho4(*grid),) for grid in (
+                (np.array([0.1, 1.0, 2.5]), np.linspace(0.0, 0.995, 400)),
+                (np.array([2e-3, 13.4, 1e6]), np.linspace(0.0, 0.995, 50)),
+                (1.0, 1.0 / math.sqrt(2.0)))],
+            [(ref.signed_zero_density(),)]]
+
+
+def _mc_call(fn, chunk, sort_min, *args):
+    with mock.patch.multiple(pr, MC_CHUNK=chunk, MC_SORT_MIN=sort_min):
+        return fn(*args)
+
+
+def _writer_tables():
+    """Each command's table at its defaults, then tables of extreme values."""
+    defaults = [cli._ROW_BUILDERS[command](cli._parse([command, *argv]))
+                for command, argv in ref.DEFAULT_ARGV.items()]
+    return [[(table,)] for table in defaults + list(ref.WRITER_TABLES.values())]
+
+
+def _table_rows(fn, argv):
+    """The rows of the table that ``argv``'s command builds; its builder calls ``fn``."""
+    return ref.row_tuples(cli._ROW_BUILDERS[argv[0]](cli._parse(argv)))
+
+
+FIG = "--alphas 0.001 0.05 0.7 2.3 14 1e6 --r-min 0.05 --r-max 0.99 --r-steps 9"
+REFERENCES = [
+    Row(qe.bell_state, ref.bell_reference, lambda: [
+        [(k, qe.make_basis(alpha, t)) for k in (1, 2, 3, 4)]
+        for alpha in (1e-3, 0.1, 1.0, 2.5, 30.0, 1e6) for t in (1.0, 0.3)]),
+    Row(qe.bell_coeffs, ref.bell_coeffs_reference, lambda: [
+        [(k, basis)] for basis in ref.bell_coeff_bases() for k in (1, 2, 3, 4)]),
+    Row(qe.project_to_density, ref.project_reference, ref.channel_projections, _unchecked),
+    Row(qe.project_to_density, ref.five_operand_einsum, lambda: [
+        [ref.random_dyads(grid)] for grid in ((), (7,), (128,), (3, 50))], _unchecked),
+    Row(qe.pauli_decompose, ref.pauli_reference, _pauli_cases),
+    *(Row(fn, lambda rho, fn=fn: fn(TwoQubitDensity(rho.matrix.astype(complex))),
+          lambda: [[(ref.real_densities(),)]])  # a real density's complex copy
+      for fn in (qe.pauli_decompose, em.linear_entropy, em.singlet_fraction, em.optimal_fidelity)),
+    Row(cs.to_fock, ref.division_to_fock, lambda: [
+        ref.signed_zero_fock_states(modes) for modes in (1, 2, 3, 4)], lambda fn, *a: fn(*a).amps),
+    Row(cs.consolidate, ref.sequential_merge, lambda: [[(s,) for s in ref.ulp_apart_states()]] + [
+        [(ref.signed_zero_repeats(terms),)] for terms in (8, 64, 256, 1024)]),
+    Row(dec.channel_rho4, ref.channel_per_amplitude, lambda: [
+        [(_alpha_column(47, 30, 10), r)] for r in (np.linspace(0.0, 0.995, 23), 0.5)]),
+    *(Row(fn, lambda alphas, r, fn=fn: np.stack([ref.closed_forms_one_amplitude(alpha, r)[fn]
+                                                 for alpha in alphas.tolist()]),
+          lambda: [[(_alpha_column(45, 40, 20), np.linspace(0.0, 0.995, 31))]])
+      for fn in (em.closed_form_e, em.closed_form_f, em.closed_form_s)),
+    Row(pr.bell_measure_distribution, ref.bell_cells, lambda: [
+        [(qe.bell_state(k, qe.make_basis(alpha, 1.0)),) for k in (1, 2, 3, 4)]
+        for alpha in (0.3, 1.0, 1.7, 3.0)], lambda fn, state: fn(state).outcomes, repr),
+    Row(pr.teleport_average_mc, lambda chunk, sort_min, *args: ref.mc_kernel_reference(
+        *args, chunk), ref.mc_block_edges, _mc_call, repr),
+    *(Row(fn, reference, _writer_tables, bits=repr)
+      for fn, reference in ((cli._to_csv, ref.csv_by_rows), (cli._to_json, ref.json_by_rows))),
+    Row(cli._rows_teleport_mc, ref.teleport_rows_per_point, lambda: [[(
+        "teleport-mc --alphas 0.3 1.7 --r-min 0.05 --r-max 0.93 --r-steps 5 --samples 37 "
+        "--seed 5".split(),)]], _table_rows, repr),
+    Row(cli._rows_teleport_mc, ref.rows_per_alpha, lambda: [[(
+        "teleport-mc --alphas 0.3 1.7 2.9 --r-max 0.93 --r-steps 4 --samples 23 "
+        "--seed 11".split(),)]], _table_rows, repr),
+    Row(cli._rows_fig, ref.rows_per_alpha, lambda: [
+        [(f"{command} {FIG}".split(),)] for command in ("fig2a", "fig2b", "fig3")],
+        _table_rows, repr),
+]
+
+
+_REFERENCE_ITEMS = [(row, calls) for row in REFERENCES for calls in _cases(row)]
+_NUMBERS = collections.defaultdict(itertools.count)  # a function's cases over its rows
+
+
+@pytest.mark.parametrize("row, calls", _REFERENCE_ITEMS, ids=[
+    f"{_name(row.fn)}-{next(_NUMBERS[row.fn])}" for row, _ in _REFERENCE_ITEMS])
+def test_each_function_matches_its_reference(row, calls):
+    fn, reference, _, call, bits = row
+    assert calls
+    for i, args in enumerate(calls):
+        assert bits(call(fn, *args)) == bits(reference(*args)), f"call {i} of {len(calls)}"
+
+
+def test_references_are_every_function_that_states_the_claim():
+    stated, rowed = _stating(CLAIM), {_name(row.fn) for row in REFERENCES}
+    assert not stated - rowed, f"no row: {sorted(stated - rowed)}"
+    assert not rowed - stated, f"no claim in the docstring: {sorted(rowed - stated)}"

@@ -36,7 +36,7 @@ from ecsim.qubit_encoding import (
     make_basis,
     pauli_decompose,
 )
-from reference import LOG_ALPHAS, PINNED_ALPHAS, channel_one_amplitude, operator_sum
+from reference import LOG_ALPHAS, operator_sum
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -249,17 +249,6 @@ class TestChannel:
 
 
 class TestAlphaBatch:
-    @pytest.mark.parametrize("r", [np.linspace(0.0, 0.995, 23), 0.5], ids=["grid", "scalar"])
-    def test_batch_is_bitwise_the_one_amplitude_route(self, r):
-        rng = np.random.default_rng(47)
-        alphas = np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, 30),
-                                 10.0 ** rng.uniform(-3.0, 6.0, 10)))
-        batch = channel_rho4(alphas, r).matrix
-        for alpha, rows in zip(alphas.tolist(), batch):
-            want = channel_one_amplitude(alpha, r).matrix
-            assert not want.imag.any()
-            assert rows.tobytes() == want.real.tobytes()
-
     def test_the_decayed_operator_has_zero_imaginary_parts(self, monkeypatch):
         # channel_rho4 projects the real parts of the complex route's operator
         seen = []

@@ -34,9 +34,9 @@ from ecsim.qubit_encoding import (
     make_basis,
     pauli_decompose,
 )
-from reference import (ERROR_C, ERROR_K, LOG_ALPHAS, PINNED_ALPHAS, S_ERROR_C, S_ERROR_K,
-                       average_fidelity_reference, closed_forms_one_amplitude, decimal_channel,
-                       random_density)
+from reference import (ERROR_C, ERROR_K, LOG_ALPHAS, S_ERROR_C, S_ERROR_K,
+                       average_fidelity_reference, decimal_channel, random_density,
+                       real_densities)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -487,18 +487,6 @@ class TestBatches:
             ulp = np.spacing(np.maximum(purity, want))
             assert (np.abs(linear_entropy(rho) - want) <= 2.0 * ulp).all()
 
-    @pytest.mark.parametrize("closed,numeric", CLOSED_FORMS)
-    def test_alpha_column_is_bitwise_the_one_amplitude_route(self, closed, numeric):
-        # the pinned amplitudes, then a random set
-        rng = np.random.default_rng(45)
-        alphas = np.concatenate((PINNED_ALPHAS, rng.uniform(1e-3, 3.0, 40),
-                                 10.0 ** rng.uniform(-3.0, 6.0, 20)))
-        r = np.linspace(0.0, 0.995, 31)
-        got = closed(alphas, r)
-        assert got.shape == (len(alphas), len(r))
-        for alpha, row in zip(alphas.tolist(), got):
-            assert row.tobytes() == closed_forms_one_amplitude(alpha, r)[closed].tobytes()
-
     @pytest.mark.parametrize("closed,numeric",
                              CLOSED_FORMS + [(closed_form_vst, pauli_decompose)])
     @pytest.mark.parametrize("alpha_shape,r_shape",
@@ -516,27 +504,6 @@ class TestBatches:
 class TestRealDensity:
     """A real density is measured as the same density held as complex."""
 
-    @staticmethod
-    def _pair():
-        # random real symmetric densities of ranks 1 to 4, then channel densities
-        rng = np.random.default_rng(48)
-        g = rng.standard_normal((2000, 4, 4)) * (rng.random((2000, 1, 4)) < 0.7)
-        m = g @ g.swapaxes(-1, -2) + np.eye(4) * rng.choice((0.0, 1e-3), (2000, 1, 1))
-        m = m[np.trace(m, axis1=-2, axis2=-1) > 0]
-        m /= np.trace(m, axis1=-2, axis2=-1)[:, None, None]
-        m = (m + m.swapaxes(-1, -2)) / 2.0
-        grid = channel_rho4(np.array([2e-3, 0.1, 0.7, 2.5, 13.4]), np.linspace(0.0, 0.9999, 200))
-        m = np.concatenate((m, grid.matrix.reshape(-1, 4, 4)))
-        real, cplx = TwoQubitDensity(m), TwoQubitDensity(m.astype(complex))
-        assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
-        return real, cplx
-
-    @pytest.mark.parametrize("metric", [pauli_decompose, linear_entropy, singlet_fraction,
-                                        optimal_fidelity])
-    def test_bitwise(self, metric):
-        real, cplx = self._pair()
-        assert metric(real).tobytes() == metric(cplx).tobytes()
-
     # LAPACK's real and complex symmetric solvers round differently: their
     # eigenvalues lie up to 6 eps apart on these densities (norm <= 1), and
     # 8 eps is allowed.  E takes twice the one negative eigenvalue of the
@@ -548,7 +515,8 @@ class TestRealDensity:
     @pytest.mark.parametrize("metric,bound", [(negativity_e, 2 * 8 * np.finfo(float).eps),
                                               (vn_entropy, 4 * 42 * 8 * np.finfo(float).eps)])
     def test_within_the_solvers_rounding(self, metric, bound):
-        real, cplx = self._pair()
+        real = real_densities()
+        cplx = TwoQubitDensity(real.matrix.astype(complex))
         assert np.max(np.abs(metric(real) - metric(cplx))) <= bound
 
 

@@ -32,6 +32,7 @@ Q = pr.bloch_transfer(dec.channel_rho4(1.3, 0.4))
 R_RANGE = "normalized time r must lie in [0, 1)"
 T_RANGE = "decay factor t must lie in (0, 1]"
 NO_R = "r must hold at least one decay time"
+NO_T = "t must hold at least one decay factor"
 NO_ALPHA = "alpha must hold at least one amplitude"
 NOT_POSITIVE = "alpha must be positive"
 OVERFLOWS = "alpha must be at most 6.703903964971298e+153: beyond it 4 alpha^2 overflows"
@@ -167,6 +168,7 @@ GUARDS = [
      ValueError, T_RANGE),
     ("clock-t-1.5", lambda: DecayClock(1.5), ValueError, T_RANGE),
     ("clock-t-1.5-batch", lambda: DecayClock(np.array([0.5, 1.5])), ValueError, T_RANGE),
+    ("clock-t-empty", lambda: DecayClock(np.array([])), ValueError, NO_T),
     ("clock-r-nan", lambda: DecayClock.from_r(math.nan), ValueError, R_RANGE),
     ("clock-r-nan-list", lambda: DecayClock.from_r([0.5, math.nan]), ValueError, R_RANGE),
     ("clock-r-inf", lambda: DecayClock.from_r(math.inf), ValueError, R_RANGE),
@@ -196,6 +198,8 @@ GUARDS = [
     ("channel-alpha-inf", lambda: dec.channel_rho4([1.0, math.inf], 0.5), ValueError, OVERFLOWS),
     # qubit_encoding
     ("basis-alpha-negative", lambda: qe.make_basis(-1.0, 1.0), ValueError, NOT_POSITIVE),
+    ("basis-alpha-empty", lambda: qe.make_basis(np.array([]), 1.0), ValueError, NO_ALPHA),
+    ("basis-t-empty", lambda: qe.make_basis(1.0, np.array([])), ValueError, NO_T),
     ("basis-t-0", lambda: qe.make_basis(1.0, 0.0), ValueError, T_RANGE),
     ("basis-t-1.5", lambda: qe.make_basis(1.0, 1.5), ValueError, T_RANGE),
     ("basis-t-1.5-batch", lambda: qe.make_basis(1.0, np.array([0.5, 1.5])), ValueError, T_RANGE),
@@ -217,6 +221,8 @@ GUARDS = [
      ValueError, "expected a two-mode operator"),
     ("density-not-4x4", lambda: TwoQubitDensity(np.ones((3, 4, 3)) / 4.0),
      ValueError, "density matrix must be 4x4"),
+    ("density-empty", lambda: TwoQubitDensity(np.zeros((0, 4, 4))),
+     ValueError, "a density batch must hold at least one density"),
     ("density-not-hermitian", lambda: TwoQubitDensity(ASYMMETRIC), DensityError, NOT_HERMITIAN),
     ("density-not-hermitian-batch", lambda: TwoQubitDensity(_among(ASYMMETRIC)),
      DensityError, NOT_HERMITIAN),

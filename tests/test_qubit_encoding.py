@@ -1,27 +1,17 @@
 """Logical basis, Bell states, logical projections, Pauli decomposition."""
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ecsim.coherent_states import (
-    CoherentOperator,
-    CoherentSuperposition,
-    consolidate,
-    dyad_from_pure,
-    inner,
-    norm,
-    tensor,
-)
-from ecsim import decoherence, qubit_encoding
-from ecsim.decoherence import DecayClock, channel_rho4, decohere
+from ecsim.coherent_states import CoherentSuperposition, dyad_from_pure, inner, norm
+from ecsim import qubit_encoding
+from ecsim.decoherence import channel_rho4
 from ecsim.errors import DensityError
 from ecsim.qubit_encoding import (
     BELL_VECTORS,
     LogicalBasis,
     TwoQubitDensity,
-    bell_coeffs,
     bell_state,
     logical_coords,
     make_basis,
@@ -29,7 +19,8 @@ from ecsim.qubit_encoding import (
     pauli_reconstruct,
     project_to_density,
 )
-from reference import QubitVector, operator_sum, psi_minus, psi_plus, random_density
+from reference import (BASIS_AMPLITUDES, QubitVector, operator_sum, pauli_reference, psi_minus,
+                       psi_plus, random_density)
 
 SQ2 = math.sqrt(2.0)
 
@@ -40,35 +31,6 @@ def to_logical_vector(state: CoherentSuperposition, basis: LogicalBasis) -> np.n
         raise ValueError("expected a two-mode state")
     c0, c1 = logical_coords(state.amps, basis).transpose(1, 0, 2)
     return np.einsum("t,ti,tj->ij", state.coeffs, c0, c1).reshape(4)
-
-
-def _bell_reference(k, basis):
-    """Bell state k as the consolidated sum of tensor products of psi_plus
-    and psi_minus."""
-    p, m = psi_plus(basis), psi_minus(basis)
-    first, second = (tensor(p, p), tensor(m, m)) if k < 3 else (tensor(p, m), tensor(m, p))
-    return consolidate((1.0 / SQ2) * (first + second if k % 2 else first + (-1.0) * second))
-
-
-def _bell_coeffs_reference(k, basis):
-    """``bell_coeffs`` as a loop over the basis entries in Python's scalar
-    float and complex arithmetic, one coefficient at a time."""
-    inv = complex(1.0 / SQ2)
-    n_thetas, (coss, sins) = np.asarray(basis.n_theta), basis.cos_sin
-    coeffs = []  # amplitude major
-    for n_theta, cos_theta, sin_theta in zip(n_thetas.flat, coss.flat, sins.flat):
-        c = 1.0 / math.sqrt(n_theta)
-        cos, sin = c * float(cos_theta), c * float(sin_theta)
-        plus = (complex(cos), complex(-sin))  # Psi+ on (|ta>, |-ta>)
-        minus = (complex(-sin), complex(cos))  # Psi-
-        u, v, w, x = (plus, plus, minus, minus) if k < 3 else (plus, minus, minus, plus)
-        for i in (0, 1):
-            for j in (0, 1):
-                second = w[i] * x[j]
-                if k % 2 == 0:  # B2, B4: a - b is a + (-1) * b
-                    second = complex(-1.0) * second
-                coeffs.append(inv * (u[i] * v[j]) + inv * second)
-    return np.array(coeffs).reshape(-1, 4).T.reshape((4,) + n_thetas.shape)
 
 
 class TestMakeBasis:
@@ -148,41 +110,15 @@ class TestBellStates:
         a = t * alpha
         assert bell_state(4, make_basis(alpha, t)).amps.tolist() == [[a, -a], [-a, a]]
 
-    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 2.5, 30.0, 1e6])
-    @pytest.mark.parametrize("t", [1.0, 0.3])
-    def test_bitwise_equal_to_tensor_construction(self, alpha, t):
-        b = make_basis(alpha, t)
-        for k in (1, 2, 3, 4):
-            got, want = bell_state(k, b), _bell_reference(k, b)
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
-            assert got.amps.tobytes() == want.amps.tobytes()
-
 
 class TestBellCoeffs:
-    # log-uniform amplitudes t * alpha from the degeneracy floor to MAX_ALPHA;
-    # sin(theta) underflows to 0 from t * alpha ~ 19.3 on
-    AMPS = np.exp(np.random.default_rng(50).uniform(np.log(6e-7), np.log(1e6), 20000))
-    ALPHAS = np.exp(np.random.default_rng(51).uniform(np.log(1.2e-5), np.log(1e6), 200))
-    TIMES = np.random.default_rng(52).uniform(0.05, 1.0, 100)
-
-    @pytest.mark.parametrize("alpha,t", [(AMPS, 1.0), (AMPS / 0.8, 0.8), (AMPS / 0.3, 0.3),
-                                         (AMPS / 0.05, 0.05), (ALPHAS[:, None], TIMES),
-                                         (0.7, 0.9)],
-                             ids=["t1", "t0.8", "t0.3", "t0.05", "alpha-t-grid", "scalar"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_entries_are_bitwise_the_scalar_loop(self, k, alpha, t):
-        basis = make_basis(alpha, t)
-        got = bell_coeffs(k, basis)
-        assert got.shape == (4,) + np.shape(basis.n_theta)
-        assert got.tobytes() == _bell_coeffs_reference(k, basis).tobytes()
-
     @pytest.mark.parametrize("t", [1.0, 0.3])
     def test_the_pair_keeps_its_identities(self, t):
         # formed without the angle, the pair keeps cos^2 + sin^2 = 1, 2 sin cos =
         # sin 2theta and cos^2 - sin^2 = cos 2theta = sqrt(N_theta) to a few eps
         # from the degeneracy floor to 1e6; the cosine and sine of
         # 1/2 arcsin(sin 2theta) miss the last by up to 2.7e5 eps
-        basis = make_basis(self.AMPS / t, t)
+        basis = make_basis(BASIS_AMPLITUDES / t, t)
         (cos, sin), s2 = basis.cos_sin, basis.sin2theta
         eps = np.finfo(float).eps
         assert np.abs(cos * cos + sin * sin - 1.0).max() <= 2.0 * eps
@@ -227,118 +163,6 @@ class TestDensityProjection:
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
 
 
-def _project_reference(rho, basis):
-    """The projection as it was computed before it became one contraction:
-    the coefficients split into real and imaginary parts, the grid flat and
-    worked through in blocks of 128 points, each dyad's products taken on
-    the (re, im) pair and viewed as complex at the end."""
-    coords = logical_coords(
-        np.concatenate((rho.kets[:, None], rho.bras[:, None]), axis=1), basis
-    )
-    # (terms, side, mode, logical index, *grid), the grid flat
-    coords = coords.transpose(0, 1, 2, -1, *range(3, coords.ndim - 1))
-    grid = coords.shape[4:]
-    coords = coords.reshape(coords.shape[:4] + (-1,))
-    c = rho.coeffs.reshape(len(rho.coeffs), 1, -1)
-    c = np.concatenate((c.real, c.imag), axis=1)  # (terms, re/im, points)
-    n = coords.shape[-1]
-    out = np.empty((n, 32))
-    for start in range(0, n, 128):
-        s = slice(start, start + 128)
-        out[s] = _summed_products(c[..., s], coords[..., s])
-    # (points, 16 entries, re/im) viewed as complex (*grid, 4, 4)
-    return out.view(complex).reshape(grid + (4, 4))
-
-
-def _summed_products(c, coords):
-    """The sum over terms of c x ket0 x ket1 x bra0 x bra1, (points, 32),
-    each product in that order on the (re, im) pair of c; the terms are
-    summed from zero in order."""
-    prod = c[:, None] * coords[:, 0, 0, :, None]
-    prod = prod[:, :, None] * coords[:, 0, 1, None, :, None]
-    prod = prod[:, :, :, None] * coords[:, 1, 0, None, None, :, None]
-    prod = prod[:, :, :, :, None] * coords[:, 1, 1, None, None, None, :, None]
-    return prod.sum(axis=0, initial=0.0).reshape(32, -1).T
-
-
-def _five_operand_einsum(rho, basis):
-    """The projection as one five-operand contraction, c ket0 ket1 bra0 bra1
-    multiplied left to right in einsum's generic loop and summed over the
-    dyads from zero in term order."""
-    coords = logical_coords(np.stack((rho.kets, rho.bras), axis=1), basis).astype(complex)
-    out = np.einsum("t...,t...i,t...j,t...k,t...l->...ijkl", rho.coeffs,
-                    coords[:, 0, 0], coords[:, 0, 1], coords[:, 1, 0], coords[:, 1, 1])
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-@dataclass(frozen=True)
-class _Unchecked:
-    """Stands in for TwoQubitDensity: the projection's output as it is handed
-    to the density checks (alpha = 1e-3 fails the trace check at some r)."""
-
-    matrix: np.ndarray
-
-
-def _same_bits(got, want):
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-class TestProjectionReference:
-    @pytest.fixture(autouse=True)
-    def unchecked(self, monkeypatch):
-        monkeypatch.setattr(qubit_encoding, "TwoQubitDensity", _Unchecked)
-
-    # block edges (127-129, 257 points) and a 2-D (3, 400) decay-time grid
-    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 2.5, 13.4, 1e6])
-    @pytest.mark.parametrize("shape", [(1,), (2,), (127,), (128,), (129,), (257,), (3, 400)])
-    def test_bitwise_on_channel_grid(self, alpha, shape):
-        r = np.linspace(0.0, 0.995, math.prod(shape)).reshape(shape)
-        clock = DecayClock.from_r(r)
-        rho = decohere(dyad_from_pure(bell_state(4, make_basis(alpha, 1.0))), clock)
-        basis = make_basis(alpha, clock.t)
-        _same_bits(project_to_density(rho, basis).matrix, _project_reference(rho, basis))
-
-    def test_bitwise_on_alpha_r_grid(self, monkeypatch):
-        # the operator and basis that channel_rho4 projects on an (alpha, r) grid
-        seen = []
-
-        def keep(rho, basis):
-            seen.append((rho, basis))
-            return project_to_density(rho, basis)
-
-        monkeypatch.setattr(decoherence, "project_to_density", keep)
-        got = channel_rho4(np.array([1e-3, 0.4, 1.7, 13.4]), np.linspace(0.0, 0.9999, 131))
-        assert got.matrix.shape == (4, 131, 4, 4)
-        want = _project_reference(*seen[0])
-        assert not want.imag.any()
-        _same_bits(got.matrix, np.ascontiguousarray(want.real))
-
-    def test_bitwise_on_mixture(self):
-        b = make_basis(0.8, 1.0)
-        op = operator_sum((1.0 / 1.5, dyad_from_pure(bell_state(2, b))),
-                          (0.5 / 1.5, dyad_from_pure(bell_state(3, b))))
-        _same_bits(project_to_density(op, b).matrix, _project_reference(op, b))
-
-    @pytest.mark.parametrize("grid", [(), (7,), (128,), (3, 50)])
-    def test_bitwise_the_five_operand_einsum(self, grid):
-        # random complex coefficients on random +-t alpha dyads, one basis a point
-        rng = np.random.default_rng(29)
-        terms = 6
-        basis = make_basis(rng.uniform(0.05, 3.0, grid), rng.uniform(0.05, 1.0, grid))
-        signs = rng.choice((-1.0, 1.0), size=(2, terms, 2) + grid)
-        kets, bras = (signs * basis.amplitude).astype(complex)
-        coeffs = rng.standard_normal((terms,) + grid) + 1j * rng.standard_normal((terms,) + grid)
-        rho = CoherentOperator(coeffs, kets, bras)
-        _same_bits(project_to_density(rho, basis).matrix, _five_operand_einsum(rho, basis))
-
-
-def _pauli_reference(m: np.ndarray) -> np.ndarray:
-    """The complex contraction tr(rho s_m (x) s_n) that ``pauli_decompose``
-    takes as signed sums of four parts."""
-    return np.einsum("...ij,mnji->...mn", m, qubit_encoding.PAULI_PRODUCTS).real
-
-
 class TestPauli:
     def test_pure_singlet_like_channel(self):
         b = make_basis(1.0, 1.0)
@@ -370,37 +194,9 @@ class TestPauli:
         assert c.shape == (2, 3, 4, 4)
         assert np.max(np.abs(pauli_reconstruct(c) - batch.matrix)) < 1e-14
 
-    def test_bitwise_the_contraction_on_random_batches(self):
-        rng = np.random.default_rng(26)
-        for shape in [(), (1,), (2,), (3, 5), (600,)]:
-            rho = random_density(rng, shape)
-            assert pauli_decompose(rho).tobytes() == _pauli_reference(rho.matrix).tobytes(), shape
-
-    def test_bitwise_the_contraction_on_channel_grids(self):
-        for alphas, r in [(np.array([0.1, 1.0, 2.5]), np.linspace(0.0, 0.995, 400)),
-                          (np.array([2e-3, 13.4, 1e6]), np.linspace(0.0, 0.995, 50)),
-                          (1.0, 1.0 / SQ2)]:
-            rho = channel_rho4(alphas, r)
-            assert pauli_decompose(rho).tobytes() == _pauli_reference(rho.matrix).tobytes()
-
-    def test_signed_zeros_as_the_contraction(self):
-        # every coordinate sums from +0, as the contraction does, so four
-        # parts that all read -0 give +0; off-diagonal parts of +-0 make
-        # such coordinates
-        rng = np.random.default_rng(28)
-        m = np.where(rng.random((200, 4, 4, 2)) < 0.5, -0.0, 0.0)
-        m[:, range(4), range(4), 0] = 0.25
-        rho = TwoQubitDensity(m.view(complex)[..., 0])
-        signed = rho.matrix.reshape(200, 16).view(float)[:, qubit_encoding._PAULI_GATHER] \
-            * qubit_encoding._PAULI_SIGN
-        assert np.signbit(signed).all(axis=1).any()
-        c = pauli_decompose(rho)
-        assert c.tobytes() == _pauli_reference(rho.matrix).tobytes()
-        assert not np.signbit(c).any()
-
     def test_a_flipped_sign_fails(self, monkeypatch):
         rho = random_density(27, (4,))
-        want = _pauli_reference(rho.matrix).tobytes()
+        want = pauli_reference(rho).tobytes()
         signs = qubit_encoding._PAULI_SIGN
         for k in range(signs.size):
             mutant = signs.copy()
