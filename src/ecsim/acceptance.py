@@ -140,9 +140,10 @@ def check_teleportation_mc() -> tuple[bool, str]:
         err = abs(mean - analytic)
         tol = max(3.0 * stderr, 1e-12)
         ok = ok and err <= tol
+        details.append(f"r={r:.3f}: |mc-exact|={err:.2e} (3se={3 * stderr:.2e})")
         if r == 0.0:
             ok = ok and abs(analytic - 1.0) <= 1e-12
-        details.append(f"r={r:.3f}: |mc-exact|={err:.2e} (3se={3 * stderr:.2e})")
+            details[-1] += f", |f-1|={abs(analytic - 1.0):.2e}"
     return ok, "; ".join(details)
 
 

@@ -142,11 +142,13 @@ CORRECTIONS = np.stack((1j * PAULIS[1], PAULIS[0], -PAULIS[2], np.eye(2, dtype=c
 # (1, 1/3, 1/3, 1/3)_m delta_mn for inputs b = (1, n) uniform on the sphere.
 # A (1, 4) row, so that the product with the diagonal is a fixed-shape matmul.
 _FIDELITY_WEIGHTS = np.array([[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
-# Shots per block in teleport_average_mc; bounds its working memory.
-MC_CHUNK = 4096
-# Shortest block whose phases teleport_average_mc sorts before cos and sin: the sort
-# repays itself from 700-1000 shots (min of 40 interleaved calls, 2-core x86 Xeon).
-MC_SORT_MIN = 1024
+# Shots per block in teleport_average_mc; bounds its working memory.  18 work rows of
+# 8192 shots (~1.5 MB) fit a 2 MB L2 and halve the blocks of 4096; 16384 was no faster.
+MC_CHUNK = 8192
+# Shortest block whose phases teleport_average_mc sorts before cos and sin: sorting
+# costs 5-11% more a shot at 512-2048 shots, ties at 2300-2800 and saves 2-7% from
+# 3072 (min of 600 interleaved calls, 2-core x86 Xeon; the 27-row layout read the same).
+MC_SORT_MIN = 2560
 
 
 def bell_outcome_map(m: np.ndarray) -> np.ndarray:
@@ -193,6 +195,8 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
     when it runs (z at draws [0, S), phases at [S, 2S), outcome draws at [2S, 3S),
     S = ``samples``; PCG64 jumps ahead), so only the fidelities grow with S, no bit
     depends on the block size, and it matches its reference bit for bit, a shot-major kernel.
+    Only a block after the first resets the generator to its start state, so a call of
+    one block neither resets nor jumps: it draws the three segments in stream order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -203,31 +207,33 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
     origin = rng.bit_generator.state
     qt = q.transpose(2, 1, 0)  # [n, m, k]: Q[k, m, n]
     prob_rows = 2.0 * qt[:, 0, :, None]  # [n, k]: 2 Q[k, 0, n]
-    # [3 n + m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
+    # [n, m - 1, k]: Q[k, m, n] for m = 1..3.  The m = 0 numerator row,
     # sum_n Q[k, 0, n] b_n, is half the probability of k bit for bit: the
     # probability sums the same products of 2 Q, and doubling is exact (a
     # subnormal product can round apart, which can show only in the sum of an
     # outcome of vanishing probability; the tests pin amplitudes near underflow).
-    q_cols = qt[:, 1:].reshape(12, 4)
+    q_cols = np.ascontiguousarray(qt[:, 1:])
     fids = np.empty(samples)
     # one block's work arrays, shot axis innermost; a short last block packs its rows
     # into a prefix, so that every row it reads or writes is contiguous
     width = min(samples, MC_CHUNK)
-    work, index = np.empty(27 * width), np.empty((2, width), dtype=np.intp)
+    work, index = np.empty(18 * width), np.empty((2, width), dtype=np.intp)
     hits, shot = np.empty(width, dtype=bool), np.arange(width)
     for start in range(0, samples, MC_CHUNK):
         fb = fids[start:start + MC_CHUNK]
         n = len(fb)
-        w, hit = work[:27 * n].reshape(27, n), hits[:n]
-        probs, b, tmp, qk, rows, pk = w[:4], w[4:7], w[7:11], w[11:23], w[23:26], w[26]
+        w, hit = work[:18 * n].reshape(18, n), hits[:n]
+        probs, b, tmp, qn, rows, pk = w[:4], w[4:7], w[7:11], w[11:14], w[14:17], w[17]
         ks, at = index[:, :n]  # outcomes, and where probs[ks, i] sits in work
         # each draw fills a row that is free until it is read, from the block's slice
         # of its segment; z and the phase are rng.uniform's low + (high - low) d, one
         # rounding each, fused or not (2 d is exact); u * total is uniform(0, total)
         zb, phb, ub = b[2], tmp[3], pk
-        rng.bit_generator.state = origin
+        if start:
+            rng.bit_generator.state = origin
         for skip, row in ((start, zb), (samples - n, phb), (samples - n, ub)):
-            rng.bit_generator.advance(skip)
+            if skip:
+                rng.bit_generator.advance(skip)
             rng.random(out=row)
         zb *= 2.0
         zb -= 1.0
@@ -266,16 +272,14 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         ks += np.greater(draw, cum2, out=hit)
         # gathers by outcome; ks is in 0..3, so "clip" never clips (and unlike
         # "raise", does not copy through a buffer)
-        np.take(q_cols, ks, axis=1, out=qk, mode="clip")
         np.multiply(ks, n, out=at)
         at += shot[:n]
         np.take(work, at, out=pk, mode="clip")
         # numerator rows m = 1..3: sum_n Q[k, m, n] b_n in the order n = 0, 1, 2, 3
-        qk = qk.reshape(4, 3, n)
-        np.multiply(qk[1], b[0], out=rows)
-        rows += qk[0]
-        rows += np.multiply(qk[2], b[1], out=tmp[:3])
-        rows += np.multiply(qk[3], b[2], out=tmp[:3])
+        np.multiply(np.take(q_cols[1], ks, axis=1, out=qn, mode="clip"), b[0], out=rows)
+        rows += np.take(q_cols[0], ks, axis=1, out=qn, mode="clip")
+        rows += np.multiply(np.take(q_cols[2], ks, axis=1, out=qn, mode="clip"), b[1], out=qn)
+        rows += np.multiply(np.take(q_cols[3], ks, axis=1, out=qn, mode="clip"), b[2], out=qn)
         # numerator sum_m row_m b_m in the order m = 0, 1, 2, 3, over the probability
         rows *= b
         np.multiply(pk, 0.5, out=fb)

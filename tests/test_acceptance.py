@@ -218,6 +218,15 @@ def _past_3_stderr(real):
     return mc
 
 
+def _past_exact_at_r0(real):
+    """A patch that moves the exact average at r = 0 (1 within 1e-12) to just past 1e-12
+    below 1.  Paired with a Monte Carlo that returns it, so only the exactness clause fails."""
+    def exact(q):
+        f = real(q)
+        return 1.0 - 1.001e-12 if abs(f - 1.0) <= 1e-12 else f
+    return exact
+
+
 # (check, {(module, name): patch of the real call}, fragment of the detail), as
 # PROPERTY_BREAKS for checks 1-9: a strict claim broken to its boundary, a
 # tolerance to just past it, so that a loosened clause fails a row too.
@@ -227,6 +236,9 @@ CHECK_BREAKS = [
     ("check_characteristic_time", {(em, "closed_form_e"): _beyond_r_c(0.0)},
      "beyond-r_c behavior ok: False"),
     ("check_teleportation_mc", {(pr, "teleport_average_mc"): _past_3_stderr}, "|mc-exact|="),
+    ("check_teleportation_mc", {(pr, "average_fidelity"): _past_exact_at_r0,
+                                (pr, "teleport_average_mc"): lambda real: lambda q, samples, seed: (
+                                    pr.average_fidelity(q), 0.0)}, "|f-1|=1.00e-12"),
     ("check_cv_fidelity", {(pr, "cv_max"): lambda real: lambda: (
         real()[0], real()[1] - 5.0 * acceptance.EPS)}, "grid peak f* +5.0 eps"),
 ]

@@ -351,10 +351,10 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         # the fidelity per shot (the closing statistics work in place) and one
-        # block's work arrays, which hold its draws too: 2.7-3.4 MB at 200 000
-        # shots.  Draws made up front for every shot would add 24 B a shot, and
-        # a per-shot branch array alone would be 256 B a shot
-        assert peak < 2 * 8 * samples + 400 * protocols.MC_CHUNK
+        # block's work arrays, which hold its draws too (~1.5 MB, 186 B a block
+        # shot): 3.1-3.9 MB at 200 000 shots.  Draws made up front for every shot
+        # would add 24 B a shot, and a per-shot branch array alone would be 256 B a shot
+        assert peak < 2 * 8 * samples + 200 * protocols.MC_CHUNK
 
 
 class TestAverageFidelity:
