@@ -105,7 +105,8 @@ def check_entanglement_ordering() -> tuple[bool, str]:
     vals_closed = em.closed_form_e(alphas, 0.5)
     vals_num = em.negativity_e(dec.channel_rho4(alphas, 0.5))
     ok = (np.diff(vals_closed) > 0).all() and (np.diff(vals_num) > 0).all()
-    return ok, "E(2) < E(1) < E(0.1): " + ", ".join(f"{v:.6f}" for v in vals_closed)
+    return ok, ("E(2) < E(1) < E(0.1): " + ", ".join(f"{v:.6f}" for v in vals_closed)
+                + f"; numeric least gap {np.diff(vals_num).min():.1e}")
 
 
 def check_bell_discrimination() -> tuple[bool, str]:
@@ -198,12 +199,13 @@ def check_cv_fidelity() -> tuple[bool, str]:
     function peaks at ``cv_max``'s x*, within 4 eps of its f*)."""
     f0 = pr.cv_fidelity(0.0)
     xs = np.linspace(0.05, 4.0, 40)
-    ok = f0 == 0.5 and bool((pr.cv_fidelity(np.concatenate([xs, -xs])) > 0.5).all())
+    f = pr.cv_fidelity(np.concatenate([xs, -xs]))
+    ok = f0 == 0.5 and bool((f > 0.5).all())
     # the closed-form maximum against the function on a grid of step 1e-6 about it
     x_star, f_star = pr.cv_max()
     excess = (pr.cv_fidelity(x_star + np.linspace(-1e-3, 1e-3, 2001)) - f_star) / EPS
     ok = ok and bool(excess.max() <= 4.0 and excess[1000] >= -4.0)
-    return ok, (f"f(0)={f0}, max f={f_star:.6f} at {x_star:.6f}, "
+    return ok, (f"f(0)={f0}, min f-1/2={f.min() - 0.5:.1e}, max f={f_star:.6f} at {x_star:.6f}, "
                 f"grid peak f* {excess.max():+.1f} eps")
 
 

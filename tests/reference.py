@@ -35,20 +35,6 @@ from ecsim.qubit_encoding import (BELL_VECTORS, PAULI_PRODUCTS, PAULIS, LogicalB
 PINNED_ALPHAS = (0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6)
 # The CLI's amplitude range, log-spaced.
 LOG_ALPHAS = np.logspace(-3.0, 6.0, 19)
-# The numeric route's error model, read by the error-model tests and the
-# CLI's column checks: max |E - closed E|, |f - closed f|, the Pauli
-# coordinates' and |tr rho - 1| are at most eps (ERROR_K / N_theta +
-# ERROR_C), N_theta = 1 - exp(-4 alpha^2).  The K / N_theta part is the
-# cancellation in the dyad sum, where B4's coefficients of +-1/(2 N_theta)
-# meet in entries of order 1; C is the rounding of those entries.  On 25
-# alpha in [1e-3, 2] by 1200 r it read at most 1.73 eps / N_theta up to
-# alpha = 0.09, and 28 eps against a bound of 30.9 at alpha = 0.16, its
-# tightest point.  S = 1 - tr(rho^2) has its own constants: on that grid it
-# read at most 2.4 eps / N_theta up to alpha = 0.09, and 37 eps at 0.16; 800
-# alpha in [1e-3, 16] by these r read up to 3.5 eps / N_theta below 0.09 and
-# 15 eps past 1, and 4000 alpha in [1e-2, 16] at r = 0 up to 17 eps at 2.4.
-ERROR_K, ERROR_C = 2.0, 10.0
-S_ERROR_K, S_ERROR_C = 4.0, 20.0
 IDEAL_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3, 0.2, 0.7, 1.3, math.pi / 4)
 # Poisson means in [0, 200]: zero, subnormal and tiny means, random ones, and
 # both sides of m = k + 1 and of m = k + 2, past which the tail bound at
@@ -542,24 +528,21 @@ def bell_cells(state):
                  if dist.probs[n_f, n_g] > 0.0)
 
 
-def mc_kernel_reference(q, samples, seed, chunk):
-    """teleport_average_mc as it was with an (n, 4) layout, shot axis outermost."""
+def mc_kernel_reference(q, samples, seed):
+    """teleport_average_mc as it was with an (n, 4) layout, shot axis outermost,
+    in one block: the kernel's bits do not depend on its block size."""
     rng = np.random.default_rng(seed)
     z = rng.uniform(-1.0, 1.0, samples)
     ph = rng.uniform(0.0, 2.0 * math.pi, samples)
     u = rng.random(samples)
-    fids = np.empty(samples)
-    for start in range(0, samples, chunk):
-        block = slice(start, start + chunk)
-        zb, phb = z[block], ph[block]
-        s = np.sqrt((1.0 - zb) * (1.0 + zb))
-        b = np.stack([np.ones_like(zb), s * np.cos(phb), s * np.sin(phb), zb])
-        probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
-        cum = np.cumsum(probs, axis=1)
-        ks = (u[block, None] * cum[:, -1:] > cum).sum(axis=1)
-        qk = q[ks]
-        num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
-        fids[block] = num / probs[np.arange(len(zb)), ks]
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    b = np.stack([np.ones_like(z), s * np.cos(ph), s * np.sin(ph), z])
+    probs = sum(2.0 * q[:, 0, j] * b[j][:, None] for j in range(4))
+    cum = np.cumsum(probs, axis=1)
+    ks = (u[:, None] * cum[:, -1:] > cum).sum(axis=1)
+    qk = q[ks]
+    num = sum(b[i] * sum(qk[:, i, j] * b[j] for j in range(4)) for i in range(4))
+    fids = num / probs[np.arange(samples), ks]
     mean = float(fids.mean())
     stderr = float(fids.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

@@ -9,8 +9,9 @@ Check 8.2 is expected to fail: it holds the exact swap construction against
 a closed-form target whose denominator carries a single normalization power,
 while the construction itself, a truncated-Fock recomputation, and the
 symmetric special case (eta = pi/4 gives exactly 1/4 at every amplitude)
-all fix the squared power.  The corrected form is asserted at 1e-12 in
-test_protocols.py.
+all fix the squared power.  The corrected form is held within
+eps (1/N_theta + 3), about 1e-15 at these points, by the swap row of
+test_accuracy.py.
 """
 import itertools
 import math
@@ -227,6 +228,18 @@ def _past_exact_at_r0(real):
     return exact
 
 
+def _first_as_second(real):
+    """A patch that reads the real call's second entry in place of its first: E(2) = E(1)."""
+    return lambda *args: np.r_[real(*args)[1], real(*args)[1:]]
+
+
+def _swap_reads(alpha, value):
+    """A patch whose exact swap at ``alpha`` has success probability value(eta)."""
+    return lambda real: lambda a, eta: (types.SimpleNamespace(success_probability=value(eta))
+                                        if a == alpha else real(a, eta))
+
+
+E1 = f"{em.closed_form_e(1.0, 0.5):.6f}"  # check 5's closed E(1), printed
 # (check, {(module, name): patch of the real call}, fragment of the detail), as
 # PROPERTY_BREAKS for checks 1-9: a strict claim broken to its boundary, a
 # tolerance to just past it, so that a loosened clause fails a row too.
@@ -239,6 +252,15 @@ CHECK_BREAKS = [
     ("check_teleportation_mc", {(pr, "average_fidelity"): _past_exact_at_r0,
                                 (pr, "teleport_average_mc"): lambda real: lambda q, samples, seed: (
                                     pr.average_fidelity(q), 0.0)}, "|f-1|=1.00e-12"),
+    ("check_entanglement_ordering", {(em, "closed_form_e"): _first_as_second}, f": {E1}, {E1},"),
+    ("check_entanglement_ordering", {(em, "negativity_e"): _first_as_second},
+     "numeric least gap 0.0e+00"),
+    ("check_concentration_limits", {(pr, "concentrate_exact"): _swap_reads(  # its limit + 1e-6
+        3.0, lambda eta: (math.cos(eta) * math.sin(eta)) ** 2 + 1.001e-6)}, "large err 1.0e-06"),
+    ("check_concentration_limits", {(pr, "concentrate_exact"): _swap_reads(
+        0.05, lambda eta: 1e-3)}, "small 1.0e-03"),
+    ("check_cv_fidelity", {(pr, "cv_fidelity"): lambda real: lambda x: np.where(
+        np.equal(x, 4.0), 0.5, real(x))}, "min f-1/2=0.0e+00"),
     ("check_cv_fidelity", {(pr, "cv_max"): lambda real: lambda: (
         real()[0], real()[1] - 5.0 * acceptance.EPS)}, "grid peak f* +5.0 eps"),
 ]

@@ -359,8 +359,8 @@ REFERENCES = [
     Row(pr.bell_measure_distribution, ref.bell_cells, lambda: [
         [(qe.bell_state(k, qe.make_basis(alpha, 1.0)),) for k in (1, 2, 3, 4)]
         for alpha in (0.3, 1.0, 1.7, 3.0)], lambda fn, state: fn(state).outcomes, repr),
-    Row(pr.teleport_average_mc, lambda chunk, sort_min, *args: ref.mc_kernel_reference(
-        *args, chunk), ref.mc_block_edges, _mc_call, repr),
+    Row(pr.teleport_average_mc, lambda chunk, sort_min, *args: ref.mc_kernel_reference(*args),
+        ref.mc_block_edges, _mc_call, repr),
     *(Row(fn, reference, _writer_tables, bits=repr)
       for fn, reference in ((cli._to_csv, ref.csv_by_rows), (cli._to_json, ref.json_by_rows))),
     Row(cli._rows_teleport_mc, ref.teleport_rows_per_point, lambda: [[(
