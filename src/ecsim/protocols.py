@@ -145,10 +145,6 @@ _FIDELITY_WEIGHTS = np.array([[1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 # Shots per block in teleport_average_mc; bounds its working memory.  18 work rows of
 # 8192 shots (~1.5 MB) fit a 2 MB L2 and halve the blocks of 4096; 16384 was no faster.
 MC_CHUNK = 8192
-# Shortest block whose phases teleport_average_mc sorts before cos and sin: sorting
-# costs 5-11% more a shot at 512-2048 shots, ties at 2300-2800 and saves 2-7% from
-# 3072 (min of 600 interleaved calls, 2-core x86 Xeon; the 27-row layout read the same).
-MC_SORT_MIN = 2560
 
 
 def bell_outcome_map(m: np.ndarray) -> np.ndarray:
@@ -243,19 +239,15 @@ def teleport_average_mc(q: np.ndarray, samples: int, seed: int) -> tuple[float, 
         np.add(1.0, zb, out=tmp[1])
         s = np.multiply(tmp[0], tmp[1], out=tmp[2])
         np.sqrt(s, out=s)
-        if n < MC_SORT_MIN:
-            np.cos(phb, out=b[0])
-            np.sin(phb, out=b[1])
-        else:
-            # libm's cos and sin branch on the argument's size; over phases in runs of
-            # one size (int8(8 ph) bins, stable radix argsort, rows free until read) they
-            # mispredict less, and each result is still a function of its own phase
-            key = np.multiply(phb, 8.0, out=hit.view(np.int8), casting="unsafe")
-            order = np.argsort(key, kind="stable")
-            np.take(phb, order, out=probs[0])
-            np.cos(probs[0], out=probs[1])
-            np.sin(probs[0], out=probs[2])
-            b[0][order], b[1][order] = probs[1], probs[2]
+        # libm's cos and sin branch on the argument's size; over phases in runs of
+        # one size (int8(8 ph) bins, stable radix argsort, rows free until read) they
+        # mispredict less, and each result is still a function of its own phase
+        key = np.multiply(phb, 8.0, out=hit.view(np.int8), casting="unsafe")
+        order = np.argsort(key, kind="stable")
+        np.take(phb, order, out=probs[0])
+        np.cos(probs[0], out=probs[1])
+        np.sin(probs[0], out=probs[2])
+        b[0][order], b[1][order] = probs[1], probs[2]
         b[:2] *= s
         # probabilities (4, shots): sum_n 2 Q[k, 0, n] b_n in the order n = 0, 1, 2, 3
         np.multiply(prob_rows[1], b[0], out=probs)

@@ -549,23 +549,21 @@ def mc_kernel_reference(q, samples, seed):
 
 
 def mc_block_edges():
-    """Calls (MC_CHUNK, MC_SORT_MIN, transfer, shots, seed) of the Monte Carlo:
-    blocks of 1, 7 and MC_CHUNK shots, with cos and sin sorted from MC_SORT_MIN
-    shots or from 1; 2 chunk and 2 chunk + 1 shots put block edges at the starts of
+    """Calls (MC_CHUNK, transfer, shots, seed) of the Monte Carlo: blocks of 1, 7 and
+    MC_CHUNK shots; 2 chunk and 2 chunk + 1 shots put block edges at the starts of
     the stream's segments, and the first seed runs again last.  Then transfers near
-    underflow and of random densities, and MC_CHUNK +-1 shots in each block size."""
-    chunk0, sort0, transfer = protocols.MC_CHUNK, protocols.MC_SORT_MIN, protocols.bloch_transfer
+    underflow and of random densities, and MC_CHUNK +-1 shots in blocks of 7 and
+    MC_CHUNK (blocks of 1 run above, at 1 to 8 shots)."""
+    chunk0, transfer = protocols.MC_CHUNK, protocols.bloch_transfer
     qs = [transfer(channel_rho4(*p)) for p in ((1.0, 0.0), (0.4, 0.6), (2.0, 0.93))]
-    cases = [[(chunk, sort, qs[k], n, 100 + k) for n in sorted(
-        {1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5, sort - 1,
-         sort, sort + 1} - {0}) for k in (0, 1, 2, 0)]
-        for sort in (sort0, 1) for chunk in (1, 7, chunk0)]
-    sizes = (1, 2, sort0 - 1, sort0 + 1, chunk0 - 1, chunk0 + 1)
+    cases = [[(chunk, qs[k], n, 100 + k) for n in sorted(
+        {1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5} - {0})
+        for k in (0, 1, 2, 0)] for chunk in (1, 7, chunk0)]
     for rho in [channel_rho4(*p) for p in ((1e-3, 0.4), (13.4, 0.0), (13.4, 0.7), (1e6, 0.9))
                 ] + [random_density(seed) for seed in (1, 2, 3)]:
-        cases.append([(chunk0, sort0, transfer(rho), n, n) for n in sizes])
+        cases.append([(chunk0, transfer(rho), n, n) for n in (1, 2, chunk0 - 1, chunk0 + 1)])
     q = transfer(random_density(4))
-    return cases + [[(chunk, sort0, q, chunk0 + offset, 17) for chunk in (1, 7, chunk0)]
+    return cases + [[(chunk, q, chunk0 + offset, 17) for chunk in (7, chunk0)]
                     for offset in (-1, 0, 1)]
 
 

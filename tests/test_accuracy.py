@@ -111,16 +111,15 @@ def _band(lo: float, hi: float) -> np.ndarray:
 
 # Bands of max |numeric - closed| over 400 r in [0, 0.995]; each bound is under
 # 3x the largest error the route showed in its band when it was set.  The error
-# grows as ~alpha^-2 below alpha ~ 0.3 and, for E and S, rises again from alpha
-# ~ 3 to 100.
+# grows as ~alpha^-2 below alpha ~ 0.3; from alpha ~ 3 on it is a few eps at most.
 BAND_R = np.linspace(0.0, 0.995, 400)
 ENVELOPE_BANDS = [  # (alpha lo, alpha hi, bound on E, f, S)
     (1e-3, 1e-3, 3e-10, 8e-11, 3.5e-10),
     (3e-3, 1e-2, 3e-11, 9e-12, 3.3e-11),
     (3e-2, 0.1, 2.5e-13, 1e-13, 3.5e-13),
     (0.3, 2.0, 4e-15, 1.9e-15, 7e-15),
-    (3.0, 100.0, 5e-12, 6e-16, 7e-12),
-    (300.0, 400.0, 6e-16, 3e-16, 8e-13),
+    (3.0, 100.0, 2e-15, 6e-16, 2e-15),
+    (300.0, 400.0, 6e-16, 3e-16, 1.2e-15),
     (1e3, 1e6, 6e-16, 3e-16, 1.3e-15),
 ]
 # The Pauli coefficients' bands; past alpha ~ 300 both v and s are 0.

@@ -315,8 +315,8 @@ def _pauli_cases():
             [(ref.signed_zero_density(),)]]
 
 
-def _mc_call(fn, chunk, sort_min, *args):
-    with mock.patch.multiple(pr, MC_CHUNK=chunk, MC_SORT_MIN=sort_min):
+def _mc_call(fn, chunk, *args):
+    with mock.patch.object(pr, "MC_CHUNK", chunk):
         return fn(*args)
 
 
@@ -359,7 +359,7 @@ REFERENCES = [
     Row(pr.bell_measure_distribution, ref.bell_cells, lambda: [
         [(qe.bell_state(k, qe.make_basis(alpha, 1.0)),) for k in (1, 2, 3, 4)]
         for alpha in (0.3, 1.0, 1.7, 3.0)], lambda fn, state: fn(state).outcomes, repr),
-    Row(pr.teleport_average_mc, lambda chunk, sort_min, *args: ref.mc_kernel_reference(*args),
+    Row(pr.teleport_average_mc, lambda chunk, *args: ref.mc_kernel_reference(*args),
         ref.mc_block_edges, _mc_call, repr),
     *(Row(fn, reference, _writer_tables, bits=repr)
       for fn, reference in ((cli._to_csv, ref.csv_by_rows), (cli._to_json, ref.json_by_rows))),
