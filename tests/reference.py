@@ -553,7 +553,9 @@ def mc_block_edges():
     MC_CHUNK shots; 2 chunk and 2 chunk + 1 shots put block edges at the starts of
     the stream's segments, and the first seed runs again last.  Then transfers near
     underflow and of random densities, and MC_CHUNK +-1 shots in blocks of 7 and
-    MC_CHUNK (blocks of 1 run above, at 1 to 8 shots)."""
+    MC_CHUNK (blocks of 1 run above, at 1 to 8 shots).  Last, one block of each size
+    that took cos and sin unsorted before every block sorted, 1808 shots being the
+    tail of a default teleport-mc row."""
     chunk0, transfer = protocols.MC_CHUNK, protocols.bloch_transfer
     qs = [transfer(channel_rho4(*p)) for p in ((1.0, 0.0), (0.4, 0.6), (2.0, 0.93))]
     cases = [[(chunk, qs[k], n, 100 + k) for n in sorted(
@@ -563,8 +565,10 @@ def mc_block_edges():
                 ] + [random_density(seed) for seed in (1, 2, 3)]:
         cases.append([(chunk0, transfer(rho), n, n) for n in (1, 2, chunk0 - 1, chunk0 + 1)])
     q = transfer(random_density(4))
-    return cases + [[(chunk, q, chunk0 + offset, 17) for chunk in (7, chunk0)]
-                    for offset in (-1, 0, 1)]
+    cases += [[(chunk, q, chunk0 + offset, 17) for chunk in (7, chunk0)]
+              for offset in (-1, 0, 1)]
+    return cases + [[(chunk0, qs[k], n, n + k) for n in (300, 1000, 1808, 2559)]
+                    for k in (0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------
