@@ -321,10 +321,12 @@ def property_semigroup(cases):
     worst = 0.0
     for _ in range(cases):
         op = _random_hermitian_operator(rng, modes=int(rng.integers(1, 3)))
-        t1 = rng.uniform(0.2, 1.0)
-        t2 = rng.uniform(0.2, 1.0)
-        two_step = dec.decohere(dec.decohere(op, dec.DecayClock(t1)), dec.DecayClock(t2))
-        one_step = dec.decohere(op, dec.DecayClock(t1 * t2))
+        # clocks at r1 and r2 compose to t1 t2, the clock at r12 = sqrt(1 - t1^2 t2^2)
+        c1 = dec.DecayClock.from_r(rng.uniform(0.0, 0.98))
+        c2 = dec.DecayClock.from_r(rng.uniform(0.0, 0.98))
+        t12 = c1.t * c2.t
+        two_step = dec.decohere(dec.decohere(op, c1), c2)
+        one_step = dec.decohere(op, dec.DecayClock.from_r(math.sqrt((1.0 - t12) * (1.0 + t12))))
         n_two, n_one = len(two_step.coeffs), len(one_step.coeffs)
         if n_two != n_one:
             return False, f"term count {n_two} (two steps) vs {n_one} (one step)"

@@ -41,7 +41,7 @@ BELLMEAS_TAIL_TOL = 1e-9
 # that no command asks for more than ~256 MiB of working memory (as
 # coherent_states.FOCK_CELL_BUDGET).  Measured peaks (tracemalloc): 8 B per Monte
 # Carlo shot, its fidelity, plus one block's ~1.53 MB of work arrays, draws and
-# phase order (58 MiB at MAX_SAMPLES; sized at 36 B from when the draws were made up front);
+# phase order (58 MiB at MAX_SAMPLES), sized at 36 B a shot;
 # ~0.9 kB per (alpha, r) point in a whole fig or teleport-mc render (the batched
 # real density and its checks set it), sized at ~1.8 kB
 # (125 MiB at MAX_R_POINTS over 3 alphas); ~0.33 kB per cv point in JSON, 0.2 kB in CSV

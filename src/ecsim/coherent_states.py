@@ -214,7 +214,12 @@ def norm(s: CoherentSuperposition) -> float:
 
 
 def normalized(s: CoherentSuperposition) -> CoherentSuperposition:
-    n = norm(s)
+    return normalized_by(s, norm(s))
+
+
+def normalized_by(s: CoherentSuperposition, n: float) -> CoherentSuperposition:
+    """``s`` scaled by 1 / ``n``, its norm as the caller formed it; refuses
+    n = 0, a norm that underflowed or cancelled."""
     if n == 0.0:
         raise ZeroNormError("cannot normalize a zero state")
     return (1.0 / n) * s

@@ -6,9 +6,11 @@ Each mode coupled to a zero-temperature bath evolves a dyad as
 
 which is exact, trace preserving, and forms a semigroup in t.  The sweep
 parameter used throughout is the normalized decoherence time
-r = sqrt(1 - t^2) in [0, 1).  The damping exponent 1 - t^2 = r^2 is formed
-once, as a ``DecayClock``'s ``loss``, and both routes read it: ``decohere``
-for the numeric route and ``channel_coefficients`` for the closed forms.
+r = sqrt(1 - t^2) in [0, 1), and a ``DecayClock`` is made only from r, by
+``DecayClock.from_r``, which owns the rule on r.  The damping exponent
+1 - t^2 = r^2 is formed once, as the clock's ``loss``, and both routes read
+it: ``decohere`` for the numeric route and ``channel_coefficients`` for the
+closed forms.  The rule on alpha is ``qubit_encoding``'s, with the basis.
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ import numpy as np
 from .coherent_states import CoherentOperator, dyad_from_pure, log_overlap  # noqa: F401
 from .qubit_encoding import (
     TwoQubitDensity,
+    _amplitudes,
     basis_in_range,
     bell_coeffs,
-    check_nondegenerate,
     project_to_density,
 )
 
@@ -31,41 +33,31 @@ from .qubit_encoding import (
 # the dyads |k_i><k_j| of k_0 = (a, -a) and k_1 = (-a, a), ket term major.
 _DYAD_SIGNS = np.array([[[1, -1], [1, -1], [-1, 1], [-1, 1]],
                         [[1, -1], [-1, 1], [1, -1], [-1, 1]]], dtype=complex)
-_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max)) / 2  # the largest alpha with a finite 4 alpha^2
 
 
 @dataclass(frozen=True)
 class DecayClock:
-    """Amplitude decay factor t = exp(-gamma tau / 2); r = sqrt(1 - t^2).
-
-    ``loss`` = 1 - t^2 = r^2, the damping exponent, is derived and formed
-    once: from_r squares r, so it keeps its bits at small r, where t rounds
-    r^2 away; the t constructor forms 1 - t * t.  ``t`` may be an array,
-    one clock per entry; ``from_r`` also takes a list.
+    """Amplitude decay factor t = exp(-gamma tau / 2) at normalized time
+    r = sqrt(1 - t^2), made only by ``from_r``: ``DecayClock(t)`` is a
+    TypeError.  ``t`` and ``loss`` = 1 - t^2 = r^2, the damping exponent, are
+    both formed from r, so ``loss`` keeps its bits at small r, where t rounds
+    r^2 away.  ``r`` may be an array or a list, one clock per entry.
     """
 
-    t: float | np.ndarray
+    t: float | np.ndarray = field(init=False)
     loss: float | np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        ok = np.logical_and(0.0 < self.t, self.t <= 1.0)
-        if not (ok.all() and ok.size):
-            if not ok.size:
-                raise ValueError("t must hold at least one decay factor")
-            raise ValueError("decay factor t must lie in (0, 1]")
-        object.__setattr__(self, "loss", 1.0 - self.t * self.t)
 
     @classmethod
     def from_r(cls, r) -> "DecayClock":
-        """The clock at normalized times ``r``, checked once: r in [0, 1)
-        puts t = sqrt((1 - r)(1 + r)) in (0, 1], so the constructor's check
-        is skipped.  Neither t nor loss = r * r is formed as 1 - r * r."""
+        """The clock at normalized times ``r``, each in [0, 1): the one owner of
+        the rule on r, which puts t = sqrt((1 - r)(1 + r)) in (0, 1].  Neither t
+        nor loss = r * r is formed as 1 - r * r."""
         r = np.asarray(r, dtype=float)
         if not r.size:
             raise ValueError("r must hold at least one decay time")
         if not np.logical_and(0.0 <= r, r < 1.0).all():
             raise ValueError("normalized time r must lie in [0, 1)")
-        clock = object.__new__(cls)
+        clock = cls()
         object.__setattr__(clock, "t", np.sqrt((1.0 - r) * (1.0 + r)))
         object.__setattr__(clock, "loss", r * r)
         return clock
@@ -93,18 +85,6 @@ def decohere(rho: CoherentOperator, clock: DecayClock) -> CoherentOperator:
     )
 
 
-def _amplitudes(alpha) -> np.ndarray:
-    """``alpha`` as a float array, checked to hold positive amplitudes with a finite 4 alpha^2."""
-    alpha = np.asarray(alpha, dtype=float)
-    if not alpha.size:
-        raise ValueError("alpha must hold at least one amplitude")
-    if not alpha.min() > 0.0:
-        raise ValueError("alpha must be positive")
-    if not alpha.max() <= _ALPHA_BOUND:
-        raise ValueError(f"alpha must be at most {_ALPHA_BOUND!r}: beyond it 4 alpha^2 overflows")
-    return alpha
-
-
 def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     """The seven quantities every closed form reads, (gamma, W, 1 - gamma,
     1 - W, N_theta, W - gamma, sqrt(W)).
@@ -125,19 +105,16 @@ def channel_coefficients(alpha, r) -> tuple[np.ndarray, ...]:
     forms' guard: raises DegenerateBasisError, with the same message, when
     the numeric route's basis is degenerate, which ``channel_rho4`` checks
     undecayed first and then at every t; the decayed basis is degenerate
-    first at the least t, where N_theta alone is checked.
+    first at the least t.  N_theta is the undecayed basis's own, and that
+    basis and the one at the least t make the two checks.
     """
     alpha = _amplitudes(alpha)
     clock = DecayClock.from_r(r)
     t = clock.t
     alpha = alpha.reshape(alpha.shape + (1,) * t.ndim)
-    a2 = alpha * alpha
-    n_theta = -np.expm1(-4.0 * a2)
-    check_nondegenerate(alpha, 1.0, n_theta)
-    t_min = t.min()
-    ta = t_min * alpha
-    check_nondegenerate(alpha, t_min, -np.expm1(-4.0 * (ta * ta)))
-    t2 = t * t
+    n_theta = basis_in_range(alpha, 1.0).n_theta  # 1.0 * alpha is alpha exactly
+    basis_in_range(alpha, t.min())
+    a2, t2 = alpha * alpha, t * t
     log_g, log_w = -4.0 * clock.loss * a2, -4.0 * t2 * a2
     g, w = np.exp(log_g), np.exp(log_w)
     x = 4.0 * (clock.loss - t2) * a2

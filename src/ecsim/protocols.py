@@ -20,17 +20,18 @@ from .coherent_states import (
     beam_split,
     inner,
     normalized,
+    normalized_by,
     photon_distribution,
     project_modes,
     tensor,
 )
-from .errors import ZeroNormError
 from .qubit_encoding import (
     BELL_VECTORS,
     PAULI_BASIS,
     PAULIS,
     LogicalBasis,
     TwoQubitDensity,
+    _amplitudes,
     bell_state,
     float_or_array,
     make_basis,
@@ -127,8 +128,9 @@ def misid_probability_closed(alpha: float) -> float:
     """Closed-form wrong-estimation probability 1 / (2 (1 + e^{4 a^2})).
 
     Evaluated as x / (2 (1 + x)) with x = e^{-4 a^2}, which cannot overflow
-    at large amplitude.
+    at large amplitude.  Refuses the amplitudes that ``make_basis`` refuses.
     """
+    _amplitudes(alpha)
     x = math.exp(-4.0 * (alpha * alpha))
     return 0.5 * x / (1.0 + x)
 
@@ -313,6 +315,12 @@ def average_fidelity(q: np.ndarray) -> float | np.ndarray:
 # four-mode tensors is (b', b'', b, c).
 
 
+def _check_eta(eta) -> None:
+    """The one rule on the concentration angle: every eta in (0, pi/2), which NaN fails."""
+    if not np.logical_and(0.0 < eta, eta < math.pi / 2.0).all():
+        raise ValueError("eta must lie in (0, pi/2)")
+
+
 def concentrate_ideal(eta: float | np.ndarray) -> np.ndarray:
     """Swap two copies of  cos(eta) |+-> - sin(eta) |-+>  (logical qubits).
 
@@ -323,8 +331,7 @@ def concentrate_ideal(eta: float | np.ndarray) -> np.ndarray:
     cos^2(eta) sin^2(eta) each and leave a maximally entangled pair.
     """
     eta = np.asarray(eta, dtype=float)
-    if not ((0.0 < eta) & (eta < math.pi / 2.0)).all():
-        raise ValueError("eta must lie in (0, pi/2)")
+    _check_eta(eta)
     pair = np.zeros(eta.shape + (4,))
     pair[..., 1], pair[..., 2] = np.cos(eta), -np.sin(eta)
     psi = (pair[..., :, None] * pair[..., None, :]).reshape(eta.shape + (2, 2, 2, 2))
@@ -335,8 +342,7 @@ def concentrate_ideal(eta: float | np.ndarray) -> np.ndarray:
 def partial_pair_state(basis: LogicalBasis, eta: float) -> CoherentSuperposition:
     """Normalized partially entangled pair cos(eta)|a,-a> - sin(eta)|-a,a> at
     the amplitude a of ``basis``, built by ``make_basis``, which guards it."""
-    if not (0.0 < eta < math.pi / 2.0):
-        raise ValueError("eta must lie in (0, pi/2)")
+    _check_eta(eta)
     a = basis.amplitude
     coeffs = np.array([math.cos(eta), -math.sin(eta)], dtype=complex)
     return normalized(CoherentSuperposition(coeffs, np.array([[a, -a], [-a, a]], dtype=complex)))
@@ -363,10 +369,8 @@ def concentrate_exact(alpha: float, eta: float) -> ExactConcentration:
     chi = project_modes(joint, (1, 2), bell_state(2, basis))
     p = inner(chi, chi).real
     # normalized(chi), without computing <chi|chi> a second time
-    n = math.sqrt(max(p, 0.0))
-    if n == 0.0:
-        raise ZeroNormError("cannot normalize a zero state")
-    return ExactConcentration(success_probability=float(p), state=(1.0 / n) * chi)
+    state = normalized_by(chi, math.sqrt(max(p, 0.0)))
+    return ExactConcentration(success_probability=float(p), state=state)
 
 
 def concentration_success_closed_form(alpha, eta) -> float | np.ndarray:
@@ -378,10 +382,12 @@ def concentration_success_closed_form(alpha, eta) -> float | np.ndarray:
     N_theta + sin^2(2 th) cos^2(2 eta) / (1 + sin(2 eta)), which does not
     cancel near eta = pi/4: within 8 eps relative of the stated form, and 1/4
     at eta = fl(pi/4).  ``alpha`` broadcasts against ``eta``, and each entry
-    has the bits of its own scalar call.  Verified against the explicit swap
-    and an independent truncated-Fock computation.
+    has the bits of its own scalar call.  Refuses what ``make_basis`` and
+    ``concentrate_ideal`` refuse.  Verified against the explicit swap and an
+    independent truncated-Fock computation.
     """
     basis = make_basis(alpha, 1.0)
+    _check_eta(eta)
     s, c, u = np.sin(2.0 * eta), np.cos(2.0 * eta), basis.sin2theta
     # products, not ** 2: a numpy scalar's square is libm's pow, which can round apart
     y = 1.0 + (u * u) * (c * c) / ((1.0 + s) * basis.n_theta)

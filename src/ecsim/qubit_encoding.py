@@ -16,6 +16,7 @@ from .errors import DegenerateBasisError, DensityError, SpanError
 
 DEGENERACY_FLOOR = 1e-12  # minimum allowed value of 1 - exp(-4 t^2 a^2)
 SPAN_TOL = 1e-9  # amplitude distance allowed when matching +-a
+_ALPHA_BOUND = float(np.sqrt(np.finfo(float).max)) / 2  # the largest alpha with a finite 4 alpha^2
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -76,39 +77,52 @@ class LogicalBasis:
     cos theta = sqrt((1 + sqrt N_theta)/2) and sin theta = sin 2theta /
     (2 cos theta), formed without the angle: the cosine and sine of 1/2
     arcsin(sin 2theta) miss cos 2theta by up to 2.7e5 eps at small ta.
-    ``t = 1`` is the undecayed basis; smaller ``t`` tracks amplitude decay.
-    Arrays ``alpha`` and ``t`` that broadcast give one basis per entry of
-    their shape, each field's after ``cos_sin``'s pair axis.
+    Both are formed on each read, so a basis built only to be checked costs
+    no more than its N_theta.  ``t = 1`` is the undecayed basis; smaller ``t``
+    tracks amplitude decay.  Arrays ``alpha`` and ``t`` that broadcast give
+    one basis per entry of their shape, each field's after ``cos_sin``'s pair axis.
     """
 
     amplitude: float | np.ndarray
-    cos_sin: np.ndarray
     n_theta: float | np.ndarray
 
     @property
     def sin2theta(self) -> float | np.ndarray:
         return np.exp(-2.0 * (self.amplitude * self.amplitude))
 
+    @property
+    def cos_sin(self) -> np.ndarray:
+        cos = np.sqrt((1.0 + np.sqrt(self.n_theta)) / 2.0)
+        return np.array((cos, self.sin2theta / (2.0 * cos)))
+
+
+def _amplitudes(alpha) -> np.ndarray:
+    """``alpha`` as a float array, checked to hold positive amplitudes with a finite 4 alpha^2:
+    the one rule on alpha of every entry point."""
+    alpha = np.asarray(alpha, dtype=float)
+    # one test, which NaN fails (its min is NaN); the error names the first rule broken
+    if not (alpha.size and alpha.min() > 0.0 and alpha.max() <= _ALPHA_BOUND):
+        if not alpha.size:
+            raise ValueError("alpha must hold at least one amplitude")
+        if not alpha.min() > 0.0:
+            raise ValueError("alpha must be positive")
+        raise ValueError(f"alpha must be at most {_ALPHA_BOUND!r}: beyond it 4 alpha^2 overflows")
+    return alpha
+
 
 def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> LogicalBasis:
     """Build the logical basis at amplitude ``t * alpha``.
 
     ``alpha`` and ``t`` may be arrays that broadcast against each other, one
-    basis an entry: each entry has the bits of its own scalar call.
-    Fails loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 anywhere: there the
-    pair {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
-    The error names the first such amplitude, the least ``t`` and that
-    amplitude's least 1 - exp(-4 t^2 alpha^2).
+    basis an entry: each entry has the bits of its own scalar call.  ``alpha``
+    is held to ``_amplitudes``' rule, and ``t`` to (0, 1] here alone.  Fails
+    loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 anywhere: there the pair
+    {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
     """
-    # both range checks in one reduction, which an empty alpha or t passes; the
-    # error names the first that fails
-    ok = np.logical_and(0.0 < t, t <= 1.0) & (alpha > 0)
+    _amplitudes(alpha)  # the caller's own alpha is built on: a float keeps float fields
+    ok = np.logical_and(0.0 < t, t <= 1.0)
     if not (ok.all() and ok.size):
-        if not np.greater(alpha, 0.0).all():
-            raise ValueError("alpha must be positive")
-        if not np.size(alpha):
-            raise ValueError("alpha must hold at least one amplitude")
-        if not np.size(t):
+        if not ok.size:
             raise ValueError("t must hold at least one decay factor")
         raise ValueError("decay factor t must lie in (0, 1]")
     return basis_in_range(alpha, t)
@@ -116,21 +130,12 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
 
 def basis_in_range(alpha, t) -> LogicalBasis:
     """``make_basis(alpha, t)`` for ``alpha`` and ``t`` already known to be in
-    range; only the degeneracy check is made.  The amplitude is squared by a
-    product, not libm's pow, so each entry has the bits of its own scalar call."""
+    range; only the degeneracy check is made, whose error names the first
+    amplitude of ``alpha`` (broadcast) with N_theta below DEGENERACY_FLOOR, the
+    least ``t`` and that amplitude's least N_theta.  The amplitude is squared by
+    a product, not libm's pow, so each entry has the bits of its own scalar call."""
     ta = t * alpha
-    a2 = ta * ta
-    s2 = np.exp(-2.0 * a2)  # sin 2theta
-    n_theta = -np.expm1(-4.0 * a2)  # 1 - sin^2 2theta, stable
-    check_nondegenerate(alpha, t, n_theta)
-    cos = np.sqrt((1.0 + np.sqrt(n_theta)) / 2.0)
-    return LogicalBasis(amplitude=ta, cos_sin=np.array((cos, s2 / (2.0 * cos))), n_theta=n_theta)
-
-
-def check_nondegenerate(alpha, t, n_theta) -> None:
-    """Raise DegenerateBasisError where the normalization ``n_theta`` of the
-    basis at ``alpha`` (broadcast to its shape) and ``t`` lies below
-    DEGENERACY_FLOOR, naming the first such amplitude."""
+    n_theta = -np.expm1(-4.0 * (ta * ta))  # 1 - sin^2 2theta, stable
     if not n_theta.min() >= DEGENERACY_FLOOR:
         amps = np.broadcast_to(alpha, n_theta.shape)
         bad = amps[~(n_theta >= DEGENERACY_FLOOR)][0]
@@ -138,6 +143,7 @@ def check_nondegenerate(alpha, t, n_theta) -> None:
             f"basis degenerate at alpha={bad}, t={np.min(t)}: "
             f"1-exp(-4 t^2 a^2)={np.min(n_theta[amps == bad]):.3e}"
         )
+    return LogicalBasis(amplitude=ta, n_theta=n_theta)
 
 
 def logical_coords(amp, basis: LogicalBasis) -> np.ndarray:
@@ -177,8 +183,8 @@ def bell_coeffs(k: int, basis: LogicalBasis) -> np.ndarray:
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("Bell index must be 1..4")
-    c = 1.0 / np.sqrt(basis.n_theta)
-    a, b = c * basis.cos_sin[0], -(c * basis.cos_sin[1])
+    c, (cos, sin) = 1.0 / np.sqrt(basis.n_theta), basis.cos_sin
+    a, b = c * cos, -(c * sin)
     inv = 1.0 / _SQ2
     aa, ab, bb = inv * (a * a), inv * (a * b), inv * (b * b)
     if k % 2:

@@ -157,6 +157,11 @@ def _scaled(factor):
     return lambda real: lambda *args: factor * real(*args)
 
 
+def _reads(value):
+    """A patch whose call reads ``value`` at every entry of the real call's result."""
+    return lambda real: lambda *args: np.full_like(real(*args), value)
+
+
 def _scaled_operator(factor):
     """``_scaled`` for a call that returns an operator."""
     return lambda real: lambda *args: operator_sum((factor, real(*args)))
@@ -242,8 +247,13 @@ def _swap_reads(alpha, value):
 E1 = f"{em.closed_form_e(1.0, 0.5):.6f}"  # check 5's closed E(1), printed
 # (check, {(module, name): patch of the real call}, fragment of the detail), as
 # PROPERTY_BREAKS for checks 1-9: a strict claim broken to its boundary, a
-# tolerance to just past it, so that a loosened clause fails a row too.
+# tolerance to just past it, so that a loosened clause fails a row too.  A row
+# that patches the calls of an earlier row of its check ends in its own id suffix.
 CHECK_BREAKS = [
+    ("check_zero_time_entanglement", {(em, "closed_form_e"): _reads(1.0 + 2e-10)},
+     "max |E-1| = 2.000e-10"),
+    ("check_zero_time_entanglement", {(em, "negativity_e"): _reads(1.0 + 2e-10)},
+     "max |E-1| = 2.000e-10"),
     ("check_characteristic_time", {(em, "closed_form_f"): _beyond_r_c(2.0 / 3.0)},
      "beyond-r_c behavior ok: False"),
     ("check_characteristic_time", {(em, "closed_form_e"): _beyond_r_c(0.0)},
@@ -259,15 +269,21 @@ CHECK_BREAKS = [
         3.0, lambda eta: (math.cos(eta) * math.sin(eta)) ** 2 + 1.001e-6)}, "large err 1.0e-06"),
     ("check_concentration_limits", {(pr, "concentrate_exact"): _swap_reads(
         0.05, lambda eta: 1e-3)}, "small 1.0e-03"),
+    ("check_concentration_ideal", {(pr, "concentrate_ideal"): lambda real: lambda etas: (
+        real(etas) + 2e-10)}, "max |p - cos^2 sin^2| = 2.000e-10"),
     ("check_cv_fidelity", {(pr, "cv_fidelity"): lambda real: lambda x: np.where(
         np.equal(x, 4.0), 0.5, real(x))}, "min f-1/2=0.0e+00"),
+    ("check_cv_fidelity", {(pr, "cv_fidelity"): lambda real: lambda x: np.where(
+        np.equal(x, 0.0), math.nextafter(0.5, 1.0), real(x))}, "f(0)=0.5000000000000001,",
+     "-at-0"),
     ("check_cv_fidelity", {(pr, "cv_max"): lambda real: lambda: (
         real()[0], real()[1] - 5.0 * acceptance.EPS)}, "grid peak f* +5.0 eps"),
 ]
 
 
-@pytest.mark.parametrize("check,patches,fragment", CHECK_BREAKS, ids=[
-    f"{check}-{'-'.join(name for _, name in patches)}" for check, patches, _ in CHECK_BREAKS])
+@pytest.mark.parametrize("check,patches,fragment", [row[:3] for row in CHECK_BREAKS], ids=[
+    f"{check}-{'-'.join(name for _, name in patches)}{''.join(suffix)}"
+    for check, patches, _, *suffix in CHECK_BREAKS])
 def test_check_fails_when_its_claim_breaks(monkeypatch, check, patches, fragment):
     for (module, name), patch in patches.items():
         monkeypatch.setattr(module, name, patch(getattr(module, name)))

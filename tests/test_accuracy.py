@@ -5,10 +5,11 @@ axes' outer product) and a call that takes the axes and returns ``(got, want,
 bound)`` over the grid and any trailing axes of the quantity, the bound over the
 leading axes.  One test asserts |got - want| <= bound everywhere and names the
 row, the worst point and its err/bound.  ``python tests/test_accuracy.py``
-prints each row's worst err/bound.
+prints each row's worst err/bound, and exits 1 when any row exceeds its bound.
 """
 import functools
 import math
+import types
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -268,19 +269,21 @@ CONCENTRATE_PAIRS = {"p2_exact": "p2_exact_closed", "p1_swap": "p_ideal_closed",
 
 def _best_bell_projection(a, r):
     """singlet_fraction against max_k <B_k| rho |B_k>: for the channel's diagonal
-    correlation matrix the optimum is attained on the decayed Bell family."""
+    correlation matrix the optimum is attained on the decayed Bell family.
+    Within 6 eps, 3x the worst error measured, 2 eps at (0.3, 0)."""
     rho = channel_rho4(a, r)
     return singlet_fraction(rho), np.einsum("ki,...ij,kj->...k", BELL_VECTORS.conj(), rho.matrix,
-                                            BELL_VECTORS).real.max(axis=-1), 1e-9
+                                            BELL_VECTORS).real.max(axis=-1), 6 * EPS
 
 
 def _scheme_optimum(a, r):
     """The exact scheme average, maximized over the correction remappings,
-    against optimal_fidelity (the LQCC optimum) at every decay time."""
+    against optimal_fidelity (the LQCC optimum) at every decay time.  Within
+    3 eps, 3x the worst error measured, 1 eps at (0.5, 0.9) and (1, 0.6)."""
     remaps = (np.eye(2, dtype=complex),) + PAULIS
     best = [[max(average_fidelity_reference(channel_rho4(x, y), u) for u in remaps)
              for y in r.tolist()] for x in a.tolist()]
-    return best, optimal_fidelity(channel_rho4(a, r)), 1e-9
+    return best, optimal_fidelity(channel_rho4(a, r)), 3 * EPS
 
 
 # At small alpha the swap's error grows as 1/N_theta: 6.7e-12 at alpha = 1e-3.
@@ -344,15 +347,18 @@ def test_each_route_within_its_bound_of_its_oracle(row):
 def test_a_decay_exponent_of_one_minus_t_squared_fails_the_decimal_check(monkeypatch):
     # a mutant decohere, damping by 1 - t * t of from_r's t instead of r * r
     decohere = dec.decohere
-    monkeypatch.setattr(dec, "decohere",
-                        lambda rho, clock: decohere(rho, dec.DecayClock(clock.t)))
+    monkeypatch.setattr(dec, "decohere", lambda rho, clock: decohere(
+        rho, types.SimpleNamespace(t=clock.t, loss=1.0 - clock.t * clock.t)))
     row, = (row for row in ACCURACY if row.id == "referee-routes-where-t-rounds-r-away")
     assert not measure(row)[0]
 
 
 if __name__ == "__main__":
     print(f"{'row':38}  {'points':>7}  {'err/bound':>9}  {'err/eps':>9}  {'bound/eps':>9}  at")
+    failed = False
     for row in ACCURACY:
-        _, points, ratio, err, bound, where = measure(row)
+        holds, points, ratio, err, bound, where = measure(row)
+        failed |= not holds
         print(f"{row.id:38}  {points:7d}  {ratio:9.3g}  {err / EPS:9.3g}  {bound / EPS:9.3g}  "
               f"{where}")
+    raise SystemExit(failed)

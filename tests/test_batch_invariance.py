@@ -163,6 +163,7 @@ def _bases(n):
 
 
 def _times(*more):
+    """Grids in [0.05, 1), and ``more``: a basis's factors t, or a clock's times r."""
     t = np.random.default_rng(62).uniform(0.05, 1.0, 400)
     return [(np.array(0.6),), (np.array([0.4]),), (t,), (t.reshape(20, 20),), (t[::2],), *more]
 
@@ -200,8 +201,8 @@ REGISTRY = {
     qe.basis_in_range: BASIS._replace(cases=lambda: _bases(500)),
     qe.project_to_density: Entry(lambda: _times((np.array([1.0, 0.6, 0.25]),)), _split(0),
                                  _project, _matrix),
-    dec.decohere: Entry(lambda: _times((np.array([[1.0, 0.8], [0.5, 0.2]]),)), _split(0),
-                        lambda fn, t: fn(DYADS, dec.DecayClock(t)),
+    dec.decohere: Entry(lambda: _times((np.array([[0.0, 0.6], [0.5, 0.2]]),)), _split(0),
+                        lambda fn, r: fn(DYADS, dec.DecayClock.from_r(r)),
                         lambda op: (np.moveaxis(op.coeffs, 0, -1), *(
                             np.moveaxis(x, (0, 1), (-2, -1)) for x in (op.kets, op.bras)))),
     dec.channel_rho4: CHANNEL._replace(parts=_matrix),

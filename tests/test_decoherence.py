@@ -81,16 +81,9 @@ class TestDecayClock:
         assert list(c.t) == [DecayClock.from_r(float(x)).t for x in r]
         assert np.max(np.abs(np.sqrt(1.0 - c.t * c.t) - r)) < 1e-14
 
-    def test_from_r_checks_once(self, monkeypatch):
-        # r in [0, 1) puts sqrt((1 - r)(1 + r)) in (0, 1], so from_r skips
-        # the constructor's check, down to r's extremes
-        r = np.array([0.0, 5e-324, 1e-8, 0.5, np.nextafter(1.0, 0.0)])
-        want = np.sqrt((1.0 - r) * (1.0 + r))
-        assert np.logical_and(0.0 < want, want <= 1.0).all()
-        monkeypatch.setattr(DecayClock, "__post_init__",
-                            lambda self: pytest.fail("from_r ran the constructor's check"))
-        assert DecayClock.from_r(r).t.tobytes() == want.tobytes()
-        assert DecayClock.from_r(0.5).t == math.sqrt(0.75)
+    def test_is_made_only_from_r(self):
+        with pytest.raises(TypeError):
+            DecayClock(0.5)
 
     @pytest.mark.parametrize("r", [0.3, [0.0, 1e-9, 0.5],
                                    np.array([[5e-324, 1e-8], [0.7, np.nextafter(1.0, 0.0)]])],
@@ -99,10 +92,6 @@ class TestDecayClock:
         clock, x = DecayClock.from_r(r), np.asarray(r, dtype=float)
         assert clock.loss.tobytes() == (x * x).tobytes()
         assert clock.t.tobytes() == np.sqrt((1.0 - x) * (1.0 + x)).tobytes()
-
-    def test_constructor_loss_is_one_minus_t_squared(self):
-        for t in (0.8, np.array([1.0, 0.3, 1e-8])):
-            assert np.asarray(DecayClock(t).loss).tobytes() == np.asarray(1.0 - t * t).tobytes()
 
 
 class TestDecohereDyad:
@@ -113,7 +102,7 @@ class TestDecohereDyad:
         assert ket == pytest.approx(clock.t * 0.9, abs=1e-15)
 
     def test_no_decay_is_identity(self):
-        coeff, ket, bra = damp_single_dyad(0.7, -0.4, DecayClock(1.0))
+        coeff, ket, bra = damp_single_dyad(0.7, -0.4, DecayClock.from_r(0.0))
         assert coeff == pytest.approx(1.0, abs=1e-15)
         assert ket == pytest.approx(0.7)
         assert bra == pytest.approx(-0.4)
@@ -195,7 +184,7 @@ class TestDecohere:
     def test_identity_at_t1(self):
         b = make_basis(1.0, 1.0)
         op = dyad_from_pure(bell_state(4, b))
-        out = decohere(op, DecayClock(1.0))
+        out = decohere(op, DecayClock.from_r(0.0))
         assert np.max(np.abs(out.coeffs - op.coeffs)) <= 1e-14
         assert np.array_equal(out.kets, op.kets)
 
@@ -214,8 +203,11 @@ class TestDecohere:
     def test_semigroup(self):
         b = make_basis(0.9, 1.0)
         op = dyad_from_pure(bell_state(4, b))
-        two = decohere(decohere(op, DecayClock(0.8)), DecayClock(0.7))
-        one = decohere(op, DecayClock(0.8 * 0.7))
+        # t = 0.8 and 0.7, and their product
+        c1, c2 = DecayClock.from_r(0.6), DecayClock.from_r(math.sqrt(0.51))
+        t12 = c1.t * c2.t
+        two = decohere(decohere(op, c1), c2)
+        one = decohere(op, DecayClock.from_r(math.sqrt((1.0 - t12) * (1.0 + t12))))
         assert np.max(np.abs(two.coeffs - one.coeffs)) <= 1e-12
         assert np.max(np.abs(two.kets - one.kets)) <= 1e-14
 
@@ -286,16 +278,17 @@ class TestClosedFormGuard:
         assert str(got.value) == str(whole.value)
 
     @pytest.mark.parametrize("closed", CLOSED)
-    def test_one_clock_and_one_basis_per_call(self, closed, monkeypatch):
-        # one clock, and a guard that checks N_theta alone: no basis is built
-        calls = []
-        from_r = DecayClock.from_r
+    def test_one_clock_and_two_bases_per_call(self, closed, monkeypatch):
+        # one clock, and the guard's two bases: the undecayed one, which gives
+        # N_theta, and the one at the least t
+        calls, grid = [], np.linspace(0.0, 0.995, 50)
+        from_r, basis = DecayClock.from_r, qubit_encoding.LogicalBasis
         monkeypatch.setattr(DecayClock, "from_r",
                             classmethod(lambda cls, r: calls.append("from_r") or from_r(r)))
         monkeypatch.setattr(qubit_encoding, "LogicalBasis",
-                            lambda **fields: calls.append("basis"))
-        closed(1.3, np.linspace(0.0, 0.995, 50))
-        assert calls == ["from_r"]
+                            lambda **fields: calls.append(fields["amplitude"]) or basis(**fields))
+        closed(1.3, grid)
+        assert calls == ["from_r", 1.3, from_r(grid).t.min() * 1.3]
 
 
 class TestClosedForms:

@@ -1,13 +1,15 @@
 """Argument guards of the library, one contract: each row of ``GUARDS`` is a
 call that must raise exactly its exception class (not a subclass) with a
 message that starts with the row's fragment, and every ``raise`` in
-``src/ecsim`` is the raise of some row.  ``cli.py`` is left out: its exits
-are the rows of ``test_cli.py``'s ``EXITS``."""
+``src/ecsim`` is the raise of some row.  No two of those raises raise the same
+exception: each refusal has one site.  ``cli.py`` is left out: its exits are
+the rows of ``test_cli.py``'s ``EXITS``."""
 import ast
 import math
 import sys
 import traceback
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,6 @@ Q = pr.bloch_transfer(dec.channel_rho4(1.3, 0.4))
 R_RANGE = "normalized time r must lie in [0, 1)"
 T_RANGE = "decay factor t must lie in (0, 1]"
 NO_R = "r must hold at least one decay time"
-NO_T = "t must hold at least one decay factor"
 NO_ALPHA = "alpha must hold at least one amplitude"
 NOT_POSITIVE = "alpha must be positive"
 OVERFLOWS = "alpha must be at most 6.703903964971298e+153: beyond it 4 alpha^2 overflows"
@@ -154,21 +155,7 @@ GUARDS = [
     ("photons-vacuum-underflow",
      lambda: cs.photon_distribution(CoherentSuperposition.ket(0.5, 40.0j), 10), CutoffError,
      "|amp| = 40: the Fock vacuum amplitude e^(-|amp|^2/2) underflows past |amp| ~ 37.6"),
-    # decoherence: the clock, by its t and by its r, each alone and in a batch
-    ("clock-t-nan", lambda: DecayClock(math.nan), ValueError, T_RANGE),
-    ("clock-t-nan-batch", lambda: DecayClock(np.array([0.5, math.nan])), ValueError, T_RANGE),
-    ("clock-t-inf", lambda: DecayClock(math.inf), ValueError, T_RANGE),
-    ("clock-t-inf-batch", lambda: DecayClock(np.array([0.5, math.inf])), ValueError, T_RANGE),
-    ("clock-t-0", lambda: DecayClock(0.0), ValueError, T_RANGE),
-    ("clock-t-0-batch", lambda: DecayClock(np.array([0.5, 0.0])), ValueError, T_RANGE),
-    ("clock-t-negative", lambda: DecayClock(-0.5), ValueError, T_RANGE),
-    ("clock-t-negative-batch", lambda: DecayClock(np.array([0.5, -0.5])), ValueError, T_RANGE),
-    ("clock-t-above-1", lambda: DecayClock(1.0 + 2.0**-52), ValueError, T_RANGE),
-    ("clock-t-above-1-batch", lambda: DecayClock(np.array([0.5, 1.0 + 2.0**-52])),
-     ValueError, T_RANGE),
-    ("clock-t-1.5", lambda: DecayClock(1.5), ValueError, T_RANGE),
-    ("clock-t-1.5-batch", lambda: DecayClock(np.array([0.5, 1.5])), ValueError, T_RANGE),
-    ("clock-t-empty", lambda: DecayClock(np.array([])), ValueError, NO_T),
+    # decoherence: the clock, made only from r, alone and from a list
     ("clock-r-nan", lambda: DecayClock.from_r(math.nan), ValueError, R_RANGE),
     ("clock-r-nan-list", lambda: DecayClock.from_r([0.5, math.nan]), ValueError, R_RANGE),
     ("clock-r-inf", lambda: DecayClock.from_r(math.inf), ValueError, R_RANGE),
@@ -199,7 +186,11 @@ GUARDS = [
     # qubit_encoding
     ("basis-alpha-negative", lambda: qe.make_basis(-1.0, 1.0), ValueError, NOT_POSITIVE),
     ("basis-alpha-empty", lambda: qe.make_basis(np.array([]), 1.0), ValueError, NO_ALPHA),
-    ("basis-t-empty", lambda: qe.make_basis(1.0, np.array([])), ValueError, NO_T),
+    ("basis-above-the-bound", lambda: qe.make_basis(ABOVE, 1.0), ValueError, OVERFLOWS),
+    ("basis-above-the-bound-batch", lambda: qe.make_basis(np.array([1.0, ABOVE]), 1.0),
+     ValueError, OVERFLOWS),
+    ("basis-t-empty", lambda: qe.make_basis(1.0, np.array([])), ValueError,
+     "t must hold at least one decay factor"),
     ("basis-t-0", lambda: qe.make_basis(1.0, 0.0), ValueError, T_RANGE),
     ("basis-t-1.5", lambda: qe.make_basis(1.0, 1.5), ValueError, T_RANGE),
     ("basis-t-1.5-batch", lambda: qe.make_basis(1.0, np.array([0.5, 1.5])), ValueError, T_RANGE),
@@ -260,6 +251,11 @@ GUARDS = [
     ("peak-unknown-measure", lambda: em.mixedness_peak(1.0, "renyi"),
      ValueError, "measure must be 'linear' or 'vn'"),
     # protocols
+    ("misid-alpha-0", lambda: pr.misid_probability_closed(0.0), ValueError, NOT_POSITIVE),
+    ("misid-alpha-negative", lambda: pr.misid_probability_closed(-1.0), ValueError, NOT_POSITIVE),
+    ("misid-alpha-nan", lambda: pr.misid_probability_closed(math.nan), ValueError, NOT_POSITIVE),
+    ("misid-alpha-inf", lambda: pr.misid_probability_closed(math.inf), ValueError, OVERFLOWS),
+    ("misid-above-the-bound", lambda: pr.misid_probability_closed(ABOVE), ValueError, OVERFLOWS),
     ("bell-one-mode", lambda: pr.bell_measure_distribution(ONE),
      ValueError, "expected a two-mode state"),
     ("mc-no-samples", lambda: pr.teleport_average_mc(Q, 0, 1), ValueError, "samples must be >= 1"),
@@ -276,6 +272,15 @@ GUARDS = [
      ValueError, ETA_RANGE),
     ("pair-eta-0", lambda: pr.partial_pair_state(BASIS, 0.0), ValueError, ETA_RANGE),
     ("pair-eta-half-pi", lambda: pr.partial_pair_state(BASIS, math.pi / 2), ValueError, ETA_RANGE),
+    ("closed-swap-eta-0", lambda: pr.concentration_success_closed_form(1.0, 0.0),
+     ValueError, ETA_RANGE),
+    ("closed-swap-eta-half-pi", lambda: pr.concentration_success_closed_form(1.0, math.pi / 2),
+     ValueError, ETA_RANGE),
+    ("closed-swap-eta-nan", lambda: pr.concentration_success_closed_form(1.0, math.nan),
+     ValueError, ETA_RANGE),
+    ("closed-swap-eta-2-batch",
+     lambda: pr.concentration_success_closed_form(np.array([[0.5], [1.0]]), np.array([0.3, 2.0])),
+     ValueError, ETA_RANGE),
     # the B2 projection's norm underflows (the CLI's `concentrate --etas 1e-170`)
     ("swap-zero-norm", lambda: pr.concentrate_exact(1.0, 1e-170),
      ZeroNormError, "cannot normalize a zero state"),
@@ -301,15 +306,31 @@ def test_guard_raises_its_class_and_names_the_fault(call, cls, start):
 LIBRARY = Path(cs.__file__).resolve().parent
 
 
-def test_every_raise_in_the_library_has_a_row():
-    # (file, line) of each raise statement, and of the frame each row's exception left;
-    # a multi-line raise's frame reads its first line
+def _raise_sites() -> dict:
+    """(file, line) of each raise statement of the library outside ``cli.py``, to
+    the source of the exception it raises."""
     sites = {}
     for path in sorted(LIBRARY.glob("*.py")):
         if path.name != "cli.py":
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Raise):
-                    sites[path.name, node.lineno] = ast.unparse(node.exc)[:72]
+                    sites[path.name, node.lineno] = ast.unparse(node.exc)
+    return sites
+
+
+def test_each_refusal_is_raised_from_one_site():
+    # each input rule has one owner: a second raise of the same exception is a copy
+    sites = _raise_sites()
+    count = Counter(sites.values())
+    copies = [f"{file}:{line} {exc[:72]}" for (file, line), exc in sites.items() if count[exc] > 1]
+    assert not copies, copies
+    assert len(sites) == 38
+
+
+def test_every_raise_in_the_library_has_a_row():
+    # (file, line) of each raise statement, and of the frame each row's exception left;
+    # a multi-line raise's frame reads its first line
+    sites = _raise_sites()
     reached = {}
     for name, call, _, _ in GUARDS:
         exc = _raised(call)
@@ -321,16 +342,33 @@ def test_every_raise_in_the_library_has_a_row():
     strays = [f"{name}: {file}:{line}" for (file, line), name in reached.items()
               if (file, line) not in sites]
     assert not strays, f"rows raised outside a raise of the library: {strays}"
-    missing = [f"{file}:{line} {sites[file, line]}"
+    missing = [f"{file}:{line} {sites[file, line][:72]}"
                for file, line in sorted(sites.keys() - reached)]
     assert not missing, f"raises in the library with no row: {missing}"
 
 
 
-@pytest.mark.parametrize("r", [0.0, 0.5])
+# the entry points of the amplitude alone, each at the bound: (call, its value there)
+AT_THE_BOUND = {
+    "make_basis": (lambda: qe.make_basis(ALPHA_BOUND, 1.0).n_theta, 1.0),
+    "misid_probability_closed": (lambda: pr.misid_probability_closed(ALPHA_BOUND), 0.0),
+    "concentration_success_closed_form": (
+        lambda: pr.concentration_success_closed_form(ALPHA_BOUND, 0.3),
+        math.sin(0.6) * math.sin(0.6) / 4.0),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, *AT_THE_BOUND])
 def test_alpha_at_the_bound_is_accepted_by_both_routes(r):
-    # its refusing side is GUARDS' above-the-bound rows
+    # its refusing side is GUARDS' above-the-bound rows; a name in place of r is
+    # one of AT_THE_BOUND's entry points
     assert ALPHA_BOUND == 6.703903964971298e153 and math.isfinite(4.0 * ALPHA_BOUND**2)
+    if r in AT_THE_BOUND:
+        call, want = AT_THE_BOUND[r]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert call() == want
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rho = dec.channel_rho4(ALPHA_BOUND, r)
