@@ -161,8 +161,8 @@ def check_concentration_exact_printed_form() -> tuple[bool, str]:
 
     Expected to fail: the exact construction carries one normalization
     factor per input pair, so the denominator is squared.  See the
-    module docstring; the corrected form is verified at 1e-12 in 8.3's
-    companion tests.
+    module docstring; the corrected form is held within eps (1/N_theta + 3)
+    by the ``swap`` row of tests/test_accuracy.py.
     """
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):

@@ -378,7 +378,7 @@ def auto_cutoff(s: CoherentSuperposition) -> int:
 
 
 def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
-    """P(N = k) for N ~ Poisson(m), element-wise over means m >= 0.
+    """P(N = k) for N ~ Poisson(m), k >= 1, element-wise over means m >= 0.
 
     Taken in the saddle-point form
     exp(k log(m/k) - (m - k)) / (sqrt(2 pi k) e^delta(k)), with
@@ -386,8 +386,6 @@ def _poisson_pmf(k: int, m: np.ndarray) -> np.ndarray:
     exponent's rounding error is then ~eps (k + |log P|), where
     k log m - m - log k! would carry eps log k!.
     """
-    if k == 0:
-        return np.exp(-m)
     if k > 15:
         r = 1.0 / (k * k)
         delta = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k

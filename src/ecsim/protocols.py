@@ -128,7 +128,8 @@ def misid_probability_closed(alpha: float) -> float:
     """Closed-form wrong-estimation probability 1 / (2 (1 + e^{4 a^2})).
 
     Evaluated as x / (2 (1 + x)) with x = e^{-4 a^2}, which cannot overflow
-    at large amplitude.  Refuses the amplitudes that ``make_basis`` refuses.
+    at large amplitude.  ``alpha`` is one amplitude, not a batch.  Refuses the
+    amplitudes that ``make_basis`` refuses.
     """
     _amplitudes(alpha)
     x = math.exp(-4.0 * (alpha * alpha))

@@ -119,7 +119,7 @@ def make_basis(alpha: float | np.ndarray, t: float | np.ndarray = 1.0) -> Logica
     loudly when 1 - exp(-4 t^2 alpha^2) < 1e-12 anywhere: there the pair
     {|ta>, |-ta>} is numerically collinear and the encoding is undefined.
     """
-    _amplitudes(alpha)  # the caller's own alpha is built on: a float keeps float fields
+    alpha = float_or_array(_amplitudes(alpha))  # a scalar gives float fields, with its bits
     ok = np.logical_and(0.0 < t, t <= 1.0)
     if not (ok.all() and ok.size):
         if not ok.size:

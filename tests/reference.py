@@ -1,31 +1,38 @@
 """The references that the tests read: the channel's and the swap's decimal
 referees, the 40-digit Poisson tail, the one-amplitude routes of the channel
-and its closed forms, the references that the library's functions match bit
-for bit with the edge cases they are matched on, shared points and shared
-numpy helpers.  Test modules import them from here, never from one another,
-so a helper renamed in one cannot break the collection of another.  pytest
-does not collect this module (no ``test_`` prefix); its default import mode
-puts ``tests/`` on the path.
+and its closed forms, the oracles that the accuracy rows hold the layers to
+(per-term loops, Fock and Kraus sums, Horn's enumeration and singular values),
+the references that the library's functions match bit for bit with the edge
+cases they are matched on, shared points and shared numpy helpers.  Test
+modules import them from here, never from one another, so a helper renamed
+in one cannot break the collection of another.  pytest does not collect this
+module (no ``test_`` prefix); its default import mode puts ``tests/`` on the
+path.
 """
 import argparse
+import cmath
 import decimal
 import functools
 import json
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
+from scipy import special
+from scipy.linalg import expm
 
 from ecsim import cli, decoherence, protocols
 from ecsim import qubit_encoding as qe
 from ecsim.coherent_states import (DROP_TOL, CoherentOperator, CoherentSuperposition, beam_split,
-                                   consolidate, dyad_from_pure, photon_distribution, tensor)
+                                   consolidate, dyad_from_pure, log_overlap, photon_distribution,
+                                   tensor, to_fock)
 from ecsim.decoherence import DecayClock, channel_rho4, decohere
 from ecsim.entanglement_metrics import closed_form_e, closed_form_f, closed_form_s
 from ecsim.protocols import CORRECTIONS, BellOutcome, classify_counts
-from ecsim.qubit_encoding import (BELL_VECTORS, PAULI_PRODUCTS, PAULIS, LogicalBasis,
+from ecsim.qubit_encoding import (BELL_VECTORS, PAULI_BASIS, PAULI_PRODUCTS, PAULIS, LogicalBasis,
                                   TwoQubitDensity, bell_state, logical_coords, make_basis,
                                   project_to_density)
 
@@ -35,6 +42,7 @@ from ecsim.qubit_encoding import (BELL_VECTORS, PAULI_PRODUCTS, PAULIS, LogicalB
 PINNED_ALPHAS = (0.45641438732799167, 0.6367562934712789, 0.15, 1e-3, 13.4, 1e6)
 # The CLI's amplitude range, log-spaced.
 LOG_ALPHAS = np.logspace(-3.0, 6.0, 19)
+# The ideal swap's test angles: the CLI's defaults and pinned etas, and pi/4.
 IDEAL_ETAS = (math.pi / 8, math.pi / 6, math.pi / 3, 0.2, 0.7, 1.3, math.pi / 4)
 # Poisson means in [0, 200]: zero, subnormal and tiny means, random ones, and
 # both sides of m = k + 1 and of m = k + 2, past which the tail bound at
@@ -225,6 +233,29 @@ def average_fidelity_reference(channel, remap):
     return total
 
 
+def swapped_pairs(eta: float) -> np.ndarray:
+    """Each outcome's corrected pair on (b', c), unnormalized, shape (4, 4, 4).
+
+    The swap teleports b'' through the second pair: the Bell-outcome map of
+    the pair density, contracted with the first pair on b'', gives the pair
+    that outcome k leaves, U_k applied to c.  Its trace is the probability of k.
+    """
+    pair = np.array([0.0, math.cos(eta), -math.sin(eta), 0.0])
+    rho = np.outer(pair, pair)
+    # first pair [b', b'', b', b''] = [i, a, j, A]; the map's [k, a, A, c, C]
+    out = np.einsum("iajA,kaAcC->kicjC", rho.reshape(2, 2, 2, 2), protocols.bell_outcome_map(rho))
+    return out.reshape(4, 4, 4)
+
+
+def bell_diagonal(seed) -> tuple[TwoQubitDensity, float]:
+    """A Bell-diagonal density of Dirichlet weights p, and its scheme average
+    p_4 + (1 - p_4) / 3: the fixed corrections teleport the antisymmetric
+    component perfectly and scramble the rest isotropically."""
+    p = np.random.default_rng(seed).dirichlet(np.ones(4))
+    m = sum(pi * np.outer(b, b.conj()) for pi, b in zip(p, BELL_VECTORS))
+    return TwoQubitDensity(m), p[3] + (1.0 - p[3]) / 3.0
+
+
 @dataclass(frozen=True)
 class QubitVector:
     """Unit vector in the logical basis: plus * Psi+ + minus * Psi-."""
@@ -258,6 +289,179 @@ def psi_minus(basis: LogicalBasis) -> CoherentSuperposition:
     """|Psi-> = (-sin th |ta> + cos th |-ta>) / sqrt(N_theta)."""
     cos, sin = basis.cos_sin.tolist()
     return _on_pair(basis, -sin, cos)
+
+
+# ---------------------------------------------------------------------------
+# the oracles of the accuracy rows: per-term loops, Fock and Kraus sums, and
+# Horn's eigenvalue by enumeration and by singular values
+
+
+def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
+    """A superposition of one to ``max_terms`` terms, each amplitude part and
+    coefficient part uniform, the amplitude's in [-max_amp, max_amp] / sqrt 2."""
+    n = int(rng.integers(1, max_terms + 1))
+    coeffs = np.empty(n, dtype=complex)
+    amps = np.empty((n, modes), dtype=complex)
+    for t in range(n):
+        for m in range(modes):
+            amps[t, m] = (complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
+                          / math.sqrt(2.0))
+        coeffs[t] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return CoherentSuperposition(coeffs, amps)
+
+
+def sizes(seed, cases=12):
+    """(terms, modes) pairs spanning 1-64 terms and 1-4 modes."""
+    rng = np.random.default_rng(seed)
+    terms = np.rint(np.exp(rng.uniform(0.0, math.log(64.0), cases))).astype(int)
+    return [(1, 1), (64, 4)] + [(int(t), int(m)) for t, m in zip(terms, rng.integers(1, 5, cases))]
+
+
+def scale(*states):
+    """The product of the states' coefficient 1-norms, which bounds their overlap sums."""
+    return math.prod(float(np.sum(np.abs(s.coeffs))) for s in states)
+
+
+def ref_inner(a, b):
+    total = 0.0 + 0.0j
+    for ca, aa in zip(a.coeffs.tolist(), a.amps.tolist()):
+        for cb, ab in zip(b.coeffs.tolist(), b.amps.tolist()):
+            ex = sum(log_overlap(x, y) for x, y in zip(aa, ab))
+            total += ca.conjugate() * cb * cmath.exp(ex)
+    return total
+
+
+def ref_project_terms(s, modes, onto):
+    keep = [m for m in range(s.modes) if m not in modes]
+    coeffs, amps = [], []
+    for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
+        for cp, rowp in zip(onto.coeffs.tolist(), onto.amps.tolist()):
+            ex = sum(log_overlap(rowp[k], row[m]) for k, m in enumerate(modes))
+            coeffs.append(cp.conjugate() * c * cmath.exp(ex))
+            amps.append([row[m] for m in keep])
+    return CoherentSuperposition(np.array(coeffs), np.array(amps))
+
+
+def ref_operator_trace(rho):
+    total = 0.0 + 0.0j
+    for coeff, kets, bras in zip(rho.coeffs.tolist(), rho.kets.tolist(), rho.bras.tolist()):
+        ex = sum(log_overlap(g, b) for g, b in zip(bras, kets))
+        total += coeff * cmath.exp(ex)
+    return total
+
+
+def ref_to_fock(s, cutoff):
+    amps = np.zeros((cutoff + 1,) * s.modes, dtype=complex)
+    for coeff, row in zip(s.coeffs.tolist(), s.amps.tolist()):
+        vec = fock_ket(row[0], cutoff)
+        for a in row[1:]:
+            vec = np.multiply.outer(vec, fock_ket(a, cutoff))
+        amps += coeff * vec
+    return amps
+
+
+def fock_inner(a, b) -> complex:
+    """<a|b> of two Fock vectors on the same modes and cutoff."""
+    assert (a.modes, a.cutoff) == (b.modes, b.cutoff)
+    return complex(np.vdot(a.amps, b.amps))
+
+
+@functools.cache
+def fock_beam_splitter(cutoff: int) -> np.ndarray:
+    """``beam_split`` as a truncated-Fock unitary on two modes: a pi/4
+    two-mode rotation followed by a pi phase on the second output, built
+    from exp(theta (ad b - a bd)) and exp(i pi n)."""
+    dim = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    ad = a.conj().T
+    rot = expm((math.pi / 4.0) * (np.kron(ad, a) - np.kron(a, ad)))
+    phase = np.diag(np.exp(1j * math.pi * np.arange(dim)))
+    return np.kron(np.eye(dim), phase) @ rot
+
+
+# The paper's vacuum channel as amplitude damping in the Fock basis, with
+# transmissivity t^2 on each mode: an oracle for the decay law that contains
+# neither it nor the closed forms.
+ORACLE_CUTOFF = 60  # Poisson(4) beyond 60 photons is ~1e-46: |amp| <= 2 loses nothing
+
+
+def fock_ket(beta: complex, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+    """<n|beta> = e^{-|beta|^2/2} beta^n / sqrt(n!), n = 0..cutoff."""
+    n = np.arange(cutoff + 1)
+    return (math.exp(-0.5 * abs(beta) ** 2) * np.power(complex(beta), n)
+            / np.sqrt(special.factorial(n)))
+
+
+def kraus(r: float, cutoff: int = ORACLE_CUTOFF) -> np.ndarray:
+    """K_k = sum_m sqrt(C(m, k)) t^(m-k) r^k |m-k><m|, t = sqrt(1 - r^2), as an
+    array (k, row, column)."""
+    t = math.sqrt(1.0 - r * r)
+    k, m = np.nonzero(np.less_equal.outer(np.arange(cutoff + 1), np.arange(cutoff + 1)))
+    out = np.zeros((cutoff + 1,) * 3)
+    out[k, m - k, m] = np.sqrt(special.comb(m, k)) * t ** (m - k) * r ** k
+    return out
+
+
+def logical_fock_kets(amplitude: float) -> np.ndarray:
+    """Psi+ and Psi- at ``amplitude`` in the Fock basis, rows (2, cutoff + 1):
+    (cos th |a> - sin th |-a>) / sqrt(N) and (-sin th |a> + cos th |-a>) / sqrt(N),
+    sin 2th = <a|-a> = e^{-2 a^2}, N = 1 - e^{-4 a^2}."""
+    s2 = math.exp(-2.0 * amplitude * amplitude)
+    th, n = 0.5 * math.asin(s2), -math.expm1(-4.0 * amplitude * amplitude)
+    plus, minus = fock_ket(amplitude), fock_ket(-amplitude)
+    return np.stack((math.cos(th) * plus - math.sin(th) * minus,
+                     -math.sin(th) * plus + math.cos(th) * minus)) / math.sqrt(n)
+
+
+def kraus_channel_density(alpha: float, r: float) -> tuple[np.ndarray, float]:
+    """The channel density at (alpha, r) by the Kraus sums on B4's Fock vector,
+    and that vector's tail bound: <e_i| K_k on each mode, then sum_k over both
+    modes' environments."""
+    fock = to_fock(bell_state(4, make_basis(alpha)), ORACLE_CUTOFF)
+    bra_k = np.einsum("in,knm->ikm", logical_fock_kets(math.sqrt(1.0 - r * r) * alpha).conj(),
+                      kraus(r))
+    amps = np.einsum("akm,mn->akn", bra_k, fock.amps)
+    amps = np.einsum("akn,bln->abkl", amps, bra_k).reshape(4, -1)
+    return amps @ amps.conj().T, fock.tail_bound
+
+
+def damp_single_dyad(beta, gamma, clock):
+    """(coefficient, ket, bra) of the damped single-mode dyad |beta><gamma|."""
+    dyad = CoherentOperator(np.ones(1, dtype=complex), np.array([[beta]], dtype=complex),
+                            np.array([[gamma]], dtype=complex))
+    out = decohere(dyad, clock)
+    return out.coeffs[0], out.kets[0, 0], out.bras[0, 0]
+
+
+# The 48 signed permutation matrices, permutation major; the 24 of determinant
+# +1 are rotations.
+SIGNED_PERMUTATIONS = np.array([np.eye(3)[list(perm)] * np.array(signs)[:, None]
+                                for perm in itertools.permutations(range(3))
+                                for signs in itertools.product((1.0, -1.0), repeat=3)])
+
+
+def max_rotation_trace_enumerated(m: np.ndarray) -> float:
+    """max Tr(M O) over the rotations among the signed permutations: the
+    rotation optimum whenever M is diagonal, as the damped channel's is."""
+    return max(float(np.trace(m @ o)) for o in SIGNED_PERMUTATIONS if np.linalg.det(o) > 0)
+
+
+def rotation_trace_by_lu(m: np.ndarray) -> np.ndarray:
+    """max_rotation_trace by singular values, with the sign of det M from
+    LAPACK's LU: s1 + s2 + sgn(det M) s3."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., 0] + sv[..., 1] + np.where(np.linalg.det(m) >= 0, sv[..., 2], -sv[..., 2])
+
+
+def exact_det(m: np.ndarray) -> int:
+    """The determinant of a 3x3 matrix of integers, in integer arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = m.astype(int).tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def bloch_transfer_reference(lam):
+    """Q[k, m, n] = tr(s_m Lambda_k(s_n)) / 4 by direct contraction of the map."""
+    return np.einsum("mli,kaAil,naA->kmn", PAULI_BASIS, lam, PAULI_BASIS).real / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,11 @@ def _scaled_operator(factor):
     return lambda real: lambda *args: operator_sum((factor, real(*args)))
 
 
+def _plus(delta):
+    """A patch that adds ``delta`` to the real call's result."""
+    return lambda real: lambda *args: real(*args) + delta
+
+
 def _unchecked(matrix):
     """A patch whose call returns a stand-in density that skips every check."""
     return lambda real: lambda *args: types.SimpleNamespace(matrix=np.array(matrix))
@@ -265,6 +270,15 @@ CHECK_BREAKS = [
     ("check_entanglement_ordering", {(em, "closed_form_e"): _first_as_second}, f": {E1}, {E1},"),
     ("check_entanglement_ordering", {(em, "negativity_e"): _first_as_second},
      "numeric least gap 0.0e+00"),
+    ("check_mixedness_peak", {(em, "mixedness_peak"): lambda real: lambda alpha, measure: (
+        acceptance.SQRT_HALF + 2e-6)}, "linear argmax err 2.000e-06"),
+    ("check_mixedness_peak", {(em, "mixedness_peak"): lambda real: lambda alpha, measure: (
+        acceptance.SQRT_HALF + (2e-6 if measure == "vn" else 0.0))}, "vn vs linear 2.000e-06",
+     "-vn-only"),
+    ("check_bell_discrimination", {(pr, "misid_probability_closed"): _plus(2e-6)},
+     "|dP_i| = 2.000e-06"),
+    ("check_bell_discrimination", {(pr.BellMeasurement, "mass"): _plus(2e-12)},
+     "cross mass = 2.000e-12"),
     ("check_concentration_limits", {(pr, "concentrate_exact"): _swap_reads(  # its limit + 1e-6
         3.0, lambda eta: (math.cos(eta) * math.sin(eta)) ** 2 + 1.001e-6)}, "large err 1.0e-06"),
     ("check_concentration_limits", {(pr, "concentrate_exact"): _swap_reads(

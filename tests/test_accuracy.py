@@ -2,13 +2,25 @@
 
 A row of ``ACCURACY`` is an id, a grid (axis name to values; the points are the
 axes' outer product) and a call that takes the axes and returns ``(got, want,
-bound)`` over the grid and any trailing axes of the quantity, the bound over the
-leading axes.  One test asserts |got - want| <= bound everywhere and names the
-row, the worst point and its err/bound.  ``python tests/test_accuracy.py``
-prints each row's worst err/bound, and exits 1 when any row exceeds its bound.
+bound)`` over the grid and any trailing axes of the quantity, want and the
+bound over its leading axes.  One test asserts |got - want| <= bound everywhere
+and names the row, the worst point and its err/bound.  ``python
+tests/test_accuracy.py`` prints each row's worst err/bound, ends with a line
+naming every row that reads below 0.01 of its bound (a bound of 0 aside), and
+exits 1 when any row exceeds its bound.
+
+The rows cover every layer: the coherent algebra against per-term loops and
+truncated-Fock sums, decoherence against Kraus sums, the metrics against
+enumeration, singular values and matrix products, the numeric route against
+the closed forms, both against the 400-digit referee, the protocols against
+per-outcome contractions and decimal forms, and the CLI's printed columns.
 """
+import cmath
+import decimal
 import functools
+import itertools
 import math
+import traceback
 import types
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -16,12 +28,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from ecsim import cli, decoherence as dec, entanglement_metrics as em, protocols as pr
+from ecsim import cli, coherent_states as cs, decoherence as dec
+from ecsim import entanglement_metrics as em, protocols as pr
 from ecsim.decoherence import channel_rho4, closed_form_vst
 from ecsim.entanglement_metrics import (closed_form_e, closed_form_f, closed_form_s,
                                         linear_entropy, negativity_e, optimal_fidelity,
                                         singlet_fraction)
-from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, pauli_decompose
+from ecsim.qubit_encoding import BELL_VECTORS, PAULIS, TwoQubitDensity, pauli_decompose
+import reference as ref
 from reference import LOG_ALPHAS, average_fidelity_reference, decimal_channel
 
 EPS = np.finfo(float).eps
@@ -61,7 +75,8 @@ def measure(row: Row) -> tuple:
     got, want, bound = row.call(*axes)
     got = np.asarray(got)
     assert got.shape[:len(axes)] == tuple(map(len, axes)), (row.id, got.shape)
-    bound = np.reshape(bound, np.shape(bound) + (1,) * (got.ndim - np.ndim(bound)))
+    want, bound = (np.reshape(x, np.shape(x) + (1,) * (got.ndim - np.ndim(x)))
+                   for x in (want, bound))
     err, bound = np.broadcast_arrays(np.abs(got - want), bound)
     with np.errstate(divide="ignore"):
         ratio = np.divide(err, bound, out=np.zeros(err.shape), where=err > 0.0)
@@ -299,6 +314,295 @@ def _swap(alpha, eta):
             model_bound(alpha, "swap"))
 
 
+def _each(point, seed=None) -> Callable:
+    """A row's call from ``point``, one grid point's (got, want, bound): the
+    points in row-major order, as a loop over the grid draws them, on one
+    generator from ``seed`` that ``point`` takes first."""
+    def call(*axes):
+        rng = () if seed is None else (np.random.default_rng(seed),)
+        out = zip(*(point(*rng, *p) for p in itertools.product(*axes)))
+        return [np.reshape(x, tuple(map(len, axes)) + np.shape(x[0])) for x in out]
+    return call
+
+
+def _worst(pairs) -> list:
+    """max |got - want| of each (got, want) pair of arrays, inf where their
+    shapes differ: the error of a case whose arrays change shape from case to case."""
+    return [np.abs(np.subtract(got, want)).max(initial=0.0)
+            if np.shape(got) == np.shape(want) else np.inf for got, want in pairs]
+
+
+# ---------------------------------------------------------------------------
+# The layers against per-term loops, Fock and Kraus sums, enumeration, singular
+# values, per-outcome contractions and decimal forms.  A bound within 3x of a
+# last-bit error holds where it was measured (numpy 2.4.6, scipy 1.17.1,
+# x86_64), and may not elsewhere; each such bound says so.
+
+
+def _beam_split_fock(rng, _):
+    """beam_split against its truncated-Fock unitary at cutoff 30, on a two-mode
+    state of up to three terms, |amplitude| <= 1.2.  The error is the rounding
+    of scipy's expm, 4.7 eps at worst: 12 eps, within 3x (1e-8 before)."""
+    s = ref.random_state(rng, modes=2, max_terms=3, max_amp=1.2)
+    return (cs.to_fock(cs.beam_split(s, 0, 1), 30).amps.ravel(),
+            ref.fock_beam_splitter(30) @ cs.to_fock(s, 30).amps.ravel(), 12 * EPS)
+
+
+def _fock_norm(rng, modes, _):
+    """to_fock's squared norm against inner(s, s): the truncation's tail bound,
+    a stated claim, plus the sums' rounding, 4 eps at worst on these norms (up
+    to 4.5): 8 eps, within 3x (1e-12 before)."""
+    s = ref.random_state(rng, modes=modes, max_terms=4)
+    fv = cs.to_fock(s)
+    return np.vdot(fv.amps, fv.amps).real, cs.inner(s, s).real, fv.tail_bound + 8 * EPS
+
+
+def _fock_cross_inner(rng, _):
+    a, b = (ref.random_state(rng, modes=2, max_terms=3) for _ in range(2))
+    cutoff = max(cs.auto_cutoff(a), cs.auto_cutoff(b))
+    fa, fb = cs.to_fock(a, cutoff), cs.to_fock(b, cutoff)
+    return ref.fock_inner(fa, fb), cs.inner(a, b), math.sqrt(fa.tail_bound * fb.tail_bound) + 1e-12
+
+
+# The array routes against per-term loops, within 1e-14 of the states'
+# coefficient 1-norms, on (terms, modes) from 1-64 terms and 1-4 modes.
+def _inner_loop(rng, size):
+    """<a|b>, then <a|a> on the trailing axis."""
+    a, b = ref.array_state(rng, *size), ref.array_state(rng, int(rng.integers(1, 65)), size[1])
+    return ([cs.inner(a, b), cs.inner(a, a)], [ref.ref_inner(a, b), ref.ref_inner(a, a)],
+            [1e-14 * ref.scale(a, b), 1e-14 * ref.scale(a, a)])
+
+
+def _project_modes_loop(rng, size):
+    """The amplitudes exactly, then the coefficients within the bound."""
+    m = max(size[1], 2)
+    modes = tuple(int(x) for x in rng.choice(m, int(rng.integers(1, m)), replace=False))
+    s = ref.array_state(rng, size[0], m)
+    onto = ref.array_state(rng, int(rng.integers(1, 5)), len(modes))
+    got = cs.project_modes(s, modes, onto)
+    want = cs.consolidate(ref.ref_project_terms(s, modes, onto))
+    return (_worst([(got.amps, want.amps), (got.coeffs, want.coeffs)]), 0.0,
+            [0.0, 1e-14 * ref.scale(s, onto)])
+
+
+def _operator_trace_loop(rng, size):
+    a, b = ref.array_state(rng, *size), ref.array_state(rng, 4, size[1])
+    rho = ref.operator_sum((1, cs.dyad_from_pure(a)), (0.3 - 0.2j, cs.dyad_from_pure(b)))
+    return (cs.operator_trace(rho), ref.ref_operator_trace(rho),
+            1e-14 * (ref.scale(a, a) + ref.scale(b, b)))
+
+
+def _to_fock_loop(modes_cutoff):
+    """One generator a mode count, its states of 1, 7 and 64 terms on the trailing axis."""
+    modes, cutoff = modes_cutoff
+    rng = np.random.default_rng(47 + modes)
+    states = [ref.array_state(rng, n, modes, max_amp=3.0 if cutoff is None else 1.0)
+              for n in (1, 7, 64)]
+    fock = [cs.to_fock(s, cutoff) for s in states]
+    return (_worst([(fv.amps, ref.ref_to_fock(s, fv.cutoff)) for s, fv in zip(states, fock)]),
+            0.0, [1e-14 * ref.scale(s) for s in states])
+
+
+# decohere's law |b><g| -> <g|b>^(1-t^2) |tb><tg| against the Kraus sums of
+# amplitude damping, which contain neither it nor the closed forms
+def _kraus_channel(point):
+    """The Fock vector's tail bound plus the rounding, 1.5 eps at worst: 4 eps,
+    within 3x (1e-13 before)."""
+    want, tail = ref.kraus_channel_density(*point)
+    assert tail < 1e-30  # the amplitude error, sqrt(tail), is below 1e-15
+    return channel_rho4(*point).matrix, want, 4 * EPS + tail
+
+
+def _kraus_dyad(rng, _):
+    """A random complex dyad |b><g|, |b|, |g| <= 2, at r in [0.05, 0.99]."""
+    beta, gamma = (2.0 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+                   for _ in range(2))
+    r = rng.uniform(0.05, 0.99)
+    k, dyad = ref.kraus(r).astype(complex), np.outer(ref.fock_ket(beta), ref.fock_ket(gamma).conj())
+    coeff, ket, bra = ref.damp_single_dyad(beta, gamma, dec.DecayClock.from_r(r))
+    return (coeff * np.outer(ref.fock_ket(ket), ref.fock_ket(bra).conj()),
+            (k @ dyad @ k.transpose(0, 2, 1)).sum(axis=0), 1e-13)
+
+
+def _rotation_enumerated(alpha, r):
+    """max_rotation_trace of the channel's -T against the enumeration over
+    signed permutations, which attains the optimum for a diagonal T.  It reads
+    exactly 0 here, so no bound is 3x its error; 1e-12 stays."""
+    t = -pauli_decompose(channel_rho4(alpha, r))[..., 1:, 1:]
+    return (em.max_rotation_trace(t),
+            [[ref.max_rotation_trace_enumerated(m) for m in row] for row in t], 1e-12)
+
+
+def _horn(matrices, want=ref.rotation_trace_by_lu) -> Callable:
+    """A row's call: max_rotation_trace within the library's stated 16 eps
+    (s1 + s2 + s3) of ``want``, by default the singular values with the sign
+    of det M from LU, on the matrices of ``matrices()``, the trailing axis."""
+    def call(_):
+        m = matrices()
+        return ([em.max_rotation_trace(m)], [want(m)],
+                [16 * EPS * np.linalg.svd(m, compute_uv=False).sum(axis=-1)])
+    return call
+
+
+def _horn_singular():
+    """A zero column, rank one, and zero, where the bound is 0."""
+    rng = np.random.default_rng(48)
+    zero_column = rng.standard_normal((200, 3, 3))
+    zero_column[:, :, 1] = 0.0
+    u, v = rng.standard_normal((2, 200, 3))
+    return np.concatenate((zero_column, u[:, :, None] * v[:, None, :], np.zeros((2, 3, 3))))
+
+
+def _horn_near_singular():
+    """Signed permutations of diag(1, 0.5, tiny), then rank two plus 1e-9 and 1e-13 noise."""
+    rng = np.random.default_rng(49)
+    rank_two = rng.standard_normal((400, 3, 2)) @ rng.standard_normal((400, 2, 3))
+    return np.concatenate([ref.SIGNED_PERMUTATIONS * np.array([1.0, 0.5, tiny])
+                           for tiny in (1e-16, -1e-16, 1e-8, -1e-100)]
+                          + [rank_two + 1e-9 * rng.standard_normal((400, 3, 3)),
+                             rank_two + 1e-13 * rng.standard_normal((400, 3, 3))])
+
+
+def _horn_at_the_characteristic_time():
+    # T is diagonal up to rounding, and its first entry is ~1e-16 here
+    t = pauli_decompose(channel_rho4(np.array([0.1, 0.5, 1.0, 2.0, 3.0]), SQRT_HALF))
+    assert abs(t[2, 1, 1]) < 1e-15
+    return -t[..., 1:, 1:]
+
+
+def _horn_integer():
+    """Integer matrices, 250 of them singular."""
+    rng = np.random.default_rng(50)
+    m = rng.integers(-3, 4, size=(500, 3, 3)).astype(float)
+    m[:250, 2] = m[:250, 0] + m[:250, 1]
+    return m
+
+
+def _by_exact_det(m):
+    """The singular-value form with the exact sign of det M."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    exact = np.array([ref.exact_det(x) for x in m])
+    assert (exact[:250] == 0).all() and (exact[250:] != 0).any()
+    return sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2])
+
+
+def _linear_entropy_two_ulps(sets):
+    """linear_entropy within two ulps of 1 - tr(rho^2) by the matrix product,
+    counted at the larger term: random densities mixed with I/4, and the
+    channel on 4 alpha by 500 r."""
+    rng = np.random.default_rng(51)
+    m = ref.random_density(rng, (2000,)).matrix
+    mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
+    grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500)).matrix
+    rhos = (TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0),
+            TwoQubitDensity(grid.reshape(-1, 4, 4)))
+    purity = [np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real for rho in rhos]
+    return ([linear_entropy(rho) for rho in rhos], [1.0 - p for p in purity],
+            [2.0 * np.spacing(np.maximum(p, 1.0 - p)) for p in purity])
+
+
+# A real density is measured as the same density held as complex.  LAPACK's
+# real and complex symmetric solvers round differently: their eigenvalues lie
+# up to 6 eps apart on these densities (norm <= 1), and 8 eps is allowed.  E
+# takes twice the one negative eigenvalue of the partial transpose.  vn_entropy
+# keeps each eigenvalue l > 4 eps lambda_max >= eps, whose -l log2 l moves by at
+# most (|log2 l| + 1.45) |dl| < 54 |dl|; one that a solver keeps and the other
+# drops is under 12 eps, its term under 600 eps.  The bound, 1344 eps, is not the
+# sum of those worst cases but 6.6 times the 204 eps these densities read.
+REAL_DENSITY_METRICS = {"negativity_e": (negativity_e, 2 * 8 * EPS),
+                        "vn_entropy": (em.vn_entropy, 4 * 42 * 8 * EPS)}
+
+
+def _real_density(name):
+    (metric, bound), real = REAL_DENSITY_METRICS[name], ref.real_densities()
+    return metric(real), metric(TwoQubitDensity(real.matrix.astype(complex))), bound
+
+
+# the qubit traced out: (the partial trace, the other qubit's Bloch vector)
+PARTIAL_TRACES = {"second": ("ikjk->ij", np.s_[1:, 0]), "first": ("kikj->ij", np.s_[0, 1:])}
+
+
+def _reduced_bloch(traced_out):
+    """I/2 + b . sigma / 2 from pauli_decompose's local Bloch vector b against
+    the partial trace of a random density."""
+    (trace, part), rho = PARTIAL_TRACES[traced_out], ref.random_density(24)
+    return (np.eye(2) / 2.0 + sum(b * p / 2.0 for b, p in zip(pauli_decompose(rho)[part], PAULIS)),
+            np.einsum(trace, rho.matrix.reshape(2, 2, 2, 2)), 1e-12)
+
+
+TRANSFER_CHANNELS = {"rho4": lambda: channel_rho4(1.0, 0.4),
+                     **{f"random{k}": functools.partial(ref.random_density, k) for k in (1, 2, 3)}}
+
+
+def _outcome_map(name):
+    """bell_outcome_map against one contraction per outcome, on five arbitrary
+    operators x, not only projectors: the map is linear."""
+    channel, rng = TRANSFER_CHANNELS[name](), np.random.default_rng(61)
+    lam = pr.bell_outcome_map(channel.matrix)
+    xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(5)]
+    return ([np.einsum("aA,kaAil->kil", x, lam) for x in xs],
+            [ref.branches_reference(x, channel) for x in xs], 1e-14)
+
+
+def _moment_reference(name):
+    """average_fidelity against the isotropic moments of the per-outcome
+    contractions, for the scheme and then its best remapping: a global Pauli P
+    after the corrections acts as P on Bob's half of the channel (Paulis commute
+    up to a phase), so the best remapping is the best scheme average over the
+    four rotated channels.  It reads exactly 0 here, so no bound is 3x its
+    error; 1e-14 stays."""
+    channel, eye = TRANSFER_CHANNELS[name](), np.eye(2, dtype=complex)
+    rotated = [TwoQubitDensity(np.kron(eye, u) @ channel.matrix @ np.kron(eye, u.conj().T))
+               for u in (eye,) + PAULIS]
+    return ([pr.average_fidelity(pr.bloch_transfer(channel)),
+             max(pr.average_fidelity(pr.bloch_transfer(rho)) for rho in rotated)],
+            [average_fidelity_reference(channel, eye),
+             max(average_fidelity_reference(channel, u) for u in (eye,) + PAULIS)], 1e-14)
+
+
+def _bloch_transfer(name):
+    """bloch_transfer against the outcome map contracted with the Paulis."""
+    rho = TRANSFER_CHANNELS[name]()
+    return (pr.bloch_transfer(rho), ref.bloch_transfer_reference(pr.bell_outcome_map(rho.matrix)),
+            1e-15)
+
+
+def _bell_diagonal(seed):
+    """The exact average on a Bell-diagonal density, whose error is 1 eps: 2 eps,
+    within 3x (1e-12 before)."""
+    rho, want = ref.bell_diagonal(seed)
+    return pr.average_fidelity(pr.bloch_transfer(rho)), want, 2 * EPS
+
+
+# The swap's closed form against the stated form in 50-digit decimal, relative;
+# measured 4.6 eps at most, where 1 - sin^2(2 th) sin(2 eta) evaluated as
+# written lost 3.4e5 eps near pi/4.
+SWAP_STATED_ETAS = np.concatenate([np.linspace(0.02, 1.55, 60), [
+    math.pi / 4 + d for d in (0.0, -1e-2, 1e-2, -1e-4, 1e-4, -1e-6, 1e-6, -1e-9, 1e-9)],
+    [1e-6, math.pi / 2 - 1e-6]])
+
+
+def _swap_stated_form(alpha, eta):
+    want = ref.concentration_success_decimal(alpha.tolist(), eta.tolist())
+    got = pr.concentration_success_closed_form(alpha[:, None], eta).tolist()
+    return ([[float(decimal.Decimal(p) - w) for p, w in zip(*rows)] for rows in zip(got, want)],
+            0.0, 8 * EPS * np.abs(np.array(want, dtype=float)))
+
+
+def _cv_max(quantities):
+    """cv_max's x* and f* within an ulp of the 50-digit optimum
+    x* = sqrt(ln(1 + sqrt 2) / 2), f* = (1 + sqrt 2) / 4, and the function at
+    x* within an ulp of f*."""
+    x_star, f_star = pr.cv_max()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        root2 = decimal.Decimal(2).sqrt()
+        err = [decimal.Decimal(x_star) - ((1 + root2).ln() / 2).sqrt(),
+               decimal.Decimal(f_star) - (1 + root2) / 4]
+    return ([float(e) for e in err] + [pr.cv_fidelity(x_star) - f_star], 0.0,
+            [math.ulp(x_star), math.ulp(f_star), math.ulp(f_star)])
+
+
 ACCURACY = [
     *(_pair_row(f"{name}-{grid}", name, alphas, MODEL_R, functools.partial(
         model_bound, model="S" if name == "S" else "channel"))
@@ -335,6 +639,50 @@ ACCURACY = [
     Row("optimal-fidelity-scheme-optimum",
         {"alpha": np.array([0.5, 1.0]), "r": np.array([0.2, 0.6, SQRT_HALF, 0.9])},
         _scheme_optimum),
+    # the coherent algebra
+    Row("beam-split-fock-unitary", {"state": range(5)}, _each(_beam_split_fock, 10)),
+    Row("fock-norm-within-tail", {"modes": (1, 2), "state": range(10)}, _each(_fock_norm, 13)),
+    Row("fock-cross-inner-within-tail", {"pair": range(10)}, _each(_fock_cross_inner, 14)),
+    Row("inner-double-loop", {"(terms, modes)": ref.sizes(41)}, _each(_inner_loop, 40)),
+    Row("project-modes-double-loop", {"(terms, modes)": ref.sizes(43)},
+        _each(_project_modes_loop, 42)),
+    Row("operator-trace-loop", {"(terms, modes)": ref.sizes(45)}, _each(_operator_trace_loop, 44)),
+    Row("to-fock-outer-products", {"(modes, cutoff)": [(1, None), (2, None), (3, 10), (4, 6)]},
+        _each(_to_fock_loop)),
+    # decoherence
+    Row("kraus-channel-density", {"(alpha, r)": [(0.5, 0.3), (0.8, 0.9), (1.0, 0.5), (1.2, 0.99),
+                                                 (1.5, 0.6), (2.0, 0.2), (2.0, 0.99)]},
+        _each(_kraus_channel)),
+    Row("kraus-random-complex-dyads", {"draw": range(24)}, _each(_kraus_dyad, 61)),
+    # the metrics
+    Row("singlet-rotation-optimum-enumeration",
+        {"alpha": np.array([0.5, 1.0, 1.5]), "r": np.array([0.1, 0.6, 0.9])}, _rotation_enumerated),
+    *(Row(f"horn-{name}", {"matrices": (name,)}, _horn(*args)) for name, *args in (
+        ("random", lambda: np.random.default_rng(47).standard_normal((2000, 3, 3))),
+        ("singular", _horn_singular), ("near-singular", _horn_near_singular),
+        ("channel-at-the-characteristic-time", _horn_at_the_characteristic_time),
+        ("integer-matrices", _horn_integer, _by_exact_det))),
+    Row("linear-entropy-two-ulps", {"densities": ("mixtures", "channel")},
+        _linear_entropy_two_ulps),
+    Row("real-density-as-complex", {"metric": tuple(REAL_DENSITY_METRICS)}, _each(_real_density)),
+    Row("fidelity-margin-f-minus-two-thirds",
+        {"alpha": np.array([0.05, 0.5, 1.0, 2.0, 3.0]), "r": np.linspace(1e-6, 0.9995, 101)},
+        lambda a, r: (em._fidelity_margin(a, r), closed_form_f(a, r) - 2.0 / 3.0, 1e-14)),
+    Row("pauli-reduced-bloch", {"qubit traced out": tuple(PARTIAL_TRACES)}, _each(_reduced_bloch)),
+    # the protocols
+    Row("bell-outcome-map-contraction", {"channel": tuple(TRANSFER_CHANNELS)}, _each(_outcome_map)),
+    Row("average-fidelity-moment-reference", {"channel": tuple(TRANSFER_CHANNELS)},
+        _each(_moment_reference)),
+    Row("bloch-transfer-contraction", {"channel": tuple(TRANSFER_CHANNELS)},
+        _each(_bloch_transfer)),
+    Row("bell-diagonal-average", {"seed": (52,)}, _each(_bell_diagonal)),
+    # concentrate_ideal against the traces of the pairs that the swap
+    # teleports (measured: 5.6e-17 at most)
+    Row("ideal-swap-teleported-pairs", {"eta": ref.IDEAL_ETAS}, _each(lambda eta: (
+        pr.concentrate_ideal(eta), np.einsum("kii->k", ref.swapped_pairs(eta)).real, 1e-16))),
+    Row("swap-closed-form-stated-form",
+        {"alpha": np.geomspace(1e-3, 3.0, 25), "eta": SWAP_STATED_ETAS}, _swap_stated_form),
+    Row("cv-max-50-digits", {"quantity": ("x*", "f*", "f(x*)")}, _cv_max),
 ]
 
 
@@ -355,10 +703,19 @@ def test_a_decay_exponent_of_one_minus_t_squared_fails_the_decimal_check(monkeyp
 
 if __name__ == "__main__":
     print(f"{'row':38}  {'points':>7}  {'err/bound':>9}  {'err/eps':>9}  {'bound/eps':>9}  at")
-    failed = False
+    failed, loose = False, []
     for row in ACCURACY:
-        holds, points, ratio, err, bound, where = measure(row)
+        try:
+            holds, points, ratio, err, bound, where = measure(row)
+        except Exception as exc:  # a route that refuses its point fails its row
+            traceback.print_exc()
+            print(f"{row.id:38}  raised {type(exc).__name__}: {exc}")
+            failed = True
+            continue
         failed |= not holds
+        if ratio < 0.01 and bound > 0.0:
+            loose.append(row.id)
         print(f"{row.id:38}  {points:7d}  {ratio:9.3g}  {err / EPS:9.3g}  {bound / EPS:9.3g}  "
               f"{where}")
+    print(f"below 0.01 of the bound: {', '.join(loose) or 'none'}")
     raise SystemExit(failed)

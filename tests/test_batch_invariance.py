@@ -197,7 +197,8 @@ REGISTRY = {
     cs.poisson_tail_bound: Entry(lambda: [(k, TAILS.reshape(2, -1)) for k in (0, 3, 14, 50, 299)]
                                  + [(14, TAILS), (14, np.array(15.0)), (14, np.array([15.0])),
                                     (14, TAILS[::2]), (14, TAIL_MEANS[:8])], _split(0, 0)),
-    qe.make_basis: BASIS._replace(cases=lambda: _bases(20000)),
+    qe.make_basis: BASIS._replace(cases=lambda: _bases(20000) + [
+        ([0.5, 1.3, 2.0], 0.8), ([[0.5], [1.3]], np.array([1.0, 0.3]))]),
     qe.basis_in_range: BASIS._replace(cases=lambda: _bases(500)),
     qe.project_to_density: Entry(lambda: _times((np.array([1.0, 0.6, 0.25]),)), _split(0),
                                  _project, _matrix),
@@ -219,7 +220,8 @@ REGISTRY = {
         (np.array(0.5),), (np.array([0.5]),), (ETAS.reshape(6, 10),), (ETAS[::2],)], _split(0)),
     pr.concentration_success_closed_form: Entry(lambda: [
         (ALPHAS[:, None], ETAS), (np.array(1.0), np.array(0.3)), (np.array([1.0]), np.array([0.3])),
-        (1.0, ETAS), (ALPHAS[::2, None], ETAS[::2])], _split(0, 0)),
+        (1.0, ETAS), (ALPHAS[::2, None], ETAS[::2]), ([1.0, 2.0], 0.3),
+        ([[0.5], [2.0]], ETAS[:3])], _split(0, 0)),
     pr.cv_fidelity: Entry(lambda: [
         (CV,), (CV.reshape(7, 43),), (np.array(0.7),), (np.array([0.7]),), (CV[::2],),
         ([0.0, 0.7, -1.5],), (np.array([1e200, -1e300, 1e154, 2.0]),)], _split(0)),

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import special, stats
-from scipy.linalg import expm
 
 from ecsim import coherent_states
 from ecsim.coherent_states import (
@@ -37,29 +36,10 @@ from ecsim.coherent_states import (
     truncation_tail_bound,
 )
 from ecsim.errors import CutoffError
-from reference import TAIL_MEANS, array_state, exact_poisson_tails, operator_sum
+from reference import (TAIL_MEANS, array_state, exact_poisson_tails, fock_inner, random_state,
+                       sizes)
 
 SQ2 = math.sqrt(2.0)
-
-
-def random_state(rng, modes=1, max_terms=4, max_amp=2.0):
-    n = int(rng.integers(1, max_terms + 1))
-    coeffs = np.empty(n, dtype=complex)
-    amps = np.empty((n, modes), dtype=complex)
-    for t in range(n):
-        for m in range(modes):
-            amps[t, m] = (
-                complex(rng.uniform(-max_amp, max_amp), rng.uniform(-max_amp, max_amp))
-                / SQ2
-            )
-        coeffs[t] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    return CoherentSuperposition(coeffs, amps)
-
-
-def fock_inner(a, b) -> complex:
-    """<a|b> of two Fock vectors on the same modes and cutoff."""
-    assert (a.modes, a.cutoff) == (b.modes, b.cutoff)
-    return complex(np.vdot(a.amps, b.amps))
 
 
 class TestOverlap:
@@ -128,26 +108,6 @@ class TestBeamSplit:
             after = inner(beam_split(s, 0, 1), beam_split(s, 0, 1)).real
             assert after == pytest.approx(before, abs=1e-12 * max(1.0, before))
 
-    def test_against_fock_unitary(self):
-        # Independent oracle: the same map as a truncated-Fock unitary,
-        # a pi/4 two-mode rotation followed by a pi phase on the second
-        # output, built from exp(theta (ad b - a bd)) and exp(i pi n).
-        cutoff = 30
-        dim = cutoff + 1
-        a = np.diag(np.sqrt(np.arange(1, dim)), 1)
-        ad = a.conj().T
-        gen = np.kron(ad, a) - np.kron(a, ad)
-        rot = expm((math.pi / 4.0) * gen)
-        phase = np.diag(np.exp(1j * math.pi * np.arange(dim)))
-        u_bs = np.kron(np.eye(dim), phase) @ rot
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            s = random_state(rng, modes=2, max_terms=3, max_amp=1.2)
-            direct = to_fock(beam_split(s, 0, 1), cutoff).amps.reshape(-1)
-            mapped = u_bs @ to_fock(s, cutoff).amps.reshape(-1)
-            assert np.max(np.abs(direct - mapped)) < 1e-8
-
-
 class TestPhaseShift:
     def test_pi_flips_sign(self):
         out = phase_shift(CoherentSuperposition.ket(0.9), 0, math.pi)
@@ -185,26 +145,6 @@ class TestFock:
         )
         fv = to_fock(even, 40)
         assert np.max(np.abs(fv.amps[1::2])) < 1e-15
-
-    def test_norm_matches_analytic_inner(self):
-        rng = np.random.default_rng(13)
-        for modes in (1, 2):
-            for _ in range(10):
-                s = random_state(rng, modes=modes, max_terms=4)
-                fv = to_fock(s)
-                n_fock = float(np.vdot(fv.amps, fv.amps).real)
-                n_exact = inner(s, s).real
-                assert abs(n_fock - n_exact) <= fv.tail_bound + 1e-12
-
-    def test_cross_inner_within_tail(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            a = random_state(rng, modes=2, max_terms=3)
-            b = random_state(rng, modes=2, max_terms=3)
-            cutoff = max(auto_cutoff(a), auto_cutoff(b))
-            fa, fb = to_fock(a, cutoff), to_fock(b, cutoff)
-            bound = math.sqrt(fa.tail_bound * fb.tail_bound) + 1e-12
-            assert abs(fock_inner(fa, fb) - inner(a, b)) <= bound
 
     def test_cutoff_error_reported(self):
         # the record carries the truncation: P(N > 3) for N ~ Poisson(4), at
@@ -341,69 +281,7 @@ class TestHousekeeping:
 
 
 # ---------------------------------------------------------------------------
-# array route against per-term reference loops
-
-
-def sizes(seed, cases=12):
-    """(terms, modes) pairs spanning 1-64 terms and 1-4 modes."""
-    rng = np.random.default_rng(seed)
-    terms = np.rint(np.exp(rng.uniform(0.0, math.log(64.0), cases))).astype(int)
-    return [(1, 1), (64, 4)] + [(int(t), int(m)) for t, m in zip(terms, rng.integers(1, 5, cases))]
-
-
-def scale(*states):
-    return math.prod(float(np.sum(np.abs(s.coeffs))) for s in states)
-
-
-def ref_inner(a, b):
-    total = 0.0 + 0.0j
-    for ca, aa in zip(a.coeffs.tolist(), a.amps.tolist()):
-        for cb, ab in zip(b.coeffs.tolist(), b.amps.tolist()):
-            ex = sum(log_overlap(x, y) for x, y in zip(aa, ab))
-            total += ca.conjugate() * cb * cmath.exp(ex)
-    return total
-
-
-def ref_project_terms(s, modes, onto):
-    keep = [m for m in range(s.modes) if m not in modes]
-    coeffs, amps = [], []
-    for c, row in zip(s.coeffs.tolist(), s.amps.tolist()):
-        for cp, rowp in zip(onto.coeffs.tolist(), onto.amps.tolist()):
-            ex = sum(log_overlap(rowp[k], row[m]) for k, m in enumerate(modes))
-            coeffs.append(cp.conjugate() * c * cmath.exp(ex))
-            amps.append([row[m] for m in keep])
-    return CoherentSuperposition(np.array(coeffs), np.array(amps))
-
-
-def ref_operator_trace(rho):
-    total = 0.0 + 0.0j
-    for coeff, kets, bras in zip(rho.coeffs.tolist(), rho.kets.tolist(), rho.bras.tolist()):
-        ex = sum(log_overlap(g, b) for g, b in zip(bras, kets))
-        total += coeff * cmath.exp(ex)
-    return total
-
-
-def _coherent_fock_amps(beta, cutoff):
-    out = np.empty(cutoff + 1, dtype=complex)
-    c = math.exp(-0.5 * abs(beta) ** 2)
-    for n in range(cutoff + 1):
-        out[n] = c
-        c = c * beta / math.sqrt(n + 1)
-    return out
-
-
-def ref_to_fock(s, cutoff):
-    amps = np.zeros((cutoff + 1,) * s.modes, dtype=complex)
-    for coeff, row in zip(s.coeffs.tolist(), s.amps.tolist()):
-        vec = _coherent_fock_amps(row[0], cutoff)
-        for a in row[1:]:
-            vec = np.multiply.outer(vec, _coherent_fock_amps(a, cutoff))
-        amps += coeff * vec
-    return amps
-
-
-def term_list(s):
-    return list(zip(s.coeffs.tolist(), s.amps.tolist()))
+# the Poisson tail and the truncation bound
 
 
 # cutoffs 0..300 against TAIL_MEANS
@@ -462,43 +340,6 @@ class TestPoissonTail:
 
 
 class TestArrayRoute:
-    def test_inner_matches_double_loop(self):
-        rng = np.random.default_rng(40)
-        for t, m in sizes(41):
-            a, b = array_state(rng, t, m), array_state(rng, int(rng.integers(1, 65)), m)
-            for x, y in ((a, b), (a, a)):
-                assert abs(inner(x, y) - ref_inner(x, y)) <= 1e-14 * scale(x, y)
-
-    def test_project_modes_matches_double_loop(self):
-        rng = np.random.default_rng(42)
-        for t, m in sizes(43):
-            m = max(m, 2)
-            modes = tuple(int(x) for x in rng.choice(m, int(rng.integers(1, m)), replace=False))
-            s = array_state(rng, t, m)
-            onto = array_state(rng, int(rng.integers(1, 5)), len(modes))
-            got = project_modes(s, modes, onto)
-            want = consolidate(ref_project_terms(s, modes, onto))
-            assert np.array_equal(got.amps, want.amps)
-            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale(s, onto)
-
-    def test_operator_trace_matches_loop(self):
-        rng = np.random.default_rng(44)
-        for t, m in sizes(45):
-            a, b = array_state(rng, t, m), array_state(rng, 4, m)
-            rho = operator_sum((1, dyad_from_pure(a)), (0.3 - 0.2j, dyad_from_pure(b)))
-            want = ref_operator_trace(rho)
-            assert abs(operator_trace(rho) - want) <= 1e-14 * (scale(a, a) + scale(b, b))
-
-    @pytest.mark.parametrize("modes,cutoff", [(1, None), (2, None), (3, 10), (4, 6)])
-    def test_to_fock_matches_outer_products(self, modes, cutoff):
-        rng = np.random.default_rng(47 + modes)
-        for terms in (1, 7, 64):
-            s = array_state(rng, terms, modes, max_amp=3.0 if cutoff is None else 1.0)
-            fv = to_fock(s, cutoff)
-            want = ref_to_fock(s, fv.cutoff)
-            assert fv.amps.shape == want.shape
-            assert np.max(np.abs(fv.amps - want)) <= 1e-14 * scale(s)
-
     def test_tail_bound_bounds_the_exact_tails(self):
         # the 40-digit per-mode tails, composed as truncation_tail_bound
         # composes its per-mode bounds: correctly rounded sums, roots and
@@ -529,6 +370,10 @@ class TestArrayRoute:
         s = CoherentSuperposition.ket(0.5, 2.0 + 1.0j) + CoherentSuperposition.ket(-1.0, 0.0)
         assert auto_cutoff(s) == math.ceil(2 * 5.0 + 10 * math.sqrt(5.0) + 20)
         assert auto_cutoff(CoherentSuperposition.ket(0.0, 0.0, 0.0)) == 20
+
+
+def term_list(s):
+    return list(zip(s.coeffs.tolist(), s.amps.tolist()))
 
 
 class TestConsolidate:

@@ -1,5 +1,4 @@
 """Negativity, singlet fraction, fidelity, and entropy functionals."""
-import itertools
 import math
 import sys
 
@@ -31,7 +30,7 @@ from ecsim.qubit_encoding import (
     make_basis,
     pauli_decompose,
 )
-from reference import random_density, real_densities
+from reference import SIGNED_PERMUTATIONS, exact_det, random_density
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -52,25 +51,6 @@ def random_separable(rng, n: int, terms: int, real: bool) -> np.ndarray:
         psi = (a[:, :, None] * b[:, None, :]).reshape(n, 4)
         rho += w[:, j, None, None] * (psi[:, :, None] * psi[:, None, :].conj())
     return rho
-
-
-def max_rotation_trace_enumerated(m: np.ndarray) -> float:
-    """max Tr(M O) over signed permutations O with determinant +1.
-
-    Exhaustive (24 matrices); attains the rotation optimum whenever M is
-    diagonal, which is the case for the damped channel.
-    """
-    m = np.asarray(m, dtype=float)
-    best = -np.inf
-    for perm in itertools.permutations(range(3)):
-        p = np.zeros((3, 3))
-        for i, j in enumerate(perm):
-            p[i, j] = 1.0
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            o = p * np.array(signs)[:, None]
-            if np.linalg.det(o) > 0:
-                best = max(best, float(np.trace(m @ o)))
-    return best
 
 
 class TestNegativity:
@@ -190,41 +170,12 @@ class TestSingletFraction:
             0.25, abs=1e-12
         )
 
-    def test_rotation_optimum_vs_enumeration(self):
-        for alpha in (0.5, 1.0, 1.5):
-            for r in (0.1, 0.6, 0.9):
-                t = pauli_decompose(channel_rho4(alpha, r))[1:, 1:]
-                assert max_rotation_trace(-t) == pytest.approx(
-                    max_rotation_trace_enumerated(-t), abs=1e-12
-                )
-
-
-def _rotation_trace_by_lu(m: np.ndarray) -> np.ndarray:
-    """max_rotation_trace by singular values, with the sign of det M from
-    LAPACK's LU: s1 + s2 + sgn(det M) s3."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv[..., 0] + sv[..., 1] + np.where(np.linalg.det(m) >= 0, sv[..., 2], -sv[..., 2])
-
-
-def _exact_det(m: np.ndarray) -> int:
-    """The determinant of a 3x3 matrix of integers, in integer arithmetic."""
-    (a, b, c), (d, e, f), (g, h, i) = m.astype(int).tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-HORN_EPS = 16  # the stated bound, in eps (s1 + s2 + s3)
-
-
-def _within_horn_bound(m: np.ndarray, want: np.ndarray) -> None:
-    """Horn's eigenvalue is within HORN_EPS eps (s1 + s2 + s3) of ``want``."""
-    scale = np.linalg.svd(m, compute_uv=False).sum(axis=-1) * np.finfo(float).eps
-    assert (np.abs(max_rotation_trace(m) - want) <= HORN_EPS * scale).all()
-
 
 class TestHornEigenvalue:
-    """``max_rotation_trace`` is the largest eigenvalue of Horn's 4x4 K(M):
-    within its stated bound of the singular values with the sign of det M
-    from LU, and exact on integer diagonal and signed-permutation matrices."""
+    """``max_rotation_trace`` is the largest eigenvalue of Horn's 4x4 K(M),
+    exact on integer diagonal and signed-permutation matrices; its stated
+    bound against the singular values is held by the ``horn-*`` rows of
+    test_accuracy.py."""
 
     def test_k_is_the_rotation_trace_as_a_quadratic_form(self):
         # q^T K(M) q = tr(M R(q)) for unit quaternions q = (w, x, y, z), and
@@ -242,49 +193,6 @@ class TestHornEigenvalue:
             k = np.einsum("i,iab->ab", m.reshape(9), em._HORN)
             assert q @ k @ q == pytest.approx(np.trace(m @ rot), abs=1e-13)
 
-    def test_random(self):
-        m = np.random.default_rng(47).standard_normal((2000, 3, 3))
-        _within_horn_bound(m, _rotation_trace_by_lu(m))
-
-    def test_singular(self):
-        rng = np.random.default_rng(48)
-        zero_column = rng.standard_normal((200, 3, 3))
-        zero_column[:, :, 1] = 0.0
-        u, v = rng.standard_normal((2, 200, 3))
-        rank_one = u[:, :, None] * v[:, None, :]
-        for m in (zero_column, rank_one, np.zeros((2, 3, 3))):
-            _within_horn_bound(m, _rotation_trace_by_lu(m))
-        assert (max_rotation_trace(np.zeros((2, 3, 3))) == 0.0).all()
-
-    def test_near_singular(self):
-        rng = np.random.default_rng(49)
-        cases = []
-        for tiny in (1e-16, -1e-16, 1e-8, -1e-100):
-            for perm in itertools.permutations(range(3)):
-                for signs in itertools.product((1.0, -1.0), repeat=3):
-                    cases.append(np.diag(np.array([1.0, 0.5, tiny]) * signs)[list(perm)])
-        rank_two = rng.standard_normal((400, 3, 2)) @ rng.standard_normal((400, 2, 3))
-        for m in (np.array(cases), rank_two + 1e-9 * rng.standard_normal((400, 3, 3)),
-                  rank_two + 1e-13 * rng.standard_normal((400, 3, 3))):
-            _within_horn_bound(m, _rotation_trace_by_lu(m))
-
-    def test_channel_at_the_characteristic_time(self):
-        # T is diagonal up to rounding, and its first entry is ~1e-16 here
-        t = pauli_decompose(channel_rho4(np.array([0.1, 0.5, 1.0, 2.0, 3.0]), SQRT_HALF))
-        t = t[..., 1:, 1:]
-        assert abs(t[2, 0, 0]) < 1e-15
-        _within_horn_bound(-t, _rotation_trace_by_lu(-t))
-
-    def test_integer_matrices(self):
-        # against the exact sign of det M, 250 of them singular
-        rng = np.random.default_rng(50)
-        m = rng.integers(-3, 4, size=(500, 3, 3)).astype(float)
-        m[:250, 2] = m[:250, 0] + m[:250, 1]
-        sv = np.linalg.svd(m, compute_uv=False)
-        exact = np.array([_exact_det(x) for x in m])
-        assert (exact[:250] == 0).all() and (exact[250:] != 0).any()
-        _within_horn_bound(m, sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2]))
-
     def test_exact_on_integer_diagonal_matrices(self):
         d = np.random.default_rng(52).integers(-5, 6, size=(1000, 3)).astype(float)
         s = -np.sort(-np.abs(d), axis=1)
@@ -293,12 +201,8 @@ class TestHornEigenvalue:
 
     def test_exact_on_signed_permutations(self):
         # a rotation's optimum is O = M^T, 3; a reflection's is 1
-        cases = [np.eye(3)[list(perm)] * np.array(signs)[:, None]
-                 for perm in itertools.permutations(range(3))
-                 for signs in itertools.product((1.0, -1.0), repeat=3)]
-        m = np.array(cases)
-        want = np.where(np.array([_exact_det(x) for x in m]) > 0, 3.0, 1.0)
-        assert max_rotation_trace(m).tobytes() == want.tobytes()
+        want = np.where(np.array([exact_det(x) for x in SIGNED_PERMUTATIONS]) > 0, 3.0, 1.0)
+        assert max_rotation_trace(SIGNED_PERMUTATIONS).tobytes() == want.tobytes()
 
 
 class TestOptimalFidelity:
@@ -389,11 +293,8 @@ class TestCharacteristicTime:
             assert closed_form_f(float(alpha), r_c + 1e-6) < 2.0 / 3.0
 
     def test_margin_is_f_minus_two_thirds(self):
-        r = np.linspace(1e-6, 0.9995, 101)
-        for alpha in (0.05, 0.5, 1.0, 2.0, 3.0):
-            margin = em._fidelity_margin(alpha, r)
-            assert margin == pytest.approx(closed_form_f(alpha, r) - 2.0 / 3.0, abs=1e-14)
-        # where f rounds to 2/3 the margin keeps its sign
+        # where f rounds to 2/3 the margin keeps its sign; its bound against
+        # f - 2/3 is the fidelity-margin row of test_accuracy.py
         assert closed_form_f(3.0, 0.9995) == 2.0 / 3.0
         assert em._fidelity_margin(3.0, 0.9995) < 0.0
 
@@ -428,19 +329,6 @@ CLOSED_FORMS = [(closed_form_e, negativity_e), (closed_form_f, optimal_fidelity)
 
 
 class TestBatches:
-    def test_linear_entropy_within_two_ulps_of_the_matrix_product(self):
-        # counted at the larger term of 1 - tr(rho^2)
-        rng = np.random.default_rng(51)
-        m = random_density(rng, (2000,)).matrix
-        mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
-        grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500)).matrix
-        for rho in (TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0),
-                    TwoQubitDensity(grid)):
-            purity = np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
-            want = 1.0 - purity
-            ulp = np.spacing(np.maximum(purity, want))
-            assert (np.abs(linear_entropy(rho) - want) <= 2.0 * ulp).all()
-
     @pytest.mark.parametrize("closed,numeric",
                              CLOSED_FORMS + [(closed_form_vst, pauli_decompose)])
     @pytest.mark.parametrize("alpha_shape,r_shape",
@@ -453,25 +341,6 @@ class TestBatches:
         got, want = closed(alphas, r), numeric(channel_rho4(alphas, r))
         assert np.shape(got) == np.shape(want)
         assert np.max(np.abs(got - want)) < 1e-9
-
-
-class TestRealDensity:
-    """A real density is measured as the same density held as complex."""
-
-    # LAPACK's real and complex symmetric solvers round differently: their
-    # eigenvalues lie up to 6 eps apart on these densities (norm <= 1), and
-    # 8 eps is allowed.  E takes twice the one negative eigenvalue of the
-    # partial transpose.  vn_entropy keeps each eigenvalue l > 4 eps lambda_max
-    # >= eps, whose -l log2 l moves by at most (|log2 l| + 1.45) |dl| < 54 |dl|;
-    # one that a solver keeps and the other drops is under 12 eps, its term
-    # under 600 eps.  The bound, 1344 eps, is not the sum of those worst cases
-    # but 6.6 times the 204 eps these densities read.
-    @pytest.mark.parametrize("metric,bound", [(negativity_e, 2 * 8 * np.finfo(float).eps),
-                                              (vn_entropy, 4 * 42 * 8 * np.finfo(float).eps)])
-    def test_within_the_solvers_rounding(self, metric, bound):
-        real = real_densities()
-        cplx = TwoQubitDensity(real.matrix.astype(complex))
-        assert np.max(np.abs(metric(real) - metric(cplx))) <= bound
 
 
 def test_negativity_is_never_lost_at_alpha_3():
