@@ -325,6 +325,13 @@ def _each(point, seed=None) -> Callable:
     return call
 
 
+def _cases(row_id: str, axis: str, cases, point) -> list:
+    """One row per case of ``axis``, ``row_id``-case: the cases share no
+    generator, so each is its own test item, as each was a parametrized one."""
+    return [Row(f"{row_id}-{'-'.join(map(str, case)) if isinstance(case, tuple) else case}",
+                {axis: (case,)}, _each(point)) for case in cases]
+
+
 def _worst(pairs) -> list:
     """max |got - want| of each (got, want) pair of arrays, inf where their
     shapes differ: the error of a case whose arrays change shape from case to case."""
@@ -486,19 +493,20 @@ def _by_exact_det(m):
     return sv[:, 0] + sv[:, 1] + np.where(exact >= 0, sv[:, 2], -sv[:, 2])
 
 
-def _linear_entropy_two_ulps(sets):
+def _linear_entropy_two_ulps(densities):
     """linear_entropy within two ulps of 1 - tr(rho^2) by the matrix product,
-    counted at the larger term: random densities mixed with I/4, and the
+    counted at the larger term: random densities mixed with I/4, or the
     channel on 4 alpha by 500 r."""
-    rng = np.random.default_rng(51)
-    m = ref.random_density(rng, (2000,)).matrix
-    mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
-    grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500)).matrix
-    rhos = (TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0),
-            TwoQubitDensity(grid.reshape(-1, 4, 4)))
-    purity = [np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real for rho in rhos]
-    return ([linear_entropy(rho) for rho in rhos], [1.0 - p for p in purity],
-            [2.0 * np.spacing(np.maximum(p, 1.0 - p)) for p in purity])
+    if densities == "mixtures":
+        rng = np.random.default_rng(51)
+        m = ref.random_density(rng, (2000,)).matrix
+        mix = rng.uniform(0.0, 1.0, (2000, 1, 1))
+        rho = TwoQubitDensity(mix * m + (1.0 - mix) * np.eye(4) / 4.0)
+    else:
+        grid = channel_rho4(np.array([0.1, 1.0, 2.0, 3.0]), np.linspace(0.0, 0.999, 500))
+        rho = TwoQubitDensity(grid.matrix.reshape(-1, 4, 4))
+    purity = np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
+    return linear_entropy(rho), 1.0 - purity, 2.0 * np.spacing(np.maximum(purity, 1.0 - purity))
 
 
 # A real density is measured as the same density held as complex.  LAPACK's
@@ -589,18 +597,19 @@ def _swap_stated_form(alpha, eta):
             0.0, 8 * EPS * np.abs(np.array(want, dtype=float)))
 
 
-def _cv_max(quantities):
+def _cv_max(quantity):
     """cv_max's x* and f* within an ulp of the 50-digit optimum
     x* = sqrt(ln(1 + sqrt 2) / 2), f* = (1 + sqrt 2) / 4, and the function at
     x* within an ulp of f*."""
     x_star, f_star = pr.cv_max()
+    if quantity == "f(x*)":
+        return pr.cv_fidelity(x_star) - f_star, 0.0, math.ulp(f_star)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         root2 = decimal.Decimal(2).sqrt()
-        err = [decimal.Decimal(x_star) - ((1 + root2).ln() / 2).sqrt(),
-               decimal.Decimal(f_star) - (1 + root2) / 4]
-    return ([float(e) for e in err] + [pr.cv_fidelity(x_star) - f_star], 0.0,
-            [math.ulp(x_star), math.ulp(f_star), math.ulp(f_star)])
+        got, want = ((x_star, ((1 + root2).ln() / 2).sqrt()) if quantity == "x*"
+                     else (f_star, (1 + root2) / 4))
+        return float(decimal.Decimal(got) - want), 0.0, math.ulp(got)
 
 
 ACCURACY = [
@@ -647,12 +656,12 @@ ACCURACY = [
     Row("project-modes-double-loop", {"(terms, modes)": ref.sizes(43)},
         _each(_project_modes_loop, 42)),
     Row("operator-trace-loop", {"(terms, modes)": ref.sizes(45)}, _each(_operator_trace_loop, 44)),
-    Row("to-fock-outer-products", {"(modes, cutoff)": [(1, None), (2, None), (3, 10), (4, 6)]},
-        _each(_to_fock_loop)),
+    *_cases("to-fock-outer-products", "(modes, cutoff)", [(1, None), (2, None), (3, 10), (4, 6)],
+            _to_fock_loop),
     # decoherence
-    Row("kraus-channel-density", {"(alpha, r)": [(0.5, 0.3), (0.8, 0.9), (1.0, 0.5), (1.2, 0.99),
-                                                 (1.5, 0.6), (2.0, 0.2), (2.0, 0.99)]},
-        _each(_kraus_channel)),
+    *_cases("kraus-channel-density", "(alpha, r)", [(0.5, 0.3), (0.8, 0.9), (1.0, 0.5), (1.2, 0.99),
+                                                    (1.5, 0.6), (2.0, 0.2), (2.0, 0.99)],
+            _kraus_channel),
     Row("kraus-random-complex-dyads", {"draw": range(24)}, _each(_kraus_dyad, 61)),
     # the metrics
     Row("singlet-rotation-optimum-enumeration",
@@ -662,19 +671,17 @@ ACCURACY = [
         ("singular", _horn_singular), ("near-singular", _horn_near_singular),
         ("channel-at-the-characteristic-time", _horn_at_the_characteristic_time),
         ("integer-matrices", _horn_integer, _by_exact_det))),
-    Row("linear-entropy-two-ulps", {"densities": ("mixtures", "channel")},
-        _linear_entropy_two_ulps),
-    Row("real-density-as-complex", {"metric": tuple(REAL_DENSITY_METRICS)}, _each(_real_density)),
+    *_cases("linear-entropy-two-ulps", "densities", ("mixtures", "channel"),
+            _linear_entropy_two_ulps),
+    *_cases("real-density-as-complex", "metric", REAL_DENSITY_METRICS, _real_density),
     Row("fidelity-margin-f-minus-two-thirds",
         {"alpha": np.array([0.05, 0.5, 1.0, 2.0, 3.0]), "r": np.linspace(1e-6, 0.9995, 101)},
         lambda a, r: (em._fidelity_margin(a, r), closed_form_f(a, r) - 2.0 / 3.0, 1e-14)),
-    Row("pauli-reduced-bloch", {"qubit traced out": tuple(PARTIAL_TRACES)}, _each(_reduced_bloch)),
+    *_cases("pauli-reduced-bloch", "qubit traced out", PARTIAL_TRACES, _reduced_bloch),
     # the protocols
-    Row("bell-outcome-map-contraction", {"channel": tuple(TRANSFER_CHANNELS)}, _each(_outcome_map)),
-    Row("average-fidelity-moment-reference", {"channel": tuple(TRANSFER_CHANNELS)},
-        _each(_moment_reference)),
-    Row("bloch-transfer-contraction", {"channel": tuple(TRANSFER_CHANNELS)},
-        _each(_bloch_transfer)),
+    *_cases("bell-outcome-map-contraction", "channel", TRANSFER_CHANNELS, _outcome_map),
+    *_cases("average-fidelity-moment-reference", "channel", TRANSFER_CHANNELS, _moment_reference),
+    *_cases("bloch-transfer-contraction", "channel", TRANSFER_CHANNELS, _bloch_transfer),
     Row("bell-diagonal-average", {"seed": (52,)}, _each(_bell_diagonal)),
     # concentrate_ideal against the traces of the pairs that the swap
     # teleports (measured: 5.6e-17 at most)
@@ -682,7 +689,7 @@ ACCURACY = [
         pr.concentrate_ideal(eta), np.einsum("kii->k", ref.swapped_pairs(eta)).real, 1e-16))),
     Row("swap-closed-form-stated-form",
         {"alpha": np.geomspace(1e-3, 3.0, 25), "eta": SWAP_STATED_ETAS}, _swap_stated_form),
-    Row("cv-max-50-digits", {"quantity": ("x*", "f*", "f(x*)")}, _cv_max),
+    *_cases("cv-max-50-digits", "quantity", ("x*", "f*", "f(x*)"), _cv_max),
 ]
 
 
